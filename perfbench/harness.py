@@ -35,6 +35,17 @@ def derive_seed(seed: int, *labels) -> int:
     return int.from_bytes(digest, "big") & ((1 << _SEED_BITS) - 1)
 
 
+def pass_count(seconds: float, pass_s: float) -> int:
+    """Whole passes of ``pass_s`` seconds each that fill ``seconds``; at least one.
+
+    The count depends on the arguments alone, never on a clock, so runs of
+    one workload and seed do the same operations however fast the machine is.
+    """
+    if not pass_s > 0:
+        raise ValueError(f"pass_s must be positive, got {pass_s}")
+    return max(1, math.ceil(seconds / pass_s - 1e-9))
+
+
 class TooFewSamples(ValueError):
     """Raised when a percentile has fewer than ``MIN_BEYOND`` samples beyond it."""
 
@@ -66,12 +77,12 @@ def percentile(values, q: float) -> float:
 class Gauge:
     """Samples a fixed numpy-only kernel between operations to track machine speed.
 
-    On a shared machine, neighbours slow every process by tens of percent
-    for minutes at a time.  The kernel -- a small expression-tree walk over
-    5x5 SPD matrices with eigendecompositions, much like geocert's own
-    mix of interpreter work and small LAPACK calls -- never touches geocert,
-    so no change to the package moves it; its median time in a run measures
-    how fast the machine ran during that run.
+    On a shared machine, neighbours slow every process by tens of percent,
+    for seconds or minutes at a time.  The kernel -- a small expression-tree
+    walk over 5x5 SPD matrices with eigendecompositions, much like geocert's
+    own mix of interpreter work and small LAPACK calls -- never touches
+    geocert, so no change to the package moves it; its time around a moment
+    of the run measures how fast the machine ran then.
     """
 
     def __init__(self, every_s: float = 0.5):
@@ -84,6 +95,7 @@ class Gauge:
             self._mats.append(g @ g.T + 5.0 * np.eye(5))
         self.every_s = every_s
         self.samples: list[float] = []
+        self.stamps: list[float] = []  # midpoint of each sample
         self._last = 0.0
 
     def _kernel(self) -> float:
@@ -105,6 +117,7 @@ class Gauge:
         self._kernel()
         end = time.perf_counter()
         self.samples.append(end - start)
+        self.stamps.append((start + end) / 2.0)
         self._last = end
 
     def tick(self):
@@ -113,6 +126,11 @@ class Gauge:
 
     def seconds(self) -> float:
         return statistics.median(self.samples)
+
+    def seconds_near(self, t: float, k: int = 3) -> float:
+        """Median kernel time of the ``k`` samples taken nearest to time ``t``."""
+        nearest = sorted(range(len(self.stamps)), key=lambda i: abs(self.stamps[i] - t))[:k]
+        return statistics.median(self.samples[i] for i in nearest)
 
 
 def peak_rss_mb() -> float:

@@ -9,7 +9,8 @@ With ``--trace 0`` the run measures the end-to-end metrics; with
 ``--trace 1`` it alternates untraced and traced passes over the same inputs
 and reports the per-layer metrics plus the tracing overhead.  End-to-end
 timings are scaled to a reference machine speed measured by a fixed gauge
-kernel (``harness.Gauge``); the raw values are printed beside them.
+kernel (``harness.Gauge``) timed between operations; the raw values are
+printed beside them.
 Human-readable lines come first; the last line of standard output is one
 JSON object with the keys ``correct``, ``attempted``, ``failed`` and
 ``metrics``.
@@ -20,6 +21,7 @@ The package is imported from ``src/`` of the checkout; nothing is installed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import statistics
@@ -35,16 +37,18 @@ harness.pin_single_thread()  # before anything imports numpy
 ROOT = Path(__file__).resolve().parents[1]
 _now = time.perf_counter
 
-# Runs keep going past --seconds until the upper percentile has enough
-# samples, but never past this many seconds of measuring.
+# A run does a fixed number of passes, so ``attempted`` and ``failed``
+# repeat exactly for a seed; it stops early only past this many seconds of
+# measuring, on a machine several times slower than the reference.
 MAX_MEASURE_S = 120.0
 # The gauge kernel's median time on the machine the bounds were set on (a
 # 2-core x86-64 VM, Python 3.11, numpy 2.4, OpenBLAS 0.3.31, one thread).
-# Operation timings and rates are reported at that speed, scaled by
-# GAUGE_REF_S / gauge time.  Set-up is dominated by starting an interpreter
-# and reading files, which the kernel does not track, so it stays as measured.
+# Each operation's time is reported at that speed, scaled by GAUGE_REF_S /
+# the gauge time of the samples taken nearest to it, and rates follow.
+# Set-up is dominated by starting an interpreter and reading files, which
+# the kernel does not track, so it stays as measured.
 GAUGE_REF_S = 0.018
-SETUP_REPEATS = 5
+SETUP_REPEATS = 9
 
 E2E_UNITS = {
     "setup_s": "s",
@@ -73,33 +77,38 @@ def import_seconds() -> float:
 
 
 def set_up(workload, seed: int):
-    """Import, input generation and warm-up, repeated; returns (median s, state)."""
-    samples, state = [], None
+    """Import, input generation and warm-up, repeated; returns (seconds, state).
+
+    The seconds are the median import time plus the median in-process set-up
+    time, so a burst of load that hits one part of a repeat moves neither.
+    """
+    imports, builds, state = [], [], None
     for _ in range(SETUP_REPEATS):
         if state is not None:
             workload.teardown(state)
-        imported = import_seconds()
+        imports.append(import_seconds())
         start = _now()
         state = workload.setup(ROOT, seed)
         workload.warm_up(state)
-        samples.append(imported + _now() - start)
-    return statistics.median(samples), state
+        builds.append(_now() - start)
+    return statistics.median(imports) + statistics.median(builds), state
 
 
 def measure(workload, state, seconds: float, gauge):
-    """Untraced passes until ``seconds`` have passed and the tail is sampled."""
+    """Untraced passes: as many as fill ``seconds`` at the reference speed,
+    and at least enough to sample the tail."""
     from workloads import NO_SPAN, clear_point_caches
 
     passes = []
     gauge.sample()
     start = _now()
+    target = harness.pass_count(seconds, workload.ref_pass_s)
     need = harness.MIN_BEYOND * 10  # samples for a p90 with ten beyond it
     while True:
-        elapsed = _now() - start
         sampled = len(workload.latencies(passes, workload.floor_kinds))
-        if passes and elapsed >= seconds and sampled >= need:
+        if len(passes) >= target and sampled >= need:
             break
-        if elapsed >= MAX_MEASURE_S:
+        if _now() - start >= MAX_MEASURE_S:
             break
         clear_point_caches()
         passes.append(workload.run_pass(state, len(passes), NO_SPAN, gauge.tick))
@@ -107,16 +116,29 @@ def measure(workload, state, seconds: float, gauge):
     return passes
 
 
+def at_reference_speed(passes, gauge):
+    """``passes`` with every operation's time scaled to the reference speed."""
+    return [
+        dataclasses.replace(p, ops=[
+            dataclasses.replace(op, seconds=op.seconds * GAUGE_REF_S / gauge.seconds_near(op.at))
+            for op in p.ops
+        ])
+        for p in passes
+    ]
+
+
 def measure_traced(workload, state, seconds: float):
-    """Alternate an untraced and a traced pass over the same inputs."""
+    """Alternate an untraced and a traced pass over the same inputs, in as
+    many pairs as fill ``seconds`` at the reference speed."""
     from tracer import Tracer
     from workloads import NO_SPAN, clear_point_caches
 
     tracer = Tracer()
     passes, untraced, traced = [], [], []
     counts = {"trials": 0, "skipped": 0, "iterations": 0}
+    pairs = harness.pass_count(seconds, 2.0 * workload.ref_pass_s)
     start = _now()
-    while not traced or _now() - start < seconds:
+    while len(traced) < pairs and (not traced or _now() - start < MAX_MEASURE_S):
         clear_point_caches()
         plain = workload.run_pass(state, 0, NO_SPAN)
         clear_point_caches()
@@ -189,17 +211,18 @@ def main(argv=None) -> int:
     else:
         for line in workload.report_lines(passes):
             print(f"# {workload.name}: {line}")
-        lat = workload.latencies(passes)
-        scale = GAUGE_REF_S / gauge.seconds()
-        print(f"# gauge: kernel {1e3 * gauge.seconds():.4g} ms (median of {len(gauge.samples)}), "
-              f"operation timings scaled by {scale:.4g} to the reference speed")
+        scaled = at_reference_speed(passes, gauge)
+        lat = workload.latencies(scaled)
+        print(f"# gauge: kernel {1e3 * gauge.seconds():.4g} ms (median of {len(gauge.samples)}, "
+              f"{1e3 * min(gauge.samples):.4g}-{1e3 * max(gauge.samples):.4g}); operation "
+              f"timings scaled by {GAUGE_REF_S:g} s / kernel time near each operation")
         try:
             values = {
                 "setup_s": setup_s,
                 "peak_rss_mb": harness.peak_rss_mb(),
-                "op_ms_p50": 1e3 * scale * harness.percentile(lat, 0.5),
-                "op_ms_p90": 1e3 * scale * harness.percentile(lat, 0.9),
-                "work_per_s": workload.rate(passes) / scale,
+                "op_ms_p50": 1e3 * harness.percentile(lat, 0.5),
+                "op_ms_p90": 1e3 * harness.percentile(lat, 0.9),
+                "work_per_s": workload.rate(scaled),
             }
         except harness.TooFewSamples as exc:
             print(f"error: {exc} after {MAX_MEASURE_S:g} s of measuring", file=sys.stderr)

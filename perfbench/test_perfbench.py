@@ -63,6 +63,23 @@ def test_gauge_samples_at_most_once_per_interval():
     assert gauge.seconds() == statistics.median(gauge.samples) > 0.0
 
 
+def test_gauge_time_near_a_moment_uses_the_nearest_samples():
+    gauge = harness.Gauge()
+    gauge.samples = [1.0, 1.0, 5.0, 2.0, 2.0]
+    gauge.stamps = [0.0, 1.0, 2.0, 10.0, 11.0]
+    assert gauge.seconds_near(0.4, k=3) == 1.0  # samples at 0, 1 and 2
+    assert gauge.seconds_near(10.6, k=2) == 2.0
+    assert gauge.seconds_near(10.6, k=5) == 2.0
+
+
+def test_pass_count_fills_the_seconds_without_a_clock():
+    assert harness.pass_count(25, 11.5) == 3
+    assert harness.pass_count(25, 2.5) == 10  # exact multiples take no extra pass
+    assert harness.pass_count(1, 60.0) == 1
+    with pytest.raises(ValueError):
+        harness.pass_count(25, 0.0)
+
+
 # -- seed derivation ----------------------------------------------------------------
 
 def test_derive_seed_is_stable_and_label_sensitive():
@@ -83,6 +100,20 @@ def test_derive_seed_ignores_hash_randomization():
         for h in ("0", "1", "12345")
     }
     assert outs == {str(derive_seed(3, "solve-family", "sqrt", 5))}
+
+
+def test_solve_family_seed_moves_all_but_the_fixed_instances():
+    sys.path.insert(0, str(HERE.parent / "src"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(HERE.parent / "src"))
+    one, two = (workloads.family_instances(seed) for seed in (1, 2))
+    assert [x[0] for x in one] == [x[0] for x in two]
+    for (label, c1, *_), (_, c2, *_) in zip(one, two):
+        fixed = (label.startswith("karcher") and "-c10000-" in label) or label.startswith("cone-exit")
+        same = all(np.array_equal(c1[k], c2[k]) for k in c1)
+        assert same == fixed, label
 
 
 # -- numpy references ------------------------------------------------------------------

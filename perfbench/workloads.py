@@ -45,6 +45,7 @@ class Op:
     failed: bool = False
     wrong: bool = False
     note: str = ""
+    at: float = 0.0  # perf_counter at the operation's midpoint
 
 
 @dataclass
@@ -57,6 +58,7 @@ class PassResult:
     iterations: int = 0  # accepted gradient-descent steps
 
     def add(self, op: Op) -> Op:
+        op.at = _now() - op.seconds / 2.0
         self.ops.append(op)
         if self.tick is not None:
             self.tick()
@@ -128,11 +130,13 @@ def _samples_line(name: str, values, unit: str, scale: float = 1.0) -> str:
 
 
 class Workload:
-    """One named workload: ``setup`` once, then ``run_pass`` until time is up.
+    """One named workload: ``setup`` once, then ``run_pass`` a fixed number of times.
 
     ``latency_kinds`` names the operations whose elapsed times make the
     latency percentiles.  ``rate_kind`` names the operations whose time the
     throughput is measured against, and ``pass_work`` the work one pass does.
+    ``ref_pass_s`` is one untraced pass's time at the reference speed; a run
+    of ``--seconds`` does that many seconds' worth of passes.
     """
 
     name = ""
@@ -140,6 +144,7 @@ class Workload:
     rate_kind = ""
     # Operations that must reach the sample floor of an upper percentile.
     floor_kinds: tuple = ()
+    ref_pass_s = 1.0
 
     def setup(self, root: Path, seed: int):
         raise NotImplementedError
@@ -204,6 +209,7 @@ class ProblemFiles(Workload):
     name = "problem-files"
     latency_kinds = ("analyze", "fuzz", "solve")
     rate_kind = "fuzz"
+    ref_pass_s = 2.0
     floor_kinds = ("analyze",)  # the analyze-only percentiles are printed too
 
     def setup(self, root, seed):
@@ -339,6 +345,7 @@ class AtomSweep(Workload):
     name = "atom-sweep"
     latency_kinds = ("check",)
     rate_kind = "check"
+    ref_pass_s = 3.6
 
     def setup(self, root, seed):
         checks = []  # (kind, label, fn, nargs, direction, d, cond, equality)
@@ -440,6 +447,8 @@ FAMILY_TOL = 1e-4
 # minimizer A, and the solve exits 1 ("input error").
 CONE_EXIT_ANCHOR = np.diag([1.0, 1e-9, 1.0])
 FAMILY_BASE_SEED = 0
+# Karcher instances at these conditions keep the rotation of FAMILY_BASE_SEED.
+FAMILY_FIXED_CONDS = (1e4,)
 
 
 def family_instances(seed: int):
@@ -461,7 +470,12 @@ def family_instances(seed: int):
             for fam, rep in families:
                 label = f"{fam}-d{d}-c{cond:g}-{rep}"
                 base = np.random.default_rng(derive_seed(FAMILY_BASE_SEED, fam, d, cond, rep))
-                spin = np.random.default_rng(derive_seed(seed, "solve-family", "rotation", label))
+                # Which ill-conditioned Karcher solves stagnate depends on
+                # rounding, so on the rotation; theirs is fixed, and the
+                # failure count is the same for every seed.
+                fixed = fam != "sqrt" and cond in FAMILY_FIXED_CONDS
+                spin = np.random.default_rng(derive_seed(
+                    FAMILY_BASE_SEED if fixed else seed, "solve-family", "rotation", label))
                 q = refs.random_rotation(spin, d)
                 k = 1 if fam == "sqrt" else int(fam[-1])
                 mats = [refs.rotate(refs.random_spd(base, d, cond), q) for _ in range(k)]
@@ -492,6 +506,7 @@ class SolveFamily(Workload):
     name = "solve-family"
     latency_kinds = ("solve",)
     rate_kind = "solve"
+    ref_pass_s = 11.5
 
     def setup(self, root, seed):
         work = root / "perfbench" / "_work" / f"solve-family-{seed}"
