@@ -61,12 +61,14 @@ from .expr import (
     apply_atom,
     atom_ids,
     clear_declarations,
+    differentiable,
     evaluate,
     lookup_atom,
     make_const_matrix,
     make_variable,
     register_atom,
     unregister_atom,
+    value_and_grad,
 )
 from .oracle import (
     CrossValidation,

@@ -11,6 +11,9 @@ Loewner-monotone: at d=1 the map x -> logdet((x+y)/2) - (log x + log y)/2
 decreases for x < y, and ``(log lam)^p`` dips below lam = 1.
 ``positive_affine`` refines its monotonicity and Euclidean curvature by the
 sign of the exponent ``r``.
+
+Each catalog row pairs a signature with the atom's evaluator and its
+vector-Jacobian product, both from ``spd``.
 """
 
 from __future__ import annotations
@@ -179,10 +182,6 @@ def _validate_pow(arg_dims, params):
     return None
 
 
-def _positive_affine_eval(x, ys, b, r):
-    return spd.eval_positive_affine(x, ys, b, r)
-
-
 _M = ArgKind.MANIFOLD
 _S = ArgKind.SCALAR
 
@@ -190,99 +189,99 @@ _CATALOG = [
     # Scalar-valued atoms of SPD arguments.
     (AtomSignature("logdet", (_M,), "scalar", Sign.POSITIVE, GCurvature.LINEAR,
                    GMonotonicity.INCREASING, ECurvature.CONCAVE, _scalar_result),
-     spd.eval_logdet),
+     spd.eval_logdet, spd.vjp_logdet),
     (AtomSignature("tr", (_M,), "scalar", Sign.POSITIVE, GCurvature.CONVEX,
                    GMonotonicity.INCREASING, ECurvature.AFFINE, _scalar_result),
-     spd.eval_tr),
+     spd.eval_tr, spd.vjp_tr),
     (AtomSignature("sum", (_M,), "scalar", Sign.POSITIVE, GCurvature.CONVEX,
                    GMonotonicity.INCREASING, ECurvature.AFFINE, _scalar_result),
-     spd.eval_sum),
+     spd.eval_sum, spd.vjp_sum),
     (AtomSignature("sdivergence", (_M, _M), "scalar", Sign.POSITIVE, GCurvature.CONVEX,
                    GMonotonicity.ANY, ECurvature.UNKNOWN, _scalar_result),
-     spd.eval_sdivergence),
+     spd.eval_sdivergence, spd.vjp_sdivergence),
     (AtomSignature("distance", (_M, _M), "scalar", Sign.POSITIVE, GCurvature.CONVEX,
                    GMonotonicity.ANY, ECurvature.UNKNOWN, _scalar_result),
-     spd.eval_distance),
+     spd.eval_distance, spd.vjp_distance),
     (AtomSignature("quad_form", (ArgKind.PARAM_VECTOR, _M), "scalar", Sign.POSITIVE,
                    GCurvature.CONVEX, GMonotonicity.INCREASING, ECurvature.AFFINE,
                    _validate_quad_form),
-     spd.eval_quad_form),
+     spd.eval_quad_form, spd.vjp_quad_form),
     (AtomSignature("eigmax", (_M,), "scalar", Sign.POSITIVE, GCurvature.CONVEX,
                    GMonotonicity.INCREASING, ECurvature.CONVEX, _scalar_result),
-     spd.eval_eigmax),
+     spd.eval_eigmax, spd.vjp_eigmax),
     (AtomSignature("log_quad_form", (ArgKind.PARAM_VECTORS, _M), "scalar", Sign.ANY,
                    GCurvature.CONVEX, GMonotonicity.INCREASING, ECurvature.UNKNOWN,
                    _validate_log_quad_form),
-     spd.eval_log_quad_form),
+     spd.eval_log_quad_form, spd.vjp_log_quad_form),
     (AtomSignature("eigsummax", (_M, ArgKind.PARAM_INT), "scalar", Sign.POSITIVE,
                    GCurvature.CONVEX, GMonotonicity.INCREASING, ECurvature.CONVEX,
                    _validate_top_k),
-     spd.eval_eigsummax),
+     spd.eval_eigsummax, spd.vjp_eigsummax),
     (AtomSignature("schatten_norm", (_M, ArgKind.PARAM_SCALAR), "scalar", Sign.POSITIVE,
                    GCurvature.CONVEX, GMonotonicity.INCREASING, ECurvature.CONVEX,
                    _validate_schatten),
-     spd.eval_schatten_norm),
+     spd.eval_schatten_norm, spd.vjp_schatten_norm),
     (AtomSignature("sum_log_eigmax", (_M, ArgKind.PARAM_INT), "scalar", Sign.ANY,
                    GCurvature.CONVEX, GMonotonicity.INCREASING, ECurvature.UNKNOWN,
                    _validate_top_k, _refine_sum_log),
-     spd.eval_sum_log_eigmax),
+     spd.eval_sum_log_eigmax, spd.vjp_sum_log_eigmax),
     (AtomSignature("sum_pow_log_eigmax", (_M, ArgKind.PARAM_INT, ArgKind.PARAM_SCALAR),
                    "scalar", Sign.ANY, GCurvature.CONVEX, GMonotonicity.ANY,
                    ECurvature.UNKNOWN, _validate_sum_pow_log, _refine_sum_pow_log),
-     spd.eval_sum_pow_log_eigmax),
+     spd.eval_sum_pow_log_eigmax, spd.vjp_sum_pow_log_eigmax),
     # Matrix-valued atoms (Loewner-order curvature).
     (AtomSignature("conjugation", (_M, ArgKind.PARAM_MATRIX), "matrix", Sign.POSITIVE,
                    GCurvature.CONVEX, GMonotonicity.INCREASING, ECurvature.AFFINE,
                    _validate_conjugation),
-     spd.eval_conjugation),
+     spd.eval_conjugation, spd.vjp_conjugation),
     (AtomSignature("adjoint", (_M,), "matrix", Sign.POSITIVE, GCurvature.CONVEX,
                    GMonotonicity.INCREASING, ECurvature.AFFINE, _same_dim),
-     spd.eval_adjoint),
+     spd.eval_adjoint, spd.vjp_adjoint),
     (AtomSignature("inv", (_M,), "matrix", Sign.POSITIVE, GCurvature.CONVEX,
                    GMonotonicity.DECREASING, ECurvature.CONVEX, _same_dim),
-     spd.eval_inv),
+     spd.eval_inv, spd.vjp_inv),
     (AtomSignature("hadamard_product", (_M, ArgKind.PARAM_MATRIX), "matrix", Sign.POSITIVE,
                    GCurvature.CONVEX, GMonotonicity.INCREASING, ECurvature.AFFINE,
                    _validate_hadamard),
-     spd.eval_hadamard_product),
+     spd.eval_hadamard_product, spd.vjp_hadamard_product),
     (AtomSignature("diag_matrix", (_M,), "matrix", Sign.POSITIVE, GCurvature.CONVEX,
                    GMonotonicity.INCREASING, ECurvature.AFFINE, _same_dim),
-     spd.eval_diag_matrix),
+     spd.eval_diag_matrix, spd.vjp_diag_matrix),
     (AtomSignature("positive_affine",
                    (_M, ArgKind.PARAM_MATRICES, ArgKind.PARAM_MATRIX, ArgKind.PARAM_INT),
                    "matrix", Sign.POSITIVE, GCurvature.CONVEX, GMonotonicity.INCREASING,
                    ECurvature.AFFINE, _validate_positive_affine, _refine_positive_affine),
-     _positive_affine_eval),
+     spd.eval_positive_affine, spd.vjp_positive_affine),
     # The canonical Euclidean-only example; honestly registered as GUnknown so
     # its geodesic behavior can only come from the fuzzer, never a certificate.
     (AtomSignature("elementwise_norm1", (_M,), "scalar", Sign.POSITIVE, GCurvature.UNKNOWN,
                    GMonotonicity.ANY, ECurvature.CONVEX, _scalar_result),
-     spd.elementwise_norm1),
+     spd.elementwise_norm1, spd.vjp_elementwise_norm1),
     # Scalar outer functions.
     (AtomSignature("exp", (_S,), "scalar", Sign.POSITIVE, GCurvature.CONVEX,
                    GMonotonicity.INCREASING, ECurvature.CONVEX, _scalar_result),
-     spd.eval_exp),
+     spd.eval_exp, spd.vjp_exp),
     (AtomSignature("log", (_S,), "scalar", Sign.ANY, GCurvature.CONCAVE,
                    GMonotonicity.INCREASING, ECurvature.CONCAVE, _scalar_result),
-     spd.eval_log),
+     spd.eval_log, spd.vjp_log),
     (AtomSignature("neg_log", (_S,), "scalar", Sign.ANY, GCurvature.CONVEX,
                    GMonotonicity.DECREASING, ECurvature.CONVEX, _scalar_result),
-     spd.eval_neg_log),
+     spd.eval_neg_log, spd.vjp_neg_log),
     (AtomSignature("pow", (_S, ArgKind.PARAM_SCALAR), "scalar", Sign.POSITIVE,
                    GCurvature.CONVEX, GMonotonicity.INCREASING, ECurvature.CONVEX,
                    _validate_pow),
-     spd.eval_pow),
+     spd.eval_pow, spd.vjp_pow),
     (AtomSignature("abs", (_S,), "scalar", Sign.POSITIVE, GCurvature.CONVEX,
                    GMonotonicity.ANY, ECurvature.CONVEX, _scalar_result),
-     spd.eval_abs),
+     spd.eval_abs, spd.vjp_abs),
 ]
 
-CATALOG_IDS = tuple(sig.id for sig, _ in _CATALOG)
+CATALOG_IDS = tuple(sig.id for sig, _, _ in _CATALOG)
 # SPD-domain atoms covered by the randomized soundness suite.
 SPD_ATOM_IDS = tuple(
-    sig.id for sig, _ in _CATALOG
+    sig.id for sig, _, _ in _CATALOG
     if sig.positions and sig.positions[0] is ArgKind.MANIFOLD
 )
 
-for _sig, _fn in _CATALOG:
-    register_atom(_sig, _fn)
+for _sig, _fn, _vjp in _CATALOG:
+    register_atom(_sig, _fn, _vjp)

@@ -1,5 +1,9 @@
 """Immutable symbolic expression trees, metadata lattices, and the atom registry.
 
+The module also evaluates trees numerically (``evaluate``) and
+differentiates them in reverse mode (``value_and_grad``) through the
+vector-Jacobian products registered beside each atom's evaluator.
+
 Expressions are plain trees: variables and constants at the leaves,
 arithmetic combinators and atom applications inside.  Fixed atom parameters
 (vectors, matrices, integer orders, exponents) are baked into the applying
@@ -14,6 +18,7 @@ equality.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -598,18 +603,27 @@ def make_const_matrix(values, definiteness=Definiteness.NONE, name=None) -> Cons
 class RegisteredAtom:
     sig: AtomSignature
     evaluator: Callable
+    vjp: Callable | None = None
 
 
 _REGISTRY: dict[str, RegisteredAtom] = {}
 
 
-def register_atom(sig: AtomSignature, evaluator: Callable):
-    """Add an atom to the registry; ids must be unique."""
+def register_atom(sig: AtomSignature, evaluator: Callable, vjp: Callable | None = None):
+    """Add an atom to the registry; ids must be unique.
+
+    ``vjp(g, out, wrt, *args)``, when given, is the atom's vector-Jacobian
+    product: ``args`` are the evaluator's arguments, ``out`` its result, ``g``
+    the cotangent of that result and ``wrt`` one flag per expression
+    argument.  It returns one cotangent per expression argument (entries
+    with a false flag may be None).  Atoms without one are differentiated
+    by finite differences when solved.
+    """
     if sig.id in _REGISTRY:
         raise RegistrationConflictError(f"atom '{sig.id}' is already registered")
     if sig.result not in ("scalar", "matrix"):
         raise ExpressionError(f"atom result must be 'scalar' or 'matrix', got {sig.result!r}")
-    _REGISTRY[sig.id] = RegisteredAtom(sig=sig, evaluator=evaluator)
+    _REGISTRY[sig.id] = RegisteredAtom(sig=sig, evaluator=evaluator, vjp=vjp)
 
 
 def unregister_atom(name: str):
@@ -627,6 +641,13 @@ def lookup_atom(name: str) -> AtomSignature:
 def atom_evaluator(name: str) -> Callable:
     try:
         return _REGISTRY[name].evaluator
+    except KeyError:
+        raise UnknownAtomError(f"unknown atom '{name}'") from None
+
+
+def atom_vjp(name: str) -> Callable | None:
+    try:
+        return _REGISTRY[name].vjp
     except KeyError:
         raise UnknownAtomError(f"unknown atom '{name}'") from None
 
@@ -754,13 +775,18 @@ def apply_atom(name: str, items) -> AtomApply:
 # ---------------------------------------------------------------------------
 
 
-def evaluate(e: Expression, env: dict):
-    """Evaluate an expression numerically.
+def _ordered_args(e: AtomApply, arg_vals) -> list:
+    """The evaluator's positional arguments: argument values and parameters interleaved."""
+    arg_vals = iter(arg_vals)
+    param_vals = iter(e.params)
+    return [
+        next(arg_vals) if k in EXPR_KINDS else next(param_vals)
+        for k in e.sig.positions
+    ]
 
-    ``env`` maps variable names to SPD arrays.  Returns a float for scalar
-    expressions, a symmetric ndarray for matrix-valued ones.  Domain
-    violations raise ``DomainError``.
-    """
+
+def _node_value(e: Expression, child_vals: list, env: dict):
+    """The value of one node given the values of its children."""
     if isinstance(e, Variable):
         try:
             value = env[e.name]
@@ -777,23 +803,101 @@ def evaluate(e: Expression, env: dict):
     if isinstance(e, ConstScalar):
         return e.value
     if isinstance(e, Add):
-        return float(sum(w * evaluate(t, env) for w, t in zip(e.weights, e.terms)))
+        return float(sum(w * v for w, v in zip(e.weights, child_vals)))
     if isinstance(e, ScalarMul):
-        return float(e.weight * evaluate(e.child, env))
+        return float(e.weight * child_vals[0])
     if isinstance(e, Mul):
         out = 1.0
-        for f in e.factors:
-            out *= evaluate(f, env)
+        for v in child_vals:
+            out *= v
         return float(out)
     if isinstance(e, MaxOf):
-        return float(max(evaluate(o, env) for o in e.options))
+        return float(max(child_vals))
     if isinstance(e, AtomApply):
-        fn = atom_evaluator(e.sig.id)
-        arg_vals = iter([evaluate(a, env) for a in e.args])
-        param_vals = iter(e.params)
-        ordered = [
-            next(arg_vals) if k in EXPR_KINDS else next(param_vals)
-            for k in e.sig.positions
-        ]
-        return fn(*ordered)
+        return atom_evaluator(e.sig.id)(*_ordered_args(e, child_vals))
     raise ExpressionError(f"cannot evaluate node {type(e).__name__}")
+
+
+def evaluate(e: Expression, env: dict):
+    """Evaluate an expression numerically.
+
+    ``env`` maps variable names to SPD arrays.  Returns a float for scalar
+    expressions, a symmetric ndarray for matrix-valued ones.  Domain
+    violations raise ``DomainError``.
+    """
+    return _node_value(e, [evaluate(c, env) for c in e.children()], env)
+
+
+def differentiable(e: Expression) -> bool:
+    """True when every atom in ``e`` has a registered vector-Jacobian product."""
+    return all(
+        atom_vjp(node.sig.id) is not None
+        for _, node in e.walk()
+        if isinstance(node, AtomApply)
+    )
+
+
+def _node_vjp(e: Expression, g, child_vals: list, out) -> list:
+    """Cotangents of a node's children from the cotangent ``g`` of its value."""
+    if isinstance(e, Add):
+        return [w * g for w in e.weights]
+    if isinstance(e, ScalarMul):
+        return [e.weight * g]
+    if isinstance(e, Mul):
+        return [
+            g * math.prod(v for j, v in enumerate(child_vals) if j != i)
+            for i in range(len(child_vals))
+        ]
+    if isinstance(e, MaxOf):
+        best = child_vals.index(max(child_vals))
+        return [g if i == best else None for i in range(len(child_vals))]
+    if isinstance(e, AtomApply):
+        vjp = atom_vjp(e.sig.id)
+        if vjp is None:
+            raise ExpressionError(f"atom '{e.sig.id}' has no vector-Jacobian product")
+        wrt = tuple(bool(a.variables) for a in e.args)
+        return list(vjp(g, out, wrt, *_ordered_args(e, child_vals)))
+    return []
+
+
+def value_and_grad(e: Expression, env: dict):
+    """Value of a scalar expression and its Euclidean gradient in every variable.
+
+    One post-order forward pass records each node's value; one backward pass
+    carries cotangents from the root to the leaves through each node's
+    vector-Jacobian product.  Values and cotangents are keyed by node
+    identity, so a subtree shared between parents is evaluated once and
+    receives the sum of its parents' cotangents.  Returns ``(value, grads)``
+    with ``grads`` mapping each variable name to a symmetric array.
+    """
+    if e.kind != "scalar":
+        raise ExpressionError("value_and_grad needs a scalar-valued expression")
+    values: dict[int, object] = {}
+    order: list[Expression] = []
+
+    def forward(node):
+        key = id(node)
+        if key not in values:
+            child_vals = [forward(c) for c in node.children()]
+            values[key] = _node_value(node, child_vals, env)
+            order.append(node)
+        return values[key]
+
+    value = forward(e)
+    grads = {name: np.zeros((m.dim, m.dim)) for name, m in e.variables.items()}
+    cotangents = {id(e): 1.0}
+    for node in reversed(order):
+        g = cotangents.pop(id(node), None)
+        if g is None:
+            continue
+        if isinstance(node, Variable):
+            grads[node.name] = grads[node.name] + g
+            continue
+        children = node.children()
+        child_vals = [values[id(c)] for c in children]
+        for child, cg in zip(children, _node_vjp(node, g, child_vals, values[id(node)])):
+            if cg is None or not child.variables:
+                continue
+            key = id(child)
+            cotangents[key] = cg if key not in cotangents else cotangents[key] + cg
+    return value, {name: spd._sym(g) for name, g in grads.items()}

@@ -358,7 +358,7 @@ def cross_validate(e: Expression, cfg: FuzzConfig) -> CrossValidation:
     """
     names = sorted(e.variables)
     if not names:
-        report = analyze(e, Manifold("SPD", cfg.dim)) if not e.variables else None
+        report = analyze(e, Manifold("SPD", cfg.dim))
         return CrossValidation("CONSISTENT", report, {}, {"info": "constant expression"})
     manifolds = [e.variables[n] for n in names]
     dims = {m.dim for m in manifolds}

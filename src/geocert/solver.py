@@ -10,9 +10,10 @@ with Armijo backtracking (factor 0.5, sufficient decrease 1e-4), which keeps
 the objective trajectory nonincreasing and every iterate positive definite
 by construction.
 
-Objectives without an analytic Euclidean gradient fall back to central
-finite differences over the symmetric basis; results are flagged when the
-fallback was used.
+Objectives built from an expression take their Euclidean gradient from one
+reverse-mode pass through it (``expr.value_and_grad``).  Objectives without
+a gradient fall back to central finite differences over the symmetric
+basis; results are flagged when the fallback was used.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from .expr import (
     SPD,
     VariableScope,
     apply_atom,
+    evaluate,
     make_const_matrix,
+    value_and_grad,
 )
 
 
@@ -99,24 +102,20 @@ def fd_directional(fn, x: np.ndarray, direction: np.ndarray, h: float) -> float:
     return (fn(x + h * direction) - fn(x - h * direction)) / (2.0 * h)
 
 
-def _sym(a: np.ndarray) -> np.ndarray:
-    return (a + a.T) / 2.0
-
-
 def riemannian_grad(obj: Objective, x) -> np.ndarray:
     """Riemannian gradient ``X sym(G) X`` under the affine-invariant metric."""
     xa = spd._as_array(x)
-    g = _sym(np.asarray(obj.gradient(xa), dtype=float))
+    g = spd._sym(np.asarray(obj.gradient(xa), dtype=float))
     if not np.all(np.isfinite(g)):
         raise DomainError("Euclidean gradient has non-finite entries")
-    return _sym(xa @ g @ xa)
+    return spd._sym(xa @ g @ xa)
 
 
 def riemannian_grad_norm(x, xi) -> float:
     """Metric norm ``sqrt(tr(X^-1 xi X^-1 xi))`` of a tangent vector."""
     _, inv_sq = spd._half_powers(spd._eig_of(x))
     c = inv_sq @ np.asarray(xi, dtype=float) @ inv_sq
-    return float(np.linalg.norm(_sym(c)))
+    return float(np.linalg.norm(spd._sym(c)))
 
 
 def gradient_descent(
@@ -137,7 +136,7 @@ def gradient_descent(
     result.
     """
     x = np.array(spd._as_array(x0), dtype=float, copy=True)
-    spd.SPDMatrix(x)  # validate the start
+    point = spd.SPDMatrix(x)  # validates the start; its eig serves the first step
     f0 = float(obj.evaluator(x))
     if not math.isfinite(f0):
         raise DomainError("objective is not finite at the starting point")
@@ -147,15 +146,15 @@ def gradient_descent(
     iterations = 0
     converged = False
     for _ in range(max_iter):
-        pair = spd.sym_eig(x)
+        pair = point.eig
         root = np.sqrt(pair.lam)
-        x_sq = _sym((pair.q * root) @ pair.q.T)
-        x_inv_sq = _sym((pair.q / root) @ pair.q.T)
-        g = _sym(np.asarray(obj.gradient(x), dtype=float))
+        x_sq = spd._sym((pair.q * root) @ pair.q.T)
+        x_inv_sq = spd._sym((pair.q / root) @ pair.q.T)
+        g = spd._sym(np.asarray(obj.gradient(x), dtype=float))
         if not np.all(np.isfinite(g)):
             raise DomainError("Euclidean gradient has non-finite entries")
-        xi = _sym(x @ g @ x)
-        c = _sym(x_inv_sq @ xi @ x_inv_sq)
+        xi = spd._sym(x @ g @ x)
+        c = spd._sym(x_inv_sq @ xi @ x_inv_sq)
         gnorm = float(np.linalg.norm(c))
         if gnorm <= grad_tol:
             converged = True
@@ -171,8 +170,11 @@ def gradient_descent(
         # still drive the gradient norm under tight tolerances.
         noise = 64.0 * np.finfo(float).eps * max(1.0, abs(f0))
         for _halving in range(max_halvings + 1):
-            candidate = _sym((frame * np.exp(-alpha * mu)) @ frame.T)
+            candidate = spd._sym((frame * np.exp(-alpha * mu)) @ frame.T)
+            # A candidate past the PD tolerance counts as an infinite value;
+            # an accepted one carries the decomposition of the next step.
             try:
+                trial = spd.SPDMatrix(candidate)
                 fc = float(obj.evaluator(candidate))
             except DomainError:
                 fc = math.inf
@@ -185,7 +187,7 @@ def gradient_descent(
             alpha *= backtrack
         if not accepted:
             partial = SolveResult(
-                minimizer=spd.SPDMatrix(x),
+                minimizer=point,
                 value=f0,
                 grad_norm=gnorm,
                 iterations=iterations,
@@ -197,6 +199,7 @@ def gradient_descent(
                 f"line search made no progress after {max_halvings} halvings", partial=partial
             )
         x = candidate
+        point = trial
         f0 = fc
         trajectory.append(f0)
         iterations += 1
@@ -206,7 +209,7 @@ def gradient_descent(
         gnorm = riemannian_grad_norm(x, xi)
         converged = gnorm <= grad_tol
     return SolveResult(
-        minimizer=spd.SPDMatrix(x),
+        minimizer=point,
         value=f0,
         grad_norm=gnorm,
         iterations=iterations,
@@ -221,11 +224,16 @@ def gradient_descent(
 # ---------------------------------------------------------------------------
 
 
-def _inv_sym(a: np.ndarray) -> np.ndarray:
-    pair = spd.sym_eig(a)
-    if float(pair.lam[-1]) <= 0.0:
-        raise DomainError("matrix is not positive definite")
-    return _sym((pair.q / pair.lam) @ pair.q.T)
+def _expression_objective(expr: Expression, var: str, name: str) -> Objective:
+    """An objective that evaluates ``expr`` and differentiates it in reverse mode."""
+
+    def evaluator(x):
+        return evaluate(expr, {var: x})
+
+    def gradient(x):
+        return value_and_grad(expr, {var: x})[1][var]
+
+    return Objective(evaluator, gradient, expr, name=name)
 
 
 def make_matrix_sqrt_problem(a) -> Objective:
@@ -235,23 +243,14 @@ def make_matrix_sqrt_problem(a) -> Objective:
     (X+A)^-1 + (X+I)^-1 - X^-1.
     """
     a_mat = a if isinstance(a, spd.SPDMatrix) else spd.SPDMatrix(a)
-    av = a_mat.entries
     d = a_mat.dim
-    eye = np.eye(d)
-
-    def evaluator(x):
-        return spd.eval_sdivergence(x, av) + spd.eval_sdivergence(x, eye)
-
-    def gradient(x):
-        return _inv_sym(x + av) + _inv_sym(x + eye) - _inv_sym(np.asarray(x, dtype=float))
-
     scope = VariableScope()
     x_var = scope.declare("X", SPD(d))
     expr = Add((
-        apply_atom("sdivergence", [x_var, make_const_matrix(av, Definiteness.PD, name="A")]),
-        apply_atom("sdivergence", [x_var, make_const_matrix(eye, Definiteness.PD, name="I")]),
+        apply_atom("sdivergence", [x_var, make_const_matrix(a_mat.entries, Definiteness.PD, name="A")]),
+        apply_atom("sdivergence", [x_var, make_const_matrix(np.eye(d), Definiteness.PD, name="I")]),
     ))
-    return Objective(evaluator, gradient, expr, name="matrix_sqrt")
+    return _expression_objective(expr, "X", "matrix_sqrt")
 
 
 def make_karcher_problem(mats, weights) -> Objective:
@@ -267,37 +266,17 @@ def make_karcher_problem(mats, weights) -> Objective:
     d = anchors[0].dim
     if any(m.dim != d for m in anchors):
         raise ExpressionError("anchors must share one dimension")
-    avs = [m.entries for m in anchors]
-
-    def evaluator(x):
-        return float(sum(w * spd.distance(x, av) ** 2 for w, av in zip(ws, avs)))
-
-    def gradient(x):
-        pair = spd.sym_eig(x)
-        if float(pair.lam[-1]) <= 0.0:
-            raise DomainError("iterate left the cone")
-        root = np.sqrt(pair.lam)
-        inv_sq = _sym((pair.q / root) @ pair.q.T)
-        g = np.zeros_like(inv_sq)
-        for w, av in zip(ws, avs):
-            inner = spd.sym_eig(inv_sq @ av @ inv_sq)
-            if float(inner.lam[-1]) <= 0.0:
-                raise DomainError("anchor projection left the cone")
-            log_inner = _sym((inner.q * np.log(inner.lam)) @ inner.q.T)
-            g = g - 2.0 * w * (inv_sq @ log_inner @ inv_sq)
-        return _sym(g)
-
     scope = VariableScope()
     x_var = scope.declare("X", SPD(d))
     terms = [
         apply_atom("pow", [
-            apply_atom("distance", [make_const_matrix(av, Definiteness.PD, name=f"A{i+1}"), x_var]),
+            apply_atom("distance", [make_const_matrix(m.entries, Definiteness.PD, name=f"A{i+1}"), x_var]),
             2,
         ])
-        for i, av in enumerate(avs)
+        for i, m in enumerate(anchors)
     ]
     expr = Add(tuple(terms), tuple(float(w) for w in ws))
-    return Objective(evaluator, gradient, expr, name="karcher")
+    return _expression_objective(expr, "X", "karcher")
 
 
 def make_brascamp_lieb_problem(maps, weights) -> Objective:
@@ -315,21 +294,6 @@ def make_brascamp_lieb_problem(maps, weights) -> Objective:
         s = np.linalg.svd(m, compute_uv=False)
         if s[-1] <= spd.RANK_RTOL * max(s[0], spd.PD_FLOOR):
             raise ExpressionError("rank-deficient map")
-
-    def evaluator(x):
-        x = np.asarray(x, dtype=float)
-        total = -spd.eval_logdet(x)
-        for w, m in zip(ws, mats):
-            total += float(w) * spd.eval_logdet(m.T @ x @ m)
-        return float(total)
-
-    def gradient(x):
-        x = np.asarray(x, dtype=float)
-        g = -_inv_sym(x)
-        for w, m in zip(ws, mats):
-            g = g + float(w) * (m @ _inv_sym(m.T @ x @ m) @ m.T)
-        return _sym(g)
-
     scope = VariableScope()
     x_var = scope.declare("X", SPD(d))
     terms = [
@@ -338,7 +302,7 @@ def make_brascamp_lieb_problem(maps, weights) -> Objective:
     ]
     terms.append(apply_atom("logdet", [x_var]))
     expr = Add(tuple(terms), tuple(float(w) for w in ws) + (-1.0,))
-    return Objective(evaluator, gradient, expr, name="brascamp_lieb")
+    return _expression_objective(expr, "X", "brascamp_lieb")
 
 
 def make_tyler_problem(samples) -> Objective:
@@ -359,32 +323,10 @@ def make_tyler_problem(samples) -> Objective:
             raise ExpressionError("samples must share one length")
         if not np.any(v):
             raise ExpressionError("zero sample vector")
-
-    def evaluator(s):
-        s = np.asarray(s, dtype=float)
-        s_inv = _inv_sym(s)
-        total = spd.eval_logdet(s) / d
-        for v in xs:
-            q = float(v @ s_inv @ v)
-            if q <= 0.0:
-                raise DomainError("quadratic form left the positive domain")
-            total += math.log(q) / n
-        return float(total)
-
-    def gradient(s):
-        s = np.asarray(s, dtype=float)
-        s_inv = _inv_sym(s)
-        g = s_inv / d
-        for v in xs:
-            u = s_inv @ v
-            q = float(v @ u)
-            g = g - np.outer(u, u) / (q * n)
-        return _sym(g)
-
     scope = VariableScope()
     s_var = scope.declare("Sigma", SPD(d))
-    inv_s = apply_atom("inv", [s_var])
+    inv_s = apply_atom("inv", [s_var])  # shared by every term, evaluated once
     terms = [apply_atom("log_quad_form", [v, inv_s]) for v in xs]
     terms.append(apply_atom("logdet", [s_var]))
     expr = Add(tuple(terms), (1.0 / n,) * n + (1.0 / d,))
-    return Objective(evaluator, gradient, expr, name="tyler")
+    return _expression_objective(expr, "Sigma", "tyler")

@@ -220,9 +220,63 @@ class TestSolveCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["solve"]["converged"] is True
-        assert doc["solve"]["used_fd_gradient"] is True
+        assert doc["solve"]["used_fd_gradient"] is False
         minimizer = np.array(doc["solve"]["minimizer"])
         assert rel_err(minimizer, np.diag([2.0, 3.0])) <= 1e-6
+
+    def test_shipped_files_use_exact_gradients(self, capsys):
+        for name in ("matrix_sqrt", "karcher", "brascamp_lieb", "tyler"):
+            code, out, _ = run_main(capsys, ["solve", str(PROBLEMS / f"{name}.yaml")])
+            assert code == (4 if name == "tyler" else 0), name
+            assert json.loads(out)["solve"]["used_fd_gradient"] is False, name
+
+    def test_tyler_file_stagnates_exit_4(self, capsys):
+        # two samples in d = 5 leave the objective unbounded below; the line
+        # search must reject candidates past the PD tolerance and stagnate
+        code, out, _ = run_main(capsys, ["solve", str(PROBLEMS / "tyler.yaml")])
+        assert code == 4
+        doc = json.loads(out)["solve"]
+        assert doc["stagnated"] is True
+        assert doc["converged"] is False
+
+    def test_cone_exit_regression(self, capsys, tmp_path):
+        # the minimizer A sits 1e-9 from the cone's boundary; a central
+        # difference step there leaves the cone
+        path = write(tmp_path, "cone.yaml", """
+variables:
+  - {name: X, manifold: SPD, dim: 3}
+constants:
+  A: [[1.0, 0.0, 0.0], [0.0, 1.0e-9, 0.0], [0.0, 0.0, 1.0]]
+objective: "pow(distance(A, X), 2)"
+""")
+        code, out, err = run_main(capsys, ["solve", path])
+        assert code == 0, err
+        doc = json.loads(out)["solve"]
+        assert doc["used_fd_gradient"] is False
+        a = np.diag([1.0, 1e-9, 1.0])
+        assert rel_err(np.array(doc["minimizer"]), a) <= 1e-6
+
+    def test_atom_without_vjp_falls_back_to_fd(self, capsys, tmp_path):
+        sig = gc.AtomSignature(
+            id="half_trace_nograd", positions=(gc.ArgKind.MANIFOLD,), result="scalar",
+            sign=gc.Sign.POSITIVE, gcurv=gc.GCurvature.CONVEX,
+            gmono=gc.GMonotonicity.INCREASING, ecurv=gc.ECurvature.AFFINE,
+        )
+        gc.register_atom(sig, lambda x: 0.5 * float(np.trace(x)))
+        try:
+            path = write(tmp_path, "fb.yaml", """
+variables:
+  - {name: X, manifold: SPD, dim: 2}
+objective: "half_trace_nograd(X) - logdet(X)"
+solver: {grad_tol: 1.0e-6}
+""")
+            code, out, err = run_main(capsys, ["solve", path])
+        finally:
+            gc.unregister_atom("half_trace_nograd")
+        assert code == 0, err
+        doc = json.loads(out)["solve"]
+        assert doc["used_fd_gradient"] is True
+        assert rel_err(np.array(doc["minimizer"]), 2.0 * np.eye(2)) <= 1e-5
 
     def test_karcher_two_point(self, capsys, tmp_path):
         a = np.asarray(gc.random_spd(3, 10.0, 61))
