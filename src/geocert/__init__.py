@@ -17,9 +17,6 @@ from .analysis import (
     compose_inverse,
     compose_loewner,
     compose_scalar,
-    propagate_ecurvature,
-    propagate_gcurvature,
-    propagate_sign,
 )
 from .atoms import CATALOG_IDS, SPD_ATOM_IDS
 from .dsl import parse_dsl, unparse
@@ -62,6 +59,7 @@ from .expr import (
     atom_ids,
     clear_declarations,
     differentiable,
+    eval_atom,
     evaluate,
     lookup_atom,
     make_const_matrix,
@@ -99,7 +97,6 @@ from .spd import (
     EigenPair,
     SPDMatrix,
     distance,
-    eval_atom,
     geodesic,
     geodesic_path,
     geometric_mean,

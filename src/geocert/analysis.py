@@ -1,8 +1,9 @@
 """Bottom-up propagation of sign, geodesic curvature, and Euclidean curvature.
 
-Everything runs as a post-order walk over an immutable expression tree.  The
-shared composition table, applied to (outer curvature, outer monotonicity)
-against an inner curvature, is:
+One post-order pass over an immutable expression tree computes all three at
+every node, each node from its children's results.  The shared composition
+table, applied to (outer curvature, outer monotonicity) against an inner
+curvature, is:
 
     (convex, increasing)  o  convex   -> convex
     (convex, decreasing)  o  concave  -> convex
@@ -29,6 +30,7 @@ pair of scaled identity matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .atoms import POSITIVE_DOMAIN_ATOMS, SCALAR_OUTER_ATOMS, SIGN_RANGE_OVERRIDES
 from .errors import DomainError, ShapeError
@@ -46,7 +48,6 @@ from .expr import (
     Manifold,
     MaxOf,
     Mul,
-    NodeMeta,
     ScalarMul,
     Sign,
     Variable,
@@ -199,8 +200,22 @@ def compose_inverse(inner: GCurvature) -> GCurvature:
 
 
 # ---------------------------------------------------------------------------
-# Propagation passes
+# The analysis pass
 # ---------------------------------------------------------------------------
+
+
+class _NodeFacts(NamedTuple):
+    """What the analysis pass derives for one node.
+
+    ``safe_sign`` replaces registered signs that overstate the value range
+    (``SIGN_RANGE_OVERRIDES``), so the composition domain gates never lean on
+    optimistic metadata; the reported ``sign`` stays as registered.
+    """
+
+    sign: Sign
+    safe_sign: Sign
+    gcurv: GCurvature
+    ecurv: ECurvature
 
 
 def _sign_node(e: Expression, child_signs: list[Sign], safe: bool) -> Sign:
@@ -260,120 +275,89 @@ def _mix_signs(signs) -> Sign:
     return Sign.ANY
 
 
-def _sign_map(e: Expression, safe: bool = False) -> dict[tuple, Sign]:
-    # safe=True replaces registered signs that overstate the value range, so
-    # the composition domain gates never lean on optimistic metadata; the
-    # reported signs stay as registered.
-    out: dict[tuple, Sign] = {}
+def _curv_node(node: Expression, kid_curvs: list[GCurvature], kid_safe_signs: list[Sign],
+               geodesic: bool) -> tuple[GCurvature, str, str]:
+    """One node's curvature from its children's, as (curvature, rule, trace inputs).
 
-    def rec(node, path):
-        kids = [rec(c, path + (i,)) for i, c in enumerate(node.children())]
-        s = _sign_node(node, kids, safe)
-        out[path] = s
-        return s
-
-    rec(e, ())
-    return out
-
-
-def _curv_map(e: Expression, signs: dict[tuple, Sign], geodesic: bool, trace=None):
-    """Shared engine for geodesic (geodesic=True) and Euclidean curvature."""
-    out: dict[tuple, GCurvature | ECurvature] = {}
-
-    def atom_curv(node: AtomApply) -> tuple[GCurvature, GMonotonicity]:
+    ``geodesic`` selects the geometry.  Both geometries share the GCurvature
+    lattice here; Euclidean curvatures are mapped onto it through ``_E2G``.
+    """
+    if not node.variables:
+        # Constant along geodesics and straight lines alike.
+        return G.LINEAR, "constant", ""
+    if isinstance(node, Variable):
+        return G.LINEAR, "variable", ""
+    if isinstance(node, (Add, ScalarMul)):
+        weights = node.weights if isinstance(node, Add) else (node.weight,)
+        pairs = [(c, w) for c, w in zip(kid_curvs, weights) if w != 0.0]
+        inputs = ", ".join(f"{_show(c, geodesic)}*{w:+g}" for c, w in pairs)
+        return combine_add(pairs), "signed-sum", inputs
+    if isinstance(node, Mul):
+        nonconst = [c for c, f in zip(kid_curvs, node.factors) if f.variables]
+        inputs = ", ".join(_show(c, geodesic) for c in kid_curvs)
+        if len(nonconst) > 1:
+            return (G.UNKNOWN, "scalar-product",
+                    inputs + "; note: products of non-constant factors are not certifiable")
+        weight = 1.0
+        opaque = False  # constant factor whose value is not a literal
+        for f in node.factors:
+            if not f.variables:
+                if isinstance(f, ConstScalar):
+                    weight *= f.value
+                else:
+                    opaque = True
+        if opaque:
+            return G.UNKNOWN, "scalar-product", inputs
+        curv = combine_add([(nonconst[0], weight)]) if weight != 0.0 else G.LINEAR
+        return curv, "scalar-product", inputs
+    if isinstance(node, MaxOf):
+        inputs = ", ".join(_show(c, geodesic) for c in kid_curvs)
+        return combine_max(kid_curvs), "pointwise-max", inputs
+    if isinstance(node, AtomApply):
+        sig = node.sig
+        if geodesic and sig.id == "inv":
+            curv = compose_inverse(kid_curvs[0])
+            note = "" if curv is not G.UNKNOWN else (
+                "; note: inversion only reparametrizes geodesically linear arguments"
+            )
+            return curv, "inverse-reparametrization", f"inner={kid_curvs[0].value}{note}"
         eff = node.effective_meta()
-        if geodesic and node.sig.id not in SCALAR_OUTER_ATOMS:
-            return eff.gcurv, eff.gmono
-        # Euclidean pass uses Euclidean curvature; scalar outer atoms compose
-        # through Euclidean curvature in both passes (their domain is flat).
-        return _E2G[eff.ecurv], eff.gmono
-
-    def emit(path, node, rule, inputs, curv: GCurvature):
-        out[path] = curv if geodesic else _G2E[curv]
-        if trace is not None:
-            trace.append(
-                TraceEntry(path=_fmt_path(path), rule=rule, inputs=inputs, output=out[path].value)
-            )
-        return curv
-
-    def rec(node, path) -> GCurvature:
-        kids = [rec(c, path + (i,)) for i, c in enumerate(node.children())]
-        if not node.variables:
-            # Constant along geodesics and straight lines alike.
-            return emit(path, node, "constant", "", G.LINEAR)
-        if isinstance(node, Variable):
-            return emit(path, node, "variable", "", G.LINEAR)
-        if isinstance(node, (Add, ScalarMul)):
-            weights = node.weights if isinstance(node, Add) else (node.weight,)
-            pairs = [(c, w) for c, w in zip(kids, weights) if w != 0.0]
-            curv = combine_add(pairs)
-            inputs = ", ".join(f"{c.value if geodesic else _G2E[c].value}*{w:+g}" for c, w in pairs)
-            return emit(path, node, "signed-sum", inputs, curv)
-        if isinstance(node, Mul):
-            nonconst = [c for c, f in zip(kids, node.factors) if f.variables]
-            inputs = ", ".join((c if geodesic else _G2E[c]).value for c in kids)
-            if len(nonconst) > 1:
-                return emit(path, node, "scalar-product",
-                            inputs + "; note: products of non-constant factors are not certifiable",
-                            G.UNKNOWN)
-            weight = 1.0
-            opaque = False  # constant factor whose value is not a literal
-            for f in node.factors:
-                if not f.variables:
-                    if isinstance(f, ConstScalar):
-                        weight *= f.value
-                    else:
-                        opaque = True
-            if opaque:
-                return emit(path, node, "scalar-product", inputs, G.UNKNOWN)
-            curv = combine_add([(nonconst[0], weight)]) if weight != 0.0 else G.LINEAR
-            return emit(path, node, "scalar-product", inputs, curv)
-        if isinstance(node, MaxOf):
-            curv = combine_max(kids)
-            inputs = ", ".join((c if geodesic else _G2E[c]).value for c in kids)
-            return emit(path, node, "pointwise-max", inputs, curv)
-        if isinstance(node, AtomApply):
-            sig = node.sig
-            if geodesic and sig.id == "inv":
-                curv = compose_inverse(kids[0])
-                note = "" if curv is not G.UNKNOWN else (
-                    "; note: inversion only reparametrizes geodesically linear arguments"
+        mono = eff.gmono
+        if geodesic and sig.id not in SCALAR_OUTER_ATOMS:
+            outer_curv = eff.gcurv
+        else:
+            # Euclidean curvature; scalar outer atoms compose through it in
+            # both geometries (their domain is flat).
+            outer_curv = _E2G[eff.ecurv]
+        rule = "scalar-composition" if sig.id in SCALAR_OUTER_ATOMS else "loewner-composition"
+        note = ""
+        if sig.id in POSITIVE_DOMAIN_ATOMS:
+            arg_sign = kid_safe_signs[0]
+            if arg_sign is not Sign.POSITIVE:
+                even_power = (
+                    sig.id == "pow"
+                    and float(node.params[0]).is_integer()
+                    and int(node.params[0]) % 2 == 0
                 )
-                return emit(path, node, "inverse-reparametrization",
-                            f"inner={kids[0].value}{note}", curv)
-            outer_curv, mono = atom_curv(node)
-            rule = "scalar-composition" if sig.id in SCALAR_OUTER_ATOMS else "loewner-composition"
-            note = ""
-            if sig.id in POSITIVE_DOMAIN_ATOMS:
-                arg_sign = signs[path + (0,)]
-                if arg_sign is not Sign.POSITIVE:
-                    even_power = (
-                        sig.id == "pow"
-                        and float(node.params[0]).is_integer()
-                        and int(node.params[0]) % 2 == 0
-                    )
-                    if even_power:
-                        # t^p with even p is convex on all of R, just not
-                        # monotone; composition still covers linear inners.
-                        mono = M.ANY
-                        note = "; note: even power composed without a sign guarantee"
-                    else:
-                        note = (f"; note: {sig.id} needs a provably nonnegative "
-                                f"argument, value range is {arg_sign.value}")
-                        inputs = f"outer=({_show(outer_curv, geodesic)},{mono.value}){note}"
-                        return emit(path, node, rule, inputs, G.UNKNOWN)
-            curv = G.LINEAR
-            for c in kids:
-                curv = gjoin(curv, _compose(outer_curv, mono, c))
-            inputs = (
-                f"outer=({_show(outer_curv, geodesic)},{mono.value}); inner="
-                + ",".join(_show(c, geodesic) for c in kids)
-            )
-            return emit(path, node, rule, inputs, curv)
-        return emit(path, node, "unmatched", "", G.UNKNOWN)
-
-    rec(e, ())
-    return out
+                if even_power:
+                    # t^p with even p is convex on all of R, just not
+                    # monotone; composition still covers linear inners.
+                    mono = M.ANY
+                    note = "; note: even power composed without a sign guarantee"
+                else:
+                    note = (f"; note: {sig.id} needs a provably nonnegative "
+                            f"argument, value range is {arg_sign.value}")
+                    inputs = f"outer=({_show(outer_curv, geodesic)},{mono.value}){note}"
+                    return G.UNKNOWN, rule, inputs
+        curv = G.LINEAR
+        for c in kid_curvs:
+            curv = gjoin(curv, _compose(outer_curv, mono, c))
+        inputs = (
+            f"outer=({_show(outer_curv, geodesic)},{mono.value}); inner="
+            + ",".join(_show(c, geodesic) for c in kid_curvs)
+        )
+        return curv, rule, inputs
+    return G.UNKNOWN, "unmatched", ""
 
 
 def _show(c: GCurvature, geodesic: bool) -> str:
@@ -384,59 +368,19 @@ def _fmt_path(path: tuple) -> str:
     return "root" + "".join(f".{i}" for i in path)
 
 
-def _annotate(e: Expression, signs=None, gcurvs=None, ecurvs=None, path=()) -> Expression:
-    kids = tuple(
-        _annotate(c, signs, gcurvs, ecurvs, path + (i,)) for i, c in enumerate(e.children())
+def _analyze_node(node: Expression, path: tuple, trace: list[TraceEntry]) -> _NodeFacts:
+    """The facts of ``node``; appends its geodesic trace entry after its children's."""
+    kids = [_analyze_node(c, path + (i,), trace) for i, c in enumerate(node.children())]
+    safe_signs = [k.safe_sign for k in kids]
+    gcurv, rule, inputs = _curv_node(node, [k.gcurv for k in kids], safe_signs, geodesic=True)
+    ecurv, _, _ = _curv_node(node, [_E2G[k.ecurv] for k in kids], safe_signs, geodesic=False)
+    trace.append(TraceEntry(path=_fmt_path(path), rule=rule, inputs=inputs, output=gcurv.value))
+    return _NodeFacts(
+        sign=_sign_node(node, [k.sign for k in kids], safe=False),
+        safe_sign=_sign_node(node, safe_signs, safe=True),
+        gcurv=gcurv,
+        ecurv=_G2E[ecurv],
     )
-    meta = NodeMeta(
-        sign=signs.get(path) if signs else e.meta.sign,
-        gcurv=gcurvs.get(path) if gcurvs else e.meta.gcurv,
-        ecurv=ecurvs.get(path) if ecurvs else e.meta.ecurv,
-    )
-    return _rebuild(e, kids, meta)
-
-
-def _rebuild(e: Expression, kids: tuple, meta: NodeMeta) -> Expression:
-    if isinstance(e, Variable):
-        return Variable(e.name, e.manifold, meta=meta)
-    if isinstance(e, ConstMatrix):
-        out = ConstMatrix.__new__(ConstMatrix)
-        out.values = e.values
-        out.definiteness = e.definiteness
-        out.name = e.name
-        out._init_base(e.kind, e.dim, {}, meta)
-        return out
-    if isinstance(e, ConstScalar):
-        return ConstScalar(e.value, meta=meta)
-    if isinstance(e, Add):
-        return Add(kids, e.weights, meta=meta)
-    if isinstance(e, ScalarMul):
-        return ScalarMul(e.weight, kids[0], meta=meta)
-    if isinstance(e, Mul):
-        return Mul(kids, meta=meta)
-    if isinstance(e, MaxOf):
-        return MaxOf(kids, meta=meta)
-    if isinstance(e, AtomApply):
-        return AtomApply(e.sig, kids, e.params, e.param_labels, e.result_dim, meta=meta)
-    raise ShapeError(f"cannot rebuild node {type(e).__name__}")
-
-
-def propagate_sign(e: Expression) -> Expression:
-    """Return a copy of ``e`` with sign metadata on every node."""
-    return _annotate(e, signs=_sign_map(e))
-
-
-def propagate_gcurvature(e: Expression) -> Expression:
-    """Return a copy of ``e`` with geodesic curvature metadata on every node."""
-    safe = _sign_map(e, safe=True)
-    return _annotate(e, signs=_sign_map(e), gcurvs=_curv_map(e, safe, geodesic=True))
-
-
-def propagate_ecurvature(e: Expression) -> Expression:
-    """Return a copy of ``e`` with Euclidean curvature metadata on every node."""
-    safe = _sign_map(e, safe=True)
-    emap = _curv_map(e, safe, geodesic=False)
-    return _annotate(e, signs=_sign_map(e), ecurvs=emap)
 
 
 def analyze(e: Expression, manifold: Manifold) -> AnalysisReport:
@@ -450,14 +394,11 @@ def analyze(e: Expression, manifold: Manifold) -> AnalysisReport:
     for name, m in e.variables.items():
         if m != manifold:
             raise DomainError(f"variable '{name}' lives on {m}, not on {manifold}")
-    signs = _sign_map(e)
-    safe_signs = _sign_map(e, safe=True)
-    emap = _curv_map(e, safe_signs, geodesic=False)
     trace: list[TraceEntry] = []
-    gmap = _curv_map(e, safe_signs, geodesic=True, trace=trace)
+    root = _analyze_node(e, (), trace)
     return AnalysisReport(
-        sign=signs[()],
-        gcurvature=gmap[()],
-        ecurvature=emap[()],
+        sign=root.sign,
+        gcurvature=root.gcurv,
+        ecurvature=root.ecurv,
         trace=tuple(trace),
     )

@@ -17,7 +17,7 @@ import re
 
 import numpy as np
 
-from .errors import GeocertError, ParseError
+from .errors import GeocertError, ParseError, UnknownAtomError
 from .expr import (
     Add,
     AtomApply,
@@ -32,7 +32,6 @@ from .expr import (
     apply_atom,
     lookup_atom,
 )
-from .errors import UnknownAtomError
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"

@@ -11,9 +11,7 @@ node rather than represented as children, so only manifold-valued arguments
 participate in curvature propagation.
 
 Arity, argument kinds, and dimensions are checked when a node is built,
-never during analysis.  Nodes are immutable after construction; the
-``meta`` slot holds propagated metadata and is excluded from structural
-equality.
+never during analysis.  Nodes are immutable after construction.
 """
 
 from __future__ import annotations
@@ -142,13 +140,6 @@ class AtomSignature:
         return tuple(k for k in self.positions if k in EXPR_KINDS)
 
 
-@dataclass(frozen=True)
-class NodeMeta:
-    sign: Sign | None = None
-    gcurv: GCurvature | None = None
-    ecurv: ECurvature | None = None
-
-
 class ParamRef(NamedTuple):
     """A named constant bound for use in an atom parameter slot."""
 
@@ -181,13 +172,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class Expression:
     """Base class for immutable expression nodes."""
 
-    __slots__ = ("_kind", "_dim", "_vars", "meta")
+    __slots__ = ("_kind", "_dim", "_vars")
 
-    def _init_base(self, kind: str, dim: int | None, variables: dict, meta):
+    def _init_base(self, kind: str, dim: int | None, variables: dict):
         self._kind = kind
         self._dim = dim
         self._vars = variables
-        self.meta = meta if meta is not None else NodeMeta()
 
     @property
     def kind(self) -> str:
@@ -266,14 +256,14 @@ class Variable(Expression):
 
     __slots__ = ("name", "manifold")
 
-    def __init__(self, name: str, manifold: Manifold, meta=None):
+    def __init__(self, name: str, manifold: Manifold):
         if not name or not _IDENT_RE.match(name):
             raise ExpressionError(f"variable name must be an identifier, got {name!r}")
         if not isinstance(manifold, Manifold):
             raise ExpressionError("manifold must be a Manifold instance")
         self.name = name
         self.manifold = manifold
-        self._init_base("matrix", manifold.dim, {name: manifold}, meta)
+        self._init_base("matrix", manifold.dim, {name: manifold})
 
     def __eq__(self, other):
         return (
@@ -294,7 +284,7 @@ class ConstMatrix(Expression):
 
     __slots__ = ("values", "definiteness", "name")
 
-    def __init__(self, values, definiteness=Definiteness.NONE, name=None, meta=None):
+    def __init__(self, values, definiteness=Definiteness.NONE, name=None):
         if isinstance(definiteness, str):
             definiteness = Definiteness(definiteness)
         a = _readonly(np.asarray(values, dtype=float))
@@ -308,7 +298,7 @@ class ConstMatrix(Expression):
         self.definiteness = definiteness
         self.name = name
         square = a.shape[0] == a.shape[1]
-        self._init_base("matrix" if square else "param", a.shape[0] if square else None, {}, meta)
+        self._init_base("matrix" if square else "param", a.shape[0] if square else None, {})
 
     def __eq__(self, other):
         return (
@@ -344,12 +334,12 @@ def _verify_definiteness(a: np.ndarray, claim: Definiteness):
 class ConstScalar(Expression):
     __slots__ = ("value",)
 
-    def __init__(self, value: float, meta=None):
+    def __init__(self, value: float):
         v = float(value)
         if not np.isfinite(v):
             raise DomainError("constant scalar must be finite")
         self.value = v
-        self._init_base("scalar", None, {}, meta)
+        self._init_base("scalar", None, {})
 
     def __eq__(self, other):
         return isinstance(other, ConstScalar) and self.value == other.value
@@ -366,7 +356,7 @@ class Add(Expression):
 
     __slots__ = ("terms", "weights")
 
-    def __init__(self, terms, weights=None, meta=None):
+    def __init__(self, terms, weights=None):
         terms = tuple(terms)
         if not terms:
             raise ExpressionError("addition needs at least one term")
@@ -380,7 +370,7 @@ class Add(Expression):
             raise DomainError("addition weights must be finite")
         self.terms = terms
         self.weights = weights
-        self._init_base("scalar", None, _merge_variables(t.variables for t in terms), meta)
+        self._init_base("scalar", None, _merge_variables(t.variables for t in terms))
 
     def children(self):
         return self.terms
@@ -404,14 +394,14 @@ class ScalarMul(Expression):
 
     __slots__ = ("weight", "child")
 
-    def __init__(self, weight: float, child: Expression, meta=None):
+    def __init__(self, weight: float, child: Expression):
         w = float(weight)
         if not np.isfinite(w):
             raise DomainError("scale weight must be finite")
         _require_scalar_children((child,), "scaling")
         self.weight = w
         self.child = child
-        self._init_base("scalar", None, child.variables, meta)
+        self._init_base("scalar", None, child.variables)
 
     def children(self):
         return (self.child,)
@@ -435,13 +425,13 @@ class Mul(Expression):
 
     __slots__ = ("factors",)
 
-    def __init__(self, factors, meta=None):
+    def __init__(self, factors):
         factors = tuple(factors)
         if len(factors) < 2:
             raise ExpressionError("product needs at least two factors")
         _require_scalar_children(factors, "product")
         self.factors = factors
-        self._init_base("scalar", None, _merge_variables(f.variables for f in factors), meta)
+        self._init_base("scalar", None, _merge_variables(f.variables for f in factors))
 
     def children(self):
         return self.factors
@@ -461,13 +451,13 @@ class MaxOf(Expression):
 
     __slots__ = ("options",)
 
-    def __init__(self, options, meta=None):
+    def __init__(self, options):
         options = tuple(options)
         if not options:
             raise ExpressionError("max needs at least one argument")
         _require_scalar_children(options, "max")
         self.options = options
-        self._init_base("scalar", None, _merge_variables(o.variables for o in options), meta)
+        self._init_base("scalar", None, _merge_variables(o.variables for o in options))
 
     def children(self):
         return self.options
@@ -507,7 +497,7 @@ class AtomApply(Expression):
 
     __slots__ = ("sig", "args", "params", "param_labels", "result_dim")
 
-    def __init__(self, sig, args, params, param_labels, result_dim, meta=None):
+    def __init__(self, sig, args, params, param_labels, result_dim):
         self.sig = sig
         self.args = tuple(args)
         self.params = tuple(params)
@@ -518,7 +508,6 @@ class AtomApply(Expression):
             kind,
             result_dim if kind == "matrix" else None,
             _merge_variables(a.variables for a in self.args),
-            meta,
         )
 
     def children(self):
@@ -773,6 +762,19 @@ def apply_atom(name: str, items) -> AtomApply:
 # ---------------------------------------------------------------------------
 # Numeric evaluation of expressions
 # ---------------------------------------------------------------------------
+
+
+def eval_atom(name: str, *args):
+    """Evaluate a registered atom numerically on evaluator-order arguments.
+
+    Scalar atoms return floats; matrix-valued atoms return a validated
+    ``SPDMatrix``.  Domain violations raise ``DomainError``.
+    """
+    fn = atom_evaluator(name)
+    out = fn(*(a.entries if isinstance(a, spd.SPDMatrix) else a for a in args))
+    if isinstance(out, np.ndarray) and out.ndim == 2:
+        return spd.SPDMatrix(out)
+    return out
 
 
 def _ordered_args(e: AtomApply, arg_vals) -> list:

@@ -146,14 +146,8 @@ def gradient_descent(
     iterations = 0
     converged = False
     for _ in range(max_iter):
-        pair = point.eig
-        root = np.sqrt(pair.lam)
-        x_sq = spd._sym((pair.q * root) @ pair.q.T)
-        x_inv_sq = spd._sym((pair.q / root) @ pair.q.T)
-        g = spd._sym(np.asarray(obj.gradient(x), dtype=float))
-        if not np.all(np.isfinite(g)):
-            raise DomainError("Euclidean gradient has non-finite entries")
-        xi = spd._sym(x @ g @ x)
+        x_sq, x_inv_sq = spd._half_powers(point.eig)
+        xi = riemannian_grad(obj, x)
         c = spd._sym(x_inv_sq @ xi @ x_inv_sq)
         gnorm = float(np.linalg.norm(c))
         if gnorm <= grad_tol:
@@ -206,7 +200,7 @@ def gradient_descent(
     else:
         # max_iter exhausted; recompute the gradient norm at the final point.
         xi = riemannian_grad(obj, x)
-        gnorm = riemannian_grad_norm(x, xi)
+        gnorm = riemannian_grad_norm(point, xi)
         converged = gnorm <= grad_tol
     return SolveResult(
         minimizer=point,

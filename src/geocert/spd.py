@@ -13,8 +13,8 @@ The affine-invariant geometry implemented here:
 * geometric mean  ``A # B = gamma(1/2)``
 * distance        ``||log(B^(-1/2) A B^(-1/2))||_F``
 
-The module also carries the numeric evaluator for every registered atom
-(``eval_atom``) and its vector-Jacobian product (``vjp_<name>``) so that
+The module also carries the numeric evaluator (``eval_<name>``) and the
+vector-Jacobian product (``vjp_<name>``) of every built-in atom so that
 symbolic metadata and numeric semantics stay in separate layers.
 """
 
@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, RangeError, ShapeError, UnknownAtomError
+from .errors import DomainError, RangeError, ShapeError
 
 # Validation tolerances (relative unless noted).
 ASYM_RTOL = 1e-12        # symmetry gate before symmetrization
@@ -299,8 +299,7 @@ def random_spd(d: int, cond_max: float = 10.0, rng_seed=0) -> SPDMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Numeric atom evaluators.  All take and return raw ndarrays / floats;
-# eval_atom wraps matrix results back into validated SPDMatrix values.
+# Numeric atom evaluators.  All take and return raw ndarrays / floats.
 # ---------------------------------------------------------------------------
 
 
@@ -613,48 +612,3 @@ def vjp_pow(g, out, wrt, v, p):
 
 def vjp_abs(g, out, wrt, v):
     return (g * float(np.sign(float(v))),)
-
-
-_EVALUATORS: dict[str, Callable] = {
-    "logdet": eval_logdet,
-    "tr": eval_tr,
-    "sum": eval_sum,
-    "sdivergence": eval_sdivergence,
-    "distance": eval_distance,
-    "quad_form": eval_quad_form,
-    "eigmax": eval_eigmax,
-    "log_quad_form": eval_log_quad_form,
-    "eigsummax": eval_eigsummax,
-    "schatten_norm": eval_schatten_norm,
-    "sum_log_eigmax": eval_sum_log_eigmax,
-    "sum_pow_log_eigmax": eval_sum_pow_log_eigmax,
-    "conjugation": eval_conjugation,
-    "adjoint": eval_adjoint,
-    "inv": eval_inv,
-    "hadamard_product": eval_hadamard_product,
-    "diag_matrix": eval_diag_matrix,
-    "positive_affine": eval_positive_affine,
-    "elementwise_norm1": elementwise_norm1,
-    "exp": eval_exp,
-    "log": eval_log,
-    "neg_log": eval_neg_log,
-    "pow": eval_pow,
-    "abs": eval_abs,
-}
-
-
-def eval_atom(name: str, *args):
-    """Evaluate a catalog atom numerically.
-
-    Scalar atoms return floats; matrix-valued atoms return a validated
-    ``SPDMatrix``.  Domain violations raise ``DomainError``.
-    """
-    try:
-        fn = _EVALUATORS[name]
-    except KeyError:
-        raise UnknownAtomError(f"no numeric evaluator for atom '{name}'") from None
-    unwrapped = [a.entries if isinstance(a, SPDMatrix) else a for a in args]
-    out = fn(*unwrapped)
-    if isinstance(out, np.ndarray) and out.ndim == 2:
-        return SPDMatrix(out)
-    return out

@@ -37,12 +37,6 @@ class TestSignPropagation:
         e = gc.Add((gc.apply_atom("tr", [x]), gc.apply_atom("logdet", [x])), (1.0, -1.0))
         assert gc.analyze(e, gc.SPD(4)).sign == S.ANY
 
-    def test_propagate_sign_annotates_every_node(self):
-        x = _var()
-        e = gc.apply_atom("tr", [x]) + gc.apply_atom("logdet", [x])
-        annotated = gc.propagate_sign(e)
-        assert all(node.meta.sign is not None for _, node in annotated.walk())
-
     def test_max_sign(self):
         x = _var()
         e = gc.MaxOf((gc.apply_atom("tr", [x]), gc.ConstScalar(-1.0)))
@@ -244,11 +238,6 @@ class TestGCurvature:
         assert r.gcurvature == G.CONVEX
         assert any(t.rule == "constant" for t in r.trace)
 
-    def test_propagate_gcurvature_annotates(self):
-        x = _var()
-        annotated = gc.propagate_gcurvature(gc.apply_atom("tr", [x]) + 1.0)
-        assert all(node.meta.gcurv is not None for _, node in annotated.walk())
-
 
 class TestECurvature:
     def test_divergence_sum_unknown(self):
@@ -271,11 +260,6 @@ class TestECurvature:
         x = _var()
         e = gc.apply_atom("tr", [gc.apply_atom("inv", [x])])
         assert gc.analyze(e, gc.SPD(4)).ecurvature == E.CONVEX
-
-    def test_propagate_ecurvature_annotates(self):
-        x = _var()
-        annotated = gc.propagate_ecurvature(gc.apply_atom("eigmax", [x]))
-        assert all(node.meta.ecurv is not None for _, node in annotated.walk())
 
 
 class TestAnalyze:

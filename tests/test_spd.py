@@ -267,3 +267,22 @@ class TestEvalAtom:
     def test_unknown(self):
         with pytest.raises(gc.UnknownAtomError):
             gc.eval_atom("nope", np.eye(2))
+
+    def test_user_registered_atom(self):
+        sig = gc.AtomSignature(
+            id="doubled",
+            positions=(gc.ArgKind.MANIFOLD,),
+            result="matrix",
+            sign=gc.Sign.POSITIVE,
+            gcurv=gc.GCurvature.LINEAR,
+            gmono=gc.GMonotonicity.INCREASING,
+            ecurv=gc.ECurvature.AFFINE,
+        )
+        gc.register_atom(sig, lambda x: 2.0 * x)
+        try:
+            x = gc.random_spd(3, 10.0, 52)
+            out = gc.eval_atom("doubled", x)
+            assert isinstance(out, gc.SPDMatrix)
+            assert np.array_equal(out.entries, 2.0 * x.entries)
+        finally:
+            gc.unregister_atom("doubled")
