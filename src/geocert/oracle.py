@@ -13,12 +13,43 @@ identical reports.  Known counterexample pairs can be injected as the
 leading trials of a run.  Violation thresholds are relative to the value
 scale ``max(1, |f(A)|, |f(B)|)``; claims of geodesic linearity are checked
 as two-sided equalities at a looser tolerance.
+
+All three checks run through one trial loop, ``_trial_loop``, which works
+on blocks of ``BLOCK`` consecutive trials.  For each block it makes a few
+stacked numpy calls: one QR for every sample point (the random draws stay
+per trial, from the trial's own stream), one ``eigh`` pair per argument for
+every geodesic of the block at all of its t-samples (a broadcast for
+straight segments), and one ``eigvalsh`` each for the value scales and the
+Loewner gaps of matrix-valued results.  Stacked numpy calls give the same
+bits as one call per matrix, so reports equal those of a trial-at-a-time
+loop.  Only ``f`` is called per point; it receives one read-only
+``(d, d)`` array per argument.  Each injected pair runs as a block of one.
+
+Generated points are cached per block: ``_cached_points`` (segment
+endpoints and t-samples) and ``_cached_ordered_pair`` keep up to
+``_CACHE_BLOCKS`` blocks each, so checks of several functions at one seed
+share them.  Both caches expose ``cache_clear``.
+
+Trial order is kept exactly:
+
+* ``f`` is called in trial order: the endpoints, then the t-samples in
+  order;
+* the first violation in ``(trial, t)`` order is the witness;
+* a ``DomainError`` at an endpoint, on a missing path or at a t-sample ends
+  the trial as skipped; the t-samples evaluated before it still count
+  toward ``worst_residual`` and may supply the witness;
+* more than 50% skipped trials raises ``InconclusiveError``;
+* any other error of an injected pair (a shape or symmetry gate) is raised
+  once ``f`` has seen that pair's endpoints, as a trial-at-a-time loop
+  would.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
@@ -30,6 +61,11 @@ from .expr import Expression, GCurvature, Manifold, evaluate
 _SEED_MASK = (1 << 63) - 1
 
 EQUALITY_TOL = 1e-8
+
+# Trials per block: the unit of stacked numpy work and of the point caches.
+BLOCK = 64
+# Blocks each point cache keeps; 32768 trials, as the per-trial caches did.
+_CACHE_BLOCKS = 32768 // BLOCK
 
 
 @dataclass(frozen=True)
@@ -114,14 +150,68 @@ def _rng(seed: int, index: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([int(seed) & _SEED_MASK, int(index), int(stream)])
 
 
-@lru_cache(maxsize=32768)
-def _cached_points(seed: int, index: int, dim: int, cond_max: float, nargs: int):
-    rng = _rng(seed, index, 1)
-    a = tuple(spd._random_spd_raw(dim, cond_max, rng) for _ in range(nargs))
-    b = tuple(spd._random_spd_raw(dim, cond_max, rng) for _ in range(nargs))
-    for m in a + b:
-        m.setflags(write=False)
-    return a, b
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _trial_ts(seed: int, index: int, t_samples: int) -> tuple[float, ...]:
+    base = (0.5, 0.25, 0.75)
+    if t_samples == 0:
+        return base
+    rng = _rng(seed, index, 2)
+    return base + tuple(float(t) for t in rng.uniform(0.0, 1.0, t_samples))
+
+
+@lru_cache(maxsize=_CACHE_BLOCKS)
+def _cached_points(seed: int, start: int, stop: int, dim: int, cond_max: float, nargs: int,
+                   t_samples: int):
+    """Endpoints and t-samples of the generated segment trials ``start..stop-1``.
+
+    Returns ``(a, b, ts)``: ``a`` and ``b`` hold one ``(n, dim, dim)`` stack
+    per argument, ``ts`` is ``(n, 3 + t_samples)``.  Each trial draws from its
+    own ``(seed, index, 1)`` stream in the order of ``spd._random_spd_raw``,
+    then one stacked QR turns every draw of the block into a matrix.
+    """
+    n, m = stop - start, 2 * nargs
+    half = 0.5 * math.log(cond_max)
+    g = np.empty((n, m, dim, dim))
+    u = np.empty((n, m, dim))
+    for row in range(n):
+        rng = _rng(seed, start + row, 1)
+        for j in range(m):
+            g[row, j] = rng.normal(size=(dim, dim))
+            u[row, j] = rng.uniform(-half, half, size=dim)
+    mats = _read_only(spd._spd_from_draws(g, u))
+    ts = np.array([_trial_ts(seed, i, t_samples) for i in range(start, stop)])
+    return (tuple(mats[:, j] for j in range(nargs)),
+            tuple(mats[:, nargs + j] for j in range(nargs)),
+            _read_only(ts))
+
+
+@lru_cache(maxsize=_CACHE_BLOCKS)
+def _cached_ordered_pair(seed: int, start: int, stop: int, dim: int, cond_max: float):
+    """Ordered pairs ``A >= B`` of the generated trials ``start..stop-1``, as two stacks.
+
+    ``B = A - s P`` with ``P`` a random PSD matrix and ``s`` small enough to
+    keep ``B`` positive definite; draws come from each trial's
+    ``(seed, index, 3)`` stream.
+    """
+    n = stop - start
+    half = 0.5 * math.log(cond_max)
+    g = np.empty((n, dim, dim))
+    u = np.empty((n, dim))
+    w = np.empty((n, dim, dim))
+    for row in range(n):
+        rng = _rng(seed, start + row, 3)
+        g[row] = rng.normal(size=(dim, dim))
+        u[row] = rng.uniform(-half, half, size=dim)
+        w[row] = rng.normal(size=(dim, dim))
+    a = spd._spd_from_draws(g, u)
+    p = (w @ spd._mT(w)) / dim
+    s = 0.5 * np.linalg.eigvalsh(a)[:, 0] / np.maximum(np.linalg.eigvalsh(p)[:, -1], spd.PD_FLOOR)
+    b = a - s[:, None, None] * p
+    return _read_only(a), _read_only(b)
 
 
 def _normalize_injected(entry, nargs: int):
@@ -131,16 +221,86 @@ def _normalize_injected(entry, nargs: int):
         b = (b,)
     if len(a) != nargs or len(b) != nargs:
         raise RangeError(f"injected pair arity {len(a)} does not match {nargs} arguments")
-    conv = lambda ms: tuple(np.asarray(spd._as_array(m), dtype=float) for m in ms)
+    conv = lambda ms: tuple(_read_only(np.array(spd._as_array(m), dtype=float)) for m in ms)
     return conv(a), conv(b)
 
 
-def _trial_ts(cfg: FuzzConfig, index: int) -> tuple[float, ...]:
-    base = (0.5, 0.25, 0.75)
-    if cfg.t_samples == 0:
-        return base
-    rng = _rng(cfg.seed, index, 2)
-    return base + tuple(float(t) for t in rng.uniform(0.0, 1.0, cfg.t_samples))
+@dataclass(frozen=True)
+class _Batch:
+    """Consecutive trials of one check, as stacks with the trial on axis 0.
+
+    ``a`` and ``b`` hold the endpoints, one stack per argument of ``f``.
+    ``paths()`` returns the path points at every ``(trial, t)`` pair (one
+    ``(n, T, ...)`` stack per argument; empty for ordered pairs) and the mask
+    of trials whose path exists.
+    """
+
+    a: tuple
+    b: tuple
+    ts: np.ndarray | None
+    paths: Callable[[], tuple]
+
+
+def _segment_points(geodesic: bool, a: tuple, b: tuple, ts: np.ndarray, checked: bool = False):
+    """Path points of a batch at every ``(trial, t)`` pair, with the mask of existing paths.
+
+    Geodesics take one stacked eigendecomposition pair per argument,
+    straight segments one broadcast.  With ``checked`` (a batch of one
+    caller-supplied pair) each argument first passes the gates of
+    ``spd.geodesic_path`` and a missing path raises ``DomainError``.
+    """
+    points, ok = [], np.ones(len(ts), dtype=bool)
+    for x, y in zip(a, b):
+        if geodesic:
+            if checked:
+                spd._geodesic_inputs(x[0], y[0])
+            frame, logs, good = spd._geodesic_frames(x, y)
+            if checked and not good[0]:
+                raise DomainError("geodesic endpoint is not positive definite")
+            ok &= good
+            p = spd._geodesic_points(frame, logs, ts)
+        else:
+            t = ts.reshape(ts.shape + (1,) * (x.ndim - 1))
+            p = (1.0 - t) * x[:, None] + t * y[:, None]
+        points.append(_read_only(p))
+    return tuple(points), ok
+
+
+def _segment_batches(cfg: FuzzConfig, nargs: int, geodesic: bool):
+    """The trials of a segment check in order: each injected pair alone, then blocks."""
+    injected = min(len(cfg.injected), cfg.trials)
+    for i in range(injected):
+        pa, pb = _normalize_injected(cfg.injected[i], nargs)
+        a, b = tuple(x[None] for x in pa), tuple(y[None] for y in pb)
+        ts = np.array([_trial_ts(cfg.seed, i, cfg.t_samples)])
+        yield _Batch(a, b, ts, partial(_segment_points, geodesic, a, b, ts, checked=True))
+    for start, stop in _blocks(injected, cfg.trials):
+        a, b, ts = _cached_points(cfg.seed, start, stop, cfg.dim, float(cfg.cond_max), nargs,
+                                  cfg.t_samples)
+        yield _Batch(a, b, ts, partial(_segment_points, geodesic, a, b, ts))
+
+
+def _ordered_batches(cfg: FuzzConfig):
+    """The trials of a monotonicity check in order: each injected pair alone, then blocks."""
+    injected = min(len(cfg.injected), cfg.trials)
+    for i in range(injected):
+        (a,), (b,) = _normalize_injected(cfg.injected[i], 1)
+        yield _Batch((a[None],), (b[None],), None, partial(_no_paths, 1))
+    for start, stop in _blocks(injected, cfg.trials):
+        a, b = _cached_ordered_pair(cfg.seed, start, stop, cfg.dim, float(cfg.cond_max))
+        yield _Batch((a,), (b,), None, partial(_no_paths, stop - start))
+
+
+def _no_paths(n: int):
+    return (), np.ones(n, dtype=bool)
+
+
+def _blocks(start: int, stop: int):
+    """``[start, stop)`` cut at multiples of ``BLOCK``, so cache keys repeat across checks."""
+    while start < stop:
+        end = min((start // BLOCK + 1) * BLOCK, stop)
+        yield start, end
+        start = end
 
 
 def _value_scale(fa, fb) -> float:
@@ -166,66 +326,154 @@ def _two_sided_gap(fmid, chord) -> float:
     return abs(float(fmid) - float(chord))
 
 
-def _run_segment_check(f, cfg: FuzzConfig, nargs: int, path_builder, equality: bool,
-                       equality_tol: float) -> FuzzReport:
-    tol = equality_tol if equality else cfg.tol
+def _scalarize(v):
+    if isinstance(v, np.ndarray):
+        return float(np.linalg.eigvalsh((v + v.T) / 2.0)[0])
+    return float(v)
+
+
+def _stackable(values: list) -> bool:
+    """True when every value is a float matrix of one square shape."""
+    shape = getattr(values[0], "shape", None) if values else None
+    return (shape is not None and len(shape) == 2 and shape[0] == shape[1] and all(
+        type(v) is np.ndarray and v.shape == shape and v.dtype == np.float64 for v in values))
+
+
+def _scales(fa: list, fb: list) -> list:
+    """``_value_scale`` of each pair; one stacked ``eigvalsh`` for matrix values."""
+    if _stackable(fa + fb):
+        na = np.abs(np.linalg.eigvalsh(np.stack(fa))).max(axis=-1)
+        nb = np.abs(np.linalg.eigvalsh(np.stack(fb))).max(axis=-1)
+        return np.fmax(np.fmax(1.0, na), nb).tolist()
+    return [_value_scale(x, y) for x, y in zip(fa, fb)]
+
+
+def _stacked_gaps(values: np.ndarray, refs: np.ndarray, two_sided: bool) -> list:
+    """``_gap`` (or ``_two_sided_gap``) over stacks: one ``eigvalsh`` call."""
+    w = np.linalg.eigvalsh(spd._sym(refs - values))
+    return (np.abs(w).max(axis=-1) if two_sided else -w[:, 0]).tolist()
+
+
+def _segment_gaps(fa: list, fb: list, owner: list, ts: list, values: list, two_sided: bool):
+    """Chord and gap of each t-sample: ``values[k]`` at ``ts[k]`` on trial ``owner[k]``."""
+    if _stackable(fa + fb + values):
+        t = np.array(ts)[:, None, None]
+        chords = (1.0 - t) * np.stack(fa)[owner] + t * np.stack(fb)[owner]
+        return chords, _stacked_gaps(np.stack(values), chords, two_sided)
+    chords = [(1.0 - t) * fa[k] + t * fb[k] for k, t in zip(owner, ts)]
+    gap = _two_sided_gap if two_sided else _gap
+    return chords, [gap(v, c) for v, c in zip(values, chords)]
+
+
+def _segment_judge(two_sided: bool):
+    """Relative gaps of the t-samples above their chords, in ``(trial, t)`` order."""
+
+    def judge(batch: _Batch, done: list):
+        owner, ts, values = [], [], []
+        for k, (row, _, _, vals) in enumerate(done):
+            owner += [k] * len(vals)
+            ts += batch.ts[row, :len(vals)].tolist()
+            values += vals
+        if not values:
+            return
+        fa, fb = _endpoint_values(done)
+        chords, gaps = _segment_gaps(fa, fb, owner, ts, values, two_sided)
+        scales = _scales(fa, fb)
+        for k, t, v, chord, gap in zip(owner, ts, values, chords, gaps):
+            yield gap / scales[k], scales[k], done[k][0], t, v, chord
+
+    return judge
+
+
+def _monotone_judge(increasing: bool):
+    """Relative gaps of ``g(lo) <= g(hi)`` over each ordered pair, in trial order."""
+
+    def judge(batch: _Batch, done: list):
+        ga, gb = _endpoint_values(done)
+        hi, lo = (ga, gb) if increasing else (gb, ga)
+        if _stackable(lo + hi):
+            gaps = _stacked_gaps(np.stack(lo), np.stack(hi), False)
+        else:
+            gaps = [_gap(v, r) for v, r in zip(lo, hi)]
+        for (row, *_), scale, gap, v, r in zip(done, _scales(ga, gb), gaps, lo, hi):
+            yield gap / scale, scale, row, 1.0, v, r
+
+    return judge
+
+
+def _endpoint_values(done: list):
+    return [d[1] for d in done], [d[2] for d in done]
+
+
+def _trial_loop(f, trials: int, batches, tol: float, judge) -> FuzzReport:
+    """The one trial loop behind every check.
+
+    ``f`` sees each trial's endpoints, then its path points in t order, one
+    point at a time and in trial order; a ``DomainError`` ends the trial as
+    skipped, but the samples evaluated before it still count.  A batch's
+    paths are built once ``f`` has seen its first endpoints.  ``judge``
+    turns a batch's values into relative gaps ``(rel, scale, row, t, value,
+    reference)`` in ``(trial, t)`` order; the first gap above ``tol`` becomes
+    the witness.
+    """
     skipped = 0
     completed = 0
     worst = float("-inf")
     witness = None
-    for i in range(cfg.trials):
-        if i < len(cfg.injected):
-            pa, pb = _normalize_injected(cfg.injected[i], nargs)
-        else:
-            pa, pb = _cached_points(cfg.seed, i, cfg.dim, float(cfg.cond_max), nargs)
-        try:
-            fa = f(*pa)
-            fb = f(*pb)
-            paths = [path_builder(a, b) for a, b in zip(pa, pb)]
-        except DomainError:
-            skipped += 1
-            continue
-        scale = _value_scale(fa, fb)
-        trial_ok = True
-        for t in _trial_ts(cfg, i):
+    for batch in batches:
+        points = ok = None
+        done = []  # (row, f(A), f(B), values at the path points) per evaluated trial
+        for row, (ends_a, ends_b) in enumerate(zip(zip(*batch.a), zip(*batch.b))):
             try:
-                fmid = f(*(p(t) for p in paths))
+                fa = f(*ends_a)
+                fb = f(*ends_b)
+                if points is None:
+                    # After f has seen the first endpoints, so the gates of an
+                    # injected pair raise where a trial-at-a-time loop would.
+                    points, ok = batch.paths()
             except DomainError:
-                trial_ok = False
-                break
-            chord = (1.0 - t) * fa + t * fb
-            gap = _two_sided_gap(fmid, chord) if equality else _gap(fmid, chord)
-            rel = gap / scale
-            worst = max(worst, rel)
+                skipped += 1
+                continue
+            if not ok[row]:
+                skipped += 1
+                continue
+            values = []
+            path = zip(*(p[row] for p in points)) if points else ()
+            try:
+                for args in path:
+                    values.append(f(*args))
+            except DomainError:
+                skipped += 1
+            else:
+                completed += 1
+            done.append((row, fa, fb, values))
+        for rel, scale, row, t, value, ref in judge(batch, done):
+            if rel > worst:  # max(worst, rel): a NaN never replaces worst
+                worst = rel
             # Keep the first violation: injected counterexamples run first, so
             # they become the reported witness deterministically.
             if witness is None and rel > tol:
                 witness = Witness(
-                    point_a=pa,
-                    point_b=pb,
-                    t=float(t),
-                    lhs=_scalarize(fmid),
-                    rhs=_scalarize(chord),
+                    point_a=tuple(x[row] for x in batch.a),
+                    point_b=tuple(x[row] for x in batch.b),
+                    t=t,
+                    lhs=_scalarize(value),
+                    rhs=_scalarize(ref),
                     residual=rel,
                     scale=scale,
                 )
-        if trial_ok:
-            completed += 1
-        else:
-            skipped += 1
-    if skipped * 2 > cfg.trials:
-        raise InconclusiveError(
-            f"{skipped} of {cfg.trials} trials hit evaluator domain errors"
-        )
+    if skipped * 2 > trials:
+        raise InconclusiveError(f"{skipped} of {trials} trials hit evaluator domain errors")
     if witness is not None:
         return FuzzReport("ViolationFound", completed, skipped, worst, witness)
     return FuzzReport("NoViolationFound", completed, skipped, worst)
 
 
-def _scalarize(v):
-    if isinstance(v, np.ndarray):
-        return float(np.linalg.eigvalsh((v + v.T) / 2.0)[0])
-    return float(v)
+def _run_segment_check(f, cfg: FuzzConfig, nargs: int, geodesic: bool, equality: bool,
+                       equality_tol: float) -> FuzzReport:
+    tol = equality_tol if equality else cfg.tol
+    batches = _segment_batches(cfg, nargs, geodesic)
+    return _trial_loop(f, cfg.trials, batches, tol, _segment_judge(equality))
 
 
 def check_gconvex(f, cfg: FuzzConfig, nargs: int = 1, equality: bool = False,
@@ -238,32 +486,13 @@ def check_gconvex(f, cfg: FuzzConfig, nargs: int = 1, equality: bool = False,
     evaluation leaves the domain are skipped; more than 50% skips raises
     ``InconclusiveError``.
     """
-    return _run_segment_check(f, cfg, nargs, spd.geodesic_path, equality, equality_tol)
+    return _run_segment_check(f, cfg, nargs, True, equality, equality_tol)
 
 
 def check_econvex(f, cfg: FuzzConfig, nargs: int = 1, equality: bool = False,
                   equality_tol: float = EQUALITY_TOL) -> FuzzReport:
     """Probe Euclidean convexity of ``f`` along straight segments in the cone."""
-
-    def segment(a, b):
-        return lambda t: (1.0 - t) * a + t * b
-
-    return _run_segment_check(f, cfg, nargs, segment, equality, equality_tol)
-
-
-@lru_cache(maxsize=32768)
-def _cached_ordered_pair(seed: int, index: int, dim: int, cond_max: float):
-    rng = _rng(seed, index, 3)
-    a = spd._random_spd_raw(dim, cond_max, rng)
-    w = rng.normal(size=(dim, dim))
-    p = (w @ w.T) / dim
-    lam_a = np.linalg.eigvalsh(a)
-    lam_p = np.linalg.eigvalsh(p)
-    s = 0.5 * float(lam_a[0]) / max(float(lam_p[-1]), spd.PD_FLOOR)
-    b = a - s * p
-    a.setflags(write=False)
-    b.setflags(write=False)
-    return a, b
+    return _run_segment_check(f, cfg, nargs, False, equality, equality_tol)
 
 
 def check_monotone_loewner(g, direction: str, cfg: FuzzConfig) -> FuzzReport:
@@ -275,55 +504,24 @@ def check_monotone_loewner(g, direction: str, cfg: FuzzConfig) -> FuzzReport:
     """
     if direction not in ("increasing", "decreasing"):
         raise RangeError(f"direction must be 'increasing' or 'decreasing', got {direction!r}")
-    skipped = 0
-    completed = 0
-    worst = float("-inf")
-    witness = None
-    for i in range(cfg.trials):
-        if i < len(cfg.injected):
-            (a,), (b,) = _normalize_injected(cfg.injected[i], 1)
-        else:
-            a, b = _cached_ordered_pair(cfg.seed, i, cfg.dim, float(cfg.cond_max))
-        try:
-            ga = g(a)
-            gb = g(b)
-        except DomainError:
-            skipped += 1
-            continue
-        completed += 1
-        hi, lo = (ga, gb) if direction == "increasing" else (gb, ga)
-        scale = _value_scale(ga, gb)
-        gap = _gap(lo, hi)  # positive when hi >= lo fails
-        rel = gap / scale
-        worst = max(worst, rel)
-        if witness is None and rel > cfg.tol:
-            witness = Witness(
-                point_a=(a,), point_b=(b,), t=1.0,
-                lhs=_scalarize(lo), rhs=_scalarize(hi),
-                residual=rel, scale=scale,
-            )
-    if skipped * 2 > cfg.trials:
-        raise InconclusiveError(f"{skipped} of {cfg.trials} trials hit evaluator domain errors")
-    if witness is not None:
-        return FuzzReport("ViolationFound", completed, skipped, worst, witness)
-    return FuzzReport("NoViolationFound", completed, skipped, worst)
+    judge = _monotone_judge(direction == "increasing")
+    return _trial_loop(g, cfg.trials, _ordered_batches(cfg), cfg.tol, judge)
 
 
 def reevaluate_witness(f, w: Witness, geodesic: bool = True, equality: bool = False) -> float:
-    """Recompute a witness's relative residual from its stored points."""
-    if geodesic:
-        paths = [spd.geodesic_path(a, b) for a, b in zip(w.point_a, w.point_b)]
-    else:
-        paths = [
-            (lambda a=a, b=b: (lambda t: (1.0 - t) * a + t * b))()
-            for a, b in zip(w.point_a, w.point_b)
-        ]
+    """Recompute a witness's relative residual from its stored points.
+
+    The path point comes from the same block helpers as the check's, as a
+    batch of one, so the residual is reproduced bit for bit.
+    """
+    a = tuple(np.asarray(x, dtype=float)[None] for x in w.point_a)
+    b = tuple(np.asarray(y, dtype=float)[None] for y in w.point_b)
+    points, _ = _segment_points(geodesic, a, b, np.array([[w.t]]), checked=True)
     fa = f(*w.point_a)
     fb = f(*w.point_b)
-    fmid = f(*(p(w.t) for p in paths))
-    chord = (1.0 - w.t) * fa + w.t * fb
-    gap = _two_sided_gap(fmid, chord) if equality else _gap(fmid, chord)
-    return gap / _value_scale(fa, fb)
+    fmid = f(*(p[0, 0] for p in points))
+    _, (gap,) = _segment_gaps([fa], [fb], [0], [w.t], [fmid], equality)
+    return gap / _scales([fa], [fb])[0]
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,12 @@ The affine-invariant geometry implemented here:
 * geometric mean  ``A # B = gamma(1/2)``
 * distance        ``||log(B^(-1/2) A B^(-1/2))||_F``
 
+The geodesic kernels (``_geodesic_frames``, ``_geodesic_points``) and the
+sampler (``_spd_from_draws``) also take stacks ``(..., d, d)``: numpy's
+``eigh`` and ``matmul`` loop over leading axes, one LAPACK or BLAS call per
+matrix, so a stacked result equals the one-matrix result bit for bit.  The
+falsifier relies on that to batch its trials.
+
 The module also carries the numeric evaluator (``eval_<name>``) and the
 vector-Jacobian product (``vjp_<name>``) of every built-in atom so that
 symbolic metadata and numeric semantics stay in separate layers.
@@ -41,8 +47,14 @@ def _as_array(m) -> np.ndarray:
     return np.asarray(m, dtype=float)
 
 
+def _mT(a: np.ndarray) -> np.ndarray:
+    """Transpose of the last two axes (of the matrix itself when 2-D)."""
+    return a.T if a.ndim == 2 else np.swapaxes(a, -1, -2)
+
+
 def _sym(a: np.ndarray) -> np.ndarray:
-    return (a + a.T) / 2.0
+    # inlines _mT: this runs several times per atom evaluation
+    return (a + (a.T if a.ndim == 2 else np.swapaxes(a, -1, -2))) / 2.0
 
 
 def _check_symmetric_square(a: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -80,9 +92,10 @@ def sym_eig(m) -> EigenPair:
 def _eig_nogate(a: np.ndarray) -> EigenPair:
     # For products of validated matrices whose asymmetry is our own roundoff;
     # the 1e-12 gate applies to inputs, not to internally derived quantities.
+    # A stack (..., d, d) gives a pair of stacks.
     w, q = np.linalg.eigh(_sym(a))
-    lam = np.ascontiguousarray(w[::-1])
-    vec = np.ascontiguousarray(q[:, ::-1])
+    lam = np.ascontiguousarray(w[..., ::-1])
+    vec = np.ascontiguousarray(q[..., ::-1])
     return EigenPair(q=vec, lam=lam)
 
 
@@ -195,10 +208,49 @@ def matrix_inv(m) -> SPDMatrix:
 def _half_powers(pair: EigenPair) -> tuple[np.ndarray, np.ndarray]:
     if float(pair.lam[-1]) <= 0.0:
         raise DomainError("matrix is not positive definite")
-    root = np.sqrt(pair.lam)
-    sq = _sym((pair.q * root) @ pair.q.T)
-    inv_sq = _sym((pair.q / root) @ pair.q.T)
-    return sq, inv_sq
+    return _root_pair(pair.q, pair.lam)
+
+
+def _root_pair(q: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``Q diag(lam^(1/2)) Q^T`` and ``Q diag(lam^(-1/2)) Q^T``, stacked."""
+    root = np.sqrt(lam)[..., None, :]
+    qt = _mT(q)
+    return _sym((q * root) @ qt), _sym((q / root) @ qt)
+
+
+def _geodesic_inputs(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays of two geodesic endpoints, after the shape and symmetry gates."""
+    a_arr = _as_array(a)
+    b_arr = _as_array(b)
+    if a_arr.shape != b_arr.shape:
+        raise ShapeError(f"dimension mismatch: {a_arr.shape} vs {b_arr.shape}")
+    if not isinstance(a, SPDMatrix):
+        _check_symmetric_square(a_arr)
+    return a_arr, b_arr
+
+
+def _geodesic_frames(a: np.ndarray, b: np.ndarray):
+    """Geodesics from ``a`` to ``b`` for endpoint stacks of shape ``(..., d, d)``.
+
+    Returns ``(frame, logs, ok)`` such that
+    ``gamma(t) = frame diag(exp(t logs)) frame^T``: ``frame = A^(1/2) U`` where
+    ``U diag(exp(logs)) U^T`` is the eigendecomposition of
+    ``A^(-1/2) B A^(-1/2)``.  Two stacked eigendecompositions in all.  ``ok``
+    is False where ``a`` or the whitened ``b`` has an eigenvalue <= 0; the
+    frame and logs there are placeholders.  The inputs are not gated.
+    """
+    pair = _eig_nogate(a)
+    ok = ~(pair.lam[..., -1] <= 0.0)
+    a_sq, a_inv_sq = _root_pair(pair.q, np.where(ok[..., None], pair.lam, 1.0))
+    inner = _eig_nogate(a_inv_sq @ b @ a_inv_sq)
+    ok &= ~(inner.lam[..., -1] <= 0.0)
+    return a_sq @ inner.q, np.log(np.where(ok[..., None], inner.lam, 1.0)), ok
+
+
+def _geodesic_points(frame: np.ndarray, logs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """``gamma(t)`` for every ``t`` of ``ts`` (shape ``(..., T)``), as ``(..., T, d, d)``."""
+    scaled = frame[..., None, :, :] * np.exp(ts[..., :, None] * logs[..., None, :])[..., None, :]
+    return _sym(scaled @ _mT(frame)[..., None, :, :])
 
 
 def geodesic_path(a, b) -> Callable[[float], np.ndarray]:
@@ -208,19 +260,12 @@ def geodesic_path(a, b) -> Callable[[float], np.ndarray]:
     The two eigendecompositions happen once, so sampling many points along
     one geodesic is cheap.
     """
-    a_arr = _as_array(a)
-    b_arr = _as_array(b)
-    if a_arr.shape != b_arr.shape:
-        raise ShapeError(f"dimension mismatch: {a_arr.shape} vs {b_arr.shape}")
-    a_sq, a_inv_sq = _half_powers(_eig_of(a))
-    inner = _eig_nogate(a_inv_sq @ b_arr @ a_inv_sq)
-    if float(inner.lam[-1]) <= 0.0:
+    frame, logs, ok = _geodesic_frames(*_geodesic_inputs(a, b))
+    if not ok:
         raise DomainError("geodesic endpoint is not positive definite")
-    frame = a_sq @ inner.q
-    logs = np.log(inner.lam)
 
     def gamma(t: float) -> np.ndarray:
-        return _sym((frame * np.exp(t * logs)) @ frame.T)
+        return _geodesic_points(frame, logs, np.array([t], dtype=float))[0]
 
     return gamma
 
@@ -276,11 +321,19 @@ def _as_generator(rng_seed) -> np.random.Generator:
 
 def _random_spd_raw(d: int, cond_max: float, rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=(d, d))
-    q, r = np.linalg.qr(g)
-    q = q * np.sign(np.diag(r))
     half = 0.5 * math.log(cond_max)
-    lam = np.exp(rng.uniform(-half, half, size=d))
-    return _sym((q * lam) @ q.T)
+    return _spd_from_draws(g, rng.uniform(-half, half, size=d))
+
+
+def _spd_from_draws(g: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``Q diag(exp(u)) Q^T`` with ``Q`` the sign-fixed QR factor of ``g``.
+
+    Stacked: ``g`` is ``(..., d, d)`` Gaussian, ``u`` the matching
+    ``(..., d)`` uniform log-spectra; one stacked QR serves every matrix.
+    """
+    q, r = np.linalg.qr(g)
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    return _sym((q * np.exp(u)[..., None, :]) @ _mT(q))
 
 
 def random_spd(d: int, cond_max: float = 10.0, rng_seed=0) -> SPDMatrix:

@@ -1,10 +1,15 @@
 """Shared helpers.  Oracles here are written against raw numpy only, so they
 stay independent of the library paths they check."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import geocert as gc
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def eigh_fn(a, fn):
@@ -38,6 +43,16 @@ def rel_err(x, y):
 @pytest.fixture
 def scope():
     return gc.VariableScope()
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _children_import_src():
+    """``python -m geocert`` child processes import the package from ``src``,
+    as this process does through the pytest ``pythonpath`` setting."""
+    patch = pytest.MonkeyPatch()
+    patch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    yield
+    patch.undo()
 
 
 @pytest.fixture(autouse=True)

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import geocert as gc
 from geocert import spd
-from geocert.errors import InconclusiveError, RangeError
+from geocert.errors import InconclusiveError, RangeError, ShapeError
 
 from conftest import SIGMA_2
 
@@ -250,3 +251,153 @@ class TestCrossValidate:
         out = gc.cross_validate(e, gc.FuzzConfig(trials=50, dim=2, seed=14))
         assert out.verdict == "CONSISTENT"
         assert out.checks["geodesic-convexity"].witness is None
+
+
+def _scaled_identity_pair(d=2):
+    """Injected pair I and 16 I: gamma(t) = 16^t I, so tr/d reads off t."""
+    return (np.eye(d), 16.0 * np.eye(d))
+
+
+def _is_scaled_identity(x):
+    x = np.asarray(x)
+    return np.array_equal(x, np.diag(np.diag(x))) and np.allclose(np.diag(x), x[0, 0])
+
+
+def _raise_on_diagonal(fn):
+    """``fn``, except that diagonal arguments leave the domain."""
+    def wrapped(x):
+        if np.count_nonzero(x - np.diag(np.diag(x))) == 0:
+            raise gc.DomainError("diagonal argument")
+        return fn(x)
+    return wrapped
+
+
+class TestTrialEdgeCases:
+    def test_violation_before_midtrial_domain_error_is_kept(self):
+        # -tr is geodesically concave: the midpoint (t = 0.5, 16^t = 4) lies
+        # above the chord; t = 0.25 (16^t = 2) then leaves the domain.
+        def f(x):
+            if not _is_scaled_identity(x):
+                return 0.0
+            if abs(x[0, 0] - 2.0) < 1e-9:
+                raise gc.DomainError("t = 0.25")
+            return -float(np.trace(x))
+
+        cfg = gc.FuzzConfig(trials=3, dim=2, seed=3, injected=(_scaled_identity_pair(),))
+        rep = gc.check_gconvex(f, cfg)
+        assert rep.verdict == "ViolationFound"
+        assert rep.witness.t == 0.5
+        assert abs(rep.witness.residual - 9.0 / 32.0) <= 1e-12
+        assert (rep.skipped, rep.trials_run) == (1, 2)
+        assert rep.worst_residual == rep.witness.residual
+
+    @pytest.mark.parametrize("pair", [
+        (np.diag([1.0, -1.0]), np.eye(2)),
+        (np.eye(2), np.diag([1.0, -1.0])),
+    ])
+    def test_injected_endpoint_not_pd_is_a_skip(self, pair):
+        cfg = gc.FuzzConfig(trials=3, dim=2, seed=4, injected=(pair,))
+        rep = gc.check_gconvex(spd.eval_tr, cfg)
+        assert (rep.skipped, rep.trials_run) == (1, 2)
+        assert rep.verdict == "NoViolationFound"
+
+    def test_injected_gate_errors_keep_their_types(self):
+        asym = np.array([[1.0, 0.5], [0.0, 1.0]])
+        cfg = gc.FuzzConfig(trials=3, dim=2, seed=4, injected=((asym, np.eye(2)),))
+        with pytest.raises(ShapeError):
+            gc.check_gconvex(spd.eval_tr, cfg)
+        # f leaves its domain at the endpoint first: a skip, the gate never runs
+        rep = gc.check_gconvex(_raise_on_diagonal(spd.eval_tr), replace(cfg, injected=(
+            (np.diag([1.0, 2.0]), asym),)))
+        assert (rep.skipped, rep.trials_run) == (1, 2)
+        pair = (np.eye(2), np.eye(2))
+        with pytest.raises(RangeError):
+            gc.check_gconvex(spd.eval_tr, replace(cfg, injected=((pair, pair),)))
+
+    @pytest.mark.parametrize("check", ["gconvex", "econvex", "monotone"])
+    def test_half_skipped_passes_one_more_is_inconclusive(self, check):
+        f = _raise_on_diagonal(spd.eval_tr)
+        diag_pair = (np.diag([2.0, 1.0]), np.diag([1.0, 0.5]))
+
+        def run(n_skipped):
+            cfg = gc.FuzzConfig(trials=4, dim=2, seed=5, injected=(diag_pair,) * n_skipped)
+            if check == "gconvex":
+                return gc.check_gconvex(f, cfg)
+            if check == "econvex":
+                return gc.check_econvex(f, cfg)
+            return gc.check_monotone_loewner(f, "increasing", cfg)
+
+        rep = run(2)
+        assert (rep.skipped, rep.trials_run) == (2, 2)
+        with pytest.raises(InconclusiveError):
+            run(3)
+
+    def test_zero_t_samples_uses_base_ts_only(self):
+        seen = []
+
+        def f(x):
+            seen.append(float(np.trace(x)) / 2.0)
+            return float(np.trace(x))
+
+        cfg = gc.FuzzConfig(trials=1, dim=2, seed=6, t_samples=0,
+                            injected=(_scaled_identity_pair(),))
+        gc.check_gconvex(f, cfg)
+        assert len(seen) == 5
+        ts = [math.log(s, 16.0) for s in seen[2:]]
+        assert np.allclose(ts, [0.5, 0.25, 0.75], atol=1e-12)
+
+
+class TestReevaluateWitness:
+    @pytest.mark.parametrize("f", [
+        lambda x: -spd.eval_tr(x),
+        lambda x: -spd.eval_inv(x),
+    ], ids=["scalar", "matrix"])
+    def test_geodesic_witness_bit_for_bit(self, f):
+        rep = gc.check_gconvex(f, gc.FuzzConfig(trials=40, dim=3, seed=8))
+        assert rep.verdict == "ViolationFound"
+        assert gc.reevaluate_witness(f, rep.witness) == rep.witness.residual
+
+    def test_euclidean_witness_bit_for_bit(self):
+        h = np.array([1.0, 2.0, 3.0])
+        f = lambda x: spd.eval_log_quad_form((h,), x)
+        rep = gc.check_econvex(f, CFG)
+        assert rep.verdict == "ViolationFound"
+        again = gc.reevaluate_witness(f, rep.witness, geodesic=False)
+        assert again == rep.witness.residual
+
+
+class TestReadOnlyPoints:
+    @pytest.mark.parametrize("check", ["gconvex", "econvex", "monotone"])
+    def test_writing_into_a_point_raises(self, check):
+        calls = []
+
+        def f(x):
+            calls.append(1)
+            if len(calls) == 3:  # the first midpoint, or the next trial's endpoint
+                x[0, 0] = 0.0
+            return float(np.trace(x))
+
+        cfg = gc.FuzzConfig(trials=10, dim=3, seed=9)
+        with pytest.raises(ValueError):
+            if check == "gconvex":
+                gc.check_gconvex(f, cfg)
+            elif check == "econvex":
+                gc.check_econvex(f, cfg)
+            else:
+                gc.check_monotone_loewner(f, "increasing", cfg)
+
+    def test_failed_writes_leave_the_block_intact(self):
+        writes = []
+
+        def f(x):
+            try:
+                x[...] = 0.0
+                writes.append(1)
+            except ValueError:
+                pass
+            return float(np.trace(x))
+
+        cfg = gc.FuzzConfig(trials=100, dim=3, seed=10)
+        for check in (gc.check_gconvex, gc.check_econvex):
+            assert check(f, cfg) == check(spd.eval_tr, cfg)
+        assert not writes
