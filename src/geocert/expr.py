@@ -2,7 +2,12 @@
 
 The module also evaluates trees numerically (``evaluate``) and
 differentiates them in reverse mode (``value_and_grad``) through the
-vector-Jacobian products registered beside each atom's evaluator.
+vector-Jacobian products registered beside each atom's evaluator.  For the
+falsifier, ``_evaluate_stacked`` evaluates a tree at a whole stack of
+points in one walk: atoms with a stacked form in ``spd.STACKED`` decompose
+the stack in one call, the rest (scalar atoms, user atoms) run their
+evaluator once per point, and each point gets the value, or the
+``DomainError`` outcome, that ``evaluate`` gives it.
 
 Expressions are plain trees: variables and constants at the leaves,
 arithmetic combinators and atom applications inside.  Fixed atom parameters
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, NamedTuple
@@ -828,6 +834,165 @@ def evaluate(e: Expression, env: dict):
     violations raise ``DomainError``.
     """
     return _node_value(e, [evaluate(c, env) for c in e.children()], env)
+
+
+def _evaluate_stacked(e: Expression, env: dict, alive: np.ndarray):
+    """``evaluate`` of a scalar expression at every row of stacked environments.
+
+    ``env`` maps each variable name to an ``(n, d, d)`` stack; ``alive``
+    marks the rows to evaluate.  Returns ``(values, alive)``: the ``(n,)``
+    float values and the rows whose per-point ``evaluate`` would not raise
+    ``DomainError``.  Every alive row's value equals per-point ``evaluate``
+    bit for bit; other rows hold placeholders.  Raises ``spd.Undecided``
+    when some row's per-point evaluation would raise anything else, or when
+    that cannot be ruled out, including any floating-point event that numpy
+    is set to report (the stacked arithmetic would otherwise hide it).
+    """
+    if e.kind != "scalar":
+        raise spd.Undecided("stacked evaluation is for scalar expressions")
+    rows = spd.Rows(alive.copy())
+    events = []
+    modes = {k: "ignore" if v == "ignore" else "call" for k, v in np.geterr().items()}
+    with np.errstate(call=lambda *_: events.append(1), **modes):
+        values = _StackedWalk(e, env, rows).value(e)
+    if events:
+        raise spd.Undecided("a floating-point event under numpy's error settings")
+    return values, rows.alive
+
+
+class _StackedWalk:
+    """One post-order walk of ``_evaluate_stacked``; each node is evaluated once.
+
+    Scalar nodes hold ``(n,)`` float stacks, matrix nodes ``(n, d, d)``
+    stacks, or one ``(d, d)`` matrix for constant subtrees.  The scalar
+    combinators redo ``_node_value``'s arithmetic elementwise, in the same
+    order.  Atoms with a stacked form in ``spd.STACKED`` run it once per
+    node; all others call their evaluator once per alive row.
+    """
+
+    def __init__(self, root: Expression, env: dict, rows: spd.Rows):
+        self.env = env
+        self.rows = rows
+        self.n = len(rows.alive)
+        self.values: dict[int, object] = {}
+        # Parents still to read each node's value; it is dropped at zero,
+        # so a walk holds few stacks at a time.
+        self.readers = Counter(id(c) for _, node in root.walk() for c in node.children())
+        # Per-row results of atoms that are not plain floats (an evaluator
+        # may return np.float64), handed on as they are to per-row atoms.
+        self.objects: dict[int, list] = {}
+
+    def value(self, node: Expression):
+        key = id(node)
+        if key not in self.values:
+            if isinstance(node, Variable):
+                v = self.env.get(node.name)
+                if getattr(v, "shape", None) != (self.n, node.dim, node.dim):
+                    raise spd.Undecided(f"no stack of shape {(self.n, node.dim, node.dim)} "
+                                        f"for '{node.name}'")
+            else:
+                if not node.variables:
+                    v = self._constant(node)
+                else:
+                    v = self._combine(node, [self.value(c) for c in node.children()])
+                    for c in node.children():
+                        self.readers[id(c)] -= 1
+                        if not self.readers[id(c)]:
+                            del self.values[id(c)]
+                # Read-only, so an evaluator that writes to its argument
+                # raises (and the block falls back) instead of changing a
+                # value that other rows and nodes share.
+                v.setflags(write=False)
+            self.values[key] = v
+        return self.values[key]
+
+    def _constant(self, node: Expression):
+        # A subtree without variables has one value for every row.
+        try:
+            v = evaluate(node, {})
+        except DomainError:
+            self.rows.kill(True)
+            v = 0.0 if node.kind == "scalar" else np.eye(node.dim)
+        except Exception:
+            raise spd.Undecided("constant subtree raised") from None
+        if node.kind != "scalar":
+            return v
+        if not isinstance(v, float):
+            raise spd.Undecided("constant subtree is not a float")
+        if type(v) is not float:
+            self.objects[id(node)] = [v] * self.n
+        return np.full(self.n, v)
+
+    def _combine(self, node: Expression, kids: list):
+        if isinstance(node, Add):
+            out = np.zeros(self.n)  # sum() starts from 0: 0 + (-0.0) is 0.0
+            for w, v in zip(node.weights, kids):
+                out = out + w * v
+            return out
+        if isinstance(node, ScalarMul):
+            return node.weight * kids[0]
+        if isinstance(node, Mul):
+            out = np.ones(self.n)
+            for v in kids:
+                out = out * v
+            return out
+        if isinstance(node, MaxOf):
+            # Python max: a later option wins only when strictly greater,
+            # so a NaN option neither wins nor loses.
+            out = kids[0]
+            for v in kids[1:]:
+                out = np.where(v > out, v, out)
+            return out
+        if isinstance(node, AtomApply):
+            args = _ordered_args(node, kids)
+            stacked = spd.STACKED.get(atom_evaluator(node.sig.id))
+            if stacked is None:
+                return self._per_row(node, args)
+            try:
+                return stacked(self.rows, *args)
+            except spd.Undecided:
+                raise
+            except Exception:
+                raise spd.Undecided(f"stacked '{node.sig.id}' raised") from None
+        raise spd.Undecided(f"no stacked evaluation for {type(node).__name__}")
+
+    def _per_row(self, node: AtomApply, args: list):
+        """The atom's evaluator called once per alive row, as per-point ``evaluate`` calls it."""
+        fn = atom_evaluator(node.sig.id)
+        kids = iter(node.children())
+        columns = []  # (slot, per-row values) of every expression argument
+        for slot, (kind, arg) in enumerate(zip(node.sig.positions, args)):
+            if kind not in EXPR_KINDS:
+                continue
+            child = next(kids)
+            if child.kind == "scalar":
+                columns.append((slot, self.objects.get(id(child)) or arg.tolist()))
+            elif arg.ndim == 3:
+                columns.append((slot, arg))
+        scalar = node.kind == "scalar"
+        results = [0.0] * self.n
+        out = np.zeros(self.n) if scalar else np.tile(np.eye(node.dim), (self.n, 1, 1))
+        for i in np.flatnonzero(self.rows.alive):
+            row = list(args)
+            for slot, column in columns:
+                row[slot] = column[i]
+            try:
+                r = fn(*row)
+            except DomainError:
+                self.rows.alive[i] = False
+                continue
+            except Exception:
+                raise spd.Undecided(f"atom '{node.sig.id}' raised") from None
+            if scalar and not isinstance(r, float):
+                raise spd.Undecided(f"atom '{node.sig.id}' did not return a float")
+            if not scalar and not (type(r) is np.ndarray and r.dtype == np.float64
+                                   and r.shape == out.shape[1:]):
+                raise spd.Undecided(f"atom '{node.sig.id}' did not return a float matrix")
+            out[i] = r
+            results[i] = r
+        if scalar and any(type(r) is not float for r in results):
+            self.objects[id(node)] = results
+        return out
 
 
 def differentiable(e: Expression) -> bool:

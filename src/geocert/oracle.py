@@ -22,8 +22,17 @@ every geodesic of the block at all of its t-samples (a broadcast for
 straight segments), and one ``eigvalsh`` each for the value scales and the
 Loewner gaps of matrix-valued results.  Stacked numpy calls give the same
 bits as one call per matrix, so reports equal those of a trial-at-a-time
-loop.  Only ``f`` is called per point; it receives one read-only
+loop.  The public checks call ``f`` per point; it receives one read-only
 ``(d, d)`` array per argument.  Each injected pair runs as a block of one.
+
+``cross_validate`` goes further: it evaluates its expression once per
+block, over stacks of all the block's points (``expr._evaluate_stacked``),
+and reads each trial's values and ``DomainError`` outcomes off the result
+(``_stacked_trials``).  Every value equals the per-point one bit for bit.
+A block the stacked evaluation cannot decide (some point would raise
+another error, or numpy would report a floating-point event) runs point by
+point instead, which raises exactly what a trial-at-a-time loop raises.
+Injected pairs always run point by point.
 
 Generated points are cached per block: ``_cached_points`` (segment
 endpoints and t-samples) and ``_cached_ordered_pair`` keep up to
@@ -56,7 +65,7 @@ import numpy as np
 from . import spd
 from .analysis import analyze, AnalysisReport
 from .errors import DomainError, InconclusiveError, RangeError
-from .expr import Expression, GCurvature, Manifold, evaluate
+from .expr import Expression, GCurvature, Manifold, _evaluate_stacked, evaluate
 
 _SEED_MASK = (1 << 63) - 1
 
@@ -239,6 +248,7 @@ class _Batch:
     b: tuple
     ts: np.ndarray | None
     paths: Callable[[], tuple]
+    injected: bool = False
 
 
 def _segment_points(geodesic: bool, a: tuple, b: tuple, ts: np.ndarray, checked: bool = False):
@@ -273,7 +283,7 @@ def _segment_batches(cfg: FuzzConfig, nargs: int, geodesic: bool):
         pa, pb = _normalize_injected(cfg.injected[i], nargs)
         a, b = tuple(x[None] for x in pa), tuple(y[None] for y in pb)
         ts = np.array([_trial_ts(cfg.seed, i, cfg.t_samples)])
-        yield _Batch(a, b, ts, partial(_segment_points, geodesic, a, b, ts, checked=True))
+        yield _Batch(a, b, ts, partial(_segment_points, geodesic, a, b, ts, checked=True), True)
     for start, stop in _blocks(injected, cfg.trials):
         a, b, ts = _cached_points(cfg.seed, start, stop, cfg.dim, float(cfg.cond_max), nargs,
                                   cfg.t_samples)
@@ -285,7 +295,7 @@ def _ordered_batches(cfg: FuzzConfig):
     injected = min(len(cfg.injected), cfg.trials)
     for i in range(injected):
         (a,), (b,) = _normalize_injected(cfg.injected[i], 1)
-        yield _Batch((a[None],), (b[None],), None, partial(_no_paths, 1))
+        yield _Batch((a[None],), (b[None],), None, partial(_no_paths, 1), True)
     for start, stop in _blocks(injected, cfg.trials):
         a, b = _cached_ordered_pair(cfg.seed, start, stop, cfg.dim, float(cfg.cond_max))
         yield _Batch((a,), (b,), None, partial(_no_paths, stop - start))
@@ -405,48 +415,111 @@ def _endpoint_values(done: list):
     return [d[1] for d in done], [d[2] for d in done]
 
 
-def _trial_loop(f, trials: int, batches, tol: float, judge) -> FuzzReport:
+def _pointwise_trials(f, batch: _Batch):
+    """A batch's trials with ``f`` called point by point.
+
+    ``f`` sees each trial's endpoints, then its path points in t order, in
+    trial order; a ``DomainError`` ends the trial as skipped, but the
+    samples evaluated before it still count.  The paths are built once
+    ``f`` has seen the batch's first endpoints.  Returns ``(done, skipped,
+    completed)``; ``done`` holds ``(row, f(A), f(B), path values)`` for
+    every trial whose endpoints evaluated.
+    """
+    points = ok = None
+    done, skipped, completed = [], 0, 0
+    for row, (ends_a, ends_b) in enumerate(zip(zip(*batch.a), zip(*batch.b))):
+        try:
+            fa = f(*ends_a)
+            fb = f(*ends_b)
+            if points is None:
+                # After f has seen the first endpoints, so the gates of an
+                # injected pair raise where a trial-at-a-time loop would.
+                points, ok = batch.paths()
+        except DomainError:
+            skipped += 1
+            continue
+        if not ok[row]:
+            skipped += 1
+            continue
+        values = []
+        path = zip(*(p[row] for p in points)) if points else ()
+        try:
+            for args in path:
+                values.append(f(*args))
+        except DomainError:
+            skipped += 1
+        else:
+            completed += 1
+        done.append((row, fa, fb, values))
+    return done, skipped, completed
+
+
+def _stacked_trials(evaluate_block, batch: _Batch):
+    """``_pointwise_trials`` of a generated segment batch from one stacked evaluation.
+
+    ``evaluate_block(stacks, alive)`` evaluates ``f`` at every point of the
+    batch at once, one stack per argument (the endpoints A, the endpoints
+    B, then the path points in ``(trial, t)`` order), and returns the
+    values with the mask of points whose per-point evaluation would not
+    raise ``DomainError``.  The trials are then read off in the per-point
+    order: skipped if A fails, then if B fails, then if the path is
+    missing; the path values before the first failing t still count.
+    Returns None when the stacked evaluation cannot decide (it raised
+    ``spd.Undecided``), so the batch runs point by point instead.
+    """
+    n, t = batch.ts.shape
+    points, ok = batch.paths()
+    stacks = tuple(
+        _read_only(np.concatenate((a, b, p.reshape((n * t,) + a.shape[1:]))))
+        for a, b, p in zip(batch.a, batch.b, points)
+    )
+    del points  # the stacks hold copies
+    alive = np.concatenate((np.ones(2 * n, dtype=bool), np.repeat(ok, t)))
+    try:
+        values, alive = evaluate_block(stacks, alive)
+    except spd.Undecided:
+        return None
+    values = values.tolist()
+    path_alive = alive[2 * n:].reshape(n, t)
+    reached = np.where(path_alive.all(axis=1), t, path_alive.argmin(axis=1)).tolist()
+    ends_ok = (alive[:n] & alive[n:2 * n] & ok).tolist()
+    done, skipped, completed = [], 0, 0
+    for row in range(n):
+        if not ends_ok[row]:
+            skipped += 1
+            continue
+        k = reached[row]
+        if k < t:
+            skipped += 1
+        else:
+            completed += 1
+        first = 2 * n + row * t
+        done.append((row, values[row], values[n + row], values[first:first + k]))
+    return done, skipped, completed
+
+
+def _trial_loop(f, trials: int, batches, tol: float, judge, evaluate_block=None) -> FuzzReport:
     """The one trial loop behind every check.
 
-    ``f`` sees each trial's endpoints, then its path points in t order, one
-    point at a time and in trial order; a ``DomainError`` ends the trial as
-    skipped, but the samples evaluated before it still count.  A batch's
-    paths are built once ``f`` has seen its first endpoints.  ``judge``
-    turns a batch's values into relative gaps ``(rel, scale, row, t, value,
-    reference)`` in ``(trial, t)`` order; the first gap above ``tol`` becomes
-    the witness.
+    Each batch's trials come from ``_pointwise_trials``, or, for generated
+    batches when ``evaluate_block`` is given, from ``_stacked_trials``,
+    which yields the same values and outcomes.  ``judge`` turns a batch's
+    values into relative gaps ``(rel, scale, row, t, value, reference)`` in
+    ``(trial, t)`` order; the first gap above ``tol`` becomes the witness.
     """
     skipped = 0
     completed = 0
     worst = float("-inf")
     witness = None
     for batch in batches:
-        points = ok = None
-        done = []  # (row, f(A), f(B), values at the path points) per evaluated trial
-        for row, (ends_a, ends_b) in enumerate(zip(zip(*batch.a), zip(*batch.b))):
-            try:
-                fa = f(*ends_a)
-                fb = f(*ends_b)
-                if points is None:
-                    # After f has seen the first endpoints, so the gates of an
-                    # injected pair raise where a trial-at-a-time loop would.
-                    points, ok = batch.paths()
-            except DomainError:
-                skipped += 1
-                continue
-            if not ok[row]:
-                skipped += 1
-                continue
-            values = []
-            path = zip(*(p[row] for p in points)) if points else ()
-            try:
-                for args in path:
-                    values.append(f(*args))
-            except DomainError:
-                skipped += 1
-            else:
-                completed += 1
-            done.append((row, fa, fb, values))
+        outcome = None
+        if evaluate_block is not None and not batch.injected:
+            outcome = _stacked_trials(evaluate_block, batch)
+        if outcome is None:
+            outcome = _pointwise_trials(f, batch)
+        done, block_skipped, block_completed = outcome
+        skipped += block_skipped
+        completed += block_completed
         for rel, scale, row, t, value, ref in judge(batch, done):
             if rel > worst:  # max(worst, rel): a NaN never replaces worst
                 worst = rel
@@ -470,10 +543,10 @@ def _trial_loop(f, trials: int, batches, tol: float, judge) -> FuzzReport:
 
 
 def _run_segment_check(f, cfg: FuzzConfig, nargs: int, geodesic: bool, equality: bool,
-                       equality_tol: float) -> FuzzReport:
+                       equality_tol: float, evaluate_block=None) -> FuzzReport:
     tol = equality_tol if equality else cfg.tol
     batches = _segment_batches(cfg, nargs, geodesic)
-    return _trial_loop(f, cfg.trials, batches, tol, _segment_judge(equality))
+    return _trial_loop(f, cfg.trials, batches, tol, _segment_judge(equality), evaluate_block)
 
 
 def check_gconvex(f, cfg: FuzzConfig, nargs: int = 1, equality: bool = False,
@@ -570,20 +643,29 @@ def cross_validate(e: Expression, cfg: FuzzConfig) -> CrossValidation:
     def f(*mats):
         return evaluate(e, dict(zip(names, mats)))
 
+    def block(stacks, alive):
+        return _evaluate_stacked(e, dict(zip(names, stacks)), alive)
+
+    def negated_block(stacks, alive):
+        values, alive = block(stacks, alive)
+        return -values, alive
+
+    def check(fn, evaluate_block, geodesic=True, equality=False):
+        return _run_segment_check(fn, cfg, nargs, geodesic, equality, EQUALITY_TOL,
+                                  evaluate_block)
+
     checks: dict[str, FuzzReport] = {}
     notes: dict[str, str] = {}
     g = report.gcurvature
     if g is GCurvature.CONVEX:
-        checks["geodesic-convexity"] = check_gconvex(f, cfg, nargs=nargs)
+        checks["geodesic-convexity"] = check(f, block)
     elif g is GCurvature.CONCAVE:
-        checks["geodesic-concavity"] = check_gconvex(
-            lambda *ms: -f(*ms), cfg, nargs=nargs
-        )
+        checks["geodesic-concavity"] = check(lambda *ms: -f(*ms), negated_block)
     elif g is GCurvature.LINEAR:
-        checks["geodesic-linearity"] = check_gconvex(f, cfg, nargs=nargs, equality=True)
+        checks["geodesic-linearity"] = check(f, block, equality=True)
     else:
-        checks["geodesic-convexity"] = check_gconvex(f, cfg, nargs=nargs)
-        checks["euclidean-convexity"] = check_econvex(f, cfg, nargs=nargs)
+        checks["geodesic-convexity"] = check(f, block)
+        checks["euclidean-convexity"] = check(f, block, geodesic=False)
         for key, rep in checks.items():
             notes[key] = (
                 "violated empirically" if rep.verdict == "ViolationFound"

@@ -21,12 +21,15 @@ falsifier relies on that to batch its trials.
 
 The module also carries the numeric evaluator (``eval_<name>``) and the
 vector-Jacobian product (``vjp_<name>``) of every built-in atom so that
-symbolic metadata and numeric semantics stay in separate layers.
+symbolic metadata and numeric semantics stay in separate layers, and the
+stacked forms (``stacked_<name>``, listed in ``STACKED``) of the atoms that
+decompose their argument, which evaluate one stack of points per call.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -297,8 +300,7 @@ def distance(a, b) -> float:
     w = _eig_nogate(b_inv_sq @ a_arr @ b_inv_sq)
     if float(w.lam[-1]) <= 0.0:
         raise DomainError("distance requires positive definite arguments")
-    logs = np.log(w.lam)
-    return float(math.sqrt(float(np.dot(logs, logs))))
+    return _distance_tail(w.lam)
 
 
 def loewner_geq(a, b, tol: float = 1e-9) -> bool:
@@ -363,9 +365,42 @@ def _pd_eigvals(x: np.ndarray, what: str) -> np.ndarray:
     return lam[::-1]
 
 
-def eval_logdet(x) -> float:
-    lam = _pd_eigvals(_as_array(x), "logdet")
+# The tails below finish an evaluator from its eigenvalues.  The per-point
+# evaluators and the stacked ones of the next section share them, so both
+# run the same numpy calls on arrays of the same layout.
+
+
+def _logdet_tail(lam: np.ndarray) -> float:
     return float(np.sum(np.log(lam)))
+
+
+def _distance_tail(lam: np.ndarray) -> float:
+    logs = np.log(lam)
+    return float(math.sqrt(float(np.dot(logs, logs))))
+
+
+def _eigsummax_tail(lam: np.ndarray, k) -> float:
+    return float(np.sum(lam[-int(k):]))
+
+
+def _schatten_tail(lam: np.ndarray, p) -> float:
+    return float(np.sum(lam ** float(p)) ** (1.0 / float(p)))
+
+
+def _sum_log_tail(lam: np.ndarray, k) -> float:
+    return float(np.sum(np.log(lam[: int(k)])))
+
+
+def _sum_pow_log_tail(lam: np.ndarray, k, p) -> float:
+    logs = np.log(lam[: int(k)])
+    p = float(p)
+    if not p.is_integer() and np.any(logs < 0.0):
+        raise DomainError("sum_pow_log_eigmax with non-integer p needs eigenvalues >= 1")
+    return float(np.sum(logs ** p))
+
+
+def eval_logdet(x) -> float:
+    return _logdet_tail(_pd_eigvals(_as_array(x), "logdet"))
 
 
 def eval_tr(x) -> float:
@@ -403,27 +438,19 @@ def eval_log_quad_form(hs, x) -> float:
 
 
 def eval_eigsummax(x, k) -> float:
-    lam = np.linalg.eigvalsh(_sym(_as_array(x)))
-    return float(np.sum(lam[-int(k):]))
+    return _eigsummax_tail(np.linalg.eigvalsh(_sym(_as_array(x))), k)
 
 
 def eval_schatten_norm(x, p) -> float:
-    lam = _pd_eigvals(_as_array(x), "schatten_norm")
-    return float(np.sum(lam ** float(p)) ** (1.0 / float(p)))
+    return _schatten_tail(_pd_eigvals(_as_array(x), "schatten_norm"), p)
 
 
 def eval_sum_log_eigmax(x, k) -> float:
-    lam = _pd_eigvals(_as_array(x), "sum_log_eigmax")
-    return float(np.sum(np.log(lam[: int(k)])))
+    return _sum_log_tail(_pd_eigvals(_as_array(x), "sum_log_eigmax"), k)
 
 
 def eval_sum_pow_log_eigmax(x, k, p) -> float:
-    lam = _pd_eigvals(_as_array(x), "sum_pow_log_eigmax")
-    logs = np.log(lam[: int(k)])
-    p = float(p)
-    if not p.is_integer() and np.any(logs < 0.0):
-        raise DomainError("sum_pow_log_eigmax with non-integer p needs eigenvalues >= 1")
-    return float(np.sum(logs ** p))
+    return _sum_pow_log_tail(_pd_eigvals(_as_array(x), "sum_pow_log_eigmax"), k, p)
 
 
 def eval_conjugation(x, b) -> np.ndarray:
@@ -452,7 +479,11 @@ def eval_diag_matrix(x) -> np.ndarray:
 
 def eval_positive_affine(x, ys, b, r) -> np.ndarray:
     xa = _as_array(x)
-    xr = xa if int(r) == 1 else eval_inv(xa)
+    return _affine_sum(xa if int(r) == 1 else eval_inv(xa), ys, b)
+
+
+def _affine_sum(xr: np.ndarray, ys, b) -> np.ndarray:
+    """``sym(B + sum_i Y_i^T xr Y_i)``; ``xr`` may be a stack."""
     m = ys[0].shape[1]
     out = np.zeros((m, m)) if b is None else np.asarray(b, dtype=float).copy()
     for y in ys:
@@ -495,6 +526,202 @@ def eval_pow(v, p) -> float:
 
 def eval_abs(v) -> float:
     return float(abs(float(v)))
+
+
+# ---------------------------------------------------------------------------
+# Stacked atom evaluators.  ``stacked(rows, *args)`` evaluates an atom on
+# every row of a stack at once: matrix arguments are ``(n, d, d)`` stacks or
+# one ``(d, d)`` constant shared by all rows, parameters are as for the
+# evaluator.  Each row gets what the per-point evaluator gives it: the
+# decompositions are one stacked call (LAPACK and BLAS still run once per
+# matrix, so the bits match), the finishing tails run per row, and a row
+# whose evaluator would raise ``DomainError`` is cleared from ``rows.alive``
+# instead.  A row that would raise anything else raises ``Undecided``.
+# ---------------------------------------------------------------------------
+
+
+class Undecided(Exception):
+    """The stacked path cannot reproduce some row's per-point outcome."""
+
+
+class Rows:
+    """The rows of one stacked evaluation: which are still alive, and shared work.
+
+    A row dies where its per-point evaluation would raise ``DomainError``
+    and is never computed further: kernels replace dead rows by the
+    identity before any decomposition, so they cannot raise or feed NaN
+    into ``eigh``.  Decompositions are memoized per input array, so every
+    ``distance`` term of a tree decomposes its variable once.
+    """
+
+    __slots__ = ("alive", "_memo")
+
+    def __init__(self, alive: np.ndarray):
+        self.alive = alive
+        self._memo = {}
+
+    def kill(self, rows):
+        """Mark ``rows`` (a mask over the rows, or one flag for all) as failed."""
+        self.alive &= np.logical_not(rows)
+
+    def live(self, x: np.ndarray) -> np.ndarray:
+        """``x`` with its dead rows replaced by the identity."""
+        if x.ndim == 2 or self.alive.all():
+            return x
+        return np.where(self.alive[:, None, None], x, np.eye(x.shape[-1]))
+
+    def finite(self, x: np.ndarray) -> np.ndarray:
+        """``live(x)``, or ``Undecided`` when an alive row is not finite.
+
+        For the ungated decompositions: per point, ``eigh`` of a non-finite
+        matrix raises ``LinAlgError`` or returns NaN.
+        """
+        x = self.live(x)
+        if not np.isfinite(x).all():
+            raise Undecided("non-finite input to an ungated decomposition")
+        return x
+
+    def memo(self, tag: str, x: np.ndarray, compute):
+        # Keyed by identity; the weak reference tells an entry of x from one
+        # of a dead array whose id x reuses, without keeping arrays alive.
+        # Rows only ever die, so an entry stays valid for every later use.
+        key = (tag, id(x))
+        hit = self._memo.get(key)
+        if hit is None or hit[0]() is not x:
+            hit = self._memo[key] = (weakref.ref(x), compute(x))
+        return hit[1]
+
+    def map(self, tail, lam: np.ndarray, *params) -> np.ndarray:
+        """``tail(lam[i], *params)`` for every alive row; a ``DomainError`` kills the row."""
+        out = np.zeros(len(self.alive))
+        if lam.ndim == 1:  # the eigenvalues of one constant matrix
+            lam = np.broadcast_to(lam, (len(self.alive),) + lam.shape)
+        for i in np.flatnonzero(self.alive):
+            try:
+                out[i] = tail(lam[i], *params)
+            except DomainError:
+                self.alive[i] = False
+        return out
+
+
+def _stacked_eigvalsh(rows: Rows, x: np.ndarray) -> np.ndarray:
+    """``eigvalsh(sym(x))`` of every row, ascending, with no input gate."""
+    return rows.memo("eigvalsh", x, lambda a: np.linalg.eigvalsh(_sym(rows.finite(a))))
+
+
+def _stacked_pd_eigvals(rows: Rows, x: np.ndarray) -> np.ndarray:
+    """``_pd_eigvals`` of every row, ascending; rows without a positive spectrum die."""
+    w = _stacked_eigvalsh(rows, x)
+    rows.kill(w[..., 0] <= 0.0)
+    return w
+
+
+def _stacked_sym_eig(rows: Rows, x: np.ndarray) -> EigenPair:
+    """``sym_eig`` of every row: non-finite rows die, asymmetric ones are undecided."""
+
+    def compute(a):
+        if a.ndim == 2:
+            try:
+                return sym_eig(a)
+            except DomainError:
+                rows.kill(True)
+                return _eig_nogate(np.eye(a.shape[0]))
+        rows.kill(~np.isfinite(a).all(axis=(-2, -1)))
+        a = rows.live(a)
+        for i in np.flatnonzero(rows.alive & ~(a == _mT(a)).all(axis=(-2, -1))):
+            try:
+                _check_symmetric_square(a[i])
+            except ShapeError:
+                raise Undecided("asymmetric argument") from None
+        return _eig_nogate(a)
+
+    return rows.memo("sym_eig", x, compute)
+
+
+def _stacked_inv_sqrt(rows: Rows, x: np.ndarray) -> np.ndarray:
+    """``_half_powers(_eig_of(x))[1]`` of every row; rows that are not PD die."""
+
+    def compute(a):
+        pair = _stacked_sym_eig(rows, a)
+        bad = pair.lam[..., -1] <= 0.0
+        rows.kill(bad)
+        return _root_pair(pair.q, np.where(bad[..., None], 1.0, pair.lam))[1]
+
+    return rows.memo("inv_sqrt", x, compute)
+
+
+def stacked_logdet(rows: Rows, x) -> np.ndarray:
+    return rows.map(_logdet_tail, _stacked_pd_eigvals(rows, x)[..., ::-1])
+
+
+def stacked_sdivergence(rows: Rows, x, y) -> np.ndarray:
+    mid = stacked_logdet(rows, (x + y) / 2.0)
+    return mid - 0.5 * (stacked_logdet(rows, x) + stacked_logdet(rows, y))
+
+
+def stacked_distance(rows: Rows, x, y) -> np.ndarray:
+    y_inv_sq = _stacked_inv_sqrt(rows, y)
+    w = _eig_nogate(rows.finite(y_inv_sq @ x @ y_inv_sq))
+    rows.kill(w.lam[..., -1] <= 0.0)
+    return rows.map(_distance_tail, w.lam)
+
+
+def stacked_eigmax(rows: Rows, x) -> np.ndarray:
+    return np.broadcast_to(_stacked_eigvalsh(rows, x)[..., -1], rows.alive.shape)
+
+
+def stacked_eigsummax(rows: Rows, x, k) -> np.ndarray:
+    return rows.map(_eigsummax_tail, _stacked_eigvalsh(rows, x), k)
+
+
+def stacked_schatten_norm(rows: Rows, x, p) -> np.ndarray:
+    return rows.map(_schatten_tail, _stacked_pd_eigvals(rows, x)[..., ::-1], p)
+
+
+def stacked_sum_log_eigmax(rows: Rows, x, k) -> np.ndarray:
+    return rows.map(_sum_log_tail, _stacked_pd_eigvals(rows, x)[..., ::-1], k)
+
+
+def stacked_sum_pow_log_eigmax(rows: Rows, x, k, p) -> np.ndarray:
+    return rows.map(_sum_pow_log_tail, _stacked_pd_eigvals(rows, x)[..., ::-1], k, p)
+
+
+def stacked_inv(rows: Rows, x) -> np.ndarray:
+    pair = _stacked_sym_eig(rows, x)
+    bad = pair.lam[..., -1] <= 0.0
+    rows.kill(bad)
+    vals = 1.0 / np.where(bad[..., None], 1.0, pair.lam)
+    return _sym((pair.q * vals[..., None, :]) @ _mT(pair.q))
+
+
+def stacked_conjugation(rows: Rows, x, b) -> np.ndarray:
+    return eval_conjugation(x, b)
+
+
+def stacked_hadamard_product(rows: Rows, x, m) -> np.ndarray:
+    return eval_hadamard_product(x, m)
+
+
+def stacked_positive_affine(rows: Rows, x, ys, b, r) -> np.ndarray:
+    return _affine_sum(x if int(r) == 1 else stacked_inv(rows, x), ys, b)
+
+
+# Stacked forms by per-point evaluator, so an atom re-registered under a
+# built-in name with another evaluator never picks up the built-in's form.
+STACKED = {
+    eval_logdet: stacked_logdet,
+    eval_sdivergence: stacked_sdivergence,
+    eval_distance: stacked_distance,
+    eval_eigmax: stacked_eigmax,
+    eval_eigsummax: stacked_eigsummax,
+    eval_schatten_norm: stacked_schatten_norm,
+    eval_sum_log_eigmax: stacked_sum_log_eigmax,
+    eval_sum_pow_log_eigmax: stacked_sum_pow_log_eigmax,
+    eval_inv: stacked_inv,
+    eval_conjugation: stacked_conjugation,
+    eval_hadamard_product: stacked_hadamard_product,
+    eval_positive_affine: stacked_positive_affine,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -243,3 +245,199 @@ class TestEvaluate:
         x = gc.make_variable("X", gc.SPD(2), scope=scope)
         with pytest.raises(ExpressionError):
             gc.evaluate(gc.apply_atom("tr", [x]), {"X": np.eye(3)})
+
+
+def _bits(v) -> bytes:
+    return np.float64(v).tobytes()  # NaN equals NaN, -0.0 differs from 0.0
+
+
+def _indefinite(d, rng):
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    lam = rng.uniform(0.2, 2.0, size=d)
+    lam[0] = -lam[0]
+    return (q * lam) @ q.T
+
+
+def _mixed_stack(d, rng, n=18):
+    """SPD rows with a few symmetric indefinite ones in between."""
+    rows = [np.asarray(gc.random_spd(d, 1e3, int(rng.integers(1 << 30)))) for _ in range(n)]
+    for i in (3, 8, 15):
+        rows[i] = _indefinite(d, rng)
+    return np.stack(rows)
+
+
+def _assert_matches_pointwise(e, env, alive=None):
+    """``_evaluate_stacked`` gives every row exactly what ``evaluate`` gives it."""
+    from geocert.expr import _evaluate_stacked
+
+    n = len(next(iter(env.values())))
+    alive_in = np.ones(n, dtype=bool) if alive is None else alive
+    values, alive_out = _evaluate_stacked(e, env, alive_in)
+    outcomes = []
+    for i in range(n):
+        if not alive_in[i]:
+            assert not alive_out[i]
+            continue
+        try:
+            expected = gc.evaluate(e, {k: v[i] for k, v in env.items()})
+        except DomainError:
+            assert not alive_out[i], i
+            outcomes.append("domain")
+            continue
+        assert alive_out[i], i
+        assert _bits(values[i]) == _bits(expected), (i, values[i], expected)
+        outcomes.append("value")
+    return outcomes
+
+
+def _atom_trees(x, y, d, rng):
+    """One tree per built-in atom, with matrix atoms under stacked and per-row consumers."""
+    a = gc.make_const_matrix(np.asarray(gc.random_spd(d, 10.0, 3)), "PD", name="A")
+    atom = gc.apply_atom
+    w = rng.normal(size=(d, d))
+    mats = {
+        "conjugation": atom("conjugation", [x, rng.normal(size=(d, max(1, d - 1)))]),
+        "adjoint": atom("adjoint", [x]),
+        "inv": atom("inv", [x]),
+        "hadamard_product": atom("hadamard_product", [x, w @ w.T + 0.3 * np.eye(d)]),
+        "diag_matrix": atom("diag_matrix", [x]),
+        "positive_affine": atom("positive_affine", [
+            x, [rng.normal(size=(d, d)) for _ in range(2)], w @ w.T, 1]),
+        "positive_affine_inv": atom("positive_affine", [
+            x, [rng.normal(size=(d, 2)) for _ in range(2)], 0.1 * np.eye(2), -1]),
+    }
+    for name, m in mats.items():
+        yield f"logdet({name})", atom("logdet", [m])
+        yield f"tr({name})", atom("tr", [m])
+    k = max(1, d - 1)
+    tr, logdet = atom("tr", [x]), atom("logdet", [x])
+    yield "logdet", logdet
+    yield "tr", tr
+    yield "sum", atom("sum", [x])
+    yield "sdivergence", atom("sdivergence", [x, a]) + atom("sdivergence", [a, x])
+    yield "distance", atom("distance", [a, x]) + atom("distance", [x, a])
+    yield "distance_xy", atom("distance", [x, y]) + atom("sdivergence", [y, x])
+    yield "quad_form", atom("quad_form", [rng.normal(size=d), x])
+    yield "eigmax", atom("eigmax", [x])
+    yield "log_quad_form", atom("log_quad_form", [rng.normal(size=(d, 2)), x])
+    yield "eigsummax", atom("eigsummax", [x, k])
+    yield "schatten_norm", atom("schatten_norm", [x, 1.5]) + atom("schatten_norm", [x, 3.0])
+    yield "sum_log_eigmax", atom("sum_log_eigmax", [x, k])
+    yield "sum_pow_log_eigmax", (atom("sum_pow_log_eigmax", [x, k, 2.5])
+                                 + atom("sum_pow_log_eigmax", [x, d, 2.0]))
+    yield "elementwise_norm1", atom("elementwise_norm1", [x])
+    yield "exp", atom("exp", [gc.ScalarMul(250.0, atom("eigmax", [x]))])
+    yield "log", atom("log", [tr - float(d)])
+    yield "neg_log", atom("neg_log", [logdet + 0.5])
+    yield "pow", atom("pow", [logdet, 1.5]) + atom("pow", [tr - float(d), 2.0])
+    yield "abs", atom("abs", [logdet])
+    yield "combinators", gc.MaxOf((
+        gc.Mul((tr, logdet)), -2.0 * logdet, gc.ConstScalar(0.25),
+        gc.Add((tr, logdet, atom("eigmax", [x])), (0.5, -1.0, 2.0))))
+    yield "constant subtree", tr + atom("logdet", [a]) * atom("eigmax", [a])
+
+
+class TestEvaluateStacked:
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_every_atom_matches_pointwise(self, d):
+        rng = np.random.default_rng(40 + d)
+        x, y = gc.Variable("X", gc.SPD(d)), gc.Variable("Y", gc.SPD(d))
+        env = {"X": _mixed_stack(d, rng), "Y": _mixed_stack(d, rng)}
+        seen = set()
+        for label, e in _atom_trees(x, y, d, rng):
+            seen.update(_assert_matches_pointwise(e, env))
+        assert seen == {"value", "domain"}
+
+    def test_rows_already_dead_stay_dead(self):
+        rng = np.random.default_rng(7)
+        x = gc.Variable("X", gc.SPD(3))
+        alive = np.ones(18, dtype=bool)
+        alive[[0, 5]] = False
+        env = {"X": _mixed_stack(3, rng)}
+        _assert_matches_pointwise(gc.apply_atom("logdet", [gc.apply_atom("inv", [x])]), env, alive)
+
+    def test_non_finite_rows_die_at_gated_atoms(self):
+        # inv gates its argument: a non-finite row raises DomainError per point.
+        rng = np.random.default_rng(8)
+        x = gc.Variable("X", gc.SPD(3))
+        stack = _mixed_stack(3, rng)
+        stack[4, 1, 1] = np.nan
+        assert "domain" in _assert_matches_pointwise(
+            gc.apply_atom("tr", [gc.apply_atom("inv", [x])]), {"X": stack})
+
+    def test_ungated_non_finite_rows_are_undecided(self):
+        # Per point, eigvalsh of a NaN matrix returns whatever LAPACK makes of it.
+        from geocert.expr import _evaluate_stacked
+
+        x = gc.Variable("X", gc.SPD(3))
+        stack = _mixed_stack(3, np.random.default_rng(9))
+        stack[2, 0, 0] = np.nan
+        with pytest.raises(gc.spd.Undecided):
+            _evaluate_stacked(gc.apply_atom("eigmax", [x]), {"X": stack}, np.ones(18, dtype=bool))
+
+    def test_user_atoms_run_per_row(self):
+        sigs = {
+            "shifted_log_trace": (gc.ArgKind.MANIFOLD,),
+            "numpy_square": (gc.ArgKind.SCALAR,),
+            "type_name_length": (gc.ArgKind.SCALAR,),
+            "nan_below": (gc.ArgKind.MANIFOLD,),
+        }
+
+        def shifted_log_trace(m):
+            t = float(np.trace(m)) - 3.0
+            if t <= 0.0:
+                raise DomainError("trace too small")
+            return math.log(t)
+
+        evaluators = {
+            "shifted_log_trace": shifted_log_trace,
+            "numpy_square": lambda v: np.float64(v) ** 2,  # not a plain float
+            "type_name_length": lambda v: float(len(type(v).__name__)),
+            "nan_below": lambda m: float(np.trace(m)) if np.trace(m) > 4.0 else math.nan,
+        }
+        for name, positions in sigs.items():
+            gc.register_atom(gc.AtomSignature(
+                name, positions, "scalar", gc.Sign.ANY, gc.GCurvature.UNKNOWN,
+                gc.GMonotonicity.ANY, gc.ECurvature.UNKNOWN), evaluators[name])
+        try:
+            x = gc.Variable("X", gc.SPD(3))
+            inner = gc.apply_atom("shifted_log_trace", [x])
+            # The per-row atom sees np.float64 from numpy_square, as per point.
+            e = gc.apply_atom("type_name_length", [gc.apply_atom("numpy_square", [inner])]) + inner
+            env = {"X": _mixed_stack(3, np.random.default_rng(3))}
+            assert set(_assert_matches_pointwise(e, env)) == {"value", "domain"}
+            # max keeps its first option unless a later one is strictly greater,
+            # so a NaN wins only in front.
+            nan, tr = gc.apply_atom("nan_below", [x]), gc.apply_atom("tr", [x])
+            for e in (gc.MaxOf((nan, tr)), gc.MaxOf((tr, nan, tr)), gc.MaxOf((tr, nan))):
+                _assert_matches_pointwise(e, env)
+        finally:
+            for name in sigs:
+                gc.unregister_atom(name)
+
+    def test_other_errors_fall_back_to_the_pointwise_error(self):
+        from geocert.expr import _evaluate_stacked
+
+        def picky(m):
+            if float(np.trace(m)) > 4.0:
+                raise ValueError(f"trace {float(np.trace(m)):.3f} is too large")
+            return float(np.trace(m))
+
+        sig = gc.AtomSignature("picky_trace", (gc.ArgKind.MANIFOLD,), "scalar", gc.Sign.POSITIVE,
+                               gc.GCurvature.CONVEX, gc.GMonotonicity.INCREASING,
+                               gc.ECurvature.AFFINE)
+        gc.register_atom(sig, picky)
+        try:
+            x = gc.Variable("X", gc.SPD(3))
+            e = gc.apply_atom("logdet", [x]) + gc.apply_atom("picky_trace", [x])
+            with pytest.raises(gc.spd.Undecided):
+                _evaluate_stacked(e, {"X": _mixed_stack(3, np.random.default_rng(4))},
+                                  np.ones(18, dtype=bool))
+            cfg = gc.FuzzConfig(trials=64, dim=3, cond_max=10.0, seed=5)
+            with pytest.raises(ValueError) as stacked:
+                gc.cross_validate(e, cfg)
+            with pytest.raises(ValueError) as pointwise:
+                gc.check_gconvex(lambda m: gc.evaluate(e, {"X": m}), cfg)
+            assert str(stacked.value) == str(pointwise.value)
+        finally:
+            gc.unregister_atom("picky_trace")

@@ -347,6 +347,57 @@ class TestTrialEdgeCases:
         assert np.allclose(ts, [0.5, 0.25, 0.75], atol=1e-12)
 
 
+class TestStackedTrials:
+    """``cross_validate``'s stacked blocks read off exactly what the per-point loop sees."""
+
+    @staticmethod
+    def _both(e, cfg, geodesic):
+        from geocert import oracle
+        from geocert.expr import _evaluate_stacked
+
+        def f(x):
+            return gc.evaluate(e, {"X": x})
+
+        def block(stacks, alive):
+            return _evaluate_stacked(e, {"X": stacks[0]}, alive)
+
+        for batch in oracle._segment_batches(cfg, 1, geodesic):
+            yield oracle._stacked_trials(block, batch), oracle._pointwise_trials(f, batch)
+
+    @pytest.mark.parametrize("geodesic", [True, False])
+    def test_mid_path_skips_keep_the_values_before_them(self, geodesic):
+        # The argument of log is convex along the paths, so it can turn
+        # negative between two endpoints where it is positive.
+        x = gc.Variable("X", gc.SPD(3))
+        if geodesic:
+            inner = gc.apply_atom("tr", [x]) - 2.6
+        else:
+            inner = 0.8 - gc.apply_atom("logdet", [x])
+        e = gc.apply_atom("log", [inner])
+        cfg = gc.FuzzConfig(trials=150, dim=3, cond_max=10.0, seed=12)
+        partial = endpoint_skips = 0
+        for stacked, pointwise in self._both(e, cfg, geodesic):
+            assert repr(stacked) == repr(pointwise)
+            done, skipped, completed = pointwise
+            partial += sum(0 < len(values) < 8 for *_, values in done)
+            endpoint_skips += skipped - sum(len(values) < 8 for *_, values in done)
+        assert partial and endpoint_skips
+
+    def test_cross_validate_equals_the_pointwise_checks(self):
+        x = gc.Variable("X", gc.SPD(3))
+        e = gc.MaxOf((gc.apply_atom("neg_log", [gc.apply_atom("logdet", [x]) + 1.0]),
+                      gc.apply_atom("tr", [gc.apply_atom("inv", [x])])))
+        cfg = gc.FuzzConfig(trials=200, dim=3, cond_max=10.0, seed=13)
+        out = gc.cross_validate(e, cfg)
+        assert out.verdict == "INFO" and out.checks["geodesic-convexity"].skipped
+
+        def f(m):
+            return gc.evaluate(e, {"X": m})
+
+        assert out.checks["geodesic-convexity"] == gc.check_gconvex(f, cfg)
+        assert out.checks["euclidean-convexity"] == gc.check_econvex(f, cfg)
+
+
 class TestReevaluateWitness:
     @pytest.mark.parametrize("f", [
         lambda x: -spd.eval_tr(x),
