@@ -355,6 +355,7 @@ def _curv_node(node: Expression, kid_curvs: list[GCurvature], kid_safe_signs: li
         inputs = (
             f"outer=({_show(outer_curv, geodesic)},{mono.value}); inner="
             + ",".join(_show(c, geodesic) for c in kid_curvs)
+            + note
         )
         return curv, rule, inputs
     return G.UNKNOWN, "unmatched", ""

@@ -199,6 +199,12 @@ class TestGCurvature:
         assert r.gcurvature == G.UNKNOWN
         assert any("note" in t.inputs for t in r.trace)
 
+    def test_even_power_note_reaches_the_trace(self):
+        x = _var()
+        e = gc.apply_atom("pow", [gc.apply_atom("tr", [x]) - 5.0, 2])
+        root = gc.analyze(e, gc.SPD(4)).trace[-1]
+        assert root.inputs.endswith("; note: even power composed without a sign guarantee")
+
     def test_registered_sign_not_trusted_by_gates(self):
         # logdet reports the registered Positive sign but its value range
         # crosses zero, so odd powers of it must stay uncertified; the cubic
