@@ -30,6 +30,9 @@ from .errors import GeocertError, ProblemFileError
 from .expr import Expression, Manifold, SPD, Variable, VariableScope
 
 _SOLVER_KEYS = {"max_iter", "grad_tol"}
+# libyaml's parser when PyYAML was built with it: the same documents,
+# several times faster.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _FUZZ_KEYS = {"trials", "seed", "tol", "dim", "cond_max", "t_samples", "inject"}
 
 
@@ -74,7 +77,7 @@ def load_problem(path) -> LoadedProblem:
     """Parse and validate a problem file; raises ProblemFileError on any defect."""
     p = Path(path)
     try:
-        raw = yaml.safe_load(p.read_text())
+        raw = yaml.load(p.read_text(), Loader=_YAML_LOADER)
     except OSError as exc:
         raise ProblemFileError(f"cannot read {p}: {exc}") from exc
     except yaml.YAMLError as exc:
