@@ -31,10 +31,10 @@ from .errors import (
     ProblemFileError,
     StagnationError,
 )
-from .expr import GCurvature, differentiable, evaluate, value_and_grad
+from .expr import GCurvature, evaluate
 from .oracle import FuzzConfig, cross_validate
 from .problems import LoadedProblem, load_problem
-from .solver import Objective, gradient_descent
+from .solver import _expression_objective, gradient_descent
 
 DEFAULT_SEED = 0
 
@@ -179,16 +179,7 @@ def cmd_solve(args) -> int:
     if len(names) != 1:
         raise ProblemFileError("solve requires exactly one variable in the objective")
     name = names[0]
-
-    def evaluator(x):
-        return evaluate(prob.expression, {name: x})
-
-    def gradient(x):
-        return value_and_grad(prob.expression, {name: x})[1][name]
-
-    # Finite differences only when some atom lacks a vector-Jacobian product.
-    exact = differentiable(prob.expression)
-    objective = Objective(evaluator, gradient if exact else None, prob.expression, name=name)
+    objective = _expression_objective(prob.expression, name, name, evaluate)
     x0 = _initial_point(args, prob)
     max_iter = args.max_iter if args.max_iter is not None else int(prob.solver.get("max_iter", 500))
     grad_tol = args.grad_tol if args.grad_tol is not None else float(prob.solver.get("grad_tol", 1e-8))

@@ -33,6 +33,7 @@ from .expr import (
     SPD,
     VariableScope,
     apply_atom,
+    differentiable,
     evaluate,
     make_const_matrix,
     value_and_grad,
@@ -218,8 +219,16 @@ def gradient_descent(
 # ---------------------------------------------------------------------------
 
 
-def _expression_objective(expr: Expression, var: str, name: str) -> Objective:
-    """An objective that evaluates ``expr`` and differentiates it in reverse mode."""
+def _expression_objective(expr: Expression, var: str, name: str,
+                          evaluate: Callable = evaluate) -> Objective:
+    """An objective that evaluates ``expr`` in its one variable ``var``.
+
+    Its gradient comes from one reverse-mode pass through ``expr``, or from
+    finite differences when some atom has no vector-Jacobian product.
+    ``geocert solve`` passes the ``evaluate`` of its own module, so a
+    wrapper installed there (the benchmark's per-layer tracer) sees every
+    evaluation of the solve.
+    """
 
     def evaluator(x):
         return evaluate(expr, {var: x})
@@ -227,7 +236,7 @@ def _expression_objective(expr: Expression, var: str, name: str) -> Objective:
     def gradient(x):
         return value_and_grad(expr, {var: x})[1][var]
 
-    return Objective(evaluator, gradient, expr, name=name)
+    return Objective(evaluator, gradient if differentiable(expr) else None, expr, name=name)
 
 
 def make_matrix_sqrt_problem(a) -> Objective:
