@@ -640,16 +640,17 @@ def _stacked_sym_eig(rows: Rows, x: np.ndarray) -> EigenPair:
     return rows.memo("sym_eig", x, compute)
 
 
+def _stacked_pd_eig(rows: Rows, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``sym_eig`` of every row as ``(q, lam)``; rows that are not PD die and get ``lam = 1``."""
+    pair = _stacked_sym_eig(rows, x)
+    bad = pair.lam[..., -1] <= 0.0
+    rows.kill(bad)
+    return pair.q, np.where(bad[..., None], 1.0, pair.lam)
+
+
 def _stacked_inv_sqrt(rows: Rows, x: np.ndarray) -> np.ndarray:
     """``_half_powers(_eig_of(x))[1]`` of every row; rows that are not PD die."""
-
-    def compute(a):
-        pair = _stacked_sym_eig(rows, a)
-        bad = pair.lam[..., -1] <= 0.0
-        rows.kill(bad)
-        return _root_pair(pair.q, np.where(bad[..., None], 1.0, pair.lam))[1]
-
-    return rows.memo("inv_sqrt", x, compute)
+    return rows.memo("inv_sqrt", x, lambda a: _root_pair(*_stacked_pd_eig(rows, a))[1])
 
 
 def stacked_logdet(rows: Rows, x) -> np.ndarray:
@@ -689,11 +690,8 @@ def stacked_sum_pow_log_eigmax(rows: Rows, x, k, p) -> np.ndarray:
 
 
 def stacked_inv(rows: Rows, x) -> np.ndarray:
-    pair = _stacked_sym_eig(rows, x)
-    bad = pair.lam[..., -1] <= 0.0
-    rows.kill(bad)
-    vals = 1.0 / np.where(bad[..., None], 1.0, pair.lam)
-    return _sym((pair.q * vals[..., None, :]) @ _mT(pair.q))
+    q, lam = _stacked_pd_eig(rows, x)
+    return _sym((q * (1.0 / lam)[..., None, :]) @ _mT(q))
 
 
 def stacked_conjugation(rows: Rows, x, b) -> np.ndarray:

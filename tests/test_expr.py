@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import geocert as gc
+from geocert.expr import _evaluate_stacked
 from geocert.errors import (
     DeclarationConflictError,
     DomainError,
@@ -266,10 +267,8 @@ def _mixed_stack(d, rng, n=18):
     return np.stack(rows)
 
 
-def _assert_matches_pointwise(e, env, alive=None):
+def _assert_matches_pointwise(e, env, alive=None, label=""):
     """``_evaluate_stacked`` gives every row exactly what ``evaluate`` gives it."""
-    from geocert.expr import _evaluate_stacked
-
     n = len(next(iter(env.values())))
     alive_in = np.ones(n, dtype=bool) if alive is None else alive
     values, alive_out = _evaluate_stacked(e, env, alive_in)
@@ -281,11 +280,11 @@ def _assert_matches_pointwise(e, env, alive=None):
         try:
             expected = gc.evaluate(e, {k: v[i] for k, v in env.items()})
         except DomainError:
-            assert not alive_out[i], i
+            assert not alive_out[i], (label, i)
             outcomes.append("domain")
             continue
-        assert alive_out[i], i
-        assert _bits(values[i]) == _bits(expected), (i, values[i], expected)
+        assert alive_out[i], (label, i)
+        assert _bits(values[i]) == _bits(expected), (label, i, values[i], expected)
         outcomes.append("value")
     return outcomes
 
@@ -343,10 +342,12 @@ class TestEvaluateStacked:
         rng = np.random.default_rng(40 + d)
         x, y = gc.Variable("X", gc.SPD(d)), gc.Variable("Y", gc.SPD(d))
         env = {"X": _mixed_stack(d, rng), "Y": _mixed_stack(d, rng)}
-        seen = set()
+        seen, atoms = set(), set()
         for label, e in _atom_trees(x, y, d, rng):
-            seen.update(_assert_matches_pointwise(e, env))
+            seen.update(_assert_matches_pointwise(e, env, label=label))
+            atoms.update(n.sig.id for _, n in e.walk() if isinstance(n, gc.AtomApply))
         assert seen == {"value", "domain"}
+        assert atoms == set(gc.CATALOG_IDS)
 
     def test_rows_already_dead_stay_dead(self):
         rng = np.random.default_rng(7)
@@ -367,8 +368,6 @@ class TestEvaluateStacked:
 
     def test_ungated_non_finite_rows_are_undecided(self):
         # Per point, eigvalsh of a NaN matrix returns whatever LAPACK makes of it.
-        from geocert.expr import _evaluate_stacked
-
         x = gc.Variable("X", gc.SPD(3))
         stack = _mixed_stack(3, np.random.default_rng(9))
         stack[2, 0, 0] = np.nan
@@ -416,8 +415,6 @@ class TestEvaluateStacked:
                 gc.unregister_atom(name)
 
     def test_other_errors_fall_back_to_the_pointwise_error(self):
-        from geocert.expr import _evaluate_stacked
-
         def picky(m):
             if float(np.trace(m)) > 4.0:
                 raise ValueError(f"trace {float(np.trace(m)):.3f} is too large")

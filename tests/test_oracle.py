@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import geocert as gc
-from geocert import spd
+from geocert import oracle, spd
+from geocert.expr import _evaluate_stacked
 from geocert.errors import InconclusiveError, RangeError, ShapeError
 
 from conftest import SIGMA_2
@@ -352,9 +353,6 @@ class TestStackedTrials:
 
     @staticmethod
     def _both(e, cfg, geodesic):
-        from geocert import oracle
-        from geocert.expr import _evaluate_stacked
-
         def f(x):
             return gc.evaluate(e, {"X": x})
 
