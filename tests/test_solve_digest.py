@@ -1,0 +1,91 @@
+"""Pins the outcome of every kind of solve on a fixed corpus.
+
+The corpus:
+
+* the four shipped problem files, each solved as ``geocert solve`` builds
+  it (its objective, the identity start, the file's ``max_iter`` and
+  ``grad_tol``), whatever its certificate;
+* the four library constructors on seeded instances: Karcher means at
+  cond 10 and cond 1e4, matrix square roots at d = 3 and d = 10, a
+  Brascamp-Lieb datum and a Tyler scatter problem.
+
+Each record is the canonical JSON of ``SolveResult.to_dict()``, or of the
+error type with the partial result a ``StagnationError`` carries, and the
+digest is their SHA-256, so a change to any iterate, objective value or
+gradient norm shows up here, down to the last bit of a float.  Every
+per-point atom evaluator feeds these solves.  The constant was recorded
+before the point and stack evaluators of ``spd`` were merged; it must not
+be regenerated to make this test pass.
+"""
+
+import hashlib
+import json
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+
+import geocert as gc
+from geocert import solver
+from geocert.expr import evaluate
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+SOLVE_DIGEST = "c068cdb4338de011020879be77f7dcd263676a267687adc3dba0c4958d0d3368"
+
+
+def _file_cases():
+    for path in sorted(PROBLEMS.glob("*.yaml")):
+        prob = gc.load_problem(str(path))
+        (name,) = sorted(prob.expression.variables)
+        obj = solver._expression_objective(prob.expression, name, name, evaluate)
+        kwargs = {
+            "max_iter": int(prob.solver.get("max_iter", 500)),
+            "grad_tol": float(prob.solver.get("grad_tol", 1e-8)),
+        }
+        yield f"file:{path.name}", obj, np.eye(prob.manifold.dim), kwargs
+
+
+def _anchors(d, cond, seed, count):
+    rng = np.random.default_rng(seed)
+    return [gc.random_spd(d, cond, rng) for _ in range(count)]
+
+
+def _constructor_cases():
+    rng = np.random.default_rng(2024)
+    yield ("karcher:d4-c10", gc.make_karcher_problem(_anchors(4, 10.0, 1, 3), [0.2, 0.3, 0.5]),
+           np.eye(4), {"max_iter": 300, "grad_tol": 1e-7})
+    yield ("karcher:d5-c1e4", gc.make_karcher_problem(_anchors(5, 1e4, 2, 3), [0.5, 0.25, 0.25]),
+           np.eye(5), {"max_iter": 300, "grad_tol": 1e-7})
+    yield ("matrix_sqrt:d3", gc.make_matrix_sqrt_problem(gc.random_spd(3, 10.0, 3)),
+           np.eye(3), {"max_iter": 300, "grad_tol": 1e-7})
+    yield ("matrix_sqrt:d10", gc.make_matrix_sqrt_problem(gc.random_spd(10, 100.0, 4)),
+           np.eye(10), {"max_iter": 300, "grad_tol": 1e-7})
+    maps = [rng.normal(size=(3, 1)) for _ in range(3)]
+    yield ("brascamp_lieb:d3", gc.make_brascamp_lieb_problem(maps, [1.0, 1.0, 1.0]),
+           np.eye(3), {"max_iter": 200, "grad_tol": 1e-8})
+    samples = rng.normal(size=(6, 3))
+    yield ("tyler:d3-n6", gc.make_tyler_problem(samples),
+           np.eye(3), {"max_iter": 200, "grad_tol": 1e-8})
+
+
+def _record(label, obj, x0, kwargs):
+    try:
+        out = gc.gradient_descent(obj, x0, **kwargs).to_dict()
+    except gc.StagnationError as exc:
+        out = {"error": "StagnationError", "partial": exc.partial.to_dict()}
+    except gc.GeocertError as exc:
+        out = {"error": type(exc).__name__, "message": str(exc)}
+    return {"case": label, "out": out}
+
+
+def test_solve_corpus_digest():
+    h = hashlib.sha256()
+    seen = Counter()
+    for case in [*_file_cases(), *_constructor_cases()]:
+        rec = _record(*case)
+        h.update(json.dumps(rec, sort_keys=True).encode())
+        out = rec["out"]
+        seen[out.get("error") or ("converged" if out["converged"] else "max_iter")] += 1
+    # The corpus must keep reaching every way a solve can end.
+    assert seen["converged"] and seen["max_iter"] and seen["StagnationError"], seen
+    assert h.hexdigest() == SOLVE_DIGEST, seen
