@@ -337,7 +337,8 @@ def _atom_trees(x, y, d, rng):
 
 
 class TestEvaluateStacked:
-    @pytest.mark.parametrize("d", [2, 3, 5])
+    # d = 10: past 8 elements numpy's pairwise sums and SIMD blocks change shape.
+    @pytest.mark.parametrize("d", [2, 3, 5, 10])
     def test_every_atom_matches_pointwise(self, d):
         rng = np.random.default_rng(40 + d)
         x, y = gc.Variable("X", gc.SPD(d)), gc.Variable("Y", gc.SPD(d))
