@@ -90,12 +90,12 @@ class FuzzConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise RangeError(f"trials must be >= 1, got {self.trials}")
-        if self.tol <= 0.0:
-            raise RangeError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise RangeError(f"tol must be positive and finite, got {self.tol}")
         if self.dim < 1:
             raise RangeError(f"dim must be >= 1, got {self.dim}")
-        if self.cond_max < 1.0:
-            raise RangeError(f"cond_max must be >= 1, got {self.cond_max}")
+        if not 1.0 <= self.cond_max < math.inf:
+            raise RangeError(f"cond_max must be finite and >= 1, got {self.cond_max}")
         if self.t_samples < 0:
             raise RangeError(f"t_samples must be >= 0, got {self.t_samples}")
 
@@ -544,6 +544,8 @@ def _trial_loop(f, trials: int, batches, tol: float, judge, evaluate_block=None)
 
 def _run_segment_check(f, cfg: FuzzConfig, nargs: int, geodesic: bool, equality: bool,
                        equality_tol: float, evaluate_block=None) -> FuzzReport:
+    if not math.isfinite(equality_tol):
+        raise RangeError(f"equality_tol must be finite, got {equality_tol}")
     tol = equality_tol if equality else cfg.tol
     batches = _segment_batches(cfg, nargs, geodesic)
     return _trial_loop(f, cfg.trials, batches, tol, _segment_judge(equality), evaluate_block)

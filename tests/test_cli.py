@@ -176,6 +176,13 @@ class TestFuzzCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--cond", "inf"), ("--cond", "nan")])
+    def test_non_finite_bound_exit_1(self, capsys, flag, value):
+        code, out, err = run_main(capsys, ["fuzz", str(PROBLEMS / "tyler.yaml"), flag, value])
+        assert code == 1
+        assert not out
+        assert err.startswith("error: ")
+
     def test_dim_conflict_exit_1(self, capsys):
         code, _, err = run_main(
             capsys, ["fuzz", str(PROBLEMS / "tyler.yaml"), "--dim", "3"]

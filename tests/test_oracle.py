@@ -29,6 +29,20 @@ class TestFuzzConfig:
         with pytest.raises(RangeError):
             gc.FuzzConfig(tol=0.0)
 
+    @pytest.mark.parametrize("field", ["tol", "cond_max"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_bounds_rejected(self, field, value):
+        # A NaN tolerance passes every comparison, so every claim would pass;
+        # an infinite condition bound overflows the spectrum sampler.
+        with pytest.raises(RangeError):
+            gc.FuzzConfig(trials=50, dim=3, **{field: value})
+
+    @pytest.mark.parametrize("check", [gc.check_gconvex, gc.check_econvex])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_equality_tol_rejected(self, check, value):
+        with pytest.raises(RangeError):
+            check(spd.eval_tr, gc.FuzzConfig(trials=5, dim=2), equality=True, equality_tol=value)
+
 
 class TestCheckGConvex:
     def test_logdet_two_sided_equality(self):
