@@ -40,6 +40,13 @@ from .expr import (
 )
 
 
+INITIAL_STEP = 1.0
+BACKTRACK = 0.5
+SUFFICIENT_DECREASE = 1e-4
+MAX_HALVINGS = 60
+FD_STEP = 1e-6  # relative to max(1, ||X||_F)
+
+
 @dataclass
 class Objective:
     """A numeric objective over one SPD variable, optionally with its expression."""
@@ -81,11 +88,11 @@ class SolveResult:
         }
 
 
-def finite_difference_gradient(fn, x: np.ndarray, h_scale: float = 1e-6) -> np.ndarray:
+def finite_difference_gradient(fn, x: np.ndarray) -> np.ndarray:
     """Central-difference Euclidean gradient over the symmetric basis."""
     x = np.asarray(x, dtype=float)
     d = x.shape[0]
-    h = h_scale * max(1.0, float(np.linalg.norm(x)))
+    h = FD_STEP * max(1.0, float(np.linalg.norm(x)))
     g = np.zeros_like(x)
     for i in range(d):
         for j in range(i, d):
@@ -124,16 +131,12 @@ def gradient_descent(
     x0,
     max_iter: int = 500,
     grad_tol: float = 1e-8,
-    initial_step: float = 1.0,
-    backtrack: float = 0.5,
-    sufficient_decrease: float = 1e-4,
-    max_halvings: int = 60,
 ) -> SolveResult:
     """Minimize ``obj`` from ``x0`` by geodesic gradient descent.
 
     Stops when the Riemannian gradient norm drops below ``grad_tol`` or after
     ``max_iter`` accepted steps.  A line search that exhausts
-    ``max_halvings`` halvings raises ``StagnationError`` carrying the partial
+    ``MAX_HALVINGS`` halvings raises ``StagnationError`` carrying the partial
     result.
     """
     x = np.array(spd._as_array(x0), dtype=float, copy=True)
@@ -158,13 +161,13 @@ def gradient_descent(
         cq_pair = np.linalg.eigh(c)
         mu, u = cq_pair
         frame = x_sq @ u
-        alpha = initial_step
+        alpha = INITIAL_STEP
         accepted = False
         # Below this, the Armijo decrease is smaller than evaluator roundoff;
         # any strict decrease is then accepted so terminal iterations can
         # still drive the gradient norm under tight tolerances.
         noise = 64.0 * np.finfo(float).eps * max(1.0, abs(f0))
-        for _halving in range(max_halvings + 1):
+        for _halving in range(MAX_HALVINGS + 1):
             candidate = spd._sym((frame * np.exp(-alpha * mu)) @ frame.T)
             # A candidate past the PD tolerance counts as an infinite value;
             # an accepted one carries the decomposition of the next step.
@@ -175,11 +178,11 @@ def gradient_descent(
                 fc = math.inf
             expected = alpha * gnorm * gnorm
             if math.isfinite(fc) and fc < f0 and (
-                fc <= f0 - sufficient_decrease * expected or expected <= noise
+                fc <= f0 - SUFFICIENT_DECREASE * expected or expected <= noise
             ):
                 accepted = True
                 break
-            alpha *= backtrack
+            alpha *= BACKTRACK
         if not accepted:
             partial = SolveResult(
                 minimizer=point,
@@ -191,7 +194,7 @@ def gradient_descent(
                 used_fd_gradient=used_fd,
             )
             raise StagnationError(
-                f"line search made no progress after {max_halvings} halvings", partial=partial
+                f"line search made no progress after {MAX_HALVINGS} halvings", partial=partial
             )
         x = candidate
         point = trial

@@ -114,11 +114,11 @@ class SPDMatrix:
 
     __slots__ = ("_m", "_eig")
 
-    def __init__(self, values, pd_rtol: float = PD_RTOL):
+    def __init__(self, values):
         a = np.array(_as_array(values), dtype=float, copy=True)
         pair = sym_eig(a)
         lam_max = float(pair.lam[0])
-        tol = max(pd_rtol * max(lam_max, 0.0), PD_FLOOR)
+        tol = max(PD_RTOL * max(lam_max, 0.0), PD_FLOOR)
         if float(pair.lam[-1]) <= tol:
             raise DomainError(
                 f"matrix is not positive definite: lambda_min={pair.lam[-1]:.6g}, "
