@@ -4,10 +4,11 @@ The module also evaluates trees numerically (``evaluate``) and
 differentiates them in reverse mode (``value_and_grad``) through the
 vector-Jacobian products registered beside each atom's evaluator.  For the
 falsifier, ``_evaluate_stacked`` evaluates a tree at a whole stack of
-points in one walk: atoms with a stacked form in ``spd.STACKED`` decompose
-the stack in one call, the rest (scalar atoms, user atoms) run their
-evaluator once per point, and each point gets the value, or the
-``DomainError`` outcome, that ``evaluate`` gives it.
+points in one walk: atoms whose evaluator is in ``spd.STACKED`` get the
+whole stack and a ``spd.Rows`` and decompose it in one call, the rest
+(scalar atoms, user atoms) run their evaluator once per point, and each
+point gets the value, or the ``DomainError`` outcome, that ``evaluate``
+gives it.
 
 Expressions are plain trees: variables and constants at the leaves,
 arithmetic combinators and atom applications inside.  Fixed atom parameters
@@ -866,8 +867,8 @@ class _StackedWalk:
     Scalar nodes hold ``(n,)`` float stacks, matrix nodes ``(n, d, d)``
     stacks, or one ``(d, d)`` matrix for constant subtrees.  The scalar
     combinators redo ``_node_value``'s arithmetic elementwise, in the same
-    order.  Atoms with a stacked form in ``spd.STACKED`` run it once per
-    node; all others call their evaluator once per alive row.
+    order.  Atoms whose evaluator is in ``spd.STACKED`` call it once per
+    node with ``rows=self.rows``; all others call it once per alive row.
     """
 
     def __init__(self, root: Expression, env: dict, rows: spd.Rows):
@@ -945,20 +946,19 @@ class _StackedWalk:
             return out
         if isinstance(node, AtomApply):
             args = _ordered_args(node, kids)
-            stacked = spd.STACKED.get(atom_evaluator(node.sig.id))
-            if stacked is None:
-                return self._per_row(node, args)
+            fn = atom_evaluator(node.sig.id)
+            if fn not in spd.STACKED:
+                return self._per_row(node, fn, args)
             try:
-                return stacked(self.rows, *args)
+                return fn(*args, rows=self.rows)
             except spd.Undecided:
                 raise
             except Exception:
                 raise spd.Undecided(f"stacked '{node.sig.id}' raised") from None
         raise spd.Undecided(f"no stacked evaluation for {type(node).__name__}")
 
-    def _per_row(self, node: AtomApply, args: list):
-        """The atom's evaluator called once per alive row, as per-point ``evaluate`` calls it."""
-        fn = atom_evaluator(node.sig.id)
+    def _per_row(self, node: AtomApply, fn, args: list):
+        """The atom's evaluator ``fn`` called once per alive row, as per-point ``evaluate`` calls it."""
         kids = iter(node.children())
         columns = []  # (slot, per-row values) of every expression argument
         for slot, (kind, arg) in enumerate(zip(node.sig.positions, args)):

@@ -21,9 +21,11 @@ falsifier relies on that to batch its trials.
 
 The module also carries the numeric evaluator (``eval_<name>``) and the
 vector-Jacobian product (``vjp_<name>``) of every built-in atom so that
-symbolic metadata and numeric semantics stay in separate layers, and the
-stacked forms (``stacked_<name>``, listed in ``STACKED``) of the atoms that
-decompose their argument, which evaluate one stack of points per call.
+symbolic metadata and numeric semantics stay in separate layers.  The
+evaluators of the atoms that decompose their argument, listed in
+``STACKED``, are written once for one point and for a stack of points: a
+keyword-only ``rows`` policy (``POINT`` by default, or a ``Rows``) runs
+their gates, decompositions and finishing reductions.
 """
 
 from __future__ import annotations
@@ -157,7 +159,8 @@ def _eig_of(m) -> EigenPair:
 
 
 def _rebuild(pair: EigenPair, vals: np.ndarray) -> np.ndarray:
-    return _sym((pair.q * vals) @ pair.q.T)
+    """``Q diag(vals) Q^T``, also for a stacked pair and ``vals``."""
+    return _sym((pair.q * vals[..., None, :]) @ _mT(pair.q))
 
 
 def matrix_function(m, kind: str, t: float | None = None):
@@ -296,11 +299,7 @@ def distance(a, b) -> float:
     b_arr = _as_array(b)
     if a_arr.shape != b_arr.shape:
         raise ShapeError(f"dimension mismatch: {a_arr.shape} vs {b_arr.shape}")
-    _, b_inv_sq = _half_powers(_eig_of(b))
-    w = _eig_nogate(b_inv_sq @ a_arr @ b_inv_sq)
-    if float(w.lam[-1]) <= 0.0:
-        raise DomainError("distance requires positive definite arguments")
-    return _distance_tail(w.lam)
+    return _distance(a_arr, b, POINT)
 
 
 def loewner_geq(a, b, tol: float = 1e-9) -> bool:
@@ -354,22 +353,171 @@ def random_spd(d: int, cond_max: float = 10.0, rng_seed=0) -> SPDMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Numeric atom evaluators.  All take and return raw ndarrays / floats.
+# Row policies: the gates, decompositions and finishing tails of the
+# evaluators that take ``rows=``, for one point or for a stack of points.
 # ---------------------------------------------------------------------------
 
 
-def _pd_eigvals(x: np.ndarray, what: str) -> np.ndarray:
-    lam = np.linalg.eigvalsh(_sym(x))
-    if float(lam[0]) <= 0.0:
-        raise DomainError(f"{what} requires a positive definite argument")
-    return lam[::-1]
+class Undecided(Exception):
+    """The stacked path cannot reproduce some row's per-point outcome."""
 
 
-# The tails below finish an evaluator from its eigenvalues.  The per-point
-# evaluators and the stacked ones of the next section share them, so both
-# run the same numpy calls on arrays of the same layout.  For an ndarray,
-# np.sum(a) is np.add.reduce(a, None) behind a Python wrapper that costs
-# more than the sum of a few eigenvalues; the tails call the reduction.
+class _Point:
+    """The row policy of one point: a gate that fails raises ``DomainError``.
+
+    ``eigvalsh`` gives the ascending eigenvalues of ``sym(x)``;
+    ``pd_eigvals`` the descending ones and ``pd_eig`` the gated ``sym_eig``
+    of ``x``, each after ``require``, which fails unless a descending
+    spectrum is positive; ``finite`` passes the input of an ungated
+    decomposition; ``map`` finishes a value from its eigenvalues.  This is
+    the hot path of the solver and of the public checks, so nothing here
+    builds a closure, a message or an extra array unless a gate fails.
+    """
+
+    __slots__ = ()
+
+    def finite(self, x: np.ndarray) -> np.ndarray:
+        return x
+
+    def eigvalsh(self, x: np.ndarray) -> np.ndarray:
+        return np.linalg.eigvalsh(_sym(self.finite(x)))
+
+    def pd_eigvals(self, x: np.ndarray, message: str) -> np.ndarray:
+        lam = self.eigvalsh(x)[..., ::-1]
+        self.require(lam, message)
+        return lam
+
+    def pd_eig(self, x, message: str) -> EigenPair:
+        pair = _eig_of(x)
+        self.require(pair.lam, message)
+        return pair
+
+    def inv_sqrt(self, x) -> np.ndarray:
+        pair = self.pd_eig(x, "matrix is not positive definite")
+        return _root_pair(pair.q, pair.lam)[1]
+
+    def require(self, lam: np.ndarray, message: str) -> None:
+        if float(lam[-1]) <= 0.0:
+            raise DomainError(message)
+
+    def map(self, tail, lam: np.ndarray, *params):
+        return tail(lam, *params)
+
+
+POINT = _Point()
+
+
+class Rows(_Point):
+    """The row policy of a stack: a row whose gate fails dies instead.
+
+    Matrix arguments are ``(n, d, d)`` stacks or one ``(d, d)`` constant
+    shared by all rows.  Each decomposition is one stacked call (LAPACK and
+    BLAS still run once per matrix, so the bits match) and each tail runs
+    per row.  A row dies, leaving ``alive``, where its per-point evaluation
+    would raise ``DomainError``, and is never computed further: kernels
+    replace dead rows by the identity before any decomposition, so they
+    cannot raise or feed NaN into ``eigh``.  A row that would raise
+    anything else raises ``Undecided``.  Decompositions are memoized per
+    input array, so every ``distance`` term of a tree decomposes its
+    variable once.
+    """
+
+    __slots__ = ("alive", "_memo")
+
+    def __init__(self, alive: np.ndarray):
+        self.alive = alive
+        self._memo = {}
+
+    def kill(self, rows):
+        """Mark ``rows`` (a mask over the rows, or one flag for all) as failed."""
+        self.alive &= np.logical_not(rows)
+
+    def live(self, x: np.ndarray) -> np.ndarray:
+        """``x`` with its dead rows replaced by the identity."""
+        if x.ndim == 2 or self.alive.all():
+            return x
+        return np.where(self.alive[:, None, None], x, np.eye(x.shape[-1]))
+
+    def finite(self, x: np.ndarray) -> np.ndarray:
+        """``live(x)``, or ``Undecided`` when an alive row is not finite.
+
+        For the ungated decompositions: per point, ``eigh`` of a non-finite
+        matrix raises ``LinAlgError`` or returns NaN.
+        """
+        x = self.live(x)
+        if not np.isfinite(x).all():
+            raise Undecided("non-finite input to an ungated decomposition")
+        return x
+
+    def memo(self, tag: str, x: np.ndarray, compute):
+        # Keyed by identity; the weak reference tells an entry of x from one
+        # of a dead array whose id x reuses, without keeping arrays alive.
+        # Rows only ever die, so an entry stays valid for every later use.
+        key = (tag, id(x))
+        hit = self._memo.get(key)
+        if hit is None or hit[0]() is not x:
+            hit = self._memo[key] = (weakref.ref(x), compute(x))
+        return hit[1]
+
+    def eigvalsh(self, x: np.ndarray) -> np.ndarray:
+        return self.memo("eigvalsh", x, super().eigvalsh)
+
+    def pd_eig(self, x: np.ndarray, message: str) -> EigenPair:
+        """Rows that are not positive definite die and get eigenvalues 1."""
+        pair = self.memo("sym_eig", x, self._sym_eig)
+        bad = pair.lam[..., -1] <= 0.0
+        self.kill(bad)
+        return EigenPair(q=pair.q, lam=np.where(bad[..., None], 1.0, pair.lam))
+
+    def inv_sqrt(self, x: np.ndarray) -> np.ndarray:
+        return self.memo("inv_sqrt", x, super().inv_sqrt)
+
+    def require(self, lam: np.ndarray, message: str) -> None:
+        self.kill(lam[..., -1] <= 0.0)
+
+    def map(self, tail, lam: np.ndarray, *params) -> np.ndarray:
+        """``tail(lam[i], *params)`` for every alive row; a ``DomainError`` kills the row."""
+        out = np.zeros(len(self.alive))
+        if lam.ndim == 1:  # the eigenvalues of one constant matrix
+            lam = np.broadcast_to(lam, (len(self.alive),) + lam.shape)
+        for i in np.flatnonzero(self.alive):
+            try:
+                out[i] = tail(lam[i], *params)
+            except DomainError:
+                self.alive[i] = False
+        return out
+
+    def _sym_eig(self, a: np.ndarray) -> EigenPair:
+        """``sym_eig`` of every row: non-finite rows die, asymmetric ones are undecided."""
+        if a.ndim == 2:
+            try:
+                return sym_eig(a)
+            except DomainError:
+                self.kill(True)
+                return _eig_nogate(np.eye(a.shape[0]))
+        self.kill(~np.isfinite(a).all(axis=(-2, -1)))
+        a = self.live(a)
+        for i in np.flatnonzero(self.alive & ~(a == _mT(a)).all(axis=(-2, -1))):
+            try:
+                _check_symmetric_square(a[i])
+            except ShapeError:
+                raise Undecided("asymmetric argument") from None
+        return _eig_nogate(a)
+
+
+# ---------------------------------------------------------------------------
+# Numeric atom evaluators.  All take and return raw ndarrays / floats; those
+# in ``STACKED`` also take ``rows=`` and then return stacks.
+# ---------------------------------------------------------------------------
+
+
+# The tails below finish an evaluator from its eigenvalues, one row at a
+# time.  Each gets the row's own view of the eigenvalues, descending views
+# included, never a contiguous copy: numpy's SIMD ``log`` over a contiguous
+# array and the libm one it runs over a strided view differ in the last bit
+# for some inputs.  For an ndarray, np.sum(a) is np.add.reduce(a, None)
+# behind a Python wrapper that costs more than the sum of a few
+# eigenvalues; the tails call the reduction.
 
 
 def _logdet_tail(lam: np.ndarray) -> float:
@@ -379,6 +527,10 @@ def _logdet_tail(lam: np.ndarray) -> float:
 def _distance_tail(lam: np.ndarray) -> float:
     logs = np.log(lam)
     return float(math.sqrt(float(np.dot(logs, logs))))
+
+
+def _eigmax_tail(lam: np.ndarray) -> float:
+    return float(lam[-1])
 
 
 def _eigsummax_tail(lam: np.ndarray, k) -> float:
@@ -401,8 +553,9 @@ def _sum_pow_log_tail(lam: np.ndarray, k, p) -> float:
     return float(np.add.reduce(logs ** p, None))
 
 
-def eval_logdet(x) -> float:
-    return _logdet_tail(_pd_eigvals(_as_array(x), "logdet"))
+def eval_logdet(x, *, rows=POINT):
+    lam = rows.pd_eigvals(_as_array(x), "logdet requires a positive definite argument")
+    return rows.map(_logdet_tail, lam)
 
 
 def eval_tr(x) -> float:
@@ -413,13 +566,23 @@ def eval_sum(x) -> float:
     return float(np.sum(_as_array(x)))
 
 
-def eval_sdivergence(x, y) -> float:
+def eval_sdivergence(x, y, *, rows=POINT):
     xa, ya = _as_array(x), _as_array(y)
-    return eval_logdet((xa + ya) / 2.0) - 0.5 * (eval_logdet(xa) + eval_logdet(ya))
+    mid = eval_logdet((xa + ya) / 2.0, rows=rows)
+    return mid - 0.5 * (eval_logdet(xa, rows=rows) + eval_logdet(ya, rows=rows))
 
 
-def eval_distance(x, y) -> float:
-    return distance(x, y)
+def eval_distance(x, y, *, rows=POINT):
+    # One point goes through the module attribute ``distance``, so that a
+    # wrapper installed there (a profiler's) sees every such evaluation.
+    return distance(x, y) if rows is POINT else _distance(x, y, rows)
+
+
+def _distance(x, y, rows):
+    y_inv_sq = rows.inv_sqrt(y)
+    w = _eig_nogate(rows.finite(y_inv_sq @ x @ y_inv_sq))
+    rows.require(w.lam, "distance requires positive definite arguments")
+    return rows.map(_distance_tail, w.lam)
 
 
 def eval_quad_form(h, x) -> float:
@@ -427,8 +590,8 @@ def eval_quad_form(h, x) -> float:
     return float(h @ _as_array(x) @ h)
 
 
-def eval_eigmax(x) -> float:
-    return float(np.linalg.eigvalsh(_sym(_as_array(x)))[-1])
+def eval_eigmax(x, *, rows=POINT):
+    return rows.map(_eigmax_tail, rows.eigvalsh(_as_array(x)))
 
 
 def eval_log_quad_form(hs, x) -> float:
@@ -439,23 +602,28 @@ def eval_log_quad_form(hs, x) -> float:
     return float(math.log(total))
 
 
-def eval_eigsummax(x, k) -> float:
-    return _eigsummax_tail(np.linalg.eigvalsh(_sym(_as_array(x))), k)
+def eval_eigsummax(x, k, *, rows=POINT):
+    return rows.map(_eigsummax_tail, rows.eigvalsh(_as_array(x)), k)
 
 
-def eval_schatten_norm(x, p) -> float:
-    return _schatten_tail(_pd_eigvals(_as_array(x), "schatten_norm"), p)
+def eval_schatten_norm(x, p, *, rows=POINT):
+    lam = rows.pd_eigvals(_as_array(x), "schatten_norm requires a positive definite argument")
+    return rows.map(_schatten_tail, lam, p)
 
 
-def eval_sum_log_eigmax(x, k) -> float:
-    return _sum_log_tail(_pd_eigvals(_as_array(x), "sum_log_eigmax"), k)
+def eval_sum_log_eigmax(x, k, *, rows=POINT):
+    lam = rows.pd_eigvals(_as_array(x), "sum_log_eigmax requires a positive definite argument")
+    return rows.map(_sum_log_tail, lam, k)
 
 
-def eval_sum_pow_log_eigmax(x, k, p) -> float:
-    return _sum_pow_log_tail(_pd_eigvals(_as_array(x), "sum_pow_log_eigmax"), k, p)
+def eval_sum_pow_log_eigmax(x, k, p, *, rows=POINT):
+    lam = rows.pd_eigvals(_as_array(x), "sum_pow_log_eigmax requires a positive definite argument")
+    return rows.map(_sum_pow_log_tail, lam, k, p)
 
 
-def eval_conjugation(x, b) -> np.ndarray:
+# Conjugation and the Hadamard product gate nothing and broadcast over a
+# stack as they are; they take ``rows`` only to be evaluated stacked.
+def eval_conjugation(x, b, *, rows=POINT) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     return _sym(b.T @ _as_array(x) @ b)
 
@@ -464,14 +632,12 @@ def eval_adjoint(x) -> np.ndarray:
     return _as_array(x).T.copy()
 
 
-def eval_inv(x) -> np.ndarray:
-    pair = _eig_of(x)
-    if float(pair.lam[-1]) <= 0.0:
-        raise DomainError("inv requires a positive definite argument")
+def eval_inv(x, *, rows=POINT) -> np.ndarray:
+    pair = rows.pd_eig(x, "inv requires a positive definite argument")
     return _rebuild(pair, 1.0 / pair.lam)
 
 
-def eval_hadamard_product(x, m) -> np.ndarray:
+def eval_hadamard_product(x, m, *, rows=POINT) -> np.ndarray:
     return _as_array(x) * np.asarray(m, dtype=float)
 
 
@@ -479,9 +645,9 @@ def eval_diag_matrix(x) -> np.ndarray:
     return np.diag(np.diag(_as_array(x))).copy()
 
 
-def eval_positive_affine(x, ys, b, r) -> np.ndarray:
+def eval_positive_affine(x, ys, b, r, *, rows=POINT) -> np.ndarray:
     xa = _as_array(x)
-    return _affine_sum(xa if int(r) == 1 else eval_inv(xa), ys, b)
+    return _affine_sum(xa if int(r) == 1 else eval_inv(xa, rows=rows), ys, b)
 
 
 def _affine_sum(xr: np.ndarray, ys, b) -> np.ndarray:
@@ -530,198 +696,13 @@ def eval_abs(v) -> float:
     return float(abs(float(v)))
 
 
-# ---------------------------------------------------------------------------
-# Stacked atom evaluators.  ``stacked(rows, *args)`` evaluates an atom on
-# every row of a stack at once: matrix arguments are ``(n, d, d)`` stacks or
-# one ``(d, d)`` constant shared by all rows, parameters are as for the
-# evaluator.  Each row gets what the per-point evaluator gives it: the
-# decompositions are one stacked call (LAPACK and BLAS still run once per
-# matrix, so the bits match), the finishing tails run per row, and a row
-# whose evaluator would raise ``DomainError`` is cleared from ``rows.alive``
-# instead.  A row that would raise anything else raises ``Undecided``.
-# ---------------------------------------------------------------------------
-
-
-class Undecided(Exception):
-    """The stacked path cannot reproduce some row's per-point outcome."""
-
-
-class Rows:
-    """The rows of one stacked evaluation: which are still alive, and shared work.
-
-    A row dies where its per-point evaluation would raise ``DomainError``
-    and is never computed further: kernels replace dead rows by the
-    identity before any decomposition, so they cannot raise or feed NaN
-    into ``eigh``.  Decompositions are memoized per input array, so every
-    ``distance`` term of a tree decomposes its variable once.
-    """
-
-    __slots__ = ("alive", "_memo")
-
-    def __init__(self, alive: np.ndarray):
-        self.alive = alive
-        self._memo = {}
-
-    def kill(self, rows):
-        """Mark ``rows`` (a mask over the rows, or one flag for all) as failed."""
-        self.alive &= np.logical_not(rows)
-
-    def live(self, x: np.ndarray) -> np.ndarray:
-        """``x`` with its dead rows replaced by the identity."""
-        if x.ndim == 2 or self.alive.all():
-            return x
-        return np.where(self.alive[:, None, None], x, np.eye(x.shape[-1]))
-
-    def finite(self, x: np.ndarray) -> np.ndarray:
-        """``live(x)``, or ``Undecided`` when an alive row is not finite.
-
-        For the ungated decompositions: per point, ``eigh`` of a non-finite
-        matrix raises ``LinAlgError`` or returns NaN.
-        """
-        x = self.live(x)
-        if not np.isfinite(x).all():
-            raise Undecided("non-finite input to an ungated decomposition")
-        return x
-
-    def memo(self, tag: str, x: np.ndarray, compute):
-        # Keyed by identity; the weak reference tells an entry of x from one
-        # of a dead array whose id x reuses, without keeping arrays alive.
-        # Rows only ever die, so an entry stays valid for every later use.
-        key = (tag, id(x))
-        hit = self._memo.get(key)
-        if hit is None or hit[0]() is not x:
-            hit = self._memo[key] = (weakref.ref(x), compute(x))
-        return hit[1]
-
-    def map(self, tail, lam: np.ndarray, *params) -> np.ndarray:
-        """``tail(lam[i], *params)`` for every alive row; a ``DomainError`` kills the row."""
-        out = np.zeros(len(self.alive))
-        if lam.ndim == 1:  # the eigenvalues of one constant matrix
-            lam = np.broadcast_to(lam, (len(self.alive),) + lam.shape)
-        for i in np.flatnonzero(self.alive):
-            try:
-                out[i] = tail(lam[i], *params)
-            except DomainError:
-                self.alive[i] = False
-        return out
-
-
-def _stacked_eigvalsh(rows: Rows, x: np.ndarray) -> np.ndarray:
-    """``eigvalsh(sym(x))`` of every row, ascending, with no input gate."""
-    return rows.memo("eigvalsh", x, lambda a: np.linalg.eigvalsh(_sym(rows.finite(a))))
-
-
-def _stacked_pd_eigvals(rows: Rows, x: np.ndarray) -> np.ndarray:
-    """``_pd_eigvals`` of every row, ascending; rows without a positive spectrum die."""
-    w = _stacked_eigvalsh(rows, x)
-    rows.kill(w[..., 0] <= 0.0)
-    return w
-
-
-def _stacked_sym_eig(rows: Rows, x: np.ndarray) -> EigenPair:
-    """``sym_eig`` of every row: non-finite rows die, asymmetric ones are undecided."""
-
-    def compute(a):
-        if a.ndim == 2:
-            try:
-                return sym_eig(a)
-            except DomainError:
-                rows.kill(True)
-                return _eig_nogate(np.eye(a.shape[0]))
-        rows.kill(~np.isfinite(a).all(axis=(-2, -1)))
-        a = rows.live(a)
-        for i in np.flatnonzero(rows.alive & ~(a == _mT(a)).all(axis=(-2, -1))):
-            try:
-                _check_symmetric_square(a[i])
-            except ShapeError:
-                raise Undecided("asymmetric argument") from None
-        return _eig_nogate(a)
-
-    return rows.memo("sym_eig", x, compute)
-
-
-def _stacked_pd_eig(rows: Rows, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``sym_eig`` of every row as ``(q, lam)``; rows that are not PD die and get ``lam = 1``."""
-    pair = _stacked_sym_eig(rows, x)
-    bad = pair.lam[..., -1] <= 0.0
-    rows.kill(bad)
-    return pair.q, np.where(bad[..., None], 1.0, pair.lam)
-
-
-def _stacked_inv_sqrt(rows: Rows, x: np.ndarray) -> np.ndarray:
-    """``_half_powers(_eig_of(x))[1]`` of every row; rows that are not PD die."""
-    return rows.memo("inv_sqrt", x, lambda a: _root_pair(*_stacked_pd_eig(rows, a))[1])
-
-
-def stacked_logdet(rows: Rows, x) -> np.ndarray:
-    return rows.map(_logdet_tail, _stacked_pd_eigvals(rows, x)[..., ::-1])
-
-
-def stacked_sdivergence(rows: Rows, x, y) -> np.ndarray:
-    mid = stacked_logdet(rows, (x + y) / 2.0)
-    return mid - 0.5 * (stacked_logdet(rows, x) + stacked_logdet(rows, y))
-
-
-def stacked_distance(rows: Rows, x, y) -> np.ndarray:
-    y_inv_sq = _stacked_inv_sqrt(rows, y)
-    w = _eig_nogate(rows.finite(y_inv_sq @ x @ y_inv_sq))
-    rows.kill(w.lam[..., -1] <= 0.0)
-    return rows.map(_distance_tail, w.lam)
-
-
-def stacked_eigmax(rows: Rows, x) -> np.ndarray:
-    return np.broadcast_to(_stacked_eigvalsh(rows, x)[..., -1], rows.alive.shape)
-
-
-def stacked_eigsummax(rows: Rows, x, k) -> np.ndarray:
-    return rows.map(_eigsummax_tail, _stacked_eigvalsh(rows, x), k)
-
-
-def stacked_schatten_norm(rows: Rows, x, p) -> np.ndarray:
-    return rows.map(_schatten_tail, _stacked_pd_eigvals(rows, x)[..., ::-1], p)
-
-
-def stacked_sum_log_eigmax(rows: Rows, x, k) -> np.ndarray:
-    return rows.map(_sum_log_tail, _stacked_pd_eigvals(rows, x)[..., ::-1], k)
-
-
-def stacked_sum_pow_log_eigmax(rows: Rows, x, k, p) -> np.ndarray:
-    return rows.map(_sum_pow_log_tail, _stacked_pd_eigvals(rows, x)[..., ::-1], k, p)
-
-
-def stacked_inv(rows: Rows, x) -> np.ndarray:
-    q, lam = _stacked_pd_eig(rows, x)
-    return _sym((q * (1.0 / lam)[..., None, :]) @ _mT(q))
-
-
-def stacked_conjugation(rows: Rows, x, b) -> np.ndarray:
-    return eval_conjugation(x, b)
-
-
-def stacked_hadamard_product(rows: Rows, x, m) -> np.ndarray:
-    return eval_hadamard_product(x, m)
-
-
-def stacked_positive_affine(rows: Rows, x, ys, b, r) -> np.ndarray:
-    return _affine_sum(x if int(r) == 1 else stacked_inv(rows, x), ys, b)
-
-
-# Stacked forms by per-point evaluator, so an atom re-registered under a
-# built-in name with another evaluator never picks up the built-in's form.
-STACKED = {
-    eval_logdet: stacked_logdet,
-    eval_sdivergence: stacked_sdivergence,
-    eval_distance: stacked_distance,
-    eval_eigmax: stacked_eigmax,
-    eval_eigsummax: stacked_eigsummax,
-    eval_schatten_norm: stacked_schatten_norm,
-    eval_sum_log_eigmax: stacked_sum_log_eigmax,
-    eval_sum_pow_log_eigmax: stacked_sum_pow_log_eigmax,
-    eval_inv: stacked_inv,
-    eval_conjugation: stacked_conjugation,
-    eval_hadamard_product: stacked_hadamard_product,
-    eval_positive_affine: stacked_positive_affine,
-}
+# The evaluators that take ``rows``.  A set of functions, not of names, so
+# an atom re-registered under a built-in name with another evaluator is
+# evaluated per row, never by the built-in's code.
+STACKED = frozenset(
+    fn for name, fn in list(globals().items())
+    if name.startswith("eval_") and "rows" in (fn.__kwdefaults__ or ())
+)
 
 
 # ---------------------------------------------------------------------------
