@@ -958,7 +958,7 @@ class _StackedWalk:
         raise spd.Undecided(f"no stacked evaluation for {type(node).__name__}")
 
     def _per_row(self, node: AtomApply, fn, args: list):
-        """The atom's evaluator ``fn`` called once per alive row, as per-point ``evaluate`` calls it."""
+        """The evaluator ``fn`` called once per alive row, as per-point ``evaluate`` calls it."""
         kids = iter(node.children())
         columns = []  # (slot, per-row values) of every expression argument
         for slot, (kind, arg) in enumerate(zip(node.sig.positions, args)):

@@ -371,7 +371,7 @@ class _Point:
     spectrum is positive; ``finite`` passes the input of an ungated
     decomposition; ``map`` finishes a value from its eigenvalues.  This is
     the hot path of the solver and of the public checks, so nothing here
-    builds a closure, a message or an extra array unless a gate fails.
+    builds a closure or a message unless a gate fails.
     """
 
     __slots__ = ()
