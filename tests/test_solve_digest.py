@@ -16,6 +16,12 @@ gradient norm shows up here, down to the last bit of a float.  Every
 per-point atom evaluator feeds these solves.  The constant was recorded
 before the point and stack evaluators of ``spd`` were merged; it must not
 be regenerated to make this test pass.
+
+A second digest, ``MEMO_DIGEST``, pins three solves that probe the places
+where a memo of decompositions could hand on the wrong bits: a start point
+asymmetric within the symmetry gate, a distance with the variable as either
+argument, and two anchors that are one array.  It was recorded before
+per-point evaluation memoized any decomposition.
 """
 
 import hashlib
@@ -31,6 +37,7 @@ from geocert.expr import evaluate
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 SOLVE_DIGEST = "c068cdb4338de011020879be77f7dcd263676a267687adc3dba0c4958d0d3368"
+MEMO_DIGEST = "08eecb8a06412695ca1610f8ab91fcbe281322f6fd772fd9ceac653c1d764985"
 
 
 def _file_cases():
@@ -89,3 +96,47 @@ def test_solve_corpus_digest():
     # The corpus must keep reaching every way a solve can end.
     assert seen["converged"] and seen["max_iter"] and seen["StagnationError"], seen
     assert h.hexdigest() == SOLVE_DIGEST, seen
+
+
+def _karcher_expression(terms, weights):
+    """``sum_i w_i distance(*args_i)^2`` over the ``(first, second)`` argument pairs."""
+    return gc.Add(tuple(gc.apply_atom("pow", [gc.apply_atom("distance", list(pair)), 2])
+                        for pair in terms), tuple(weights))
+
+
+def _memo_cases():
+    kwargs = {"max_iter": 300, "grad_tol": 1e-7}
+    # A start asymmetric by about 1e-14 relative passes the 1e-12 gate; the
+    # solver evaluates it as given, not symmetrized.
+    a1, a2 = _anchors(4, 100.0, 5, 2)
+    start = gc.random_spd(4, 10.0, 6).entries.copy()
+    skew = np.random.default_rng(7).normal(size=(4, 4))
+    start += 1e-14 * np.linalg.norm(start) * (skew - skew.T) / np.linalg.norm(skew - skew.T)
+    assert 0.0 < np.linalg.norm(start - start.T) < 1e-12 * np.linalg.norm(start)
+    yield ("karcher:asymmetric-start", gc.make_karcher_problem([a1, a2], [0.4, 0.6]), start, kwargs)
+
+    def anchor(m, name):
+        return gc.make_const_matrix(m.entries, gc.Definiteness.PD, name=name)
+
+    scope = gc.VariableScope()
+    x = scope.declare("X", gc.SPD(4))
+    b1, b2 = _anchors(4, 1e3, 8, 2)
+    expr = _karcher_expression([(x, anchor(b1, "A1")), (anchor(b2, "A2"), x)], [0.3, 0.7])
+    yield ("karcher:variable-first", solver._expression_objective(expr, "X", "karcher"),
+           np.eye(4), kwargs)
+
+    c1, c2 = _anchors(3, 50.0, 9, 2)
+    shared = anchor(c1, "A")  # one node, so both of its terms read one array
+    scope = gc.VariableScope()
+    x = scope.declare("X", gc.SPD(3))
+    expr = _karcher_expression([(shared, x), (anchor(c2, "B"), x), (shared, x)], [0.25, 0.45, 0.3])
+    yield ("karcher:one-anchor-array", solver._expression_objective(expr, "X", "karcher"),
+           gc.random_spd(3, 20.0, 10).entries, kwargs)
+
+
+def test_memo_probe_digest():
+    h = hashlib.sha256()
+    for case in _memo_cases():
+        rec = _record(*case)
+        h.update(json.dumps(rec, sort_keys=True).encode())
+    assert h.hexdigest() == MEMO_DIGEST
