@@ -2,7 +2,11 @@
 
 The module also evaluates trees numerically (``evaluate``) and
 differentiates them in reverse mode (``value_and_grad``) through the
-vector-Jacobian products registered beside each atom's evaluator.  For the
+vector-Jacobian products registered beside each atom's evaluator.  Both
+run one forward pass (``_forward``) under a ``spd.Memo``, so each input
+array is decomposed once per evaluation; a gradient is a backward pass
+(``_backward``) over that pass's tape, which the solver keeps from its
+line search.  For the
 falsifier, ``_evaluate_stacked`` evaluates a tree at a whole stack of
 points in one walk: atoms whose evaluator is in ``spd.STACKED`` get the
 whole stack and a ``spd.Rows`` and decompose it in one call, the rest
@@ -794,8 +798,13 @@ def _ordered_args(e: AtomApply, arg_vals) -> list:
     ]
 
 
-def _node_value(e: Expression, child_vals: list, env: dict):
-    """The value of one node given the values of its children."""
+def _node_value(e: Expression, child_vals: list, env: dict, rows: spd.Memo):
+    """The value of one node given the values of its children.
+
+    Evaluators in ``spd.STACKED`` get ``rows``, the memo of the evaluation;
+    a variable bound to an ``SPDMatrix`` seeds it with that matrix's
+    decomposition.
+    """
     if isinstance(e, Variable):
         try:
             value = env[e.name]
@@ -806,6 +815,8 @@ def _node_value(e: Expression, child_vals: list, env: dict):
             raise ExpressionError(
                 f"value for '{e.name}' has shape {arr.shape}, expected {(e.manifold.dim,) * 2}"
             )
+        if isinstance(value, spd.SPDMatrix):
+            rows.seed(arr, value.eig)
         return arr
     if isinstance(e, ConstMatrix):
         return e.values
@@ -823,18 +834,48 @@ def _node_value(e: Expression, child_vals: list, env: dict):
     if isinstance(e, MaxOf):
         return float(max(child_vals))
     if isinstance(e, AtomApply):
-        return atom_evaluator(e.sig.id)(*_ordered_args(e, child_vals))
+        fn = atom_evaluator(e.sig.id)
+        args = _ordered_args(e, child_vals)
+        return fn(*args, rows=rows) if fn in spd.STACKED else fn(*args)
     raise ExpressionError(f"cannot evaluate node {type(e).__name__}")
+
+
+class _Tape(NamedTuple):
+    """A forward pass: the root's value, each node's value by identity, the
+    nodes in post-order, and the memo of the decompositions made."""
+
+    value: object
+    values: dict
+    order: list
+    rows: spd.Memo
+
+
+def _forward(e: Expression, env: dict, rows: spd.Memo) -> _Tape:
+    """Evaluate ``e`` once per node, post-order, keeping what a backward pass reads."""
+    values: dict[int, object] = {}
+    order: list[Expression] = []
+
+    def visit(node):
+        key = id(node)
+        if key not in values:
+            child_vals = [visit(c) for c in node.children()]
+            values[key] = _node_value(node, child_vals, env, rows)
+            order.append(node)
+        return values[key]
+
+    return _Tape(visit(e), values, order, rows)
 
 
 def evaluate(e: Expression, env: dict):
     """Evaluate an expression numerically.
 
-    ``env`` maps variable names to SPD arrays.  Returns a float for scalar
+    ``env`` maps variable names to SPD arrays (an ``SPDMatrix`` lends its
+    decomposition to the evaluation).  Returns a float for scalar
     expressions, a symmetric ndarray for matrix-valued ones.  Domain
-    violations raise ``DomainError``.
+    violations raise ``DomainError``.  A subtree shared between parents is
+    evaluated once, and each input array is decomposed once.
     """
-    return _node_value(e, [evaluate(c, env) for c in e.children()], env)
+    return _forward(e, env, spd.Memo()).value
 
 
 def _evaluate_stacked(e: Expression, env: dict, alive: np.ndarray):
@@ -1004,8 +1045,12 @@ def differentiable(e: Expression) -> bool:
     )
 
 
-def _node_vjp(e: Expression, g, child_vals: list, out) -> list:
-    """Cotangents of a node's children from the cotangent ``g`` of its value."""
+def _node_vjp(e: Expression, g, child_vals: list, out, rows: spd.Memo) -> list:
+    """Cotangents of a node's children from the cotangent ``g`` of its value.
+
+    Products in ``spd.RESIDUAL_VJPS`` get ``rows``, the memo of the forward
+    pass, to read their evaluator's decompositions from.
+    """
     if isinstance(e, Add):
         return [w * g for w in e.weights]
     if isinstance(e, ScalarMul):
@@ -1023,37 +1068,37 @@ def _node_vjp(e: Expression, g, child_vals: list, out) -> list:
         if vjp is None:
             raise ExpressionError(f"atom '{e.sig.id}' has no vector-Jacobian product")
         wrt = tuple(bool(a.variables) for a in e.args)
-        return list(vjp(g, out, wrt, *_ordered_args(e, child_vals)))
+        args = _ordered_args(e, child_vals)
+        if vjp in spd.RESIDUAL_VJPS:
+            return list(vjp(g, out, wrt, *args, rows=rows))
+        return list(vjp(g, out, wrt, *args))
     return []
 
 
 def value_and_grad(e: Expression, env: dict):
     """Value of a scalar expression and its Euclidean gradient in every variable.
 
-    One post-order forward pass records each node's value; one backward pass
-    carries cotangents from the root to the leaves through each node's
-    vector-Jacobian product.  Values and cotangents are keyed by node
-    identity, so a subtree shared between parents is evaluated once and
-    receives the sum of its parents' cotangents.  Returns ``(value, grads)``
-    with ``grads`` mapping each variable name to a symmetric array.
+    One post-order forward pass records each node's value, as ``evaluate``
+    does; one backward pass carries cotangents from the root to the leaves
+    through each node's vector-Jacobian product, which reads the forward
+    pass's decompositions instead of repeating them.  Values and cotangents
+    are keyed by node identity, so a subtree shared between parents is
+    evaluated once and receives the sum of its parents' cotangents.
+    Returns ``(value, grads)`` with ``grads`` mapping each variable name to
+    a symmetric array.
     """
     if e.kind != "scalar":
         raise ExpressionError("value_and_grad needs a scalar-valued expression")
-    values: dict[int, object] = {}
-    order: list[Expression] = []
+    tape = _forward(e, env, spd.Memo())
+    return tape.value, _backward(e, tape)
 
-    def forward(node):
-        key = id(node)
-        if key not in values:
-            child_vals = [forward(c) for c in node.children()]
-            values[key] = _node_value(node, child_vals, env)
-            order.append(node)
-        return values[key]
 
-    value = forward(e)
+def _backward(e: Expression, tape: _Tape) -> dict[str, np.ndarray]:
+    """The Euclidean gradient of the scalar ``e`` in every variable, from a forward pass of it."""
+    values = tape.values
     grads = {name: np.zeros((m.dim, m.dim)) for name, m in e.variables.items()}
     cotangents = {id(e): 1.0}
-    for node in reversed(order):
+    for node in reversed(tape.order):
         g = cotangents.pop(id(node), None)
         if g is None:
             continue
@@ -1062,9 +1107,9 @@ def value_and_grad(e: Expression, env: dict):
             continue
         children = node.children()
         child_vals = [values[id(c)] for c in children]
-        for child, cg in zip(children, _node_vjp(node, g, child_vals, values[id(node)])):
+        for child, cg in zip(children, _node_vjp(node, g, child_vals, values[id(node)], tape.rows)):
             if cg is None or not child.variables:
                 continue
             key = id(child)
             cotangents[key] = cg if key not in cotangents else cotangents[key] + cg
-    return value, {name: spd._sym(g) for name, g in grads.items()}
+    return {name: spd._sym(g) for name, g in grads.items()}

@@ -10,10 +10,14 @@ with Armijo backtracking (factor 0.5, sufficient decrease 1e-4), which keeps
 the objective trajectory nonincreasing and every iterate positive definite
 by construction.
 
-Objectives built from an expression take their Euclidean gradient from one
-reverse-mode pass through it (``expr.value_and_grad``).  Objectives without
-a gradient fall back to central finite differences over the symmetric
-basis; results are flagged when the fallback was used.
+Objectives built from an expression are evaluated by forward passes
+through it, each under a memo seeded with the decomposition the line
+search already made of the point, so no matrix is decomposed twice in one
+evaluation.  The line search keeps the forward pass of the step it
+accepts, and the Euclidean gradient there is one backward pass over that
+tape (``expr._backward``).  Objectives without a gradient fall back to
+central finite differences over the symmetric basis; results are flagged
+when the fallback was used.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from .expr import (
     Expression,
     SPD,
     VariableScope,
+    _backward,
+    _forward,
     apply_atom,
     differentiable,
     evaluate,
@@ -64,6 +70,42 @@ class Objective:
         if self.euclidean_gradient is not None:
             return self.euclidean_gradient(x)
         return finite_difference_gradient(self.evaluator, x)
+
+    def _value_at(self, x: np.ndarray, eig: spd.EigenPair) -> float:
+        """The value at ``x``, given ``eig``, the ``spd.sym_eig`` of ``x``."""
+        return float(self.evaluator(x))
+
+
+class _ExpressionObjective(Objective):
+    """An objective that evaluates ``expression`` in its one variable.
+
+    ``_value_at`` runs one forward pass under a memo seeded with ``eig`` and
+    keeps it; the next ``gradient`` at that same array is one backward pass
+    over it, and a gradient anywhere else runs a fresh pass.  Only the
+    solver calls ``_value_at``, and it never writes to the arrays it passes.
+    """
+
+    def __init__(self, expression: Expression, var: str, name: str, evaluate: Callable):
+        def evaluator(x):
+            return evaluate(expression, {var: x})
+
+        gradient = self._tape_gradient if differentiable(expression) else None
+        super().__init__(evaluator, gradient, expression, name=name)
+        self._var = var
+        self._kept = None  # (array, tape) of the latest _value_at
+
+    def _value_at(self, x: np.ndarray, eig: spd.EigenPair) -> float:
+        rows = spd.Memo()
+        rows.seed(x, eig)
+        tape = _forward(self.expression, {self._var: x}, rows)
+        self._kept = (x, tape)
+        return float(tape.value)
+
+    def _tape_gradient(self, x: np.ndarray) -> np.ndarray:
+        kept, self._kept = self._kept, None
+        if kept is not None and kept[0] is x:
+            return _backward(self.expression, kept[1])[self._var]
+        return value_and_grad(self.expression, {self._var: x})[1][self._var]
 
 
 @dataclass
@@ -141,7 +183,8 @@ def gradient_descent(
     """
     x = np.array(spd._as_array(x0), dtype=float, copy=True)
     point = spd.SPDMatrix(x)  # validates the start; its eig serves the first step
-    f0 = float(obj.evaluator(x))
+    # The start is evaluated and differentiated as given, not symmetrized.
+    f0 = obj._value_at(x, point.eig)
     if not math.isfinite(f0):
         raise DomainError("objective is not finite at the starting point")
     used_fd = not obj.has_analytic_gradient
@@ -170,10 +213,11 @@ def gradient_descent(
         for _halving in range(MAX_HALVINGS + 1):
             candidate = spd._sym((frame * np.exp(-alpha * mu)) @ frame.T)
             # A candidate past the PD tolerance counts as an infinite value;
-            # an accepted one carries the decomposition of the next step.
+            # an accepted one carries the decomposition of the next step, and
+            # its forward pass is the next gradient's tape.
             try:
                 trial = spd.SPDMatrix(candidate)
-                fc = float(obj.evaluator(candidate))
+                fc = obj._value_at(candidate, trial.eig)
             except DomainError:
                 fc = math.inf
             expected = alpha * gnorm * gnorm
@@ -228,18 +272,12 @@ def _expression_objective(expr: Expression, var: str, name: str,
 
     Its gradient comes from one reverse-mode pass through ``expr``, or from
     finite differences when some atom has no vector-Jacobian product.
-    ``geocert solve`` passes the ``evaluate`` of its own module, so a
-    wrapper installed there (the benchmark's per-layer tracer) sees every
-    evaluation of the solve.
+    ``evaluator`` calls ``evaluate``: ``geocert solve`` passes the one of
+    its own module, so a wrapper installed there (the benchmark's per-layer
+    tracer) sees the finite-difference evaluations.  The line search runs
+    its own forward passes.
     """
-
-    def evaluator(x):
-        return evaluate(expr, {var: x})
-
-    def gradient(x):
-        return value_and_grad(expr, {var: x})[1][var]
-
-    return Objective(evaluator, gradient if differentiable(expr) else None, expr, name=name)
+    return _ExpressionObjective(expr, var, name, evaluate)
 
 
 def make_matrix_sqrt_problem(a) -> Objective:

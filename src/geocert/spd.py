@@ -24,8 +24,14 @@ vector-Jacobian product (``vjp_<name>``) of every built-in atom so that
 symbolic metadata and numeric semantics stay in separate layers.  The
 evaluators of the atoms that decompose their argument, listed in
 ``STACKED``, are written once for one point and for a stack of points: a
-keyword-only ``rows`` policy (``POINT`` by default, or a ``Rows``) runs
-their gates, decompositions and finishing reductions.
+keyword-only ``rows`` policy runs their gates, decompositions and
+finishing reductions.  ``POINT``, the default, decomposes afresh at every
+call; a ``Memo`` decomposes each input array of one evaluation once, and
+can be seeded with a decomposition its caller already holds (the
+``SPDMatrix`` a variable is bound to); a ``Rows`` memoizes the same way
+over stacks.  The vector-Jacobian products in ``RESIDUAL_VJPS`` take the
+policy their evaluator ran under and read the forward pass's
+decompositions from it.
 """
 
 from __future__ import annotations
@@ -355,6 +361,9 @@ def random_spd(d: int, cond_max: float = 10.0, rng_seed=0) -> SPDMatrix:
 # ---------------------------------------------------------------------------
 # Row policies: the gates, decompositions and finishing tails of the
 # evaluators that take ``rows=``, for one point or for a stack of points.
+# ``POINT`` keeps nothing; a ``Memo`` keeps the decompositions of one
+# point's evaluation, seeded with those its caller already made; a ``Rows``
+# keeps those of one stacked evaluation.
 # ---------------------------------------------------------------------------
 
 
@@ -368,13 +377,18 @@ class _Point:
     ``eigvalsh`` gives the ascending eigenvalues of ``sym(x)``;
     ``pd_eigvals`` the descending ones and ``pd_eig`` the gated ``sym_eig``
     of ``x``, each after ``require``, which fails unless a descending
-    spectrum is positive; ``finite`` passes the input of an ungated
-    decomposition; ``map`` finishes a value from its eigenvalues.  This is
-    the hot path of the solver and of the public checks, so nothing here
-    builds a closure or a message unless a gate fails.
+    spectrum is positive; ``inv_sqrt`` and ``whiten`` give the gated
+    ``Y^-1/2`` and the eigenpairs of ``Y^-1/2 X Y^-1/2``; ``finite`` passes
+    the input of an ungated decomposition; ``map`` finishes a value from
+    its eigenvalues; ``memo`` computes what a memoizing policy would keep.
+    This is the hot path of the public checks, so nothing here builds a
+    closure or a message unless a gate fails.
     """
 
     __slots__ = ()
+
+    def memo(self, tag: str, compute, *arrays):
+        return compute(*arrays)
 
     def finite(self, x: np.ndarray) -> np.ndarray:
         return x
@@ -396,6 +410,10 @@ class _Point:
         pair = self.pd_eig(x, "matrix is not positive definite")
         return _root_pair(pair.q, pair.lam)[1]
 
+    def whiten(self, x, y) -> tuple[np.ndarray, EigenPair]:
+        y_inv_sq = self.inv_sqrt(y)
+        return y_inv_sq, _eig_nogate(self.finite(y_inv_sq @ x @ y_inv_sq))
+
     def require(self, lam: np.ndarray, message: str) -> None:
         if float(lam[-1]) <= 0.0:
             raise DomainError(message)
@@ -407,7 +425,57 @@ class _Point:
 POINT = _Point()
 
 
-class Rows(_Point):
+class Memo(_Point):
+    """The row policy of one point that decomposes each input array once.
+
+    One memo serves one evaluation and the backward pass over it.  Entries
+    are keyed by the identity of their input arrays and a tag naming what
+    was computed from them, so a hit hands on the bits a fresh computation
+    from the same array would give.  ``seed`` records a decomposition the
+    caller already holds.  Entries the backward pass adds are never read by
+    a forward gate: every forward step of the evaluation comes first.
+    """
+
+    __slots__ = ("_memo",)
+
+    def __init__(self):
+        self._memo = {}
+
+    def memo(self, tag: str, compute, *arrays):
+        # The weak references tell an entry of these arrays from one of dead
+        # arrays whose ids they reuse, without keeping arrays alive.
+        key = (tag, *map(id, arrays))
+        hit = self._memo.get(key)
+        if hit is not None and all(ref() is a for ref, a in zip(hit[0], arrays)):
+            return hit[1]
+        value = compute(*arrays)
+        self._memo[key] = (tuple(map(weakref.ref, arrays)), value)
+        return value
+
+    def seed(self, x: np.ndarray, pair: EigenPair) -> None:
+        """Take ``pair`` as ``sym_eig(x)``, without running the gate again.
+
+        The caller vouches that the gate passed on these bits of ``x`` and
+        that ``pair`` is their decomposition, as ``SPDMatrix(x).eig`` is.
+        """
+        self._memo[("sym_eig", id(x))] = ((weakref.ref(x),), pair)
+
+    def eigvalsh(self, x: np.ndarray) -> np.ndarray:
+        return self.memo("eigvalsh", super().eigvalsh, x)
+
+    def pd_eig(self, x: np.ndarray, message: str) -> EigenPair:
+        pair = self.memo("sym_eig", sym_eig, x)
+        self.require(pair.lam, message)
+        return pair
+
+    def inv_sqrt(self, x: np.ndarray) -> np.ndarray:
+        return self.memo("inv_sqrt", super().inv_sqrt, x)
+
+    def whiten(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, EigenPair]:
+        return self.memo("whiten", super().whiten, x, y)
+
+
+class Rows(Memo):
     """The row policy of a stack: a row whose gate fails dies instead.
 
     Matrix arguments are ``(n, d, d)`` stacks or one ``(d, d)`` constant
@@ -418,15 +486,16 @@ class Rows(_Point):
     replace dead rows by the identity before any decomposition, so they
     cannot raise or feed NaN into ``eigh``.  A row that would raise
     anything else raises ``Undecided``.  Decompositions are memoized per
-    input array, so every ``distance`` term of a tree decomposes its
-    variable once.
+    input array as in ``Memo``, so every ``distance`` term of a tree
+    decomposes its variable once; rows only ever die, so an entry stays
+    valid for every later use.
     """
 
-    __slots__ = ("alive", "_memo")
+    __slots__ = ("alive",)
 
     def __init__(self, alive: np.ndarray):
+        super().__init__()
         self.alive = alive
-        self._memo = {}
 
     def kill(self, rows):
         """Mark ``rows`` (a mask over the rows, or one flag for all) as failed."""
@@ -449,28 +518,12 @@ class Rows(_Point):
             raise Undecided("non-finite input to an ungated decomposition")
         return x
 
-    def memo(self, tag: str, x: np.ndarray, compute):
-        # Keyed by identity; the weak reference tells an entry of x from one
-        # of a dead array whose id x reuses, without keeping arrays alive.
-        # Rows only ever die, so an entry stays valid for every later use.
-        key = (tag, id(x))
-        hit = self._memo.get(key)
-        if hit is None or hit[0]() is not x:
-            hit = self._memo[key] = (weakref.ref(x), compute(x))
-        return hit[1]
-
-    def eigvalsh(self, x: np.ndarray) -> np.ndarray:
-        return self.memo("eigvalsh", x, super().eigvalsh)
-
     def pd_eig(self, x: np.ndarray, message: str) -> EigenPair:
         """Rows that are not positive definite die and get eigenvalues 1."""
-        pair = self.memo("sym_eig", x, self._sym_eig)
+        pair = self.memo("sym_eig", self._sym_eig, x)
         bad = pair.lam[..., -1] <= 0.0
         self.kill(bad)
         return EigenPair(q=pair.q, lam=np.where(bad[..., None], 1.0, pair.lam))
-
-    def inv_sqrt(self, x: np.ndarray) -> np.ndarray:
-        return self.memo("inv_sqrt", x, super().inv_sqrt)
 
     def require(self, lam: np.ndarray, message: str) -> None:
         self.kill(lam[..., -1] <= 0.0)
@@ -579,8 +632,7 @@ def eval_distance(x, y, *, rows=POINT):
 
 
 def _distance(x, y, rows):
-    y_inv_sq = rows.inv_sqrt(y)
-    w = _eig_nogate(rows.finite(y_inv_sq @ x @ y_inv_sq))
+    w = rows.whiten(x, y)[1]
     rows.require(w.lam, "distance requires positive definite arguments")
     return rows.map(_distance_tail, w.lam)
 
@@ -696,13 +748,19 @@ def eval_abs(v) -> float:
     return float(abs(float(v)))
 
 
-# The evaluators that take ``rows``.  A set of functions, not of names, so
-# an atom re-registered under a built-in name with another evaluator is
-# evaluated per row, never by the built-in's code.
-STACKED = frozenset(
-    fn for name, fn in list(globals().items())
-    if name.startswith("eval_") and "rows" in (fn.__kwdefaults__ or ())
-)
+def _takes_rows(prefix: str) -> frozenset:
+    # A set of functions, not of names, so an atom re-registered under a
+    # built-in name with other functions never gets a policy.
+    return frozenset(
+        fn for name, fn in list(globals().items())
+        if name.startswith(prefix) and "rows" in (fn.__kwdefaults__ or ())
+    )
+
+
+# The evaluators that take ``rows``: an atom re-registered under a built-in
+# name with another evaluator is evaluated per row, never by the built-in's
+# code.
+STACKED = _takes_rows("eval_")
 
 
 # ---------------------------------------------------------------------------
@@ -736,11 +794,18 @@ def _top(k: int):
     return lambda lam: (np.arange(lam.size) < int(k)) * 1.0
 
 
-def _whitened_log(base, other) -> np.ndarray:
+def _whiten_nogate(x, y) -> tuple[np.ndarray, EigenPair]:
+    """``Y^-1/2`` and the eigenpairs of ``Y^-1/2 X Y^-1/2``, no gate on ``y``."""
+    _, inv_sq = _half_powers(_eig_nogate(_as_array(y)))
+    return inv_sq, _eig_nogate(inv_sq @ _as_array(x) @ inv_sq)
+
+
+def _whitened_log(base, other, rows) -> np.ndarray:
     """``B^(-1/2) log(B^(-1/2) A B^(-1/2)) B^(-1/2)`` for ``base`` B, ``other`` A."""
-    # both arguments passed the evaluator's checks on the forward pass
-    _, inv_sq = _half_powers(_eig_nogate(_as_array(base)))
-    inner = _eig_nogate(inv_sq @ _as_array(other) @ inv_sq)
+    # Both arguments passed the evaluator's checks on the forward pass, so
+    # nothing is gated here; a memo hands on the forward pass's whitening
+    # of ``other`` by ``base`` when the evaluator made it.
+    inv_sq, inner = rows.memo("whiten", _whiten_nogate, other, base)
     frame = inv_sq @ inner.q
     return _sym((frame * np.log(inner.lam)) @ frame.T)
 
@@ -767,7 +832,7 @@ def vjp_sdivergence(g, out, wrt, x, y):
     )
 
 
-def vjp_distance(g, out, wrt, x, y):
+def vjp_distance(g, out, wrt, x, y, *, rows=POINT):
     # d delta / dX = -X^-1/2 log(X^-1/2 Y X^-1/2) X^-1/2 / delta, 0 at delta = 0;
     # delta is symmetric in its arguments, and so is the rule.
     if out == 0.0:
@@ -775,8 +840,8 @@ def vjp_distance(g, out, wrt, x, y):
         return (zero, zero)
     scale = -g / out
     return (
-        scale * _whitened_log(x, y) if wrt[0] else None,
-        scale * _whitened_log(y, x) if wrt[1] else None,
+        scale * _whitened_log(x, y, rows) if wrt[0] else None,
+        scale * _whitened_log(y, x, rows) if wrt[1] else None,
     )
 
 
@@ -873,3 +938,8 @@ def vjp_pow(g, out, wrt, v, p):
 
 def vjp_abs(g, out, wrt, v):
     return (g * float(np.sign(float(v))),)
+
+
+# The vector-Jacobian products that take ``rows``, the policy their
+# evaluator ran under, and read their forward residuals from it.
+RESIDUAL_VJPS = _takes_rows("vjp_")

@@ -342,6 +342,42 @@ solver: {grad_tol: 1.0e-6}
         assert code == 0
 
 
+class TestTracerContract:
+    def test_wrapped_layer_boundaries_keep_the_solve_report(self, capsys, monkeypatch):
+        # A per-layer tracer replaces these attributes with pass-through
+        # wrappers, ``evaluate`` as ``(e, env)`` and the others as
+        # ``(*args, **kwargs)``; the solve must call through them unchanged.
+        import geocert.cli
+        import geocert.solver
+        import geocert.spd
+
+        argv = ["solve", str(PROBLEMS / "karcher.yaml")]
+        expected = run_main(capsys, argv)
+        seen = []
+
+        def wrap(fn, name):
+            def traced(*args, **kwargs):
+                seen.append(name)
+                return fn(*args, **kwargs)
+            return traced
+
+        evaluate = geocert.cli.evaluate
+
+        def traced_evaluate(e, env):
+            seen.append("evaluate")
+            return evaluate(e, env)
+
+        monkeypatch.setattr(geocert.cli, "evaluate", traced_evaluate)
+        monkeypatch.setattr(geocert.cli, "gradient_descent",
+                            wrap(geocert.cli.gradient_descent, "gradient_descent"))
+        monkeypatch.setattr(geocert.solver.Objective, "gradient",
+                            wrap(geocert.solver.Objective.gradient, "gradient"))
+        monkeypatch.setattr(geocert.spd, "distance", wrap(geocert.spd.distance, "distance"))
+        assert run_main(capsys, argv) == expected
+        assert expected[0] == 0
+        assert {"gradient_descent", "gradient"} <= set(seen)
+
+
 class TestDeterminism:
     def _run(self, argv, cwd):
         return subprocess.run(

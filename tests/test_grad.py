@@ -272,3 +272,31 @@ class TestReversePass:
                 gc.value_and_grad(e, {"X": np.eye(2)})
         finally:
             gc.unregister_atom("plain_trace")
+
+
+def test_decompositions_per_karcher_evaluation(monkeypatch):
+    # A k-anchor Karcher objective decomposes X once and each whitened
+    # anchor once per evaluation; a bound SPDMatrix lends its decomposition
+    # of X, and the gradient after an evaluation reads that evaluation's.
+    anchors = [gc.random_spd(5, 100.0, 60 + i) for i in range(3)]
+    obj = gc.make_karcher_problem(anchors, [0.2, 0.3, 0.5])
+    point = gc.random_spd(5, 10.0, 70)
+    raw = point.entries.copy()
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    def count(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert count(gc.evaluate, obj.expression, {"X": raw}) == 4
+    assert count(gc.evaluate, obj.expression, {"X": point}) == 3
+    assert count(gc.value_and_grad, obj.expression, {"X": raw}) == 4
+    assert count(obj._value_at, raw, point.eig) == 3
+    assert count(obj.gradient, raw) == 0
