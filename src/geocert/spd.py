@@ -352,8 +352,8 @@ def random_spd(d: int, cond_max: float = 10.0, rng_seed=0) -> SPDMatrix:
     """
     if d < 1:
         raise RangeError(f"dimension must be >= 1, got {d}")
-    if cond_max < 1.0:
-        raise RangeError(f"cond_max must be >= 1, got {cond_max}")
+    if not 1.0 <= cond_max < math.inf:
+        raise RangeError(f"cond_max must be finite and >= 1, got {cond_max}")
     rng = _as_generator(rng_seed)
     return SPDMatrix(_random_spd_raw(d, float(cond_max), rng))
 

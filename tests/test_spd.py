@@ -221,6 +221,11 @@ class TestRandomSPD:
         with pytest.raises(RangeError):
             gc.random_spd(2, 0.5, 1)
 
+    @pytest.mark.parametrize("cond", [math.inf, math.nan])
+    def test_non_finite_cond_rejected(self, cond):
+        with pytest.raises(RangeError, match="finite"):
+            gc.random_spd(3, cond)
+
 
 class TestEvalAtom:
     def test_sdivergence_zero(self):
