@@ -525,6 +525,10 @@ class Rows(Memo):
         self.kill(bad)
         return EigenPair(q=pair.q, lam=np.where(bad[..., None], 1.0, pair.lam))
 
+    # No vector-Jacobian product reads a stacked walk, so it keeps no
+    # whitening: each would hold stacks for the whole walk.
+    whiten = _Point.whiten
+
     def require(self, lam: np.ndarray, message: str) -> None:
         self.kill(lam[..., -1] <= 0.0)
 
