@@ -34,7 +34,7 @@ from .errors import (
 from .expr import GCurvature, evaluate
 from .oracle import FuzzConfig, cross_validate
 from .problems import LoadedProblem, load_problem
-from .solver import _expression_objective, gradient_descent
+from .solver import _ExpressionObjective, gradient_descent
 
 DEFAULT_SEED = 0
 
@@ -100,28 +100,27 @@ def cmd_analyze(args) -> int:
     return EXIT_OK if report.gcurvature in _CERTIFIED else EXIT_UNCERTIFIED
 
 
+def _chosen(block: dict, casts: dict, **flags) -> dict:
+    """Each field of ``casts`` that its flag, or else the file's ``block``, sets, cast.
+
+    A field set by neither is left out, so the callee's own default applies.
+    """
+    return {key: cast(flags[key] if flags.get(key) is not None else block[key])
+            for key, cast in casts.items() if flags.get(key) is not None or key in block}
+
+
 def _fuzz_config(args, prob: LoadedProblem) -> FuzzConfig:
-    block = dict(prob.fuzz)
+    block = prob.fuzz
     seed = _seed_from(args, prob)
-    trials = args.trials if args.trials is not None else block.get("trials", 1000)
-    tol = args.tol if args.tol is not None else block.get("tol", 1e-9)
-    cond = args.cond if args.cond is not None else block.get("cond_max", 10.0)
-    tsamp = block.get("t_samples", 5)
     var_dims = {v.manifold.dim for v in prob.variables.values()}
     dim = args.dim if args.dim is not None else block.get("dim", min(var_dims))
     if dim not in var_dims:
         raise ProblemFileError(
             f"--dim {dim} conflicts with declared variable dimensions {sorted(var_dims)}"
         )
-    return FuzzConfig(
-        trials=int(trials),
-        dim=int(dim),
-        cond_max=float(cond),
-        t_samples=int(tsamp),
-        tol=float(tol),
-        seed=seed,
-        injected=prob.injected,
-    )
+    chosen = _chosen(block, {"trials": int, "cond_max": float, "t_samples": int, "tol": float},
+                     trials=args.trials, cond_max=args.cond, tol=args.tol)
+    return FuzzConfig(dim=int(dim), seed=seed, injected=prob.injected, **chosen)
 
 
 def cmd_fuzz(args) -> int:
@@ -179,20 +178,17 @@ def cmd_solve(args) -> int:
     if len(names) != 1:
         raise ProblemFileError("solve requires exactly one variable in the objective")
     name = names[0]
-    objective = _expression_objective(prob.expression, name, name, evaluate)
+    objective = _ExpressionObjective(prob.expression, name, name, evaluate)
     x0 = _initial_point(args, prob)
-    max_iter = args.max_iter if args.max_iter is not None else int(prob.solver.get("max_iter", 500))
-    grad_tol = args.grad_tol if args.grad_tol is not None else float(prob.solver.get("grad_tol", 1e-8))
+    chosen = _chosen(prob.solver, {"max_iter": int, "grad_tol": float},
+                     max_iter=args.max_iter, grad_tol=args.grad_tol)
+    stagnated = False
     try:
-        result = gradient_descent(objective, x0, max_iter=max_iter, grad_tol=grad_tol)
+        result = gradient_descent(objective, x0, **chosen)
     except StagnationError as exc:
-        result = exc.partial
-        doc["solve"] = result.to_dict()
-        doc["solve"]["stagnated"] = True
-        _emit(doc, args.out)
-        return EXIT_NO_CONVERGENCE
-    doc["solve"] = result.to_dict()
-    doc["solve"]["stagnated"] = False
+        result, stagnated = exc.partial, True
+    # A stagnated solve's partial result is never converged.
+    doc["solve"] = dict(result.to_dict(), stagnated=stagnated)
     _emit(doc, args.out)
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 

@@ -17,7 +17,10 @@ evaluation.  The line search keeps the forward pass of the step it
 accepts, and the Euclidean gradient there is one backward pass over that
 tape (``expr._backward``).  Objectives without a gradient fall back to
 central finite differences over the symmetric basis; results are flagged
-when the fallback was used.
+when the fallback was used.  Every objective built from an expression is
+an ``_ExpressionObjective``, whether a problem constructor or ``geocert
+solve`` made it; the latter injects its module's ``evaluate``, so a wrapper
+installed there sees the finite-difference evaluations.
 """
 
 from __future__ import annotations
@@ -77,7 +80,16 @@ class Objective:
 
 
 class _ExpressionObjective(Objective):
-    """An objective that evaluates ``expression`` in its one variable.
+    """An objective that evaluates ``expression`` in its one variable ``var``.
+
+    Every objective built from an expression is one of these: the problem
+    constructors below and ``geocert solve`` call this class directly.  Its
+    gradient comes from one reverse-mode pass through ``expression``, or
+    from finite differences when some atom has no vector-Jacobian product.
+    ``evaluator`` calls ``evaluate``: ``geocert solve`` passes the one of
+    its own module, so a wrapper installed there (the benchmark's per-layer
+    tracer) sees the finite-difference evaluations.  The line search runs
+    its own forward passes.
 
     ``_value_at`` runs one forward pass under a memo seeded with ``eig`` and
     keeps it; the next ``gradient`` at that same array is one backward pass
@@ -85,7 +97,7 @@ class _ExpressionObjective(Objective):
     solver calls ``_value_at``, and it never writes to the arrays it passes.
     """
 
-    def __init__(self, expression: Expression, var: str, name: str, evaluate: Callable):
+    def __init__(self, expression: Expression, var: str, name: str, evaluate: Callable = evaluate):
         def evaluator(x):
             return evaluate(expression, {var: x})
 
@@ -130,6 +142,11 @@ class SolveResult:
         }
 
 
+def fd_directional(fn, x: np.ndarray, direction: np.ndarray, h: float) -> float:
+    """Central finite difference of ``fn`` at ``x`` along a symmetric direction."""
+    return (fn(x + h * direction) - fn(x - h * direction)) / (2.0 * h)
+
+
 def finite_difference_gradient(fn, x: np.ndarray) -> np.ndarray:
     """Central-difference Euclidean gradient over the symmetric basis."""
     x = np.asarray(x, dtype=float)
@@ -143,13 +160,8 @@ def finite_difference_gradient(fn, x: np.ndarray) -> np.ndarray:
                 delta[i, i] = 1.0
             else:
                 delta[i, j] = delta[j, i] = 0.5
-            g[i, j] = g[j, i] = (fn(x + h * delta) - fn(x - h * delta)) / (2.0 * h)
+            g[i, j] = g[j, i] = fd_directional(fn, x, delta, h)
     return g
-
-
-def fd_directional(fn, x: np.ndarray, direction: np.ndarray, h: float) -> float:
-    """Central finite difference of ``fn`` at ``x`` along a symmetric direction."""
-    return (fn(x + h * direction) - fn(x - h * direction)) / (2.0 * h)
 
 
 def riemannian_grad(obj: Objective, x) -> np.ndarray:
@@ -168,12 +180,7 @@ def riemannian_grad_norm(x, xi) -> float:
     return float(np.linalg.norm(spd._sym(c)))
 
 
-def gradient_descent(
-    obj: Objective,
-    x0,
-    max_iter: int = 500,
-    grad_tol: float = 1e-8,
-) -> SolveResult:
+def gradient_descent(obj: Objective, x0, max_iter: int = 500, grad_tol: float = 1e-8) -> SolveResult:
     """Minimize ``obj`` from ``x0`` by geodesic gradient descent.
 
     Stops when the Riemannian gradient norm drops below ``grad_tol`` or after
@@ -187,25 +194,19 @@ def gradient_descent(
     f0 = obj._value_at(x, point.eig)
     if not math.isfinite(f0):
         raise DomainError("objective is not finite at the starting point")
-    used_fd = not obj.has_analytic_gradient
     trajectory = [f0]
-    gnorm = math.inf
-    iterations = 0
-    converged = False
-    for _ in range(max_iter):
+    stagnated = False
+    while True:
         x_sq, x_inv_sq = spd._half_powers(point.eig)
         xi = riemannian_grad(obj, x)
         c = spd._sym(x_inv_sq @ xi @ x_inv_sq)
         gnorm = float(np.linalg.norm(c))
-        if gnorm <= grad_tol:
-            converged = True
+        if gnorm <= grad_tol or len(trajectory) - 1 >= max_iter:
             break
         # One decomposition of the scaled direction serves every step size.
-        cq_pair = np.linalg.eigh(c)
-        mu, u = cq_pair
+        mu, u = np.linalg.eigh(c)
         frame = x_sq @ u
         alpha = INITIAL_STEP
-        accepted = False
         # Below this, the Armijo decrease is smaller than evaluator roundoff;
         # any strict decrease is then accepted so terminal iterations can
         # still drive the gradient norm under tight tolerances.
@@ -224,60 +225,27 @@ def gradient_descent(
             if math.isfinite(fc) and fc < f0 and (
                 fc <= f0 - SUFFICIENT_DECREASE * expected or expected <= noise
             ):
-                accepted = True
                 break
             alpha *= BACKTRACK
-        if not accepted:
-            partial = SolveResult(
-                minimizer=point,
-                value=f0,
-                grad_norm=gnorm,
-                iterations=iterations,
-                converged=False,
-                trajectory=tuple(trajectory),
-                used_fd_gradient=used_fd,
-            )
-            raise StagnationError(
-                f"line search made no progress after {MAX_HALVINGS} halvings", partial=partial
-            )
-        x = candidate
-        point = trial
-        f0 = fc
+        else:
+            stagnated = True
+            break
+        x, point, f0 = candidate, trial, fc
         trajectory.append(f0)
-        iterations += 1
-    else:
-        # max_iter exhausted; recompute the gradient norm at the final point.
-        xi = riemannian_grad(obj, x)
-        gnorm = riemannian_grad_norm(point, xi)
-        converged = gnorm <= grad_tol
-    return SolveResult(
-        minimizer=point,
-        value=f0,
-        grad_norm=gnorm,
-        iterations=iterations,
-        converged=converged,
-        trajectory=tuple(trajectory),
-        used_fd_gradient=used_fd,
-    )
+    result = SolveResult(minimizer=point, value=f0, grad_norm=gnorm,
+                         iterations=len(trajectory) - 1, converged=gnorm <= grad_tol,
+                         trajectory=tuple(trajectory),
+                         used_fd_gradient=not obj.has_analytic_gradient)
+    if stagnated:
+        raise StagnationError(
+            f"line search made no progress after {MAX_HALVINGS} halvings", partial=result
+        )
+    return result
 
 
 # ---------------------------------------------------------------------------
 # Problem constructors
 # ---------------------------------------------------------------------------
-
-
-def _expression_objective(expr: Expression, var: str, name: str,
-                          evaluate: Callable = evaluate) -> Objective:
-    """An objective that evaluates ``expr`` in its one variable ``var``.
-
-    Its gradient comes from one reverse-mode pass through ``expr``, or from
-    finite differences when some atom has no vector-Jacobian product.
-    ``evaluator`` calls ``evaluate``: ``geocert solve`` passes the one of
-    its own module, so a wrapper installed there (the benchmark's per-layer
-    tracer) sees the finite-difference evaluations.  The line search runs
-    its own forward passes.
-    """
-    return _ExpressionObjective(expr, var, name, evaluate)
 
 
 def make_matrix_sqrt_problem(a) -> Objective:
@@ -294,7 +262,7 @@ def make_matrix_sqrt_problem(a) -> Objective:
         apply_atom("sdivergence", [x_var, make_const_matrix(a_mat.entries, Definiteness.PD, name="A")]),
         apply_atom("sdivergence", [x_var, make_const_matrix(np.eye(d), Definiteness.PD, name="I")]),
     ))
-    return _expression_objective(expr, "X", "matrix_sqrt")
+    return _ExpressionObjective(expr, "X", "matrix_sqrt")
 
 
 def make_karcher_problem(mats, weights) -> Objective:
@@ -320,7 +288,7 @@ def make_karcher_problem(mats, weights) -> Objective:
         for i, m in enumerate(anchors)
     ]
     expr = Add(tuple(terms), tuple(float(w) for w in ws))
-    return _expression_objective(expr, "X", "karcher")
+    return _ExpressionObjective(expr, "X", "karcher")
 
 
 def make_brascamp_lieb_problem(maps, weights) -> Objective:
@@ -346,7 +314,7 @@ def make_brascamp_lieb_problem(maps, weights) -> Objective:
     ]
     terms.append(apply_atom("logdet", [x_var]))
     expr = Add(tuple(terms), tuple(float(w) for w in ws) + (-1.0,))
-    return _expression_objective(expr, "X", "brascamp_lieb")
+    return _ExpressionObjective(expr, "X", "brascamp_lieb")
 
 
 def make_tyler_problem(samples) -> Objective:
@@ -373,4 +341,4 @@ def make_tyler_problem(samples) -> Objective:
     terms = [apply_atom("log_quad_form", [v, inv_s]) for v in xs]
     terms.append(apply_atom("logdet", [s_var]))
     expr = Add(tuple(terms), (1.0 / n,) * n + (1.0 / d,))
-    return _expression_objective(expr, "Sigma", "tyler")
+    return _ExpressionObjective(expr, "Sigma", "tyler")

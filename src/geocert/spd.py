@@ -236,8 +236,9 @@ def _geodesic_inputs(a, b) -> tuple[np.ndarray, np.ndarray]:
     b_arr = _as_array(b)
     if a_arr.shape != b_arr.shape:
         raise ShapeError(f"dimension mismatch: {a_arr.shape} vs {b_arr.shape}")
-    if not isinstance(a, SPDMatrix):
-        _check_symmetric_square(a_arr)
+    for m, arr in ((a, a_arr), (b, b_arr)):
+        if not isinstance(m, SPDMatrix):
+            _check_symmetric_square(arr)
     return a_arr, b_arr
 
 

@@ -335,6 +335,13 @@ solver: {grad_tol: 1.0e-6}
         assert code == 4
         assert json.loads(out)["solve"]["converged"] is False
 
+    def test_zero_max_iter_exit_4(self, capsys):
+        code, out, _ = run_main(capsys, ["solve", str(PROBLEMS / "karcher.yaml"), "--max-iter", "0"])
+        assert code == 4
+        solve = json.loads(out)["solve"]
+        assert solve["iterations"] == 0 and len(solve["trajectory"]) == 1
+        assert solve["converged"] is False and solve["stagnated"] is False
+
     def test_x0_file(self, capsys, tmp_path):
         np.savetxt(tmp_path / "x0.csv", 2.0 * np.eye(2), delimiter=",")
         path = write(tmp_path, "ms.yaml", MATRIX_SQRT_2D)
@@ -376,6 +383,25 @@ class TestTracerContract:
         assert run_main(capsys, argv) == expected
         assert expected[0] == 0
         assert {"gradient_descent", "gradient"} <= set(seen)
+
+    def test_tracer_patches_existing_names_and_restores_them(self, monkeypatch):
+        # The benchmark's tracer looks up each attribute it wraps by name, so
+        # renaming one fails here, not only in a traced benchmark run.
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        from tracer import Tracer
+
+        tracer = Tracer()
+        patched = []
+        try:
+            tracer.install()
+            patched = list(tracer._patches)
+            for owner, attr, original in patched:
+                assert getattr(owner, attr) is not original, attr
+        finally:
+            tracer.uninstall()
+        assert patched
+        for owner, attr, original in patched:
+            assert getattr(owner, attr) is original, attr
 
 
 class TestDeterminism:

@@ -329,6 +329,12 @@ class TestTrialEdgeCases:
         with pytest.raises(RangeError):
             gc.check_gconvex(spd.eval_tr, replace(cfg, injected=((pair, pair),)))
 
+    def test_injected_asymmetric_second_endpoint_raises(self):
+        asym = np.array([[1.0, 0.5], [0.0, 1.0]])
+        cfg = gc.FuzzConfig(trials=3, dim=2, seed=4, injected=((np.eye(2), asym),))
+        with pytest.raises(ShapeError):
+            gc.check_gconvex(spd.eval_tr, cfg)
+
     @pytest.mark.parametrize("check", ["gconvex", "econvex", "monotone"])
     def test_half_skipped_passes_one_more_is_inconclusive(self, check):
         f = _raise_on_diagonal(spd.eval_tr)

@@ -88,6 +88,42 @@ class TestGradientDescent:
         assert err.value.partial is not None
         assert err.value.partial.converged is False
 
+    def test_stagnation_partial_is_the_point_where_the_search_failed(self):
+        # tr(X) with its true gradient for two steps, then a negated one that
+        # points uphill, so the third line search finds no decrease
+        calls = []
+
+        def grad(x):
+            calls.append(None)
+            return np.eye(3) if len(calls) <= 2 else -np.eye(3)
+
+        obj = gc.Objective(lambda x: float(np.trace(x)), grad)
+        with pytest.raises(gc.StagnationError) as err:
+            gc.gradient_descent(obj, np.diag([1.0, 2.0, 3.0]))
+        part = err.value.partial
+        assert part.iterations == 2 and len(part.trajectory) == 3
+        assert part.trajectory[-1] == part.value == float(np.trace(part.minimizer.entries))
+        uphill = gc.Objective(obj.evaluator, lambda x: -np.eye(3))
+        xi = gc.riemannian_grad(uphill, part.minimizer)
+        assert part.grad_norm == gc.riemannian_grad_norm(part.minimizer, xi)
+        assert part.converged is False
+
+    @pytest.mark.parametrize("make", [
+        lambda: gc.Objective(lambda x: float(np.trace(x)) - spd.eval_logdet(x)),
+        lambda: gc.make_karcher_problem([gc.random_spd(3, 10.0, 1), gc.random_spd(3, 10.0, 2)],
+                                        [0.5, 0.5]),
+    ], ids=["fd-gradient", "karcher"])
+    @pytest.mark.parametrize("grad_tol", [1e-8, 1e3])
+    def test_zero_max_iter_reports_the_start(self, make, grad_tol):
+        obj = make()
+        x0 = gc.random_spd(3, 10.0, 3).entries
+        res = gc.gradient_descent(obj, x0, max_iter=0, grad_tol=grad_tol)
+        assert res.iterations == 0
+        assert res.trajectory == (obj.evaluator(x0),)
+        expected = gc.riemannian_grad_norm(x0, gc.riemannian_grad(obj, x0))
+        assert res.grad_norm == expected
+        assert res.converged is (expected <= grad_tol)
+
     def test_exit_on_max_iter(self):
         obj = gc.make_matrix_sqrt_problem(np.diag([4.0, 9.0]))
         res = gc.gradient_descent(obj, np.eye(2), max_iter=2, grad_tol=1e-12)

@@ -108,6 +108,22 @@ class TestGeodesic:
         with pytest.raises(RangeError):
             gc.geodesic(a, a, 1.5)
 
+    @pytest.mark.parametrize("path", [
+        lambda a, b: gc.geodesic_path(a, b),
+        lambda a, b: gc.geodesic(a, b, 0.5),
+        lambda a, b: gc.geometric_mean(a, b),
+    ], ids=["geodesic_path", "geodesic", "geometric_mean"])
+    def test_both_endpoints_gated(self, path):
+        good = np.eye(2)
+        asym = np.array([[2.0, 0.5], [0.0, 1.0]])
+        nan = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        for a, b in ((asym, good), (good, asym)):
+            with pytest.raises(ShapeError):
+                path(a, b)
+        for a, b in ((nan, good), (good, nan)):
+            with pytest.raises(DomainError):
+                path(a, b)
+
     def test_matches_independent_oracle(self):
         a = np.asarray(gc.random_spd(4, 30.0, 6))
         b = np.asarray(gc.random_spd(4, 30.0, 7))
