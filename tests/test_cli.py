@@ -403,6 +403,20 @@ class TestTracerContract:
         for owner, attr, original in patched:
             assert getattr(owner, attr) is original, attr
 
+    def test_clear_point_caches_empties_the_oracle_caches(self, monkeypatch):
+        # The benchmark resets these caches by name before each fuzz run; a
+        # rename would make the reset a no-op and problem-files time cache hits.
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        from workloads import clear_point_caches
+
+        cfg = gc.FuzzConfig(trials=8, dim=2, seed=1)
+        gc.check_gconvex(lambda m: float(np.trace(m)), cfg)
+        gc.check_monotone_loewner(lambda m: float(np.trace(m)), "increasing", cfg)
+        caches = (gc.oracle._cached_points, gc.oracle._cached_ordered_pair)
+        assert all(c.cache_info().currsize for c in caches)
+        clear_point_caches()
+        assert [c.cache_info().currsize for c in caches] == [0, 0]
+
 
 class TestDeterminism:
     def _run(self, argv, cwd):

@@ -334,6 +334,9 @@ def _atom_trees(x, y, d, rng):
         gc.Mul((tr, logdet)), -2.0 * logdet, gc.ConstScalar(0.25),
         gc.Add((tr, logdet, atom("eigmax", [x])), (0.5, -1.0, 2.0))))
     yield "constant subtree", tr + atom("logdet", [a]) * atom("eigmax", [a])
+    yield "constant subtree kills every row", tr + atom("log", [atom("tr", [a]) - 100.0])
+    yield "per-row atom over a constant", tr + atom("pow", [atom("tr", [a]), 2.0])
+    yield "max over constants", gc.MaxOf((tr, gc.ConstScalar(3.0), atom("logdet", [a])))
 
 
 class TestEvaluateStacked:
@@ -406,6 +409,10 @@ class TestEvaluateStacked:
             e = gc.apply_atom("type_name_length", [gc.apply_atom("numpy_square", [inner])]) + inner
             env = {"X": _mixed_stack(3, np.random.default_rng(3))}
             assert set(_assert_matches_pointwise(e, env)) == {"value", "domain"}
+            # The same over a constant subtree, which has one value for every row.
+            a = gc.make_const_matrix(np.asarray(gc.random_spd(3, 10.0, 3)), "PD", name="A")
+            square = gc.apply_atom("numpy_square", [2.0 + gc.apply_atom("tr", [a])])
+            _assert_matches_pointwise(gc.apply_atom("type_name_length", [square]) + inner, env)
             # max keeps its first option unless a later one is strictly greater,
             # so a NaN wins only in front.
             nan, tr = gc.apply_atom("nan_below", [x]), gc.apply_atom("tr", [x])
@@ -414,6 +421,30 @@ class TestEvaluateStacked:
         finally:
             for name in sigs:
                 gc.unregister_atom(name)
+
+    def test_atoms_may_write_into_their_argument_per_point(self):
+        # A stacked walk shares each value among rows, so a write raises there
+        # and the block runs point by point, where the value is the atom's own.
+        def scribble(m):
+            m[0, 0] += 1.0
+            return float(np.trace(m))
+
+        sig = gc.AtomSignature("scribble_trace", (gc.ArgKind.MANIFOLD,), "scalar", gc.Sign.ANY,
+                               gc.GCurvature.UNKNOWN, gc.GMonotonicity.ANY,
+                               gc.ECurvature.UNKNOWN)
+        gc.register_atom(sig, scribble)
+        try:
+            x = gc.Variable("X", gc.SPD(3))
+            e = gc.apply_atom("scribble_trace", [gc.apply_atom("inv", [x])])
+            with pytest.raises(gc.spd.Undecided):
+                _evaluate_stacked(e, {"X": _mixed_stack(3, np.random.default_rng(6))},
+                                  np.ones(18, dtype=bool))
+            cfg = gc.FuzzConfig(trials=64, dim=3, cond_max=10.0, seed=5)
+            stacked = gc.cross_validate(e, cfg).checks["geodesic-convexity"]
+            pointwise = gc.check_gconvex(lambda m: gc.evaluate(e, {"X": m}), cfg)
+            assert stacked.to_dict() == pointwise.to_dict()
+        finally:
+            gc.unregister_atom("scribble_trace")
 
     def test_other_errors_fall_back_to_the_pointwise_error(self):
         def picky(m):
