@@ -74,9 +74,9 @@ def _problem_header(prob: LoadedProblem) -> dict:
 
 def _seed_from(args, prob: LoadedProblem) -> int:
     if getattr(args, "seed", None) is not None:
-        return int(args.seed)
+        return args.seed
     if "seed" in prob.fuzz:
-        return int(prob.fuzz["seed"])
+        return prob.fuzz["seed"]
     env = os.environ.get("GEOCERT_SEED")
     if env is not None:
         try:
@@ -100,13 +100,13 @@ def cmd_analyze(args) -> int:
     return EXIT_OK if report.gcurvature in _CERTIFIED else EXIT_UNCERTIFIED
 
 
-def _chosen(block: dict, casts: dict, **flags) -> dict:
-    """Each field of ``casts`` that its flag, or else the file's ``block``, sets, cast.
+def _chosen(block: dict, keys, **flags) -> dict:
+    """Each of ``keys`` that its flag, or else the file's ``block``, sets.
 
     A field set by neither is left out, so the callee's own default applies.
     """
-    return {key: cast(flags[key] if flags.get(key) is not None else block[key])
-            for key, cast in casts.items() if flags.get(key) is not None or key in block}
+    return {key: flags[key] if flags.get(key) is not None else block[key]
+            for key in keys if flags.get(key) is not None or key in block}
 
 
 def _fuzz_config(args, prob: LoadedProblem) -> FuzzConfig:
@@ -118,9 +118,9 @@ def _fuzz_config(args, prob: LoadedProblem) -> FuzzConfig:
         raise ProblemFileError(
             f"--dim {dim} conflicts with declared variable dimensions {sorted(var_dims)}"
         )
-    chosen = _chosen(block, {"trials": int, "cond_max": float, "t_samples": int, "tol": float},
+    chosen = _chosen(block, ("trials", "cond_max", "t_samples", "tol"),
                      trials=args.trials, cond_max=args.cond, tol=args.tol)
-    return FuzzConfig(dim=int(dim), seed=seed, injected=prob.injected, **chosen)
+    return FuzzConfig(dim=dim, seed=seed, injected=prob.injected, **chosen)
 
 
 def cmd_fuzz(args) -> int:
@@ -180,7 +180,7 @@ def cmd_solve(args) -> int:
     name = names[0]
     objective = _ExpressionObjective(prob.expression, name, name, evaluate)
     x0 = _initial_point(args, prob)
-    chosen = _chosen(prob.solver, {"max_iter": int, "grad_tol": float},
+    chosen = _chosen(prob.solver, ("max_iter", "grad_tol"),
                      max_iter=args.max_iter, grad_tol=args.grad_tol)
     stagnated = False
     try:

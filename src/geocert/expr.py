@@ -6,13 +6,14 @@ vector-Jacobian products registered beside each atom's evaluator.  Both
 run one forward pass (``_forward``) under a ``spd.Memo``, so each input
 array is decomposed once per evaluation; a gradient is a backward pass
 (``_backward``) over that pass's tape, which the solver keeps from its
-line search.  For the
-falsifier, ``_evaluate_stacked`` evaluates a tree at a whole stack of
-points in one walk: atoms whose evaluator is in ``spd.STACKED`` get the
-whole stack and a ``spd.Rows`` and decompose it in one call, the rest
-(scalar atoms, user atoms) run their evaluator once per point, and each
-point gets the value, or the ``DomainError`` outcome, that ``evaluate``
-gives it.
+line search.  For the falsifier, ``_evaluate_stacked`` evaluates a tree
+at a whole stack of points in one walk: atoms whose evaluator is in
+``spd.STACKED`` get the whole stack and a ``spd.Rows`` and decompose it in
+one call, the rest (scalar atoms, user atoms) run their evaluator once per
+point, and each point gets the value, or the ``DomainError`` outcome, that
+``evaluate`` gives it.  Both are one walk, ``_Walk``, with two row
+policies (``spd.Memo``, ``spd.Rows``); ``_StackedWalk`` only overrides how
+it reads a variable, keeps a combinator's result and calls an atom.
 
 Expressions are plain trees: variables and constants at the leaves,
 arithmetic combinators and atom applications inside.  Fixed atom parameters
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, NamedTuple
@@ -798,16 +798,68 @@ def _ordered_args(e: AtomApply, arg_vals) -> list:
     ]
 
 
-def _node_value(e: Expression, child_vals: list, env: dict, rows: spd.Memo):
-    """The value of one node given the values of its children.
+class _Walk:
+    """One post-order evaluation of a tree at one point; each node is evaluated once.
 
-    Evaluators in ``spd.STACKED`` get ``rows``, the memo of the evaluation;
-    a variable bound to an ``SPDMatrix`` seeds it with that matrix's
-    decomposition.
+    Calling it on a node evaluates the node's subtree, keeping each value by
+    node identity in ``values`` and the nodes in post-order in ``order``.
+    ``_node_value`` holds the only copy of the combinators' arithmetic,
+    which numpy broadcasting serves for floats and ``(n,)`` stacks alike;
+    the hooks ``_variable``, ``_scalar`` and ``_atom`` hold what a stacked
+    walk does differently, and the row policy ``rows`` the rest (here the
+    evaluation's ``spd.Memo``).  Values stay writable, as an evaluator
+    called on its own finds its arguments: no other row shares them, so a
+    user atom may write into one.
     """
-    if isinstance(e, Variable):
+
+    def __init__(self, env: dict, rows: spd.Memo):
+        self.env = env
+        self.rows = rows
+        self.values: dict[int, object] = {}
+        self.order: list[Expression] = []
+
+    def __call__(self, node: Expression):
+        key = id(node)
+        if key not in self.values:
+            kids = [self(c) for c in node.children()]
+            self.values[key] = self._node_value(node, kids)
+            self.order.append(node)
+        return self.values[key]
+
+    def _node_value(self, e: Expression, kids: list):
+        """The value of one node given the values of its children."""
+        if isinstance(e, Variable):
+            return self._variable(e)
+        if isinstance(e, ConstMatrix):
+            return e.values
+        if isinstance(e, ConstScalar):
+            return e.value
+        if isinstance(e, AtomApply):
+            return self._atom(e, atom_evaluator(e.sig.id), _ordered_args(e, kids))
+        if isinstance(e, Add):
+            out = 0.0  # as sum(), which starts from 0: 0 + (-0.0) is 0.0
+            for w, v in zip(e.weights, kids):
+                out = out + w * v
+        elif isinstance(e, ScalarMul):
+            out = e.weight * kids[0]
+        elif isinstance(e, Mul):
+            out = 1.0
+            for v in kids:
+                out = out * v
+        elif isinstance(e, MaxOf):
+            # As max(): a later option wins only when strictly greater, so a
+            # NaN option neither wins nor loses.
+            out = kids[0]
+            for v in kids[1:]:
+                out = np.where(v > out, v, out)
+        else:
+            raise ExpressionError(f"cannot evaluate node {type(e).__name__}")
+        return self._scalar(out)
+
+    def _variable(self, e: Variable):
+        """The bound value; an ``SPDMatrix`` seeds the memo with its decomposition."""
         try:
-            value = env[e.name]
+            value = self.env[e.name]
         except KeyError:
             raise ExpressionError(f"no value bound for variable '{e.name}'") from None
         arr = np.asarray(value, dtype=float)
@@ -816,28 +868,13 @@ def _node_value(e: Expression, child_vals: list, env: dict, rows: spd.Memo):
                 f"value for '{e.name}' has shape {arr.shape}, expected {(e.manifold.dim,) * 2}"
             )
         if isinstance(value, spd.SPDMatrix):
-            rows.seed(arr, value.eig)
+            self.rows.seed(arr, value.eig)
         return arr
-    if isinstance(e, ConstMatrix):
-        return e.values
-    if isinstance(e, ConstScalar):
-        return e.value
-    if isinstance(e, Add):
-        return float(sum(w * v for w, v in zip(e.weights, child_vals)))
-    if isinstance(e, ScalarMul):
-        return float(e.weight * child_vals[0])
-    if isinstance(e, Mul):
-        out = 1.0
-        for v in child_vals:
-            out *= v
-        return float(out)
-    if isinstance(e, MaxOf):
-        return float(max(child_vals))
-    if isinstance(e, AtomApply):
-        fn = atom_evaluator(e.sig.id)
-        args = _ordered_args(e, child_vals)
-        return fn(*args, rows=rows) if fn in spd.STACKED else fn(*args)
-    raise ExpressionError(f"cannot evaluate node {type(e).__name__}")
+
+    _scalar = float
+
+    def _atom(self, e: AtomApply, fn, args: list):
+        return fn(*args, rows=self.rows) if fn in spd.STACKED else fn(*args)
 
 
 class _Tape(NamedTuple):
@@ -852,18 +889,8 @@ class _Tape(NamedTuple):
 
 def _forward(e: Expression, env: dict, rows: spd.Memo) -> _Tape:
     """Evaluate ``e`` once per node, post-order, keeping what a backward pass reads."""
-    values: dict[int, object] = {}
-    order: list[Expression] = []
-
-    def visit(node):
-        key = id(node)
-        if key not in values:
-            child_vals = [visit(c) for c in node.children()]
-            values[key] = _node_value(node, child_vals, env, rows)
-            order.append(node)
-        return values[key]
-
-    return _Tape(visit(e), values, order, rows)
+    walk = _Walk(env, rows)
+    return _Tape(walk(e), walk.values, walk.order, rows)
 
 
 def evaluate(e: Expression, env: dict):
@@ -895,119 +922,66 @@ def _evaluate_stacked(e: Expression, env: dict, alive: np.ndarray):
     rows = spd.Rows(alive.copy())
     events = []
     modes = {k: "ignore" if v == "ignore" else "call" for k, v in np.geterr().items()}
-    with np.errstate(call=lambda *_: events.append(1), **modes):
-        values = _StackedWalk(e, env, rows).value(e)
+    try:
+        with np.errstate(call=lambda *_: events.append(1), **modes):
+            values = _StackedWalk(env, rows)(e)
+    except Exception as exc:  # Undecided, or what some row raises per point
+        raise spd.Undecided(f"the stacked walk raised {exc!r}") from None
     if events:
         raise spd.Undecided("a floating-point event under numpy's error settings")
     return values, rows.alive
 
 
-class _StackedWalk:
-    """One post-order walk of ``_evaluate_stacked``; each node is evaluated once.
+class _StackedWalk(_Walk):
+    """The walk of ``_evaluate_stacked``, under a ``spd.Rows``; each node is evaluated once.
 
     Scalar nodes hold ``(n,)`` float stacks, matrix nodes ``(n, d, d)``
-    stacks, or one ``(d, d)`` matrix for constant subtrees.  The scalar
-    combinators redo ``_node_value``'s arithmetic elementwise, in the same
-    order.  Atoms whose evaluator is in ``spd.STACKED`` call it once per
-    node with ``rows=self.rows``; all others call it once per alive row.
+    stacks; a subtree without variables may hold one float or one
+    ``(d, d)`` matrix for all rows, which numpy and ``spd.Rows`` broadcast.
+    Atoms whose evaluator is in ``spd.STACKED`` call it once per node with
+    ``rows=self.rows``; all others call it once per alive row.  Values are
+    read-only, so an evaluator that writes to its argument raises (and the
+    block falls back) instead of changing a value that other rows and nodes
+    share.
     """
 
-    def __init__(self, root: Expression, env: dict, rows: spd.Rows):
-        self.env = env
-        self.rows = rows
+    def __init__(self, env: dict, rows: spd.Rows):
+        super().__init__(env, rows)
         self.n = len(rows.alive)
-        self.values: dict[int, object] = {}
-        # Parents still to read each node's value; it is dropped at zero,
-        # so a walk holds few stacks at a time.
-        self.readers = Counter(id(c) for _, node in root.walk() for c in node.children())
         # Per-row results of atoms that are not plain floats (an evaluator
         # may return np.float64), handed on as they are to per-row atoms.
         self.objects: dict[int, list] = {}
 
-    def value(self, node: Expression):
-        key = id(node)
-        if key not in self.values:
-            if isinstance(node, Variable):
-                v = self.env.get(node.name)
-                if getattr(v, "shape", None) != (self.n, node.dim, node.dim):
-                    raise spd.Undecided(f"no stack of shape {(self.n, node.dim, node.dim)} "
-                                        f"for '{node.name}'")
-            else:
-                if not node.variables:
-                    v = self._constant(node)
-                else:
-                    v = self._combine(node, [self.value(c) for c in node.children()])
-                    for c in node.children():
-                        self.readers[id(c)] -= 1
-                        if not self.readers[id(c)]:
-                            del self.values[id(c)]
-                # Read-only, so an evaluator that writes to its argument
-                # raises (and the block falls back) instead of changing a
-                # value that other rows and nodes share.
-                v.setflags(write=False)
-            self.values[key] = v
-        return self.values[key]
+    def _variable(self, e: Variable):
+        v = self.env.get(e.name)
+        if getattr(v, "shape", None) != (self.n, e.dim, e.dim):
+            raise spd.Undecided(f"no stack of shape {(self.n, e.dim, e.dim)} for '{e.name}'")
+        return v
 
-    def _constant(self, node: Expression):
-        # A subtree without variables has one value for every row.
-        try:
-            v = evaluate(node, {})
-        except DomainError:
-            self.rows.kill(True)
-            v = 0.0 if node.kind == "scalar" else np.eye(node.dim)
-        except Exception:
-            raise spd.Undecided("constant subtree raised") from None
-        if node.kind != "scalar":
-            return v
-        if not isinstance(v, float):
-            raise spd.Undecided("constant subtree is not a float")
-        if type(v) is not float:
-            self.objects[id(node)] = [v] * self.n
-        return np.full(self.n, v)
+    def _scalar(self, v):
+        if np.ndim(v) == 0:  # every operand was one value for all rows
+            return float(v)
+        v.setflags(write=False)
+        return v
 
-    def _combine(self, node: Expression, kids: list):
-        if isinstance(node, Add):
-            out = np.zeros(self.n)  # sum() starts from 0: 0 + (-0.0) is 0.0
-            for w, v in zip(node.weights, kids):
-                out = out + w * v
-            return out
-        if isinstance(node, ScalarMul):
-            return node.weight * kids[0]
-        if isinstance(node, Mul):
-            out = np.ones(self.n)
-            for v in kids:
-                out = out * v
-            return out
-        if isinstance(node, MaxOf):
-            # Python max: a later option wins only when strictly greater,
-            # so a NaN option neither wins nor loses.
-            out = kids[0]
-            for v in kids[1:]:
-                out = np.where(v > out, v, out)
-            return out
-        if isinstance(node, AtomApply):
-            args = _ordered_args(node, kids)
-            fn = atom_evaluator(node.sig.id)
-            if fn not in spd.STACKED:
-                return self._per_row(node, fn, args)
-            try:
-                return fn(*args, rows=self.rows)
-            except spd.Undecided:
-                raise
-            except Exception:
-                raise spd.Undecided(f"stacked '{node.sig.id}' raised") from None
-        raise spd.Undecided(f"no stacked evaluation for {type(node).__name__}")
+    def _atom(self, e: AtomApply, fn, args: list):
+        out = fn(*args, rows=self.rows) if fn in spd.STACKED else self._per_row(e, fn, args)
+        out.setflags(write=False)
+        return out
 
     def _per_row(self, node: AtomApply, fn, args: list):
         """The evaluator ``fn`` called once per alive row, as per-point ``evaluate`` calls it."""
         kids = iter(node.children())
-        columns = []  # (slot, per-row values) of every expression argument
+        # (slot, per-row values) of each stacked argument; a float or a
+        # (d, d) matrix is one value that every row gets as it is.
+        columns = []
         for slot, (kind, arg) in enumerate(zip(node.sig.positions, args)):
             if kind not in EXPR_KINDS:
                 continue
             child = next(kids)
             if child.kind == "scalar":
-                columns.append((slot, self.objects.get(id(child)) or arg.tolist()))
+                if isinstance(arg, np.ndarray):
+                    columns.append((slot, self.objects.get(id(child)) or arg.tolist()))
             elif arg.ndim == 3:
                 columns.append((slot, arg))
         scalar = node.kind == "scalar"
@@ -1022,8 +996,6 @@ class _StackedWalk:
             except DomainError:
                 self.rows.alive[i] = False
                 continue
-            except Exception:
-                raise spd.Undecided(f"atom '{node.sig.id}' raised") from None
             if scalar and not isinstance(r, float):
                 raise spd.Undecided(f"atom '{node.sig.id}' did not return a float")
             if not scalar and not (type(r) is np.ndarray and r.dtype == np.float64

@@ -29,11 +29,13 @@ from .dsl import parse_dsl
 from .errors import GeocertError, ProblemFileError
 from .expr import Expression, Manifold, SPD, Variable, VariableScope
 
-_SOLVER_KEYS = {"max_iter", "grad_tol"}
+# Each key a block may hold, with the cast its value gets.
+_SOLVER_KEYS = {"max_iter": int, "grad_tol": float}
 # libyaml's parser when PyYAML was built with it: the same documents,
 # several times faster.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_FUZZ_KEYS = {"trials", "seed", "tol", "dim", "cond_max", "t_samples", "inject"}
+_FUZZ_KEYS = {"trials": int, "seed": int, "tol": float, "dim": int, "cond_max": float,
+              "t_samples": int, "inject": None}  # inject: checked where it is read
 
 
 @dataclass
@@ -157,15 +159,24 @@ def load_problem(path) -> LoadedProblem:
     )
 
 
-def _validated_block(block, allowed: set, p: Path, label: str) -> dict:
+def _validated_block(block, casts: dict, p: Path, label: str) -> dict:
+    """``block`` with each value cast as ``casts`` says; unknown keys are an error."""
     if block is None:
         return {}
     if not isinstance(block, dict):
         raise ProblemFileError(f"{p}: '{label}' must be a mapping")
-    unknown = set(block) - allowed
+    unknown = set(block) - set(casts)
     if unknown:
         raise ProblemFileError(f"{p}: unknown {label} keys {sorted(unknown)}")
-    return dict(block)
+    out = {}
+    for key, value in block.items():
+        cast = casts[key]
+        try:
+            out[key] = value if cast is None else cast(value)
+        except (TypeError, ValueError, OverflowError):
+            kind = "an integer" if cast is int else "a number"
+            raise ProblemFileError(f"{p}: {label}.{key} must be {kind}, got {value!r}") from None
+    return out
 
 
 def _resolve_point(spec, constants: dict, p: Path) -> np.ndarray:

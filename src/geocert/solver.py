@@ -300,12 +300,6 @@ def make_brascamp_lieb_problem(maps, weights) -> Objective:
     if ws.shape != (len(mats),):
         raise RangeError("one weight per map required")
     d = mats[0].shape[0]
-    for m in mats:
-        if m.ndim != 2 or m.shape[0] != d:
-            raise ExpressionError(f"maps must have {d} rows")
-        s = np.linalg.svd(m, compute_uv=False)
-        if s[-1] <= spd.RANK_RTOL * max(s[0], spd.PD_FLOOR):
-            raise ExpressionError("rank-deficient map")
     scope = VariableScope()
     x_var = scope.declare("X", SPD(d))
     terms = [

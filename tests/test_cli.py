@@ -99,6 +99,23 @@ fuzz:
             with pytest.raises(ProblemFileError):
                 load_problem(write(tmp_path, f"bad{i}.yaml", text))
 
+    # One value per exception a bare cast raises: ValueError, OverflowError
+    # and TypeError.
+    @pytest.mark.parametrize("command, block, key", [
+        ("solve", "solver: {max_iter: abc}", "solver.max_iter"),
+        ("solve", "solver: {max_iter: .inf}", "solver.max_iter"),
+        ("fuzz", "fuzz: {trials: null}", "fuzz.trials"),
+        ("fuzz", "fuzz: {seed: x}", "fuzz.seed"),
+    ])
+    def test_malformed_block_value_exit_1(self, capsys, tmp_path, command, block, key):
+        text = "variables:\n  - {name: X, manifold: SPD, dim: 2}\nobjective: 'logdet(X)'\n"
+        path = write(tmp_path, "bad.yaml", text + block + "\n")
+        for argv in ([command, path], ["analyze", path]):
+            code, out, err = run_main(capsys, argv)
+            assert code == 1
+            assert not out
+            assert err.startswith("error: ") and key in err, err
+
 
 class TestAnalyzeCommand:
     def test_verdict_lines_exact(self, capsys):
