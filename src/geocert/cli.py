@@ -187,6 +187,11 @@ def cmd_solve(args) -> int:
         result = gradient_descent(objective, x0, **chosen)
     except StagnationError as exc:
         result, stagnated = exc.partial, True
+    except np.linalg.LinAlgError as exc:
+        # The start passed validation, so this is the library's own numeric
+        # failure, not an input error.
+        print(f"error: solver failed numerically: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     # A stagnated solve's partial result is never converged.
     doc["solve"] = dict(result.to_dict(), stagnated=stagnated)
     _emit(doc, args.out)

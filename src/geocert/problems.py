@@ -29,13 +29,22 @@ from .dsl import parse_dsl
 from .errors import GeocertError, ProblemFileError
 from .expr import Expression, Manifold, SPD, Variable, VariableScope
 
+
+def _integral(value) -> int:
+    """``value`` as an ``int``; unlike ``int``, a fractional float is an error."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} has a fractional part")
+    return int(value)
+
+
 # Each key a block may hold, with the cast its value gets.
-_SOLVER_KEYS = {"max_iter": int, "grad_tol": float}
+_SOLVER_KEYS = {"max_iter": _integral, "grad_tol": float}
 # libyaml's parser when PyYAML was built with it: the same documents,
 # several times faster.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_FUZZ_KEYS = {"trials": int, "seed": int, "tol": float, "dim": int, "cond_max": float,
-              "t_samples": int, "inject": None}  # inject: checked where it is read
+_FUZZ_KEYS = {"trials": _integral, "seed": _integral, "tol": float, "dim": _integral,
+              "cond_max": float, "t_samples": _integral,
+              "inject": None}  # inject: checked where it is read
 
 
 @dataclass
@@ -105,7 +114,12 @@ def load_problem(path) -> LoadedProblem:
         if name in variables:
             raise ProblemFileError(f"{p}: variable '{name}' declared twice")
         try:
-            variables[name] = scope.declare(name, SPD(int(entry["dim"])))
+            dim = _integral(entry["dim"])
+        except (TypeError, ValueError, OverflowError):
+            raise ProblemFileError(
+                f"{p}: variable '{name}': dim must be an integer, got {entry['dim']!r}") from None
+        try:
+            variables[name] = scope.declare(name, SPD(dim))
         except GeocertError as exc:
             raise ProblemFileError(f"{p}: variable '{name}': {exc}") from exc
 
@@ -174,7 +188,7 @@ def _validated_block(block, casts: dict, p: Path, label: str) -> dict:
         try:
             out[key] = value if cast is None else cast(value)
         except (TypeError, ValueError, OverflowError):
-            kind = "an integer" if cast is int else "a number"
+            kind = "an integer" if cast is _integral else "a number"
             raise ProblemFileError(f"{p}: {label}.{key} must be {kind}, got {value!r}") from None
     return out
 

@@ -7,8 +7,23 @@ A Euclidean gradient ``G`` converts to the Riemannian gradient
     X_next = X^(1/2) exp(-alpha X^(-1/2) xi X^(-1/2)) X^(1/2)
 
 with Armijo backtracking (factor 0.5, sufficient decrease 1e-4), which keeps
-the objective trajectory nonincreasing and every iterate positive definite
-by construction.
+every iterate positive definite by construction.
+
+The first trial step is a Barzilai-Borwein one (BB1, after Iannazzo and
+Porcelli, IMA J. Numer. Anal. 38(1), 2018).  A geodesic's velocity is its
+own parallel transport, so BB1 reduces to a secant of the slope along the
+previous step: ``alpha_k = alpha g^2 / (g^2 + phi'(alpha))``, with ``g`` the
+previous gradient norm and ``phi'`` the objective's derivative along that
+step (``_slope``), and the step clamped to [1e-12, 1e12].  The first
+iteration, and any whose secant denominator is not positive, starts from
+``INITIAL_STEP``; halving goes on from the first step as before.  When the
+Armijo decrease is below the evaluator's roundoff (``noise``), any strict
+decrease is accepted.  In a band of ``_ROUNDOFF_BAND`` times that noise,
+where values cannot tell a better point from a worse one, a step is judged
+by its slope instead, with the approximate Wolfe conditions of Hager and
+Zhang (SIAM J. Optim. 16(1), 2005); the gradient taken there serves the next
+iteration.  So the objective trajectory is nonincreasing except by at most
+``_ROUNDOFF_BAND * noise`` inside that band.
 
 Objectives built from an expression are evaluated by forward passes
 through it, each under a memo seeded with the decomposition the line
@@ -54,6 +69,9 @@ BACKTRACK = 0.5
 SUFFICIENT_DECREASE = 1e-4
 MAX_HALVINGS = 60
 FD_STEP = 1e-6  # relative to max(1, ||X||_F)
+_BB_MIN, _BB_MAX = 1e-12, 1e12  # clamp on the Barzilai-Borwein first step
+_ROUNDOFF_BAND = 100.0  # in units of the line search's ``noise``
+_WOLFE_DELTA, _WOLFE_SIGMA = 0.1, 0.9  # approximate Wolfe (Hager & Zhang)
 
 
 @dataclass
@@ -180,6 +198,19 @@ def riemannian_grad_norm(x, xi) -> float:
     return float(np.linalg.norm(spd._sym(c)))
 
 
+def _slope(v: np.ndarray, mu: np.ndarray, alpha: float, xi: np.ndarray) -> float:
+    """The derivative at ``alpha`` of the objective along the step's geodesic.
+
+    The step from X runs along ``gamma(a) = F diag(exp(-a mu)) F^T`` with
+    ``F = X^(1/2) U``; ``v`` is ``F^-1 = U^T X^(-1/2)`` and ``xi`` the
+    Riemannian gradient at ``gamma(alpha)``.  Then
+    ``phi'(alpha) = -sum_i mu_i exp(alpha mu_i) (v xi v^T)_ii``, which is
+    ``-||C||_F^2`` at ``alpha = 0``.
+    """
+    diag = np.sum((v @ xi) * v, axis=1)
+    return float(-np.sum(mu * np.exp(alpha * mu) * diag))
+
+
 def gradient_descent(obj: Objective, x0, max_iter: int = 500, grad_tol: float = 1e-8) -> SolveResult:
     """Minimize ``obj`` from ``x0`` by geodesic gradient descent.
 
@@ -196,21 +227,33 @@ def gradient_descent(obj: Objective, x0, max_iter: int = 500, grad_tol: float = 
         raise DomainError("objective is not finite at the starting point")
     trajectory = [f0]
     stagnated = False
+    xi = None  # the gradient at x, when the line search already took it
+    last = None  # (v, mu, alpha, g^2) of the step that reached x
     while True:
         x_sq, x_inv_sq = spd._half_powers(point.eig)
-        xi = riemannian_grad(obj, x)
+        if xi is None:
+            xi = riemannian_grad(obj, x)
         c = spd._sym(x_inv_sq @ xi @ x_inv_sq)
         gnorm = float(np.linalg.norm(c))
         if gnorm <= grad_tol or len(trajectory) - 1 >= max_iter:
             break
         # One decomposition of the scaled direction serves every step size.
         mu, u = np.linalg.eigh(c)
-        frame = x_sq @ u
+        frame, v = x_sq @ u, u.T @ x_inv_sq  # F and its inverse
+        g2 = gnorm * gnorm
         alpha = INITIAL_STEP
+        if last is not None:
+            # Barzilai-Borwein: the last step's velocity is its own parallel
+            # transport, so BB1 is a secant of the slope along that geodesic.
+            lv, lmu, lalpha, lg2 = last
+            denom = lg2 + _slope(lv, lmu, lalpha, xi)
+            if denom > 0.0:
+                alpha = min(max(lalpha * lg2 / denom, _BB_MIN), _BB_MAX)
         # Below this, the Armijo decrease is smaller than evaluator roundoff;
         # any strict decrease is then accepted so terminal iterations can
         # still drive the gradient norm under tight tolerances.
         noise = 64.0 * np.finfo(float).eps * max(1.0, abs(f0))
+        band = _ROUNDOFF_BAND * noise
         for _halving in range(MAX_HALVINGS + 1):
             candidate = spd._sym((frame * np.exp(-alpha * mu)) @ frame.T)
             # A candidate past the PD tolerance counts as an infinite value;
@@ -221,15 +264,25 @@ def gradient_descent(obj: Objective, x0, max_iter: int = 500, grad_tol: float = 
                 fc = obj._value_at(candidate, trial.eig)
             except DomainError:
                 fc = math.inf
-            expected = alpha * gnorm * gnorm
+            expected = alpha * g2
             if math.isfinite(fc) and fc < f0 and (
                 fc <= f0 - SUFFICIENT_DECREASE * expected or expected <= noise
             ):
+                xi = None
                 break
+            # Where values differ by roundoff alone, judge the step by its
+            # slope (the approximate Wolfe conditions); the gradient taken
+            # here is the next iteration's.
+            if abs(fc - f0) <= band and expected <= band:
+                xi = riemannian_grad(obj, candidate)
+                slope = _slope(v, mu, alpha, xi)
+                if -_WOLFE_SIGMA * g2 <= slope <= (1.0 - 2.0 * _WOLFE_DELTA) * g2:
+                    break
             alpha *= BACKTRACK
         else:
             stagnated = True
             break
+        last = (v, mu, alpha, g2)
         x, point, f0 = candidate, trial, fc
         trajectory.append(f0)
     result = SolveResult(minimizer=point, value=f0, grad_norm=gnorm,
@@ -299,6 +352,8 @@ def make_brascamp_lieb_problem(maps, weights) -> Objective:
     ws = np.asarray(weights, dtype=float)
     if ws.shape != (len(mats),):
         raise RangeError("one weight per map required")
+    if any(m.ndim != 2 for m in mats) or len({m.shape[0] for m in mats}) != 1:
+        raise ExpressionError("maps must be 2-D matrices with one shared row count")
     d = mats[0].shape[0]
     scope = VariableScope()
     x_var = scope.declare("X", SPD(d))

@@ -100,12 +100,15 @@ fuzz:
                 load_problem(write(tmp_path, f"bad{i}.yaml", text))
 
     # One value per exception a bare cast raises: ValueError, OverflowError
-    # and TypeError.
+    # and TypeError; then fractional values, which a bare int() truncates.
     @pytest.mark.parametrize("command, block, key", [
         ("solve", "solver: {max_iter: abc}", "solver.max_iter"),
         ("solve", "solver: {max_iter: .inf}", "solver.max_iter"),
         ("fuzz", "fuzz: {trials: null}", "fuzz.trials"),
         ("fuzz", "fuzz: {seed: x}", "fuzz.seed"),
+        ("fuzz", "fuzz: {trials: 2.7}", "fuzz.trials"),
+        ("fuzz", "fuzz: {dim: 2.5}", "fuzz.dim"),
+        ("solve", "solver: {max_iter: 2.9}", "solver.max_iter"),
     ])
     def test_malformed_block_value_exit_1(self, capsys, tmp_path, command, block, key):
         text = "variables:\n  - {name: X, manifold: SPD, dim: 2}\nobjective: 'logdet(X)'\n"
@@ -115,6 +118,23 @@ fuzz:
             assert code == 1
             assert not out
             assert err.startswith("error: ") and key in err, err
+
+    def test_integral_floats_accepted(self, tmp_path):
+        text = ("variables:\n  - {name: X, manifold: SPD, dim: 2.0}\nobjective: 'logdet(X)'\n"
+                "solver: {max_iter: 3.0}\nfuzz: {trials: 3, dim: 2.0}\n")
+        prob = load_problem(write(tmp_path, "ok.yaml", text))
+        assert prob.manifold.dim == 2
+        assert prob.solver == {"max_iter": 3}
+        assert prob.fuzz == {"trials": 3, "dim": 2}
+        assert all(type(v) is int for v in (*prob.solver.values(), *prob.fuzz.values()))
+
+    @pytest.mark.parametrize("dim", ["abc", "2.5", "null"])
+    def test_malformed_variable_dim_exit_1(self, capsys, tmp_path, dim):
+        text = f"variables:\n  - {{name: X, manifold: SPD, dim: {dim}}}\nobjective: 'logdet(X)'\n"
+        code, out, err = run_main(capsys, ["analyze", write(tmp_path, "bad.yaml", text)])
+        assert code == 1
+        assert not out
+        assert err.startswith("error: ") and "variable 'X': dim must be an integer" in err, err
 
 
 class TestAnalyzeCommand:
@@ -322,6 +342,31 @@ solver: {{grad_tol: 1.0e-7}}
         assert code == 0
         minimizer = np.array(json.loads(out)["solve"]["minimizer"])
         assert rel_err(minimizer, target) <= 1e-6
+
+    def test_numeric_failure_exit_4(self, capsys, tmp_path, monkeypatch):
+        # A LinAlgError inside the solve is the library's failure, not the input's.
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr("geocert.cli.gradient_descent", fail)
+        code, out, err = run_main(capsys, ["solve", write(tmp_path, "ms.yaml", MATRIX_SQRT_2D)])
+        assert code == 4
+        assert not out
+        assert err.startswith("error: ") and "Eigenvalues did not converge" in err, err
+
+    def test_benchmark_ill_conditioned_karcher_converges(self, capsys, tmp_path, monkeypatch):
+        # The solve-family instance whose last steps gain less than the
+        # evaluator's roundoff; it stagnated under a value-only line search.
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        from workloads import _problem_yaml, family_instances
+
+        (inst,) = [i for i in family_instances(1) if i[0] == "karcher3-d5-c10000-0"]
+        _label, consts, objective, d, _ref = inst
+        path = write(tmp_path, "k.yaml", _problem_yaml(consts, objective, d))
+        code, out, err = run_main(capsys, ["solve", path])
+        assert code == 0, err
+        solve = json.loads(out)["solve"]
+        assert solve["converged"] is True and solve["grad_norm"] <= 1e-6
 
     def test_uncertified_refused_exit_5(self, capsys, tmp_path):
         path = write(tmp_path, "u.yaml", """

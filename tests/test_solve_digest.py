@@ -6,22 +6,31 @@ The corpus:
   it (its objective, the identity start, the file's ``max_iter`` and
   ``grad_tol``), whatever its certificate;
 * the four library constructors on seeded instances: Karcher means at
-  cond 10 and cond 1e4, matrix square roots at d = 3 and d = 10, a
-  Brascamp-Lieb datum and a Tyler scatter problem.
+  cond 10 and cond 1e4, matrix square roots at d = 3 and d = 10 (the
+  latter once more with an iteration budget of 3), a Brascamp-Lieb datum
+  and a Tyler scatter problem.
 
 Each record is the canonical JSON of ``SolveResult.to_dict()``, or of the
 error type with the partial result a ``StagnationError`` carries, and the
 digest is their SHA-256, so a change to any iterate, objective value or
 gradient norm shows up here, down to the last bit of a float.  Every
-per-point atom evaluator feeds these solves.  The constant was recorded
-before the point and stack evaluators of ``spd`` were merged; it must not
-be regenerated to make this test pass.
+per-point atom evaluator feeds these solves.  The corpus must reach every
+way a solve ends: converged, out of iterations and stagnated.
 
 A second digest, ``MEMO_DIGEST``, pins three solves that probe the places
 where a memo of decompositions could hand on the wrong bits: a start point
 asymmetric within the symmetry gate, a distance with the variable as either
-argument, and two anchors that are one array.  It was recorded before
-per-point evaluation memoized any decomposition.
+argument, and two anchors that are one array.
+
+Both digests were re-recorded when the line search gained its
+Barzilai-Borwein first step and its slope test inside the roundoff band,
+which change the iterates of every solve that takes a step, on purpose.
+The matrix square root with a budget of 3 was added then, since no other
+case still ran out of iterations.  Both were recorded on a copy of the
+code whose per-point evaluation ran without the memo (``spd.Memo``
+computing every entry afresh and ignoring seeds), and the memoized code
+reproduces both, so ``MEMO_DIGEST`` still pins memoized solves to
+unmemoized bits.  Neither may be regenerated to make this test pass.
 """
 
 import hashlib
@@ -36,8 +45,8 @@ from geocert import solver
 from geocert.expr import evaluate
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
-SOLVE_DIGEST = "c068cdb4338de011020879be77f7dcd263676a267687adc3dba0c4958d0d3368"
-MEMO_DIGEST = "08eecb8a06412695ca1610f8ab91fcbe281322f6fd772fd9ceac653c1d764985"
+SOLVE_DIGEST = "d09727f0f151180c3e76174bbd6f5845dcac26ac317ff23e01dff35c9bd921e3"
+MEMO_DIGEST = "3093bd564c292e50db873ed7cfcf6952cab2017d3c932733ff76e9e4537a87aa"
 
 
 def _file_cases():
@@ -73,6 +82,9 @@ def _constructor_cases():
     samples = rng.normal(size=(6, 3))
     yield ("tyler:d3-n6", gc.make_tyler_problem(samples),
            np.eye(3), {"max_iter": 200, "grad_tol": 1e-8})
+    # Stopped by its iteration budget well short of convergence.
+    yield ("matrix_sqrt:d10-max-iter", gc.make_matrix_sqrt_problem(gc.random_spd(10, 100.0, 4)),
+           np.eye(10), {"max_iter": 3, "grad_tol": 1e-7})
 
 
 def _record(label, obj, x0, kwargs):

@@ -4,7 +4,7 @@ import pytest
 import geocert as gc
 from geocert import spd
 from geocert.errors import ExpressionError, RangeError
-from geocert.solver import fd_directional
+from geocert.solver import _slope, fd_directional
 
 from conftest import eigh_pow, eigh_sqrt, rel_err
 
@@ -135,6 +135,36 @@ class TestGradientDescent:
         res = gc.gradient_descent(obj, np.eye(2), max_iter=1, grad_tol=1e-14)
         gc.SPDMatrix(res.minimizer.entries)  # validates
 
+    def test_slope_matches_central_difference(self):
+        anchors = [gc.random_spd(5, 100.0, np.random.default_rng(s)) for s in range(3)]
+        obj = gc.make_karcher_problem(anchors, [0.2, 0.3, 0.5])
+        x = gc.random_spd(5, 10.0, 9).entries
+        x_sq, x_inv_sq = eigh_sqrt(x), eigh_pow(x, -0.5)
+        c = x_inv_sq @ gc.riemannian_grad(obj, x) @ x_inv_sq
+        mu, u = np.linalg.eigh(sym(c))
+        frame, v = x_sq @ u, u.T @ x_inv_sq
+
+        def step(alpha):
+            return sym((frame * np.exp(-alpha * mu)) @ frame.T)
+
+        g2 = float(np.sum(mu * mu))
+        assert abs(_slope(v, mu, 0.0, gc.riemannian_grad(obj, x)) + g2) <= 1e-9 * g2
+        h = 1e-5
+        for alpha in (0.0, 0.1, 0.3):
+            fd = (obj.evaluator(step(alpha + h)) - obj.evaluator(step(alpha - h))) / (2.0 * h)
+            slope = _slope(v, mu, alpha, gc.riemannian_grad(obj, step(alpha)))
+            assert abs(slope - fd) <= 1e-8 * abs(fd)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_ill_conditioned_karcher_converges(self, seed):
+        # Near the minimizer the value decrease sinks below roundoff; the
+        # line search must judge those steps by their slope instead.
+        rng = np.random.default_rng(1000 + seed)
+        anchors = [gc.random_spd(5, 1e4, rng) for _ in range(3)]
+        obj = gc.make_karcher_problem(anchors, [1.0 / 3.0] * 3)
+        res = gc.gradient_descent(obj, np.eye(5), grad_tol=1e-6)
+        assert res.converged and res.grad_norm <= 1e-6
+
     def test_fd_fallback_flagged(self):
         obj = gc.Objective(lambda x: float(np.trace(x)) - spd.eval_logdet(x))
         res = gc.gradient_descent(obj, 2 * np.eye(2), grad_tol=1e-6)
@@ -215,6 +245,16 @@ class TestBrascampLiebProblem:
     def test_rank_deficient_rejected(self):
         with pytest.raises(ExpressionError):
             gc.make_brascamp_lieb_problem([np.ones((3, 2))], [1.0])
+
+    @pytest.mark.parametrize("maps", [
+        [np.float64(2.0)],
+        [np.ones(3)],
+        [np.eye(3), np.eye(2)],
+        [np.eye(2), np.ones((2, 2, 2))],
+    ], ids=["0-d", "1-d", "row-counts", "3-d"])
+    def test_malformed_maps_rejected(self, maps):
+        with pytest.raises(ExpressionError):
+            gc.make_brascamp_lieb_problem(maps, [1.0] * len(maps))
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(19)
