@@ -102,7 +102,6 @@ from .spd import (
     geometric_mean,
     loewner_geq,
     matrix_exp,
-    matrix_function,
     matrix_inv,
     matrix_log,
     matrix_pow,

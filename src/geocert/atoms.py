@@ -141,7 +141,7 @@ def _validate_hadamard(arg_dims, params):
     if m.shape != (d, d):
         raise ExpressionError(f"hadamard_product mask has shape {m.shape}, expected {(d, d)}")
     lam = np.linalg.eigvalsh((m + m.T) / 2.0)
-    if float(lam[0]) < -spd.PD_RTOL * max(float(lam[-1]), 0.0) - spd.PD_FLOOR:
+    if float(lam[0]) < -spd._pd_tol(float(lam[-1])):
         raise ExpressionError("hadamard_product mask must be positive semidefinite")
     if np.any(np.diag(m) <= 0.0):
         raise ExpressionError("hadamard_product mask needs a strictly positive diagonal")
@@ -163,7 +163,7 @@ def _validate_positive_affine(arg_dims, params):
         if bb.shape != (m, m):
             raise ExpressionError(f"positive_affine offset has shape {bb.shape}, expected {(m, m)}")
         lam = np.linalg.eigvalsh((bb + bb.T) / 2.0)
-        if float(lam[0]) < -spd.PD_RTOL * max(float(lam[-1]), 0.0) - spd.PD_FLOOR:
+        if float(lam[0]) < -spd._pd_tol(float(lam[-1])):
             raise ExpressionError("positive_affine offset must be positive semidefinite")
     return m
 

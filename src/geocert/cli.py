@@ -17,6 +17,7 @@ byte-identical across runs for identical inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -149,7 +150,10 @@ def _initial_point(args, prob: LoadedProblem) -> np.ndarray:
     d = prob.manifold.dim
     if args.x0 is None or args.x0 == "identity":
         return np.eye(d)
-    arr = np.loadtxt(args.x0, delimiter=",", ndmin=2, dtype=float)
+    try:
+        arr = np.loadtxt(args.x0, delimiter=",", ndmin=2, dtype=float)
+    except ValueError as exc:
+        raise ProblemFileError(f"--x0 file {args.x0} is not numeric: {exc}") from exc
     if arr.shape != (d, d):
         raise ProblemFileError(f"--x0 matrix has shape {arr.shape}, expected {(d, d)}")
     return arr
@@ -233,10 +237,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; 2 means "not certified" here
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT

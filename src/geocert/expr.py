@@ -180,6 +180,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _array_token(a: np.ndarray) -> tuple:
+    """A hashable form of ``a`` that equal arrays share.
+
+    Adding 0.0 turns -0.0 into 0.0, which ``np.array_equal`` counts as equal.
+    """
+    return a.shape, (a + 0.0).tobytes()
+
+
 class Expression:
     """Base class for immutable expression nodes."""
 
@@ -321,7 +329,7 @@ class ConstMatrix(Expression):
         )
 
     def __hash__(self):
-        return hash(("constm", self.name, self.values.shape, self.values.tobytes()))
+        return hash(("constm", self.name) + _array_token(self.values))
 
     def __repr__(self):
         label = self.name or f"{self.values.shape[0]}x{self.values.shape[1]}"
@@ -335,7 +343,7 @@ def _verify_definiteness(a: np.ndarray, claim: Definiteness):
     if float(np.linalg.norm(a - a.T)) > spd.ASYM_RTOL * max(scale, spd.PD_FLOOR):
         raise ExpressionError(f"{claim.value} claim requires a symmetric matrix")
     lam = np.linalg.eigvalsh((a + a.T) / 2.0)
-    tol = max(spd.PD_RTOL * max(float(lam[-1]), 0.0), spd.PD_FLOOR)
+    tol = spd._pd_tol(float(lam[-1]))
     if claim is Definiteness.PD and float(lam[0]) <= tol:
         raise DomainError(f"PD claim fails: lambda_min={lam[0]:.6g}")
     if claim is Definiteness.PSD and float(lam[0]) < -tol:
@@ -497,7 +505,7 @@ def _params_equal(p, q) -> bool:
 
 def _param_token(p):
     if isinstance(p, np.ndarray):
-        return ("a", p.shape, p.tobytes())
+        return ("a",) + _array_token(p)
     if isinstance(p, tuple):
         return ("t",) + tuple(_param_token(x) for x in p)
     return ("v", p)

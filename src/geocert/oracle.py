@@ -19,11 +19,15 @@ on blocks of ``BLOCK`` consecutive trials.  For each block it makes a few
 stacked numpy calls: one QR for every sample point (the random draws stay
 per trial, from the trial's own stream), one ``eigh`` pair per argument for
 every geodesic of the block at all of its t-samples (a broadcast for
-straight segments), and one ``eigvalsh`` each for the value scales and the
-Loewner gaps of matrix-valued results.  Stacked numpy calls give the same
-bits as one call per matrix, so reports equal those of a trial-at-a-time
-loop.  The public checks call ``f`` per point; it receives one read-only
-``(d, d)`` array per argument.  Each injected pair runs as a block of one.
+straight segments).  The judge turns the block's values of ``f``, of every
+kind, into float64 stacks (``(k,)`` for scalars, ``(k, d, d)`` for
+matrices; an ``f`` that returns ``np.float32`` is judged as if it returned
+``float``), and one ``_gaps``/``_scales`` pair measures them: array
+arithmetic for scalars, one ``eigvalsh`` each for the value scales and the
+Loewner gaps of matrices.  Stacked numpy calls give the same bits as one
+call per value, so reports equal those of a trial-at-a-time loop.  The
+public checks call ``f`` per point; it receives one read-only ``(d, d)``
+array per argument.  Each injected pair runs as a block of one.
 
 ``cross_validate`` goes further: it evaluates its expression once per
 block, over stacks of all the block's points (``expr._evaluate_stacked``),
@@ -313,66 +317,44 @@ def _blocks(start: int, stop: int):
         start = end
 
 
-def _value_scale(fa, fb) -> float:
-    if isinstance(fa, np.ndarray):
-        na = float(np.linalg.norm(np.linalg.eigvalsh(fa), ord=np.inf))
-        nb = float(np.linalg.norm(np.linalg.eigvalsh(fb), ord=np.inf))
-        return max(1.0, na, nb)
-    return max(1.0, abs(float(fa)), abs(float(fb)))
-
-
-def _gap(fmid, chord) -> float:
-    """Signed violation amount: positive when the value exceeds the chord."""
-    if isinstance(fmid, np.ndarray):
-        diff = chord - fmid
-        return -float(np.linalg.eigvalsh((diff + diff.T) / 2.0)[0])
-    return float(fmid) - float(chord)
-
-
-def _two_sided_gap(fmid, chord) -> float:
-    if isinstance(fmid, np.ndarray):
-        diff = (chord - fmid + (chord - fmid).T) / 2.0
-        return float(np.max(np.abs(np.linalg.eigvalsh(diff))))
-    return abs(float(fmid) - float(chord))
-
-
 def _scalarize(v):
     if isinstance(v, np.ndarray):
         return float(np.linalg.eigvalsh((v + v.T) / 2.0)[0])
     return float(v)
 
 
-def _stackable(values: list) -> bool:
-    """True when every value is a float matrix of one square shape."""
-    shape = getattr(values[0], "shape", None) if values else None
-    return (shape is not None and len(shape) == 2 and shape[0] == shape[1] and all(
-        type(v) is np.ndarray and v.shape == shape and v.dtype == np.float64 for v in values))
+def _stack(values: list) -> np.ndarray:
+    """Values of ``f`` as one float64 stack: ``(k,)`` for scalars, ``(k, d, d)`` for matrices."""
+    return np.array(values, dtype=float)
 
 
-def _scales(fa: list, fb: list) -> list:
-    """``_value_scale`` of each pair; one stacked ``eigvalsh`` for matrix values."""
-    if _stackable(fa + fb):
-        na = np.abs(np.linalg.eigvalsh(np.stack(fa))).max(axis=-1)
-        nb = np.abs(np.linalg.eigvalsh(np.stack(fb))).max(axis=-1)
-        return np.fmax(np.fmax(1.0, na), nb).tolist()
-    return [_value_scale(x, y) for x, y in zip(fa, fb)]
+def _scales(fa: np.ndarray, fb: np.ndarray) -> list:
+    """Value scale ``max(1, |f(A)|, |f(B)|)`` of each pair; matrices by spectral norm."""
+    if fa.ndim > 1:
+        fa = np.abs(np.linalg.eigvalsh(fa)).max(axis=-1)
+        fb = np.abs(np.linalg.eigvalsh(fb)).max(axis=-1)
+    return np.fmax(np.fmax(1.0, np.abs(fa)), np.abs(fb)).tolist()
 
 
-def _stacked_gaps(values: np.ndarray, refs: np.ndarray, two_sided: bool) -> list:
-    """``_gap`` (or ``_two_sided_gap``) over stacks: one ``eigvalsh`` call."""
+def _gaps(values: np.ndarray, refs: np.ndarray, two_sided: bool) -> list:
+    """Signed amount by which each value exceeds its reference, or its size with ``two_sided``.
+
+    Scalars are compared as reals, matrices in the Loewner order by one
+    stacked ``eigvalsh`` of ``sym(refs - values)``.
+    """
+    if values.ndim == 1:
+        diff = values - refs
+        return (np.abs(diff) if two_sided else diff).tolist()
     w = np.linalg.eigvalsh(spd._sym(refs - values))
     return (np.abs(w).max(axis=-1) if two_sided else -w[:, 0]).tolist()
 
 
-def _segment_gaps(fa: list, fb: list, owner: list, ts: list, values: list, two_sided: bool):
+def _segment_gaps(fa: np.ndarray, fb: np.ndarray, owner: np.ndarray, ts: np.ndarray,
+                  values: np.ndarray, two_sided: bool):
     """Chord and gap of each t-sample: ``values[k]`` at ``ts[k]`` on trial ``owner[k]``."""
-    if _stackable(fa + fb + values):
-        t = np.array(ts)[:, None, None]
-        chords = (1.0 - t) * np.stack(fa)[owner] + t * np.stack(fb)[owner]
-        return chords, _stacked_gaps(np.stack(values), chords, two_sided)
-    chords = [(1.0 - t) * fa[k] + t * fb[k] for k, t in zip(owner, ts)]
-    gap = _two_sided_gap if two_sided else _gap
-    return chords, [gap(v, c) for v, c in zip(values, chords)]
+    t = ts.reshape(ts.shape + (1,) * (values.ndim - 1))
+    chords = (1.0 - t) * fa[owner] + t * fb[owner]
+    return chords, _gaps(values, chords, two_sided)
 
 
 def _segment_judge(two_sided: bool):
@@ -387,7 +369,8 @@ def _segment_judge(two_sided: bool):
         if not values:
             return
         fa, fb = _endpoint_values(done)
-        chords, gaps = _segment_gaps(fa, fb, owner, ts, values, two_sided)
+        values = _stack(values)
+        chords, gaps = _segment_gaps(fa, fb, np.array(owner), np.array(ts), values, two_sided)
         scales = _scales(fa, fb)
         for k, t, v, chord, gap in zip(owner, ts, values, chords, gaps):
             yield gap / scales[k], scales[k], done[k][0], t, v, chord
@@ -401,10 +384,7 @@ def _monotone_judge(increasing: bool):
     def judge(batch: _Batch, done: list):
         ga, gb = _endpoint_values(done)
         hi, lo = (ga, gb) if increasing else (gb, ga)
-        if _stackable(lo + hi):
-            gaps = _stacked_gaps(np.stack(lo), np.stack(hi), False)
-        else:
-            gaps = [_gap(v, r) for v, r in zip(lo, hi)]
+        gaps = _gaps(lo, hi, False)
         for (row, *_), scale, gap, v, r in zip(done, _scales(ga, gb), gaps, lo, hi):
             yield gap / scale, scale, row, 1.0, v, r
 
@@ -412,7 +392,7 @@ def _monotone_judge(increasing: bool):
 
 
 def _endpoint_values(done: list):
-    return [d[1] for d in done], [d[2] for d in done]
+    return _stack([d[1] for d in done]), _stack([d[2] for d in done])
 
 
 def _pointwise_trials(f, batch: _Batch):
@@ -592,11 +572,11 @@ def reevaluate_witness(f, w: Witness, geodesic: bool = True, equality: bool = Fa
     a = tuple(np.asarray(x, dtype=float)[None] for x in w.point_a)
     b = tuple(np.asarray(y, dtype=float)[None] for y in w.point_b)
     points, _ = _segment_points(geodesic, a, b, np.array([[w.t]]), checked=True)
-    fa = f(*w.point_a)
-    fb = f(*w.point_b)
-    fmid = f(*(p[0, 0] for p in points))
-    _, (gap,) = _segment_gaps([fa], [fb], [0], [w.t], [fmid], equality)
-    return gap / _scales([fa], [fb])[0]
+    fa = _stack([f(*w.point_a)])
+    fb = _stack([f(*w.point_b)])
+    fmid = _stack([f(*(p[0, 0] for p in points))])
+    _, (gap,) = _segment_gaps(fa, fb, np.zeros(1, dtype=int), np.array([w.t]), fmid, equality)
+    return gap / _scales(fa, fb)[0]
 
 
 @dataclass(frozen=True)

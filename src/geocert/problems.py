@@ -72,6 +72,8 @@ def _load_matrix_entry(name, value, base: Path) -> np.ndarray:
             arr = np.loadtxt(target, delimiter=",", ndmin=2, dtype=float)
         except OSError as exc:
             raise ProblemFileError(f"constant '{name}': cannot read {target}: {exc}") from exc
+        except ValueError as exc:
+            raise ProblemFileError(f"constant '{name}': {target} is not numeric: {exc}") from exc
     else:
         try:
             arr = np.asarray(value, dtype=float)

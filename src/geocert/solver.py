@@ -193,7 +193,7 @@ def riemannian_grad(obj: Objective, x) -> np.ndarray:
 
 def riemannian_grad_norm(x, xi) -> float:
     """Metric norm ``sqrt(tr(X^-1 xi X^-1 xi))`` of a tangent vector."""
-    _, inv_sq = spd._half_powers(spd._eig_of(x))
+    inv_sq = spd.POINT.inv_sqrt(x)
     c = inv_sq @ np.asarray(xi, dtype=float) @ inv_sq
     return float(np.linalg.norm(spd._sym(c)))
 
@@ -230,7 +230,7 @@ def gradient_descent(obj: Objective, x0, max_iter: int = 500, grad_tol: float = 
     xi = None  # the gradient at x, when the line search already took it
     last = None  # (v, mu, alpha, g^2) of the step that reached x
     while True:
-        x_sq, x_inv_sq = spd._half_powers(point.eig)
+        x_sq, x_inv_sq = spd._root_pair(point.eig.q, point.eig.lam)
         if xi is None:
             xi = riemannian_grad(obj, x)
         c = spd._sym(x_inv_sq @ xi @ x_inv_sq)

@@ -7,6 +7,13 @@ but only after an explicit asymmetry gate has passed.  SPD validation is
 relative to the largest eigenvalue with an absolute floor, and a matrix
 that fails validation is rejected, never repaired.
 
+``_pd_tol`` is the one definiteness tolerance: ``SPDMatrix``, the PD and
+PSD claims on constants and the PSD gates of atom parameters all use it.
+``POINT.pd_eig`` is the one gate of the spectral functions:
+``matrix_sqrt``, ``matrix_log``, ``matrix_pow`` and ``matrix_inv``
+decompose through it and rebuild with ``_rebuild``; ``matrix_exp`` takes
+any symmetric matrix, so it has no gate.
+
 The affine-invariant geometry implemented here:
 
 * geodesic        ``gamma(t) = A^(1/2) (A^(-1/2) B A^(-1/2))^t A^(1/2)``
@@ -50,6 +57,11 @@ ASYM_RTOL = 1e-12        # symmetry gate before symmetrization
 PD_RTOL = 1e-10          # lambda_min must exceed PD_RTOL * lambda_max ...
 PD_FLOOR = 1e-300        # ... with this absolute floor
 RANK_RTOL = 1e-10        # sigma_min gate for full-rank parameter matrices
+
+
+def _pd_tol(lam_max: float) -> float:
+    """The definiteness tolerance: PD is ``lambda_min > tol``, PSD ``lambda_min >= -tol``."""
+    return max(PD_RTOL * max(lam_max, 0.0), PD_FLOOR)
 
 
 def _as_array(m) -> np.ndarray:
@@ -126,7 +138,7 @@ class SPDMatrix:
         a = np.array(_as_array(values), dtype=float, copy=True)
         pair = sym_eig(a)
         lam_max = float(pair.lam[0])
-        tol = max(PD_RTOL * max(lam_max, 0.0), PD_FLOOR)
+        tol = _pd_tol(lam_max)
         if float(pair.lam[-1]) <= tol:
             raise DomainError(
                 f"matrix is not positive definite: lambda_min={pair.lam[-1]:.6g}, "
@@ -169,58 +181,29 @@ def _rebuild(pair: EigenPair, vals: np.ndarray) -> np.ndarray:
     return _sym((pair.q * vals[..., None, :]) @ _mT(pair.q))
 
 
-def matrix_function(m, kind: str, t: float | None = None):
-    """Apply a spectral function to a symmetric matrix.
-
-    ``kind`` is one of ``sqrt``, ``log``, ``exp_sym``, ``pow`` (requires
-    ``t``) or ``inv``.  ``exp_sym`` accepts any symmetric matrix; the others
-    require a positive spectrum and raise ``DomainError`` otherwise.  Results
-    with guaranteed positive spectra come back as ``SPDMatrix``, the matrix
-    logarithm as a plain symmetric array.
-    """
-    pair = _eig_of(m)
-    lam = pair.lam
-    if kind == "exp_sym":
-        return SPDMatrix(_rebuild(pair, np.exp(lam)))
-    if float(lam[-1]) <= 0.0:
-        raise DomainError(f"matrix_function '{kind}' requires a positive spectrum")
-    if kind == "sqrt":
-        return SPDMatrix(_rebuild(pair, np.sqrt(lam)))
-    if kind == "log":
-        return _rebuild(pair, np.log(lam))
-    if kind == "inv":
-        return SPDMatrix(_rebuild(pair, 1.0 / lam))
-    if kind == "pow":
-        if t is None:
-            raise RangeError("matrix_function 'pow' requires the exponent t")
-        return SPDMatrix(_rebuild(pair, lam ** float(t)))
-    raise RangeError(f"unknown matrix function kind '{kind}'")
-
-
 def matrix_sqrt(m) -> SPDMatrix:
-    return matrix_function(m, "sqrt")
+    pair = POINT.pd_eig(m, "matrix_sqrt requires a positive spectrum")
+    return SPDMatrix(_rebuild(pair, np.sqrt(pair.lam)))
 
 
 def matrix_log(m) -> np.ndarray:
-    return matrix_function(m, "log")
+    pair = POINT.pd_eig(m, "matrix_log requires a positive spectrum")
+    return _rebuild(pair, np.log(pair.lam))
 
 
 def matrix_exp(m) -> SPDMatrix:
-    return matrix_function(m, "exp_sym")
+    pair = _eig_of(m)
+    return SPDMatrix(_rebuild(pair, np.exp(pair.lam)))
 
 
 def matrix_pow(m, t: float) -> SPDMatrix:
-    return matrix_function(m, "pow", t=t)
+    pair = POINT.pd_eig(m, "matrix_pow requires a positive spectrum")
+    return SPDMatrix(_rebuild(pair, pair.lam ** float(t)))
 
 
 def matrix_inv(m) -> SPDMatrix:
-    return matrix_function(m, "inv")
-
-
-def _half_powers(pair: EigenPair) -> tuple[np.ndarray, np.ndarray]:
-    if float(pair.lam[-1]) <= 0.0:
-        raise DomainError("matrix is not positive definite")
-    return _root_pair(pair.q, pair.lam)
+    pair = POINT.pd_eig(m, "matrix_inv requires a positive spectrum")
+    return SPDMatrix(_rebuild(pair, 1.0 / pair.lam))
 
 
 def _root_pair(q: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -801,7 +784,9 @@ def _top(k: int):
 
 def _whiten_nogate(x, y) -> tuple[np.ndarray, EigenPair]:
     """``Y^-1/2`` and the eigenpairs of ``Y^-1/2 X Y^-1/2``, no gate on ``y``."""
-    _, inv_sq = _half_powers(_eig_nogate(_as_array(y)))
+    pair = _eig_nogate(_as_array(y))
+    POINT.require(pair.lam, "matrix is not positive definite")
+    inv_sq = _root_pair(pair.q, pair.lam)[1]
     return inv_sq, _eig_nogate(inv_sq @ _as_array(x) @ inv_sq)
 
 

@@ -119,6 +119,20 @@ fuzz:
             assert not out
             assert err.startswith("error: ") and key in err, err
 
+    def test_malformed_csv_constant_exit_1(self, capsys, tmp_path):
+        (tmp_path / "a.csv").write_text("4.0,0.0\n0.0,nine\n")
+        path = write(tmp_path, "p.yaml", """
+variables:
+  - {name: X, manifold: SPD, dim: 2}
+constants:
+  A: {file: a.csv, format: csv}
+objective: "sdivergence(X, A)"
+""")
+        code, out, err = run_main(capsys, ["analyze", path])
+        assert code == 1
+        assert not out
+        assert err.startswith("error: ") and "a.csv" in err, err
+
     def test_integral_floats_accepted(self, tmp_path):
         text = ("variables:\n  - {name: X, manifold: SPD, dim: 2.0}\nobjective: 'logdet(X)'\n"
                 "solver: {max_iter: 3.0}\nfuzz: {trials: 3, dim: 2.0}\n")
@@ -409,6 +423,20 @@ solver: {grad_tol: 1.0e-6}
         path = write(tmp_path, "ms.yaml", MATRIX_SQRT_2D)
         code, out, _ = run_main(capsys, ["solve", path, "--x0", str(tmp_path / "x0.csv")])
         assert code == 0
+
+    def test_malformed_x0_file_exit_1(self, capsys, tmp_path):
+        (tmp_path / "x0.csv").write_text("2.0,0.0\n0.0,two\n")
+        path = write(tmp_path, "ms.yaml", MATRIX_SQRT_2D)
+        code, out, err = run_main(capsys, ["solve", path, "--x0", str(tmp_path / "x0.csv")])
+        assert code == 1
+        assert not out
+        assert err.startswith("error: ") and "x0.csv" in err, err
+
+    def test_parser_built_once_per_process(self):
+        import geocert.cli as cli
+
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
 
 
 class TestTracerContract:

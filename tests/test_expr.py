@@ -161,6 +161,17 @@ class TestStructure:
         assert build() == build()
         assert hash(build()) == hash(build())
 
+    def test_signed_zeros_hash_alike(self, scope):
+        # np.array_equal counts -0.0 and 0.0 as equal, so the hashes must agree.
+        a = gc.ConstMatrix([[0.0, 1.0], [1.0, 2.0]])
+        b = gc.ConstMatrix([[-0.0, 1.0], [1.0, 2.0]])
+        assert a == b and hash(a) == hash(b)
+        x = gc.Variable("X", gc.SPD(2))
+        p = gc.apply_atom("quad_form", [np.array([0.0, 1.0]), x])
+        q = gc.apply_atom("quad_form", [np.array([-0.0, 1.0]), x])
+        assert p == q and hash(p) == hash(q)
+        assert len({a, b}) == 1 and len({p, q}) == 1
+
     def test_inequality_on_params(self, scope):
         x = gc.Variable("X", gc.SPD(4))
         assert gc.apply_atom("eigsummax", [x, 2]) != gc.apply_atom("eigsummax", [x, 3])

@@ -131,6 +131,19 @@ class TestCheckEConvex:
         assert rep.verdict == "NoViolationFound"
         assert rep.worst_residual <= 1e-12
 
+    def test_float32_values_judged_in_float64(self):
+        # The judge stacks every value in float64, so an f returning
+        # np.float32 gets the report of the same values cast to float.
+        cfg = gc.FuzzConfig(trials=50, seed=0)
+
+        def logdet32(x):
+            return np.float32(np.linalg.slogdet(x)[1])
+
+        rep32 = gc.check_econvex(logdet32, cfg)
+        rep64 = gc.check_econvex(lambda x: float(logdet32(x)), cfg)
+        assert rep32.verdict == "ViolationFound"
+        assert rep32.to_dict() == rep64.to_dict()
+
 
 class TestQuadFormBothMetrics:
     def test_convex_under_both_segment_families(self):

@@ -52,6 +52,50 @@ class TestSPDMatrix:
             m.entries[0, 0] = 5.0
 
 
+class TestDefinitenessTolerance:
+    """Every PD and PSD gate draws the line at ``PD_RTOL * lambda_max``."""
+
+    ROTATION = np.array([[0.8, -0.6], [0.6, 0.8]])
+
+    def _matrix(self, factor):
+        # lambda_max = 1, lambda_min = factor * PD_RTOL; the rotation keeps
+        # the diagonal positive, as the hadamard mask requires.
+        lam = np.array([1.0, factor * spd.PD_RTOL])
+        return spd._sym((self.ROTATION * lam) @ self.ROTATION.T)
+
+    @staticmethod
+    def _accepts(gate, m):
+        try:
+            gate(m)
+        except (DomainError, gc.ExpressionError):
+            return False
+        return True
+
+    def _gates(self):
+        x2 = gc.Variable("X", gc.SPD(2))
+        x3 = gc.Variable("X", gc.SPD(3))
+        ys = [np.vstack([np.eye(2), np.ones((1, 2))])]
+        pd = {
+            "SPDMatrix": gc.SPDMatrix,
+            "PD claim": lambda m: gc.ConstMatrix(m, "PD"),
+        }
+        psd = {
+            "PSD claim": lambda m: gc.ConstMatrix(m, "PSD"),
+            "hadamard mask": lambda m: gc.apply_atom("hadamard_product", [x2, m]),
+            "positive_affine offset": lambda m: gc.apply_atom("positive_affine", [x3, ys, m, 1]),
+        }
+        return pd, psd
+
+    @pytest.mark.parametrize("factor", [-1.01, -0.99, 0.99, 1.01])
+    def test_gates_agree_at_the_boundary(self, factor):
+        m = self._matrix(factor)
+        pd, psd = self._gates()
+        for name, gate in pd.items():
+            assert self._accepts(gate, m) == (factor > 1.0), name
+        for name, gate in psd.items():
+            assert self._accepts(gate, m) == (factor > -1.0), name
+
+
 class TestMatrixFunctions:
     def test_sqrt_identity(self):
         assert np.allclose(gc.matrix_sqrt(np.eye(3)).entries, np.eye(3))
