@@ -25,6 +25,13 @@ verdict is unknown.
 Products of non-constant scalar subexpressions are never certified: the
 midpoint test fails already for trace times negated log-determinant on a
 pair of scaled identity matrices.
+
+The public ``combine_add``, ``combine_max``, ``compose_scalar``,
+``compose_loewner`` and ``compose_inverse`` are the rules the pass applies;
+``_curv_node`` picks a node's rule and holds only the gates in front of it
+(the product rejection and the sign gate of ``POSITIVE_DOMAIN_ATOMS``).
+Patching one of them in this module therefore changes ``analyze``'s
+verdicts.
 """
 
 from __future__ import annotations
@@ -323,12 +330,10 @@ def _curv_node(node: Expression, kid_curvs: list[GCurvature], kid_safe_signs: li
             return curv, "inverse-reparametrization", f"inner={kid_curvs[0].value}{note}"
         eff = node.effective_meta()
         mono = eff.gmono
-        if geodesic and sig.id not in SCALAR_OUTER_ATOMS:
-            outer_curv = eff.gcurv
-        else:
-            # Euclidean curvature; scalar outer atoms compose through it in
-            # both geometries (their domain is flat).
-            outer_curv = _E2G[eff.ecurv]
+        # Scalar outer atoms compose through their Euclidean curvature in
+        # both geometries (their domain is flat).
+        loewner = geodesic and sig.id not in SCALAR_OUTER_ATOMS
+        outer_curv = eff.gcurv if loewner else _E2G[eff.ecurv]
         rule = "scalar-composition" if sig.id in SCALAR_OUTER_ATOMS else "loewner-composition"
         note = ""
         if sig.id in POSITIVE_DOMAIN_ATOMS:
@@ -349,9 +354,14 @@ def _curv_node(node: Expression, kid_curvs: list[GCurvature], kid_safe_signs: li
                             f"argument, value range is {arg_sign.value}")
                     inputs = f"outer=({_show(outer_curv, geodesic)},{mono.value}){note}"
                     return G.UNKNOWN, rule, inputs
-        curv = G.LINEAR
-        for c in kid_curvs:
-            curv = gjoin(curv, _compose(outer_curv, mono, c))
+        if loewner:
+            curv = compose_loewner(sig, kid_curvs, node.params, node.arg_dims)
+        else:
+            # The sign gate above may have widened mono, so every atom it
+            # gates (all scalar outer atoms) composes here.
+            curv = G.LINEAR
+            for c in kid_curvs:
+                curv = gjoin(curv, compose_scalar((eff.ecurv, mono), c))
         inputs = (
             f"outer=({_show(outer_curv, geodesic)},{mono.value}); inner="
             + ",".join(_show(c, geodesic) for c in kid_curvs)

@@ -21,14 +21,16 @@ from __future__ import annotations
 import numpy as np
 
 from . import spd
-from .errors import ExpressionError
+from .errors import DomainError, ExpressionError
 from .expr import (
     ArgKind,
     AtomSignature,
+    Definiteness,
     ECurvature,
     GCurvature,
     GMonotonicity,
     Sign,
+    _verify_definiteness,
     register_atom,
 )
 
@@ -58,6 +60,16 @@ def _full_column_rank(b: np.ndarray, what: str):
     s = np.linalg.svd(b, compute_uv=False)
     if s[-1] <= spd.RANK_RTOL * max(s[0], spd.PD_FLOOR):
         raise ExpressionError(f"{what} is numerically rank deficient")
+
+
+def _require_psd(m: np.ndarray, what: str):
+    """The gate of a square parameter matrix that must be symmetric PSD, as a PSD claim is."""
+    try:
+        _verify_definiteness(m, Definiteness.PSD)
+    except DomainError:
+        raise ExpressionError(f"{what} must be positive semidefinite") from None
+    except ExpressionError:
+        raise ExpressionError(f"{what} must be symmetric") from None
 
 
 def _validate_quad_form(arg_dims, params):
@@ -140,9 +152,7 @@ def _validate_hadamard(arg_dims, params):
     d = arg_dims[0]
     if m.shape != (d, d):
         raise ExpressionError(f"hadamard_product mask has shape {m.shape}, expected {(d, d)}")
-    lam = np.linalg.eigvalsh((m + m.T) / 2.0)
-    if float(lam[0]) < -spd._pd_tol(float(lam[-1])):
-        raise ExpressionError("hadamard_product mask must be positive semidefinite")
+    _require_psd(m, "hadamard_product mask")
     if np.any(np.diag(m) <= 0.0):
         raise ExpressionError("hadamard_product mask needs a strictly positive diagonal")
     return d
@@ -162,9 +172,7 @@ def _validate_positive_affine(arg_dims, params):
         bb = np.asarray(b, dtype=float)
         if bb.shape != (m, m):
             raise ExpressionError(f"positive_affine offset has shape {bb.shape}, expected {(m, m)}")
-        lam = np.linalg.eigvalsh((bb + bb.T) / 2.0)
-        if float(lam[0]) < -spd._pd_tol(float(lam[-1])):
-            raise ExpressionError("positive_affine offset must be positive semidefinite")
+        _require_psd(bb, "positive_affine offset")
     return m
 
 

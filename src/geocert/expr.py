@@ -22,7 +22,12 @@ node rather than represented as children, so only manifold-valued arguments
 participate in curvature propagation.
 
 Arity, argument kinds, and dimensions are checked when a node is built,
-never during analysis.  Nodes are immutable after construction.
+never during analysis; a parameter holding a NaN or an infinity raises
+``DomainError``.  Nodes are immutable after construction.  Each node class
+states its identity once, as a ``_key()`` tuple; ``Expression.__eq__`` (same
+class, equal keys) and ``Expression.__hash__`` both read it, so equal nodes
+hash alike.  Arrays enter a key through ``_array_token`` (parameters through
+``_param_token``), which equal arrays share.
 """
 
 from __future__ import annotations
@@ -212,6 +217,16 @@ class Expression:
     def variables(self) -> dict[str, Manifold]:
         return self._vars
 
+    def _key(self) -> tuple:
+        """The node's identity: nodes of one class are equal when their keys are."""
+        raise NotImplementedError
+
+    def __eq__(self, other):
+        return type(self) is type(other) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash((type(self).__name__, self._key()))
+
     def children(self) -> tuple["Expression", ...]:
         return ()
 
@@ -284,15 +299,8 @@ class Variable(Expression):
         self.manifold = manifold
         self._init_base("matrix", manifold.dim, {name: manifold})
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Variable)
-            and self.name == other.name
-            and self.manifold == other.manifold
-        )
-
-    def __hash__(self):
-        return hash(("var", self.name, self.manifold))
+    def _key(self):
+        return self.name, self.manifold
 
     def __repr__(self):
         return f"Variable({self.name!r}, {self.manifold})"
@@ -319,17 +327,8 @@ class ConstMatrix(Expression):
         square = a.shape[0] == a.shape[1]
         self._init_base("matrix" if square else "param", a.shape[0] if square else None, {})
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ConstMatrix)
-            and self.definiteness == other.definiteness
-            and self.name == other.name
-            and self.values.shape == other.values.shape
-            and np.array_equal(self.values, other.values)
-        )
-
-    def __hash__(self):
-        return hash(("constm", self.name) + _array_token(self.values))
+    def _key(self):
+        return (self.definiteness, self.name) + _array_token(self.values)
 
     def __repr__(self):
         label = self.name or f"{self.values.shape[0]}x{self.values.shape[1]}"
@@ -360,11 +359,8 @@ class ConstScalar(Expression):
         self.value = v
         self._init_base("scalar", None, {})
 
-    def __eq__(self, other):
-        return isinstance(other, ConstScalar) and self.value == other.value
-
-    def __hash__(self):
-        return hash(("consts", self.value))
+    def _key(self):
+        return (self.value,)
 
     def __repr__(self):
         return f"ConstScalar({self.value})"
@@ -394,15 +390,8 @@ class Add(Expression):
     def children(self):
         return self.terms
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Add)
-            and self.weights == other.weights
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash(("add", self.weights, self.terms))
+    def _key(self):
+        return self.weights, self.terms
 
     def __repr__(self):
         return f"Add({len(self.terms)} terms)"
@@ -425,15 +414,8 @@ class ScalarMul(Expression):
     def children(self):
         return (self.child,)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ScalarMul)
-            and self.weight == other.weight
-            and self.child == other.child
-        )
-
-    def __hash__(self):
-        return hash(("smul", self.weight, self.child))
+    def _key(self):
+        return self.weight, self.child
 
     def __repr__(self):
         return f"ScalarMul({self.weight}, {self.child!r})"
@@ -455,11 +437,8 @@ class Mul(Expression):
     def children(self):
         return self.factors
 
-    def __eq__(self, other):
-        return isinstance(other, Mul) and self.factors == other.factors
-
-    def __hash__(self):
-        return hash(("mul", self.factors))
+    def _key(self):
+        return (self.factors,)
 
     def __repr__(self):
         return f"Mul({len(self.factors)} factors)"
@@ -481,26 +460,11 @@ class MaxOf(Expression):
     def children(self):
         return self.options
 
-    def __eq__(self, other):
-        return isinstance(other, MaxOf) and self.options == other.options
-
-    def __hash__(self):
-        return hash(("max", self.options))
+    def _key(self):
+        return (self.options,)
 
     def __repr__(self):
         return f"MaxOf({len(self.options)} options)"
-
-
-def _params_equal(p, q) -> bool:
-    if type(p) is not type(q) and not (
-        isinstance(p, (int, float)) and isinstance(q, (int, float))
-    ):
-        return False
-    if isinstance(p, np.ndarray):
-        return p.shape == q.shape and bool(np.array_equal(p, q))
-    if isinstance(p, tuple):
-        return len(p) == len(q) and all(_params_equal(a, b) for a, b in zip(p, q))
-    return p == q
 
 
 def _param_token(p):
@@ -532,25 +496,17 @@ class AtomApply(Expression):
     def children(self):
         return self.args
 
+    @property
+    def arg_dims(self) -> tuple:
+        """The dimensions of the matrix-valued arguments, as ``refine`` receives them."""
+        return tuple(a.dim for a in self.args if a.kind == "matrix")
+
     def effective_meta(self) -> EffectiveMeta:
-        dims = tuple(a.dim for a in self.args if a.kind == "matrix")
-        return self.sig.effective(self.params, dims)
+        return self.sig.effective(self.params, self.arg_dims)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, AtomApply)
-            and self.sig.id == other.sig.id
-            and self.args == other.args
-            and self.param_labels == other.param_labels
-            and len(self.params) == len(other.params)
-            and all(_params_equal(p, q) for p, q in zip(self.params, other.params))
-        )
-
-    def __hash__(self):
-        return hash(
-            ("atom", self.sig.id, self.args, self.param_labels)
-            + tuple(_param_token(p) for p in self.params)
-        )
+    def _key(self):
+        return (self.sig.id, self.args, self.param_labels,
+                tuple(_param_token(p) for p in self.params))
 
     def __repr__(self):
         return f"AtomApply({self.sig.id}, {len(self.args)} args)"
@@ -639,25 +595,23 @@ def unregister_atom(name: str):
     _REGISTRY.pop(name, None)
 
 
-def lookup_atom(name: str) -> AtomSignature:
+def _registered(name: str) -> RegisteredAtom:
     try:
-        return _REGISTRY[name].sig
+        return _REGISTRY[name]
     except KeyError:
         raise UnknownAtomError(f"unknown atom '{name}'") from None
+
+
+def lookup_atom(name: str) -> AtomSignature:
+    return _registered(name).sig
 
 
 def atom_evaluator(name: str) -> Callable:
-    try:
-        return _REGISTRY[name].evaluator
-    except KeyError:
-        raise UnknownAtomError(f"unknown atom '{name}'") from None
+    return _registered(name).evaluator
 
 
 def atom_vjp(name: str) -> Callable | None:
-    try:
-        return _REGISTRY[name].vjp
-    except KeyError:
-        raise UnknownAtomError(f"unknown atom '{name}'") from None
+    return _registered(name).vjp
 
 
 def atom_ids() -> tuple[str, ...]:
@@ -673,28 +627,35 @@ def _require_spd_usable(cm: ConstMatrix):
         _verify_definiteness(cm.values, Definiteness.PD)
 
 
+def _finite(x):
+    """``x`` itself; ``DomainError`` when it holds a NaN or an infinity."""
+    if not np.all(np.isfinite(x)):
+        raise DomainError("atom parameters must be finite")
+    return x
+
+
 def _coerce_param(kind: ArgKind, item):
     if isinstance(item, ConstScalar):
         item = item.value
     if kind is ArgKind.PARAM_INT:
-        v = float(item)
+        v = _finite(float(item))
         if not v.is_integer():
             raise ExpressionError(f"expected an integer parameter, got {item!r}")
         return int(v)
     if kind is ArgKind.PARAM_SCALAR:
-        return float(item)
+        return _finite(float(item))
     if kind is ArgKind.PARAM_VECTOR:
         a = np.asarray(item, dtype=float)
         if a.ndim != 1:
             raise ExpressionError(f"expected a vector parameter, got shape {a.shape}")
-        return _readonly(a)
+        return _finite(_readonly(a))
     if kind is ArgKind.PARAM_MATRIX:
         a = np.asarray(item, dtype=float)
         if a.ndim != 2:
             raise ExpressionError(f"expected a matrix parameter, got shape {a.shape}")
-        return _readonly(a)
+        return _finite(_readonly(a))
     if kind is ArgKind.PARAM_VECTORS:
-        a = np.asarray(item, dtype=float)
+        a = _finite(np.asarray(item, dtype=float))
         if a.ndim == 1:
             return (_readonly(a),)
         if a.ndim == 2:
@@ -702,8 +663,8 @@ def _coerce_param(kind: ArgKind, item):
         raise ExpressionError("expected a vector, list of vectors, or matrix of columns")
     if kind is ArgKind.PARAM_MATRICES:
         if isinstance(item, np.ndarray) and item.ndim == 2:
-            return (_readonly(item),)
-        mats = tuple(_readonly(np.asarray(m, dtype=float)) for m in item)
+            return (_finite(_readonly(item)),)
+        mats = tuple(_finite(_readonly(np.asarray(m, dtype=float))) for m in item)
         if not mats or any(m.ndim != 2 for m in mats):
             raise ExpressionError("expected a matrix or a non-empty list of matrices")
         return mats

@@ -238,6 +238,16 @@ class TestGCurvature:
         e = gc.apply_atom("pow", [gc.apply_atom("sum_log_eigmax", [x, 2]), 2])
         assert gc.analyze(e, gc.SPD(3)).gcurvature == G.UNKNOWN
 
+    @pytest.mark.parametrize("rule, build", [
+        ("compose_loewner", lambda x: gc.apply_atom("logdet", [x])),
+        ("compose_scalar", lambda x: gc.apply_atom("exp", [gc.apply_atom("tr", [x])])),
+    ], ids=["compose_loewner", "compose_scalar"])
+    def test_analyze_applies_the_public_rule(self, monkeypatch, rule, build):
+        e = build(_var(d=2))
+        assert gc.analyze(e, gc.SPD(2)).gcurvature is not G.UNKNOWN
+        monkeypatch.setattr(gc.analysis, rule, lambda *args: G.UNKNOWN)
+        assert gc.analyze(e, gc.SPD(2)).gcurvature is G.UNKNOWN
+
     def test_constant_subtree_linear(self):
         e = gc.apply_atom("sdivergence", [_pd(3, 1), _pd(3, 2)]) + gc.apply_atom("tr", [_var(d=3)])
         r = gc.analyze(e, gc.SPD(3))

@@ -150,6 +150,31 @@ class TestApplyAtom:
         with pytest.raises(ExpressionError):
             gc.apply_atom("positive_affine", [x, ys, np.diag([1.0, -1.0]), 1])
 
+    @pytest.mark.parametrize("atom, items", [
+        ("eigsummax", lambda x: [x, math.nan]),
+        ("pow", lambda x: [gc.apply_atom("tr", [x]), math.nan]),
+        ("quad_form", lambda x: [np.array([math.nan, 1.0]), x]),
+        ("log_quad_form", lambda x: [[np.ones(2), np.array([1.0, math.inf])], x]),
+        ("hadamard_product", lambda x: [x, np.array([[1.0, math.nan], [math.nan, 1.0]])]),
+        ("positive_affine", lambda x: [x, [np.array([[1.0, 0.0], [math.inf, 1.0]])],
+                                       np.eye(2), 1]),
+    ], ids=["int", "scalar", "vector", "vectors", "matrix", "matrices"])
+    def test_non_finite_parameters_rejected(self, atom, items):
+        x = gc.Variable("X", gc.SPD(2))
+        with pytest.raises(DomainError, match="atom parameters must be finite"):
+            gc.apply_atom(atom, items(x))
+
+    @pytest.mark.parametrize("atom, items, what", [
+        ("hadamard_product", lambda x, m: [x, m], "hadamard_product mask"),
+        ("positive_affine", lambda x, m: [x, [np.eye(2)], m, 1], "positive_affine offset"),
+    ], ids=["hadamard_product", "positive_affine"])
+    def test_psd_parameters_must_be_symmetric(self, atom, items, what):
+        x = gc.Variable("X", gc.SPD(2))
+        with pytest.raises(ExpressionError, match=f"{what} must be symmetric"):
+            gc.apply_atom(atom, items(x, np.array([[1.0, 0.5], [0.0, 1.0]])))
+        with pytest.raises(ExpressionError, match=f"{what} must be positive semidefinite"):
+            gc.apply_atom(atom, items(x, np.array([[1.0, 2.0], [2.0, 1.0]])))
+
 
 class TestStructure:
     def test_deep_equality_same_construction(self, scope):
@@ -171,6 +196,39 @@ class TestStructure:
         q = gc.apply_atom("quad_form", [np.array([-0.0, 1.0]), x])
         assert p == q and hash(p) == hash(q)
         assert len({a, b}) == 1 and len({p, q}) == 1
+
+    def test_identity_follows_every_key_field(self, scope):
+        x = gc.Variable("X", gc.SPD(2))
+        t, u = gc.apply_atom("tr", [x]), gc.apply_atom("logdet", [x])
+        # Per node class: a builder from keyword fields, and a changed value
+        # for every field of the node's identity.
+        table = [
+            (lambda name="X", dim=2: gc.Variable(name, gc.SPD(dim)),
+             {"name": "Y", "dim": 3}),
+            (lambda values=((2.0, 1.0), (1.0, 2.0)), definiteness="PD", name="A":
+                gc.ConstMatrix(values, definiteness, name),
+             {"values": ((3.0, 1.0), (1.0, 2.0)), "definiteness": "PSD", "name": "B"}),
+            (lambda value=1.0: gc.ConstScalar(value), {"value": 2.0}),
+            (lambda terms=(t, u), weights=(1.0, 2.0): gc.Add(terms, weights),
+             {"terms": (u, t), "weights": (1.0, 3.0)}),
+            (lambda weight=2.0, child=t: gc.ScalarMul(weight, child),
+             {"weight": 3.0, "child": u}),
+            (lambda factors=(t, u): gc.Mul(factors), {"factors": (u, t)}),
+            (lambda options=(t, u): gc.MaxOf(options), {"options": (u, t)}),
+            (lambda atom="quad_form", h=(1.0, 2.0), label=None, arg=x:
+                gc.apply_atom(atom, [gc.ParamRef(label, np.array(h)), arg]),
+             {"atom": "log_quad_form", "h": (1.0, 3.0), "label": "h",
+              "arg": gc.Variable("Z", gc.SPD(2))}),
+        ]
+        assert {type(build()) for build, _ in table} == {
+            gc.Variable, gc.ConstMatrix, gc.ConstScalar, gc.Add, gc.ScalarMul,
+            gc.Mul, gc.MaxOf, gc.AtomApply,
+        }
+        for build, changes in table:
+            assert build() == build() and hash(build()) == hash(build())
+            for field, value in changes.items():
+                assert build(**{field: value}) != build(), (type(build()).__name__, field)
+        assert gc.Add((t,), (2.0,)) != gc.ScalarMul(2.0, t)
 
     def test_inequality_on_params(self, scope):
         x = gc.Variable("X", gc.SPD(4))
