@@ -31,7 +31,11 @@ The public ``combine_add``, ``combine_max``, ``compose_scalar``,
 ``_curv_node`` picks a node's rule and holds only the gates in front of it
 (the product rejection and the sign gate of ``POSITIVE_DOMAIN_ATOMS``).
 Patching one of them in this module therefore changes ``analyze``'s
-verdicts.
+verdicts.  An atom node's signs and outer curvature come from its
+``meta``, resolved once when the node was built; only ``compose_loewner``,
+which takes the signature, resolves it again.  An atom without a
+``MANIFOLD`` position is a scalar outer atom and composes by
+``compose_scalar``.
 """
 
 from __future__ import annotations
@@ -39,10 +43,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .atoms import POSITIVE_DOMAIN_ATOMS, SCALAR_OUTER_ATOMS, SIGN_RANGE_OVERRIDES
+from .atoms import POSITIVE_DOMAIN_ATOMS, SIGN_RANGE_OVERRIDES
 from .errors import DomainError, ShapeError
 from .expr import (
     Add,
+    ArgKind,
     AtomApply,
     AtomSignature,
     ConstMatrix,
@@ -259,7 +264,7 @@ def _sign_node(e: Expression, child_signs: list[Sign], safe: bool) -> Sign:
     if isinstance(e, AtomApply):
         if safe and e.sig.id in SIGN_RANGE_OVERRIDES:
             return SIGN_RANGE_OVERRIDES[e.sig.id]
-        return e.effective_meta().sign
+        return e.meta.sign
     return Sign.ANY
 
 
@@ -328,13 +333,14 @@ def _curv_node(node: Expression, kid_curvs: list[GCurvature], kid_safe_signs: li
                 "; note: inversion only reparametrizes geodesically linear arguments"
             )
             return curv, "inverse-reparametrization", f"inner={kid_curvs[0].value}{note}"
-        eff = node.effective_meta()
+        eff = node.meta
         mono = eff.gmono
-        # Scalar outer atoms compose through their Euclidean curvature in
-        # both geometries (their domain is flat).
-        loewner = geodesic and sig.id not in SCALAR_OUTER_ATOMS
+        # A scalar outer atom (no manifold argument) composes through its
+        # Euclidean curvature in both geometries: its domain is flat.
+        scalar_outer = ArgKind.MANIFOLD not in sig.positions
+        loewner = geodesic and not scalar_outer
         outer_curv = eff.gcurv if loewner else _E2G[eff.ecurv]
-        rule = "scalar-composition" if sig.id in SCALAR_OUTER_ATOMS else "loewner-composition"
+        rule = "scalar-composition" if scalar_outer else "loewner-composition"
         note = ""
         if sig.id in POSITIVE_DOMAIN_ATOMS:
             arg_sign = kid_safe_signs[0]

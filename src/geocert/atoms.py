@@ -13,7 +13,11 @@ decreases for x < y, and ``(log lam)^p`` dips below lam = 1.
 sign of the exponent ``r``.
 
 Each catalog row pairs a signature with the atom's evaluator and its
-vector-Jacobian product, both from ``spd``.
+vector-Jacobian product, both from ``spd``.  A row without a ``validate``
+gets ``apply_atom``'s default result: a scalar, or a matrix of its
+argument's dimension.  The scalar outer functions are the atoms without a
+``MANIFOLD`` position; ``analysis`` composes every such atom through its
+Euclidean curvature, so no list of their names is kept here.
 """
 
 from __future__ import annotations
@@ -34,9 +38,6 @@ from .expr import (
     register_atom,
 )
 
-# Scalar outer atoms: composed through their Euclidean curvature and
-# monotonicity since their argument is a scalar subexpression.
-SCALAR_OUTER_ATOMS = frozenset({"exp", "log", "neg_log", "pow", "abs"})
 # Outer atoms whose domain requires a provably nonnegative argument.
 POSITIVE_DOMAIN_ATOMS = frozenset({"log", "neg_log", "pow"})
 # The registered sign metadata says Positive, but the value range crosses
@@ -44,14 +45,6 @@ POSITIVE_DOMAIN_ATOMS = frozenset({"log", "neg_log", "pow"})
 # reported as registered yet never trusted by the composition domain gates;
 # pow(logdet(inv(X)), 3) would otherwise be certified and is refutable.
 SIGN_RANGE_OVERRIDES = {"logdet": Sign.ANY}
-
-
-def _scalar_result(arg_dims, params):
-    return None
-
-
-def _same_dim(arg_dims, params):
-    return arg_dims[0]
 
 
 def _full_column_rank(b: np.ndarray, what: str):
@@ -196,26 +189,26 @@ _S = ArgKind.SCALAR
 _CATALOG = [
     # Scalar-valued atoms of SPD arguments.
     (AtomSignature("logdet", (_M,), "scalar", Sign.POSITIVE, GCurvature.LINEAR,
-                   GMonotonicity.INCREASING, ECurvature.CONCAVE, _scalar_result),
+                   GMonotonicity.INCREASING, ECurvature.CONCAVE),
      spd.eval_logdet, spd.vjp_logdet),
     (AtomSignature("tr", (_M,), "scalar", Sign.POSITIVE, GCurvature.CONVEX,
-                   GMonotonicity.INCREASING, ECurvature.AFFINE, _scalar_result),
+                   GMonotonicity.INCREASING, ECurvature.AFFINE),
      spd.eval_tr, spd.vjp_tr),
     (AtomSignature("sum", (_M,), "scalar", Sign.POSITIVE, GCurvature.CONVEX,
-                   GMonotonicity.INCREASING, ECurvature.AFFINE, _scalar_result),
+                   GMonotonicity.INCREASING, ECurvature.AFFINE),
      spd.eval_sum, spd.vjp_sum),
     (AtomSignature("sdivergence", (_M, _M), "scalar", Sign.POSITIVE, GCurvature.CONVEX,
-                   GMonotonicity.ANY, ECurvature.UNKNOWN, _scalar_result),
+                   GMonotonicity.ANY, ECurvature.UNKNOWN),
      spd.eval_sdivergence, spd.vjp_sdivergence),
     (AtomSignature("distance", (_M, _M), "scalar", Sign.POSITIVE, GCurvature.CONVEX,
-                   GMonotonicity.ANY, ECurvature.UNKNOWN, _scalar_result),
+                   GMonotonicity.ANY, ECurvature.UNKNOWN),
      spd.eval_distance, spd.vjp_distance),
     (AtomSignature("quad_form", (ArgKind.PARAM_VECTOR, _M), "scalar", Sign.POSITIVE,
                    GCurvature.CONVEX, GMonotonicity.INCREASING, ECurvature.AFFINE,
                    _validate_quad_form),
      spd.eval_quad_form, spd.vjp_quad_form),
     (AtomSignature("eigmax", (_M,), "scalar", Sign.POSITIVE, GCurvature.CONVEX,
-                   GMonotonicity.INCREASING, ECurvature.CONVEX, _scalar_result),
+                   GMonotonicity.INCREASING, ECurvature.CONVEX),
      spd.eval_eigmax, spd.vjp_eigmax),
     (AtomSignature("log_quad_form", (ArgKind.PARAM_VECTORS, _M), "scalar", Sign.ANY,
                    GCurvature.CONVEX, GMonotonicity.INCREASING, ECurvature.UNKNOWN,
@@ -243,17 +236,17 @@ _CATALOG = [
                    _validate_conjugation),
      spd.eval_conjugation, spd.vjp_conjugation),
     (AtomSignature("adjoint", (_M,), "matrix", Sign.POSITIVE, GCurvature.CONVEX,
-                   GMonotonicity.INCREASING, ECurvature.AFFINE, _same_dim),
+                   GMonotonicity.INCREASING, ECurvature.AFFINE),
      spd.eval_adjoint, spd.vjp_adjoint),
     (AtomSignature("inv", (_M,), "matrix", Sign.POSITIVE, GCurvature.CONVEX,
-                   GMonotonicity.DECREASING, ECurvature.CONVEX, _same_dim),
+                   GMonotonicity.DECREASING, ECurvature.CONVEX),
      spd.eval_inv, spd.vjp_inv),
     (AtomSignature("hadamard_product", (_M, ArgKind.PARAM_MATRIX), "matrix", Sign.POSITIVE,
                    GCurvature.CONVEX, GMonotonicity.INCREASING, ECurvature.AFFINE,
                    _validate_hadamard),
      spd.eval_hadamard_product, spd.vjp_hadamard_product),
     (AtomSignature("diag_matrix", (_M,), "matrix", Sign.POSITIVE, GCurvature.CONVEX,
-                   GMonotonicity.INCREASING, ECurvature.AFFINE, _same_dim),
+                   GMonotonicity.INCREASING, ECurvature.AFFINE),
      spd.eval_diag_matrix, spd.vjp_diag_matrix),
     (AtomSignature("positive_affine",
                    (_M, ArgKind.PARAM_MATRICES, ArgKind.PARAM_MATRIX, ArgKind.PARAM_INT),
@@ -263,24 +256,24 @@ _CATALOG = [
     # The canonical Euclidean-only example; honestly registered as GUnknown so
     # its geodesic behavior can only come from the fuzzer, never a certificate.
     (AtomSignature("elementwise_norm1", (_M,), "scalar", Sign.POSITIVE, GCurvature.UNKNOWN,
-                   GMonotonicity.ANY, ECurvature.CONVEX, _scalar_result),
+                   GMonotonicity.ANY, ECurvature.CONVEX),
      spd.elementwise_norm1, spd.vjp_elementwise_norm1),
     # Scalar outer functions.
     (AtomSignature("exp", (_S,), "scalar", Sign.POSITIVE, GCurvature.CONVEX,
-                   GMonotonicity.INCREASING, ECurvature.CONVEX, _scalar_result),
+                   GMonotonicity.INCREASING, ECurvature.CONVEX),
      spd.eval_exp, spd.vjp_exp),
     (AtomSignature("log", (_S,), "scalar", Sign.ANY, GCurvature.CONCAVE,
-                   GMonotonicity.INCREASING, ECurvature.CONCAVE, _scalar_result),
+                   GMonotonicity.INCREASING, ECurvature.CONCAVE),
      spd.eval_log, spd.vjp_log),
     (AtomSignature("neg_log", (_S,), "scalar", Sign.ANY, GCurvature.CONVEX,
-                   GMonotonicity.DECREASING, ECurvature.CONVEX, _scalar_result),
+                   GMonotonicity.DECREASING, ECurvature.CONVEX),
      spd.eval_neg_log, spd.vjp_neg_log),
     (AtomSignature("pow", (_S, ArgKind.PARAM_SCALAR), "scalar", Sign.POSITIVE,
                    GCurvature.CONVEX, GMonotonicity.INCREASING, ECurvature.CONVEX,
                    _validate_pow),
      spd.eval_pow, spd.vjp_pow),
     (AtomSignature("abs", (_S,), "scalar", Sign.POSITIVE, GCurvature.CONVEX,
-                   GMonotonicity.ANY, ECurvature.CONVEX, _scalar_result),
+                   GMonotonicity.ANY, ECurvature.CONVEX),
      spd.eval_abs, spd.vjp_abs),
 ]
 

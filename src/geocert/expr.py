@@ -23,10 +23,14 @@ participate in curvature propagation.
 
 Arity, argument kinds, and dimensions are checked when a node is built,
 never during analysis; a parameter holding a NaN or an infinity raises
-``DomainError``.  Nodes are immutable after construction.  Each node class
-states its identity once, as a ``_key()`` tuple; ``Expression.__eq__`` (same
-class, equal keys) and ``Expression.__hash__`` both read it, so equal nodes
-hash alike.  Arrays enter a key through ``_array_token`` (parameters through
+``DomainError``.  An atom node also resolves its metadata then: it keeps
+the dimensions of its matrix arguments as ``arg_dims`` and the
+signature's ``effective`` metadata at its parameters and those dimensions
+as ``meta``, which analysis reads.  Nodes are immutable after
+construction.  Each node class states its identity once, as a ``_key()``
+tuple; ``Expression.__eq__`` (same class, equal keys) and
+``Expression.__hash__`` both read it, so equal nodes hash alike.  Arrays
+enter a key through ``_array_token`` (parameters through
 ``_param_token``), which equal arrays share.
 """
 
@@ -478,14 +482,16 @@ def _param_token(p):
 class AtomApply(Expression):
     """Application of a registered atom to expression arguments plus baked parameters."""
 
-    __slots__ = ("sig", "args", "params", "param_labels", "result_dim")
+    __slots__ = ("sig", "args", "params", "param_labels", "result_dim", "arg_dims", "meta")
 
-    def __init__(self, sig, args, params, param_labels, result_dim):
+    def __init__(self, sig, args, params, param_labels, result_dim, arg_dims):
         self.sig = sig
         self.args = tuple(args)
         self.params = tuple(params)
         self.param_labels = tuple(param_labels)
         self.result_dim = result_dim
+        self.arg_dims = arg_dims
+        self.meta = sig.effective(self.params, arg_dims)
         kind = "scalar" if sig.result == "scalar" else "matrix"
         self._init_base(
             kind,
@@ -495,14 +501,6 @@ class AtomApply(Expression):
 
     def children(self):
         return self.args
-
-    @property
-    def arg_dims(self) -> tuple:
-        """The dimensions of the matrix-valued arguments, as ``refine`` receives them."""
-        return tuple(a.dim for a in self.args if a.kind == "matrix")
-
-    def effective_meta(self) -> EffectiveMeta:
-        return self.sig.effective(self.params, self.arg_dims)
 
     def _key(self):
         return (self.sig.id, self.args, self.param_labels,
@@ -736,7 +734,7 @@ def apply_atom(name: str, items) -> AtomApply:
         result_dim = sig.validate(arg_dims, tuple(params))
     elif sig.result == "matrix":
         result_dim = arg_dims[0]
-    return AtomApply(sig, args, tuple(params), tuple(labels), result_dim)
+    return AtomApply(sig, args, tuple(params), tuple(labels), result_dim, arg_dims)
 
 
 # ---------------------------------------------------------------------------

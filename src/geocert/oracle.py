@@ -51,6 +51,10 @@ Trial order is kept exactly:
 * a ``DomainError`` at an endpoint, on a missing path or at a t-sample ends
   the trial as skipped; the t-samples evaluated before it still count
   toward ``worst_residual`` and may supply the witness;
+* a NaN value of ``f`` counts as a ``DomainError`` at that point, on the
+  pointwise and the stacked path alike (``f`` is still called at the
+  trial's later points, but their values are dropped); an infinite value
+  is judged as it is;
 * more than 50% skipped trials raises ``InconclusiveError``;
 * any other error of an injected pair (a shape or symmetry gate) is raised
   once ``f`` has seen that pair's endpoints, as a trial-at-a-time loop
@@ -478,12 +482,39 @@ def _stacked_trials(evaluate_block, batch: _Batch):
     return done, skipped, completed
 
 
+def _cut_at_nan(batch: _Batch, done: list, skipped: int, completed: int):
+    """A batch's trials with each NaN value of ``f`` read as a ``DomainError`` there.
+
+    A NaN is not evidence: the trial ends as skipped at its first value
+    holding a NaN, and its path values before it still count.  Infinite
+    values are judged as they are.
+    """
+    flat = [v for _, fa, fb, values in done for v in (fa, fb, *values)]
+    if not flat or not np.isnan(_stack(flat)).any():
+        return done, skipped, completed
+    full = 0 if batch.ts is None else batch.ts.shape[1]
+    kept = []
+    for row, fa, fb, values in done:
+        nan = np.isnan(_stack([fa, fb, *values])).reshape(len(values) + 2, -1).any(axis=1)
+        if not nan.any():
+            kept.append((row, fa, fb, values))
+            continue
+        if len(values) == full:  # the trial had completed
+            completed -= 1
+            skipped += 1
+        cut = int(nan.argmax())
+        if cut >= 2:
+            kept.append((row, fa, fb, values[:cut - 2]))
+    return kept, skipped, completed
+
+
 def _trial_loop(f, trials: int, batches, tol: float, judge, evaluate_block=None) -> FuzzReport:
     """The one trial loop behind every check.
 
     Each batch's trials come from ``_pointwise_trials``, or, for generated
     batches when ``evaluate_block`` is given, from ``_stacked_trials``,
-    which yields the same values and outcomes.  ``judge`` turns a batch's
+    which yields the same values and outcomes; ``_cut_at_nan`` then ends
+    each trial at its first NaN value of ``f``.  ``judge`` turns a batch's
     values into relative gaps ``(rel, scale, row, t, value, reference)`` in
     ``(trial, t)`` order; the first gap above ``tol`` becomes the witness.
     """
@@ -497,7 +528,7 @@ def _trial_loop(f, trials: int, batches, tol: float, judge, evaluate_block=None)
             outcome = _stacked_trials(evaluate_block, batch)
         if outcome is None:
             outcome = _pointwise_trials(f, batch)
-        done, block_skipped, block_completed = outcome
+        done, block_skipped, block_completed = _cut_at_nan(batch, *outcome)
         skipped += block_skipped
         completed += block_completed
         for rel, scale, row, t, value, ref in judge(batch, done):

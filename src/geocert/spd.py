@@ -36,9 +36,12 @@ finishing reductions.  ``POINT``, the default, decomposes afresh at every
 call; a ``Memo`` decomposes each input array of one evaluation once, and
 can be seeded with a decomposition its caller already holds (the
 ``SPDMatrix`` a variable is bound to); a ``Rows`` memoizes the same way
-over stacks.  The vector-Jacobian products in ``RESIDUAL_VJPS`` take the
-policy their evaluator ran under and read the forward pass's
-decompositions from it.
+over stacks.  ``distance`` gates both of its arguments, the first
+through the policy's ``symmetric``.  Every vector-Jacobian product that
+decomposes a matrix is in ``RESIDUAL_VJPS``: it takes the policy its
+evaluator ran under and reads the forward pass's decompositions from it,
+so a gradient after an evaluation decomposes only what that evaluation
+did not (a sum, a whitening the other way round).
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -83,8 +87,10 @@ def _sym(a: np.ndarray) -> np.ndarray:
 def _check_symmetric_square(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"{what} must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise DomainError(f"{what} has non-finite entries")
+    if (a == a.T).all():  # exactly symmetric, so within any tolerance
+        return a
     scale = float(np.linalg.norm(a))
     if float(np.linalg.norm(a - a.T)) > ASYM_RTOL * max(scale, PD_FLOOR):
         raise ShapeError(f"{what} is not symmetric within {ASYM_RTOL:g} relative")
@@ -289,7 +295,7 @@ def distance(a, b) -> float:
     b_arr = _as_array(b)
     if a_arr.shape != b_arr.shape:
         raise ShapeError(f"dimension mismatch: {a_arr.shape} vs {b_arr.shape}")
-    return _distance(a_arr, b, POINT)
+    return _distance(a, b, POINT)
 
 
 def loewner_geq(a, b, tol: float = 1e-9) -> bool:
@@ -363,10 +369,11 @@ class _Point:
     of ``x``, each after ``require``, which fails unless a descending
     spectrum is positive; ``inv_sqrt`` and ``whiten`` give the gated
     ``Y^-1/2`` and the eigenpairs of ``Y^-1/2 X Y^-1/2``; ``finite`` passes
-    the input of an ungated decomposition; ``map`` finishes a value from
-    its eigenvalues; ``memo`` computes what a memoizing policy would keep.
-    This is the hot path of the public checks, so nothing here builds a
-    closure or a message unless a gate fails.
+    the input of an ungated decomposition; ``symmetric`` gates an argument
+    as ``sym_eig`` does, but for an ``SPDMatrix``; ``map`` finishes a value
+    from its eigenvalues; ``memo`` computes what a memoizing policy would
+    keep.  This is the hot path of the public checks, so nothing here
+    builds a closure or a message unless a gate fails.
     """
 
     __slots__ = ()
@@ -376,6 +383,11 @@ class _Point:
 
     def finite(self, x: np.ndarray) -> np.ndarray:
         return x
+
+    def symmetric(self, x) -> np.ndarray:
+        if isinstance(x, SPDMatrix):
+            return x.entries
+        return _check_symmetric_square(np.asarray(x, dtype=float))
 
     def eigvalsh(self, x: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(_sym(self.finite(x)))
@@ -504,7 +516,7 @@ class Rows(Memo):
 
     def pd_eig(self, x: np.ndarray, message: str) -> EigenPair:
         """Rows that are not positive definite die and get eigenvalues 1."""
-        pair = self.memo("sym_eig", self._sym_eig, x)
+        pair = self.memo("sym_eig", lambda a: _eig_nogate(self.symmetric(a)), x)
         bad = pair.lam[..., -1] <= 0.0
         self.kill(bad)
         return EigenPair(q=pair.q, lam=np.where(bad[..., None], 1.0, pair.lam))
@@ -528,14 +540,15 @@ class Rows(Memo):
                 self.alive[i] = False
         return out
 
-    def _sym_eig(self, a: np.ndarray) -> EigenPair:
-        """``sym_eig`` of every row: non-finite rows die, asymmetric ones are undecided."""
+    def symmetric(self, a: np.ndarray) -> np.ndarray:
+        """``live(a)`` after the gate of ``sym_eig`` per row: non-finite rows
+        die, an asymmetric alive row is undecided."""
         if a.ndim == 2:
             try:
-                return sym_eig(a)
+                return _check_symmetric_square(a)
             except DomainError:
                 self.kill(True)
-                return _eig_nogate(np.eye(a.shape[0]))
+                return np.eye(a.shape[0])
         self.kill(~np.isfinite(a).all(axis=(-2, -1)))
         a = self.live(a)
         for i in np.flatnonzero(self.alive & ~(a == _mT(a)).all(axis=(-2, -1))):
@@ -543,7 +556,7 @@ class Rows(Memo):
                 _check_symmetric_square(a[i])
             except ShapeError:
                 raise Undecided("asymmetric argument") from None
-        return _eig_nogate(a)
+        return a
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +633,7 @@ def eval_distance(x, y, *, rows=POINT):
 
 
 def _distance(x, y, rows):
-    w = rows.whiten(x, y)[1]
+    w = rows.whiten(rows.symmetric(x), y)[1]
     rows.require(w.lam, "distance requires positive definite arguments")
     return rows.map(_distance_tail, w.lam)
 
@@ -767,14 +780,10 @@ STACKED = _takes_rows("eval_")
 # ---------------------------------------------------------------------------
 
 
-def _spectral_grad(x, fprime) -> np.ndarray:
-    """``Q diag(f'(lam)) Q^T`` for the eigenvalues of ``x`` sorted descending."""
-    pair = _eig_nogate(_as_array(x))
+def _spectral_grad(x, fprime, rows) -> np.ndarray:
+    """``Q diag(f'(lam)) Q^T`` for the eigenvalues of ``x`` sorted descending, ungated."""
+    pair = rows.memo("sym_eig", _eig_nogate, _as_array(x))
     return _rebuild(pair, fprime(pair.lam))
-
-
-def _inv_nogate(x) -> np.ndarray:
-    return _spectral_grad(x, lambda lam: 1.0 / lam)
 
 
 def _top(k: int):
@@ -782,9 +791,9 @@ def _top(k: int):
     return lambda lam: (np.arange(lam.size) < int(k)) * 1.0
 
 
-def _whiten_nogate(x, y) -> tuple[np.ndarray, EigenPair]:
+def _whiten_nogate(x, y, rows) -> tuple[np.ndarray, EigenPair]:
     """``Y^-1/2`` and the eigenpairs of ``Y^-1/2 X Y^-1/2``, no gate on ``y``."""
-    pair = _eig_nogate(_as_array(y))
+    pair = rows.memo("sym_eig", _eig_nogate, _as_array(y))
     POINT.require(pair.lam, "matrix is not positive definite")
     inv_sq = _root_pair(pair.q, pair.lam)[1]
     return inv_sq, _eig_nogate(inv_sq @ _as_array(x) @ inv_sq)
@@ -794,14 +803,14 @@ def _whitened_log(base, other, rows) -> np.ndarray:
     """``B^(-1/2) log(B^(-1/2) A B^(-1/2)) B^(-1/2)`` for ``base`` B, ``other`` A."""
     # Both arguments passed the evaluator's checks on the forward pass, so
     # nothing is gated here; a memo hands on the forward pass's whitening
-    # of ``other`` by ``base`` when the evaluator made it.
-    inv_sq, inner = rows.memo("whiten", _whiten_nogate, other, base)
+    # of ``other`` by ``base``, or else its decomposition of ``base``.
+    inv_sq, inner = rows.memo("whiten", partial(_whiten_nogate, rows=rows), other, base)
     frame = inv_sq @ inner.q
     return _sym((frame * np.log(inner.lam)) @ frame.T)
 
 
-def vjp_logdet(g, out, wrt, x):
-    return (g * _inv_nogate(x),)
+def vjp_logdet(g, out, wrt, x, *, rows=POINT):
+    return (g * _spectral_grad(x, np.reciprocal, rows),)
 
 
 def vjp_tr(g, out, wrt, x):
@@ -812,12 +821,12 @@ def vjp_sum(g, out, wrt, x):
     return (np.full(_as_array(x).shape, float(g)),)
 
 
-def vjp_sdivergence(g, out, wrt, x, y):
+def vjp_sdivergence(g, out, wrt, x, y, *, rows=POINT):
     # d/dX [logdet((X+Y)/2) - logdet(X)/2 - logdet(Y)/2] = (X+Y)^-1 - X^-1 / 2
     xa, ya = _as_array(x), _as_array(y)
-    mid = _inv_nogate(xa + ya)
+    mid = _spectral_grad(xa + ya, np.reciprocal, POINT)  # a fresh array, never shared
     return tuple(
-        g * (mid - 0.5 * _inv_nogate(v)) if need else None
+        g * (mid - 0.5 * _spectral_grad(v, np.reciprocal, rows)) if need else None
         for v, need in zip((xa, ya), wrt)
     )
 
@@ -840,8 +849,8 @@ def vjp_quad_form(g, out, wrt, h, x):
     return (g * np.outer(h, h),)
 
 
-def vjp_eigmax(g, out, wrt, x):
-    return (g * _spectral_grad(x, _top(1)),)
+def vjp_eigmax(g, out, wrt, x, *, rows=POINT):
+    return (g * _spectral_grad(x, _top(1), rows),)
 
 
 def vjp_log_quad_form(g, out, wrt, hs, x):
@@ -850,20 +859,20 @@ def vjp_log_quad_form(g, out, wrt, hs, x):
     return ((g / total) * sum(np.outer(h, h) for h in hs),)
 
 
-def vjp_eigsummax(g, out, wrt, x, k):
-    return (g * _spectral_grad(x, _top(k)),)
+def vjp_eigsummax(g, out, wrt, x, k, *, rows=POINT):
+    return (g * _spectral_grad(x, _top(k), rows),)
 
 
-def vjp_schatten_norm(g, out, wrt, x, p):
+def vjp_schatten_norm(g, out, wrt, x, p, *, rows=POINT):
     p = float(p)
-    return (g * _spectral_grad(x, lambda lam: out ** (1.0 - p) * lam ** (p - 1.0)),)
+    return (g * _spectral_grad(x, lambda lam: out ** (1.0 - p) * lam ** (p - 1.0), rows),)
 
 
-def vjp_sum_log_eigmax(g, out, wrt, x, k):
-    return (g * _spectral_grad(x, lambda lam: _top(k)(lam) / lam),)
+def vjp_sum_log_eigmax(g, out, wrt, x, k, *, rows=POINT):
+    return (g * _spectral_grad(x, lambda lam: _top(k)(lam) / lam, rows),)
 
 
-def vjp_sum_pow_log_eigmax(g, out, wrt, x, k, p):
+def vjp_sum_pow_log_eigmax(g, out, wrt, x, k, p, *, rows=POINT):
     p = float(p)
 
     def fprime(lam):
@@ -872,7 +881,7 @@ def vjp_sum_pow_log_eigmax(g, out, wrt, x, k, p):
         d[: int(k)] = p * logs ** (p - 1.0) / lam[: int(k)]
         return d
 
-    return (g * _spectral_grad(x, fprime),)
+    return (g * _spectral_grad(x, fprime, rows),)
 
 
 def vjp_conjugation(g, out, wrt, x, b):
@@ -896,12 +905,12 @@ def vjp_diag_matrix(g, out, wrt, x):
     return (np.diag(np.diag(g)).copy(),)
 
 
-def vjp_positive_affine(g, out, wrt, x, ys, b, r):
+def vjp_positive_affine(g, out, wrt, x, ys, b, r, *, rows=POINT):
     gs = _sym(g)
     pulled = sum(y @ gs @ y.T for y in ys)
     if int(r) == 1:
         return (pulled,)
-    x_inv = _inv_nogate(x)
+    x_inv = _spectral_grad(x, np.reciprocal, rows)
     return (-_sym(x_inv @ pulled @ x_inv),)
 
 
@@ -931,5 +940,6 @@ def vjp_abs(g, out, wrt, v):
 
 
 # The vector-Jacobian products that take ``rows``, the policy their
-# evaluator ran under, and read their forward residuals from it.
+# evaluator ran under, and read their forward residuals from it: every
+# product that decomposes a matrix.
 RESIDUAL_VJPS = _takes_rows("vjp_")

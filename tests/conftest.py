@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import geocert as gc
+from geocert import expr
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -60,6 +61,22 @@ def _fresh_default_scope():
     gc.clear_declarations()
     yield
     gc.clear_declarations()
+
+
+@pytest.fixture(autouse=True)
+def _registry_unchanged():
+    """A test that leaks or replaces an atom registration fails itself.
+
+    The registry is put back afterwards, so later tests see the one they
+    would have seen.
+    """
+    before = dict(expr._REGISTRY)
+    yield
+    after = dict(expr._REGISTRY)
+    expr._REGISTRY.clear()
+    expr._REGISTRY.update(before)
+    changed = sorted(k for k in before.keys() | after.keys() if before.get(k) != after.get(k))
+    assert not changed, f"the test changed the atom registry: {changed}"
 
 
 # Fixed counterexample matrix used across the oracle regression tests.

@@ -248,6 +248,50 @@ class TestGCurvature:
         monkeypatch.setattr(gc.analysis, rule, lambda *args: G.UNKNOWN)
         assert gc.analyze(e, gc.SPD(2)).gcurvature is G.UNKNOWN
 
+    def test_refine_runs_when_the_node_is_built_and_in_compose_loewner(self, monkeypatch):
+        inside, calls = [], []
+
+        def refine(params, arg_dims):
+            calls.append(bool(inside))
+            return {}
+
+        def counted_rule(*args):
+            inside.append(True)
+            try:
+                return compose_loewner(*args)
+            finally:
+                inside.pop()
+
+        compose_loewner = gc.analysis.compose_loewner
+        sig = gc.AtomSignature("refined_trace", (gc.ArgKind.MANIFOLD,), "scalar", S.POSITIVE,
+                               G.CONVEX, M.INCREASING, E.AFFINE, None, refine)
+        gc.register_atom(sig, lambda x: float(np.trace(x)))
+        try:
+            e = gc.apply_atom("refined_trace", [_var(d=2)])
+            assert calls == [False]
+            monkeypatch.setattr(gc.analysis, "compose_loewner", counted_rule)
+            for _ in range(2):
+                calls.clear()
+                assert gc.analyze(e, gc.SPD(2)).gcurvature is G.CONVEX
+                assert calls == [True]
+        finally:
+            gc.unregister_atom("refined_trace")
+
+    def test_an_atom_without_a_manifold_argument_composes_as_a_scalar(self):
+        # Its registered geodesic curvature is never read: a scalar
+        # argument composes through the Euclidean curvature and the
+        # monotonicity, whatever the atom's name.
+        sig = gc.AtomSignature("convex_scalar", (gc.ArgKind.SCALAR,), "scalar", S.ANY,
+                               G.LINEAR, M.INCREASING, E.CONVEX)
+        gc.register_atom(sig, lambda v: float(v))
+        try:
+            e = gc.apply_atom("convex_scalar", [gc.apply_atom("logdet", [_var(d=2)])])
+            r = gc.analyze(e, gc.SPD(2))
+            assert r.gcurvature is G.CONVEX
+            assert r.trace[-1].rule == "scalar-composition"
+        finally:
+            gc.unregister_atom("convex_scalar")
+
     def test_constant_subtree_linear(self):
         e = gc.apply_atom("sdivergence", [_pd(3, 1), _pd(3, 2)]) + gc.apply_atom("tr", [_var(d=3)])
         r = gc.analyze(e, gc.SPD(3))

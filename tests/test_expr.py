@@ -10,6 +10,7 @@ from geocert.errors import (
     DomainError,
     ExpressionError,
     RegistrationConflictError,
+    ShapeError,
     UnknownAtomError,
 )
 
@@ -438,6 +439,21 @@ class TestEvaluateStacked:
         stack[4, 1, 1] = np.nan
         assert "domain" in _assert_matches_pointwise(
             gc.apply_atom("tr", [gc.apply_atom("inv", [x])]), {"X": stack})
+
+    def test_distance_gates_its_first_argument_per_row(self):
+        # A non-finite row dies, as per point; an asymmetric alive row, which
+        # per point raises ShapeError, leaves the stack undecided.
+        x = gc.Variable("X", gc.SPD(3))
+        a = gc.make_const_matrix(np.asarray(gc.random_spd(3, 10.0, 3)), "PD", name="A")
+        e = gc.apply_atom("distance", [x, a])
+        stack = _mixed_stack(3, np.random.default_rng(11))
+        stack[4, 1, 1] = np.nan
+        assert "domain" in _assert_matches_pointwise(e, {"X": stack})
+        stack[6, 0, 1] += 0.5
+        with pytest.raises(ShapeError):
+            gc.evaluate(e, {"X": stack[6]})
+        with pytest.raises(gc.spd.Undecided):
+            _evaluate_stacked(e, {"X": stack}, np.ones(18, dtype=bool))
 
     def test_ungated_non_finite_rows_are_undecided(self):
         # Per point, eigvalsh of a NaN matrix returns whatever LAPACK makes of it.

@@ -14,7 +14,7 @@ import geocert as gc
 from geocert.errors import ExpressionError
 from geocert.expr import atom_evaluator, atom_vjp
 from geocert.problems import load_problem
-from geocert.solver import fd_directional
+from geocert.solver import _ExpressionObjective, fd_directional
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 DIMS = (2, 3, 5)
@@ -300,3 +300,36 @@ def test_decompositions_per_karcher_evaluation(monkeypatch):
     assert count(gc.value_and_grad, obj.expression, {"X": raw}) == 4
     assert count(obj._value_at, raw, point.eig) == 3
     assert count(obj.gradient, raw) == 0
+
+
+@pytest.mark.parametrize("build, expected", [
+    (lambda anchors: gc.make_matrix_sqrt_problem(anchors[0]).expression, 2),
+    (lambda anchors: gc.Add(tuple(
+        gc.apply_atom("pow", [gc.apply_atom("distance", [
+            gc.Variable("X", gc.SPD(5)), gc.make_const_matrix(a.entries, "PD", name=f"A{i}"),
+        ]), 2])
+        for i, a in enumerate(anchors)
+    )), 3),
+], ids=["matrix_sqrt", "karcher_x_first"])
+def test_gradient_after_an_evaluation_reads_its_decompositions(monkeypatch, build, expected):
+    # The backward pass decomposes only what the forward pass did not:
+    # matrix_sqrt the two sums X + A and X + I, each distance(X, A_i) term
+    # the whitening of A_i by X, while X's own decomposition is the one the
+    # evaluation was seeded with.
+    anchors = [gc.random_spd(5, 100.0, 60 + i) for i in range(3)]
+    obj = _ExpressionObjective(build(anchors), "X", "counted")
+    point = gc.random_spd(5, 10.0, 70)
+    raw = point.entries.copy()
+    obj._value_at(raw, point.eig)
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    grad = obj.gradient(raw)
+    assert len(calls) == expected
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    assert np.array_equal(grad, gc.value_and_grad(obj.expression, {"X": raw})[1]["X"])

@@ -381,6 +381,60 @@ class TestTrialEdgeCases:
         assert np.allclose(ts, [0.5, 0.25, 0.75], atol=1e-12)
 
 
+class TestNaNValues:
+    """A NaN value of ``f`` is a ``DomainError`` at that point, never evidence."""
+
+    @staticmethod
+    def _registered(name, fn):
+        sig = gc.AtomSignature(name, (gc.ArgKind.MANIFOLD,), "scalar", gc.Sign.POSITIVE,
+                               gc.GCurvature.CONVEX, gc.GMonotonicity.INCREASING,
+                               gc.ECurvature.AFFINE)
+        gc.register_atom(sig, fn)
+        return gc.apply_atom(name, [gc.Variable("X", gc.SPD(2))])
+
+    def test_a_nan_atom_is_inconclusive(self):
+        e = self._registered("always_nan", lambda x: math.nan)
+        try:
+            with pytest.raises(InconclusiveError):
+                gc.cross_validate(e, gc.FuzzConfig(trials=50, dim=2, seed=0))
+        finally:
+            gc.unregister_atom("always_nan")
+
+    def test_a_nan_function_is_inconclusive(self):
+        with pytest.raises(InconclusiveError):
+            gc.check_gconvex(lambda m: math.nan, gc.FuzzConfig(trials=20, dim=2))
+
+    def test_a_nan_on_the_path_skips_its_trial_after_the_values_before_it(self):
+        # -tr is geodesically concave, so the first midpoint already violates
+        # convexity; a NaN at the next path point of that trial skips it.
+        calls = []
+
+        def f(x):
+            calls.append(1)
+            return math.nan if len(calls) == 4 else -float(np.trace(x))
+
+        cfg = gc.FuzzConfig(trials=20, dim=2, seed=3)
+        clean = gc.check_gconvex(lambda x: -float(np.trace(x)), cfg)
+        rep = gc.check_gconvex(f, cfg)
+        assert (rep.skipped, rep.trials_run) == (1, 19)
+        assert rep.witness == clean.witness and rep.witness.t == 0.5
+
+    def test_stacked_and_pointwise_paths_skip_alike(self):
+        def nan_above(x):
+            t = float(np.trace(x))
+            return math.nan if t > 5.0 else t
+
+        e = self._registered("nan_above", nan_above)
+        try:
+            cfg = gc.FuzzConfig(trials=100, dim=2, seed=0)
+            out = gc.cross_validate(e, cfg)
+            rep = out.checks["geodesic-convexity"]
+            assert out.verdict == "CONSISTENT" and rep.skipped and math.isfinite(rep.worst_residual)
+            assert rep == gc.check_gconvex(lambda m: gc.evaluate(e, {"X": m}), cfg)
+        finally:
+            gc.unregister_atom("nan_above")
+
+
 class TestStackedTrials:
     """``cross_validate``'s stacked blocks read off exactly what the per-point loop sees."""
 

@@ -236,6 +236,19 @@ class TestDistance:
             d1 = gc.distance(c.T @ a @ c, c.T @ b @ c)
             assert abs(d0 - d1) <= 1e-8 * max(1.0, d0)
 
+    def test_first_argument_is_gated(self):
+        # As geodesic_path gates both endpoints: an asymmetric matrix is a
+        # ShapeError and a non-finite one a DomainError, in either slot.
+        asym = np.array([[2.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        nan = np.full((3, 3), np.nan)
+        for fn in (gc.distance, spd.eval_distance):
+            for bad, error in ((asym, ShapeError), (nan, DomainError)):
+                with pytest.raises(error):
+                    fn(bad, np.eye(3))
+                with pytest.raises(error):
+                    fn(np.eye(3), bad)
+        assert gc.distance(gc.SPDMatrix(np.diag([math.e, 1.0])), np.eye(2)) == 1.0
+
     def test_logdet_linear_along_geodesics(self):
         for i in range(20):
             a = np.asarray(gc.random_spd(4, 100.0, 20 + i))
