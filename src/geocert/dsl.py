@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import GeocertError, ParseError, UnknownAtomError
 from .expr import (
+    EXPR_KINDS,
     Add,
     AtomApply,
     ConstMatrix,
@@ -287,8 +288,6 @@ def _unparse(e: Expression, top: bool = False) -> str:
         rendered = []
         args = iter(e.args)
         params = iter(zip(e.params, e.param_labels))
-        from .expr import EXPR_KINDS
-
         for kind in e.sig.positions:
             if kind in EXPR_KINDS:
                 rendered.append(_unparse(next(args)))

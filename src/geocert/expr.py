@@ -50,6 +50,7 @@ from .errors import (
     DomainError,
     ExpressionError,
     RegistrationConflictError,
+    ShapeError,
     UnknownAtomError,
 )
 
@@ -154,10 +155,6 @@ class AtomSignature:
         if self.refine is not None:
             meta = meta._replace(**self.refine(params, arg_dims))
         return meta
-
-    @property
-    def expr_kinds(self) -> tuple[ArgKind, ...]:
-        return tuple(k for k in self.positions if k in EXPR_KINDS)
 
 
 class ParamRef(NamedTuple):
@@ -342,10 +339,11 @@ class ConstMatrix(Expression):
 def _verify_definiteness(a: np.ndarray, claim: Definiteness):
     if a.shape[0] != a.shape[1]:
         raise ExpressionError(f"{claim.value} claim requires a square matrix")
-    scale = float(np.linalg.norm(a))
-    if float(np.linalg.norm(a - a.T)) > spd.ASYM_RTOL * max(scale, spd.PD_FLOOR):
-        raise ExpressionError(f"{claim.value} claim requires a symmetric matrix")
-    lam = np.linalg.eigvalsh((a + a.T) / 2.0)
+    try:
+        spd._check_symmetric_square(a)
+    except ShapeError:
+        raise ExpressionError(f"{claim.value} claim requires a symmetric matrix") from None
+    lam = np.linalg.eigvalsh(spd._sym(a))
     tol = spd._pd_tol(float(lam[-1]))
     if claim is Definiteness.PD and float(lam[0]) <= tol:
         raise DomainError(f"PD claim fails: lambda_min={lam[0]:.6g}")

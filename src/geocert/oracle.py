@@ -30,12 +30,12 @@ public checks call ``f`` per point; it receives one read-only ``(d, d)``
 array per argument.  Each injected pair runs as a block of one.
 
 ``cross_validate`` goes further: it evaluates its expression once per
-block, over stacks of all the block's points (``expr._evaluate_stacked``),
-and reads each trial's values and ``DomainError`` outcomes off the result
-(``_stacked_trials``).  Every value equals the per-point one bit for bit.
-A block the stacked evaluation cannot decide (some point would raise
-another error, or numpy would report a floating-point event) runs point by
-point instead, which raises exactly what a trial-at-a-time loop raises.
+block, over stacks of all the block's points (``expr._evaluate_stacked``,
+through ``_stacked_trials``).  Every value and ``DomainError`` outcome
+equals the per-point one bit for bit.  A block the stacked evaluation
+cannot decide (some point would raise another error, or numpy would
+report a floating-point event) runs point by point instead, which raises
+exactly what a trial-at-a-time loop raises.
 Injected pairs always run point by point.
 
 Generated points are cached per block: ``_cached_points`` (segment
@@ -46,15 +46,20 @@ share them.  Both caches expose ``cache_clear``.
 Trial order is kept exactly:
 
 * ``f`` is called in trial order: the endpoints, then the t-samples in
-  order;
+  order, and nothing more of a trial after a ``DomainError``;
 * the first violation in ``(trial, t)`` order is the witness;
-* a ``DomainError`` at an endpoint, on a missing path or at a t-sample ends
-  the trial as skipped; the t-samples evaluated before it still count
-  toward ``worst_residual`` and may supply the witness;
-* a NaN value of ``f`` counts as a ``DomainError`` at that point, on the
-  pointwise and the stacked path alike (``f`` is still called at the
-  trial's later points, but their values are dropped); an infinite value
-  is judged as it is;
+* both producers, ``_pointwise_trials`` and ``_stacked_trials``, return one
+  per-point layout: the values and the mask of live points over the
+  endpoints A, then the endpoints B, then the t-samples in ``(trial, t)``
+  order, plus the mask of existing paths;
+* ``_read_trials`` alone reads the trials off that layout, so the skip
+  rule is stated once: a trial is skipped if A is dead, then if B is dead,
+  then if its path is missing, then at its first dead t-sample, and the
+  t-samples before it still count toward ``worst_residual`` and may supply
+  the witness;
+* a point is dead when ``f`` raised ``DomainError`` there or its value
+  holds a NaN (after a NaN, ``f`` is still called at the trial's later
+  points); an infinite value is judged as it is;
 * more than 50% skipped trials raises ``InconclusiveError``;
 * any other error of an injected pair (a shape or symmetry gate) is raised
   once ``f`` has seen that pair's endpoints, as a trial-at-a-time loop
@@ -187,18 +192,16 @@ def _cached_points(seed: int, start: int, stop: int, dim: int, cond_max: float, 
 
     Returns ``(a, b, ts)``: ``a`` and ``b`` hold one ``(n, dim, dim)`` stack
     per argument, ``ts`` is ``(n, 3 + t_samples)``.  Each trial draws from its
-    own ``(seed, index, 1)`` stream in the order of ``spd._random_spd_raw``,
-    then one stacked QR turns every draw of the block into a matrix.
+    own ``(seed, index, 1)`` stream, ``spd._spd_draws`` per matrix, then one
+    stacked QR turns every draw of the block into a matrix.
     """
     n, m = stop - start, 2 * nargs
-    half = 0.5 * math.log(cond_max)
     g = np.empty((n, m, dim, dim))
     u = np.empty((n, m, dim))
     for row in range(n):
         rng = _rng(seed, start + row, 1)
         for j in range(m):
-            g[row, j] = rng.normal(size=(dim, dim))
-            u[row, j] = rng.uniform(-half, half, size=dim)
+            g[row, j], u[row, j] = spd._spd_draws(dim, cond_max, rng)
     mats = _read_only(spd._spd_from_draws(g, u))
     ts = np.array([_trial_ts(seed, i, t_samples) for i in range(start, stop)])
     return (tuple(mats[:, j] for j in range(nargs)),
@@ -215,14 +218,12 @@ def _cached_ordered_pair(seed: int, start: int, stop: int, dim: int, cond_max: f
     ``(seed, index, 3)`` stream.
     """
     n = stop - start
-    half = 0.5 * math.log(cond_max)
     g = np.empty((n, dim, dim))
     u = np.empty((n, dim))
     w = np.empty((n, dim, dim))
     for row in range(n):
         rng = _rng(seed, start + row, 3)
-        g[row] = rng.normal(size=(dim, dim))
-        u[row] = rng.uniform(-half, half, size=dim)
+        g[row], u[row] = spd._spd_draws(dim, cond_max, rng)
         w[row] = rng.normal(size=(dim, dim))
     a = spd._spd_from_draws(g, u)
     p = (w @ spd._mT(w)) / dim
@@ -400,56 +401,48 @@ def _endpoint_values(done: list):
 
 
 def _pointwise_trials(f, batch: _Batch):
-    """A batch's trials with ``f`` called point by point.
+    """A batch's points with ``f`` called point by point, in the layout of ``_read_trials``.
 
     ``f`` sees each trial's endpoints, then its path points in t order, in
-    trial order; a ``DomainError`` ends the trial as skipped, but the
-    samples evaluated before it still count.  The paths are built once
-    ``f`` has seen the batch's first endpoints.  Returns ``(done, skipped,
-    completed)``; ``done`` holds ``(row, f(A), f(B), path values)`` for
-    every trial whose endpoints evaluated.
+    trial order, and nothing more of a trial after a ``DomainError``.  The
+    paths are built once ``f`` has seen the batch's first endpoints, so the
+    gates of an injected pair raise where a trial-at-a-time loop would; a
+    ``DomainError`` there marks the path missing.  A point where ``f``
+    raised ``DomainError`` or was not called holds NaN, a dead point.
     """
-    points = ok = None
-    done, skipped, completed = [], 0, 0
+    n = len(batch.a[0])
+    t = 0 if batch.ts is None else batch.ts.shape[1]
+    values = [None] * (2 * n + n * t)
+    points, ok = None, np.zeros(n, dtype=bool)
     for row, (ends_a, ends_b) in enumerate(zip(zip(*batch.a), zip(*batch.b))):
         try:
-            fa = f(*ends_a)
-            fb = f(*ends_b)
-            if points is None:
-                # After f has seen the first endpoints, so the gates of an
-                # injected pair raise where a trial-at-a-time loop would.
+            values[row] = f(*ends_a)
+            values[n + row] = f(*ends_b)
+        except DomainError:
+            continue
+        if points is None:
+            try:
                 points, ok = batch.paths()
-        except DomainError:
-            skipped += 1
-            continue
-        if not ok[row]:
-            skipped += 1
-            continue
-        values = []
-        path = zip(*(p[row] for p in points)) if points else ()
-        try:
-            for args in path:
-                values.append(f(*args))
-        except DomainError:
-            skipped += 1
-        else:
-            completed += 1
-        done.append((row, fa, fb, values))
-    return done, skipped, completed
+            except DomainError:
+                points = ()
+        if t and ok[row]:
+            try:
+                for i, args in enumerate(zip(*(p[row] for p in points)), 2 * n + row * t):
+                    values[i] = f(*args)
+            except DomainError:
+                pass
+    dead = np.full(np.shape(next((v for v in values if v is not None), math.nan)), math.nan)
+    return _stack([dead if v is None else v for v in values]), np.ones(len(values), dtype=bool), ok
 
 
 def _stacked_trials(evaluate_block, batch: _Batch):
-    """``_pointwise_trials`` of a generated segment batch from one stacked evaluation.
+    """A generated segment batch's points from one stacked evaluation, in ``_read_trials``' layout.
 
     ``evaluate_block(stacks, alive)`` evaluates ``f`` at every point of the
-    batch at once, one stack per argument (the endpoints A, the endpoints
-    B, then the path points in ``(trial, t)`` order), and returns the
-    values with the mask of points whose per-point evaluation would not
-    raise ``DomainError``.  The trials are then read off in the per-point
-    order: skipped if A fails, then if B fails, then if the path is
-    missing; the path values before the first failing t still count.
-    Returns None when the stacked evaluation cannot decide (it raised
-    ``spd.Undecided``), so the batch runs point by point instead.
+    batch at once, one stack per argument, and returns the values with the
+    mask of points whose per-point evaluation would not raise
+    ``DomainError``.  Returns None when the stacked evaluation cannot decide
+    (it raised ``spd.Undecided``), so the batch runs point by point instead.
     """
     n, t = batch.ts.shape
     points, ok = batch.paths()
@@ -460,75 +453,58 @@ def _stacked_trials(evaluate_block, batch: _Batch):
     del points  # the stacks hold copies
     alive = np.concatenate((np.ones(2 * n, dtype=bool), np.repeat(ok, t)))
     try:
-        values, alive = evaluate_block(stacks, alive)
+        return (*evaluate_block(stacks, alive), ok)
     except spd.Undecided:
         return None
-    values = values.tolist()
-    path_alive = alive[2 * n:].reshape(n, t)
-    reached = np.where(path_alive.all(axis=1), t, path_alive.argmin(axis=1)).tolist()
-    ends_ok = (alive[:n] & alive[n:2 * n] & ok).tolist()
-    done, skipped, completed = [], 0, 0
-    for row in range(n):
-        if not ends_ok[row]:
-            skipped += 1
-            continue
-        k = reached[row]
-        if k < t:
-            skipped += 1
-        else:
-            completed += 1
-        first = 2 * n + row * t
-        done.append((row, values[row], values[n + row], values[first:first + k]))
-    return done, skipped, completed
 
 
-def _cut_at_nan(batch: _Batch, done: list, skipped: int, completed: int):
-    """A batch's trials with each NaN value of ``f`` read as a ``DomainError`` there.
+def _read_trials(values: np.ndarray, alive: np.ndarray, ok: np.ndarray):
+    """A batch's trials from its points: the one statement of the skip rule.
 
-    A NaN is not evidence: the trial ends as skipped at its first value
-    holding a NaN, and its path values before it still count.  Infinite
-    values are judged as they are.
+    ``values`` (a float64 stack) and ``alive`` cover the endpoints A, then
+    the endpoints B, then the path points in ``(trial, t)`` order; ``ok``
+    marks the trials whose path exists.  A value holding a NaN is a dead
+    point.  A trial is skipped if A is dead, then if B is dead, then if its
+    path is missing, then at its first dead path point; the path values
+    before that point still count.  Infinite values are judged as they are.
+    Returns ``(done, skipped, completed)``; ``done`` holds ``(row, f(A),
+    f(B), path values)`` for every trial whose endpoints are alive and whose
+    path exists.
     """
-    flat = [v for _, fa, fb, values in done for v in (fa, fb, *values)]
-    if not flat or not np.isnan(_stack(flat)).any():
-        return done, skipped, completed
-    full = 0 if batch.ts is None else batch.ts.shape[1]
-    kept = []
-    for row, fa, fb, values in done:
-        nan = np.isnan(_stack([fa, fb, *values])).reshape(len(values) + 2, -1).any(axis=1)
-        if not nan.any():
-            kept.append((row, fa, fb, values))
-            continue
-        if len(values) == full:  # the trial had completed
-            completed -= 1
-            skipped += 1
-        cut = int(nan.argmax())
-        if cut >= 2:
-            kept.append((row, fa, fb, values[:cut - 2]))
-    return kept, skipped, completed
+    n = len(ok)
+    t = len(alive) // n - 2
+    alive = alive & ~np.isnan(values).reshape(len(alive), -1).any(axis=1)
+    reached = np.logical_and.accumulate(alive[2 * n:].reshape(n, t), axis=1).sum(axis=1)
+    ends = alive[:n] & alive[n:2 * n] & ok
+    first = 2 * n + t * np.arange(n)
+    values = list(values)
+    done = [(row, values[row], values[n + row], values[i:i + k]) for row, i, k
+            in zip(np.flatnonzero(ends).tolist(), first[ends].tolist(), reached[ends].tolist())]
+    completed = int((reached[ends] == t).sum())
+    return done, n - completed, completed
 
 
 def _trial_loop(f, trials: int, batches, tol: float, judge, evaluate_block=None) -> FuzzReport:
     """The one trial loop behind every check.
 
-    Each batch's trials come from ``_pointwise_trials``, or, for generated
+    Each batch's points come from ``_pointwise_trials``, or, for generated
     batches when ``evaluate_block`` is given, from ``_stacked_trials``,
-    which yields the same values and outcomes; ``_cut_at_nan`` then ends
-    each trial at its first NaN value of ``f``.  ``judge`` turns a batch's
-    values into relative gaps ``(rel, scale, row, t, value, reference)`` in
-    ``(trial, t)`` order; the first gap above ``tol`` becomes the witness.
+    which yields the same values and outcomes; ``_read_trials`` reads the
+    trials off them.  ``judge`` turns a batch's values into relative gaps
+    ``(rel, scale, row, t, value, reference)`` in ``(trial, t)`` order; the
+    first gap above ``tol`` becomes the witness.
     """
     skipped = 0
     completed = 0
     worst = float("-inf")
     witness = None
     for batch in batches:
-        outcome = None
+        points = None
         if evaluate_block is not None and not batch.injected:
-            outcome = _stacked_trials(evaluate_block, batch)
-        if outcome is None:
-            outcome = _pointwise_trials(f, batch)
-        done, block_skipped, block_completed = _cut_at_nan(batch, *outcome)
+            points = _stacked_trials(evaluate_block, batch)
+        if points is None:
+            points = _pointwise_trials(f, batch)
+        done, block_skipped, block_completed = _read_trials(*points)
         skipped += block_skipped
         completed += block_completed
         for rel, scale, row, t, value, ref in judge(batch, done):

@@ -27,7 +27,7 @@ import yaml
 
 from .dsl import parse_dsl
 from .errors import GeocertError, ProblemFileError
-from .expr import Expression, Manifold, SPD, Variable, VariableScope
+from .expr import Expression, Manifold, SPD, Variable
 
 
 def _integral(value) -> int:
@@ -104,7 +104,6 @@ def load_problem(path) -> LoadedProblem:
     var_entries = raw.get("variables")
     if not isinstance(var_entries, list) or not var_entries:
         raise ProblemFileError(f"{p}: 'variables' must be a non-empty list")
-    scope = VariableScope()
     variables: dict[str, Variable] = {}
     for entry in var_entries:
         if not isinstance(entry, dict) or "name" not in entry or "dim" not in entry:
@@ -121,7 +120,7 @@ def load_problem(path) -> LoadedProblem:
             raise ProblemFileError(
                 f"{p}: variable '{name}': dim must be an integer, got {entry['dim']!r}") from None
         try:
-            variables[name] = scope.declare(name, SPD(dim))
+            variables[name] = Variable(name, SPD(dim))
         except GeocertError as exc:
             raise ProblemFileError(f"{p}: variable '{name}': {exc}") from exc
 

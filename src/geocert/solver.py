@@ -53,7 +53,7 @@ from .expr import (
     Definiteness,
     Expression,
     SPD,
-    VariableScope,
+    Variable,
     _backward,
     _forward,
     apply_atom,
@@ -309,8 +309,7 @@ def make_matrix_sqrt_problem(a) -> Objective:
     """
     a_mat = a if isinstance(a, spd.SPDMatrix) else spd.SPDMatrix(a)
     d = a_mat.dim
-    scope = VariableScope()
-    x_var = scope.declare("X", SPD(d))
+    x_var = Variable("X", SPD(d))
     expr = Add((
         apply_atom("sdivergence", [x_var, make_const_matrix(a_mat.entries, Definiteness.PD, name="A")]),
         apply_atom("sdivergence", [x_var, make_const_matrix(np.eye(d), Definiteness.PD, name="I")]),
@@ -331,8 +330,7 @@ def make_karcher_problem(mats, weights) -> Objective:
     d = anchors[0].dim
     if any(m.dim != d for m in anchors):
         raise ExpressionError("anchors must share one dimension")
-    scope = VariableScope()
-    x_var = scope.declare("X", SPD(d))
+    x_var = Variable("X", SPD(d))
     terms = [
         apply_atom("pow", [
             apply_atom("distance", [make_const_matrix(m.entries, Definiteness.PD, name=f"A{i+1}"), x_var]),
@@ -355,8 +353,7 @@ def make_brascamp_lieb_problem(maps, weights) -> Objective:
     if any(m.ndim != 2 for m in mats) or len({m.shape[0] for m in mats}) != 1:
         raise ExpressionError("maps must be 2-D matrices with one shared row count")
     d = mats[0].shape[0]
-    scope = VariableScope()
-    x_var = scope.declare("X", SPD(d))
+    x_var = Variable("X", SPD(d))
     terms = [
         apply_atom("logdet", [apply_atom("conjugation", [x_var, make_const_matrix(m, name=f"A{i+1}")])])
         for i, m in enumerate(mats)
@@ -384,8 +381,7 @@ def make_tyler_problem(samples) -> Objective:
             raise ExpressionError("samples must share one length")
         if not np.any(v):
             raise ExpressionError("zero sample vector")
-    scope = VariableScope()
-    s_var = scope.declare("Sigma", SPD(d))
+    s_var = Variable("Sigma", SPD(d))
     inv_s = apply_atom("inv", [s_var])  # shared by every term, evaluated once
     terms = [apply_atom("log_quad_form", [v, inv_s]) for v in xs]
     terms.append(apply_atom("logdet", [s_var]))

@@ -316,10 +316,10 @@ def _as_generator(rng_seed) -> np.random.Generator:
     return np.random.default_rng(rng_seed)
 
 
-def _random_spd_raw(d: int, cond_max: float, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(d, d))
+def _spd_draws(d: int, cond_max: float, rng: np.random.Generator):
+    """One random SPD matrix's draws, in order: normal ``(d, d)``, then uniform ``(d,)``."""
     half = 0.5 * math.log(cond_max)
-    return _spd_from_draws(g, rng.uniform(-half, half, size=d))
+    return rng.normal(size=(d, d)), rng.uniform(-half, half, size=d)
 
 
 def _spd_from_draws(g: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -345,7 +345,7 @@ def random_spd(d: int, cond_max: float = 10.0, rng_seed=0) -> SPDMatrix:
     if not 1.0 <= cond_max < math.inf:
         raise RangeError(f"cond_max must be finite and >= 1, got {cond_max}")
     rng = _as_generator(rng_seed)
-    return SPDMatrix(_random_spd_raw(d, float(cond_max), rng))
+    return SPDMatrix(_spd_from_draws(*_spd_draws(d, float(cond_max), rng)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 import geocert as gc
 from geocert.errors import ExpressionError
-from geocert.expr import atom_evaluator, atom_vjp
+from geocert.expr import EXPR_KINDS, atom_evaluator, atom_vjp
 from geocert.problems import load_problem
 from geocert.solver import _ExpressionObjective, fd_directional
 
@@ -91,7 +91,7 @@ def assert_directional(fn, x, grad, direction):
 
 ONE_MATRIX_ATOMS = [
     n for n in gc.CATALOG_IDS
-    if gc.lookup_atom(n).expr_kinds == (gc.ArgKind.MANIFOLD,)
+    if [k for k in gc.lookup_atom(n).positions if k in EXPR_KINDS] == [gc.ArgKind.MANIFOLD]
 ]
 
 

@@ -435,8 +435,48 @@ class TestNaNValues:
             gc.unregister_atom("nan_above")
 
 
+class TestCallSequence:
+    """The exact points an opaque ``f`` receives, in order, around every kind of skip."""
+
+    def test_points_f_receives_in_one_check(self):
+        d, seed, trials, ts = 2, 4, 16, (0.5, 0.25, 0.75)
+        injected = (
+            # f(A) fails, so B's failing symmetry gate never runs
+            (3.0 * np.eye(d), np.array([[1.0, 0.5], [0.0, 1.0]])),
+            # B is not positive definite: the path's gate marks it missing
+            (2.0 * np.eye(d), np.diag([1.0, -1.0])),
+        )
+        cfg = gc.FuzzConfig(trials=trials, dim=d, seed=seed, t_samples=0, injected=injected)
+        table = []
+        for i, (a, b) in enumerate(injected):
+            table += [((i, "A"), a), ((i, "B"), b)]
+        (a,), (b,), _ = oracle._cached_points(seed, len(injected), trials, d, 10.0, 1, 0)
+        for i, (x, y) in enumerate(zip(a, b), start=len(injected)):
+            gamma = spd.geodesic_path(x, y)
+            table += [((i, "A"), x), ((i, "B"), y)] + [((i, t), gamma(t)) for t in ts]
+        effects = {(0, "A"): "domain", (2, "A"): "domain", (3, "B"): "domain",
+                   (4, 0.25): "domain", (5, "A"): "nan", (6, 0.25): "nan"}
+        seen = []
+
+        def f(x):
+            label = next(lab for lab, m in table if np.allclose(x, m, rtol=0.0, atol=1e-9))
+            seen.append(label)
+            if effects.get(label) == "domain":
+                raise gc.DomainError("scheduled")
+            return math.nan if effects.get(label) == "nan" else float(np.trace(x))
+
+        rep = gc.check_gconvex(f, cfg)
+        full = lambda i: [(i, "A"), (i, "B")] + [(i, t) for t in ts]
+        expected = [(0, "A"), (1, "A"), (1, "B"), (2, "A"), (3, "A"), (3, "B"),
+                    (4, "A"), (4, "B"), (4, 0.5), (4, 0.25), *full(5), *full(6)]
+        for i in range(7, trials):
+            expected += full(i)
+        assert seen == expected
+        assert (rep.skipped, rep.trials_run, rep.verdict) == (7, 9, "NoViolationFound")
+
+
 class TestStackedTrials:
-    """``cross_validate``'s stacked blocks read off exactly what the per-point loop sees."""
+    """``cross_validate``'s stacked blocks read off as the per-point loop's, by ``_read_trials``."""
 
     @staticmethod
     def _both(e, cfg, geodesic):
@@ -447,7 +487,8 @@ class TestStackedTrials:
             return _evaluate_stacked(e, {"X": stacks[0]}, alive)
 
         for batch in oracle._segment_batches(cfg, 1, geodesic):
-            yield oracle._stacked_trials(block, batch), oracle._pointwise_trials(f, batch)
+            yield (oracle._read_trials(*oracle._stacked_trials(block, batch)),
+                   oracle._read_trials(*oracle._pointwise_trials(f, batch)))
 
     @pytest.mark.parametrize("geodesic", [True, False])
     def test_mid_path_skips_keep_the_values_before_them(self, geodesic):
@@ -462,7 +503,7 @@ class TestStackedTrials:
         cfg = gc.FuzzConfig(trials=150, dim=3, cond_max=10.0, seed=12)
         partial = endpoint_skips = 0
         for stacked, pointwise in self._both(e, cfg, geodesic):
-            assert repr(stacked) == repr(pointwise)
+            assert stacked == pointwise
             done, skipped, completed = pointwise
             partial += sum(0 < len(values) < 8 for *_, values in done)
             endpoint_skips += skipped - sum(len(values) < 8 for *_, values in done)
