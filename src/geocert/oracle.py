@@ -49,9 +49,9 @@ Trial order is kept exactly:
   order, and nothing more of a trial after a ``DomainError``;
 * the first violation in ``(trial, t)`` order is the witness;
 * both producers, ``_pointwise_trials`` and ``_stacked_trials``, return one
-  per-point layout: the values and the mask of live points over the
-  endpoints A, then the endpoints B, then the t-samples in ``(trial, t)``
-  order, plus the mask of existing paths;
+  per-point layout: a stack of values over the endpoints A, then the
+  endpoints B, then the t-samples in ``(trial, t)`` order, with NaN at
+  every dead point, plus the mask of existing paths;
 * ``_read_trials`` alone reads the trials off that layout, so the skip
   rule is stated once: a trial is skipped if A is dead, then if B is dead,
   then if its path is missing, then at its first dead t-sample, and the
@@ -432,7 +432,7 @@ def _pointwise_trials(f, batch: _Batch):
             except DomainError:
                 pass
     dead = np.full(np.shape(next((v for v in values if v is not None), math.nan)), math.nan)
-    return _stack([dead if v is None else v for v in values]), np.ones(len(values), dtype=bool), ok
+    return _stack([dead if v is None else v for v in values]), ok
 
 
 def _stacked_trials(evaluate_block, batch: _Batch):
@@ -441,8 +441,9 @@ def _stacked_trials(evaluate_block, batch: _Batch):
     ``evaluate_block(stacks, alive)`` evaluates ``f`` at every point of the
     batch at once, one stack per argument, and returns the values with the
     mask of points whose per-point evaluation would not raise
-    ``DomainError``.  Returns None when the stacked evaluation cannot decide
-    (it raised ``spd.Undecided``), so the batch runs point by point instead.
+    ``DomainError``; the other points become NaN, dead points.  Returns None
+    when the stacked evaluation cannot decide (it raised ``spd.Undecided``),
+    so the batch runs point by point instead.
     """
     n, t = batch.ts.shape
     points, ok = batch.paths()
@@ -453,31 +454,33 @@ def _stacked_trials(evaluate_block, batch: _Batch):
     del points  # the stacks hold copies
     alive = np.concatenate((np.ones(2 * n, dtype=bool), np.repeat(ok, t)))
     try:
-        return (*evaluate_block(stacks, alive), ok)
+        values, alive = evaluate_block(stacks, alive)
     except spd.Undecided:
         return None
+    return np.where(alive, values, math.nan), ok
 
 
-def _read_trials(values: np.ndarray, alive: np.ndarray, ok: np.ndarray):
+def _read_trials(values: np.ndarray, ok: np.ndarray):
     """A batch's trials from its points: the one statement of the skip rule.
 
-    ``values`` (a float64 stack) and ``alive`` cover the endpoints A, then
-    the endpoints B, then the path points in ``(trial, t)`` order; ``ok``
-    marks the trials whose path exists.  A value holding a NaN is a dead
-    point.  A trial is skipped if A is dead, then if B is dead, then if its
-    path is missing, then at its first dead path point; the path values
-    before that point still count.  Infinite values are judged as they are.
-    Returns ``(done, skipped, completed)``; ``done`` holds ``(row, f(A),
+    ``values``, a float64 stack, covers the endpoints A, then the endpoints
+    B, then the path points in ``(trial, t)`` order; ``ok`` marks the trials
+    whose path exists.  A value holding a NaN is a dead point.  A trial is
+    skipped if A is dead, then if B is dead, then if its path is missing,
+    then at its first dead path point; the path values before that point
+    still count.  Infinite values are judged as they are.  Returns ``(done, skipped, completed)``; ``done`` holds ``(row, f(A),
     f(B), path values)`` for every trial whose endpoints are alive and whose
     path exists.
     """
     n = len(ok)
-    t = len(alive) // n - 2
-    alive = alive & ~np.isnan(values).reshape(len(alive), -1).any(axis=1)
+    t = len(values) // n - 2
+    alive = ~np.isnan(values).reshape(len(values), -1).any(axis=1)
     reached = np.logical_and.accumulate(alive[2 * n:].reshape(n, t), axis=1).sum(axis=1)
     ends = alive[:n] & alive[n:2 * n] & ok
     first = 2 * n + t * np.arange(n)
-    values = list(values)
+    # Python floats for scalars; matrices stay arrays, which the judges
+    # re-stack faster than nested lists.
+    values = values.tolist() if values.ndim == 1 else list(values)
     done = [(row, values[row], values[n + row], values[i:i + k]) for row, i, k
             in zip(np.flatnonzero(ends).tolist(), first[ends].tolist(), reached[ends].tolist())]
     completed = int((reached[ends] == t).sum())
