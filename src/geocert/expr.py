@@ -343,7 +343,7 @@ def _verify_definiteness(a: np.ndarray, claim: Definiteness):
         spd._check_symmetric_square(a)
     except ShapeError:
         raise ExpressionError(f"{claim.value} claim requires a symmetric matrix") from None
-    lam = np.linalg.eigvalsh(spd._sym(a))
+    lam = spd._eigvalsh(spd._sym(a))
     tol = spd._pd_tol(float(lam[-1]))
     if claim is Definiteness.PD and float(lam[0]) <= tol:
         raise DomainError(f"PD claim fails: lambda_min={lam[0]:.6g}")

@@ -19,15 +19,19 @@ on blocks of ``BLOCK`` consecutive trials.  For each block it makes a few
 stacked numpy calls: one QR for every sample point (the random draws stay
 per trial, from the trial's own stream), one ``eigh`` pair per argument for
 every geodesic of the block at all of its t-samples (a broadcast for
-straight segments).  The judge turns the block's values of ``f``, of every
-kind, into float64 stacks (``(k,)`` for scalars, ``(k, d, d)`` for
-matrices; an ``f`` that returns ``np.float32`` is judged as if it returned
-``float``), and one ``_gaps``/``_scales`` pair measures them: array
-arithmetic for scalars, one ``eigvalsh`` each for the value scales and the
-Loewner gaps of matrices.  Stacked numpy calls give the same bits as one
-call per value, so reports equal those of a trial-at-a-time loop.  The
-public checks call ``f`` per point; it receives one read-only ``(d, d)``
-array per argument.  Each injected pair runs as a block of one.
+straight segments).  The block's values of ``f``, of every kind, form one
+float64 stack (``(k,)`` for scalars, ``(k, d, d)`` for matrices; an ``f``
+that returns ``np.float32`` is judged as if it returned ``float``), and
+the judge measures the trials' slices of it with one ``_gaps``/``_scales``
+pair: array arithmetic for scalars, one ``eigvalsh`` each for the value
+scales and the Loewner gaps of matrices.  The loop divides the block's
+gaps by their scales as one array and reads the worst residual (the first
+of the largest, never a NaN) and the first violation in ``(trial, t)``
+order off it; only a witness becomes Python objects.  Stacked numpy calls
+give the same bits as one call per value, so reports equal those of a
+trial-at-a-time loop.  The public checks call ``f`` per point; it receives
+one read-only ``(d, d)`` array per argument.  Each injected pair runs as a
+block of one.
 
 ``cross_validate`` goes further: it evaluates its expression once per
 block, over stacks of all the block's points (``expr._evaluate_stacked``,
@@ -61,9 +65,10 @@ Trial order is kept exactly:
   holds a NaN (after a NaN, ``f`` is still called at the trial's later
   points); an infinite value is judged as it is;
 * more than 50% skipped trials raises ``InconclusiveError``;
-* any other error of an injected pair (a shape or symmetry gate) is raised
-  once ``f`` has seen that pair's endpoints, as a trial-at-a-time loop
-  would.
+* every check gates an injected pair on shape and symmetry, and
+  ``check_monotone_loewner`` then on its order ``A >= B`` (``RangeError``);
+  such an error, like any but a ``DomainError`` of the pair, is raised once
+  ``f`` has seen the pair's endpoints, as a trial-at-a-time loop would.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -227,7 +232,7 @@ def _cached_ordered_pair(seed: int, start: int, stop: int, dim: int, cond_max: f
         w[row] = rng.normal(size=(dim, dim))
     a = spd._spd_from_draws(g, u)
     p = (w @ spd._mT(w)) / dim
-    s = 0.5 * np.linalg.eigvalsh(a)[:, 0] / np.maximum(np.linalg.eigvalsh(p)[:, -1], spd.PD_FLOOR)
+    s = 0.5 * spd._eigvalsh(a)[:, 0] / np.maximum(spd._eigvalsh(p)[:, -1], spd.PD_FLOOR)
     b = a - s[:, None, None] * p
     return _read_only(a), _read_only(b)
 
@@ -265,14 +270,15 @@ def _segment_points(geodesic: bool, a: tuple, b: tuple, ts: np.ndarray, checked:
 
     Geodesics take one stacked eigendecomposition pair per argument,
     straight segments one broadcast.  With ``checked`` (a batch of one
-    caller-supplied pair) each argument first passes the gates of
-    ``spd.geodesic_path`` and a missing path raises ``DomainError``.
+    caller-supplied pair) each argument first passes the shape and symmetry
+    gates of ``spd.geodesic_path``, and a missing geodesic raises
+    ``DomainError``.
     """
     points, ok = [], np.ones(len(ts), dtype=bool)
     for x, y in zip(a, b):
+        if checked:
+            spd._geodesic_inputs(x[0], y[0])
         if geodesic:
-            if checked:
-                spd._geodesic_inputs(x[0], y[0])
             frame, logs, good = spd._geodesic_frames(x, y)
             if checked and not good[0]:
                 raise DomainError("geodesic endpoint is not positive definite")
@@ -304,7 +310,7 @@ def _ordered_batches(cfg: FuzzConfig):
     injected = min(len(cfg.injected), cfg.trials)
     for i in range(injected):
         (a,), (b,) = _normalize_injected(cfg.injected[i], 1)
-        yield _Batch((a[None],), (b[None],), None, partial(_no_paths, 1), True)
+        yield _Batch((a[None],), (b[None],), None, partial(_checked_order, a, b), True)
     for start, stop in _blocks(injected, cfg.trials):
         a, b = _cached_ordered_pair(cfg.seed, start, stop, cfg.dim, float(cfg.cond_max))
         yield _Batch((a,), (b,), None, partial(_no_paths, stop - start))
@@ -312,6 +318,15 @@ def _ordered_batches(cfg: FuzzConfig):
 
 def _no_paths(n: int):
     return (), np.ones(n, dtype=bool)
+
+
+def _checked_order(a: np.ndarray, b: np.ndarray):
+    """The paths of an injected ordered pair: none, once the pair passes the
+    shape and symmetry gates and is ordered ``A >= B``."""
+    spd._geodesic_inputs(a, b)
+    if not spd.loewner_geq(a, b):
+        raise RangeError("injected pair is not ordered: A >= B fails in the Loewner order")
+    return _no_paths(1)
 
 
 def _blocks(start: int, stop: int):
@@ -324,7 +339,7 @@ def _blocks(start: int, stop: int):
 
 def _scalarize(v):
     if isinstance(v, np.ndarray):
-        return float(np.linalg.eigvalsh((v + v.T) / 2.0)[0])
+        return float(spd._eigvalsh((v + v.T) / 2.0)[0])
     return float(v)
 
 
@@ -333,15 +348,15 @@ def _stack(values: list) -> np.ndarray:
     return np.array(values, dtype=float)
 
 
-def _scales(fa: np.ndarray, fb: np.ndarray) -> list:
+def _scales(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
     """Value scale ``max(1, |f(A)|, |f(B)|)`` of each pair; matrices by spectral norm."""
     if fa.ndim > 1:
-        fa = np.abs(np.linalg.eigvalsh(fa)).max(axis=-1)
-        fb = np.abs(np.linalg.eigvalsh(fb)).max(axis=-1)
-    return np.fmax(np.fmax(1.0, np.abs(fa)), np.abs(fb)).tolist()
+        fa = np.abs(spd._eigvalsh(fa)).max(axis=-1)
+        fb = np.abs(spd._eigvalsh(fb)).max(axis=-1)
+    return np.fmax(np.fmax(1.0, np.abs(fa)), np.abs(fb))
 
 
-def _gaps(values: np.ndarray, refs: np.ndarray, two_sided: bool) -> list:
+def _gaps(values: np.ndarray, refs: np.ndarray, two_sided: bool) -> np.ndarray:
     """Signed amount by which each value exceeds its reference, or its size with ``two_sided``.
 
     Scalars are compared as reals, matrices in the Loewner order by one
@@ -349,9 +364,9 @@ def _gaps(values: np.ndarray, refs: np.ndarray, two_sided: bool) -> list:
     """
     if values.ndim == 1:
         diff = values - refs
-        return (np.abs(diff) if two_sided else diff).tolist()
-    w = np.linalg.eigvalsh(spd._sym(refs - values))
-    return (np.abs(w).max(axis=-1) if two_sided else -w[:, 0]).tolist()
+        return np.abs(diff) if two_sided else diff
+    w = spd._eigvalsh(spd._sym(refs - values))
+    return np.abs(w).max(axis=-1) if two_sided else -w[:, 0]
 
 
 def _segment_gaps(fa: np.ndarray, fb: np.ndarray, owner: np.ndarray, ts: np.ndarray,
@@ -362,42 +377,65 @@ def _segment_gaps(fa: np.ndarray, fb: np.ndarray, owner: np.ndarray, ts: np.ndar
     return chords, _gaps(values, chords, two_sided)
 
 
-def _segment_judge(two_sided: bool):
-    """Relative gaps of the t-samples above their chords, in ``(trial, t)`` order."""
+class _Done(NamedTuple):
+    """The trials of a batch that reach the judge, as stacks in trial order.
 
-    def judge(batch: _Batch, done: list):
-        owner, ts, values = [], [], []
-        for k, (row, _, _, vals) in enumerate(done):
-            owner += [k] * len(vals)
-            ts += batch.ts[row, :len(vals)].tolist()
-            values += vals
-        if not values:
-            return
-        fa, fb = _endpoint_values(done)
-        values = _stack(values)
-        chords, gaps = _segment_gaps(fa, fb, np.array(owner), np.array(ts), values, two_sided)
-        scales = _scales(fa, fb)
-        for k, t, v, chord, gap in zip(owner, ts, values, chords, gaps):
-            yield gap / scales[k], scales[k], done[k][0], t, v, chord
+    ``rows`` are their rows in the batch, ``fa`` and ``fb`` their endpoint
+    values; ``counted`` marks, per trial and t-sample, the path points before
+    the trial's first dead one, and ``path`` holds their values in
+    ``(trial, t)`` order.
+    """
+
+    rows: np.ndarray
+    fa: np.ndarray
+    fb: np.ndarray
+    counted: np.ndarray
+    path: np.ndarray
+
+
+class _Judged(NamedTuple):
+    """A batch's comparisons in ``(trial, t)`` order, one entry per compared value.
+
+    ``gaps`` are the signed amounts by which the values exceed their
+    references (their sizes for two-sided checks), ``scales`` the value
+    scales of their trials; ``rows``, ``ts``, ``values`` and ``refs`` locate
+    and restate each comparison for a witness.
+    """
+
+    gaps: np.ndarray
+    scales: np.ndarray
+    rows: np.ndarray
+    ts: np.ndarray
+    values: np.ndarray
+    refs: np.ndarray
+
+
+def _segment_judge(two_sided: bool):
+    """Gaps of the counted t-samples above their chords, in ``(trial, t)`` order."""
+
+    def judge(batch: _Batch, done: _Done):
+        owner, col = np.nonzero(done.counted)
+        if not owner.size:
+            return None
+        ts = batch.ts[done.rows[owner], col]
+        chords, gaps = _segment_gaps(done.fa, done.fb, owner, ts, done.path, two_sided)
+        scales = _scales(done.fa, done.fb)[owner]
+        return _Judged(gaps, scales, done.rows[owner], ts, done.path, chords)
 
     return judge
 
 
 def _monotone_judge(increasing: bool):
-    """Relative gaps of ``g(lo) <= g(hi)`` over each ordered pair, in trial order."""
+    """Gaps of ``g(lo) <= g(hi)`` over each ordered pair, in trial order."""
 
-    def judge(batch: _Batch, done: list):
-        ga, gb = _endpoint_values(done)
-        hi, lo = (ga, gb) if increasing else (gb, ga)
-        gaps = _gaps(lo, hi, False)
-        for (row, *_), scale, gap, v, r in zip(done, _scales(ga, gb), gaps, lo, hi):
-            yield gap / scale, scale, row, 1.0, v, r
+    def judge(batch: _Batch, done: _Done):
+        if not done.rows.size:
+            return None
+        hi, lo = (done.fa, done.fb) if increasing else (done.fb, done.fa)
+        return _Judged(_gaps(lo, hi, False), _scales(done.fa, done.fb), done.rows,
+                       np.ones(done.rows.size), lo, hi)
 
     return judge
-
-
-def _endpoint_values(done: list):
-    return _stack([d[1] for d in done]), _stack([d[2] for d in done])
 
 
 def _pointwise_trials(f, batch: _Batch):
@@ -468,22 +506,19 @@ def _read_trials(values: np.ndarray, ok: np.ndarray):
     whose path exists.  A value holding a NaN is a dead point.  A trial is
     skipped if A is dead, then if B is dead, then if its path is missing,
     then at its first dead path point; the path values before that point
-    still count.  Infinite values are judged as they are.  Returns ``(done, skipped, completed)``; ``done`` holds ``(row, f(A),
-    f(B), path values)`` for every trial whose endpoints are alive and whose
-    path exists.
+    still count.  Infinite values are judged as they are.  Returns
+    ``(done, skipped, completed)``; ``done`` is the ``_Done`` of every trial
+    whose endpoints are alive and whose path exists.
     """
     n = len(ok)
     t = len(values) // n - 2
     alive = ~np.isnan(values).reshape(len(values), -1).any(axis=1)
-    reached = np.logical_and.accumulate(alive[2 * n:].reshape(n, t), axis=1).sum(axis=1)
     ends = alive[:n] & alive[n:2 * n] & ok
-    first = 2 * n + t * np.arange(n)
-    # Python floats for scalars; matrices stay arrays, which the judges
-    # re-stack faster than nested lists.
-    values = values.tolist() if values.ndim == 1 else list(values)
-    done = [(row, values[row], values[n + row], values[i:i + k]) for row, i, k
-            in zip(np.flatnonzero(ends).tolist(), first[ends].tolist(), reached[ends].tolist())]
-    completed = int((reached[ends] == t).sum())
+    reach = np.logical_and.accumulate(alive[2 * n:].reshape(n, t), axis=1) & ends[:, None]
+    counted = reach[ends]
+    completed = int(counted.all(axis=1).sum())
+    done = _Done(np.flatnonzero(ends), values[:n][ends], values[n:2 * n][ends], counted,
+                 values[2 * n:][reach.ravel()])
     return done, n - completed, completed
 
 
@@ -493,9 +528,11 @@ def _trial_loop(f, trials: int, batches, tol: float, judge, evaluate_block=None)
     Each batch's points come from ``_pointwise_trials``, or, for generated
     batches when ``evaluate_block`` is given, from ``_stacked_trials``,
     which yields the same values and outcomes; ``_read_trials`` reads the
-    trials off them.  ``judge`` turns a batch's values into relative gaps
-    ``(rel, scale, row, t, value, reference)`` in ``(trial, t)`` order; the
-    first gap above ``tol`` becomes the witness.
+    trials off them.  ``judge`` turns a batch's trials into a ``_Judged``
+    of gaps and scales in ``(trial, t)`` order (None when nothing is
+    compared); the loop reads the relative gaps as one array: their
+    largest, never a NaN, updates the worst residual, and the first above
+    ``tol`` becomes the witness.
     """
     skipped = 0
     completed = 0
@@ -510,20 +547,30 @@ def _trial_loop(f, trials: int, batches, tol: float, judge, evaluate_block=None)
         done, block_skipped, block_completed = _read_trials(*points)
         skipped += block_skipped
         completed += block_completed
-        for rel, scale, row, t, value, ref in judge(batch, done):
-            if rel > worst:  # max(worst, rel): a NaN never replaces worst
-                worst = rel
-            # Keep the first violation: injected counterexamples run first, so
-            # they become the reported witness deterministically.
-            if witness is None and rel > tol:
+        judged = judge(batch, done)
+        if judged is None:
+            continue
+        with np.errstate(invalid="ignore", under="ignore"):  # as float division: inf/inf is NaN
+            rel = judged.gaps / judged.scales
+        top = np.fmax.reduce(rel)  # NaN only when every gap is
+        if top > worst:
+            # The first of the largest gaps, as a running maximum keeps it
+            # (0.0 and -0.0 are equal).
+            worst = float(rel[np.argmax(rel == top)])
+        # Keep the first violation: injected counterexamples run first, so
+        # they become the reported witness deterministically.
+        if witness is None:
+            k = int(np.argmax(rel > tol))
+            if rel[k] > tol:
+                row = judged.rows[k]
                 witness = Witness(
                     point_a=tuple(x[row] for x in batch.a),
                     point_b=tuple(x[row] for x in batch.b),
-                    t=t,
-                    lhs=_scalarize(value),
-                    rhs=_scalarize(ref),
-                    residual=rel,
-                    scale=scale,
+                    t=float(judged.ts[k]),
+                    lhs=_scalarize(judged.values[k]),
+                    rhs=_scalarize(judged.refs[k]),
+                    residual=float(rel[k]),
+                    scale=float(judged.scales[k]),
                 )
     if skipped * 2 > trials:
         raise InconclusiveError(f"{skipped} of {trials} trials hit evaluator domain errors")
@@ -586,7 +633,7 @@ def reevaluate_witness(f, w: Witness, geodesic: bool = True, equality: bool = Fa
     fb = _stack([f(*w.point_b)])
     fmid = _stack([f(*(p[0, 0] for p in points))])
     _, (gap,) = _segment_gaps(fa, fb, np.zeros(1, dtype=int), np.array([w.t]), fmid, equality)
-    return gap / _scales(fa, fb)[0]
+    return float(gap) / float(_scales(fa, fb)[0])
 
 
 @dataclass(frozen=True)

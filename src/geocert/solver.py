@@ -238,7 +238,7 @@ def gradient_descent(obj: Objective, x0, max_iter: int = 500, grad_tol: float = 
         if gnorm <= grad_tol or len(trajectory) - 1 >= max_iter:
             break
         # One decomposition of the scaled direction serves every step size.
-        mu, u = np.linalg.eigh(c)
+        mu, u = spd._eigh(c)
         frame, v = x_sq @ u, u.T @ x_inv_sq  # F and its inverse
         g2 = gnorm * gnorm
         alpha = INITIAL_STEP

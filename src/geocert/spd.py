@@ -1,11 +1,18 @@
 """Dense numerics on the manifold of symmetric positive definite matrices.
 
 Every matrix function here goes through a single kernel, the real symmetric
-eigendecomposition; there are no Schur or Pade code paths.  Matrices are
-symmetrized as ``(M + M.T) / 2`` before decomposition to absorb roundoff,
-but only after an explicit asymmetry gate has passed.  SPD validation is
-relative to the largest eigenvalue with an absolute floor, and a matrix
-that fails validation is rejected, never repaired.
+eigendecomposition; there are no Schur or Pade code paths.  Every
+symmetric eigendecomposition in geocert, here and in the oracle, the
+solver and the expression layer, enters LAPACK through one place:
+``_eigh`` and ``_eigvalsh`` call the gufuncs behind ``np.linalg.eigh`` and
+``np.linalg.eigvalsh`` through ``_lapack``, under numpy's own error state
+for them, so their results are numpy's bit for bit without numpy's
+Python wrapper (several microseconds a call on the tiny matrices here).
+They take float64 arrays only.  Matrices are symmetrized as
+``(M + M.T) / 2`` before decomposition to absorb roundoff, but only after
+an explicit asymmetry gate has passed.  SPD validation is relative to the
+largest eigenvalue with an absolute floor, and a matrix that fails
+validation is rejected, never repaired.
 
 ``_pd_tol`` is the one definiteness tolerance: ``SPDMatrix``, the PD and
 PSD claims on constants and the PSD gates of atom parameters all use it.
@@ -53,6 +60,7 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import DomainError, RangeError, ShapeError
 
@@ -118,11 +126,62 @@ def sym_eig(m) -> EigenPair:
     return _eig_nogate(a)
 
 
+def _nonconvergence(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+# numpy's own error state of its eigensolvers: a LAPACK failure (NaN output,
+# flagged invalid) raises LinAlgError, the other floating-point events are
+# ignored.  Built once; each call enters it as ``np.errstate`` would.
+_LAPACK_ERRSTATE = dict(call=_nonconvergence, invalid="call", over="ignore", divide="ignore",
+                        under="ignore")
+try:
+    from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
+except ImportError:  # numpy 1.x keeps the error state elsewhere
+    def _lapack(gufunc, a: np.ndarray, signature: str):
+        with np.errstate(**_LAPACK_ERRSTATE):
+            return gufunc(a, signature=signature)
+else:
+    _LAPACK_EXTOBJ = _make_extobj(**_LAPACK_ERRSTATE)
+
+    def _lapack(gufunc, a: np.ndarray, signature: str):
+        token = _extobj_contextvar.set(_LAPACK_EXTOBJ)
+        try:
+            return gufunc(a, signature=signature)
+        finally:
+            _extobj_contextvar.reset(token)
+
+
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _stacked_square(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, after numpy's stacked-square check and a float64 check."""
+    if a.ndim < 2:
+        raise LinAlgError(f"{a.ndim}-dimensional array given. Array must be at least "
+                          "two-dimensional")
+    if a.shape[-2] != a.shape[-1]:
+        raise LinAlgError("Last 2 dimensions of the array must be square")
+    if a.dtype != _FLOAT64:
+        raise TypeError(f"eigendecomposition takes float64 arrays, got {a.dtype}")
+    return a
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh(a)`` of a float64 array, bit for bit, without its wrapper."""
+    return _lapack(_umath_linalg.eigh_lo, _stacked_square(a), "d->dd")
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh(a)`` of a float64 array, bit for bit, without its wrapper."""
+    return _lapack(_umath_linalg.eigvalsh_lo, _stacked_square(a), "d->d")
+
+
 def _eig_nogate(a: np.ndarray) -> EigenPair:
     # For products of validated matrices whose asymmetry is our own roundoff;
     # the 1e-12 gate applies to inputs, not to internally derived quantities.
     # A stack (..., d, d) gives a pair of stacks.
-    w, q = np.linalg.eigh(_sym(a))
+    w, q = _eigh(_sym(a))
     lam = np.ascontiguousarray(w[..., ::-1])
     vec = np.ascontiguousarray(q[..., ::-1])
     return EigenPair(q=vec, lam=lam)
@@ -219,6 +278,11 @@ def _root_pair(q: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _sym((q * root) @ qt), _sym((q / root) @ qt)
 
 
+def _inv_sqrt(pair: EigenPair) -> np.ndarray:
+    """``_root_pair(pair.q, pair.lam)[1]`` alone, by the same operations."""
+    return _sym((pair.q / np.sqrt(pair.lam)[..., None, :]) @ _mT(pair.q))
+
+
 def _geodesic_inputs(a, b) -> tuple[np.ndarray, np.ndarray]:
     """The arrays of two geodesic endpoints, after the shape and symmetry gates."""
     a_arr = _as_array(a)
@@ -305,7 +369,7 @@ def loewner_geq(a, b, tol: float = 1e-9) -> bool:
     when ``A == B``.
     """
     d = _sym(_as_array(a)) - _sym(_as_array(b))
-    w = np.linalg.eigvalsh(_sym(d))
+    w = _eigvalsh(_sym(d))
     spread = float(np.max(np.abs(w))) if w.size else 0.0
     return float(w[0]) >= -tol * spread
 
@@ -390,7 +454,7 @@ class _Point:
         return _check_symmetric_square(np.asarray(x, dtype=float))
 
     def eigvalsh(self, x: np.ndarray) -> np.ndarray:
-        return np.linalg.eigvalsh(_sym(self.finite(x)))
+        return _eigvalsh(_sym(self.finite(x)))
 
     def pd_eigvals(self, x: np.ndarray, message: str) -> np.ndarray:
         lam = self.eigvalsh(x)[..., ::-1]
@@ -403,8 +467,7 @@ class _Point:
         return pair
 
     def inv_sqrt(self, x) -> np.ndarray:
-        pair = self.pd_eig(x, "matrix is not positive definite")
-        return _root_pair(pair.q, pair.lam)[1]
+        return _inv_sqrt(self.pd_eig(x, "matrix is not positive definite"))
 
     def whiten(self, x, y) -> tuple[np.ndarray, EigenPair]:
         y_inv_sq = self.inv_sqrt(y)
@@ -477,13 +540,13 @@ class Rows(Memo):
     Matrix arguments are ``(n, d, d)`` stacks or one ``(d, d)`` constant
     shared by all rows.  Each decomposition is one stacked call (LAPACK and
     BLAS still run once per matrix, so the bits match) and each tail runs
-    per row.  A row dies, leaving ``alive``, where its per-point evaluation
-    would raise ``DomainError``, and is never computed further: kernels
-    replace dead rows by the identity before any decomposition, so they
-    cannot raise or feed NaN into ``eigh``.  A row that would raise
-    anything else raises ``Undecided``.  Decompositions are memoized per
-    input array as in ``Memo``, so every ``distance`` term of a tree
-    decomposes its variable once; rows only ever die, so an entry stays
+    per row, or once for a constant matrix.  A row dies, leaving ``alive``,
+    where its per-point evaluation would raise ``DomainError``, and is never
+    computed further: kernels replace dead rows by the identity before any
+    decomposition, so they cannot raise or feed NaN into ``eigh``.  A row
+    that would raise anything else raises ``Undecided``.  Decompositions are
+    memoized per input array as in ``Memo``, so every ``distance`` term of a
+    tree decomposes its variable once; rows only ever die, so an entry stays
     valid for every later use.
     """
 
@@ -529,10 +592,20 @@ class Rows(Memo):
         self.kill(lam[..., -1] <= 0.0)
 
     def map(self, tail, lam: np.ndarray, *params) -> np.ndarray:
-        """``tail(lam[i], *params)`` for every alive row; a ``DomainError`` kills the row."""
+        """``tail(lam[i], *params)`` for every alive row; a ``DomainError`` kills the row.
+
+        The eigenvalues of one constant matrix (``lam`` 1-D) are every row's:
+        the tail runs once, and its value or its ``DomainError`` goes to
+        every alive row.
+        """
         out = np.zeros(len(self.alive))
-        if lam.ndim == 1:  # the eigenvalues of one constant matrix
-            lam = np.broadcast_to(lam, (len(self.alive),) + lam.shape)
+        if lam.ndim == 1:
+            if self.alive.any():
+                try:
+                    out[self.alive] = tail(lam, *params)
+                except DomainError:
+                    self.kill(True)
+            return out
         for i in np.flatnonzero(self.alive):
             try:
                 out[i] = tail(lam[i], *params)
@@ -795,7 +868,7 @@ def _whiten_nogate(x, y, rows) -> tuple[np.ndarray, EigenPair]:
     """``Y^-1/2`` and the eigenpairs of ``Y^-1/2 X Y^-1/2``, no gate on ``y``."""
     pair = rows.memo("sym_eig", _eig_nogate, _as_array(y))
     POINT.require(pair.lam, "matrix is not positive definite")
-    inv_sq = _root_pair(pair.q, pair.lam)[1]
+    inv_sq = _inv_sqrt(pair)
     return inv_sq, _eig_nogate(inv_sq @ _as_array(x) @ inv_sq)
 
 

@@ -207,6 +207,16 @@ class TestMonotonicity:
         with pytest.raises(RangeError):
             gc.check_monotone_loewner(spd.eval_tr, "sideways", CFG)
 
+    def test_unordered_injected_pair_raises(self):
+        # I >= 2 I fails; judged as an ordered pair, it would refute the
+        # true claim that the trace is increasing (4.0 > 2.0).
+        cfg = gc.FuzzConfig(trials=5, dim=2, injected=((np.eye(2), 2.0 * np.eye(2)),))
+        with pytest.raises(RangeError, match="not ordered"):
+            gc.check_monotone_loewner(spd.eval_tr, "increasing", cfg)
+        ordered = replace(cfg, injected=((2.0 * np.eye(2), np.eye(2)),))
+        rep = gc.check_monotone_loewner(spd.eval_tr, "increasing", ordered)
+        assert (rep.verdict, rep.trials_run, rep.skipped) == ("NoViolationFound", 5, 0)
+
 
 class TestCrossValidate:
     def _spd_var(self, d=3):
@@ -347,6 +357,26 @@ class TestTrialEdgeCases:
         cfg = gc.FuzzConfig(trials=3, dim=2, seed=4, injected=((np.eye(2), asym),))
         with pytest.raises(ShapeError):
             gc.check_gconvex(spd.eval_tr, cfg)
+
+    @pytest.mark.parametrize("check", ["gconvex", "econvex", "monotone"])
+    def test_every_check_gates_an_injected_pair_once_f_saw_it(self, check):
+        asym = np.array([[1.0, 0.5], [0.0, 1.0]])
+        seen = []
+
+        def f(x):
+            seen.append(np.array(x))
+            return spd.eval_tr(x)
+
+        cfg = gc.FuzzConfig(trials=3, dim=2, seed=4, injected=((np.eye(2), asym),))
+        with pytest.raises(ShapeError):
+            if check == "gconvex":
+                gc.check_gconvex(f, cfg)
+            elif check == "econvex":
+                gc.check_econvex(f, cfg)
+            else:  # the shape gate comes before the order test
+                gc.check_monotone_loewner(f, "increasing", cfg)
+        assert len(seen) == 2
+        assert np.array_equal(seen[0], np.eye(2)) and np.array_equal(seen[1], asym)
 
     @pytest.mark.parametrize("check", ["gconvex", "econvex", "monotone"])
     def test_half_skipped_passes_one_more_is_inconclusive(self, check):
@@ -490,6 +520,13 @@ class TestStackedTrials:
             yield (oracle._read_trials(*oracle._stacked_trials(block, batch)),
                    oracle._read_trials(*oracle._pointwise_trials(f, batch)))
 
+    @staticmethod
+    def _exact(trials):
+        # Every array as its dtype, shape and Python values, whose reprs
+        # tell every bit of a float (signed zeros included).
+        done, skipped, completed = trials
+        return repr([(a.dtype, a.shape, a.tolist()) for a in done]), skipped, completed
+
     @pytest.mark.parametrize("geodesic", [True, False])
     def test_mid_path_skips_keep_the_values_before_them(self, geodesic):
         # The argument of log is convex along the paths, so it can turn
@@ -503,10 +540,11 @@ class TestStackedTrials:
         cfg = gc.FuzzConfig(trials=150, dim=3, cond_max=10.0, seed=12)
         partial = endpoint_skips = 0
         for stacked, pointwise in self._both(e, cfg, geodesic):
-            assert repr(stacked) == repr(pointwise)
+            assert self._exact(stacked) == self._exact(pointwise)
             done, skipped, completed = pointwise
-            partial += sum(0 < len(values) < 8 for *_, values in done)
-            endpoint_skips += skipped - sum(len(values) < 8 for *_, values in done)
+            reached = done.counted.sum(axis=1)
+            partial += int(((0 < reached) & (reached < 8)).sum())
+            endpoint_skips += skipped - int((reached < 8).sum())
         assert partial and endpoint_skips
 
     def test_cross_validate_equals_the_pointwise_checks(self):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,102 @@ class TestSymEig:
     def test_nonsquare_rejected(self):
         with pytest.raises(ShapeError):
             gc.sym_eig(np.ones((2, 3)))
+
+
+class TestEigenEntryPoints:
+    """``spd._eigh`` and ``spd._eigvalsh``: numpy's results without numpy's wrapper."""
+
+    @staticmethod
+    def _outcome(fn, a):
+        try:
+            out = fn(a)
+        except np.linalg.LinAlgError as exc:
+            return "LinAlgError", str(exc)
+        out = tuple(out) if isinstance(out, tuple) else (out,)
+        return [(x.dtype, x.shape, x.tobytes()) for x in out]
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_bit_equal_to_numpy(self, d):
+        stack = spd._sym(np.random.default_rng(d).normal(size=(5, d, d)))
+        nan_rows = stack.copy()
+        nan_rows[[1, 3], -1, 0] = np.nan
+        for a in (stack[0], stack, stack[:, ::-1, ::-1], nan_rows, nan_rows[1]):
+            assert self._outcome(spd._eigh, a) == self._outcome(np.linalg.eigh, a)
+            assert self._outcome(spd._eigvalsh, a) == self._outcome(np.linalg.eigvalsh, a)
+
+    @pytest.mark.parametrize("fn", [spd._eigh, spd._eigvalsh])
+    def test_rejects_what_numpy_rejects_and_non_float64(self, fn):
+        with pytest.raises(np.linalg.LinAlgError):
+            fn(np.ones((2, 3)))
+        with pytest.raises(np.linalg.LinAlgError):
+            fn(np.ones((4, 3, 2)))
+        with pytest.raises(np.linalg.LinAlgError):
+            fn(np.ones(3))
+        with pytest.raises(TypeError):
+            fn(np.eye(2, dtype=np.float32))
+
+    def test_no_caller_reaches_the_numpy_wrappers(self, monkeypatch, capsys):
+        from geocert.cli import main
+
+        calls = []
+
+        def forbidden(name):
+            def call(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"np.linalg.{name} called")
+            return call
+
+        monkeypatch.setattr(np.linalg, "eigh", forbidden("eigh"))
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden("eigvalsh"))
+        problems = sorted((Path(__file__).resolve().parents[1] / "problems").glob("*.yaml"))
+        assert len(problems) == 4
+        for path in problems:
+            assert main(["analyze", str(path)]) == 0
+            assert main(["fuzz", str(path), "--trials", "40", "--seed", "3"]) == 0
+            assert main(["solve", str(path)]) == (4 if path.name == "tyler.yaml" else 0)
+        capsys.readouterr()
+        cfg = gc.FuzzConfig(trials=20, dim=3, seed=9)
+        assert gc.check_gconvex(spd.eval_distance, cfg, nargs=2).verdict == "NoViolationFound"
+        ordered = gc.FuzzConfig(trials=20, dim=3, seed=9,
+                                injected=((2.0 * np.eye(3), np.diag([1.0, 2.0, 0.5])),))
+        assert gc.check_econvex(spd.eval_inv, ordered).verdict == "NoViolationFound"
+        assert gc.check_monotone_loewner(spd.eval_inv, "decreasing", ordered).trials_run == 20
+        assert gc.check_monotone_loewner(spd.eval_inv, "increasing", ordered).witness
+
+        def neg_inv(x):
+            return -spd.eval_inv(x)
+
+        rep = gc.check_gconvex(neg_inv, cfg)
+        assert gc.reevaluate_witness(neg_inv, rep.witness) == rep.witness.residual
+        assert calls == []
+
+
+class TestRowsMap:
+    def test_constant_eigenvalues_run_the_tail_once(self):
+        rows = spd.Rows(np.array([True, False, True, True]))
+        lam = np.array([1.0, 2.0, 3.0])[::-1]
+        seen = []
+
+        def tail(row, k):
+            seen.append(row)
+            return float(row[0]) * k
+
+        assert rows.map(tail, lam, 2.0).tolist() == [6.0, 0.0, 6.0, 6.0]
+        assert len(seen) == 1 and seen[0].strides == lam.strides
+        assert rows.alive.tolist() == [True, False, True, True]
+
+    def test_a_constant_domain_error_kills_every_alive_row(self):
+        rows = spd.Rows(np.array([True, False, True]))
+        seen = []
+
+        def tail(row):
+            seen.append(row)
+            raise DomainError("outside the domain")
+
+        assert rows.map(tail, np.ones(2)).tolist() == [0.0, 0.0, 0.0]
+        assert len(seen) == 1 and not rows.alive.any()
+        rows.map(tail, np.ones(2))  # no alive row: the tail does not run
+        assert len(seen) == 1
 
 
 class TestSPDMatrix:
