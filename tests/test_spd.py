@@ -6,6 +6,7 @@ import pytest
 
 import geocert as gc
 from geocert import spd
+from geocert.cli import main
 from geocert.errors import DomainError, RangeError, ShapeError
 
 from conftest import SIGMA_2, eigh_pow, eigh_sqrt, midpoint_oracle, rel_err
@@ -71,8 +72,6 @@ class TestEigenEntryPoints:
             fn(np.eye(2, dtype=np.float32))
 
     def test_no_caller_reaches_the_numpy_wrappers(self, monkeypatch, capsys):
-        from geocert.cli import main
-
         calls = []
 
         def forbidden(name):
