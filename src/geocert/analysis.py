@@ -20,7 +20,8 @@ certify is a verdict.
 The inverse atom is the one special case.  Inversion maps geodesics to
 geodesics, so ``inv`` of a geodesically linear argument is itself treated
 as linear for everything composed above it; applied to anything curvier its
-verdict is unknown.
+verdict is unknown.  It, the sign gate and the sign override apply by the
+evaluator a node bound (the tables of ``atoms``), never by the atom's id.
 
 Products of non-constant scalar subexpressions are never certified: the
 midpoint test fails already for trace times negated log-determinant on a
@@ -43,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .atoms import POSITIVE_DOMAIN_ATOMS, SIGN_RANGE_OVERRIDES
+from .atoms import INVERSE_ATOMS, POSITIVE_DOMAIN_ATOMS, POWER_ATOMS, SIGN_RANGE_OVERRIDES
 from .errors import DomainError, ShapeError
 from .expr import (
     Add,
@@ -262,8 +263,8 @@ def _sign_node(e: Expression, child_signs: list[Sign], safe: bool) -> Sign:
             return Sign.NEGATIVE
         return Sign.ANY
     if isinstance(e, AtomApply):
-        if safe and e.sig.id in SIGN_RANGE_OVERRIDES:
-            return SIGN_RANGE_OVERRIDES[e.sig.id]
+        if safe:
+            return SIGN_RANGE_OVERRIDES.get(e.evaluator, e.meta.sign)
         return e.meta.sign
     return Sign.ANY
 
@@ -327,7 +328,7 @@ def _curv_node(node: Expression, kid_curvs: list[GCurvature], kid_safe_signs: li
         return combine_max(kid_curvs), "pointwise-max", inputs
     if isinstance(node, AtomApply):
         sig = node.sig
-        if geodesic and sig.id == "inv":
+        if geodesic and node.evaluator in INVERSE_ATOMS:
             curv = compose_inverse(kid_curvs[0])
             note = "" if curv is not G.UNKNOWN else (
                 "; note: inversion only reparametrizes geodesically linear arguments"
@@ -342,11 +343,11 @@ def _curv_node(node: Expression, kid_curvs: list[GCurvature], kid_safe_signs: li
         outer_curv = eff.gcurv if loewner else _E2G[eff.ecurv]
         rule = "scalar-composition" if scalar_outer else "loewner-composition"
         note = ""
-        if sig.id in POSITIVE_DOMAIN_ATOMS:
+        if node.evaluator in POSITIVE_DOMAIN_ATOMS:
             arg_sign = kid_safe_signs[0]
             if arg_sign is not Sign.POSITIVE:
                 even_power = (
-                    sig.id == "pow"
+                    node.evaluator in POWER_ATOMS
                     and float(node.params[0]).is_integer()
                     and int(node.params[0]) % 2 == 0
                 )

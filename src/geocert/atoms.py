@@ -18,6 +18,10 @@ gets ``apply_atom``'s default result: a scalar, or a matrix of its
 argument's dimension.  The scalar outer functions are the atoms without a
 ``MANIFOLD`` position; ``analysis`` composes every such atom through its
 Euclidean curvature, so no list of their names is kept here.
+
+The tables of ``analysis``'s atom-specific rules below are keyed by the
+function the catalog registers, as ``spd.STACKED`` is: a rule follows the
+evaluator a node bound under any id, not the name.
 """
 
 from __future__ import annotations
@@ -38,13 +42,19 @@ from .expr import (
     register_atom,
 )
 
+# Atoms that invert their argument, which ``analysis`` composes by
+# ``compose_inverse`` instead of their metadata.
+INVERSE_ATOMS = frozenset({spd.eval_inv})
 # Outer atoms whose domain requires a provably nonnegative argument.
-POSITIVE_DOMAIN_ATOMS = frozenset({"log", "neg_log", "pow"})
+POSITIVE_DOMAIN_ATOMS = frozenset({spd.eval_log, spd.eval_neg_log, spd.eval_pow})
+# Of those, the powers t^p (p their first parameter), which compose without
+# a sign guarantee when p is an even integer.
+POWER_ATOMS = frozenset({spd.eval_pow})
 # The registered sign metadata says Positive, but the value range crosses
 # zero (log det X < 0 whenever enough eigenvalues sit below 1).  The sign is
 # reported as registered yet never trusted by the composition domain gates;
 # pow(logdet(inv(X)), 3) would otherwise be certified and is refutable.
-SIGN_RANGE_OVERRIDES = {"logdet": Sign.ANY}
+SIGN_RANGE_OVERRIDES = {spd.eval_logdet: Sign.ANY}
 
 
 def _full_column_rank(b: np.ndarray, what: str):

@@ -113,12 +113,11 @@ def _chosen(block: dict, keys, **flags) -> dict:
 def _fuzz_config(args, prob: LoadedProblem) -> FuzzConfig:
     block = prob.fuzz
     seed = _seed_from(args, prob)
-    var_dims = {v.manifold.dim for v in prob.variables.values()}
-    dim = args.dim if args.dim is not None else block.get("dim", min(var_dims))
-    if dim not in var_dims:
-        raise ProblemFileError(
-            f"--dim {dim} conflicts with declared variable dimensions {sorted(var_dims)}"
-        )
+    # cross_validate fuzzes at the objective's own dimension.
+    dim = prob.manifold.dim
+    source, asked = ("--dim", args.dim) if args.dim is not None else ("fuzz.dim", block.get("dim"))
+    if asked is not None and asked != dim:
+        raise ProblemFileError(f"{source} {asked} conflicts with the objective's dimension {dim}")
     chosen = _chosen(block, ("trials", "cond_max", "t_samples", "tol"),
                      trials=args.trials, cond_max=args.cond, tol=args.tol)
     return FuzzConfig(dim=dim, seed=seed, injected=prob.injected, **chosen)

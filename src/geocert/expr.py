@@ -23,8 +23,10 @@ participate in curvature propagation.
 
 Arity, argument kinds, and dimensions are checked when a node is built,
 never during analysis; a parameter holding a NaN or an infinity raises
-``DomainError``.  An atom node also resolves its metadata then: it keeps
-the dimensions of its matrix arguments as ``arg_dims`` and the
+``DomainError``.  An atom node also binds its registration then, as
+``sig``, ``evaluator`` and ``vjp``, which its evaluations and gradients
+call, so re-registering an atom changes only the nodes built after it; it
+keeps the dimensions of its matrix arguments as ``arg_dims`` and the
 signature's ``effective`` metadata at its parameters and those dimensions
 as ``meta``, which analysis reads.  Nodes are immutable after
 construction.  Each node class states its identity once, as a ``_key()``
@@ -478,12 +480,19 @@ def _param_token(p):
 
 
 class AtomApply(Expression):
-    """Application of a registered atom to expression arguments plus baked parameters."""
+    """Application of a registered atom to expression arguments plus baked parameters.
 
-    __slots__ = ("sig", "args", "params", "param_labels", "result_dim", "arg_dims", "meta")
+    ``sig``, ``evaluator`` and ``vjp`` are those of the registration it was
+    built from, ``atom``, even after its id is registered again.
+    """
 
-    def __init__(self, sig, args, params, param_labels, result_dim, arg_dims):
-        self.sig = sig
+    __slots__ = ("sig", "evaluator", "vjp", "args", "params", "param_labels", "result_dim",
+                 "arg_dims", "meta")
+
+    def __init__(self, atom, args, params, param_labels, result_dim, arg_dims):
+        sig = self.sig = atom.sig
+        self.evaluator = atom.evaluator
+        self.vjp = atom.vjp
         self.args = tuple(args)
         self.params = tuple(params)
         self.param_labels = tuple(param_labels)
@@ -602,14 +611,6 @@ def lookup_atom(name: str) -> AtomSignature:
     return _registered(name).sig
 
 
-def atom_evaluator(name: str) -> Callable:
-    return _registered(name).evaluator
-
-
-def atom_vjp(name: str) -> Callable | None:
-    return _registered(name).vjp
-
-
 def atom_ids() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
@@ -674,7 +675,8 @@ def apply_atom(name: str, items) -> AtomApply:
     constants); parameter slots take numbers, arrays, named constants, or
     ``ParamRef`` bindings.  Dimension checks run here, at construction.
     """
-    sig = lookup_atom(name)
+    atom = _registered(name)
+    sig = atom.sig
     items = list(items)
     if len(items) != len(sig.positions):
         raise ExpressionError(
@@ -732,7 +734,7 @@ def apply_atom(name: str, items) -> AtomApply:
         result_dim = sig.validate(arg_dims, tuple(params))
     elif sig.result == "matrix":
         result_dim = arg_dims[0]
-    return AtomApply(sig, args, tuple(params), tuple(labels), result_dim, arg_dims)
+    return AtomApply(atom, args, tuple(params), tuple(labels), result_dim, arg_dims)
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +748,7 @@ def eval_atom(name: str, *args):
     Scalar atoms return floats; matrix-valued atoms return a validated
     ``SPDMatrix``.  Domain violations raise ``DomainError``.
     """
-    fn = atom_evaluator(name)
+    fn = _registered(name).evaluator
     out = fn(*(a.entries if isinstance(a, spd.SPDMatrix) else a for a in args))
     if isinstance(out, np.ndarray) and out.ndim == 2:
         return spd.SPDMatrix(out)
@@ -800,7 +802,7 @@ class _Walk:
         if isinstance(e, ConstScalar):
             return e.value
         if isinstance(e, AtomApply):
-            return self._atom(e, atom_evaluator(e.sig.id), _ordered_args(e, kids))
+            return self._atom(e, e.evaluator, _ordered_args(e, kids))
         if isinstance(e, Add):
             out = 0.0  # as sum(), which starts from 0: 0 + (-0.0) is 0.0
             for w, v in zip(e.weights, kids):
@@ -976,7 +978,7 @@ class _StackedWalk(_Walk):
 def differentiable(e: Expression) -> bool:
     """True when every atom in ``e`` has a registered vector-Jacobian product."""
     return all(
-        atom_vjp(node.sig.id) is not None
+        node.vjp is not None
         for _, node in e.walk()
         if isinstance(node, AtomApply)
     )
@@ -1001,7 +1003,7 @@ def _node_vjp(e: Expression, g, child_vals: list, out, rows: spd.Memo) -> list:
         best = child_vals.index(max(child_vals))
         return [g if i == best else None for i in range(len(child_vals))]
     if isinstance(e, AtomApply):
-        vjp = atom_vjp(e.sig.id)
+        vjp = e.vjp
         if vjp is None:
             raise ExpressionError(f"atom '{e.sig.id}' has no vector-Jacobian product")
         wrt = tuple(bool(a.variables) for a in e.args)

@@ -54,9 +54,7 @@ did not (a sum, a whitening the other way round).
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -462,7 +460,7 @@ class _Point:
         return lam
 
     def pd_eig(self, x, message: str) -> EigenPair:
-        pair = _eig_of(x)
+        pair = self.memo("sym_eig", _eig_of, x)
         self.require(pair.lam, message)
         return pair
 
@@ -490,9 +488,11 @@ class Memo(_Point):
     One memo serves one evaluation and the backward pass over it.  Entries
     are keyed by the identity of their input arrays and a tag naming what
     was computed from them, so a hit hands on the bits a fresh computation
-    from the same array would give.  ``seed`` records a decomposition the
-    caller already holds.  Entries the backward pass adds are never read by
-    a forward gate: every forward step of the evaluation comes first.
+    from the same array would give.  An entry keeps its arrays alive, so no
+    other array takes their ids while the memo lives.  ``seed`` records a
+    decomposition the caller already holds.  Entries the backward pass adds
+    are never read by a forward gate: every forward step of the evaluation
+    comes first.
     """
 
     __slots__ = ("_memo",)
@@ -501,15 +501,11 @@ class Memo(_Point):
         self._memo = {}
 
     def memo(self, tag: str, compute, *arrays):
-        # The weak references tell an entry of these arrays from one of dead
-        # arrays whose ids they reuse, without keeping arrays alive.
         key = (tag, *map(id, arrays))
-        hit = self._memo.get(key)
-        if hit is not None and all(ref() is a for ref, a in zip(hit[0], arrays)):
-            return hit[1]
-        value = compute(*arrays)
-        self._memo[key] = (tuple(map(weakref.ref, arrays)), value)
-        return value
+        entry = self._memo.get(key)
+        if entry is None:
+            entry = self._memo[key] = (arrays, compute(*arrays))
+        return entry[1]
 
     def seed(self, x: np.ndarray, pair: EigenPair) -> None:
         """Take ``pair`` as ``sym_eig(x)``, without running the gate again.
@@ -517,15 +513,10 @@ class Memo(_Point):
         The caller vouches that the gate passed on these bits of ``x`` and
         that ``pair`` is their decomposition, as ``SPDMatrix(x).eig`` is.
         """
-        self._memo[("sym_eig", id(x))] = ((weakref.ref(x),), pair)
+        self._memo[("sym_eig", id(x))] = ((x,), pair)
 
     def eigvalsh(self, x: np.ndarray) -> np.ndarray:
         return self.memo("eigvalsh", super().eigvalsh, x)
-
-    def pd_eig(self, x: np.ndarray, message: str) -> EigenPair:
-        pair = self.memo("sym_eig", sym_eig, x)
-        self.require(pair.lam, message)
-        return pair
 
     def inv_sqrt(self, x: np.ndarray) -> np.ndarray:
         return self.memo("inv_sqrt", super().inv_sqrt, x)
@@ -864,20 +855,12 @@ def _top(k: int):
     return lambda lam: (np.arange(lam.size) < int(k)) * 1.0
 
 
-def _whiten_nogate(x, y, rows) -> tuple[np.ndarray, EigenPair]:
-    """``Y^-1/2`` and the eigenpairs of ``Y^-1/2 X Y^-1/2``, no gate on ``y``."""
-    pair = rows.memo("sym_eig", _eig_nogate, _as_array(y))
-    POINT.require(pair.lam, "matrix is not positive definite")
-    inv_sq = _inv_sqrt(pair)
-    return inv_sq, _eig_nogate(inv_sq @ _as_array(x) @ inv_sq)
-
-
 def _whitened_log(base, other, rows) -> np.ndarray:
     """``B^(-1/2) log(B^(-1/2) A B^(-1/2)) B^(-1/2)`` for ``base`` B, ``other`` A."""
-    # Both arguments passed the evaluator's checks on the forward pass, so
-    # nothing is gated here; a memo hands on the forward pass's whitening
-    # of ``other`` by ``base``, or else its decomposition of ``base``.
-    inv_sq, inner = rows.memo("whiten", partial(_whiten_nogate, rows=rows), other, base)
+    # Both arguments passed the evaluator's gates on the forward pass, so
+    # these pass again; a memo hands on the forward pass's whitening of
+    # ``other`` by ``base``, or else its decomposition of ``base``.
+    inv_sq, inner = rows.whiten(_as_array(other), _as_array(base))
     frame = inv_sq @ inner.q
     return _sym((frame * np.log(inner.lam)) @ frame.T)
 

@@ -2,6 +2,7 @@
 stay independent of the library paths they check."""
 
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,34 @@ def _registry_unchanged():
     expr._REGISTRY.update(before)
     changed = sorted(k for k in before.keys() | after.keys() if before.get(k) != after.get(k))
     assert not changed, f"the test changed the atom registry: {changed}"
+
+
+@contextmanager
+def registered_as(sig, evaluator, vjp=None):
+    """``sig.id`` registered with ``evaluator`` and ``vjp`` inside the block.
+
+    The registration the id had before, if any, is put back afterwards.
+    """
+    before = expr._REGISTRY.get(sig.id)
+    gc.unregister_atom(sig.id)
+    gc.register_atom(sig, evaluator, vjp)
+    try:
+        yield
+    finally:
+        gc.unregister_atom(sig.id)
+        if before is not None:
+            gc.register_atom(before.sig, before.evaluator, before.vjp)
+
+
+def shift_signature(name):
+    """The metadata of X -> X + I under ``name``: GConvex, Loewner-increasing, affine."""
+    return gc.AtomSignature(name, (gc.ArgKind.MANIFOLD,), "matrix", gc.Sign.POSITIVE,
+                            gc.GCurvature.CONVEX, gc.GMonotonicity.INCREASING,
+                            gc.ECurvature.AFFINE)
+
+
+def shift(m):
+    return m + np.eye(m.shape[0])
 
 
 # Fixed counterexample matrix used across the oracle regression tests.

@@ -1,11 +1,15 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import geocert as gc
+from geocert import spd
 from geocert.analysis import gflip, gjoin
 from geocert.errors import DomainError, ShapeError
+
+from conftest import registered_as, shift, shift_signature
 
 G = gc.GCurvature
 E = gc.ECurvature
@@ -396,3 +400,50 @@ class TestLatticeMonotonicity:
                     base = gc.compose_scalar((ecurv, mono), inner)
                     degraded = gc.compose_scalar((ecurv, mono), G.UNKNOWN)
                     assert PRECISION_RANK[degraded] >= PRECISION_RANK[base]
+
+
+class TestRulesFollowTheFunction:
+    """The atom-specific rules apply by the evaluator a node bound, not by its atom's id."""
+
+    @staticmethod
+    def _rule_at(report, path):
+        return next(t.rule for t in report.trace if t.path == path)
+
+    def test_an_atom_registered_as_inv_composes_by_its_own_metadata(self):
+        with registered_as(shift_signature("inv"), shift):
+            e = gc.apply_atom("logdet", [gc.apply_atom("inv", [_var(d=3)])])
+            r = gc.analyze(e, gc.SPD(3))
+            assert r.gcurvature is G.CONVEX
+            assert self._rule_at(r, "root.0") == "loewner-composition"
+            out = gc.cross_validate(e, gc.FuzzConfig(trials=200, dim=3, seed=0))
+            assert out.verdict == "CONSISTENT"
+
+    def test_an_atom_registered_as_pow_without_a_parameter(self):
+        sig = gc.AtomSignature("pow", (gc.ArgKind.SCALAR,), "scalar", S.ANY, G.LINEAR,
+                               M.INCREASING, E.AFFINE)
+        with registered_as(sig, lambda v: 2.0 * float(v)):
+            e = gc.apply_atom("pow", [gc.apply_atom("tr", [_var(d=3)]) - 5.0])
+            r = gc.analyze(e, gc.SPD(3))
+            assert r.gcurvature is G.CONVEX
+            assert "note" not in r.trace[-1].inputs
+
+    def test_the_builtin_functions_keep_their_rules_under_new_ids(self):
+        again = {name: replace(gc.lookup_atom(name), id=f"{name}_again")
+                 for name in ("inv", "logdet", "pow")}
+        x = _var(d=3)
+        with registered_as(again["inv"], spd.eval_inv, spd.vjp_inv), \
+                registered_as(again["logdet"], spd.eval_logdet, spd.vjp_logdet), \
+                registered_as(again["pow"], spd.eval_pow, spd.vjp_pow):
+            r = gc.analyze(gc.apply_atom("logdet", [gc.apply_atom("inv_again", [x])]), gc.SPD(3))
+            assert r.gcurvature is G.LINEAR
+            assert self._rule_at(r, "root.0") == "inverse-reparametrization"
+            # The sign override and the positive-domain gate keep an odd power
+            # of the log-determinant uncertified; the even-power case still
+            # certifies its square.
+            ld = gc.apply_atom("logdet_again", [x])
+            cube = gc.analyze(gc.apply_atom("pow_again", [ld, 3]), gc.SPD(3))
+            assert cube.gcurvature is G.UNKNOWN
+            assert "needs a provably nonnegative argument" in cube.trace[-1].inputs
+            square = gc.analyze(gc.apply_atom("pow_again", [ld, 2]), gc.SPD(3))
+            assert square.gcurvature is G.CONVEX
+            assert "even power" in square.trace[-1].inputs

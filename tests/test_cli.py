@@ -240,6 +240,27 @@ class TestFuzzCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("used, unused", [(3, 2), (2, 3)])
+    def test_fuzz_runs_at_the_objective_dimension(self, capsys, tmp_path, used, unused):
+        text = f"""
+variables:
+  - {{name: X, manifold: SPD, dim: {used}}}
+  - {{name: Y, manifold: SPD, dim: {unused}}}
+objective: "logdet(X)"
+"""
+        path = write(tmp_path, "p.yaml", text)
+        for flags in ([], ["--dim", str(used)]):
+            code, out, _ = run_main(capsys, ["fuzz", path, "--trials", "20", *flags])
+            assert code == 0
+            assert json.loads(out)["config"]["dim"] == used
+        code, out, err = run_main(capsys, ["fuzz", path, "--trials", "20", "--dim", str(unused)])
+        assert code == 1 and not out
+        assert f"--dim {unused} conflicts with the objective's dimension {used}" in err
+        declared = write(tmp_path, "q.yaml", text + f"fuzz: {{dim: {unused}}}\n")
+        code, out, err = run_main(capsys, ["fuzz", declared, "--trials", "20"])
+        assert code == 1 and not out
+        assert f"fuzz.dim {unused} conflicts with the objective's dimension {used}" in err
+
     def test_joint_two_variable_objective(self, capsys, tmp_path):
         path = write(tmp_path, "joint.yaml", """
 variables:

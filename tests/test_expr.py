@@ -14,6 +14,8 @@ from geocert.errors import (
     UnknownAtomError,
 )
 
+from conftest import registered_as, shift, shift_signature
+
 
 class TestVariables:
     def test_make_variable_positive_leaf(self, scope):
@@ -292,6 +294,26 @@ class TestRegistry:
             assert gc.evaluate(e, {"X": np.diag([2.0, 4.0])}) == 3.0
         finally:
             gc.unregister_atom("half_trace")
+
+    def test_a_node_keeps_the_registration_it_was_built_from(self):
+        x = gc.Variable("X", gc.SPD(2))
+        a = np.array([[2.0, 0.5], [0.5, 1.0]])
+        old = gc.apply_atom("inv", [x])
+        with registered_as(shift_signature("inv"), shift):
+            new = gc.apply_atom("inv", [x])
+            assert old.sig is not new.sig
+            assert np.allclose(gc.evaluate(old, {"X": a}), np.linalg.inv(a))
+            assert np.array_equal(gc.evaluate(new, {"X": a}), shift(a))
+            ld_old = gc.apply_atom("logdet", [old])
+            assert gc.differentiable(ld_old)
+            assert not gc.differentiable(gc.apply_atom("logdet", [new]))
+            value, grads = gc.value_and_grad(ld_old, {"X": a})
+            assert np.allclose(grads["X"], -np.linalg.inv(a))
+            # The stacked walk calls the bound evaluator too.
+            stack = np.stack([a, 2.0 * a, np.eye(2)])
+            values, alive = _evaluate_stacked(ld_old, {"X": stack}, np.ones(3, dtype=bool))
+            assert alive.all()
+            assert values.tolist() == [gc.evaluate(ld_old, {"X": m}) for m in stack]
 
 
 class TestEvaluate:

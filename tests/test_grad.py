@@ -12,7 +12,7 @@ import pytest
 
 import geocert as gc
 from geocert.errors import ExpressionError
-from geocert.expr import EXPR_KINDS, atom_evaluator, atom_vjp
+from geocert.expr import EXPR_KINDS, _registered
 from geocert.problems import load_problem
 from geocert.solver import _ExpressionObjective, fd_directional
 
@@ -28,6 +28,12 @@ MIN_GAP = 1e-3
 
 def sym(a):
     return (a + a.T) / 2.0
+
+
+def atom_functions(name):
+    """The evaluator and the vector-Jacobian product registered as ``name``."""
+    atom = _registered(name)
+    return atom.evaluator, atom.vjp
 
 
 def unit_sym(rng, n):
@@ -97,7 +103,7 @@ ONE_MATRIX_ATOMS = [
 
 @pytest.mark.parametrize("name", ONE_MATRIX_ATOMS)
 def test_single_argument_vjp_matches_fd(name):
-    fn, vjp = atom_evaluator(name), atom_vjp(name)
+    fn, vjp = atom_functions(name)
     matrix_result = gc.lookup_atom(name).result == "matrix"
     checked = 0
     for d in DIMS:
@@ -125,7 +131,7 @@ def test_single_argument_vjp_matches_fd(name):
 
 @pytest.mark.parametrize("name", ["sdivergence", "distance"])
 def test_two_argument_vjp_matches_fd(name):
-    fn, vjp = atom_evaluator(name), atom_vjp(name)
+    fn, vjp = atom_functions(name)
     for d in DIMS:
         rng = np.random.default_rng(d)
         for cond in CONDS:
@@ -140,14 +146,14 @@ def test_two_argument_vjp_matches_fd(name):
 
 def test_distance_vjp_zero_at_coincident_points():
     x = spd_point(3, 10.0, 1)
-    gx, gy = atom_vjp("distance")(1.0, 0.0, (True, True), x, x)
+    gx, gy = atom_functions("distance")[1](1.0, 0.0, (True, True), x, x)
     assert not np.any(gx) and not np.any(gy)
 
 
 def test_vjp_skips_unrequested_arguments():
     x, y = spd_point(3, 10.0, 2), spd_point(3, 10.0, 3)
     for name in ("sdivergence", "distance"):
-        fn, vjp = atom_evaluator(name), atom_vjp(name)
+        fn, vjp = atom_functions(name)
         gx, gy = vjp(1.0, fn(x, y), (False, True), x, y)
         assert gx is None and gy is not None
 
@@ -162,7 +168,7 @@ def test_vjp_skips_unrequested_arguments():
     ("abs", (), (-2.0, -0.1, 0.4)),  # away from the kink at 0
 ])
 def test_scalar_vjp_matches_fd(name, params, points):
-    fn, vjp = atom_evaluator(name), atom_vjp(name)
+    fn, vjp = atom_functions(name)
     for v in points:
         (grad,) = vjp(1.0, fn(v, *params), (True,), v, *params)
         assert_directional(lambda t: fn(t, *params), v, grad, 1.0)

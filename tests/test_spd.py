@@ -105,6 +105,22 @@ class TestEigenEntryPoints:
         assert calls == []
 
 
+class TestMemo:
+    def test_an_entry_is_never_served_to_another_array(self):
+        # Each copy is a temporary, dropped after its call, whose id the next
+        # copy may get; the memo keeps what it keyed on alive, so every copy
+        # gets its own entry.
+        memo = spd.Memo()
+        mats = [np.asarray(gc.random_spd(3, 10.0, i)) for i in range(20)]
+        for a in mats:
+            assert memo.eigvalsh(a.copy()).tolist() == spd._eigvalsh(a).tolist()
+        for a in mats:
+            pair = memo.pd_eig(a.copy(), "not positive definite")
+            assert pair.lam.tolist() == spd.sym_eig(a).lam.tolist()
+        for a in mats:
+            assert np.allclose(memo.inv_sqrt(a.copy()), np.linalg.inv(eigh_sqrt(a)))
+
+
 class TestRowsMap:
     def test_constant_eigenvalues_run_the_tail_once(self):
         rows = spd.Rows(np.array([True, False, True, True]))
