@@ -267,7 +267,7 @@ _CATALOG = [
     # its geodesic behavior can only come from the fuzzer, never a certificate.
     (AtomSignature("elementwise_norm1", (_M,), "scalar", Sign.POSITIVE, GCurvature.UNKNOWN,
                    GMonotonicity.ANY, ECurvature.CONVEX),
-     spd.elementwise_norm1, spd.vjp_elementwise_norm1),
+     spd.eval_elementwise_norm1, spd.vjp_elementwise_norm1),
     # Scalar outer functions.
     (AtomSignature("exp", (_S,), "scalar", Sign.POSITIVE, GCurvature.CONVEX,
                    GMonotonicity.INCREASING, ECurvature.CONVEX),

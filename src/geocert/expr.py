@@ -7,13 +7,15 @@ run one forward pass (``_forward``) under a ``spd.Memo``, so each input
 array is decomposed once per evaluation; a gradient is a backward pass
 (``_backward``) over that pass's tape, which the solver keeps from its
 line search.  For the falsifier, ``_evaluate_stacked`` evaluates a tree
-at a whole stack of points in one walk: atoms whose evaluator is in
-``spd.STACKED`` get the whole stack and a ``spd.Rows`` and decompose it in
-one call, the rest (scalar atoms, user atoms) run their evaluator once per
-point, and each point gets the value, or the ``DomainError`` outcome, that
-``evaluate`` gives it.  Both are one walk, ``_Walk``, with two row
-policies (``spd.Memo``, ``spd.Rows``); ``_StackedWalk`` only overrides how
-it reads a variable, keeps a combinator's result and calls an atom.
+at a whole stack of points in one walk: every built-in atom's evaluator is
+in ``spd.STACKED`` and runs once over the whole stack under a
+``spd.Rows``, user atoms run their evaluator once per point, and each
+point gets the value, or the ``DomainError`` outcome, that ``evaluate``
+gives it.  Both are one walk, ``_Walk``, with two row policies
+(``spd.Memo``, ``spd.Rows``); ``_StackedWalk`` only overrides how it reads
+a variable, keeps a combinator's result and calls an atom.  Either walk
+gates a variable's value as ``spd.sym_eig`` gates a matrix before any
+atom reads it.
 
 Expressions are plain trees: variables and constants at the leaves,
 arithmetic combinators and atom applications inside.  Fixed atom parameters
@@ -510,7 +512,9 @@ class AtomApply(Expression):
         return self.args
 
     def _key(self):
-        return (self.sig.id, self.args, self.param_labels,
+        # The registration, not just its id: an atom registered again under
+        # one id makes nodes that evaluate differently.
+        return (self.sig, self.evaluator, self.vjp, self.args, self.param_labels,
                 tuple(_param_token(p) for p in self.params))
 
     def __repr__(self):
@@ -824,7 +828,11 @@ class _Walk:
         return self._scalar(out)
 
     def _variable(self, e: Variable):
-        """The bound value; an ``SPDMatrix`` seeds the memo with its decomposition."""
+        """The bound value, after the gate of ``spd.sym_eig``, once per array.
+
+        An ``SPDMatrix`` passed it already: it seeds the memo with its
+        decomposition, which vouches for the gate too.
+        """
         try:
             value = self.env[e.name]
         except KeyError:
@@ -836,7 +844,7 @@ class _Walk:
             )
         if isinstance(value, spd.SPDMatrix):
             self.rows.seed(arr, value.eig)
-        return arr
+        return self.rows.memo("symmetric", self.rows.symmetric, arr)
 
     _scalar = float
 
@@ -905,11 +913,11 @@ class _StackedWalk(_Walk):
     Scalar nodes hold ``(n,)`` float stacks, matrix nodes ``(n, d, d)``
     stacks; a subtree without variables may hold one float or one
     ``(d, d)`` matrix for all rows, which numpy and ``spd.Rows`` broadcast.
-    Atoms whose evaluator is in ``spd.STACKED`` call it once per node with
-    ``rows=self.rows``; all others call it once per alive row.  Values are
-    read-only, so an evaluator that writes to its argument raises (and the
-    block falls back) instead of changing a value that other rows and nodes
-    share.
+    Atoms whose evaluator is in ``spd.STACKED``, every built-in one, call it
+    once per node with ``rows=self.rows``; ``_per_row`` calls any other, a
+    registered user atom's, once per alive row.  Values are read-only, so
+    an evaluator that writes to its argument raises (and the block falls
+    back) instead of changing a value that other rows and nodes share.
     """
 
     def __init__(self, env: dict, rows: spd.Rows):
@@ -920,10 +928,11 @@ class _StackedWalk(_Walk):
         self.objects: dict[int, list] = {}
 
     def _variable(self, e: Variable):
+        """The bound stack, after the gate of ``spd.sym_eig`` per row: ``spd.Rows.symmetric``."""
         v = self.env.get(e.name)
         if getattr(v, "shape", None) != (self.n, e.dim, e.dim):
             raise spd.Undecided(f"no stack of shape {(self.n, e.dim, e.dim)} for '{e.name}'")
-        return v
+        return self.rows.symmetric(v)
 
     def _scalar(self, v):
         if np.ndim(v) == 0:  # every operand was one value for all rows
@@ -932,9 +941,9 @@ class _StackedWalk(_Walk):
         return v
 
     def _atom(self, e: AtomApply, fn, args: list):
-        out = fn(*args, rows=self.rows) if fn in spd.STACKED else self._per_row(e, fn, args)
-        out.setflags(write=False)
-        return out
+        # An atom of constants may give one value for all rows.
+        return self._scalar(fn(*args, rows=self.rows) if fn in spd.STACKED
+                            else self._per_row(e, fn, args))
 
     def _per_row(self, node: AtomApply, fn, args: list):
         """The evaluator ``fn`` called once per alive row, as per-point ``evaluate`` calls it."""

@@ -35,25 +35,30 @@ falsifier relies on that to batch its trials.
 
 The module also carries the numeric evaluator (``eval_<name>``) and the
 vector-Jacobian product (``vjp_<name>``) of every built-in atom so that
-symbolic metadata and numeric semantics stay in separate layers.  The
-evaluators of the atoms that decompose their argument, listed in
-``STACKED``, are written once for one point and for a stack of points: a
-keyword-only ``rows`` policy runs their gates, decompositions and
-finishing reductions.  ``POINT``, the default, decomposes afresh at every
-call; a ``Memo`` decomposes each input array of one evaluation once, and
-can be seeded with a decomposition its caller already holds (the
-``SPDMatrix`` a variable is bound to); a ``Rows`` memoizes the same way
-over stacks.  ``distance`` gates both of its arguments, the first
-through the policy's ``symmetric``.  Every vector-Jacobian product that
-decomposes a matrix is in ``RESIDUAL_VJPS``: it takes the policy its
-evaluator ran under and reads the forward pass's decompositions from it,
-so a gradient after an evaluation decomposes only what that evaluation
-did not (a sum, a whitening the other way round).
+symbolic metadata and numeric semantics stay in separate layers.  Every
+built-in evaluator is in ``STACKED``: it is written once for one point and
+for a stack of points, and a keyword-only ``rows`` policy runs its gates,
+decompositions and finishing steps.  A stack gets the bits each of its
+points gets alone: the eigenvalue tails and the reductions run once over
+the alive rows in each point's memory layout (``_rowwise``), and the
+scalar atoms call their float function on each alive row's float.
+``POINT``, the default, decomposes afresh at every call; a ``Memo``
+decomposes each input array of one evaluation once, and can be seeded
+with a decomposition its caller already holds (the ``SPDMatrix`` a
+variable is bound to); a ``Rows`` memoizes the same way over stacks, and
+a domain test that fails kills the row instead of raising.  ``distance``
+gates both of its arguments, the first through the policy's
+``symmetric``.  Every vector-Jacobian product that decomposes a matrix is
+in ``RESIDUAL_VJPS``: it takes the policy its evaluator ran under and
+reads the forward pass's decompositions from it, so a gradient after an
+evaluation decomposes only what that evaluation did not (a sum, a
+whitening the other way round).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -432,10 +437,12 @@ class _Point:
     spectrum is positive; ``inv_sqrt`` and ``whiten`` give the gated
     ``Y^-1/2`` and the eigenpairs of ``Y^-1/2 X Y^-1/2``; ``finite`` passes
     the input of an ungated decomposition; ``symmetric`` gates an argument
-    as ``sym_eig`` does, but for an ``SPDMatrix``; ``map`` finishes a value
-    from its eigenvalues; ``memo`` computes what a memoizing policy would
-    keep.  This is the hot path of the public checks, so nothing here
-    builds a closure or a message unless a gate fails.
+    as ``sym_eig`` does, but for an ``SPDMatrix``; ``reject`` fails where a
+    domain test does; ``map`` finishes a value from its eigenvalues,
+    ``scalar`` from a reduction, ``each`` from a function of one float;
+    ``memo`` computes what a memoizing policy would keep.  This is the hot
+    path of the public checks, so nothing here builds a closure or a
+    message unless a gate fails.
     """
 
     __slots__ = ()
@@ -475,8 +482,19 @@ class _Point:
         if float(lam[-1]) <= 0.0:
             raise DomainError(message)
 
-    def map(self, tail, lam: np.ndarray, *params):
-        return tail(lam, *params)
+    def reject(self, bad, message: str) -> None:
+        """``DomainError(message)`` when ``bad``, the outcome of a domain test."""
+        if bad:
+            raise DomainError(message)
+
+    def map(self, tail, lam: np.ndarray, *params) -> float:
+        return float(tail(lam, *params))
+
+    def scalar(self, v) -> float:
+        return float(v)
+
+    def each(self, fn, v, *params):
+        return fn(v, *params)
 
 
 POINT = _Point()
@@ -511,8 +529,10 @@ class Memo(_Point):
         """Take ``pair`` as ``sym_eig(x)``, without running the gate again.
 
         The caller vouches that the gate passed on these bits of ``x`` and
-        that ``pair`` is their decomposition, as ``SPDMatrix(x).eig`` is.
+        that ``pair`` is their decomposition, as ``SPDMatrix(x).eig`` is;
+        a gate memoized as ``"symmetric"`` then passes ``x`` as it is.
         """
+        self._memo[("symmetric", id(x))] = ((x,), x)
         self._memo[("sym_eig", id(x))] = ((x,), pair)
 
     def eigvalsh(self, x: np.ndarray) -> np.ndarray:
@@ -529,16 +549,18 @@ class Rows(Memo):
     """The row policy of a stack: a row whose gate fails dies instead.
 
     Matrix arguments are ``(n, d, d)`` stacks or one ``(d, d)`` constant
-    shared by all rows.  Each decomposition is one stacked call (LAPACK and
-    BLAS still run once per matrix, so the bits match) and each tail runs
-    per row, or once for a constant matrix.  A row dies, leaving ``alive``,
-    where its per-point evaluation would raise ``DomainError``, and is never
-    computed further: kernels replace dead rows by the identity before any
-    decomposition, so they cannot raise or feed NaN into ``eigh``.  A row
-    that would raise anything else raises ``Undecided``.  Decompositions are
-    memoized per input array as in ``Memo``, so every ``distance`` term of a
-    tree decomposes its variable once; rows only ever die, so an entry stays
-    valid for every later use.
+    shared by all rows, scalar arguments ``(n,)`` stacks or one float.
+    Each decomposition is one stacked call (LAPACK and BLAS still run once
+    per matrix, so the bits match) and each tail one call over the alive
+    rows, or one over a constant matrix's eigenvalues.  A row dies, leaving
+    ``alive``, where its per-point evaluation would raise ``DomainError``,
+    and is never computed further: kernels replace dead rows by the
+    identity before any decomposition, so they cannot raise or feed NaN
+    into ``eigh``.  A row that would raise anything else raises
+    ``Undecided``.  Decompositions are memoized per input array as in
+    ``Memo``, so every ``distance`` term of a tree decomposes its
+    variable once; rows only ever die, so an entry stays valid for every
+    later use.
     """
 
     __slots__ = ("alive",)
@@ -582,26 +604,49 @@ class Rows(Memo):
     def require(self, lam: np.ndarray, message: str) -> None:
         self.kill(lam[..., -1] <= 0.0)
 
-    def map(self, tail, lam: np.ndarray, *params) -> np.ndarray:
-        """``tail(lam[i], *params)`` for every alive row; a ``DomainError`` kills the row.
+    def reject(self, bad, message: str) -> None:
+        self.kill(bad)
 
-        The eigenvalues of one constant matrix (``lam`` 1-D) are every row's:
-        the tail runs once, and its value or its ``DomainError`` goes to
-        every alive row.
+    def map(self, tail, lam: np.ndarray, *params) -> np.ndarray:
+        """``tail`` over the eigenvalues of the alive rows, in one call.
+
+        The alive rows are gathered so that each keeps its direction in
+        memory (a descending view stays reversed), which ``_rowwise`` reads.
+        The eigenvalues of one constant matrix (``lam`` 1-D) are every
+        row's: the tail runs on them once, for every alive row.
         """
         out = np.zeros(len(self.alive))
         if lam.ndim == 1:
             if self.alive.any():
-                try:
-                    out[self.alive] = tail(lam, *params)
-                except DomainError:
-                    self.kill(True)
+                out[self.alive] = tail(lam, *params)
             return out
-        for i in np.flatnonzero(self.alive):
+        idx = np.flatnonzero(self.alive)
+        out[idx] = tail(lam[:, ::-1][idx][:, ::-1] if lam.strides[-1] < 0 else lam[idx],
+                        *params)
+        return out
+
+    def scalar(self, v):
+        return v
+
+    def each(self, fn, v, *params) -> np.ndarray:
+        """``fn(v_i, *params)`` for the Python float of every alive row; a ``DomainError`` kills the row.
+
+        ``v`` is an ``(n,)`` stack or one value for all rows.  The pure
+        Python scalar functions run on the very floats a point would give
+        them, so every value and every outcome is the point's by
+        construction.
+        """
+        idx = np.flatnonzero(self.alive)
+        values, dead = [], []
+        for i, x in zip(idx.tolist(), np.broadcast_to(v, self.alive.shape)[idx].tolist()):
             try:
-                out[i] = tail(lam[i], *params)
+                values.append(fn(x, *params))
             except DomainError:
-                self.alive[i] = False
+                values.append(0.0)
+                dead.append(i)
+        self.alive[dead] = False
+        out = np.zeros(len(self.alive))
+        out[idx] = values
         return out
 
     def symmetric(self, a: np.ndarray) -> np.ndarray:
@@ -624,51 +669,72 @@ class Rows(Memo):
 
 
 # ---------------------------------------------------------------------------
-# Numeric atom evaluators.  All take and return raw ndarrays / floats; those
-# in ``STACKED`` also take ``rows=`` and then return stacks.
+# Numeric atom evaluators.  All take and return raw ndarrays / floats, and
+# all take ``rows=``, with which they return stacks.
 # ---------------------------------------------------------------------------
 
 
-# The tails below finish an evaluator from its eigenvalues, one row at a
-# time.  Each gets the row's own view of the eigenvalues, descending views
-# included, never a contiguous copy: numpy's SIMD ``log`` over a contiguous
-# array and the libm one it runs over a strided view differ in the last bit
-# for some inputs.  For an ndarray, np.sum(a) is np.add.reduce(a, None)
-# behind a Python wrapper that costs more than the sum of a few
-# eigenvalues; the tails call the reduction.
+# The tails below finish an evaluator from its eigenvalues over the last
+# axis: ``lam`` is one point's spectrum or, from ``Rows.map``, the stacked
+# spectra of the alive rows, and every row gets the bits it would get alone.
+# numpy runs its elementwise ``log`` and ``power`` as a SIMD loop over a
+# positive stride and as libm's function, element by element, over a
+# reversed 1-D array, and the two differ in the last bit for some inputs;
+# a point's descending eigenvalues are such a reversed view.  ``_rowwise``
+# applies those functions to a stack as each row alone would get them.
+# Reductions over the last axis run row by row in any layout:
+# ``np.add.reduce`` sums each row pairwise (for an ndarray, np.sum(a) is
+# np.add.reduce(a, None) behind a Python wrapper that costs more than the
+# sum of a few eigenvalues) and ``_vecdot`` takes one BLAS ``ddot`` per row.
+
+try:
+    _vecdot = np.vecdot
+except AttributeError:  # numpy 1.x: a (1, n) by (n, 1) matmul takes the same ddot
+    def _vecdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _logdet_tail(lam: np.ndarray) -> float:
-    return float(np.add.reduce(np.log(lam), None))
+def _rowwise(f, lam: np.ndarray, *args) -> np.ndarray:
+    """``f(lam, *args)`` for an elementwise ``f``, each row as ``f`` computes it alone.
+
+    numpy flips a reversed axis of a stack into its SIMD loop, so a stack
+    of reversed rows goes through ``f`` as one reversed 1-D array.  The
+    result is contiguous in row order, as a point's is, so the next
+    elementwise step runs as it would on each row alone.
+    """
+    if lam.ndim == 1 or lam.strides[-1] >= 0:
+        return f(lam, *args)
+    return np.ascontiguousarray(f(lam[:, ::-1].ravel()[::-1], *args).reshape(lam.shape)[::-1])
 
 
-def _distance_tail(lam: np.ndarray) -> float:
-    logs = np.log(lam)
-    return float(math.sqrt(float(np.dot(logs, logs))))
+def _logdet_tail(lam: np.ndarray) -> np.ndarray:
+    return np.add.reduce(_rowwise(np.log, lam), -1)
 
 
-def _eigmax_tail(lam: np.ndarray) -> float:
-    return float(lam[-1])
+def _distance_tail(lam: np.ndarray) -> np.ndarray:
+    logs = _rowwise(np.log, lam)
+    return np.sqrt(_vecdot(logs, logs))
 
 
-def _eigsummax_tail(lam: np.ndarray, k) -> float:
-    return float(np.add.reduce(lam[-int(k):], None))
+def _eigmax_tail(lam: np.ndarray) -> np.ndarray:
+    return lam[..., -1]
 
 
-def _schatten_tail(lam: np.ndarray, p) -> float:
-    return float(np.add.reduce(lam ** float(p), None) ** (1.0 / float(p)))
+def _eigsummax_tail(lam: np.ndarray, k) -> np.ndarray:
+    return np.add.reduce(lam[..., -int(k):], -1)
 
 
-def _sum_log_tail(lam: np.ndarray, k) -> float:
-    return float(np.add.reduce(np.log(lam[: int(k)]), None))
+def _schatten_tail(lam: np.ndarray, p) -> np.ndarray:
+    """The sum of the ``p``-th powers; ``eval_schatten_norm`` takes its root."""
+    return np.add.reduce(_rowwise(operator.pow, lam, float(p)), -1)
 
 
-def _sum_pow_log_tail(lam: np.ndarray, k, p) -> float:
-    logs = np.log(lam[: int(k)])
-    p = float(p)
-    if not p.is_integer() and np.any(logs < 0.0):
-        raise DomainError("sum_pow_log_eigmax with non-integer p needs eigenvalues >= 1")
-    return float(np.add.reduce(logs ** p, None))
+def _sum_log_tail(lam: np.ndarray, k) -> np.ndarray:
+    return np.add.reduce(_rowwise(np.log, lam[..., : int(k)]), -1)
+
+
+def _sum_pow_log_tail(lam: np.ndarray, k, p) -> np.ndarray:
+    return np.add.reduce(_rowwise(np.log, lam[..., : int(k)]) ** float(p), -1)
 
 
 def eval_logdet(x, *, rows=POINT):
@@ -676,12 +742,12 @@ def eval_logdet(x, *, rows=POINT):
     return rows.map(_logdet_tail, lam)
 
 
-def eval_tr(x) -> float:
-    return float(np.trace(_as_array(x)))
+def eval_tr(x, *, rows=POINT):
+    return rows.scalar(np.add.reduce(np.diagonal(_as_array(x), 0, -2, -1), -1))
 
 
-def eval_sum(x) -> float:
-    return float(np.sum(_as_array(x)))
+def eval_sum(x, *, rows=POINT):
+    return rows.scalar(np.add.reduce(_as_array(x), (-2, -1)))
 
 
 def eval_sdivergence(x, y, *, rows=POINT):
@@ -702,21 +768,31 @@ def _distance(x, y, rows):
     return rows.map(_distance_tail, w.lam)
 
 
-def eval_quad_form(h, x) -> float:
-    h = np.asarray(h, dtype=float)
-    return float(h @ _as_array(x) @ h)
+def _quad(h: np.ndarray, x: np.ndarray):
+    """``h^T X h`` for ``X`` and every matrix of a stack, as ``h @ X @ h``: a gemv, then a ddot."""
+    return _vecdot(h @ x, h)
+
+
+def _quad_sum(hs, x: np.ndarray):
+    """The sum of the quadratic forms of ``hs``, added left to right from 0.0."""
+    total = 0.0
+    for h in hs:
+        total = total + _quad(h, x)
+    return total
+
+
+def eval_quad_form(h, x, *, rows=POINT):
+    return rows.scalar(_quad(np.asarray(h, dtype=float), _as_array(x)))
 
 
 def eval_eigmax(x, *, rows=POINT):
     return rows.map(_eigmax_tail, rows.eigvalsh(_as_array(x)))
 
 
-def eval_log_quad_form(hs, x) -> float:
-    xa = _as_array(x)
-    total = sum(float(h @ xa @ h) for h in hs)
-    if total <= 0.0:
-        raise DomainError("log_quad_form requires a positive quadratic form sum")
-    return float(math.log(total))
+def eval_log_quad_form(hs, x, *, rows=POINT):
+    total = _quad_sum(hs, _as_array(x))
+    rows.reject(total <= 0.0, "log_quad_form requires a positive quadratic form sum")
+    return rows.each(math.log, total)
 
 
 def eval_eigsummax(x, k, *, rows=POINT):
@@ -725,7 +801,12 @@ def eval_eigsummax(x, k, *, rows=POINT):
 
 def eval_schatten_norm(x, p, *, rows=POINT):
     lam = rows.pd_eigvals(_as_array(x), "schatten_norm requires a positive definite argument")
-    return rows.map(_schatten_tail, lam, p)
+    return rows.each(_root, rows.map(_schatten_tail, lam, p), p)
+
+
+def _root(s: float, p) -> float:
+    """``s ** (1 / p)`` as a numpy float64 takes it (libm's ``pow``)."""
+    return float(np.float64(s) ** (1.0 / float(p)))
 
 
 def eval_sum_log_eigmax(x, k, *, rows=POINT):
@@ -735,18 +816,23 @@ def eval_sum_log_eigmax(x, k, *, rows=POINT):
 
 def eval_sum_pow_log_eigmax(x, k, p, *, rows=POINT):
     lam = rows.pd_eigvals(_as_array(x), "sum_pow_log_eigmax requires a positive definite argument")
+    # Some log of the k largest eigenvalues is negative exactly when the
+    # k-th largest eigenvalue is below 1.
+    rows.reject(not float(p).is_integer() and lam[..., int(k) - 1] < 1.0,
+                "sum_pow_log_eigmax with non-integer p needs eigenvalues >= 1")
     return rows.map(_sum_pow_log_tail, lam, k, p)
 
 
-# Conjugation and the Hadamard product gate nothing and broadcast over a
-# stack as they are; they take ``rows`` only to be evaluated stacked.
+# Conjugation, the adjoint, the Hadamard product and the diagonal gate
+# nothing and broadcast over a stack as they are; they take ``rows`` only
+# to be evaluated stacked.
 def eval_conjugation(x, b, *, rows=POINT) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     return _sym(b.T @ _as_array(x) @ b)
 
 
-def eval_adjoint(x) -> np.ndarray:
-    return _as_array(x).T.copy()
+def eval_adjoint(x, *, rows=POINT) -> np.ndarray:
+    return _mT(_as_array(x)).copy()
 
 
 def eval_inv(x, *, rows=POINT) -> np.ndarray:
@@ -758,8 +844,12 @@ def eval_hadamard_product(x, m, *, rows=POINT) -> np.ndarray:
     return _as_array(x) * np.asarray(m, dtype=float)
 
 
-def eval_diag_matrix(x) -> np.ndarray:
-    return np.diag(np.diag(_as_array(x))).copy()
+def eval_diag_matrix(x, *, rows=POINT) -> np.ndarray:
+    xa = _as_array(x)
+    out = np.zeros(xa.shape)
+    i = np.arange(xa.shape[-1])
+    out[..., i, i] = xa[..., i, i]
+    return out
 
 
 def eval_positive_affine(x, ys, b, r, *, rows=POINT) -> np.ndarray:
@@ -776,30 +866,51 @@ def _affine_sum(xr: np.ndarray, ys, b) -> np.ndarray:
     return _sym(out)
 
 
-def elementwise_norm1(x) -> float:
+def eval_elementwise_norm1(x, *, rows=POINT):
     """Sum of absolute entries; Euclidean-convex but not geodesically convex."""
-    return float(np.sum(np.abs(_as_array(x))))
+    return rows.scalar(np.add.reduce(np.abs(_as_array(x)), (-2, -1)))
 
 
-def eval_exp(v) -> float:
+elementwise_norm1 = eval_elementwise_norm1
+
+
+# The scalar atoms are functions of one float, which ``rows.each`` calls:
+# once for a point, once per alive row of a stack.
+def eval_exp(v, *, rows=POINT):
+    return rows.each(_exp, v)
+
+
+def _exp(v) -> float:
     try:
         return float(math.exp(float(v)))
     except OverflowError:
         raise DomainError("exp overflows the double range") from None
 
 
-def eval_log(v) -> float:
+def eval_log(v, *, rows=POINT):
+    return rows.each(_log, v)
+
+
+def _log(v) -> float:
     v = float(v)
     if v <= 0.0:
         raise DomainError("log requires a positive argument")
     return float(math.log(v))
 
 
-def eval_neg_log(v) -> float:
-    return -eval_log(v)
+def eval_neg_log(v, *, rows=POINT):
+    return rows.each(_neg_log, v)
 
 
-def eval_pow(v, p) -> float:
+def _neg_log(v) -> float:
+    return -_log(v)
+
+
+def eval_pow(v, p, *, rows=POINT):
+    return rows.each(_pow, v, p)
+
+
+def _pow(v, p) -> float:
     v, p = float(v), float(p)
     if v < 0.0 and not p.is_integer():
         raise DomainError("pow with non-integer exponent requires a nonnegative base")
@@ -809,7 +920,11 @@ def eval_pow(v, p) -> float:
         raise DomainError("pow overflows the double range") from None
 
 
-def eval_abs(v) -> float:
+def eval_abs(v, *, rows=POINT):
+    return rows.each(_abs, v)
+
+
+def _abs(v) -> float:
     return float(abs(float(v)))
 
 
@@ -822,9 +937,9 @@ def _takes_rows(prefix: str) -> frozenset:
     )
 
 
-# The evaluators that take ``rows``: an atom re-registered under a built-in
-# name with another evaluator is evaluated per row, never by the built-in's
-# code.
+# The evaluators that take ``rows``: every built-in one.  An atom
+# registered, or re-registered under a built-in name, with another
+# evaluator is evaluated per row, never by the built-in's code.
 STACKED = _takes_rows("eval_")
 
 
@@ -910,8 +1025,7 @@ def vjp_eigmax(g, out, wrt, x, *, rows=POINT):
 
 
 def vjp_log_quad_form(g, out, wrt, hs, x):
-    xa = _as_array(x)
-    total = sum(float(h @ xa @ h) for h in hs)
+    total = _quad_sum(hs, _as_array(x))
     return ((g / total) * sum(np.outer(h, h) for h in hs),)
 
 

@@ -315,6 +315,22 @@ class TestRegistry:
             assert alive.all()
             assert values.tolist() == [gc.evaluate(ld_old, {"X": m}) for m in stack]
 
+    def test_nodes_of_different_registrations_differ(self):
+        # The scenario above: a node keyed by the atom id alone would equal
+        # and hash like one of another registration that evaluates otherwise.
+        x = gc.Variable("X", gc.SPD(2))
+        old = gc.apply_atom("inv", [x])
+        assert old == gc.apply_atom("inv", [x])
+        with registered_as(shift_signature("inv"), shift):
+            new = gc.apply_atom("inv", [x])
+            assert old != new and hash(old) != hash(new)
+            assert len({old, new}) == 2
+            assert gc.apply_atom("logdet", [old]) != gc.apply_atom("logdet", [new])
+            assert new == gc.apply_atom("inv", [x])
+        # Registering the same signature and functions again gives equal nodes.
+        again = gc.apply_atom("inv", [x])
+        assert again == old and hash(again) == hash(old)
+
 
 class TestEvaluate:
     def test_arithmetic(self, scope):
@@ -338,6 +354,37 @@ class TestEvaluate:
         x = gc.make_variable("X", gc.SPD(2), scope=scope)
         with pytest.raises(ExpressionError):
             gc.evaluate(gc.apply_atom("tr", [x]), {"X": np.eye(3)})
+
+    @pytest.mark.parametrize("tree", ["logdet", "eigmax", "schatten_norm", "inv", "distance", "tr"])
+    def test_every_atom_gates_an_asymmetric_variable(self, tree):
+        # The variable passes the gate of sym_eig before any atom reads it,
+        # so the eigenvalue-only atoms raise ShapeError as inv and distance do.
+        x = gc.Variable("X", gc.SPD(2))
+        atom = gc.apply_atom
+        a = gc.make_const_matrix(np.diag([1.0, 2.0]), "PD", name="A")
+        e = {
+            "logdet": atom("logdet", [x]),
+            "eigmax": atom("eigmax", [x]),
+            "schatten_norm": atom("schatten_norm", [x, 2.0]),
+            "inv": atom("tr", [atom("inv", [x])]),
+            "distance": atom("distance", [a, x]),
+            "tr": atom("tr", [x]),
+        }[tree]
+        asymmetric = np.array([[2.0, 0.5], [0.0, 1.0]])
+        with pytest.raises(ShapeError):
+            gc.evaluate(e, {"X": asymmetric})
+        with pytest.raises(ShapeError):
+            gc.value_and_grad(e, {"X": asymmetric})
+        with pytest.raises(DomainError):
+            gc.evaluate(e, {"X": np.array([[2.0, math.nan], [math.nan, 1.0]])})
+        # Within the gate's relative tolerance of 1e-12 the value passes.
+        gc.evaluate(e, {"X": np.array([[2.0, 0.5], [0.5 + 1e-14, 1.0]])})
+        stack = np.stack([np.eye(2), asymmetric, 2.0 * np.eye(2)])
+        with pytest.raises(gc.spd.Undecided):
+            _evaluate_stacked(e, {"X": stack}, np.ones(3, dtype=bool))
+        # A dead row is never gated.
+        values, alive = _evaluate_stacked(e, {"X": stack}, np.array([True, False, True]))
+        assert alive.tolist() == [True, False, True]
 
 
 def _bits(v) -> bytes:
@@ -478,12 +525,38 @@ class TestEvaluateStacked:
             _evaluate_stacked(e, {"X": stack}, np.ones(18, dtype=bool))
 
     def test_ungated_non_finite_rows_are_undecided(self):
-        # Per point, eigvalsh of a NaN matrix returns whatever LAPACK makes of it.
+        # Per point, eigvalsh of a NaN matrix returns whatever LAPACK makes of
+        # it.  A variable's NaN row dies at the variable's gate, so the NaN
+        # comes from an atom here.
+        def nan_corner(m):
+            out = m.copy()
+            if out[0, 0] > out[1, 1]:
+                out[0, 0] = math.nan
+            return out
+
+        sig = gc.AtomSignature("nan_corner", (gc.ArgKind.MANIFOLD,), "matrix", gc.Sign.ANY,
+                               gc.GCurvature.UNKNOWN, gc.GMonotonicity.ANY,
+                               gc.ECurvature.UNKNOWN)
+        gc.register_atom(sig, nan_corner)
+        try:
+            x = gc.Variable("X", gc.SPD(3))
+            e = gc.apply_atom("eigmax", [gc.apply_atom("nan_corner", [x])])
+            with pytest.raises(gc.spd.Undecided):
+                _evaluate_stacked(e, {"X": _mixed_stack(3, np.random.default_rng(9))},
+                                  np.ones(18, dtype=bool))
+        finally:
+            gc.unregister_atom("nan_corner")
+
+    @pytest.mark.parametrize("atom", ["eigmax", "logdet", "tr", "sum"])
+    def test_non_finite_variable_rows_die(self, atom):
+        # Every variable passes the gate of sym_eig: a non-finite value raises
+        # DomainError per point, so its row dies whatever the atom.
         x = gc.Variable("X", gc.SPD(3))
         stack = _mixed_stack(3, np.random.default_rng(9))
         stack[2, 0, 0] = np.nan
-        with pytest.raises(gc.spd.Undecided):
-            _evaluate_stacked(gc.apply_atom("eigmax", [x]), {"X": stack}, np.ones(18, dtype=bool))
+        stack[5, 1, 2] = math.inf
+        outcomes = _assert_matches_pointwise(gc.apply_atom(atom, [x]), {"X": stack})
+        assert outcomes.count("domain") >= 2
 
     def test_user_atoms_run_per_row(self):
         sigs = {

@@ -1,17 +1,19 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import geocert as gc
-from geocert import oracle, spd
+from geocert import expr, oracle, spd
 from geocert.expr import _evaluate_stacked
 from geocert.errors import InconclusiveError, RangeError, ShapeError
 
 from conftest import SIGMA_2
 
 CFG = gc.FuzzConfig(trials=300, dim=3, cond_max=10.0, seed=5)
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def base2_product(x):
@@ -560,6 +562,67 @@ class TestStackedTrials:
 
         assert out.checks["geodesic-convexity"] == gc.check_gconvex(f, cfg)
         assert out.checks["euclidean-convexity"] == gc.check_econvex(f, cfg)
+
+
+class TestStackedRouting:
+    """What a stacked block runs: every built-in atom once over the stack,
+    every tail once over the alive rows, and user atoms once per row."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        """Record the atoms that reach ``_per_row``, each ``Rows.map`` and each tail call."""
+        per_row, maps, tails = [], [], []
+        walk_per_row, rows_map = expr._StackedWalk._per_row, spd.Rows.map
+
+        def counting_per_row(self, node, fn, args):
+            per_row.append(node.sig.id)
+            return walk_per_row(self, node, fn, args)
+
+        def counting_map(self, tail, lam, *params):
+            maps.append(tail.__name__)
+            return rows_map(self, tail, lam, *params)
+
+        def counting(tail):
+            def counted(lam, *params):
+                tails.append(tail.__name__)
+                return tail(lam, *params)
+
+            counted.__name__ = tail.__name__
+            return counted
+
+        monkeypatch.setattr(expr._StackedWalk, "_per_row", counting_per_row)
+        monkeypatch.setattr(spd.Rows, "map", counting_map)
+        for name in [n for n in vars(spd) if n.endswith("_tail")]:
+            monkeypatch.setattr(spd, name, counting(getattr(spd, name)))
+        return per_row, maps, tails
+
+    def test_every_built_in_evaluator_takes_rows(self):
+        assert all(expr._registered(i).evaluator in spd.STACKED for i in gc.CATALOG_IDS)
+
+    def test_problem_files_run_nothing_per_row(self, monkeypatch):
+        per_row, maps, tails = self._count(monkeypatch)
+        for path in sorted(PROBLEMS.glob("*.yaml")):
+            gc.cross_validate(gc.load_problem(path).expression, gc.FuzzConfig(trials=100, seed=0))
+        assert per_row == []
+        # One tail call for each Rows.map, none per point (a block that fell
+        # back to its points would add some).
+        assert tails and tails == maps
+
+    def test_user_atoms_run_per_row(self, monkeypatch):
+        per_row, maps, tails = self._count(monkeypatch)
+        sig = gc.AtomSignature("half_trace", (gc.ArgKind.MANIFOLD,), "scalar", gc.Sign.POSITIVE,
+                               gc.GCurvature.CONVEX, gc.GMonotonicity.INCREASING,
+                               gc.ECurvature.AFFINE)
+        gc.register_atom(sig, lambda m: 0.5 * float(np.trace(m)))
+        try:
+            x = gc.Variable("X", gc.SPD(3))
+            e = gc.apply_atom("half_trace", [x]) + gc.apply_atom("logdet", [x])
+            out = gc.cross_validate(e, gc.FuzzConfig(trials=100, seed=0))
+        finally:
+            gc.unregister_atom("half_trace")
+        assert out.verdict == "CONSISTENT"
+        assert per_row == ["half_trace"] * 2  # one call per block of the one check
+        assert tails == maps == ["_logdet_tail"] * 2
 
 
 class TestReevaluateWitness:
