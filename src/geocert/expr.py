@@ -9,13 +9,14 @@ array is decomposed once per evaluation; a gradient is a backward pass
 line search.  For the falsifier, ``_evaluate_stacked`` evaluates a tree
 at a whole stack of points in one walk: every built-in atom's evaluator is
 in ``spd.STACKED`` and runs once over the whole stack under a
-``spd.Rows``, user atoms run their evaluator once per point, and each
-point gets the value, or the ``DomainError`` outcome, that ``evaluate``
-gives it.  Both are one walk, ``_Walk``, with two row policies
-(``spd.Memo``, ``spd.Rows``); ``_StackedWalk`` only overrides how it reads
-a variable, keeps a combinator's result and calls an atom.  Either walk
-gates a variable's value as ``spd.sym_eig`` gates a matrix before any
-atom reads it.
+``spd.Rows``, and each point gets the value, or the ``DomainError``
+outcome, that ``evaluate`` gives it.  A tree holding a user atom is not
+stacked: its walk raises ``spd.Undecided``, and the falsifier calls
+``evaluate`` point by point instead.  Both are one walk, ``_Walk``, with
+two row policies (``spd.Memo``, ``spd.Rows``); ``_StackedWalk`` only
+overrides how it reads a variable, keeps a combinator's result and calls
+an atom.  Either walk gates a variable's value as ``spd.sym_eig`` gates a
+matrix before any atom reads it.
 
 Expressions are plain trees: variables and constants at the leaves,
 arithmetic combinators and atom applications inside.  Fixed atom parameters
@@ -778,9 +779,9 @@ class _Walk:
     which numpy broadcasting serves for floats and ``(n,)`` stacks alike;
     the hooks ``_variable``, ``_scalar`` and ``_atom`` hold what a stacked
     walk does differently, and the row policy ``rows`` the rest (here the
-    evaluation's ``spd.Memo``).  Values stay writable, as an evaluator
-    called on its own finds its arguments: no other row shares them, so a
-    user atom may write into one.
+    evaluation's ``spd.Memo``).  Values stay writable: a user atom's
+    evaluator is called only here, on values no other point shares, so it
+    may write into one.
     """
 
     def __init__(self, env: dict, rows: spd.Memo):
@@ -888,6 +889,7 @@ def _evaluate_stacked(e: Expression, env: dict, alive: np.ndarray):
     float values and the rows whose per-point ``evaluate`` would not raise
     ``DomainError``.  Every alive row's value equals per-point ``evaluate``
     bit for bit; other rows hold placeholders.  Raises ``spd.Undecided``
+    when the tree holds an atom whose evaluator is not in ``spd.STACKED``,
     when some row's per-point evaluation would raise anything else, or when
     that cannot be ruled out, including any floating-point event that numpy
     is set to report (the stacked arithmetic would otherwise hide it).
@@ -913,19 +915,15 @@ class _StackedWalk(_Walk):
     Scalar nodes hold ``(n,)`` float stacks, matrix nodes ``(n, d, d)``
     stacks; a subtree without variables may hold one float or one
     ``(d, d)`` matrix for all rows, which numpy and ``spd.Rows`` broadcast.
-    Atoms whose evaluator is in ``spd.STACKED``, every built-in one, call it
-    once per node with ``rows=self.rows``; ``_per_row`` calls any other, a
-    registered user atom's, once per alive row.  Values are read-only, so
-    an evaluator that writes to its argument raises (and the block falls
-    back) instead of changing a value that other rows and nodes share.
+    An atom's evaluator runs once per node with ``rows=self.rows`` when it
+    is in ``spd.STACKED``, as every built-in one is; any other evaluator, a
+    registered user atom's, leaves the stack undecided, and the caller
+    evaluates point by point.
     """
 
     def __init__(self, env: dict, rows: spd.Rows):
         super().__init__(env, rows)
         self.n = len(rows.alive)
-        # Per-row results of atoms that are not plain floats (an evaluator
-        # may return np.float64), handed on as they are to per-row atoms.
-        self.objects: dict[int, list] = {}
 
     def _variable(self, e: Variable):
         """The bound stack, after the gate of ``spd.sym_eig`` per row: ``spd.Rows.symmetric``."""
@@ -935,53 +933,14 @@ class _StackedWalk(_Walk):
         return self.rows.symmetric(v)
 
     def _scalar(self, v):
-        if np.ndim(v) == 0:  # every operand was one value for all rows
-            return float(v)
-        v.setflags(write=False)
-        return v
+        # A float when every operand was one value for all rows.
+        return float(v) if np.ndim(v) == 0 else v
 
     def _atom(self, e: AtomApply, fn, args: list):
+        if fn not in spd.STACKED:
+            raise spd.Undecided(f"atom '{e.sig.id}' has no stacked evaluator")
         # An atom of constants may give one value for all rows.
-        return self._scalar(fn(*args, rows=self.rows) if fn in spd.STACKED
-                            else self._per_row(e, fn, args))
-
-    def _per_row(self, node: AtomApply, fn, args: list):
-        """The evaluator ``fn`` called once per alive row, as per-point ``evaluate`` calls it."""
-        kids = iter(node.children())
-        # (slot, per-row values) of each stacked argument; a float or a
-        # (d, d) matrix is one value that every row gets as it is.
-        columns = []
-        for slot, (kind, arg) in enumerate(zip(node.sig.positions, args)):
-            if kind not in EXPR_KINDS:
-                continue
-            child = next(kids)
-            if child.kind == "scalar":
-                if isinstance(arg, np.ndarray):
-                    columns.append((slot, self.objects.get(id(child)) or arg.tolist()))
-            elif arg.ndim == 3:
-                columns.append((slot, arg))
-        scalar = node.kind == "scalar"
-        results = [0.0] * self.n
-        out = np.zeros(self.n) if scalar else np.tile(np.eye(node.dim), (self.n, 1, 1))
-        for i in np.flatnonzero(self.rows.alive):
-            row = list(args)
-            for slot, column in columns:
-                row[slot] = column[i]
-            try:
-                r = fn(*row)
-            except DomainError:
-                self.rows.alive[i] = False
-                continue
-            if scalar and not isinstance(r, float):
-                raise spd.Undecided(f"atom '{node.sig.id}' did not return a float")
-            if not scalar and not (type(r) is np.ndarray and r.dtype == np.float64
-                                   and r.shape == out.shape[1:]):
-                raise spd.Undecided(f"atom '{node.sig.id}' did not return a float matrix")
-            out[i] = r
-            results[i] = r
-        if scalar and any(type(r) is not float for r in results):
-            self.objects[id(node)] = results
-        return out
+        return self._scalar(fn(*args, rows=self.rows))
 
 
 def differentiable(e: Expression) -> bool:

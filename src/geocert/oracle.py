@@ -37,9 +37,10 @@ block of one.
 block, over stacks of all the block's points (``expr._evaluate_stacked``,
 through ``_stacked_trials``).  Every value and ``DomainError`` outcome
 equals the per-point one bit for bit.  A block the stacked evaluation
-cannot decide (some point would raise another error, or numpy would
-report a floating-point event) runs point by point instead, which raises
-exactly what a trial-at-a-time loop raises.
+cannot decide (its tree holds a user atom, which has no stacked
+evaluator, some point would raise another error, or numpy would report a
+floating-point event) runs point by point instead, which calls ``f`` and
+raises exactly as a trial-at-a-time loop does.
 Injected pairs always run point by point.
 
 Generated points are cached per block: ``_cached_points`` (segment
@@ -74,6 +75,7 @@ Trial order is kept exactly:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
@@ -106,6 +108,12 @@ class FuzzConfig:
     injected: tuple = ()
 
     def __post_init__(self):
+        for name in ("trials", "dim", "t_samples", "seed"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise RangeError(f"{name} must be an integer, got {value!r}") from None
         if self.trials < 1:
             raise RangeError(f"trials must be >= 1, got {self.trials}")
         if not 0.0 < self.tol < math.inf:
@@ -322,8 +330,7 @@ def _no_paths(n: int):
 
 def _checked_order(a: np.ndarray, b: np.ndarray):
     """The paths of an injected ordered pair: none, once the pair passes the
-    shape and symmetry gates and is ordered ``A >= B``."""
-    spd._geodesic_inputs(a, b)
+    shape and symmetry gates of ``spd.loewner_geq`` and is ordered ``A >= B``."""
     if not spd.loewner_geq(a, b):
         raise RangeError("injected pair is not ordered: A >= B fails in the Loewner order")
     return _no_paths(1)
@@ -581,6 +588,8 @@ def _trial_loop(f, trials: int, batches, tol: float, judge, evaluate_block=None)
 
 def _run_segment_check(f, cfg: FuzzConfig, nargs: int, geodesic: bool, equality: bool,
                        equality_tol: float, evaluate_block=None) -> FuzzReport:
+    if nargs < 1:
+        raise RangeError(f"nargs must be >= 1, got {nargs}")
     if not math.isfinite(equality_tol):
         raise RangeError(f"equality_tol must be finite, got {equality_tol}")
     tol = equality_tol if equality else cfg.tol

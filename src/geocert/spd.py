@@ -287,7 +287,8 @@ def _inv_sqrt(pair: EigenPair) -> np.ndarray:
 
 
 def _geodesic_inputs(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """The arrays of two geodesic endpoints, after the shape and symmetry gates."""
+    """The arrays of two geodesic endpoints, or of two matrices ``loewner_geq``
+    compares, after the shape and symmetry gates."""
     a_arr = _as_array(a)
     b_arr = _as_array(b)
     if a_arr.shape != b_arr.shape:
@@ -369,9 +370,12 @@ def loewner_geq(a, b, tol: float = 1e-9) -> bool:
     """Test ``A >= B`` in the Loewner order within a relative tolerance.
 
     True iff ``lambda_min(A - B) >= -tol * ||A - B||_2``; in particular true
-    when ``A == B``.
+    when ``A == B``.  Both arguments pass the gates of ``geodesic``: square
+    and of one shape, else ``ShapeError``; finite, else ``DomainError``;
+    symmetric, else ``ShapeError``.
     """
-    d = _sym(_as_array(a)) - _sym(_as_array(b))
+    a_arr, b_arr = _geodesic_inputs(a, b)
+    d = _sym(a_arr) - _sym(b_arr)
     w = _eigvalsh(_sym(d))
     spread = float(np.max(np.abs(w))) if w.size else 0.0
     return float(w[0]) >= -tol * spread
@@ -548,8 +552,10 @@ class Memo(_Point):
 class Rows(Memo):
     """The row policy of a stack: a row whose gate fails dies instead.
 
-    Matrix arguments are ``(n, d, d)`` stacks or one ``(d, d)`` constant
-    shared by all rows, scalar arguments ``(n,)`` stacks or one float.
+    Only the built-in evaluators (``STACKED``) run under it; a stacked walk
+    meeting any other evaluator is undecided.  Matrix arguments are
+    ``(n, d, d)`` stacks or one ``(d, d)`` constant shared by all rows,
+    scalar arguments ``(n,)`` stacks or one float.
     Each decomposition is one stacked call (LAPACK and BLAS still run once
     per matrix, so the bits match) and each tail one call over the alive
     rows, or one over a constant matrix's eigenvalues.  A row dies, leaving
@@ -939,7 +945,7 @@ def _takes_rows(prefix: str) -> frozenset:
 
 # The evaluators that take ``rows``: every built-in one.  An atom
 # registered, or re-registered under a built-in name, with another
-# evaluator is evaluated per row, never by the built-in's code.
+# evaluator is evaluated point by point, never by the built-in's code.
 STACKED = _takes_rows("eval_")
 
 

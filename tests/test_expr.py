@@ -345,6 +345,25 @@ class TestEvaluate:
         assert gc.evaluate(e, {"X": np.eye(2)}) == 10.0
         assert gc.evaluate(t * t, {"X": np.eye(2)}) == 4.0
 
+    def test_max_orders_a_nan_option_as_max_does(self):
+        # A later option wins only when strictly greater, so a NaN option wins
+        # only in front.  The stacked walk shares this arithmetic.
+        sig = gc.AtomSignature("nan_below", (gc.ArgKind.MANIFOLD,), "scalar", gc.Sign.ANY,
+                               gc.GCurvature.UNKNOWN, gc.GMonotonicity.ANY,
+                               gc.ECurvature.UNKNOWN)
+        gc.register_atom(sig, lambda m: float(np.trace(m)) if np.trace(m) > 4.0 else math.nan)
+        try:
+            x = gc.Variable("X", gc.SPD(3))
+            nan, tr = gc.apply_atom("nan_below", [x]), gc.apply_atom("tr", [x])
+            env = {"X": np.eye(3)}
+            for options in ((nan, tr), (tr, nan, tr), (tr, nan)):
+                expected = max(gc.evaluate(o, env) for o in options)
+                assert _bits(gc.evaluate(gc.MaxOf(options), env)) == _bits(expected)
+            assert math.isnan(gc.evaluate(gc.MaxOf((nan, tr)), env))
+            assert gc.evaluate(gc.MaxOf((tr, nan)), env) == 3.0
+        finally:
+            gc.unregister_atom("nan_below")
+
     def test_missing_binding(self, scope):
         x = gc.make_variable("X", gc.SPD(2), scope=scope)
         with pytest.raises(ExpressionError):
@@ -525,27 +544,15 @@ class TestEvaluateStacked:
             _evaluate_stacked(e, {"X": stack}, np.ones(18, dtype=bool))
 
     def test_ungated_non_finite_rows_are_undecided(self):
-        # Per point, eigvalsh of a NaN matrix returns whatever LAPACK makes of
-        # it.  A variable's NaN row dies at the variable's gate, so the NaN
-        # comes from an atom here.
-        def nan_corner(m):
-            out = m.copy()
-            if out[0, 0] > out[1, 1]:
-                out[0, 0] = math.nan
-            return out
-
-        sig = gc.AtomSignature("nan_corner", (gc.ArgKind.MANIFOLD,), "matrix", gc.Sign.ANY,
-                               gc.GCurvature.UNKNOWN, gc.GMonotonicity.ANY,
-                               gc.ECurvature.UNKNOWN)
-        gc.register_atom(sig, nan_corner)
-        try:
-            x = gc.Variable("X", gc.SPD(3))
-            e = gc.apply_atom("eigmax", [gc.apply_atom("nan_corner", [x])])
-            with pytest.raises(gc.spd.Undecided):
-                _evaluate_stacked(e, {"X": _mixed_stack(3, np.random.default_rng(9))},
-                                  np.ones(18, dtype=bool))
-        finally:
-            gc.unregister_atom("nan_corner")
+        # Per point, eigvalsh of an infinite matrix raises LinAlgError or
+        # returns NaN, whatever LAPACK makes of it.  A variable's non-finite
+        # row dies at the variable's gate, so the infinities come from an
+        # atom: conjugation overflows every row.
+        x = gc.Variable("X", gc.SPD(3))
+        e = gc.apply_atom("eigmax", [gc.apply_atom("conjugation", [x, 1e200 * np.eye(3)])])
+        with pytest.raises(gc.spd.Undecided, match="ungated decomposition"):
+            _evaluate_stacked(e, {"X": _mixed_stack(3, np.random.default_rng(9))},
+                              np.ones(18, dtype=bool))
 
     @pytest.mark.parametrize("atom", ["eigmax", "logdet", "tr", "sum"])
     def test_non_finite_variable_rows_die(self, atom):
@@ -558,53 +565,38 @@ class TestEvaluateStacked:
         outcomes = _assert_matches_pointwise(gc.apply_atom(atom, [x]), {"X": stack})
         assert outcomes.count("domain") >= 2
 
-    def test_user_atoms_run_per_row(self):
-        sigs = {
-            "shifted_log_trace": (gc.ArgKind.MANIFOLD,),
-            "numpy_square": (gc.ArgKind.SCALAR,),
-            "type_name_length": (gc.ArgKind.SCALAR,),
-            "nan_below": (gc.ArgKind.MANIFOLD,),
-        }
-
+    def test_user_atoms_leave_the_stack_undecided(self):
+        # Only the built-in evaluators take a stack: a block of a tree with a
+        # user atom runs point by point, and its report is the per-point one.
         def shifted_log_trace(m):
-            t = float(np.trace(m)) - 3.0
+            t = float(np.trace(m)) - 2.0
             if t <= 0.0:
                 raise DomainError("trace too small")
             return math.log(t)
 
-        evaluators = {
-            "shifted_log_trace": shifted_log_trace,
-            "numpy_square": lambda v: np.float64(v) ** 2,  # not a plain float
-            "type_name_length": lambda v: float(len(type(v).__name__)),
-            "nan_below": lambda m: float(np.trace(m)) if np.trace(m) > 4.0 else math.nan,
-        }
-        for name, positions in sigs.items():
-            gc.register_atom(gc.AtomSignature(
-                name, positions, "scalar", gc.Sign.ANY, gc.GCurvature.UNKNOWN,
-                gc.GMonotonicity.ANY, gc.ECurvature.UNKNOWN), evaluators[name])
+        sig = gc.AtomSignature("shifted_log_trace", (gc.ArgKind.MANIFOLD,), "scalar",
+                               gc.Sign.ANY, gc.GCurvature.UNKNOWN, gc.GMonotonicity.ANY,
+                               gc.ECurvature.UNKNOWN)
+        gc.register_atom(sig, shifted_log_trace)
         try:
             x = gc.Variable("X", gc.SPD(3))
             inner = gc.apply_atom("shifted_log_trace", [x])
-            # The per-row atom sees np.float64 from numpy_square, as per point.
-            e = gc.apply_atom("type_name_length", [gc.apply_atom("numpy_square", [inner])]) + inner
-            env = {"X": _mixed_stack(3, np.random.default_rng(3))}
-            assert set(_assert_matches_pointwise(e, env)) == {"value", "domain"}
-            # The same over a constant subtree, which has one value for every row.
-            a = gc.make_const_matrix(np.asarray(gc.random_spd(3, 10.0, 3)), "PD", name="A")
-            square = gc.apply_atom("numpy_square", [2.0 + gc.apply_atom("tr", [a])])
-            _assert_matches_pointwise(gc.apply_atom("type_name_length", [square]) + inner, env)
-            # max keeps its first option unless a later one is strictly greater,
-            # so a NaN wins only in front.
-            nan, tr = gc.apply_atom("nan_below", [x]), gc.apply_atom("tr", [x])
-            for e in (gc.MaxOf((nan, tr)), gc.MaxOf((tr, nan, tr)), gc.MaxOf((tr, nan))):
-                _assert_matches_pointwise(e, env)
+            e = gc.apply_atom("pow", [inner, 2.0]) + gc.apply_atom("logdet", [x])
+            with pytest.raises(gc.spd.Undecided, match="no stacked evaluator"):
+                _evaluate_stacked(e, {"X": _mixed_stack(3, np.random.default_rng(3))},
+                                  np.ones(18, dtype=bool))
+            cfg = gc.FuzzConfig(trials=150, dim=3, cond_max=10.0, seed=3)
+            out = gc.cross_validate(e, cfg)
+            assert out.checks["geodesic-convexity"].skipped
+            f = lambda m: gc.evaluate(e, {"X": m})
+            assert out.checks["geodesic-convexity"] == gc.check_gconvex(f, cfg)
+            assert out.checks["euclidean-convexity"] == gc.check_econvex(f, cfg)
         finally:
-            for name in sigs:
-                gc.unregister_atom(name)
+            gc.unregister_atom("shifted_log_trace")
 
     def test_atoms_may_write_into_their_argument_per_point(self):
-        # A stacked walk shares each value among rows, so a write raises there
-        # and the block runs point by point, where the value is the atom's own.
+        # A user atom's block runs point by point, where the value it writes
+        # into is its own.
         def scribble(m):
             m[0, 0] += 1.0
             return float(np.trace(m))

@@ -31,6 +31,15 @@ class TestFuzzConfig:
         with pytest.raises(RangeError):
             gc.FuzzConfig(tol=0.0)
 
+    @pytest.mark.parametrize("field", ["trials", "dim", "t_samples", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 1.0, "3", None])
+    def test_non_integer_counts_rejected(self, field, value):
+        # A float seed would run as its integer part; a float count fails deep
+        # in the first block.
+        with pytest.raises(RangeError):
+            gc.FuzzConfig(**{field: value})
+        assert getattr(gc.FuzzConfig(**{field: np.int64(3)}), field) == 3
+
     @pytest.mark.parametrize("field", ["tol", "cond_max"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_bounds_rejected(self, field, value):
@@ -119,6 +128,13 @@ class TestCheckGConvex:
 
 
 class TestCheckEConvex:
+    @pytest.mark.parametrize("nargs", [0, -1])
+    def test_nargs_below_one_rejected(self, nargs):
+        for check in (gc.check_gconvex, gc.check_econvex):
+            with pytest.raises(RangeError):
+                check(lambda *ms: 0.0, CFG, nargs=nargs)
+
+
     def test_norm1_euclidean_convex(self):
         rep = gc.check_econvex(spd.elementwise_norm1, CFG)
         assert rep.verdict == "NoViolationFound"
@@ -565,18 +581,19 @@ class TestStackedTrials:
 
 
 class TestStackedRouting:
-    """What a stacked block runs: every built-in atom once over the stack,
-    every tail once over the alive rows, and user atoms once per row."""
+    """What a stacked block runs: every built-in atom once over the stack and
+    every tail once over the alive rows; a tree with a user atom runs its
+    blocks point by point."""
 
     @staticmethod
     def _count(monkeypatch):
-        """Record the atoms that reach ``_per_row``, each ``Rows.map`` and each tail call."""
-        per_row, maps, tails = [], [], []
-        walk_per_row, rows_map = expr._StackedWalk._per_row, spd.Rows.map
+        """Record each block that runs point by point, each ``Rows.map`` and each tail call."""
+        pointwise, maps, tails = [], [], []
+        pointwise_trials, rows_map = oracle._pointwise_trials, spd.Rows.map
 
-        def counting_per_row(self, node, fn, args):
-            per_row.append(node.sig.id)
-            return walk_per_row(self, node, fn, args)
+        def counting_pointwise(f, batch):
+            pointwise.append(len(batch.a[0]))
+            return pointwise_trials(f, batch)
 
         def counting_map(self, tail, lam, *params):
             maps.append(tail.__name__)
@@ -590,39 +607,51 @@ class TestStackedRouting:
             counted.__name__ = tail.__name__
             return counted
 
-        monkeypatch.setattr(expr._StackedWalk, "_per_row", counting_per_row)
+        monkeypatch.setattr(oracle, "_pointwise_trials", counting_pointwise)
         monkeypatch.setattr(spd.Rows, "map", counting_map)
         for name in [n for n in vars(spd) if n.endswith("_tail")]:
             monkeypatch.setattr(spd, name, counting(getattr(spd, name)))
-        return per_row, maps, tails
+        return pointwise, maps, tails
 
     def test_every_built_in_evaluator_takes_rows(self):
         assert all(expr._registered(i).evaluator in spd.STACKED for i in gc.CATALOG_IDS)
 
     def test_problem_files_run_nothing_per_row(self, monkeypatch):
-        per_row, maps, tails = self._count(monkeypatch)
+        pointwise, maps, tails = self._count(monkeypatch)
         for path in sorted(PROBLEMS.glob("*.yaml")):
             gc.cross_validate(gc.load_problem(path).expression, gc.FuzzConfig(trials=100, seed=0))
-        assert per_row == []
-        # One tail call for each Rows.map, none per point (a block that fell
-        # back to its points would add some).
+        assert pointwise == []
+        # One tail call for each Rows.map, none per point.
         assert tails and tails == maps
 
-    def test_user_atoms_run_per_row(self, monkeypatch):
-        per_row, maps, tails = self._count(monkeypatch)
+    def test_user_atoms_run_point_by_point(self, monkeypatch):
+        pointwise, maps, _ = self._count(monkeypatch)
+        seen = []
+
+        def half_trace(m):
+            seen.append(m.tobytes())
+            return 0.5 * float(np.trace(m))
+
         sig = gc.AtomSignature("half_trace", (gc.ArgKind.MANIFOLD,), "scalar", gc.Sign.POSITIVE,
                                gc.GCurvature.CONVEX, gc.GMonotonicity.INCREASING,
                                gc.ECurvature.AFFINE)
-        gc.register_atom(sig, lambda m: 0.5 * float(np.trace(m)))
+        gc.register_atom(sig, half_trace)
         try:
             x = gc.Variable("X", gc.SPD(3))
             e = gc.apply_atom("half_trace", [x]) + gc.apply_atom("logdet", [x])
-            out = gc.cross_validate(e, gc.FuzzConfig(trials=100, seed=0))
+            cfg = gc.FuzzConfig(trials=70, seed=0)
+            out = gc.cross_validate(e, cfg)
+            stacked_calls = seen[:]
+            del seen[:]
+            pointwise_report = gc.check_gconvex(lambda m: gc.evaluate(e, {"X": m}), cfg)
         finally:
             gc.unregister_atom("half_trace")
         assert out.verdict == "CONSISTENT"
-        assert per_row == ["half_trace"] * 2  # one call per block of the one check
-        assert tails == maps == ["_logdet_tail"] * 2
+        assert out.checks["geodesic-convexity"] == pointwise_report
+        # The user atom sees the points in check_gconvex's order: each trial's
+        # endpoints, then its path points.
+        assert len(stacked_calls) == 70 * 10 and stacked_calls == seen
+        assert pointwise == [64, 6] * 2 and maps == []
 
 
 class TestReevaluateWitness:

@@ -378,6 +378,18 @@ class TestLoewner:
         assert not gc.loewner_geq(np.diag([2.0, 0.5]), np.eye(2))
         assert gc.loewner_geq(np.eye(2), np.eye(2))
 
+    def test_mismatched_shapes_raise(self):
+        with pytest.raises(ShapeError):
+            gc.loewner_geq(2 * np.eye(3), [[1.0]])
+
+    def test_asymmetric_argument_raises(self):
+        with pytest.raises(ShapeError):
+            gc.loewner_geq([[2, 1], [0, 2]], np.eye(2))
+
+    def test_non_finite_argument_raises(self):
+        with pytest.raises(DomainError):
+            gc.loewner_geq([[math.nan, 0], [0, 1]], np.eye(2))
+
     def test_am_gm(self):
         for i in range(30):
             a = np.asarray(gc.random_spd(3, 100.0, 30 + i))
