@@ -14,9 +14,11 @@ from .analysis import (
     analyze,
     combine_add,
     combine_max,
+    combine_product,
     compose_inverse,
     compose_loewner,
     compose_scalar,
+    gate_positive_domain,
 )
 from .atoms import CATALOG_IDS, SPD_ATOM_IDS
 from .dsl import parse_dsl, unparse

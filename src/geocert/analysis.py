@@ -12,36 +12,37 @@ curvature, is:
 
 A linear inner qualifies as both convex and concave, so composing with it
 returns the outer curvature with no monotonicity requirement (pre-composing
-with a geodesic-tracing, resp. affine, map costs nothing).  A linear outer
-tries both sides and keeps the lattice meet of whatever sticks.  Patterns
-outside the table produce the top element, never an error: failure to
-certify is a verdict.
+with a geodesic-tracing, resp. affine, map costs nothing).  Over a curved
+inner, at most one of the convex and concave conditions can hold; a linear
+outer takes whichever does.  Patterns outside the table produce the top
+element, never an error: failure to certify is a verdict.
 
 The inverse atom is the one special case.  Inversion maps geodesics to
 geodesics, so ``inv`` of a geodesically linear argument is itself treated
 as linear for everything composed above it; applied to anything curvier its
-verdict is unknown.  It, the sign gate and the sign override apply by the
-evaluator a node bound (the tables of ``atoms``), never by the atom's id.
+verdict is unknown.  It and the sign gate apply by the evaluator a node
+bound (the tables of ``atoms``), never by the atom's id.
 
-Products of non-constant scalar subexpressions are never certified: the
-midpoint test fails already for trace times negated log-determinant on a
-pair of scaled identity matrices.
+Products with a non-constant factor are never certified: the midpoint test
+fails already for trace times negated log-determinant on a pair of scaled
+identity matrices.  Scaling by a constant is ``ScalarMul``, which
+``Expression.__mul__`` builds for a number or a ``ConstScalar``.
 
-The public ``combine_add``, ``combine_max``, ``compose_scalar``,
-``compose_loewner`` and ``compose_inverse`` are the rules the pass applies;
-``_curv_node`` picks a node's rule and holds only the gates in front of it
-(the product rejection and the sign gate of ``POSITIVE_DOMAIN_ATOMS``).
-Patching one of them in this module therefore changes ``analyze``'s
-verdicts.  An atom node's signs and outer curvature come from its
-``meta``, resolved once when the node was built; only ``compose_loewner``,
-which takes the signature, resolves it again.  An atom without a
-``MANIFOLD`` position is a scalar outer atom and composes by
-``compose_scalar``.
+The public ``combine_add``, ``combine_max``, ``combine_product``,
+``compose_scalar``, ``compose_loewner``, ``compose_inverse`` and
+``gate_positive_domain`` are the rules the pass applies; ``_curv_node``
+only picks a node's rule and formats its trace entry, so patching one of
+them in this module changes ``analyze``'s verdicts.  A rule that can
+explain a refusal returns its note beside its result.  An atom node's signs
+and outer metadata come from its ``meta``, resolved once when the node was
+built.  An atom without a ``MANIFOLD`` position is a scalar outer atom and
+composes by ``compose_scalar``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 from .atoms import INVERSE_ATOMS, POSITIVE_DOMAIN_ATOMS, POWER_ATOMS, SIGN_RANGE_OVERRIDES
@@ -50,7 +51,6 @@ from .expr import (
     Add,
     ArgKind,
     AtomApply,
-    AtomSignature,
     ConstMatrix,
     ConstScalar,
     Definiteness,
@@ -126,28 +126,24 @@ def gjoin(a: GCurvature, b: GCurvature) -> GCurvature:
     return G.UNKNOWN
 
 
+def _join(curvs) -> GCurvature:
+    return reduce(gjoin, curvs, G.LINEAR)
+
+
 def _compose(outer: GCurvature, mono: GMonotonicity, inner: GCurvature) -> GCurvature:
     if inner is G.UNKNOWN or outer is G.UNKNOWN:
         return G.UNKNOWN
     if inner is G.LINEAR:
         return outer
-    sides = (G.CONVEX, G.CONCAVE) if outer is G.LINEAR else (outer,)
-    hits = set()
-    if G.CONVEX in sides:
-        if (inner is G.CONVEX and mono is M.INCREASING) or (
-            inner is G.CONCAVE and mono is M.DECREASING
-        ):
-            hits.add(G.CONVEX)
-    if G.CONCAVE in sides:
-        if (inner is G.CONCAVE and mono is M.INCREASING) or (
-            inner is G.CONVEX and mono is M.DECREASING
-        ):
-            hits.add(G.CONCAVE)
-    if not hits:
+    # The table's two conditions: an increasing outer keeps a curved inner's
+    # side, a decreasing one flips it; the outer must be that side or linear.
+    if mono is M.INCREASING:
+        side = inner
+    elif mono is M.DECREASING:
+        side = gflip(inner)
+    else:
         return G.UNKNOWN
-    if len(hits) == 2:
-        return G.LINEAR  # lattice meet: both inequalities hold
-    return hits.pop()
+    return side if outer in (side, G.LINEAR) else G.UNKNOWN
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +157,7 @@ def combine_add(children) -> GCurvature:
     Negative weights flip convex and concave; GLinear is flip-invariant.
     The result is the lattice join over all terms.
     """
-    out = G.LINEAR
-    for curv, weight in children:
-        eff = gflip(curv) if float(weight) < 0.0 else curv
-        out = gjoin(out, eff)
-    return out
+    return _join(gflip(curv) if float(weight) < 0.0 else curv for curv, weight in children)
 
 
 def combine_max(children) -> GCurvature:
@@ -188,19 +180,15 @@ def compose_scalar(outer: tuple[ECurvature, GMonotonicity], inner: GCurvature) -
     return _compose(_E2G[ecurv], mono, inner)
 
 
-def compose_loewner(outer: AtomSignature, inner_curvatures, params: tuple = (),
-                    arg_dims: tuple = ()) -> GCurvature:
+def compose_loewner(outer: tuple[GCurvature, GMonotonicity], inner_curvatures) -> GCurvature:
     """Curvature of an atom applied to matrix-valued arguments.
 
-    The outer atom's geodesic curvature and Loewner monotonicity are composed
-    against each argument's curvature; the results are joined over all
-    manifold arguments.
+    ``outer`` is the atom's resolved (geodesic curvature, Loewner
+    monotonicity), composed against each argument's curvature; the results
+    are joined over all manifold arguments.
     """
-    eff = outer.effective(params, arg_dims)
-    out = G.LINEAR
-    for inner in inner_curvatures:
-        out = gjoin(out, _compose(eff.gcurv, eff.gmono, inner))
-    return out
+    gcurv, mono = outer
+    return _join(_compose(gcurv, mono, inner) for inner in inner_curvatures)
 
 
 def compose_inverse(inner: GCurvature) -> GCurvature:
@@ -210,6 +198,28 @@ def compose_inverse(inner: GCurvature) -> GCurvature:
     keeps the whole composition exact; any other argument is unknown.
     """
     return G.LINEAR if inner is G.LINEAR else G.UNKNOWN
+
+
+def combine_product(factor_curvatures) -> tuple[GCurvature, str]:
+    """A product's curvature from its non-constant factors' ones, and a note: never certified."""
+    if len(factor_curvatures) > 1:
+        return G.UNKNOWN, "products of non-constant factors are not certifiable"
+    return G.UNKNOWN, "products are not certified; scale by a number or a ConstScalar"
+
+
+def gate_positive_domain(node: AtomApply, arg_sign: Sign) -> tuple[GMonotonicity | None, str]:
+    """The monotonicity a positive-domain atom composes with, or None to refuse, and a note.
+
+    ``arg_sign`` is the argument's provable value range.  t^p with even
+    integer p is convex on all of R, just not monotone, so it composes anyway.
+    """
+    if arg_sign is Sign.POSITIVE:
+        return node.meta.gmono, ""
+    p = node.params[0] if node.evaluator in POWER_ATOMS else None
+    if p is not None and float(p).is_integer() and int(p) % 2 == 0:
+        return M.ANY, "even power composed without a sign guarantee"
+    return None, (f"{node.sig.id} needs a provably nonnegative argument, "
+                  f"value range is {arg_sign.value}")
 
 
 # ---------------------------------------------------------------------------
@@ -306,76 +316,43 @@ def _curv_node(node: Expression, kid_curvs: list[GCurvature], kid_safe_signs: li
         inputs = ", ".join(f"{_show(c, geodesic)}*{w:+g}" for c, w in pairs)
         return combine_add(pairs), "signed-sum", inputs
     if isinstance(node, Mul):
-        nonconst = [c for c, f in zip(kid_curvs, node.factors) if f.variables]
+        curv, note = combine_product([c for c, f in zip(kid_curvs, node.factors) if f.variables])
         inputs = ", ".join(_show(c, geodesic) for c in kid_curvs)
-        if len(nonconst) > 1:
-            return (G.UNKNOWN, "scalar-product",
-                    inputs + "; note: products of non-constant factors are not certifiable")
-        weight = 1.0
-        opaque = False  # constant factor whose value is not a literal
-        for f in node.factors:
-            if not f.variables:
-                if isinstance(f, ConstScalar):
-                    weight *= f.value
-                else:
-                    opaque = True
-        if opaque:
-            return G.UNKNOWN, "scalar-product", inputs
-        curv = combine_add([(nonconst[0], weight)]) if weight != 0.0 else G.LINEAR
-        return curv, "scalar-product", inputs
+        return curv, "scalar-product", inputs + _note(note)
     if isinstance(node, MaxOf):
         inputs = ", ".join(_show(c, geodesic) for c in kid_curvs)
         return combine_max(kid_curvs), "pointwise-max", inputs
     if isinstance(node, AtomApply):
-        sig = node.sig
         if geodesic and node.evaluator in INVERSE_ATOMS:
             curv = compose_inverse(kid_curvs[0])
-            note = "" if curv is not G.UNKNOWN else (
-                "; note: inversion only reparametrizes geodesically linear arguments"
-            )
+            note = _note("inversion only reparametrizes geodesically linear arguments"
+                         if curv is G.UNKNOWN else "")
             return curv, "inverse-reparametrization", f"inner={kid_curvs[0].value}{note}"
         eff = node.meta
-        mono = eff.gmono
         # A scalar outer atom (no manifold argument) composes through its
         # Euclidean curvature in both geometries: its domain is flat.
-        scalar_outer = ArgKind.MANIFOLD not in sig.positions
+        scalar_outer = ArgKind.MANIFOLD not in node.sig.positions
         loewner = geodesic and not scalar_outer
         outer_curv = eff.gcurv if loewner else _E2G[eff.ecurv]
         rule = "scalar-composition" if scalar_outer else "loewner-composition"
-        note = ""
+        mono, note = eff.gmono, ""
         if node.evaluator in POSITIVE_DOMAIN_ATOMS:
-            arg_sign = kid_safe_signs[0]
-            if arg_sign is not Sign.POSITIVE:
-                even_power = (
-                    node.evaluator in POWER_ATOMS
-                    and float(node.params[0]).is_integer()
-                    and int(node.params[0]) % 2 == 0
-                )
-                if even_power:
-                    # t^p with even p is convex on all of R, just not
-                    # monotone; composition still covers linear inners.
-                    mono = M.ANY
-                    note = "; note: even power composed without a sign guarantee"
-                else:
-                    note = (f"; note: {sig.id} needs a provably nonnegative "
-                            f"argument, value range is {arg_sign.value}")
-                    inputs = f"outer=({_show(outer_curv, geodesic)},{mono.value}){note}"
-                    return G.UNKNOWN, rule, inputs
+            mono, note = gate_positive_domain(node, kid_safe_signs[0])
+        shown = eff.gmono if mono is None else mono
+        outer = f"outer=({_show(outer_curv, geodesic)},{shown.value})"
+        if mono is None:
+            return G.UNKNOWN, rule, outer + _note(note)
         if loewner:
-            curv = compose_loewner(sig, kid_curvs, node.params, node.arg_dims)
+            curv = compose_loewner((eff.gcurv, mono), kid_curvs)
         else:
-            # The sign gate above may have widened mono, so every atom it
-            # gates (all scalar outer atoms) composes here.
-            curv = G.LINEAR
-            for c in kid_curvs:
-                curv = gjoin(curv, compose_scalar((eff.ecurv, mono), c))
-        inputs = (
-            f"outer=({_show(outer_curv, geodesic)},{mono.value}); inner="
-            + ",".join(_show(c, geodesic) for c in kid_curvs)
-            + note
-        )
-        return curv, rule, inputs
+            curv = _join(compose_scalar((eff.ecurv, mono), c) for c in kid_curvs)
+        inner = ",".join(_show(c, geodesic) for c in kid_curvs)
+        return curv, rule, f"{outer}; inner={inner}{_note(note)}"
     return G.UNKNOWN, "unmatched", ""
+
+
+def _note(note: str) -> str:
+    return f"; note: {note}" if note else ""
 
 
 def _show(c: GCurvature, geodesic: bool) -> str:

@@ -3,10 +3,11 @@
 Exit codes are a stable contract:
 
     0  certified / consistent / converged
-    1  input error (parse, validation, inconclusive fuzzing)
+    1  input error (parse, validation, the start, inconclusive fuzzing)
     2  not certified (GUnknown or GConcave objective)
     3  numeric counterexample found
-    4  no convergence within the iteration budget
+    4  no convergence within the iteration budget, or a numeric failure
+       of the solve after its start was validated
     5  refused to solve an uncertified problem without --force
 
 All randomness flows from an explicit --seed, the problem file, or the
@@ -35,7 +36,7 @@ from .errors import (
 from .expr import GCurvature, evaluate
 from .oracle import FuzzConfig, cross_validate
 from .problems import LoadedProblem, load_problem
-from .solver import _ExpressionObjective, gradient_descent
+from .solver import _ExpressionObjective, _validated_start, gradient_descent
 
 DEFAULT_SEED = 0
 
@@ -185,12 +186,13 @@ def cmd_solve(args) -> int:
     x0 = _initial_point(args, prob)
     chosen = _chosen(prob.solver, ("max_iter", "grad_tol"),
                      max_iter=args.max_iter, grad_tol=args.grad_tol)
+    _validated_start(objective, x0)  # the user's start: its errors exit 1
     stagnated = False
     try:
         result = gradient_descent(objective, x0, **chosen)
     except StagnationError as exc:
         result, stagnated = exc.partial, True
-    except np.linalg.LinAlgError as exc:
+    except (GeocertError, np.linalg.LinAlgError) as exc:
         # The start passed validation, so this is the library's own numeric
         # failure, not an input error.
         print(f"error: solver failed numerically: {exc}", file=sys.stderr)

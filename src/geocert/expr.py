@@ -261,15 +261,18 @@ class Expression:
     def __neg__(self):
         return ScalarMul(-1.0, self)
 
+    # A number or a ConstScalar scales; analysis certifies no product.
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return ScalarMul(float(other), self)
-        return Mul((self, _coerce(other)))
+        other = _coerce(other)
+        if isinstance(other, ConstScalar):
+            return ScalarMul(other.value, self)
+        if isinstance(self, ConstScalar):
+            return ScalarMul(self.value, other)
+        return Mul((self, other))
 
     def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return ScalarMul(float(other), self)
-        return Mul((_coerce(other), self))
+        # Only a number reaches here: an expression on the left takes __mul__.
+        return ScalarMul(_coerce(other).value, self)
 
 
 def _coerce(x) -> Expression:

@@ -355,6 +355,11 @@ def _stack(values: list) -> np.ndarray:
     return np.array(values, dtype=float)
 
 
+# The judge's arithmetic is as quiet as Python floats on inf and NaN (inf - inf
+# is NaN), so it warns no more than a trial-at-a-time loop would.
+_quiet = np.errstate(over="ignore", invalid="ignore", under="ignore")
+
+
 def _scales(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
     """Value scale ``max(1, |f(A)|, |f(B)|)`` of each pair; matrices by spectral norm."""
     if fa.ndim > 1:
@@ -363,6 +368,7 @@ def _scales(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
     return np.fmax(np.fmax(1.0, np.abs(fa)), np.abs(fb))
 
 
+@_quiet
 def _gaps(values: np.ndarray, refs: np.ndarray, two_sided: bool) -> np.ndarray:
     """Signed amount by which each value exceeds its reference, or its size with ``two_sided``.
 
@@ -376,6 +382,7 @@ def _gaps(values: np.ndarray, refs: np.ndarray, two_sided: bool) -> np.ndarray:
     return np.abs(w).max(axis=-1) if two_sided else -w[:, 0]
 
 
+@_quiet
 def _segment_gaps(fa: np.ndarray, fb: np.ndarray, owner: np.ndarray, ts: np.ndarray,
                   values: np.ndarray, two_sided: bool):
     """Chord and gap of each t-sample: ``values[k]`` at ``ts[k]`` on trial ``owner[k]``."""

@@ -211,6 +211,17 @@ def _slope(v: np.ndarray, mu: np.ndarray, alpha: float, xi: np.ndarray) -> float
     return float(-np.sum(mu * np.exp(alpha * mu) * diag))
 
 
+def _validated_start(obj: Objective, x0) -> tuple[np.ndarray, spd.SPDMatrix, float]:
+    """A copy of ``x0``, its ``SPDMatrix`` and the value there; raises if either is invalid."""
+    x = np.array(spd._as_array(x0), dtype=float, copy=True)
+    point = spd.SPDMatrix(x)  # validates the start; its eig serves the first step
+    # The start is evaluated and differentiated as given, not symmetrized.
+    f0 = obj._value_at(x, point.eig)
+    if not math.isfinite(f0):
+        raise DomainError("objective is not finite at the starting point")
+    return x, point, f0
+
+
 def gradient_descent(obj: Objective, x0, max_iter: int = 500, grad_tol: float = 1e-8) -> SolveResult:
     """Minimize ``obj`` from ``x0`` by geodesic gradient descent.
 
@@ -219,12 +230,7 @@ def gradient_descent(obj: Objective, x0, max_iter: int = 500, grad_tol: float = 
     ``MAX_HALVINGS`` halvings raises ``StagnationError`` carrying the partial
     result.
     """
-    x = np.array(spd._as_array(x0), dtype=float, copy=True)
-    point = spd.SPDMatrix(x)  # validates the start; its eig serves the first step
-    # The start is evaluated and differentiated as given, not symmetrized.
-    f0 = obj._value_at(x, point.eig)
-    if not math.isfinite(f0):
-        raise DomainError("objective is not finite at the starting point")
+    x, point, f0 = _validated_start(obj, x0)
     trajectory = [f0]
     stagnated = False
     xi = None  # the gradient at x, when the line search already took it

@@ -1,4 +1,5 @@
 import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -109,9 +110,9 @@ class TestComposeLoewner:
         assert gc.analyze(e, gc.SPD(3)).gcurvature == G.CONVEX
 
     def test_public_table(self):
-        sig = gc.lookup_atom("tr")
-        assert gc.compose_loewner(sig, [G.CONVEX]) == G.CONVEX
-        assert gc.compose_loewner(sig, [G.CONCAVE]) == G.UNKNOWN
+        meta = gc.apply_atom("tr", [_var()]).meta
+        assert gc.compose_loewner((meta.gcurv, meta.gmono), [G.CONVEX]) == G.CONVEX
+        assert gc.compose_loewner((meta.gcurv, meta.gmono), [G.CONCAVE]) == G.UNKNOWN
 
     def test_distance_anymono_strict_inner(self):
         x = _var(d=3)
@@ -119,6 +120,55 @@ class TestComposeLoewner:
         e = gc.apply_atom("distance", [inner, gc.apply_atom("inv", [x])])
         # GAnyMono outer over a strictly curved inner cannot be certified.
         assert gc.analyze(e, gc.SPD(3)).gcurvature == G.UNKNOWN
+
+
+def _docstring_table():
+    """The composition table of the ``analysis`` module docstring, as data."""
+    names = {"convex": G.CONVEX, "concave": G.CONCAVE,
+             "increasing": M.INCREASING, "decreasing": M.DECREASING}
+    rows = re.findall(r"\((\w+), (\w+)\)\s+o\s+(\w+)\s+->\s+(\w+)", gc.analysis.__doc__)
+    assert len(rows) == 4
+    return {(names[o], names[m], names[i]): names[r] for o, m, i, r in rows}
+
+
+def _table_composition(outer, mono, inner):
+    """What the docstring says ``outer`` with ``mono`` composed with ``inner`` gives."""
+    if G.UNKNOWN in (outer, inner):
+        return G.UNKNOWN
+    if inner is G.LINEAR:
+        return outer
+    table = _docstring_table()
+    sides = (G.CONVEX, G.CONCAVE) if outer is G.LINEAR else (outer,)
+    hits = [table[s, mono, inner] for s in sides if (s, mono, inner) in table]
+    assert len(hits) <= 1
+    return hits[0] if hits else G.UNKNOWN
+
+
+class TestCompositionTable:
+    """Both composition rules follow the module docstring's table on every triple."""
+
+    TRIPLES = list(itertools.product(list(G), list(M), list(G)))
+
+    @pytest.mark.parametrize("outer, mono, inner", TRIPLES)
+    def test_compose_loewner(self, outer, mono, inner):
+        assert gc.compose_loewner((outer, mono), [inner]) is _table_composition(outer, mono, inner)
+
+    @pytest.mark.parametrize("outer, mono, inner", TRIPLES)
+    def test_compose_scalar(self, outer, mono, inner):
+        ecurv = {G.LINEAR: E.AFFINE, G.CONVEX: E.CONVEX, G.CONCAVE: E.CONCAVE,
+                 G.UNKNOWN: E.UNKNOWN}[outer]
+        assert gc.compose_scalar((ecurv, mono), inner) is _table_composition(outer, mono, inner)
+
+    def test_a_linear_outer_over_a_curved_inner_is_never_linear(self):
+        for mono, inner in itertools.product(list(M), (G.CONVEX, G.CONCAVE)):
+            assert gc.compose_loewner((G.LINEAR, mono), [inner]) is not G.LINEAR
+            assert gc.compose_scalar((E.AFFINE, mono), inner) is not G.LINEAR
+
+    def test_compose_loewner_joins_over_its_arguments(self):
+        outer = (G.CONVEX, M.INCREASING)
+        assert gc.compose_loewner(outer, [G.LINEAR, G.CONVEX]) is G.CONVEX
+        assert gc.compose_loewner(outer, [G.CONVEX, G.CONCAVE]) is G.UNKNOWN
+        assert gc.compose_loewner(outer, []) is G.LINEAR
 
 
 class TestComposeInverse:
@@ -181,7 +231,31 @@ class TestGCurvature:
     def test_product_unknown(self):
         x = _var()
         e = gc.Mul((gc.apply_atom("tr", [x]), gc.apply_atom("logdet", [x])))
-        assert gc.analyze(e, gc.SPD(4)).gcurvature == G.UNKNOWN
+        r = gc.analyze(e, gc.SPD(4))
+        assert r.gcurvature == G.UNKNOWN
+        assert r.trace[-1].inputs.endswith(
+            "; note: products of non-constant factors are not certifiable")
+
+    def test_a_product_with_a_constant_factor_is_not_certified(self):
+        # Scaling is ScalarMul's rule; a hand-built product is never certified.
+        x = _var()
+        tr = gc.apply_atom("tr", [x])
+        constant = gc.apply_atom("sdivergence", [_pd(4, 1), _pd(4, 2)])
+        for factors in ((gc.ConstScalar(2.0), tr), (tr, constant)):
+            r = gc.analyze(gc.Mul(factors), gc.SPD(4))
+            assert (r.gcurvature, r.ecurvature) == (G.UNKNOWN, E.UNKNOWN)
+            assert r.trace[-1].rule == "scalar-product"
+            assert r.trace[-1].inputs.endswith(
+                "; note: products are not certified; scale by a number or a ConstScalar")
+
+    def test_multiplying_by_a_const_scalar_scales(self):
+        x = _var()
+        tr = gc.apply_atom("tr", [x])
+        for e in (tr * gc.ConstScalar(2.0), gc.ConstScalar(2.0) * tr):
+            assert e == gc.ScalarMul(2.0, tr)
+            assert gc.analyze(e, gc.SPD(4)).gcurvature is G.CONVEX
+        assert gc.ConstScalar(2.0) * gc.ConstScalar(3.0) == gc.ScalarMul(3.0, gc.ConstScalar(2.0))
+        assert isinstance(tr * gc.apply_atom("logdet", [x]), gc.Mul)
 
     def test_tyler_expression(self):
         s = gc.Variable("Sigma", gc.SPD(5))
@@ -242,44 +316,47 @@ class TestGCurvature:
         e = gc.apply_atom("pow", [gc.apply_atom("sum_log_eigmax", [x, 2]), 2])
         assert gc.analyze(e, gc.SPD(3)).gcurvature == G.UNKNOWN
 
-    @pytest.mark.parametrize("rule, build", [
-        ("compose_loewner", lambda x: gc.apply_atom("logdet", [x])),
-        ("compose_scalar", lambda x: gc.apply_atom("exp", [gc.apply_atom("tr", [x])])),
-    ], ids=["compose_loewner", "compose_scalar"])
-    def test_analyze_applies_the_public_rule(self, monkeypatch, rule, build):
+    @pytest.mark.parametrize("rule, build, mutant", [
+        ("compose_loewner", lambda x: gc.apply_atom("logdet", [x]), lambda *args: G.UNKNOWN),
+        ("compose_scalar", lambda x: gc.apply_atom("exp", [gc.apply_atom("tr", [x])]),
+         lambda *args: G.UNKNOWN),
+        ("gate_positive_domain", lambda x: gc.apply_atom("pow", [gc.apply_atom("tr", [x]), 2]),
+         lambda *args: (None, "refused")),
+        ("combine_product", lambda x: gc.Mul((gc.apply_atom("tr", [x]),
+                                              gc.apply_atom("logdet", [x]))),
+         lambda *args: (G.CONVEX, "")),
+    ], ids=["compose_loewner", "compose_scalar", "gate_positive_domain", "combine_product"])
+    def test_analyze_applies_the_public_rule(self, monkeypatch, rule, build, mutant):
         e = build(_var(d=2))
-        assert gc.analyze(e, gc.SPD(2)).gcurvature is not G.UNKNOWN
-        monkeypatch.setattr(gc.analysis, rule, lambda *args: G.UNKNOWN)
-        assert gc.analyze(e, gc.SPD(2)).gcurvature is G.UNKNOWN
+        before = gc.analyze(e, gc.SPD(2)).gcurvature
+        monkeypatch.setattr(gc.analysis, rule, mutant)
+        after = gc.analyze(e, gc.SPD(2)).gcurvature
+        assert after is not before
 
-    def test_refine_runs_when_the_node_is_built_and_in_compose_loewner(self, monkeypatch):
-        inside, calls = [], []
+    def test_the_positive_domain_gate(self):
+        x = _var(d=3)
+        ld = gc.apply_atom("logdet", [x])
+        assert gc.gate_positive_domain(gc.apply_atom("log", [ld]), S.POSITIVE) == (M.INCREASING, "")
+        assert gc.gate_positive_domain(gc.apply_atom("pow", [ld, 2]), S.ANY) == (
+            M.ANY, "even power composed without a sign guarantee")
+        assert gc.gate_positive_domain(gc.apply_atom("pow", [ld, 3]), S.NEGATIVE) == (
+            None, "pow needs a provably nonnegative argument, value range is Negative")
+
+    def test_refine_runs_once_when_the_node_is_built(self):
+        calls = []
 
         def refine(params, arg_dims):
-            calls.append(bool(inside))
+            calls.append((params, arg_dims))
             return {}
 
-        def counted_rule(*args):
-            inside.append(True)
-            try:
-                return compose_loewner(*args)
-            finally:
-                inside.pop()
-
-        compose_loewner = gc.analysis.compose_loewner
         sig = gc.AtomSignature("refined_trace", (gc.ArgKind.MANIFOLD,), "scalar", S.POSITIVE,
                                G.CONVEX, M.INCREASING, E.AFFINE, None, refine)
-        gc.register_atom(sig, lambda x: float(np.trace(x)))
-        try:
+        with registered_as(sig, lambda x: float(np.trace(x))):
             e = gc.apply_atom("refined_trace", [_var(d=2)])
-            assert calls == [False]
-            monkeypatch.setattr(gc.analysis, "compose_loewner", counted_rule)
+            assert calls == [((), (2,))]
             for _ in range(2):
-                calls.clear()
                 assert gc.analyze(e, gc.SPD(2)).gcurvature is G.CONVEX
-                assert calls == [True]
-        finally:
-            gc.unregister_atom("refined_trace")
+            assert calls == [((), (2,))]
 
     def test_an_atom_without_a_manifold_argument_composes_as_a_scalar(self):
         # Its registered geodesic curvature is never read: a scalar

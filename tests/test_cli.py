@@ -55,6 +55,13 @@ fuzz:
 """
 
 
+LOG_SHIFTED_2D = """
+variables:
+  - {name: X, manifold: SPD, dim: 2}
+objective: "log(tr(X) - 100)"
+"""
+
+
 class TestProblemFiles:
     def test_load_shipped_files(self):
         for name in ("matrix_sqrt", "karcher", "brascamp_lieb", "tyler"):
@@ -220,6 +227,14 @@ class TestFuzzCommand:
         assert check["verdict"] == "ViolationFound"
         assert np.allclose(np.array(check["witness"]["point_b"][0]), SIGMA_2)
         assert abs(check["witness"]["lhs"] - 4.7638) <= 5e-4
+
+    def test_inconclusive_exit_1(self, capsys, tmp_path):
+        # log(tr(X) - 100) is undefined at every sampled point of SPD(2).
+        path = write(tmp_path, "l.yaml", LOG_SHIFTED_2D)
+        code, out, err = run_main(capsys, ["fuzz", path, "--trials", "50"])
+        assert code == 1
+        assert not out
+        assert err.startswith("inconclusive: 50 of 50 trials"), err
 
     def test_zero_trials_exit_1(self, capsys):
         code, _, err = run_main(
@@ -452,6 +467,51 @@ solver: {grad_tol: 1.0e-6}
         assert code == 1
         assert not out
         assert err.startswith("error: ") and "x0.csv" in err, err
+
+    def test_numeric_failure_after_a_valid_start_exit_4(self, capsys, tmp_path):
+        # GConvex and finite at the identity, but its gradient overflows there.
+        path = write(tmp_path, "e.yaml", """
+variables:
+  - {name: X, manifold: SPD, dim: 5}
+objective: "exp(141.9 * sum(X))"
+""")
+        code, out, err = run_main(capsys, ["solve", path])
+        assert code == 4
+        assert not out
+        assert err == "error: solver failed numerically: Euclidean gradient has non-finite entries\n"
+
+    @pytest.mark.parametrize("x0, message", [
+        ("1.0,0.0\n0.0,-1.0\n", "not positive definite"),
+        ("1.0,0.5\n0.0,1.0\n", "not symmetric"),
+        ("1.0,0.0,0.0\n0.0,1.0,0.0\n0.0,0.0,1.0\n", "--x0 matrix has shape (3, 3)"),
+    ], ids=["not-pd", "asymmetric", "wrong-shape"])
+    def test_a_bad_start_exit_1(self, capsys, tmp_path, x0, message):
+        (tmp_path / "x0.csv").write_text(x0)
+        path = write(tmp_path, "ms.yaml", MATRIX_SQRT_2D)
+        code, out, err = run_main(capsys, ["solve", path, "--x0", str(tmp_path / "x0.csv")])
+        assert code == 1
+        assert not out
+        assert err.startswith("error: ") and message in err, err
+
+    @pytest.mark.parametrize("objective, message", [
+        ("log(tr(X) - 100)", "log requires a positive argument"),
+        ("exp(400 * tr(X))", "exp overflows"),
+    ], ids=["undefined", "overflow"])
+    def test_a_start_where_the_objective_is_undefined_exit_1(self, capsys, tmp_path,
+                                                              objective, message):
+        path = write(tmp_path, "u.yaml", LOG_SHIFTED_2D.replace("log(tr(X) - 100)", objective))
+        code, out, err = run_main(capsys, ["solve", path, "--force"])
+        assert code == 1
+        assert not out
+        assert err.startswith("error: ") and message in err, err
+
+    def test_out_into_a_missing_directory_exit_1(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "report.json"
+        code, out, err = run_main(capsys, ["analyze", str(PROBLEMS / "karcher.yaml"),
+                                           "--out", str(out_file)])
+        assert code == 1
+        assert err.startswith("error: ") and "No such file or directory" in err, err
+        assert not out_file.parent.exists()
 
     def test_parser_built_once_per_process(self):
         import geocert.cli as cli

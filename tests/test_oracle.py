@@ -452,6 +452,16 @@ class TestNaNValues:
         with pytest.raises(InconclusiveError):
             gc.check_gconvex(lambda m: math.nan, gc.FuzzConfig(trials=20, dim=2))
 
+    @pytest.mark.parametrize("f", [
+        lambda m: math.inf,
+        lambda m: math.inf if m[0, 0] > m[1, 1] else -math.inf,
+    ], ids=["inf", "plus-minus-inf"])
+    def test_an_infinite_value_is_judged_without_a_warning(self, f):
+        # inf - inf is NaN, as for Python floats, so no gap is a violation;
+        # pytest turns a RuntimeWarning of the judge's arithmetic into an error.
+        rep = gc.check_gconvex(f, gc.FuzzConfig(trials=10, dim=2))
+        assert rep == gc.FuzzReport("NoViolationFound", 10, 0, -math.inf)
+
     def test_a_nan_on_the_path_skips_its_trial_after_the_values_before_it(self):
         # -tr is geodesically concave, so the first midpoint already violates
         # convexity; a NaN at the next path point of that trial skips it.
@@ -652,6 +662,30 @@ class TestStackedRouting:
         # endpoints, then its path points.
         assert len(stacked_calls) == 70 * 10 and stacked_calls == seen
         assert pointwise == [64, 6] * 2 and maps == []
+
+    def test_a_floating_point_event_runs_the_block_point_by_point(self, monkeypatch):
+        pointwise, _, _ = self._count(monkeypatch)
+        tr = gc.apply_atom("tr", [gc.Variable("X", gc.SPD(2))])
+        e = gc.ScalarMul(1e308, tr) + gc.ScalarMul(1e308, tr)  # the sum overflows
+        cfg = gc.FuzzConfig(trials=70, dim=2, seed=0)
+        out = gc.cross_validate(e, cfg)
+        assert pointwise == [64, 6]
+        assert out.checks["geodesic-convexity"] == gc.check_gconvex(
+            lambda m: gc.evaluate(e, {"X": m}), cfg)
+
+    def test_a_non_finite_constant_kills_every_row(self, monkeypatch):
+        pointwise, _, _ = self._count(monkeypatch)
+        a = gc.make_const_matrix(np.eye(3), "PD", name="A")
+        x = gc.Variable("X", gc.SPD(3))
+        e = gc.apply_atom("distance", [gc.apply_atom("conjugation", [a, 1e200 * np.eye(3)]), x])
+        cfg = gc.FuzzConfig(trials=70, dim=3, seed=0)
+        with np.errstate(over="ignore"):  # the constant overflows to inf
+            with pytest.raises(InconclusiveError, match="70 of 70 trials") as stacked:
+                gc.cross_validate(e, cfg)
+            assert pointwise == []
+            with pytest.raises(InconclusiveError) as point:
+                gc.check_gconvex(lambda m: gc.evaluate(e, {"X": m}), cfg)
+        assert str(stacked.value) == str(point.value)
 
 
 class TestReevaluateWitness:
