@@ -186,10 +186,10 @@ def cmd_solve(args) -> int:
     x0 = _initial_point(args, prob)
     chosen = _chosen(prob.solver, ("max_iter", "grad_tol"),
                      max_iter=args.max_iter, grad_tol=args.grad_tol)
-    _validated_start(objective, x0)  # the user's start: its errors exit 1
+    start = _validated_start(objective, x0)  # the user's start: its errors exit 1
     stagnated = False
     try:
-        result = gradient_descent(objective, x0, **chosen)
+        result = gradient_descent(objective, start, **chosen)
     except StagnationError as exc:
         result, stagnated = exc.partial, True
     except (GeocertError, np.linalg.LinAlgError) as exc:

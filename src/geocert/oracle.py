@@ -9,10 +9,15 @@ keep ``B`` positive definite.
 
 Every trial derives its randomness from ``(seed, trial index)``, so reports
 are independent of evaluation order and identical configurations give
-identical reports.  Known counterexample pairs can be injected as the
-leading trials of a run.  Violation thresholds are relative to the value
-scale ``max(1, |f(A)|, |f(B)|)``; claims of geodesic linearity are checked
-as two-sided equalities at a looser tolerance.
+identical reports.  Each trial keeps its own ``(seed, index, stream)``
+streams (1 for segment endpoints, 2 for t-samples, 3 for ordered pairs),
+each bit for bit the generator that
+``np.random.default_rng([seed & _SEED_MASK, index, stream])`` gives; a
+block seeds all of its trials' streams at once (``_trial_rngs``).  Known
+counterexample pairs can be injected as the leading trials of a run.
+Violation thresholds are relative to the value scale
+``max(1, |f(A)|, |f(B)|)``; claims of geodesic linearity are checked as
+two-sided equalities at a looser tolerance.
 
 All three checks run through one trial loop, ``_trial_loop``, which works
 on blocks of ``BLOCK`` consecutive trials.  For each block it makes a few
@@ -181,8 +186,122 @@ class FuzzReport:
         }
 
 
-def _rng(seed: int, index: int, stream: int) -> np.random.Generator:
-    return np.random.default_rng([int(seed) & _SEED_MASK, int(index), int(stream)])
+# ---------------------------------------------------------------------------
+# Trial streams.  Trial ``i`` of stream ``s`` draws from the generator that
+# ``np.random.default_rng([seed & _SEED_MASK, i, s])`` returns.  Building
+# one costs 15 to 20 us, nearly all of it ``SeedSequence`` hashing the three
+# integers into PCG64's 256-bit seed.  That hash is a fixed function (M.
+# O'Neill's ``seed_seq``, which numpy keeps stable so a seed's stream stays
+# the same across releases, NEP 19), so ``_trial_rngs`` runs it for a whole
+# block at once in ``uint32`` arrays and hands PCG64 each trial's words.
+# ---------------------------------------------------------------------------
+
+_MASK32 = 0xFFFFFFFF
+_POOL = 4  # SeedSequence's default pool size, in 32-bit words
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # the entropy hash
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # the output hash
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words32(v: int) -> list:
+    """The little-endian 32-bit words SeedSequence reads from a nonnegative int (0 is one word)."""
+    words = [v & _MASK32]
+    while v > _MASK32:
+        v >>= 32
+        words.append(v & _MASK32)
+    return words
+
+
+def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
+    """The multipliers of ``calls`` hash steps: each step xors with one and multiplies by the next."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)
+
+
+def _hash(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """``len(consts) - 1`` consecutive steps of SeedSequence's ``hashmix``, one per row.
+
+    Step ``k`` xors with ``consts[k]``, multiplies by ``consts[k + 1]`` and
+    folds the high half down.  ``values`` holds one row per step, or is
+    one 1-D row that every step takes.
+    """
+    v = (values ^ consts[:-1, None]) * consts[1:, None]
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> 16)
+
+
+def _seed_words(seed: int, start: int, stop: int, stream: int) -> np.ndarray:
+    """``SeedSequence([seed & _SEED_MASK, i, stream]).generate_state(4, np.uint64)``
+    for every ``i`` in ``start..stop-1``, as one ``(n, 4)`` array.
+
+    The hash runs in ``(words, n)`` ``uint32`` arrays, whose products wrap
+    as the C code's do.  A step that mixes one pool word into the three
+    others leaves that word unchanged, so its three hashes are one array
+    operation, as are the four of each entropy word past the pool.
+    """
+    n = stop - start
+    index_words = len(_words32(start))
+    if len(_words32(stop - 1)) != index_words:
+        raise ValueError("a block's indices must have one 32-bit word count")
+    index = np.arange(start, stop, dtype=np.uint64)
+    entropy = np.array(
+        [np.full(n, w, dtype=np.uint32) for w in _words32(int(seed) & _SEED_MASK)]
+        + [(index >> np.uint64(32 * k)).astype(np.uint32) for k in range(index_words)]
+        + [np.full(n, stream, dtype=np.uint32)])
+    extra = max(len(entropy) - _POOL, 0)
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * extra)
+    with np.errstate(over="ignore"):
+        pool = np.zeros((_POOL, n), dtype=np.uint32)
+        pool[:len(entropy)] = entropy[:_POOL]
+        pool = _hash(pool, consts[:_POOL + 1])
+        c = _POOL
+        for src in range(_POOL):
+            dst = [i for i in range(_POOL) if i != src]
+            pool[dst] = _mix(pool[dst], _hash(pool[src], consts[c:c + _POOL]))
+            c += _POOL - 1
+        for word in entropy[_POOL:]:
+            pool = _mix(pool, _hash(word, consts[c:c + _POOL + 1]))
+            c += _POOL
+        state = _hash(pool[np.arange(8) % _POOL], _hash_consts(_INIT_B, _MULT_B, 8))
+    state = state.T.astype(np.uint64)
+    return state[:, 0::2] | (state[:, 1::2] << np.uint64(32))
+
+
+class _SeedWords:
+    """One trial's seed words, already hashed, as the ``ISeedSequence`` PCG64 seeds from.
+
+    ``_trial_rngs`` registers the class as one when it runs, so that
+    importing geocert does not import ``numpy.random`` (about 12 ms).
+    """
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        """The four ``uint64`` words PCG64 asks for, as ``SeedSequence.generate_state`` gives them."""
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("only the four uint64 words of a PCG64 seed are kept")
+        return self._words.copy()
+
+
+def _trial_rngs(seed: int, start: int, stop: int, stream: int) -> list:
+    """The ``(seed, i, stream)`` generators of trials ``start..stop-1``.
+
+    Each is ``np.random.default_rng([seed & _SEED_MASK, i, stream])`` bit for
+    bit: the hash runs for the whole block (``_seed_words``), and numpy's
+    own PCG64 seeding takes each trial's words from there.
+    """
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)  # a no-op after the first
+    return [np.random.Generator(np.random.PCG64(_SeedWords(words)))
+            for words in _seed_words(seed, start, stop, stream)]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -190,12 +309,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _trial_ts(seed: int, index: int, t_samples: int) -> tuple[float, ...]:
-    base = (0.5, 0.25, 0.75)
-    if t_samples == 0:
-        return base
-    rng = _rng(seed, index, 2)
-    return base + tuple(float(t) for t in rng.uniform(0.0, 1.0, t_samples))
+def _block_ts(seed: int, start: int, stop: int, t_samples: int) -> np.ndarray:
+    """The t-samples of trials ``start..stop-1``, ``(n, 3 + t_samples)``: 1/2, 1/4,
+    3/4, then ``t_samples`` uniform draws from the trial's ``(seed, i, 2)`` stream."""
+    ts = np.empty((stop - start, 3 + t_samples))
+    ts[:, :3] = (0.5, 0.25, 0.75)
+    if t_samples:
+        for row, rng in enumerate(_trial_rngs(seed, start, stop, 2)):
+            ts[row, 3:] = rng.uniform(0.0, 1.0, t_samples)
+    return ts
 
 
 @lru_cache(maxsize=_CACHE_BLOCKS)
@@ -204,22 +326,22 @@ def _cached_points(seed: int, start: int, stop: int, dim: int, cond_max: float, 
     """Endpoints and t-samples of the generated segment trials ``start..stop-1``.
 
     Returns ``(a, b, ts)``: ``a`` and ``b`` hold one ``(n, dim, dim)`` stack
-    per argument, ``ts`` is ``(n, 3 + t_samples)``.  Each trial draws from its
-    own ``(seed, index, 1)`` stream, ``spd._spd_draws`` per matrix, then one
-    stacked QR turns every draw of the block into a matrix.
+    per argument, ``ts`` is ``(n, 3 + t_samples)``.  Each trial keeps its
+    own ``(seed, index, 1)`` stream, seeded with the block's others at once
+    (``_trial_rngs``), and draws ``spd._spd_draws`` per matrix from it; one
+    stacked QR then turns every draw of the block into a matrix.
     """
     n, m = stop - start, 2 * nargs
     g = np.empty((n, m, dim, dim))
     u = np.empty((n, m, dim))
-    for row in range(n):
-        rng = _rng(seed, start + row, 1)
+    half = 0.5 * math.log(cond_max)
+    for row, rng in enumerate(_trial_rngs(seed, start, stop, 1)):
         for j in range(m):
-            g[row, j], u[row, j] = spd._spd_draws(dim, cond_max, rng)
+            g[row, j], u[row, j] = spd._spd_draws(dim, half, rng)
     mats = _read_only(spd._spd_from_draws(g, u))
-    ts = np.array([_trial_ts(seed, i, t_samples) for i in range(start, stop)])
     return (tuple(mats[:, j] for j in range(nargs)),
             tuple(mats[:, nargs + j] for j in range(nargs)),
-            _read_only(ts))
+            _read_only(_block_ts(seed, start, stop, t_samples)))
 
 
 @lru_cache(maxsize=_CACHE_BLOCKS)
@@ -234,9 +356,9 @@ def _cached_ordered_pair(seed: int, start: int, stop: int, dim: int, cond_max: f
     g = np.empty((n, dim, dim))
     u = np.empty((n, dim))
     w = np.empty((n, dim, dim))
-    for row in range(n):
-        rng = _rng(seed, start + row, 3)
-        g[row], u[row] = spd._spd_draws(dim, cond_max, rng)
+    half = 0.5 * math.log(cond_max)
+    for row, rng in enumerate(_trial_rngs(seed, start, stop, 3)):
+        g[row], u[row] = spd._spd_draws(dim, half, rng)
         w[row] = rng.normal(size=(dim, dim))
     a = spd._spd_from_draws(g, u)
     p = (w @ spd._mT(w)) / dim
@@ -305,7 +427,7 @@ def _segment_batches(cfg: FuzzConfig, nargs: int, geodesic: bool):
     for i in range(injected):
         pa, pb = _normalize_injected(cfg.injected[i], nargs)
         a, b = tuple(x[None] for x in pa), tuple(y[None] for y in pb)
-        ts = np.array([_trial_ts(cfg.seed, i, cfg.t_samples)])
+        ts = _block_ts(cfg.seed, i, i + 1, cfg.t_samples)
         yield _Batch(a, b, ts, partial(_segment_points, geodesic, a, b, ts, checked=True), True)
     for start, stop in _blocks(injected, cfg.trials):
         a, b, ts = _cached_points(cfg.seed, start, stop, cfg.dim, float(cfg.cond_max), nargs,

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -211,7 +211,16 @@ def _slope(v: np.ndarray, mu: np.ndarray, alpha: float, xi: np.ndarray) -> float
     return float(-np.sum(mu * np.exp(alpha * mu) * diag))
 
 
-def _validated_start(obj: Objective, x0) -> tuple[np.ndarray, spd.SPDMatrix, float]:
+class _Start(NamedTuple):
+    """A start that passed ``_validated_start``: a copy of ``x0``, its ``SPDMatrix``
+    and the objective's value there, whose forward pass the objective keeps."""
+
+    x: np.ndarray
+    point: spd.SPDMatrix
+    value: float
+
+
+def _validated_start(obj: Objective, x0) -> _Start:
     """A copy of ``x0``, its ``SPDMatrix`` and the value there; raises if either is invalid."""
     x = np.array(spd._as_array(x0), dtype=float, copy=True)
     point = spd.SPDMatrix(x)  # validates the start; its eig serves the first step
@@ -219,7 +228,7 @@ def _validated_start(obj: Objective, x0) -> tuple[np.ndarray, spd.SPDMatrix, flo
     f0 = obj._value_at(x, point.eig)
     if not math.isfinite(f0):
         raise DomainError("objective is not finite at the starting point")
-    return x, point, f0
+    return _Start(x, point, f0)
 
 
 def gradient_descent(obj: Objective, x0, max_iter: int = 500, grad_tol: float = 1e-8) -> SolveResult:
@@ -228,9 +237,10 @@ def gradient_descent(obj: Objective, x0, max_iter: int = 500, grad_tol: float = 
     Stops when the Riemannian gradient norm drops below ``grad_tol`` or after
     ``max_iter`` accepted steps.  A line search that exhausts
     ``MAX_HALVINGS`` halvings raises ``StagnationError`` carrying the partial
-    result.
+    result.  ``x0`` may also be the ``_Start`` that ``_validated_start``
+    returned for ``obj``, which is not validated or evaluated again.
     """
-    x, point, f0 = _validated_start(obj, x0)
+    x, point, f0 = x0 if isinstance(x0, _Start) else _validated_start(obj, x0)
     trajectory = [f0]
     stagnated = False
     xi = None  # the gradient at x, when the line search already took it

@@ -40,8 +40,10 @@ built-in evaluator is in ``STACKED``: it is written once for one point and
 for a stack of points, and a keyword-only ``rows`` policy runs its gates,
 decompositions and finishing steps.  A stack gets the bits each of its
 points gets alone: the eigenvalue tails and the reductions run once over
-the alive rows in each point's memory layout (``_rowwise``), and the
-scalar atoms call their float function on each alive row's float.
+the alive rows in each point's memory layout (``_rowwise``); ``pow`` and
+the log of ``log_quad_form`` run once over the alive rows' floats through
+libm, as Python takes one float (``_libm``), and the other scalar atoms
+call their float function on each alive row's float.
 ``POINT``, the default, decomposes afresh at every call; a ``Memo``
 decomposes each input array of one evaluation once, and can be seeded
 with a decomposition its caller already holds (the ``SPDMatrix`` a
@@ -387,9 +389,9 @@ def _as_generator(rng_seed) -> np.random.Generator:
     return np.random.default_rng(rng_seed)
 
 
-def _spd_draws(d: int, cond_max: float, rng: np.random.Generator):
-    """One random SPD matrix's draws, in order: normal ``(d, d)``, then uniform ``(d,)``."""
-    half = 0.5 * math.log(cond_max)
+def _spd_draws(d: int, half: float, rng: np.random.Generator):
+    """One random SPD matrix's draws, in order: normal ``(d, d)``, then uniform ``(d,)``
+    log-spectrum on ``[-half, half]``, with ``half = log(cond_max) / 2``."""
     return rng.normal(size=(d, d)), rng.uniform(-half, half, size=d)
 
 
@@ -416,7 +418,7 @@ def random_spd(d: int, cond_max: float = 10.0, rng_seed=0) -> SPDMatrix:
     if not 1.0 <= cond_max < math.inf:
         raise RangeError(f"cond_max must be finite and >= 1, got {cond_max}")
     rng = _as_generator(rng_seed)
-    return SPDMatrix(_spd_from_draws(*_spd_draws(d, float(cond_max), rng)))
+    return SPDMatrix(_spd_from_draws(*_spd_draws(d, 0.5 * math.log(float(cond_max)), rng)))
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +445,8 @@ class _Point:
     the input of an ungated decomposition; ``symmetric`` gates an argument
     as ``sym_eig`` does, but for an ``SPDMatrix``; ``reject`` fails where a
     domain test does; ``map`` finishes a value from its eigenvalues,
-    ``scalar`` from a reduction, ``each`` from a function of one float;
+    ``scalar`` from a reduction, ``each`` from a function of one float,
+    ``log`` and ``pow`` as ``math.log`` and Python's ``**`` take one float;
     ``memo`` computes what a memoizing policy would keep.  This is the hot
     path of the public checks, so nothing here builds a closure or a
     message unless a gate fails.
@@ -499,6 +502,12 @@ class _Point:
 
     def each(self, fn, v, *params):
         return fn(v, *params)
+
+    def log(self, v) -> float:
+        return math.log(v)
+
+    def pow(self, v, p) -> float:
+        return _pow(v, p)
 
 
 POINT = _Point()
@@ -642,18 +651,56 @@ class Rows(Memo):
         them, so every value and every outcome is the point's by
         construction.
         """
-        idx = np.flatnonzero(self.alive)
+        idx, floats = self._alive_floats(v)
         values, dead = [], []
-        for i, x in zip(idx.tolist(), np.broadcast_to(v, self.alive.shape)[idx].tolist()):
+        for i, x in zip(idx.tolist(), floats.tolist()):
             try:
                 values.append(fn(x, *params))
             except DomainError:
                 values.append(0.0)
                 dead.append(i)
         self.alive[dead] = False
+        return self._scatter(idx, values)
+
+    def _alive_floats(self, v):
+        """The alive rows and their values of ``v``, an ``(n,)`` stack or one value for all rows."""
+        idx = np.flatnonzero(self.alive)
+        return idx, np.broadcast_to(v, self.alive.shape)[idx]
+
+    def _scatter(self, idx: np.ndarray, values) -> np.ndarray:
+        """``values`` at rows ``idx`` of an ``(n,)`` stack, 0.0 at every other row."""
         out = np.zeros(len(self.alive))
         out[idx] = values
         return out
+
+    def log(self, v) -> np.ndarray:
+        """``math.log`` of every alive row's float, in one ``np.log`` call (``_libm``)."""
+        idx, x = self._alive_floats(v)
+        return self._scatter(idx, _libm(np.log, x))
+
+    def pow(self, v, p) -> np.ndarray:
+        """``_pow(v_i, p)`` of every alive row's float, in one ``np.power`` call (``_libm``).
+
+        Each row gets its point's outcome: a negative base under a
+        non-integer ``p``, or an overflow from a finite base (where Python
+        raises ``OverflowError``), kills the row; a zero base under a
+        negative ``p`` raises ``ZeroDivisionError``, as Python's ``**`` does.
+        The exponent is an array, since numpy takes a scalar 2, 0.5 or -1
+        as ``square``, ``sqrt`` or ``reciprocal``, which libm's ``pow`` is not.
+        """
+        p = float(p)
+        if not p.is_integer():
+            self.kill(np.less(v, 0.0))
+        idx, x = self._alive_floats(v)
+        if p < 0.0 and (x == 0.0).any():
+            raise ZeroDivisionError("0.0 cannot be raised to a negative power")
+        # Python's ** underflows quietly; its overflow is the check below.
+        with np.errstate(over="ignore", under="ignore"):
+            values = _libm(np.power, x, np.full(len(x), p))
+        over = np.isinf(values) & np.isfinite(x)
+        values[over] = 0.0  # a dead row's placeholder, as in ``each``: no inf flows on
+        self.alive[idx[over]] = False
+        return self._scatter(idx, values)
 
     def symmetric(self, a: np.ndarray) -> np.ndarray:
         """``live(a)`` after the gate of ``sym_eig`` per row: non-finite rows
@@ -686,8 +733,10 @@ class Rows(Memo):
 # numpy runs its elementwise ``log`` and ``power`` as a SIMD loop over a
 # positive stride and as libm's function, element by element, over a
 # reversed 1-D array, and the two differ in the last bit for some inputs;
-# a point's descending eigenvalues are such a reversed view.  ``_rowwise``
-# applies those functions to a stack as each row alone would get them.
+# a point's descending eigenvalues are such a reversed view, and Python's
+# ``math.log`` and ``**`` on one float are libm's.  ``_rowwise`` applies
+# those functions to a stack as each row alone would get them, and
+# ``_libm`` to a 1-D stack of floats as each float alone would.
 # Reductions over the last axis run row by row in any layout:
 # ``np.add.reduce`` sums each row pairwise (for an ndarray, np.sum(a) is
 # np.add.reduce(a, None) behind a Python wrapper that costs more than the
@@ -700,6 +749,11 @@ except AttributeError:  # numpy 1.x: a (1, n) by (n, 1) matmul takes the same dd
         return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def _libm(f, x: np.ndarray, *args) -> np.ndarray:
+    """``f(x, *args)`` over a 1-D ``x``, each element through libm, as from one Python float."""
+    return f(x[::-1], *args)[::-1]
+
+
 def _rowwise(f, lam: np.ndarray, *args) -> np.ndarray:
     """``f(lam, *args)`` for an elementwise ``f``, each row as ``f`` computes it alone.
 
@@ -710,7 +764,7 @@ def _rowwise(f, lam: np.ndarray, *args) -> np.ndarray:
     """
     if lam.ndim == 1 or lam.strides[-1] >= 0:
         return f(lam, *args)
-    return np.ascontiguousarray(f(lam[:, ::-1].ravel()[::-1], *args).reshape(lam.shape)[::-1])
+    return np.ascontiguousarray(_libm(f, lam[:, ::-1].ravel(), *args).reshape(lam.shape)[:, ::-1])
 
 
 def _logdet_tail(lam: np.ndarray) -> np.ndarray:
@@ -798,7 +852,7 @@ def eval_eigmax(x, *, rows=POINT):
 def eval_log_quad_form(hs, x, *, rows=POINT):
     total = _quad_sum(hs, _as_array(x))
     rows.reject(total <= 0.0, "log_quad_form requires a positive quadratic form sum")
-    return rows.each(math.log, total)
+    return rows.log(total)
 
 
 def eval_eigsummax(x, k, *, rows=POINT):
@@ -881,7 +935,8 @@ elementwise_norm1 = eval_elementwise_norm1
 
 
 # The scalar atoms are functions of one float, which ``rows.each`` calls:
-# once for a point, once per alive row of a stack.
+# once for a point, once per alive row of a stack; ``pow`` is ``rows.pow``,
+# one ``np.power`` call over a stack.
 def eval_exp(v, *, rows=POINT):
     return rows.each(_exp, v)
 
@@ -913,7 +968,7 @@ def _neg_log(v) -> float:
 
 
 def eval_pow(v, p, *, rows=POINT):
-    return rows.each(_pow, v, p)
+    return rows.pow(v, p)
 
 
 def _pow(v, p) -> float:

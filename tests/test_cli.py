@@ -454,6 +454,21 @@ solver: {grad_tol: 1.0e-6}
         assert solve["iterations"] == 0 and len(solve["trajectory"]) == 1
         assert solve["converged"] is False and solve["stagnated"] is False
 
+    def test_the_start_is_evaluated_once(self, capsys, monkeypatch):
+        # cmd_solve validates the start and hands it to gradient_descent,
+        # which evaluates it no second time.
+        calls = []
+        value_at = gc.solver._ExpressionObjective._value_at
+
+        def counting(self, x, eig):
+            calls.append(x)
+            return value_at(self, x, eig)
+
+        monkeypatch.setattr(gc.solver._ExpressionObjective, "_value_at", counting)
+        code, out, _ = run_main(capsys, ["solve", str(PROBLEMS / "karcher.yaml"), "--max-iter", "0"])
+        assert code == 4 and json.loads(out)["solve"]["iterations"] == 0
+        assert len(calls) == 1
+
     def test_x0_file(self, capsys, tmp_path):
         np.savetxt(tmp_path / "x0.csv", 2.0 * np.eye(2), delimiter=",")
         path = write(tmp_path, "ms.yaml", MATRIX_SQRT_2D)

@@ -663,6 +663,29 @@ class TestStackedRouting:
         assert len(stacked_calls) == 70 * 10 and stacked_calls == seen
         assert pointwise == [64, 6] * 2 and maps == []
 
+    def test_karcher_seeds_per_block_and_powers_in_one_call(self, monkeypatch):
+        # No trial builds a SeedSequence of its own (through default_rng or
+        # directly) and no pow node calls _pow once per row: either loop,
+        # put back, fails here.
+        pointwise, _, _ = self._count(monkeypatch)
+        built, pows = [], []
+
+        def counting(fn, log):
+            def counted(*args, **kwargs):
+                log.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return counted
+
+        for name in ("default_rng", "SeedSequence"):
+            monkeypatch.setattr(np.random, name, counting(getattr(np.random, name), built))
+        monkeypatch.setattr(spd, "_pow", counting(spd._pow, pows))
+        oracle._cached_points.cache_clear()  # every block is generated here
+        out = gc.cross_validate(gc.load_problem(PROBLEMS / "karcher.yaml").expression,
+                                gc.FuzzConfig(trials=100, seed=0))
+        assert out.verdict == "CONSISTENT" and out.checks["geodesic-convexity"].trials_run == 100
+        assert pointwise == [] and built == [] and pows == []
+
     def test_a_floating_point_event_runs_the_block_point_by_point(self, monkeypatch):
         pointwise, _, _ = self._count(monkeypatch)
         tr = gc.apply_atom("tr", [gc.Variable("X", gc.SPD(2))])
@@ -686,6 +709,43 @@ class TestStackedRouting:
             with pytest.raises(InconclusiveError) as point:
                 gc.check_gconvex(lambda m: gc.evaluate(e, {"X": m}), cfg)
         assert str(stacked.value) == str(point.value)
+
+
+class TestTrialStreams:
+    """Each trial's stream is ``np.random.default_rng([seed & _SEED_MASK, index, stream])``,
+    bit for bit, though ``_trial_rngs`` seeds a whole block at once."""
+
+    # Seed words: one, two, and the masked top bit.  Index words: one (0,
+    # 63, 64, across a block boundary) and two (a block at 2**32).
+    SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, -7, 2**63 + 5)
+    RANGES = ((0, 1), (60, 68), (2**32 - 2, 2**32), (2**32, 2**32 + 3))
+
+    @pytest.mark.parametrize("stream", (1, 2, 3))
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_streams_equal_default_rng(self, seed, stream):
+        for start, stop in self.RANGES:
+            words = oracle._seed_words(seed, start, stop, stream)
+            rngs = oracle._trial_rngs(seed, start, stop, stream)
+            assert words.shape == (stop - start, 4) and len(rngs) == stop - start
+            for index, w, rng in zip(range(start, stop), words, rngs):
+                entropy = [seed & oracle._SEED_MASK, index, stream]
+                seq = np.random.SeedSequence(entropy)
+                assert np.array_equal(w, seq.generate_state(4, np.uint64)), index
+                assert np.array_equal(rng.bit_generator.seed_seq.generate_state(4, np.uint64), w)
+                want = np.random.default_rng(entropy)
+                assert rng.bit_generator.state == want.bit_generator.state
+                assert np.array_equal(rng.normal(size=(3, 3)), want.normal(size=(3, 3)))
+                assert np.array_equal(rng.uniform(-1.0, 1.0, 3), want.uniform(-1.0, 1.0, 3))
+
+    def test_a_range_across_a_word_boundary_is_refused(self):
+        with pytest.raises(ValueError):
+            oracle._seed_words(0, 2**32 - 1, 2**32 + 1, 1)
+
+    def test_only_a_pcg64_seed_is_served(self):
+        seq = oracle._trial_rngs(0, 0, 1, 1)[0].bit_generator.seed_seq
+        for n, dtype in ((8, np.uint32), (2, np.uint64)):
+            with pytest.raises(ValueError):
+                seq.generate_state(n, dtype)
 
 
 class TestReevaluateWitness:
