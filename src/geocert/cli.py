@@ -36,7 +36,7 @@ from .errors import (
 from .expr import GCurvature, evaluate
 from .oracle import FuzzConfig, cross_validate
 from .problems import LoadedProblem, load_problem
-from .solver import _ExpressionObjective, _validated_start, gradient_descent
+from .solver import _ExpressionObjective, _check_stopping, _validated_start, gradient_descent
 
 DEFAULT_SEED = 0
 
@@ -186,7 +186,9 @@ def cmd_solve(args) -> int:
     x0 = _initial_point(args, prob)
     chosen = _chosen(prob.solver, ("max_iter", "grad_tol"),
                      max_iter=args.max_iter, grad_tol=args.grad_tol)
-    start = _validated_start(objective, x0)  # the user's start: its errors exit 1
+    # The user's stopping rule and start: their errors exit 1.
+    _check_stopping(**chosen)
+    start = _validated_start(objective, x0)
     stagnated = False
     try:
         result = gradient_descent(objective, start, **chosen)

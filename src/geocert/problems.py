@@ -69,20 +69,26 @@ def _load_matrix_entry(name, value, base: Path) -> np.ndarray:
             raise ProblemFileError(f"constant '{name}': unsupported format '{fmt}'")
         target = base / str(value["file"])
         try:
-            arr = np.loadtxt(target, delimiter=",", ndmin=2, dtype=float)
+            value = np.loadtxt(target, delimiter=",", ndmin=2, dtype=float)
         except OSError as exc:
             raise ProblemFileError(f"constant '{name}': cannot read {target}: {exc}") from exc
         except ValueError as exc:
             raise ProblemFileError(f"constant '{name}': {target} is not numeric: {exc}") from exc
-    else:
-        try:
-            arr = np.asarray(value, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ProblemFileError(f"constant '{name}' is not numeric: {exc}") from exc
+    arr = _finite_array(f"constant '{name}'", value)
     if arr.ndim not in (1, 2) or arr.size == 0:
         raise ProblemFileError(f"constant '{name}' must be a vector or 2-D matrix")
+    return arr
+
+
+def _finite_array(what: str, value) -> np.ndarray:
+    """``value`` as a float array; ``ProblemFileError`` naming ``what`` unless
+    it is numeric and finite."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ProblemFileError(f"{what} is not numeric: {exc}") from exc
     if not np.all(np.isfinite(arr)):
-        raise ProblemFileError(f"constant '{name}' has non-finite entries")
+        raise ProblemFileError(f"{what} has non-finite entries")
     return arr
 
 
@@ -158,8 +164,7 @@ def load_problem(path) -> LoadedProblem:
     for pair in fuzz_block.pop("inject", []) or []:
         if not isinstance(pair, dict) or "a" not in pair or "b" not in pair:
             raise ProblemFileError(f"{p}: fuzz.inject entries need 'a' and 'b'")
-        injected.append((_resolve_point(pair["a"], constants, p),
-                         _resolve_point(pair["b"], constants, p)))
+        injected.append(tuple(_resolve_point(pair[k], constants, p, manifold.dim) for k in "ab"))
 
     return LoadedProblem(
         path=str(path),
@@ -194,12 +199,14 @@ def _validated_block(block, casts: dict, p: Path, label: str) -> dict:
     return out
 
 
-def _resolve_point(spec, constants: dict, p: Path) -> np.ndarray:
+def _resolve_point(spec, constants: dict, p: Path, d: int) -> np.ndarray:
+    """An injected point: a constant's name, or an inline matrix; either must be ``d`` by ``d``."""
     if isinstance(spec, str):
         if spec not in constants:
             raise ProblemFileError(f"{p}: fuzz.inject references unknown constant '{spec}'")
-        return constants[spec]
-    arr = np.asarray(spec, dtype=float)
-    if arr.ndim != 2:
-        raise ProblemFileError(f"{p}: fuzz.inject points must be matrices")
+        spec = constants[spec]
+    arr = _finite_array(f"{p}: fuzz.inject point", spec)
+    if arr.shape != (d, d):
+        raise ProblemFileError(f"{p}: fuzz.inject point must be a {d}x{d} matrix, "
+                               f"got shape {arr.shape}")
     return arr

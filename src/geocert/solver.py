@@ -41,6 +41,7 @@ installed there sees the finite-difference evaluations.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -231,15 +232,35 @@ def _validated_start(obj: Objective, x0) -> _Start:
     return _Start(x, point, f0)
 
 
+# What ``gradient_descent`` asks of each stopping parameter.
+_STOPPING = {"max_iter": ("an integer >= 0", lambda n: operator.index(n) >= 0),
+             "grad_tol": ("a finite number >= 0", lambda t: math.isfinite(t) and t >= 0.0)}
+
+
+def _check_stopping(**stop) -> None:
+    """``RangeError`` unless each stopping parameter given is what ``_STOPPING`` asks."""
+    for key, value in stop.items():
+        rule, test = _STOPPING[key]
+        try:
+            valid = test(value)
+        except TypeError:
+            valid = False
+        if not valid:
+            raise RangeError(f"{key} must be {rule}, got {value!r}")
+
+
 def gradient_descent(obj: Objective, x0, max_iter: int = 500, grad_tol: float = 1e-8) -> SolveResult:
     """Minimize ``obj`` from ``x0`` by geodesic gradient descent.
 
     Stops when the Riemannian gradient norm drops below ``grad_tol`` or after
-    ``max_iter`` accepted steps.  A line search that exhausts
-    ``MAX_HALVINGS`` halvings raises ``StagnationError`` carrying the partial
-    result.  ``x0`` may also be the ``_Start`` that ``_validated_start``
-    returned for ``obj``, which is not validated or evaluated again.
+    ``max_iter`` accepted steps; ``RangeError`` unless ``max_iter`` is an
+    integer >= 0 and ``grad_tol`` a finite number >= 0.  A line search that
+    exhausts ``MAX_HALVINGS`` halvings raises ``StagnationError`` carrying
+    the partial result.  ``x0`` may also be the ``_Start`` that
+    ``_validated_start`` returned for ``obj``, which is not validated or
+    evaluated again.
     """
+    _check_stopping(max_iter=max_iter, grad_tol=grad_tol)
     x, point, f0 = x0 if isinstance(x0, _Start) else _validated_start(obj, x0)
     trajectory = [f0]
     stagnated = False

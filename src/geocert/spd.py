@@ -40,10 +40,11 @@ built-in evaluator is in ``STACKED``: it is written once for one point and
 for a stack of points, and a keyword-only ``rows`` policy runs its gates,
 decompositions and finishing steps.  A stack gets the bits each of its
 points gets alone: the eigenvalue tails and the reductions run once over
-the alive rows in each point's memory layout (``_rowwise``); ``pow`` and
-the log of ``log_quad_form`` run once over the alive rows' floats through
-libm, as Python takes one float (``_libm``), and the other scalar atoms
-call their float function on each alive row's float.
+the alive rows in each point's memory layout (``_rowwise``); ``exp``,
+``log``, ``pow`` and the finishing log or root of ``neg_log``,
+``log_quad_form`` and ``schatten_norm`` run once over the alive rows'
+floats through libm, as Python takes one float (``_libm``), and ``abs``
+is exact.
 ``POINT``, the default, decomposes afresh at every call; a ``Memo``
 decomposes each input array of one evaluation once, and can be seeded
 with a decomposition its caller already holds (the ``SPDMatrix`` a
@@ -445,8 +446,9 @@ class _Point:
     the input of an ungated decomposition; ``symmetric`` gates an argument
     as ``sym_eig`` does, but for an ``SPDMatrix``; ``reject`` fails where a
     domain test does; ``map`` finishes a value from its eigenvalues,
-    ``scalar`` from a reduction, ``each`` from a function of one float,
-    ``log`` and ``pow`` as ``math.log`` and Python's ``**`` take one float;
+    ``scalar`` from a reduction, ``log``, ``exp`` and ``pow`` from one
+    float as ``math.log``, ``math.exp`` and Python's ``**`` take it, an
+    overflow failing as a gate does;
     ``memo`` computes what a memoizing policy would keep.  This is the hot
     path of the public checks, so nothing here builds a closure or a
     message unless a gate fails.
@@ -500,11 +502,14 @@ class _Point:
     def scalar(self, v) -> float:
         return float(v)
 
-    def each(self, fn, v, *params):
-        return fn(v, *params)
-
     def log(self, v) -> float:
         return math.log(v)
+
+    def exp(self, v) -> float:
+        try:
+            return math.exp(v)
+        except OverflowError:
+            raise DomainError("exp overflows the double range") from None
 
     def pow(self, v, p) -> float:
         return _pow(v, p)
@@ -566,13 +571,15 @@ class Rows(Memo):
     ``(n, d, d)`` stacks or one ``(d, d)`` constant shared by all rows,
     scalar arguments ``(n,)`` stacks or one float.
     Each decomposition is one stacked call (LAPACK and BLAS still run once
-    per matrix, so the bits match) and each tail one call over the alive
-    rows, or one over a constant matrix's eigenvalues.  A row dies, leaving
+    per matrix, so the bits match), each tail one call over the alive
+    rows, or one over a constant matrix's eigenvalues, and each scalar
+    function one libm call over the alive rows' floats.  A row dies, leaving
     ``alive``, where its per-point evaluation would raise ``DomainError``,
     and is never computed further: kernels replace dead rows by the
     identity before any decomposition, so they cannot raise or feed NaN
     into ``eigh``.  A row that would raise anything else raises
-    ``Undecided``.  Decompositions are memoized per input array as in
+    ``Undecided``, or the point's own ``ZeroDivisionError`` in ``pow``.
+    Decompositions are memoized per input array as in
     ``Memo``, so every ``distance`` term of a tree decomposes its
     variable once; rows only ever die, so an entry stays valid for every
     later use.
@@ -643,64 +650,49 @@ class Rows(Memo):
     def scalar(self, v):
         return v
 
-    def each(self, fn, v, *params) -> np.ndarray:
-        """``fn(v_i, *params)`` for the Python float of every alive row; a ``DomainError`` kills the row.
-
-        ``v`` is an ``(n,)`` stack or one value for all rows.  The pure
-        Python scalar functions run on the very floats a point would give
-        them, so every value and every outcome is the point's by
-        construction.
-        """
-        idx, floats = self._alive_floats(v)
-        values, dead = [], []
-        for i, x in zip(idx.tolist(), floats.tolist()):
-            try:
-                values.append(fn(x, *params))
-            except DomainError:
-                values.append(0.0)
-                dead.append(i)
-        self.alive[dead] = False
-        return self._scatter(idx, values)
-
-    def _alive_floats(self, v):
-        """The alive rows and their values of ``v``, an ``(n,)`` stack or one value for all rows."""
-        idx = np.flatnonzero(self.alive)
-        return idx, np.broadcast_to(v, self.alive.shape)[idx]
-
-    def _scatter(self, idx: np.ndarray, values) -> np.ndarray:
-        """``values`` at rows ``idx`` of an ``(n,)`` stack, 0.0 at every other row."""
-        out = np.zeros(len(self.alive))
-        out[idx] = values
-        return out
-
     def log(self, v) -> np.ndarray:
-        """``math.log`` of every alive row's float, in one ``np.log`` call (``_libm``)."""
-        idx, x = self._alive_floats(v)
-        return self._scatter(idx, _libm(np.log, x))
+        """``math.log`` of every alive row's float, in one ``np.log`` call."""
+        return self._libm_alive(np.log, v)
+
+    def exp(self, v) -> np.ndarray:
+        """``POINT.exp`` of every alive row's float, in one ``np.exp`` call."""
+        return self._libm_alive(np.exp, v)
 
     def pow(self, v, p) -> np.ndarray:
-        """``_pow(v_i, p)`` of every alive row's float, in one ``np.power`` call (``_libm``).
+        """``_pow(v_i, p)`` of every alive row's float, in one ``np.power`` call.
 
         Each row gets its point's outcome: a negative base under a
-        non-integer ``p``, or an overflow from a finite base (where Python
-        raises ``OverflowError``), kills the row; a zero base under a
-        negative ``p`` raises ``ZeroDivisionError``, as Python's ``**`` does.
-        The exponent is an array, since numpy takes a scalar 2, 0.5 or -1
-        as ``square``, ``sqrt`` or ``reciprocal``, which libm's ``pow`` is not.
+        non-integer ``p``, or an overflow, kills the row; a zero base under
+        a negative ``p`` raises ``ZeroDivisionError``, as Python's ``**`` does.
         """
         p = float(p)
         if not p.is_integer():
             self.kill(np.less(v, 0.0))
-        idx, x = self._alive_floats(v)
-        if p < 0.0 and (x == 0.0).any():
+        if p < 0.0 and (self.alive & np.equal(v, 0.0)).any():
             raise ZeroDivisionError("0.0 cannot be raised to a negative power")
-        # Python's ** underflows quietly; its overflow is the check below.
+        return self._libm_alive(np.power, v, p)
+
+    def _libm_alive(self, f, v, *params) -> np.ndarray:
+        """``f(x, *params)`` of the float ``x`` of every alive row, 0.0 at every other row.
+
+        ``v`` is an ``(n,)`` stack or one value for all rows.  One call runs
+        over the alive rows' floats through libm (``_libm``), as Python
+        takes one float; each parameter goes in as an array, since numpy
+        takes a scalar exponent 2, 0.5 or -1 as ``square``, ``sqrt`` or
+        ``reciprocal``, which libm's ``pow`` is not.  Underflow is quiet, as
+        in Python; a finite float whose value overflows, where Python raises
+        ``OverflowError``, kills its row and gets the dead row's 0.0.
+        """
+        idx = np.flatnonzero(self.alive)
+        x = np.broadcast_to(v, self.alive.shape)[idx]
         with np.errstate(over="ignore", under="ignore"):
-            values = _libm(np.power, x, np.full(len(x), p))
+            values = _libm(f, x, *(np.full(len(x), a) for a in params))
         over = np.isinf(values) & np.isfinite(x)
-        values[over] = 0.0  # a dead row's placeholder, as in ``each``: no inf flows on
+        values[over] = 0.0
         self.alive[idx[over]] = False
-        return self._scatter(idx, values)
+        out = np.zeros(len(self.alive))
+        out[idx] = values
+        return out
 
     def symmetric(self, a: np.ndarray) -> np.ndarray:
         """``live(a)`` after the gate of ``sym_eig`` per row: non-finite rows
@@ -730,11 +722,11 @@ class Rows(Memo):
 # The tails below finish an evaluator from its eigenvalues over the last
 # axis: ``lam`` is one point's spectrum or, from ``Rows.map``, the stacked
 # spectra of the alive rows, and every row gets the bits it would get alone.
-# numpy runs its elementwise ``log`` and ``power`` as a SIMD loop over a
-# positive stride and as libm's function, element by element, over a
-# reversed 1-D array, and the two differ in the last bit for some inputs;
+# numpy runs its elementwise ``log``, ``exp`` and ``power`` as a SIMD loop
+# over a positive stride and as libm's function, element by element, over
+# a reversed 1-D array, and the two differ in the last bit for some inputs;
 # a point's descending eigenvalues are such a reversed view, and Python's
-# ``math.log`` and ``**`` on one float are libm's.  ``_rowwise`` applies
+# ``math.log``, ``math.exp`` and ``**`` on one float are libm's.  ``_rowwise`` applies
 # those functions to a stack as each row alone would get them, and
 # ``_libm`` to a 1-D stack of floats as each float alone would.
 # Reductions over the last axis run row by row in any layout:
@@ -861,12 +853,7 @@ def eval_eigsummax(x, k, *, rows=POINT):
 
 def eval_schatten_norm(x, p, *, rows=POINT):
     lam = rows.pd_eigvals(_as_array(x), "schatten_norm requires a positive definite argument")
-    return rows.each(_root, rows.map(_schatten_tail, lam, p), p)
-
-
-def _root(s: float, p) -> float:
-    """``s ** (1 / p)`` as a numpy float64 takes it (libm's ``pow``)."""
-    return float(np.float64(s) ** (1.0 / float(p)))
+    return rows.pow(rows.map(_schatten_tail, lam, p), 1.0 / float(p))
 
 
 def eval_sum_log_eigmax(x, k, *, rows=POINT):
@@ -934,37 +921,17 @@ def eval_elementwise_norm1(x, *, rows=POINT):
 elementwise_norm1 = eval_elementwise_norm1
 
 
-# The scalar atoms are functions of one float, which ``rows.each`` calls:
-# once for a point, once per alive row of a stack; ``pow`` is ``rows.pow``,
-# one ``np.power`` call over a stack.
 def eval_exp(v, *, rows=POINT):
-    return rows.each(_exp, v)
-
-
-def _exp(v) -> float:
-    try:
-        return float(math.exp(float(v)))
-    except OverflowError:
-        raise DomainError("exp overflows the double range") from None
+    return rows.exp(v)
 
 
 def eval_log(v, *, rows=POINT):
-    return rows.each(_log, v)
-
-
-def _log(v) -> float:
-    v = float(v)
-    if v <= 0.0:
-        raise DomainError("log requires a positive argument")
-    return float(math.log(v))
+    rows.reject(v <= 0.0, "log requires a positive argument")
+    return rows.log(v)
 
 
 def eval_neg_log(v, *, rows=POINT):
-    return rows.each(_neg_log, v)
-
-
-def _neg_log(v) -> float:
-    return -_log(v)
+    return -eval_log(v, rows=rows)
 
 
 def eval_pow(v, p, *, rows=POINT):
@@ -982,11 +949,7 @@ def _pow(v, p) -> float:
 
 
 def eval_abs(v, *, rows=POINT):
-    return rows.each(_abs, v)
-
-
-def _abs(v) -> float:
-    return float(abs(float(v)))
+    return rows.scalar(abs(v))
 
 
 def _takes_rows(prefix: str) -> frozenset:

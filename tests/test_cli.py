@@ -149,6 +149,28 @@ objective: "sdivergence(X, A)"
         assert prob.fuzz == {"trials": 3, "dim": 2}
         assert all(type(v) is int for v in (*prob.solver.values(), *prob.fuzz.values()))
 
+    # A string entry, a NaN entry and points of the wrong shape, inline or a
+    # constant's: each gets a constant's checks, and the objective's shape.
+    @pytest.mark.parametrize("point, message", [
+        ('[[1, "x"], [0, 1]]', "is not numeric"),
+        ("[[.nan, 0], [0, 1]]", "has non-finite entries"),
+        ("[[1, 0, 0], [0, 1, 0], [0, 0, 1]]", "must be a 2x2 matrix"),
+        ("[1, 1]", "must be a 2x2 matrix"),
+        ("h", "must be a 2x2 matrix"),
+    ])
+    def test_malformed_inject_point_exit_1(self, capsys, tmp_path, point, message):
+        text = ("variables:\n  - {name: X, manifold: SPD, dim: 2}\nconstants: {h: [1.0, 2.0]}\n"
+                "objective: 'logdet(X)'\nfuzz:\n  inject:\n"
+                f"    - {{a: {point}, b: [[2, 0], [0, 2]]}}\n")
+        path = write(tmp_path, "bad.yaml", text)
+        with pytest.raises(ProblemFileError, match=f"fuzz.inject.*{message}"):
+            load_problem(path)
+        for argv in (["fuzz", path, "--trials", "20"], ["analyze", path]):
+            code, out, err = run_main(capsys, argv)
+            assert code == 1
+            assert not out
+            assert err.startswith("error: ") and "fuzz.inject" in err and message in err, err
+
     @pytest.mark.parametrize("dim", ["abc", "2.5", "null"])
     def test_malformed_variable_dim_exit_1(self, capsys, tmp_path, dim):
         text = f"variables:\n  - {{name: X, manifold: SPD, dim: {dim}}}\nobjective: 'logdet(X)'\n"
@@ -453,6 +475,23 @@ solver: {grad_tol: 1.0e-6}
         solve = json.loads(out)["solve"]
         assert solve["iterations"] == 0 and len(solve["trajectory"]) == 1
         assert solve["converged"] is False and solve["stagnated"] is False
+
+    # Before, a NaN tolerance ran every iteration and a negative count none,
+    # both exiting 4.
+    @pytest.mark.parametrize("block, flags, key", [
+        ("solver: {grad_tol: .nan}", [], "grad_tol"),
+        ("solver: {grad_tol: -1.0e-6}", [], "grad_tol"),
+        ("solver: {max_iter: -3}", [], "max_iter"),
+        ("", ["--grad-tol", "nan"], "grad_tol"),
+        ("", ["--grad-tol", "inf"], "grad_tol"),
+        ("", ["--max-iter", "-1"], "max_iter"),
+    ])
+    def test_invalid_stopping_rule_exit_1(self, capsys, tmp_path, block, flags, key):
+        path = write(tmp_path, "m.yaml", MATRIX_SQRT_2D.replace("solver: {grad_tol: 1.0e-7}", block))
+        code, out, err = run_main(capsys, ["solve", path, *flags])
+        assert code == 1
+        assert not out
+        assert err.startswith(f"error: {key} must be"), err
 
     def test_the_start_is_evaluated_once(self, capsys, monkeypatch):
         # cmd_solve validates the start and hands it to gradient_descent,

@@ -1,4 +1,6 @@
+import collections
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -685,6 +687,40 @@ class TestStackedRouting:
                                 gc.FuzzConfig(trials=100, seed=0))
         assert out.verdict == "CONSISTENT" and out.checks["geodesic-convexity"].trials_run == 100
         assert pointwise == [] and built == [] and pows == []
+
+    def test_scalar_atoms_make_no_call_per_row(self, monkeypatch):
+        # Each scalar atom runs once over the block's alive rows: no function
+        # of spd, and no builtin one that spd calls (math.exp, math.log, abs),
+        # runs once per row, as a per-row loop over Python floats would.
+        pointwise, _, _ = self._count(monkeypatch)
+        x = gc.Variable("X", gc.SPD(3))
+        logdet = gc.apply_atom("logdet", [x])
+        e = (gc.apply_atom("exp", [gc.apply_atom("schatten_norm", [x, 3.0])])
+             + gc.apply_atom("neg_log", [logdet + 1.0])  # kills the rows where logdet <= -1
+             + gc.apply_atom("abs", [gc.apply_atom("tr", [x])])
+             - gc.apply_atom("log", [logdet + 20.0]))
+        cfg = gc.FuzzConfig(trials=64, dim=3, seed=0)
+        expected = gc.cross_validate(e, cfg)  # generates the points, which are cached
+        calls = collections.Counter()
+
+        def profile(frame, event, arg):
+            if frame.f_code.co_filename == spd.__file__:
+                if event == "call":
+                    calls[frame.f_code.co_name] += 1
+                elif event == "c_call":
+                    calls[arg.__name__] += 1
+
+        sys.setprofile(profile)
+        try:
+            out = gc.cross_validate(e, cfg)
+        finally:
+            sys.setprofile(None)
+        assert pointwise == []
+        assert out == expected and out.checks["geodesic-convexity"].skipped > 0
+        assert out.checks["geodesic-convexity"] == gc.check_gconvex(
+            lambda m: gc.evaluate(e, {"X": m}), cfg)
+        # Two checks of one block each, 64 * 8 points a block.
+        assert max(calls.values()) < cfg.trials, calls.most_common(5)
 
     def test_a_floating_point_event_runs_the_block_point_by_point(self, monkeypatch):
         pointwise, _, _ = self._count(monkeypatch)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,15 @@ class TestGradientDescent:
         expected = gc.riemannian_grad_norm(x0, gc.riemannian_grad(obj, x0))
         assert res.grad_norm == expected
         assert res.converged is (expected <= grad_tol)
+
+    @pytest.mark.parametrize("stop", [
+        {"max_iter": -1}, {"max_iter": 2.0}, {"max_iter": "3"}, {"max_iter": None},
+        {"grad_tol": math.nan}, {"grad_tol": math.inf}, {"grad_tol": -1e-8}, {"grad_tol": None},
+    ])
+    def test_invalid_stopping_rule_raises(self, stop):
+        obj = gc.make_matrix_sqrt_problem(np.diag([4.0, 9.0]))
+        with pytest.raises(RangeError, match=next(iter(stop))):
+            gc.gradient_descent(obj, np.eye(2), **stop)
 
     def test_exit_on_max_iter(self):
         obj = gc.make_matrix_sqrt_problem(np.diag([4.0, 9.0]))

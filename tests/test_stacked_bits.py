@@ -5,10 +5,10 @@ where a point takes libm's, a gemv where a point takes a ddot.  The sweep in
 ``test_expr.py`` has 18 rows a tree, so it would miss one.  Here every tail
 of ``spd.Rows.map``, in both eigenvalue layouts (the descending views of
 ``pd_eigvals`` and the contiguous rows of a whitening), and every evaluator
-that runs a tail, a reduction or a scalar function over a stack, is compared
-with its per-point form on at least 4000 rows for each d, with dead rows and
-rows whose point raises ``DomainError`` among them.  A numpy upgrade that
-changes how it dispatches these loops fails here first.
+of ``spd.STACKED``, is compared with its per-point form on at least 4000
+rows for each d, with dead rows and rows whose point raises ``DomainError``
+among them.  A numpy upgrade that changes how it dispatches these loops
+fails here first.
 """
 
 import math
@@ -124,6 +124,8 @@ def _matrix_evaluators(d: int, rng: np.random.Generator):
     a = np.asarray(spd.random_spd(d, 100.0, 7))
     h = rng.normal(size=d)
     hs = tuple(rng.normal(size=(2, d)))
+    b = rng.normal(size=(d, d))
+    ys = tuple(rng.normal(size=(2, d, d)))
     return [
         ("logdet", spd.eval_logdet, (), ()),
         ("distance (x, A)", spd.eval_distance, (), (a,)),
@@ -141,6 +143,14 @@ def _matrix_evaluators(d: int, rng: np.random.Generator):
         ("elementwise_norm1", spd.eval_elementwise_norm1, (), ()),
         ("adjoint", spd.eval_adjoint, (), ()),
         ("diag_matrix", spd.eval_diag_matrix, (), ()),
+        ("schatten_norm 1", spd.eval_schatten_norm, (), (1.0,)),
+        ("schatten_norm 3", spd.eval_schatten_norm, (), (3.0,)),
+        ("inv", spd.eval_inv, (), ()),
+        ("conjugation", spd.eval_conjugation, (), (b,)),
+        ("hadamard_product", spd.eval_hadamard_product, (), (a,)),
+        ("positive_affine 1", spd.eval_positive_affine, (), (ys, a, 1)),
+        ("positive_affine -1", spd.eval_positive_affine, (), (ys, None, -1)),
+        ("sdivergence (x, A)", spd.eval_sdivergence, (), (a,)),
     ]
 
 
@@ -152,15 +162,16 @@ def test_matrix_evaluators_match_each_point(d):
     alive = _alive(rng)
     deaths = {}
     for label, fn, before, after in _matrix_evaluators(d, rng):
-        if label.startswith("distance"):
-            xs = spd._sym(x)  # distance gates its first argument's symmetry
+        if label.startswith(("distance", "inv", "positive_affine -1")):
+            xs = spd._sym(x)  # these gate their matrix argument's symmetry
         else:
             xs = x
         deaths[label] = _compare(lambda rows: fn(*before, xs, *after, rows=rows),
                                  lambda i: fn(*before, xs[i], *after), alive)
     # Every gate saw rows fail: indefinite ones, and for the non-integer
     # power of logs, eigenvalues below 1.
-    for label in ("logdet", "distance (x, A)", "schatten_norm 2", "sum_log_eigmax"):
+    for label in ("logdet", "distance (x, A)", "schatten_norm 2", "sum_log_eigmax", "inv",
+                  "positive_affine -1", "sdivergence (x, A)"):
         assert deaths[label] > 0, label
     assert deaths["sum_pow_log_eigmax 2.5"] > 2 * deaths["sum_pow_log_eigmax 2"] > 0
     assert deaths["log_quad_form"] > 0
@@ -187,8 +198,15 @@ def test_scalar_evaluators_match_each_point(d):
     v = _scalar_values(rng)
     alive = np.ones(len(v), dtype=bool)
     alive[rng.random(len(v)) < 0.05] = False
+    for label, fn, values, params in _scalar_evaluators(v):
+        deaths = _compare(lambda rows: fn(values, *params, rows=rows),
+                          lambda i: fn(float(values[i]), *params), alive)
+        assert deaths > 0 or label in ("abs", "pow 2", "pow 3", "pow -1"), label
+
+
+def _scalar_evaluators(v: np.ndarray):
     nonzero = np.where(v == 0.0, 1.0, v)  # 0 ** negative raises ZeroDivisionError
-    cases = [
+    return [
         ("exp", spd.eval_exp, v, ()),
         ("log", spd.eval_log, v, ()),
         ("neg_log", spd.eval_neg_log, v, ()),
@@ -201,10 +219,12 @@ def test_scalar_evaluators_match_each_point(d):
         ("pow -1", spd.eval_pow, nonzero, (-1.0,)),
         ("pow -0.5", spd.eval_pow, nonzero, (-0.5,)),
     ]
-    for label, fn, values, params in cases:
-        deaths = _compare(lambda rows: fn(values, *params, rows=rows),
-                          lambda i: fn(float(values[i]), *params), alive)
-        assert deaths > 0 or label in ("abs", "pow 2", "pow 3", "pow -1"), label
+
+
+def test_every_stacked_evaluator_has_a_case():
+    rng = np.random.default_rng(0)
+    cases = _matrix_evaluators(2, rng) + _scalar_evaluators(_scalar_values(rng))
+    assert {case[1] for case in cases} == spd.STACKED
 
 
 def test_a_scalar_error_other_than_domain_propagates():
