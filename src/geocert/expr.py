@@ -348,14 +348,15 @@ def _verify_definiteness(a: np.ndarray, claim: Definiteness):
     if a.shape[0] != a.shape[1]:
         raise ExpressionError(f"{claim.value} claim requires a square matrix")
     try:
-        spd._check_symmetric_square(a)
+        exact = spd._check_symmetric_square(a)
     except ShapeError:
         raise ExpressionError(f"{claim.value} claim requires a symmetric matrix") from None
-    lam = spd._eigvalsh(spd._sym(a))
+    lam = spd._eigvalsh(a if exact else spd._sym(a))
     tol = spd._pd_tol(float(lam[-1]))
-    if claim is Definiteness.PD and float(lam[0]) <= tol:
+    # Written so that a NaN eigenvalue fails the claim.
+    if claim is Definiteness.PD and not float(lam[0]) > tol:
         raise DomainError(f"PD claim fails: lambda_min={lam[0]:.6g}")
-    if claim is Definiteness.PSD and float(lam[0]) < -tol:
+    if claim is Definiteness.PSD and not float(lam[0]) >= -tol:
         raise DomainError(f"PSD claim fails: lambda_min={lam[0]:.6g}")
 
 
@@ -756,8 +757,13 @@ def eval_atom(name: str, *args):
     Scalar atoms return floats; matrix-valued atoms return a validated
     ``SPDMatrix``.  Domain violations raise ``DomainError``.
     """
-    fn = _registered(name).evaluator
-    out = fn(*(a.entries if isinstance(a, spd.SPDMatrix) else a for a in args))
+    reg = _registered(name)
+    kinds = reg.sig.positions
+    out = reg.evaluator(*(
+        spd.POINT.symmetric(a) if i < len(kinds) and kinds[i] is ArgKind.MANIFOLD
+        else a.entries if isinstance(a, spd.SPDMatrix) else a
+        for i, a in enumerate(args)
+    ))
     if isinstance(out, np.ndarray) and out.ndim == 2:
         return spd.SPDMatrix(out)
     return out

@@ -51,7 +51,12 @@ Injected pairs always run point by point.
 Generated points are cached per block: ``_cached_points`` (segment
 endpoints and t-samples) and ``_cached_ordered_pair`` keep up to
 ``_CACHE_BLOCKS`` blocks each, so checks of several functions at one seed
-share them.  Both caches expose ``cache_clear``.
+share them.  A segment block also keeps its paths: each kind (geodesic or
+straight) is built on the first check that needs it and handed to every
+later check of the block as the same read-only stacks and ``ok`` mask, so
+the paths live and die with the block's entry.  Both caches expose
+``cache_clear``, which drops the paths too; injected pairs build their
+own checked paths every time.
 
 Trial order is kept exactly:
 
@@ -320,13 +325,34 @@ def _block_ts(seed: int, start: int, stop: int, t_samples: int) -> np.ndarray:
     return ts
 
 
+class _BlockPoints(tuple):
+    """``(a, b, ts)`` of one generated segment block, which keeps its paths once built.
+
+    ``paths(geodesic)`` builds the block's geodesics, or its straight
+    segments, on first use and hands every later check of the block the
+    same read-only stacks and ``ok`` mask, so the paths live and die with
+    the block's ``_cached_points`` entry.
+    """
+
+    def __new__(cls, a: tuple, b: tuple, ts: np.ndarray):
+        block = super().__new__(cls, (a, b, ts))
+        block._paths = {}
+        return block
+
+    def paths(self, geodesic: bool):
+        if geodesic not in self._paths:
+            self._paths[geodesic] = _segment_points(geodesic, *self)
+        return self._paths[geodesic]
+
+
 @lru_cache(maxsize=_CACHE_BLOCKS)
 def _cached_points(seed: int, start: int, stop: int, dim: int, cond_max: float, nargs: int,
                    t_samples: int):
     """Endpoints and t-samples of the generated segment trials ``start..stop-1``.
 
-    Returns ``(a, b, ts)``: ``a`` and ``b`` hold one ``(n, dim, dim)`` stack
-    per argument, ``ts`` is ``(n, 3 + t_samples)``.  Each trial keeps its
+    Returns a ``_BlockPoints`` ``(a, b, ts)``: ``a`` and ``b`` hold one
+    ``(n, dim, dim)`` stack per argument, ``ts`` is ``(n, 3 + t_samples)``;
+    the block's paths are built on first use.  Each trial keeps its
     own ``(seed, index, 1)`` stream, seeded with the block's others at once
     (``_trial_rngs``), and draws ``spd._spd_draws`` per matrix from it; one
     stacked QR then turns every draw of the block into a matrix.
@@ -339,9 +365,9 @@ def _cached_points(seed: int, start: int, stop: int, dim: int, cond_max: float, 
         for j in range(m):
             g[row, j], u[row, j] = spd._spd_draws(dim, half, rng)
     mats = _read_only(spd._spd_from_draws(g, u))
-    return (tuple(mats[:, j] for j in range(nargs)),
-            tuple(mats[:, nargs + j] for j in range(nargs)),
-            _read_only(_block_ts(seed, start, stop, t_samples)))
+    return _BlockPoints(tuple(mats[:, j] for j in range(nargs)),
+                        tuple(mats[:, nargs + j] for j in range(nargs)),
+                        _read_only(_block_ts(seed, start, stop, t_samples)))
 
 
 @lru_cache(maxsize=_CACHE_BLOCKS)
@@ -384,8 +410,9 @@ class _Batch:
 
     ``a`` and ``b`` hold the endpoints, one stack per argument of ``f``.
     ``paths()`` returns the path points at every ``(trial, t)`` pair (one
-    ``(n, T, ...)`` stack per argument; empty for ordered pairs) and the mask
-    of trials whose path exists.
+    read-only ``(n, T, ...)`` stack per argument; empty for ordered pairs)
+    and the mask of trials whose path exists, read-only for segments, since
+    a generated block shares both with every check of it.
     """
 
     a: tuple
@@ -418,7 +445,7 @@ def _segment_points(geodesic: bool, a: tuple, b: tuple, ts: np.ndarray, checked:
             t = ts.reshape(ts.shape + (1,) * (x.ndim - 1))
             p = (1.0 - t) * x[:, None] + t * y[:, None]
         points.append(_read_only(p))
-    return tuple(points), ok
+    return tuple(points), _read_only(ok)
 
 
 def _segment_batches(cfg: FuzzConfig, nargs: int, geodesic: bool):
@@ -430,9 +457,9 @@ def _segment_batches(cfg: FuzzConfig, nargs: int, geodesic: bool):
         ts = _block_ts(cfg.seed, i, i + 1, cfg.t_samples)
         yield _Batch(a, b, ts, partial(_segment_points, geodesic, a, b, ts, checked=True), True)
     for start, stop in _blocks(injected, cfg.trials):
-        a, b, ts = _cached_points(cfg.seed, start, stop, cfg.dim, float(cfg.cond_max), nargs,
-                                  cfg.t_samples)
-        yield _Batch(a, b, ts, partial(_segment_points, geodesic, a, b, ts))
+        block = _cached_points(cfg.seed, start, stop, cfg.dim, float(cfg.cond_max), nargs,
+                               cfg.t_samples)
+        yield _Batch(*block, partial(block.paths, geodesic))
 
 
 def _ordered_batches(cfg: FuzzConfig):
@@ -625,7 +652,6 @@ def _stacked_trials(evaluate_block, batch: _Batch):
         _read_only(np.concatenate((a, b, p.reshape((n * t,) + a.shape[1:]))))
         for a, b, p in zip(batch.a, batch.b, points)
     )
-    del points  # the stacks hold copies
     alive = np.concatenate((np.ones(2 * n, dtype=bool), np.repeat(ok, t)))
     try:
         values, alive = evaluate_block(stacks, alive)

@@ -295,9 +295,10 @@ def gradient_descent(obj: Objective, x0, max_iter: int = 500, grad_tol: float = 
             candidate = spd._sym((frame * np.exp(-alpha * mu)) @ frame.T)
             # A candidate past the PD tolerance counts as an infinite value;
             # an accepted one carries the decomposition of the next step, and
-            # its forward pass is the next gradient's tape.
+            # its forward pass is the next gradient's tape.  The candidate is
+            # symmetric by construction, so it becomes the matrix's entries.
             try:
-                trial = spd.SPDMatrix(candidate)
+                trial = spd.SPDMatrix._of_symmetric(candidate)
                 fc = obj._value_at(candidate, trial.eig)
             except DomainError:
                 fc = math.inf

@@ -8,10 +8,15 @@ solver and the expression layer, enters LAPACK through one place:
 ``np.linalg.eigvalsh`` through ``_lapack``, under numpy's own error state
 for them, so their results are numpy's bit for bit without numpy's
 Python wrapper (several microseconds a call on the tiny matrices here).
-They take float64 arrays only.  Matrices are symmetrized as
-``(M + M.T) / 2`` before decomposition to absorb roundoff, but only after
-an explicit asymmetry gate has passed.  SPD validation is relative to the
-largest eigenvalue with an absolute floor, and a matrix that fails
+They take float64 arrays only.  Every matrix argument passes one gate,
+``_check_symmetric_square``: square, finite, no entry past ``_SYM_MAX``
+(DBL_MAX / 2, beyond which symmetrizing can overflow) and symmetric within
+``ASYM_RTOL``; it never warns.  Its common case, a matrix symmetric bit for
+bit, is one byte comparison and one reduction, and such a matrix is its own
+symmetrization, so ``sym_eig`` and ``SPDMatrix`` decompose it as it is;
+any other matrix that passes is symmetrized as ``(M + M.T) / 2`` first, to
+absorb roundoff.  SPD validation is relative to the largest eigenvalue
+with an absolute floor, a NaN eigenvalue fails it, and a matrix that fails
 validation is rejected, never repaired.
 
 ``_pd_tol`` is the one definiteness tolerance: ``SPDMatrix``, the PD and
@@ -82,7 +87,15 @@ def _pd_tol(lam_max: float) -> float:
     return max(PD_RTOL * max(lam_max, 0.0), PD_FLOOR)
 
 
+_FLOAT64 = np.dtype(np.float64)
+# Past this magnitude the sum of two entries can overflow, so ``_sym`` of a
+# finite matrix could hold an infinity: the gate rejects such a matrix.
+_SYM_MAX = float(np.finfo(np.float64).max) / 2.0
+
+
 def _as_array(m) -> np.ndarray:
+    if type(m) is np.ndarray and m.dtype == _FLOAT64:
+        return m
     if isinstance(m, SPDMatrix):
         return m.entries
     return np.asarray(m, dtype=float)
@@ -98,17 +111,33 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return (a + (a.T if a.ndim == 2 else np.swapaxes(a, -1, -2))) / 2.0
 
 
-def _check_symmetric_square(a: np.ndarray, what: str = "matrix") -> np.ndarray:
+def _check_symmetric_square(a: np.ndarray, what: str = "matrix") -> bool:
+    """The gate of a float64 matrix argument; True when ``_sym(a)`` is ``a`` bit for bit.
+
+    Raises ``ShapeError`` unless ``a`` is square and symmetric within
+    ``ASYM_RTOL`` relative, and ``DomainError`` for an entry that is not
+    finite or is past ``_SYM_MAX``.  The common case, a matrix symmetric
+    bit for bit (signed zeros included) with every ``|a_ij| <= _SYM_MAX``,
+    is one byte comparison and one reduction, which a NaN fails; every
+    other matrix takes the full checks and returns False.  No check warns.
+    """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"{what} must be square, got shape {a.shape}")
+    if a.tobytes() == a.T.tobytes() and np.maximum.reduce(np.abs(a), None, initial=0.0) <= _SYM_MAX:
+        return True
     if not np.isfinite(a).all():
         raise DomainError(f"{what} has non-finite entries")
-    if (a == a.T).all():  # exactly symmetric, so within any tolerance
-        return a
-    scale = float(np.linalg.norm(a))
-    if float(np.linalg.norm(a - a.T)) > ASYM_RTOL * max(scale, PD_FLOOR):
-        raise ShapeError(f"{what} is not symmetric within {ASYM_RTOL:g} relative")
-    return a
+    top = float(np.abs(a).max())
+    if top > _SYM_MAX:
+        raise DomainError(f"{what} has an entry past {_SYM_MAX:.6g}, where symmetrizing overflows")
+    with np.errstate(over="ignore"):
+        scale = float(np.linalg.norm(a))
+        if scale == math.inf:  # squares past the double range: measure at a power-of-two scale
+            a = np.ldexp(a, -math.frexp(top)[1])
+            scale = float(np.linalg.norm(a))
+        if float(np.linalg.norm(a - a.T)) > ASYM_RTOL * max(scale, PD_FLOOR):
+            raise ShapeError(f"{what} is not symmetric within {ASYM_RTOL:g} relative")
+    return False
 
 
 @dataclass(frozen=True)
@@ -128,8 +157,8 @@ def sym_eig(m) -> EigenPair:
     Raises ``ShapeError`` for non-square or non-symmetric input and
     ``DomainError`` for non-finite entries.
     """
-    a = _check_symmetric_square(_as_array(m))
-    return _eig_nogate(a)
+    a = _as_array(m)
+    return _eig_symmetric(a if _check_symmetric_square(a) else _sym(a))
 
 
 def _nonconvergence(err, flag):
@@ -158,9 +187,6 @@ else:
             _extobj_contextvar.reset(token)
 
 
-_FLOAT64 = np.dtype(np.float64)
-
-
 def _stacked_square(a: np.ndarray) -> np.ndarray:
     """``a`` itself, after numpy's stacked-square check and a float64 check."""
     if a.ndim < 2:
@@ -187,7 +213,12 @@ def _eig_nogate(a: np.ndarray) -> EigenPair:
     # For products of validated matrices whose asymmetry is our own roundoff;
     # the 1e-12 gate applies to inputs, not to internally derived quantities.
     # A stack (..., d, d) gives a pair of stacks.
-    w, q = _eigh(_sym(a))
+    return _eig_symmetric(_sym(a))
+
+
+def _eig_symmetric(a: np.ndarray) -> EigenPair:
+    """The descending ``EigenPair`` of ``a`` as it is: ``a`` is symmetric bit for bit."""
+    w, q = _eigh(a)
     lam = np.ascontiguousarray(w[..., ::-1])
     vec = np.ascontiguousarray(q[..., ::-1])
     return EigenPair(q=vec, lam=lam)
@@ -200,22 +231,41 @@ class SPDMatrix:
     eigendecomposition, and rejects the matrix unless
     ``lambda_min > max(PD_RTOL * lambda_max, PD_FLOOR)``.  Instances are
     immutable; the eigendecomposition is cached for reuse by the matrix
-    functions below.
+    functions below.  A NaN eigenvalue fails the test.
     """
 
     __slots__ = ("_m", "_eig")
 
     def __init__(self, values):
         a = np.array(_as_array(values), dtype=float, copy=True)
-        pair = sym_eig(a)
+        self._validate(a if _check_symmetric_square(a) else _sym(a))
+
+    @classmethod
+    def _of_symmetric(cls, a: np.ndarray) -> SPDMatrix:
+        """``SPDMatrix(a)`` bit for bit, for an array the library built as ``_sym(...)``.
+
+        ``a`` is symmetric bit for bit and no one else holds it, so it is
+        taken as it is, made read-only: no copy, asymmetry test or second
+        symmetrization.  An entry that is not finite or is past ``_SYM_MAX``
+        still raises ``DomainError``, before any decomposition.
+        """
+        if not np.maximum.reduce(np.abs(a), None, initial=0.0) <= _SYM_MAX:
+            raise DomainError("matrix has non-finite entries or an entry past "
+                              f"{_SYM_MAX:.6g}")
+        m = cls.__new__(cls)
+        m._validate(a)
+        return m
+
+    def _validate(self, m: np.ndarray) -> None:
+        """Keep ``m``, symmetric bit for bit, after the positive-definite test."""
+        pair = _eig_symmetric(m)
         lam_max = float(pair.lam[0])
         tol = _pd_tol(lam_max)
-        if float(pair.lam[-1]) <= tol:
+        if not float(pair.lam[-1]) > tol:
             raise DomainError(
                 f"matrix is not positive definite: lambda_min={pair.lam[-1]:.6g}, "
                 f"lambda_max={lam_max:.6g}, tolerance={tol:.6g}"
             )
-        m = _sym(a)
         m.setflags(write=False)
         self._m = m
         self._eig = pair
@@ -249,7 +299,10 @@ def _eig_of(m) -> EigenPair:
 
 def _rebuild(pair: EigenPair, vals: np.ndarray) -> np.ndarray:
     """``Q diag(vals) Q^T``, also for a stacked pair and ``vals``."""
-    return _sym((pair.q * vals[..., None, :]) @ _mT(pair.q))
+    q = pair.q
+    if q.ndim == 2:
+        return _sym((q * vals) @ q.T)
+    return _sym((q * vals[..., None, :]) @ _mT(q))
 
 
 def matrix_sqrt(m) -> SPDMatrix:
@@ -286,7 +339,10 @@ def _root_pair(q: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _inv_sqrt(pair: EigenPair) -> np.ndarray:
     """``_root_pair(pair.q, pair.lam)[1]`` alone, by the same operations."""
-    return _sym((pair.q / np.sqrt(pair.lam)[..., None, :]) @ _mT(pair.q))
+    q = pair.q
+    if q.ndim == 2:
+        return _sym((q / np.sqrt(pair.lam)) @ q.T)
+    return _sym((q / np.sqrt(pair.lam)[..., None, :]) @ _mT(q))
 
 
 def _geodesic_inputs(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -463,9 +519,10 @@ class _Point:
         return x
 
     def symmetric(self, x) -> np.ndarray:
-        if isinstance(x, SPDMatrix):
-            return x.entries
-        return _check_symmetric_square(np.asarray(x, dtype=float))
+        a = _as_array(x)
+        if not isinstance(x, SPDMatrix):
+            _check_symmetric_square(a)
+        return a
 
     def eigvalsh(self, x: np.ndarray) -> np.ndarray:
         return _eigvalsh(_sym(self.finite(x)))
@@ -695,15 +752,17 @@ class Rows(Memo):
         return out
 
     def symmetric(self, a: np.ndarray) -> np.ndarray:
-        """``live(a)`` after the gate of ``sym_eig`` per row: non-finite rows
-        die, an asymmetric alive row is undecided."""
+        """``live(a)`` after the gate of ``sym_eig`` per row: a row with an entry
+        that is not finite or is past ``_SYM_MAX`` dies, an asymmetric alive
+        row is undecided."""
         if a.ndim == 2:
             try:
-                return _check_symmetric_square(a)
+                _check_symmetric_square(a)
+                return a
             except DomainError:
                 self.kill(True)
                 return np.eye(a.shape[0])
-        self.kill(~np.isfinite(a).all(axis=(-2, -1)))
+        self.kill(~(np.abs(a).max(axis=(-2, -1), initial=0.0) <= _SYM_MAX))
         a = self.live(a)
         for i in np.flatnonzero(self.alive & ~(a == _mT(a)).all(axis=(-2, -1))):
             try:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,22 @@ objective: "sdivergence(X, A)"
 """)
         prob = load_problem(path)
         assert np.allclose(prob.constants["A"], np.diag([4.0, 9.0]))
+
+    def test_constant_that_symmetrizing_overflows_exit_1(self, tmp_path, capsys):
+        # The parent symmetrized it to inf, took its NaN eigenvalues for
+        # positive ones, printed a RuntimeWarning and exited 0.
+        path = write(tmp_path, "huge.yaml", """
+variables:
+  - {name: X, manifold: SPD, dim: 2}
+constants:
+  C: [[1.7e308, 0.0], [0.0, 1.0]]
+objective: "distance(X, C)"
+""")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "symmetrizing overflows" in err and "Warning" not in err
 
     def test_inline_injection_points(self, tmp_path):
         path = write(tmp_path, "inj.yaml", """
@@ -641,6 +658,12 @@ class TestTracerContract:
         assert all(c.cache_info().currsize for c in caches)
         clear_point_caches()
         assert [c.cache_info().currsize for c in caches] == [0, 0]
+        # A block's paths live with its cache entry, so they went too.
+        frames = []
+        monkeypatch.setattr(gc.spd, "_geodesic_frames",
+                            lambda *a, build=gc.spd._geodesic_frames: frames.append(1) or build(*a))
+        gc.check_gconvex(lambda m: float(np.trace(m)), cfg)
+        assert frames == [1]
 
 
 class TestDeterminism:

@@ -76,6 +76,19 @@ class TestConstants:
         with pytest.raises(DomainError):
             gc.make_const_matrix(np.diag([1.0, -0.5]), "PSD")
 
+    @pytest.mark.parametrize("claim", ["PD", "PSD"])
+    def test_a_nan_eigenvalue_fails_a_claim(self, claim, monkeypatch):
+        monkeypatch.setattr(gc.spd, "_eigvalsh", lambda a: np.full(a.shape[-1], np.nan))
+        with pytest.raises(DomainError, match=f"{claim} claim fails"):
+            gc.make_const_matrix(np.eye(2), claim)
+
+    @pytest.mark.parametrize("claim", ["PD", "PSD"])
+    def test_an_overflowing_symmetrization_fails_a_claim(self, claim):
+        # The parent symmetrized [[1.7e308, 0], [0, 1]] to inf, whose NaN
+        # eigenvalues passed the claim.
+        with pytest.raises(DomainError, match="symmetrizing overflows"):
+            gc.make_const_matrix(np.array([[1.7e308, 0.0], [0.0, 1.0]]), claim)
+
     def test_nonsquare_is_parameter_only(self):
         c = gc.make_const_matrix(np.ones((3, 2)))
         assert c.kind == "param"

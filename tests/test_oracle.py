@@ -784,6 +784,60 @@ class TestTrialStreams:
                 seq.generate_state(n, dtype)
 
 
+class TestBlockPaths:
+    """A generated block's paths are built on first use and handed to every later check of it."""
+
+    @staticmethod
+    def _count_frames(monkeypatch):
+        """The number of endpoint pairs of each ``spd._geodesic_frames`` call from now on."""
+        calls = []
+        build = spd._geodesic_frames
+
+        def counted(a, b):
+            calls.append(len(a))
+            return build(a, b)
+
+        monkeypatch.setattr(spd, "_geodesic_frames", counted)
+        return calls
+
+    def test_checks_at_one_block_build_its_geodesics_once(self, monkeypatch):
+        cfg = gc.FuzzConfig(trials=100, dim=3, seed=21)  # blocks of 64 and 36 trials
+        checks = (
+            lambda: gc.check_gconvex(spd.eval_logdet, cfg, equality=True),
+            lambda: gc.check_gconvex(spd.eval_elementwise_norm1, cfg),
+            lambda: gc.check_econvex(spd.eval_tr, cfg, equality=True),
+            lambda: gc.check_gconvex(lambda x: -spd.eval_inv(x), cfg),
+        )
+        cold = []
+        for check in checks:
+            oracle._cached_points.cache_clear()
+            cold.append(check())
+        oracle._cached_points.cache_clear()
+        calls = self._count_frames(monkeypatch)
+        warm = [check() for check in checks]
+        assert calls == [64, 36]
+        assert warm == cold
+        assert warm[3].verdict == "ViolationFound"  # a witness read off shared paths
+
+    def test_paths_are_the_same_read_only_arrays_as_a_fresh_build(self):
+        block = oracle._cached_points(3, 0, 64, 3, 10.0, 2, 5)
+        for geodesic in (True, False):
+            points, ok = block.paths(geodesic)
+            again, ok_again = block.paths(geodesic)
+            assert ok_again is ok and all(p is q for p, q in zip(again, points))
+            assert not ok.flags.writeable and not any(p.flags.writeable for p in points)
+            fresh, fresh_ok = oracle._segment_points(geodesic, *block)
+            assert ok.tobytes() == fresh_ok.tobytes()
+            assert [p.tobytes() for p in points] == [p.tobytes() for p in fresh]
+
+    def test_injected_pairs_build_their_own_paths(self, monkeypatch):
+        cfg = gc.FuzzConfig(trials=10, dim=2, seed=3, injected=((np.eye(2), 2.0 * np.eye(2)),))
+        first = gc.check_gconvex(spd.eval_tr, cfg)
+        calls = self._count_frames(monkeypatch)
+        assert gc.check_gconvex(spd.eval_tr, cfg) == first
+        assert calls == [1]
+
+
 class TestReevaluateWitness:
     @pytest.mark.parametrize("f", [
         lambda x: -spd.eval_tr(x),

@@ -82,6 +82,16 @@ class TestGradientDescent:
         diffs = np.diff(res.trajectory)
         assert np.all(diffs <= 0.0)
 
+    def test_an_overflowing_step_is_halved(self):
+        # -800 tr(X) from I: the first step's exp(800) overflows, so its
+        # candidate is not finite and must count as an infinite value (a
+        # DomainError); the halved step's exp(400) is accepted.
+        obj = gc.Objective(lambda x: -800.0 * float(np.trace(x)), lambda x: -800.0 * np.eye(2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = gc.gradient_descent(obj, np.eye(2), max_iter=1)
+        assert res.iterations == 1
+        assert np.array_equal(res.minimizer.entries, math.exp(400.0) * np.eye(2))
+
     def test_stagnation_carries_partial_result(self):
         # an objective whose gradient claim never matches its values
         obj = gc.Objective(lambda x: 1.0, lambda x: np.eye(x.shape[0]))

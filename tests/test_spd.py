@@ -1,4 +1,6 @@
+import ast
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +72,43 @@ class TestEigenEntryPoints:
             fn(np.ones(3))
         with pytest.raises(TypeError):
             fn(np.eye(2, dtype=np.float32))
+
+    def test_lapack_is_entered_only_through_eigh_and_eigvalsh(self):
+        # A source scan of the package: the eigensolver gufuncs and the
+        # ``_lapack`` call behind them appear only in ``spd._eigh`` and
+        # ``spd._eigvalsh`` (and where ``_lapack`` is defined), and no module
+        # reaches ``np.linalg.eigh`` or ``np.linalg.eigvalsh``, so inlining
+        # the call elsewhere fails here.
+        package = Path(spd.__file__).resolve().parent
+        entries = {("spd", "_eigh"), ("spd", "_eigvalsh")}
+        misplaced, wrappers = [], []
+
+        def scan(node, module, function):
+            for child in ast.iter_child_nodes(node):
+                inner = function
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    inner = child.name
+                name = (child.id if isinstance(child, ast.Name)
+                        else child.attr if isinstance(child, ast.Attribute) else None)
+                if name in ("_umath_linalg", "_lapack") and (module, function) not in entries:
+                    misplaced.append(f"{module}.{function}: {name}")
+                if (isinstance(child, ast.Attribute) and child.attr in ("eigh", "eigvalsh")
+                        and isinstance(child.value, ast.Attribute)
+                        and child.value.attr == "linalg"):
+                    wrappers.append(f"{module}.{function}: linalg.{child.attr}")
+                if isinstance(child, ast.ImportFrom):
+                    names = {alias.name for alias in child.names}
+                    if "linalg" in (child.module or "") and names & {"eigh", "eigvalsh"}:
+                        wrappers.append(f"{module}: import of {sorted(names)}")
+                    if "_umath_linalg" in names and module != "spd":
+                        misplaced.append(f"{module}: import of _umath_linalg")
+                scan(child, module, inner)
+
+        sources = sorted(package.glob("*.py"))
+        assert {p.stem for p in sources} >= {"spd", "oracle", "expr", "solver"}
+        for path in sources:
+            scan(ast.parse(path.read_text()), path.stem, None)
+        assert misplaced == [] and wrappers == []
 
     def test_no_caller_reaches_the_numpy_wrappers(self, monkeypatch, capsys):
         calls = []
@@ -162,6 +201,103 @@ class TestSPDMatrix:
         m = gc.SPDMatrix(np.eye(2))
         with pytest.raises(ValueError):
             m.entries[0, 0] = 5.0
+
+
+DBL_MAX = float(np.finfo(float).max)
+
+
+class TestGate:
+    """``spd._check_symmetric_square``: one byte comparison and one reduction for
+    the common case, the parent's checks and messages for everything else."""
+
+    NON_FINITE = (DomainError, "matrix has non-finite entries")
+    ASYMMETRIC = (ShapeError, "matrix is not symmetric within 1e-12 relative")
+    OVERFLOW = (DomainError, "matrix has an entry past 8.98847e+307, where symmetrizing overflows")
+    ROWS = {
+        # name: (matrix, outcome: the exception and message, or whether _sym(a) is a)
+        "symmetric": ([[2.0, 0.5], [0.5, 1.0]], True),
+        "NaN": ([[np.nan, 0.0], [0.0, 1.0]], NON_FINITE),
+        "NaN pair": ([[1.0, np.nan], [np.nan, 1.0]], NON_FINITE),
+        "inf pair": ([[1.0, np.inf], [-np.inf, 1.0]], NON_FINITE),
+        "-0.0 against 0.0": ([[1.0, -0.0], [0.0, 1.0]], False),
+        "asymmetry within 1e-12": ([[2.0, 0.5 + 1e-15], [0.5, 1.0]], False),
+        "asymmetry beyond 1e-12": ([[2.0, 0.5 + 1e-9], [0.5, 1.0]], ASYMMETRIC),
+        "entry at DBL_MAX": ([[DBL_MAX, 0.0], [0.0, 1.0]], OVERFLOW),
+        "entry at DBL_MAX / 2": ([[DBL_MAX / 2.0, 0.0], [0.0, 1.0]], True),
+        # The parent's norms overflowed here, with a RuntimeWarning, and
+        # inf > 1e-12 * inf let the antisymmetric pair through.
+        "antisymmetric pair at 1e200": ([[0.0, 1e200], [-1e200, 0.0]], ASYMMETRIC),
+    }
+
+    @pytest.mark.parametrize("row", ROWS)
+    def test_gate_table(self, row):
+        values, outcome = self.ROWS[row]
+        a = np.array(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if isinstance(outcome, bool):
+                assert spd._check_symmetric_square(a) is outcome
+                assert self._same(gc.sym_eig(a), a)
+                return
+            error, message = outcome
+            for gate in (spd._check_symmetric_square, gc.sym_eig, gc.SPDMatrix):
+                with pytest.raises(error) as info:
+                    gate(a)
+                assert str(info.value) == message
+
+    @staticmethod
+    def _same(pair, a):
+        """``pair`` is the parent's ``sym_eig(a)``: the decomposition of ``_sym(a)``, bit for bit."""
+        ref = spd._eig_nogate(a)
+        return pair.q.tobytes() == ref.q.tobytes() and pair.lam.tobytes() == ref.lam.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 10])
+    def test_sym_eig_and_spd_matrix_keep_the_parents_bits(self, d):
+        rng = np.random.default_rng(d)
+        g = rng.normal(size=(4, d, d))
+        stack = spd._sym(g @ np.swapaxes(g, -1, -2)) + np.eye(d)
+        for a in (*stack, stack[0].T, np.asfortranarray(stack[1]),
+                  stack[2] + 1e-15 * np.triu(np.ones((d, d)), 1)):
+            assert self._same(gc.sym_eig(a), a)
+            m = gc.SPDMatrix(a)
+            assert self._same(m.eig, a)
+            assert m.entries.tobytes() == spd._sym(a).tobytes()
+            assert not m.entries.flags.writeable
+
+
+class TestSPDMatrixSpectrum:
+    def test_an_overflowing_symmetrization_is_rejected(self):
+        # The parent's _sym overflowed to inf and gave NaN eigenvalues, which
+        # passed the positive-definite test.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                gc.SPDMatrix([[1.7e308, 0.0], [0.0, 1.0]])
+
+    def test_a_nan_eigenvalue_fails_the_positive_definite_test(self, monkeypatch):
+        monkeypatch.setattr(spd, "_eigh", lambda a: (np.full(a.shape[-1], np.nan), np.eye(a.shape[-1])))
+        with pytest.raises(DomainError, match="not positive definite"):
+            gc.SPDMatrix(np.eye(2))
+
+    def test_of_symmetric_is_spd_matrix_bit_for_bit(self):
+        for seed in range(5):
+            a = np.asarray(gc.random_spd(4, 1e3, seed)).copy()
+            ref = gc.SPDMatrix(a)
+            m = spd.SPDMatrix._of_symmetric(a)
+            assert m.entries is a and not a.flags.writeable
+            assert m.entries.tobytes() == ref.entries.tobytes()
+            assert m.eig.q.tobytes() == ref.eig.q.tobytes()
+            assert m.eig.lam.tobytes() == ref.eig.lam.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, DBL_MAX])
+    def test_of_symmetric_rejects_before_decomposing(self, bad, monkeypatch):
+        # An overflowing line-search step must be a DomainError, so the
+        # search halves, not the LinAlgError of eigh on inf or NaN.
+        monkeypatch.setattr(spd, "_eigh", None)
+        with pytest.raises(DomainError):
+            spd.SPDMatrix._of_symmetric(np.array([[bad, 0.0], [0.0, 1.0]]))
+        with pytest.raises(DomainError):
+            spd.SPDMatrix._of_symmetric(np.full((2, 2), bad))
 
 
 class TestDefinitenessTolerance:
@@ -422,6 +558,36 @@ class TestRandomSPD:
     def test_non_finite_cond_rejected(self, cond):
         with pytest.raises(RangeError, match="finite"):
             gc.random_spd(3, cond)
+
+
+class TestEvalAtomGate:
+    """``eval_atom`` gates a matrix argument as ``evaluate`` gates a variable."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name, params", [
+        ("eigmax", ()), ("eigsummax", (1,)), ("logdet", ()), ("schatten_norm", (2.0,)),
+        ("sum_log_eigmax", (1,)), ("inv", ()), ("tr", ()),
+    ])
+    def test_non_finite_argument_raises_domain_error(self, name, params, bad):
+        x = [[bad, 0.0], [0.0, 1.0]]
+        with pytest.raises(DomainError, match="non-finite"):
+            gc.eval_atom(name, x, *params)
+        with pytest.raises(DomainError):
+            gc.evaluate(gc.apply_atom(name, [gc.Variable("X", gc.SPD(2)), *params]),
+                        {"X": np.array(x)})
+
+    def test_asymmetric_argument_raises_shape_error(self):
+        with pytest.raises(ShapeError):
+            gc.eval_atom("eigmax", [[1.0, 2.0], [0.0, 1.0]])
+        with pytest.raises(ShapeError):
+            gc.eval_atom("distance", np.eye(2), [[1.0, 2.0], [0.0, 1.0]])
+
+    def test_parameters_are_not_gated_as_matrices(self):
+        h = np.array([1.0, 2.0])
+        assert gc.eval_atom("quad_form", h, np.eye(2)) == 5.0
+        b = np.array([[1.0, 2.0], [0.0, 1.0]])  # a conjugation map need not be symmetric
+        assert np.array_equal(gc.eval_atom("conjugation", np.eye(2), b).entries,
+                              spd._sym(b.T @ b))
 
 
 class TestEvalAtom:
