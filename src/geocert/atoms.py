@@ -75,48 +75,45 @@ def _require_psd(m: np.ndarray, what: str):
         raise ExpressionError(f"{what} must be symmetric") from None
 
 
+def _require_vectors(name: str, hs, d: int, nonzero: str):
+    for h in hs:
+        if h.shape[0] != d:
+            raise ExpressionError(f"{name} vector has length {h.shape[0]}, expected {d}")
+        if not np.any(h):
+            raise ExpressionError(f"{name} requires {nonzero}")
+
+
+def _require_top_k(k, d: int):
+    if not 1 <= k <= d:
+        raise ExpressionError(f"k={k} outside 1..{d}")
+
+
+def _require_p(name: str, p):
+    if p < 1.0:
+        raise ExpressionError(f"{name} requires p >= 1, got {p}")
+
+
 def _validate_quad_form(arg_dims, params):
-    (h,) = params
-    if h.shape[0] != arg_dims[0]:
-        raise ExpressionError(f"quad_form vector has length {h.shape[0]}, expected {arg_dims[0]}")
-    if not np.any(h):
-        raise ExpressionError("quad_form requires a nonzero vector")
-    return None
+    _require_vectors("quad_form", params, arg_dims[0], "a nonzero vector")
 
 
 def _validate_log_quad_form(arg_dims, params):
-    (hs,) = params
-    for h in hs:
-        if h.shape[0] != arg_dims[0]:
-            raise ExpressionError(
-                f"log_quad_form vector has length {h.shape[0]}, expected {arg_dims[0]}"
-            )
-        if not np.any(h):
-            raise ExpressionError("log_quad_form requires nonzero vectors")
-    return None
+    _require_vectors("log_quad_form", params[0], arg_dims[0], "nonzero vectors")
 
 
 def _validate_top_k(arg_dims, params):
-    k = params[0]
-    if not 1 <= k <= arg_dims[0]:
-        raise ExpressionError(f"k={k} outside 1..{arg_dims[0]}")
-    return None
-
-
-def _validate_schatten(arg_dims, params):
-    (p,) = params
-    if p < 1.0:
-        raise ExpressionError(f"schatten_norm requires p >= 1, got {p}")
-    return None
+    _require_top_k(params[0], arg_dims[0])
 
 
 def _validate_sum_pow_log(arg_dims, params):
     k, p = params
-    if not 1 <= k <= arg_dims[0]:
-        raise ExpressionError(f"k={k} outside 1..{arg_dims[0]}")
-    if p < 1.0:
-        raise ExpressionError(f"sum_pow_log_eigmax requires p >= 1, got {p}")
-    return None
+    _require_top_k(k, arg_dims[0])
+    _require_p("sum_pow_log_eigmax", p)
+
+
+def _validate_p(name: str):
+    """The validator of an atom whose one parameter is ``p >= 1``."""
+    return lambda arg_dims, params: _require_p(name, params[0])
 
 
 def _refine_sum_log(params, arg_dims):
@@ -186,13 +183,6 @@ def _refine_positive_affine(params, arg_dims):
     return {"gmono": GMonotonicity.DECREASING, "ecurv": ECurvature.UNKNOWN}
 
 
-def _validate_pow(arg_dims, params):
-    (p,) = params
-    if p < 1.0:
-        raise ExpressionError(f"pow requires p >= 1, got {p}")
-    return None
-
-
 _M = ArgKind.MANIFOLD
 _S = ArgKind.SCALAR
 
@@ -230,7 +220,7 @@ _CATALOG = [
      spd.eval_eigsummax, spd.vjp_eigsummax),
     (AtomSignature("schatten_norm", (_M, ArgKind.PARAM_SCALAR), "scalar", Sign.POSITIVE,
                    GCurvature.CONVEX, GMonotonicity.INCREASING, ECurvature.CONVEX,
-                   _validate_schatten),
+                   _validate_p("schatten_norm")),
      spd.eval_schatten_norm, spd.vjp_schatten_norm),
     (AtomSignature("sum_log_eigmax", (_M, ArgKind.PARAM_INT), "scalar", Sign.ANY,
                    GCurvature.CONVEX, GMonotonicity.INCREASING, ECurvature.UNKNOWN,
@@ -280,7 +270,7 @@ _CATALOG = [
      spd.eval_neg_log, spd.vjp_neg_log),
     (AtomSignature("pow", (_S, ArgKind.PARAM_SCALAR), "scalar", Sign.POSITIVE,
                    GCurvature.CONVEX, GMonotonicity.INCREASING, ECurvature.CONVEX,
-                   _validate_pow),
+                   _validate_p("pow")),
      spd.eval_pow, spd.vjp_pow),
     (AtomSignature("abs", (_S,), "scalar", Sign.POSITIVE, GCurvature.CONVEX,
                    GMonotonicity.ANY, ECurvature.CONVEX),

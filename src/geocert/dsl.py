@@ -109,18 +109,21 @@ class _Parser:
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.column)
 
+    def located(self, parse):
+        """The token ``parse()`` starts at, with its result."""
+        return self.peek(), parse()
+
     # expr := term (("+" | "-") term)*
     def expr(self):
-        terms = [self.term()]
+        terms = [self.located(self.term)]
         weights = [1.0]
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.advance()
-            terms.append(self.term())
+            terms.append(self.located(self.term))
             weights.append(1.0 if op.text == "+" else -1.0)
         if len(terms) == 1:
-            return terms[0]
-        exprs = [self._as_scalar_expr(t, None) for t in terms]
-        return Add(tuple(exprs), tuple(weights))
+            return terms[0][1]
+        return Add(tuple(self._as_scalar_expr(*t) for t in terms), tuple(weights))
 
     # term := factor ("*" factor)*
     def term(self):
@@ -191,38 +194,32 @@ class _Parser:
     def call(self, name_tok: _Token):
         name = name_tok.text
         self.expect("(")
-        items = [self.argument()]
+        items = [self.located(self.argument)]
         while self.peek().kind == "op" and self.peek().text == ",":
             self.advance()
-            items.append(self.argument())
+            items.append(self.located(self.argument))
         self.expect(")")
         if name == "max":
-            options = [self._as_scalar_expr(i, name_tok) for i in items]
-            return MaxOf(tuple(options))
+            return MaxOf(tuple(self._as_scalar_expr(*i) for i in items))
         try:
             lookup_atom(name)
         except UnknownAtomError:
             self.fail(f"unknown atom '{name}'", name_tok)
         try:
-            return apply_atom(name, items)
+            return apply_atom(name, [item for _, item in items])
         except GeocertError as exc:
             self.fail(f"in call to '{name}': {exc}", name_tok)
 
     def argument(self):
         return self.expr()
 
-    def _as_scalar_expr(self, item, tok):
+    def _as_scalar_expr(self, tok: _Token, item):
+        """``item``, unless it is not scalar: then the error points at ``tok``, its first token."""
         if isinstance(item, ParamRef):
-            raise ParseError(
-                f"vector constant '{item.name}' cannot appear in arithmetic",
-                self.peek().line, self.peek().column,
-            )
+            self.fail(f"vector constant '{item.name}' cannot appear in arithmetic", tok)
         if item.kind != "scalar":
-            raise ParseError(
-                "matrix-valued subexpressions cannot be combined arithmetically; "
-                "route matrix sums through positive_affine",
-                self.peek().line, self.peek().column,
-            )
+            self.fail("matrix-valued subexpressions cannot be combined arithmetically; "
+                      "route matrix sums through positive_affine", tok)
         return item
 
 

@@ -348,10 +348,9 @@ def _verify_definiteness(a: np.ndarray, claim: Definiteness):
     if a.shape[0] != a.shape[1]:
         raise ExpressionError(f"{claim.value} claim requires a square matrix")
     try:
-        exact = spd._check_symmetric_square(a)
+        lam = spd._eigvalsh(spd._symmetrized(a))
     except ShapeError:
         raise ExpressionError(f"{claim.value} claim requires a symmetric matrix") from None
-    lam = spd._eigvalsh(a if exact else spd._sym(a))
     tol = spd._pd_tol(float(lam[-1]))
     # Written so that a NaN eigenvalue fails the claim.
     if claim is Definiteness.PD and not float(lam[0]) > tol:

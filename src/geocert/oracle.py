@@ -51,12 +51,13 @@ Injected pairs always run point by point.
 Generated points are cached per block: ``_cached_points`` (segment
 endpoints and t-samples) and ``_cached_ordered_pair`` keep up to
 ``_CACHE_BLOCKS`` blocks each, so checks of several functions at one seed
-share them.  A segment block also keeps its paths: each kind (geodesic or
-straight) is built on the first check that needs it and handed to every
-later check of the block as the same read-only stacks and ``ok`` mask, so
-the paths live and die with the block's entry.  Both caches expose
-``cache_clear``, which drops the paths too; injected pairs build their
-own checked paths every time.
+share them.  Both hold a ``_BlockPoints``, whose matrices one routine
+draws (``_block_draws``).  A segment block also keeps its paths: each kind
+(geodesic or straight) is built on the first check that needs it and
+handed to every later check of the block as the same read-only stacks and
+``ok`` mask, so the paths live and die with the block's entry.  Both
+caches expose ``cache_clear``, which drops the paths too; injected pairs
+build their own checked paths every time.
 
 Trial order is kept exactly:
 
@@ -325,46 +326,51 @@ def _block_ts(seed: int, start: int, stop: int, t_samples: int) -> np.ndarray:
     return ts
 
 
-class _BlockPoints(tuple):
-    """``(a, b, ts)`` of one generated segment block, which keeps its paths once built.
+def _block_draws(seed: int, start: int, stop: int, stream: int, dim: int, cond_max: float,
+                 mats: int, normals: int = 0):
+    """``(n, mats, dim, dim)`` SPD and ``(n, normals, dim, dim)`` standard normal matrices
+    of trials ``start..stop-1``: each trial draws ``spd._spd_draws`` ``mats`` times, then
+    its normal matrices, from its ``(seed, i, stream)`` stream; one stacked QR builds the
+    block's SPD matrices."""
+    n = stop - start
+    g = np.empty((n, mats, dim, dim))
+    u = np.empty((n, mats, dim))
+    w = np.empty((n, normals, dim, dim))
+    half = 0.5 * math.log(cond_max)
+    for row, rng in enumerate(_trial_rngs(seed, start, stop, stream)):
+        for j in range(mats):
+            g[row, j], u[row, j] = spd._spd_draws(dim, half, rng)
+        if normals:
+            w[row] = rng.normal(size=(normals, dim, dim))
+    return spd._spd_from_draws(g, u), w
 
-    ``paths(geodesic)`` builds the block's geodesics, or its straight
-    segments, on first use and hands every later check of the block the
-    same read-only stacks and ``ok`` mask, so the paths live and die with
-    the block's ``_cached_points`` entry.
+
+class _BlockPoints(tuple):
+    """``(a, b, ts)`` of one generated block, which keeps its paths once built.
+
+    ``a`` and ``b`` hold one ``(n, dim, dim)`` stack per argument; ``ts`` is
+    ``(n, 3 + t_samples)``, or None for ordered pairs.  ``paths(geodesic)``
+    builds the block's paths (``_paths``) on first use and hands every later
+    check of the block the same read-only stacks and ``ok`` mask.
     """
 
-    def __new__(cls, a: tuple, b: tuple, ts: np.ndarray):
+    def __new__(cls, a: tuple, b: tuple, ts: np.ndarray | None):
         block = super().__new__(cls, (a, b, ts))
         block._paths = {}
         return block
 
-    def paths(self, geodesic: bool):
+    def paths(self, geodesic: bool | None):
         if geodesic not in self._paths:
-            self._paths[geodesic] = _segment_points(geodesic, *self)
+            self._paths[geodesic] = _paths(geodesic, *self)
         return self._paths[geodesic]
 
 
 @lru_cache(maxsize=_CACHE_BLOCKS)
 def _cached_points(seed: int, start: int, stop: int, dim: int, cond_max: float, nargs: int,
                    t_samples: int):
-    """Endpoints and t-samples of the generated segment trials ``start..stop-1``.
-
-    Returns a ``_BlockPoints`` ``(a, b, ts)``: ``a`` and ``b`` hold one
-    ``(n, dim, dim)`` stack per argument, ``ts`` is ``(n, 3 + t_samples)``;
-    the block's paths are built on first use.  Each trial keeps its
-    own ``(seed, index, 1)`` stream, seeded with the block's others at once
-    (``_trial_rngs``), and draws ``spd._spd_draws`` per matrix from it; one
-    stacked QR then turns every draw of the block into a matrix.
-    """
-    n, m = stop - start, 2 * nargs
-    g = np.empty((n, m, dim, dim))
-    u = np.empty((n, m, dim))
-    half = 0.5 * math.log(cond_max)
-    for row, rng in enumerate(_trial_rngs(seed, start, stop, 1)):
-        for j in range(m):
-            g[row, j], u[row, j] = spd._spd_draws(dim, half, rng)
-    mats = _read_only(spd._spd_from_draws(g, u))
+    """The ``_BlockPoints`` of the generated segment trials ``start..stop-1``: each trial
+    draws its endpoints A, then B, from stream 1 and its t-samples from stream 2."""
+    mats = _read_only(_block_draws(seed, start, stop, 1, dim, cond_max, 2 * nargs)[0])
     return _BlockPoints(tuple(mats[:, j] for j in range(nargs)),
                         tuple(mats[:, nargs + j] for j in range(nargs)),
                         _read_only(_block_ts(seed, start, stop, t_samples)))
@@ -372,25 +378,18 @@ def _cached_points(seed: int, start: int, stop: int, dim: int, cond_max: float, 
 
 @lru_cache(maxsize=_CACHE_BLOCKS)
 def _cached_ordered_pair(seed: int, start: int, stop: int, dim: int, cond_max: float):
-    """Ordered pairs ``A >= B`` of the generated trials ``start..stop-1``, as two stacks.
+    """The ``_BlockPoints`` of the ordered pairs ``A >= B`` of the generated trials ``start..stop-1``.
 
-    ``B = A - s P`` with ``P`` a random PSD matrix and ``s`` small enough to
-    keep ``B`` positive definite; draws come from each trial's
-    ``(seed, index, 3)`` stream.
+    ``B = A - s P`` with ``P = W W^T / dim`` a random PSD matrix and ``s``
+    small enough to keep ``B`` positive definite; each trial draws ``A``,
+    then ``W``, from its stream 3.
     """
-    n = stop - start
-    g = np.empty((n, dim, dim))
-    u = np.empty((n, dim))
-    w = np.empty((n, dim, dim))
-    half = 0.5 * math.log(cond_max)
-    for row, rng in enumerate(_trial_rngs(seed, start, stop, 3)):
-        g[row], u[row] = spd._spd_draws(dim, half, rng)
-        w[row] = rng.normal(size=(dim, dim))
-    a = spd._spd_from_draws(g, u)
+    mats, normals = _block_draws(seed, start, stop, 3, dim, cond_max, 1, 1)
+    a, w = mats[:, 0], normals[:, 0]
     p = (w @ spd._mT(w)) / dim
     s = 0.5 * spd._eigvalsh(a)[:, 0] / np.maximum(spd._eigvalsh(p)[:, -1], spd.PD_FLOOR)
     b = a - s[:, None, None] * p
-    return _read_only(a), _read_only(b)
+    return _BlockPoints((_read_only(a),), (_read_only(b),), None)
 
 
 def _normalize_injected(entry, nargs: int):
@@ -410,9 +409,9 @@ class _Batch:
 
     ``a`` and ``b`` hold the endpoints, one stack per argument of ``f``.
     ``paths()`` returns the path points at every ``(trial, t)`` pair (one
-    read-only ``(n, T, ...)`` stack per argument; empty for ordered pairs)
-    and the mask of trials whose path exists, read-only for segments, since
-    a generated block shares both with every check of it.
+    read-only ``(n, T, ...)`` stack per argument; none for ordered pairs)
+    and the read-only mask of trials whose path exists, since a generated
+    block shares both with every check of it.
     """
 
     a: tuple
@@ -422,16 +421,23 @@ class _Batch:
     injected: bool = False
 
 
-def _segment_points(geodesic: bool, a: tuple, b: tuple, ts: np.ndarray, checked: bool = False):
+def _paths(geodesic: bool | None, a: tuple, b: tuple, ts: np.ndarray | None,
+           checked: bool = False):
     """Path points of a batch at every ``(trial, t)`` pair, with the mask of existing paths.
 
     Geodesics take one stacked eigendecomposition pair per argument,
-    straight segments one broadcast.  With ``checked`` (a batch of one
-    caller-supplied pair) each argument first passes the shape and symmetry
-    gates of ``spd.geodesic_path``, and a missing geodesic raises
-    ``DomainError``.
+    straight segments one broadcast; ordered pairs (``geodesic`` None) have
+    none.  With ``checked`` (a batch of one caller-supplied pair) each
+    argument first passes the shape and symmetry gates of
+    ``spd.geodesic_path`` and a missing geodesic raises ``DomainError``;
+    an ordered pair passes those of ``spd.loewner_geq`` and must be
+    ordered ``A >= B`` (``RangeError``).
     """
-    points, ok = [], np.ones(len(ts), dtype=bool)
+    points, ok = [], np.ones(len(a[0]), dtype=bool)
+    if geodesic is None:
+        if checked and not spd.loewner_geq(a[0][0], b[0][0]):
+            raise RangeError("injected pair is not ordered: A >= B fails in the Loewner order")
+        return (), _read_only(ok)
     for x, y in zip(a, b):
         if checked:
             spd._geodesic_inputs(x[0], y[0])
@@ -448,41 +454,22 @@ def _segment_points(geodesic: bool, a: tuple, b: tuple, ts: np.ndarray, checked:
     return tuple(points), _read_only(ok)
 
 
-def _segment_batches(cfg: FuzzConfig, nargs: int, geodesic: bool):
-    """The trials of a segment check in order: each injected pair alone, then blocks."""
+def _batches(cfg: FuzzConfig, nargs: int, geodesic: bool | None):
+    """The trials of a check in order: each injected pair alone, then blocks;
+    ``geodesic`` None gives the ordered pairs of a monotonicity check."""
     injected = min(len(cfg.injected), cfg.trials)
     for i in range(injected):
         pa, pb = _normalize_injected(cfg.injected[i], nargs)
         a, b = tuple(x[None] for x in pa), tuple(y[None] for y in pb)
-        ts = _block_ts(cfg.seed, i, i + 1, cfg.t_samples)
-        yield _Batch(a, b, ts, partial(_segment_points, geodesic, a, b, ts, checked=True), True)
+        ts = None if geodesic is None else _block_ts(cfg.seed, i, i + 1, cfg.t_samples)
+        yield _Batch(a, b, ts, partial(_paths, geodesic, a, b, ts, True), True)
     for start, stop in _blocks(injected, cfg.trials):
-        block = _cached_points(cfg.seed, start, stop, cfg.dim, float(cfg.cond_max), nargs,
-                               cfg.t_samples)
+        if geodesic is None:
+            block = _cached_ordered_pair(cfg.seed, start, stop, cfg.dim, float(cfg.cond_max))
+        else:
+            block = _cached_points(cfg.seed, start, stop, cfg.dim, float(cfg.cond_max), nargs,
+                                   cfg.t_samples)
         yield _Batch(*block, partial(block.paths, geodesic))
-
-
-def _ordered_batches(cfg: FuzzConfig):
-    """The trials of a monotonicity check in order: each injected pair alone, then blocks."""
-    injected = min(len(cfg.injected), cfg.trials)
-    for i in range(injected):
-        (a,), (b,) = _normalize_injected(cfg.injected[i], 1)
-        yield _Batch((a[None],), (b[None],), None, partial(_checked_order, a, b), True)
-    for start, stop in _blocks(injected, cfg.trials):
-        a, b = _cached_ordered_pair(cfg.seed, start, stop, cfg.dim, float(cfg.cond_max))
-        yield _Batch((a,), (b,), None, partial(_no_paths, stop - start))
-
-
-def _no_paths(n: int):
-    return (), np.ones(n, dtype=bool)
-
-
-def _checked_order(a: np.ndarray, b: np.ndarray):
-    """The paths of an injected ordered pair: none, once the pair passes the
-    shape and symmetry gates of ``spd.loewner_geq`` and is ordered ``A >= B``."""
-    if not spd.loewner_geq(a, b):
-        raise RangeError("injected pair is not ordered: A >= B fails in the Loewner order")
-    return _no_paths(1)
 
 
 def _blocks(start: int, stop: int):
@@ -495,7 +482,7 @@ def _blocks(start: int, stop: int):
 
 def _scalarize(v):
     if isinstance(v, np.ndarray):
-        return float(spd._eigvalsh((v + v.T) / 2.0)[0])
+        return float(spd._eigvalsh(spd._sym(v))[0])
     return float(v)
 
 
@@ -748,7 +735,7 @@ def _run_segment_check(f, cfg: FuzzConfig, nargs: int, geodesic: bool, equality:
     if not math.isfinite(equality_tol):
         raise RangeError(f"equality_tol must be finite, got {equality_tol}")
     tol = equality_tol if equality else cfg.tol
-    batches = _segment_batches(cfg, nargs, geodesic)
+    batches = _batches(cfg, nargs, geodesic)
     return _trial_loop(f, cfg.trials, batches, tol, _segment_judge(equality), evaluate_block)
 
 
@@ -781,7 +768,7 @@ def check_monotone_loewner(g, direction: str, cfg: FuzzConfig) -> FuzzReport:
     if direction not in ("increasing", "decreasing"):
         raise RangeError(f"direction must be 'increasing' or 'decreasing', got {direction!r}")
     judge = _monotone_judge(direction == "increasing")
-    return _trial_loop(g, cfg.trials, _ordered_batches(cfg), cfg.tol, judge)
+    return _trial_loop(g, cfg.trials, _batches(cfg, 1, None), cfg.tol, judge)
 
 
 def reevaluate_witness(f, w: Witness, geodesic: bool = True, equality: bool = False) -> float:
@@ -792,7 +779,7 @@ def reevaluate_witness(f, w: Witness, geodesic: bool = True, equality: bool = Fa
     """
     a = tuple(np.asarray(x, dtype=float)[None] for x in w.point_a)
     b = tuple(np.asarray(y, dtype=float)[None] for y in w.point_b)
-    points, _ = _segment_points(geodesic, a, b, np.array([[w.t]]), checked=True)
+    points, _ = _paths(geodesic, a, b, np.array([[w.t]]), checked=True)
     fa = _stack([f(*w.point_a)])
     fb = _stack([f(*w.point_b)])
     fmid = _stack([f(*(p[0, 0] for p in points))])

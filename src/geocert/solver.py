@@ -184,12 +184,19 @@ def finite_difference_gradient(fn, x: np.ndarray) -> np.ndarray:
 
 
 def riemannian_grad(obj: Objective, x) -> np.ndarray:
-    """Riemannian gradient ``X sym(G) X`` under the affine-invariant metric."""
+    """Riemannian gradient ``X sym(G) X`` under the affine-invariant metric.
+
+    Raises ``DomainError`` when ``G`` or ``X sym(G) X`` has a non-finite entry.
+    """
     xa = spd._as_array(x)
     g = spd._sym(np.asarray(obj.gradient(xa), dtype=float))
     if not np.all(np.isfinite(g)):
         raise DomainError("Euclidean gradient has non-finite entries")
-    return spd._sym(xa @ g @ xa)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xi = spd._sym(xa @ g @ xa)
+    if not np.all(np.isfinite(xi)):
+        raise DomainError("Riemannian gradient has non-finite entries")
+    return xi
 
 
 def riemannian_grad_norm(x, xi) -> float:
@@ -210,6 +217,14 @@ def _slope(v: np.ndarray, mu: np.ndarray, alpha: float, xi: np.ndarray) -> float
     """
     diag = np.sum((v @ xi) * v, axis=1)
     return float(-np.sum(mu * np.exp(alpha * mu) * diag))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _step(frame: np.ndarray, mu: np.ndarray, alpha: float) -> np.ndarray:
+    """The line search's candidate ``F diag(exp(-alpha mu)) F^T``, computed quietly:
+    a step whose ``exp`` overflows is not finite, and ``SPDMatrix._of_symmetric``
+    then rejects it, so the step is halved without a warning."""
+    return spd._sym((frame * np.exp(-alpha * mu)) @ frame.T)
 
 
 class _Start(NamedTuple):
@@ -292,7 +307,7 @@ def gradient_descent(obj: Objective, x0, max_iter: int = 500, grad_tol: float = 
         noise = 64.0 * np.finfo(float).eps * max(1.0, abs(f0))
         band = _ROUNDOFF_BAND * noise
         for _halving in range(MAX_HALVINGS + 1):
-            candidate = spd._sym((frame * np.exp(-alpha * mu)) @ frame.T)
+            candidate = _step(frame, mu, alpha)
             # A candidate past the PD tolerance counts as an infinite value;
             # an accepted one carries the decomposition of the next step, and
             # its forward pass is the next gradient's tape.  The candidate is

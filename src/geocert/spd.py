@@ -13,11 +13,11 @@ They take float64 arrays only.  Every matrix argument passes one gate,
 (DBL_MAX / 2, beyond which symmetrizing can overflow) and symmetric within
 ``ASYM_RTOL``; it never warns.  Its common case, a matrix symmetric bit for
 bit, is one byte comparison and one reduction, and such a matrix is its own
-symmetrization, so ``sym_eig`` and ``SPDMatrix`` decompose it as it is;
-any other matrix that passes is symmetrized as ``(M + M.T) / 2`` first, to
-absorb roundoff.  SPD validation is relative to the largest eigenvalue
-with an absolute floor, a NaN eigenvalue fails it, and a matrix that fails
-validation is rejected, never repaired.
+symmetrization.  ``_symmetrized`` alone reads the gate's answer: it keeps
+such a matrix as it is and symmetrizes any other that passes as
+``(M + M.T) / 2``, to absorb roundoff.  SPD validation is relative to the
+largest eigenvalue with an absolute floor, a NaN eigenvalue fails it, and a
+matrix that fails validation is rejected, never repaired.
 
 ``_pd_tol`` is the one definiteness tolerance: ``SPDMatrix``, the PD and
 PSD claims on constants and the PSD gates of atom parameters all use it.
@@ -140,6 +140,11 @@ def _check_symmetric_square(a: np.ndarray, what: str = "matrix") -> bool:
     return False
 
 
+def _symmetrized(a: np.ndarray) -> np.ndarray:
+    """``a`` after the gate, as it is when symmetric bit for bit, else ``_sym(a)``."""
+    return a if _check_symmetric_square(a) else _sym(a)
+
+
 @dataclass(frozen=True)
 class EigenPair:
     """Orthogonal eigenvectors ``q`` and eigenvalues ``lam`` sorted descending."""
@@ -157,8 +162,7 @@ def sym_eig(m) -> EigenPair:
     Raises ``ShapeError`` for non-square or non-symmetric input and
     ``DomainError`` for non-finite entries.
     """
-    a = _as_array(m)
-    return _eig_symmetric(a if _check_symmetric_square(a) else _sym(a))
+    return _eig_symmetric(_symmetrized(_as_array(m)))
 
 
 def _nonconvergence(err, flag):
@@ -237,8 +241,7 @@ class SPDMatrix:
     __slots__ = ("_m", "_eig")
 
     def __init__(self, values):
-        a = np.array(_as_array(values), dtype=float, copy=True)
-        self._validate(a if _check_symmetric_square(a) else _sym(a))
+        self._validate(_symmetrized(np.array(_as_array(values), dtype=float, copy=True)))
 
     @classmethod
     def _of_symmetric(cls, a: np.ndarray) -> SPDMatrix:
@@ -434,8 +437,8 @@ def loewner_geq(a, b, tol: float = 1e-9) -> bool:
     symmetric, else ``ShapeError``.
     """
     a_arr, b_arr = _geodesic_inputs(a, b)
-    d = _sym(a_arr) - _sym(b_arr)
-    w = _eigvalsh(_sym(d))
+    # The difference of two matrices symmetric bit for bit is one too.
+    w = _eigvalsh(_sym(a_arr) - _sym(b_arr))
     spread = float(np.max(np.abs(w))) if w.size else 0.0
     return float(w[0]) >= -tol * spread
 

@@ -551,6 +551,19 @@ objective: "exp(141.9 * sum(X))"
         assert not out
         assert err == "error: solver failed numerically: Euclidean gradient has non-finite entries\n"
 
+    def test_an_overflowing_riemannian_gradient_exit_4(self, capsys, tmp_path):
+        # The halved first step reaches exp(400) I, where X G X overflows.
+        path = write(tmp_path, "neg.yaml", """
+variables:
+  - {name: X, manifold: SPD, dim: 2}
+objective: "-800 * tr(X)"
+""")
+        code, out, err = run_main(capsys, ["solve", path, "--force"])
+        assert code == 4
+        assert not out
+        assert err == ("error: solver failed numerically: Riemannian gradient has non-finite "
+                       "entries\n")
+
     @pytest.mark.parametrize("x0, message", [
         ("1.0,0.0\n0.0,-1.0\n", "not positive definite"),
         ("1.0,0.5\n0.0,1.0\n", "not symmetric"),

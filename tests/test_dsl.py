@@ -103,6 +103,17 @@ class TestRejections:
         with pytest.raises(ParseError):
             parse_dsl("h + tr(X)", env)
 
+    @pytest.mark.parametrize("text, column, message", [
+        ("inv(X) + logdet(X)", 1, "matrix-valued subexpressions"),
+        ("logdet(X) + inv(X) + tr(X)", 13, "matrix-valued subexpressions"),
+        ("max(inv(X), tr(X))", 5, "matrix-valued subexpressions"),
+        ("tr(X) - h", 9, "vector constant 'h'"),
+    ])
+    def test_a_non_scalar_term_is_reported_at_its_first_token(self, env, text, column, message):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_dsl(text, env)
+        assert (err.value.line, err.value.column) == (1, column)
+
     def test_arity_error_reported_with_atom(self, env):
         with pytest.raises(ParseError, match="logdet"):
             parse_dsl("logdet(X, X)", env)

@@ -146,6 +146,29 @@ class TestApplyAtom:
         with pytest.raises(ExpressionError):
             gc.apply_atom("schatten_norm", [x, 0.5])
 
+    @pytest.mark.parametrize("atom, items, message", [
+        ("quad_form", lambda x: [np.ones(2), x], "quad_form vector has length 2, expected 3"),
+        ("quad_form", lambda x: [np.zeros(3), x], "quad_form requires a nonzero vector"),
+        ("log_quad_form", lambda x: [np.ones((2, 2)), x],
+         "log_quad_form vector has length 2, expected 3"),
+        ("log_quad_form", lambda x: [np.column_stack([np.ones(3), np.zeros(3)]), x],
+         "log_quad_form requires nonzero vectors"),
+        ("eigsummax", lambda x: [x, 0], "k=0 outside 1..3"),
+        ("eigsummax", lambda x: [x, 4], "k=4 outside 1..3"),
+        ("sum_log_eigmax", lambda x: [x, 0], "k=0 outside 1..3"),
+        ("sum_log_eigmax", lambda x: [x, 4], "k=4 outside 1..3"),
+        ("sum_pow_log_eigmax", lambda x: [x, 4, 2.0], "k=4 outside 1..3"),
+        ("sum_pow_log_eigmax", lambda x: [x, 2, 0.5],
+         "sum_pow_log_eigmax requires p >= 1, got 0.5"),
+        ("schatten_norm", lambda x: [x, 0.5], "schatten_norm requires p >= 1, got 0.5"),
+        ("pow", lambda x: [gc.apply_atom("tr", [x]), 0.5], "pow requires p >= 1, got 0.5"),
+    ])
+    def test_catalog_parameter_messages(self, atom, items, message):
+        x = gc.Variable("X", gc.SPD(3))
+        with pytest.raises(ExpressionError) as err:
+            gc.apply_atom(atom, items(x))
+        assert str(err.value) == message
+
     def test_hadamard_mask_validation(self, scope):
         x = gc.make_variable("X", gc.SPD(2), scope=scope)
         w = np.array([[1.0, 0.9], [0.9, 1.0]])

@@ -546,7 +546,7 @@ class TestStackedTrials:
         def block(stacks, alive):
             return _evaluate_stacked(e, {"X": stacks[0]}, alive)
 
-        for batch in oracle._segment_batches(cfg, 1, geodesic):
+        for batch in oracle._batches(cfg, 1, geodesic):
             yield (oracle._read_trials(*oracle._stacked_trials(block, batch)),
                    oracle._read_trials(*oracle._pointwise_trials(f, batch)))
 
@@ -819,6 +819,30 @@ class TestBlockPaths:
         assert warm == cold
         assert warm[3].verdict == "ViolationFound"  # a witness read off shared paths
 
+    def test_monotonicity_checks_at_one_seed_draw_each_ordered_block_once(self, monkeypatch):
+        cfg = gc.FuzzConfig(trials=100, dim=3, seed=21)  # blocks of 64 and 36 trials
+        checks = (
+            lambda: gc.check_monotone_loewner(spd.eval_logdet, "increasing", cfg),
+            lambda: gc.check_monotone_loewner(spd.eval_inv, "increasing", cfg),
+        )
+        cold = []
+        for check in checks:
+            oracle._cached_ordered_pair.cache_clear()
+            cold.append(check())
+        oracle._cached_ordered_pair.cache_clear()
+        draws = []
+        block_draws = oracle._block_draws
+
+        def counted(seed, start, stop, stream, *args):
+            draws.append((start, stop, stream))
+            return block_draws(seed, start, stop, stream, *args)
+
+        monkeypatch.setattr(oracle, "_block_draws", counted)
+        warm = [check() for check in checks]
+        assert draws == [(0, 64, 3), (64, 100, 3)]
+        assert warm == cold
+        assert warm[1].verdict == "ViolationFound"  # a witness read off a shared block
+
     def test_paths_are_the_same_read_only_arrays_as_a_fresh_build(self):
         block = oracle._cached_points(3, 0, 64, 3, 10.0, 2, 5)
         for geodesic in (True, False):
@@ -826,7 +850,7 @@ class TestBlockPaths:
             again, ok_again = block.paths(geodesic)
             assert ok_again is ok and all(p is q for p, q in zip(again, points))
             assert not ok.flags.writeable and not any(p.flags.writeable for p in points)
-            fresh, fresh_ok = oracle._segment_points(geodesic, *block)
+            fresh, fresh_ok = oracle._paths(geodesic, *block)
             assert ok.tobytes() == fresh_ok.tobytes()
             assert [p.tobytes() for p in points] == [p.tobytes() for p in fresh]
 

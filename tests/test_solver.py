@@ -83,14 +83,25 @@ class TestGradientDescent:
         assert np.all(diffs <= 0.0)
 
     def test_an_overflowing_step_is_halved(self):
-        # -800 tr(X) from I: the first step's exp(800) overflows, so its
-        # candidate is not finite and must count as an infinite value (a
-        # DomainError); the halved step's exp(400) is accepted.
-        obj = gc.Objective(lambda x: -800.0 * float(np.trace(x)), lambda x: -800.0 * np.eye(2))
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = gc.gradient_descent(obj, np.eye(2), max_iter=1)
+        # -1600 log tr(X) from I: its Riemannian gradient there is -800 I, so
+        # the first step's exp(800) overflows, and its candidate is not finite
+        # and must count as an infinite value (a DomainError), without a
+        # warning; the halved step's exp(400) is accepted, and the gradient
+        # there, -800 exp(400) I, is finite.
+        obj = gc.Objective(lambda x: -1600.0 * math.log(float(np.trace(x))),
+                           lambda x: -1600.0 / float(np.trace(x)) * np.eye(2))
+        res = gc.gradient_descent(obj, np.eye(2), max_iter=1)
         assert res.iterations == 1
         assert np.array_equal(res.minimizer.entries, math.exp(400.0) * np.eye(2))
+        assert math.isfinite(res.grad_norm)
+
+    @pytest.mark.parametrize("max_iter", [1, 2])
+    def test_an_overflowing_riemannian_gradient_raises(self, max_iter):
+        # -800 tr(X) from I reaches exp(400) I as above, where X G X overflows:
+        # a DomainError, before any warning or NaN line search.
+        obj = gc.Objective(lambda x: -800.0 * float(np.trace(x)), lambda x: -800.0 * np.eye(2))
+        with pytest.raises(gc.DomainError, match="^Riemannian gradient has non-finite entries$"):
+            gc.gradient_descent(obj, np.eye(2), max_iter=max_iter)
 
     def test_stagnation_carries_partial_result(self):
         # an objective whose gradient claim never matches its values

@@ -144,6 +144,39 @@ class TestEigenEntryPoints:
         assert calls == []
 
 
+class TestOneSource:
+    """Source scans of the package: each rule has one home, so a second copy fails here."""
+
+    @staticmethod
+    def _references(name: str) -> set:
+        """``(module, enclosing function)`` of every reference to ``name`` in the package."""
+        sites = set()
+
+        def scan(node, module, function):
+            for child in ast.iter_child_nodes(node):
+                inner = child.name if isinstance(child, (ast.FunctionDef,
+                                                         ast.AsyncFunctionDef)) else function
+                if ((isinstance(child, ast.Name) and child.id == name)
+                        or (isinstance(child, ast.Attribute) and child.attr == name)):
+                    sites.add((module, function))
+                scan(child, module, inner)
+
+        for path in sorted(Path(spd.__file__).resolve().parent.glob("*.py")):
+            scan(ast.parse(path.read_text()), path.stem, None)
+        return sites
+
+    def test_one_routine_draws_the_falsifier_points(self):
+        # A second draw loop, taking a trial's stream or an SPD matrix's
+        # draws anywhere else, fails here.
+        assert self._references("_trial_rngs") == {("oracle", "_block_draws"),
+                                                   ("oracle", "_block_ts")}
+        assert self._references("_spd_draws") == {("oracle", "_block_draws"),
+                                                  ("spd", "random_spd")}
+
+    def test_only_spd_reads_the_symmetry_gate(self):
+        assert {module for module, _ in self._references("_check_symmetric_square")} == {"spd"}
+
+
 class TestMemo:
     def test_an_entry_is_never_served_to_another_array(self):
         # Each copy is a temporary, dropped after its call, whose id the next
@@ -525,6 +558,16 @@ class TestLoewner:
     def test_non_finite_argument_raises(self):
         with pytest.raises(DomainError):
             gc.loewner_geq([[math.nan, 0], [0, 1]], np.eye(2))
+
+    def test_an_ordered_pair_at_the_gates_edge(self):
+        # Every entry passes the gate (|a_ij| <= DBL_MAX / 2) and A - B =
+        # diag(DBL_MAX, 0) is finite and PSD; symmetrizing the difference
+        # again would overflow.
+        big = float(np.finfo(np.float64).max) / 2.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gc.loewner_geq(np.diag([big, 1.0]), np.diag([-big, 1.0]))
+            assert not gc.loewner_geq(np.diag([-big, 1.0]), np.diag([big, 1.0]))
 
     def test_am_gm(self):
         for i in range(30):
