@@ -53,7 +53,6 @@ from .expr import (
     Mul,
     ParamRef,
     SPD,
-    ScalarMul,
     Sign,
     Variable,
     VariableScope,

@@ -25,7 +25,7 @@ bound (the tables of ``atoms``), never by the atom's id.
 
 Products with a non-constant factor are never certified: the midpoint test
 fails already for trace times negated log-determinant on a pair of scaled
-identity matrices.  Scaling by a constant is ``ScalarMul``, which
+identity matrices.  Scaling by a constant is a one-term ``Add``, which
 ``Expression.__mul__`` builds for a number or a ``ConstScalar``.
 
 The public ``combine_add``, ``combine_max``, ``combine_product``,
@@ -61,7 +61,6 @@ from .expr import (
     Manifold,
     MaxOf,
     Mul,
-    ScalarMul,
     Sign,
     Variable,
 )
@@ -257,10 +256,6 @@ def _sign_node(e: Expression, child_signs: list[Sign], safe: bool) -> Sign:
             if w != 0.0
         ]
         return _mix_signs(effective)
-    if isinstance(e, ScalarMul):
-        if e.weight == 0.0:
-            return Sign.POSITIVE
-        return _flip_sign(child_signs[0]) if e.weight < 0.0 else child_signs[0]
     if isinstance(e, Mul):
         if any(s is Sign.ANY for s in child_signs):
             return Sign.ANY
@@ -310,9 +305,8 @@ def _curv_node(node: Expression, kid_curvs: list[GCurvature], kid_safe_signs: li
         return G.LINEAR, "constant", ""
     if isinstance(node, Variable):
         return G.LINEAR, "variable", ""
-    if isinstance(node, (Add, ScalarMul)):
-        weights = node.weights if isinstance(node, Add) else (node.weight,)
-        pairs = [(c, w) for c, w in zip(kid_curvs, weights) if w != 0.0]
+    if isinstance(node, Add):
+        pairs = [(c, w) for c, w in zip(kid_curvs, node.weights) if w != 0.0]
         inputs = ", ".join(f"{_show(c, geodesic)}*{w:+g}" for c, w in pairs)
         return combine_add(pairs), "signed-sum", inputs
     if isinstance(node, Mul):

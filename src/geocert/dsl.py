@@ -28,7 +28,6 @@ from .expr import (
     MaxOf,
     Mul,
     ParamRef,
-    ScalarMul,
     Variable,
     apply_atom,
     lookup_atom,
@@ -151,7 +150,7 @@ class _Parser:
                 "only scalar subexpressions can be scaled; matrix factors are not "
                 "DGCP-representable", start,
             )
-        return ScalarMul(weight, inner)
+        return Add((inner,), (weight,))
 
     # factor := NUMBER | IDENT | IDENT "(" args ")" | "(" expr ")" | "-" factor
     def factor(self):
@@ -163,7 +162,7 @@ class _Parser:
                 return ConstScalar(-inner.value)
             if isinstance(inner, ParamRef) or inner.kind != "scalar":
                 self.fail("negation applies to scalar subexpressions", tok)
-            return ScalarMul(-1.0, inner)
+            return Add((inner,), (-1.0,))
         if tok.kind == "op" and tok.text == "(":
             self.advance()
             inner = self.expr()
@@ -262,16 +261,12 @@ def _unparse(e: Expression, top: bool = False) -> str:
         if e.name:
             return e.name
         raise GeocertError("cannot render an unnamed matrix constant")
-    if isinstance(e, ScalarMul):
-        child = _wrap(e.child)
-        if e.weight == -1.0:
-            return f"-{child}"
-        return f"{_fmt_number(e.weight)} * {child}"
     if isinstance(e, Add):
         parts = []
         for i, (w, t) in enumerate(zip(e.weights, e.terms)):
             body = _wrap(t)
-            if w == 1.0:
+            # A lone term keeps its "1 *": without it the text parses to the term itself.
+            if w == 1.0 and len(e.terms) > 1:
                 parts.append(body if i == 0 else f"+ {body}")
             elif w == -1.0:
                 parts.append(f"-{body}" if i == 0 else f"- {body}")
@@ -306,6 +301,6 @@ def _unparse(e: Expression, top: bool = False) -> str:
 
 def _wrap(e: Expression) -> str:
     text = _unparse(e)
-    if isinstance(e, (Add, ScalarMul)):
+    if isinstance(e, Add):
         return f"({text})"
     return text

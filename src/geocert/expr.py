@@ -259,20 +259,21 @@ class Expression:
         return Add((_coerce(other), self), (1.0, -1.0))
 
     def __neg__(self):
-        return ScalarMul(-1.0, self)
+        return Add((self,), (-1.0,))
 
-    # A number or a ConstScalar scales; analysis certifies no product.
+    # A number or a ConstScalar scales, as a one-term Add; analysis
+    # certifies no product.
     def __mul__(self, other):
         other = _coerce(other)
         if isinstance(other, ConstScalar):
-            return ScalarMul(other.value, self)
+            return Add((self,), (other.value,))
         if isinstance(self, ConstScalar):
-            return ScalarMul(self.value, other)
+            return Add((other,), (self.value,))
         return Mul((self, other))
 
     def __rmul__(self, other):
         # Only a number reaches here: an expression on the left takes __mul__.
-        return ScalarMul(_coerce(other).value, self)
+        return Add((self,), (_coerce(other).value,))
 
 
 def _coerce(x) -> Expression:
@@ -377,7 +378,7 @@ class ConstScalar(Expression):
 
 
 class Add(Expression):
-    """Weighted sum of scalar subexpressions."""
+    """Weighted sum of scalar subexpressions; one term scales by a constant."""
 
     __slots__ = ("terms", "weights")
 
@@ -405,30 +406,6 @@ class Add(Expression):
 
     def __repr__(self):
         return f"Add({len(self.terms)} terms)"
-
-
-class ScalarMul(Expression):
-    """A scalar subexpression scaled by a constant weight."""
-
-    __slots__ = ("weight", "child")
-
-    def __init__(self, weight: float, child: Expression):
-        w = float(weight)
-        if not np.isfinite(w):
-            raise DomainError("scale weight must be finite")
-        _require_scalar_children((child,), "scaling")
-        self.weight = w
-        self.child = child
-        self._init_base("scalar", None, child.variables)
-
-    def children(self):
-        return (self.child,)
-
-    def _key(self):
-        return self.weight, self.child
-
-    def __repr__(self):
-        return f"ScalarMul({self.weight}, {self.child!r})"
 
 
 class Mul(Expression):
@@ -660,12 +637,16 @@ def _coerce_param(kind: ArgKind, item):
             raise ExpressionError(f"expected a matrix parameter, got shape {a.shape}")
         return _finite(_readonly(a))
     if kind is ArgKind.PARAM_VECTORS:
-        a = _finite(np.asarray(item, dtype=float))
-        if a.ndim == 1:
-            return (_readonly(a),)
-        if a.ndim == 2:
-            return tuple(_readonly(a[:, j]) for j in range(a.shape[1]))
-        raise ExpressionError("expected a vector, list of vectors, or matrix of columns")
+        # A list or tuple holds vectors, unless it holds numbers and is one;
+        # only a 2-D array holds them as columns, as the DSL passes a constant.
+        if isinstance(item, (list, tuple)) and not all(np.isscalar(h) for h in item):
+            vecs = [np.asarray(h, dtype=float) for h in item]
+        else:
+            a = np.asarray(item, dtype=float)
+            vecs = list(a.T) if a.ndim == 2 else [a]
+        if not vecs or any(h.ndim != 1 for h in vecs):
+            raise ExpressionError("expected a vector, list of vectors, or matrix of columns")
+        return tuple(_finite(_readonly(h)) for h in vecs)
     if kind is ArgKind.PARAM_MATRICES:
         if isinstance(item, np.ndarray) and item.ndim == 2:
             return (_finite(_readonly(item)),)
@@ -820,8 +801,6 @@ class _Walk:
             out = 0.0  # as sum(), which starts from 0: 0 + (-0.0) is 0.0
             for w, v in zip(e.weights, kids):
                 out = out + w * v
-        elif isinstance(e, ScalarMul):
-            out = e.weight * kids[0]
         elif isinstance(e, Mul):
             out = 1.0
             for v in kids:
@@ -968,8 +947,6 @@ def _node_vjp(e: Expression, g, child_vals: list, out, rows: spd.Memo) -> list:
     """
     if isinstance(e, Add):
         return [w * g for w in e.weights]
-    if isinstance(e, ScalarMul):
-        return [e.weight * g]
     if isinstance(e, Mul):
         return [
             g * math.prod(v for j, v in enumerate(child_vals) if j != i)

@@ -31,19 +31,26 @@ from .expr import Expression, Manifold, SPD, Variable
 
 
 def _integral(value) -> int:
-    """``value`` as an ``int``; unlike ``int``, a fractional float is an error."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} has a fractional part")
+    """``value`` as an ``int``; unlike ``int``, a boolean or a fractional float is an error."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
     return int(value)
 
 
+def _real(value) -> float:
+    """``value`` as a ``float``; unlike ``float``, a boolean (YAML ``true``, ``yes``) is an error."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is a boolean")
+    return float(value)
+
+
 # Each key a block may hold, with the cast its value gets.
-_SOLVER_KEYS = {"max_iter": _integral, "grad_tol": float}
+_SOLVER_KEYS = {"max_iter": _integral, "grad_tol": _real}
 # libyaml's parser when PyYAML was built with it: the same documents,
 # several times faster.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_FUZZ_KEYS = {"trials": _integral, "seed": _integral, "tol": float, "dim": _integral,
-              "cond_max": float, "t_samples": _integral,
+_FUZZ_KEYS = {"trials": _integral, "seed": _integral, "tol": _real, "dim": _integral,
+              "cond_max": _real, "t_samples": _integral,
               "inject": None}  # inject: checked where it is read
 
 

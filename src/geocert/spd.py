@@ -111,7 +111,7 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return (a + (a.T if a.ndim == 2 else np.swapaxes(a, -1, -2))) / 2.0
 
 
-def _check_symmetric_square(a: np.ndarray, what: str = "matrix") -> bool:
+def _check_symmetric_square(a: np.ndarray) -> bool:
     """The gate of a float64 matrix argument; True when ``_sym(a)`` is ``a`` bit for bit.
 
     Raises ``ShapeError`` unless ``a`` is square and symmetric within
@@ -122,21 +122,21 @@ def _check_symmetric_square(a: np.ndarray, what: str = "matrix") -> bool:
     other matrix takes the full checks and returns False.  No check warns.
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"{what} must be square, got shape {a.shape}")
+        raise ShapeError(f"matrix must be square, got shape {a.shape}")
     if a.tobytes() == a.T.tobytes() and np.maximum.reduce(np.abs(a), None, initial=0.0) <= _SYM_MAX:
         return True
     if not np.isfinite(a).all():
-        raise DomainError(f"{what} has non-finite entries")
+        raise DomainError("matrix has non-finite entries")
     top = float(np.abs(a).max())
     if top > _SYM_MAX:
-        raise DomainError(f"{what} has an entry past {_SYM_MAX:.6g}, where symmetrizing overflows")
+        raise DomainError(f"matrix has an entry past {_SYM_MAX:.6g}, where symmetrizing overflows")
     with np.errstate(over="ignore"):
         scale = float(np.linalg.norm(a))
         if scale == math.inf:  # squares past the double range: measure at a power-of-two scale
             a = np.ldexp(a, -math.frexp(top)[1])
             scale = float(np.linalg.norm(a))
         if float(np.linalg.norm(a - a.T)) > ASYM_RTOL * max(scale, PD_FLOOR):
-            raise ShapeError(f"{what} is not symmetric within {ASYM_RTOL:g} relative")
+            raise ShapeError(f"matrix is not symmetric within {ASYM_RTOL:g} relative")
     return False
 
 
@@ -499,9 +499,9 @@ class _Point:
 
     ``eigvalsh`` gives the ascending eigenvalues of ``sym(x)``;
     ``pd_eigvals`` the descending ones and ``pd_eig`` the gated ``sym_eig``
-    of ``x``, each after ``require``, which fails unless a descending
-    spectrum is positive; ``inv_sqrt`` and ``whiten`` give the gated
-    ``Y^-1/2`` and the eigenpairs of ``Y^-1/2 X Y^-1/2``; ``finite`` passes
+    of ``x``, each rejected unless the descending spectrum is positive;
+    ``inv_sqrt`` and ``whiten`` give the gated ``Y^-1/2`` and the
+    eigenpairs of ``Y^-1/2 X Y^-1/2``; ``finite`` passes
     the input of an ungated decomposition; ``symmetric`` gates an argument
     as ``sym_eig`` does, but for an ``SPDMatrix``; ``reject`` fails where a
     domain test does; ``map`` finishes a value from its eigenvalues,
@@ -532,12 +532,12 @@ class _Point:
 
     def pd_eigvals(self, x: np.ndarray, message: str) -> np.ndarray:
         lam = self.eigvalsh(x)[..., ::-1]
-        self.require(lam, message)
+        self.reject(lam[..., -1] <= 0.0, message)
         return lam
 
     def pd_eig(self, x, message: str) -> EigenPair:
         pair = self.memo("sym_eig", _eig_of, x)
-        self.require(pair.lam, message)
+        self.reject(pair.lam[..., -1] <= 0.0, message)
         return pair
 
     def inv_sqrt(self, x) -> np.ndarray:
@@ -546,10 +546,6 @@ class _Point:
     def whiten(self, x, y) -> tuple[np.ndarray, EigenPair]:
         y_inv_sq = self.inv_sqrt(y)
         return y_inv_sq, _eig_nogate(self.finite(y_inv_sq @ x @ y_inv_sq))
-
-    def require(self, lam: np.ndarray, message: str) -> None:
-        if float(lam[-1]) <= 0.0:
-            raise DomainError(message)
 
     def reject(self, bad, message: str) -> None:
         """``DomainError(message)`` when ``bad``, the outcome of a domain test."""
@@ -682,9 +678,6 @@ class Rows(Memo):
     # No vector-Jacobian product reads a stacked walk, so it keeps no
     # whitening: each would hold stacks for the whole walk.
     whiten = _Point.whiten
-
-    def require(self, lam: np.ndarray, message: str) -> None:
-        self.kill(lam[..., -1] <= 0.0)
 
     def reject(self, bad, message: str) -> None:
         self.kill(bad)
@@ -878,7 +871,7 @@ def eval_distance(x, y, *, rows=POINT):
 
 def _distance(x, y, rows):
     w = rows.whiten(rows.symmetric(x), y)[1]
-    rows.require(w.lam, "distance requires positive definite arguments")
+    rows.reject(w.lam[..., -1] <= 0.0, "distance requires positive definite arguments")
     return rows.map(_distance_tail, w.lam)
 
 

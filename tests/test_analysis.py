@@ -34,7 +34,7 @@ class TestSignPropagation:
         assert r.sign == S.POSITIVE
 
     def test_negated_logdet(self):
-        r = gc.analyze(gc.ScalarMul(-1.0, gc.apply_atom("logdet", [_var()])), gc.SPD(4))
+        r = gc.analyze(-gc.apply_atom("logdet", [_var()]), gc.SPD(4))
         assert r.sign == S.NEGATIVE
 
     def test_mixed_sum(self):
@@ -237,7 +237,7 @@ class TestGCurvature:
             "; note: products of non-constant factors are not certifiable")
 
     def test_a_product_with_a_constant_factor_is_not_certified(self):
-        # Scaling is ScalarMul's rule; a hand-built product is never certified.
+        # Scaling is a one-term Add's rule; a hand-built product is never certified.
         x = _var()
         tr = gc.apply_atom("tr", [x])
         constant = gc.apply_atom("sdivergence", [_pd(4, 1), _pd(4, 2)])
@@ -252,9 +252,9 @@ class TestGCurvature:
         x = _var()
         tr = gc.apply_atom("tr", [x])
         for e in (tr * gc.ConstScalar(2.0), gc.ConstScalar(2.0) * tr):
-            assert e == gc.ScalarMul(2.0, tr)
+            assert e == gc.Add((tr,), (2.0,))
             assert gc.analyze(e, gc.SPD(4)).gcurvature is G.CONVEX
-        assert gc.ConstScalar(2.0) * gc.ConstScalar(3.0) == gc.ScalarMul(3.0, gc.ConstScalar(2.0))
+        assert gc.ConstScalar(2.0) * gc.ConstScalar(3.0) == gc.Add((gc.ConstScalar(2.0),), (3.0,))
         assert isinstance(tr * gc.apply_atom("logdet", [x]), gc.Mul)
 
     def test_tyler_expression(self):
@@ -393,7 +393,7 @@ class TestECurvature:
 
     def test_negated_logdet_convex(self):
         x = _var()
-        r = gc.analyze(gc.ScalarMul(-1.0, gc.apply_atom("logdet", [x])), gc.SPD(4))
+        r = gc.analyze(-gc.apply_atom("logdet", [x]), gc.SPD(4))
         assert r.ecurvature == E.CONVEX
         assert r.gcurvature == G.LINEAR
 
@@ -440,7 +440,7 @@ class TestAnalyze:
         mirror = {G.CONVEX: G.CONCAVE, G.CONCAVE: G.CONVEX, G.LINEAR: G.LINEAR, G.UNKNOWN: G.UNKNOWN}
         for e in cases:
             direct = gc.analyze(e, gc.SPD(4)).gcurvature
-            negated = gc.analyze(gc.ScalarMul(-1.0, e), gc.SPD(4)).gcurvature
+            negated = gc.analyze(-e, gc.SPD(4)).gcurvature
             assert negated == mirror[direct]
 
 

@@ -188,13 +188,31 @@ objective: "sdivergence(X, A)"
             assert not out
             assert err.startswith("error: ") and "fuzz.inject" in err and message in err, err
 
-    @pytest.mark.parametrize("dim", ["abc", "2.5", "null"])
+    @pytest.mark.parametrize("dim", ["abc", "2.5", "null", "true", "yes"])
     def test_malformed_variable_dim_exit_1(self, capsys, tmp_path, dim):
         text = f"variables:\n  - {{name: X, manifold: SPD, dim: {dim}}}\nobjective: 'logdet(X)'\n"
         code, out, err = run_main(capsys, ["analyze", write(tmp_path, "bad.yaml", text)])
         assert code == 1
         assert not out
         assert err.startswith("error: ") and "variable 'X': dim must be an integer" in err, err
+
+    # YAML reads true and yes as booleans, which Python's int and float take as 1.
+    @pytest.mark.parametrize("block, message", [
+        ("fuzz: {trials: true}", "fuzz.trials must be an integer, got True"),
+        ("fuzz: {tol: yes}", "fuzz.tol must be a number, got True"),
+        ("solver: {max_iter: yes, grad_tol: 1.0e-6}", "solver.max_iter must be an integer, got True"),
+        ("solver: {max_iter: 5, grad_tol: true}", "solver.grad_tol must be a number, got True"),
+    ])
+    def test_a_boolean_number_field_exit_1(self, capsys, tmp_path, block, message):
+        text = f"variables:\n  - {{name: X, manifold: SPD, dim: 2}}\nobjective: 'logdet(X)'\n{block}\n"
+        path = write(tmp_path, "bad.yaml", text)
+        with pytest.raises(ProblemFileError, match=message):
+            load_problem(path)
+        for argv in (["fuzz", path, "--trials", "20"], ["solve", path]):
+            code, out, err = run_main(capsys, argv)
+            assert code == 1
+            assert not out
+            assert err.startswith("error: ") and message in err, err
 
 
 class TestAnalyzeCommand:

@@ -46,11 +46,11 @@ def _hand_built():
     yield "max", gc.MaxOf((tr, logdet, atom("eigmax", [atom("inv", [x])])))
     yield "max-with-skips", gc.MaxOf((tr, atom("log", [tr - 2.0])))
     yield "product", gc.Mul((tr, atom("distance", [anchor, x])))
-    yield "exp-overflow", atom("exp", [gc.ScalarMul(280.0, atom("eigmax", [x]))])
+    yield "exp-overflow", atom("exp", [280.0 * atom("eigmax", [x])])
     yield "log-skips", atom("log", [tr - 2.5])
     yield "neg-log-skips", atom("neg_log", [logdet + 1.0])
     yield "inconclusive", atom("log", [tr - 40.0])
-    yield "concave", gc.ScalarMul(-1.0, atom("sdivergence", [x, anchor]))
+    yield "concave", -atom("sdivergence", [x, anchor])
     yield "unknown-norm1", atom("elementwise_norm1", [x])
     yield "two-variables", atom("distance", [x, y]) + atom("sdivergence", [y, anchor])
 

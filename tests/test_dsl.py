@@ -32,12 +32,12 @@ class TestGrammar:
     def test_scalar_scaling_shape(self, env):
         e = parse_dsl("2 * tr(X) + 3", env)
         assert isinstance(e, gc.Add)
-        assert isinstance(e.terms[0], gc.ScalarMul) and e.terms[0].weight == 2.0
+        assert e.terms[0] == gc.Add((parse_dsl("tr(X)", env),), (2.0,))
         assert isinstance(e.terms[1], gc.ConstScalar) and e.terms[1].value == 3.0
 
     def test_unary_minus(self, env):
         e = parse_dsl("-logdet(X)", env)
-        assert isinstance(e, gc.ScalarMul) and e.weight == -1.0
+        assert e == gc.Add((parse_dsl("logdet(X)", env),), (-1.0,))
         assert parse_dsl("-3", env) == gc.ConstScalar(-3.0)
 
     def test_unicode_minus(self, env):
@@ -45,7 +45,7 @@ class TestGrammar:
 
     def test_parenthesized(self, env):
         e = parse_dsl("2 * (tr(X) + eigmax(X))", env)
-        assert isinstance(e, gc.ScalarMul)
+        assert e == gc.Add((parse_dsl("tr(X) + eigmax(X)", env),), (2.0,))
 
     def test_max_call(self, env):
         e = parse_dsl("max(tr(X), eigmax(X), 1)", env)
@@ -56,7 +56,7 @@ class TestGrammar:
         assert gc.analyze(e, gc.SPD(5)).gcurvature == gc.GCurvature.CONVEX
 
     def test_constant_folding(self, env):
-        assert parse_dsl("2 * 3 * tr(X)", env) == gc.ScalarMul(6.0, parse_dsl("tr(X)", env))
+        assert parse_dsl("2 * 3 * tr(X)", env) == gc.Add((parse_dsl("tr(X)", env),), (6.0,))
 
 
 class TestRejections:
@@ -131,6 +131,7 @@ class TestRoundTrip:
         "exp(tr(X)) - abs(logdet(X))",
         "sum_log_eigmax(X, 3) + sum_pow_log_eigmax(X, 5, 2)",
         "tr(hadamard_product(X, P))",
+        "1 * tr(X)",
     ]
 
     @pytest.mark.parametrize("text", CASES)

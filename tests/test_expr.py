@@ -169,6 +169,21 @@ class TestApplyAtom:
             gc.apply_atom(atom, items(x))
         assert str(err.value) == message
 
+    def test_a_list_holds_vectors_and_an_array_holds_columns(self):
+        x = gc.Variable("X", gc.SPD(2))
+        h1, h2, h3 = np.array([1.0, 0.0]), np.array([1.0, 1.0]), np.array([0.0, 1.0])
+        point = {"X": np.diag([2.0, 3.0])}
+        for hs in ([h1, h2], (h1, h2), [list(h1), list(h2)], np.column_stack([h1, h2])):
+            e = gc.apply_atom("log_quad_form", [hs, x])
+            assert gc.evaluate(e, point) == pytest.approx(math.log(7.0), abs=1e-15)
+        three = gc.apply_atom("log_quad_form", [[h1, h2, h3], x])
+        assert [list(h) for h in three.params[0]] == [list(h1), list(h2), list(h3)]
+        assert gc.apply_atom("log_quad_form", [[1.0, 2.0], x]).params[0][0].tolist() == [1.0, 2.0]
+
+    def test_a_ragged_list_of_vectors_is_an_expression_error(self):
+        with pytest.raises(ExpressionError, match="vector has length 3, expected 2"):
+            gc.apply_atom("log_quad_form", [[[1.0, 0.0], [1.0, 1.0, 1.0]], gc.Variable("X", gc.SPD(2))])
+
     def test_hadamard_mask_validation(self, scope):
         x = gc.make_variable("X", gc.SPD(2), scope=scope)
         w = np.array([[1.0, 0.9], [0.9, 1.0]])
@@ -250,8 +265,6 @@ class TestStructure:
             (lambda value=1.0: gc.ConstScalar(value), {"value": 2.0}),
             (lambda terms=(t, u), weights=(1.0, 2.0): gc.Add(terms, weights),
              {"terms": (u, t), "weights": (1.0, 3.0)}),
-            (lambda weight=2.0, child=t: gc.ScalarMul(weight, child),
-             {"weight": 3.0, "child": u}),
             (lambda factors=(t, u): gc.Mul(factors), {"factors": (u, t)}),
             (lambda options=(t, u): gc.MaxOf(options), {"options": (u, t)}),
             (lambda atom="quad_form", h=(1.0, 2.0), label=None, arg=x:
@@ -260,14 +273,14 @@ class TestStructure:
               "arg": gc.Variable("Z", gc.SPD(2))}),
         ]
         assert {type(build()) for build, _ in table} == {
-            gc.Variable, gc.ConstMatrix, gc.ConstScalar, gc.Add, gc.ScalarMul,
-            gc.Mul, gc.MaxOf, gc.AtomApply,
+            gc.Variable, gc.ConstMatrix, gc.ConstScalar, gc.Add, gc.Mul, gc.MaxOf,
+            gc.AtomApply,
         }
         for build, changes in table:
             assert build() == build() and hash(build()) == hash(build())
             for field, value in changes.items():
                 assert build(**{field: value}) != build(), (type(build()).__name__, field)
-        assert gc.Add((t,), (2.0,)) != gc.ScalarMul(2.0, t)
+        assert 2.0 * t == gc.Add((t,), (2.0,))
 
     def test_inequality_on_params(self, scope):
         x = gc.Variable("X", gc.SPD(4))
@@ -278,7 +291,7 @@ class TestStructure:
         with pytest.raises(ExpressionError):
             gc.Add((x,))
         with pytest.raises(ExpressionError):
-            gc.ScalarMul(2.0, x)
+            2.0 * x
         with pytest.raises(ExpressionError):
             gc.MaxOf((x,))
 
@@ -295,7 +308,9 @@ class TestStructure:
         t = gc.apply_atom("tr", [x])
         e = 2 * t + 3 - t
         assert e.kind == "scalar"
-        assert isinstance(-t, gc.ScalarMul)
+        # Scaling by a constant is a one-term Add.
+        for scaled, weight in ((-t, -1.0), (2 * t, 2.0), (t * gc.ConstScalar(2.0), 2.0)):
+            assert scaled == gc.Add((t,), (weight,))
         assert isinstance(t * t, gc.Mul)
 
 
@@ -519,7 +534,7 @@ def _atom_trees(x, y, d, rng):
     yield "sum_pow_log_eigmax", (atom("sum_pow_log_eigmax", [x, k, 2.5])
                                  + atom("sum_pow_log_eigmax", [x, d, 2.0]))
     yield "elementwise_norm1", atom("elementwise_norm1", [x])
-    yield "exp", atom("exp", [gc.ScalarMul(250.0, atom("eigmax", [x]))])
+    yield "exp", atom("exp", [250.0 * atom("eigmax", [x])])
     yield "log", atom("log", [tr - float(d)])
     yield "neg_log", atom("neg_log", [logdet + 0.5])
     yield "pow", atom("pow", [logdet, 1.5]) + atom("pow", [tr - float(d), 2.0])

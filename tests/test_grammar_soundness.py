@@ -70,8 +70,7 @@ def _expr(rng, x, d, depth):
         weights = rng.choice([-1.0, 0.5, 1.0, 2.0], size=len(subs))
         return gc.Add(tuple(subs), tuple(float(w) for w in weights))
     if choice == 1:
-        return gc.ScalarMul(float(rng.choice([-2.0, -1.0, 0.5, 3.0])),
-                            _expr(rng, x, d, depth - 1))
+        return float(rng.choice([-2.0, -1.0, 0.5, 3.0])) * _expr(rng, x, d, depth - 1)
     if choice == 2:
         subs = [_expr(rng, x, d, depth - 1) for _ in range(int(rng.integers(1, 4)))]
         return gc.MaxOf(tuple(subs))

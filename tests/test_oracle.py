@@ -725,7 +725,7 @@ class TestStackedRouting:
     def test_a_floating_point_event_runs_the_block_point_by_point(self, monkeypatch):
         pointwise, _, _ = self._count(monkeypatch)
         tr = gc.apply_atom("tr", [gc.Variable("X", gc.SPD(2))])
-        e = gc.ScalarMul(1e308, tr) + gc.ScalarMul(1e308, tr)  # the sum overflows
+        e = 1e308 * tr + 1e308 * tr  # the sum overflows
         cfg = gc.FuzzConfig(trials=70, dim=2, seed=0)
         out = gc.cross_validate(e, cfg)
         assert pointwise == [64, 6]
