@@ -182,7 +182,7 @@ def cmd_solve(args) -> int:
     if len(names) != 1:
         raise ProblemFileError("solve requires exactly one variable in the objective")
     name = names[0]
-    objective = _ExpressionObjective(prob.expression, name, name, evaluate)
+    objective = _ExpressionObjective(prob.expression, name, evaluate)
     x0 = _initial_point(args, prob)
     chosen = _chosen(prob.solver, ("max_iter", "grad_tol"),
                      max_iter=args.max_iter, grad_tol=args.grad_tol)

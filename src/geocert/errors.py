@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the range check of library parameters."""
 
 
 class GeocertError(Exception):
@@ -15,6 +15,20 @@ class DomainError(GeocertError):
 
 class RangeError(GeocertError):
     """A parameter lies outside its admissible range."""
+
+
+def check_range(name: str, value, rule: str, test) -> None:
+    """``RangeError("<name> must be <rule>, got <value!r>")`` unless ``test(value)`` is true.
+
+    A boolean fails every rule, as it does in a problem file, and so does a
+    value on which ``test`` raises ``TypeError``.
+    """
+    try:
+        valid = not isinstance(value, bool) and test(value)
+    except TypeError:
+        valid = False
+    if not valid:
+        raise RangeError(f"{name} must be {rule}, got {value!r}")
 
 
 class DeclarationConflictError(GeocertError):

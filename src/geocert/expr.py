@@ -26,7 +26,8 @@ participate in curvature propagation.
 
 Arity, argument kinds, and dimensions are checked when a node is built,
 never during analysis; a parameter holding a NaN or an infinity raises
-``DomainError``.  An atom node also binds its registration then, as
+``DomainError``, and a constant or parameter that numpy cannot read as a
+regular array of numbers ``ExpressionError`` (``_numeric``).  An atom node also binds its registration then, as
 ``sig``, ``evaluator`` and ``vjp``, which its evaluations and gradients
 call, so re-registering an atom changes only the nodes built after it; it
 keeps the dimensions of its matrix arguments as ``arg_dims`` and the
@@ -185,6 +186,29 @@ def _merge_variables(parts) -> dict[str, Manifold]:
     return out
 
 
+def _numeric(x, what: str) -> np.ndarray:
+    """``x`` as a float array: the one conversion of every constant and atom parameter.
+
+    ``ExpressionError`` naming ``what`` unless numpy reads ``x`` as a
+    regular array of numbers; a ragged nesting, a string or None is not one.
+    """
+    try:
+        a = np.asarray(x)
+    except ValueError:  # a ragged nesting
+        a = None
+    if a is None or a.dtype.kind not in "biuf":
+        raise ExpressionError(f"{what} must be numeric, got {type(x).__name__}")
+    return np.asarray(a, dtype=float)
+
+
+def _number(x, what: str) -> float:
+    """``_numeric(x, what)`` for a value that must be one number."""
+    a = _numeric(x, what)
+    if a.ndim != 0:
+        raise ExpressionError(f"{what} must be a number, got shape {a.shape}")
+    return float(a)
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float, copy=True)
     a.setflags(write=False)
@@ -324,7 +348,7 @@ class ConstMatrix(Expression):
     def __init__(self, values, definiteness=Definiteness.NONE, name=None):
         if isinstance(definiteness, str):
             definiteness = Definiteness(definiteness)
-        a = _readonly(np.asarray(values, dtype=float))
+        a = _readonly(_numeric(values, "constant matrix"))
         if a.ndim != 2:
             raise ExpressionError(f"constant matrix must be 2-D, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
@@ -364,7 +388,7 @@ class ConstScalar(Expression):
     __slots__ = ("value",)
 
     def __init__(self, value: float):
-        v = float(value)
+        v = _number(value, "constant scalar")
         if not np.isfinite(v):
             raise DomainError("constant scalar must be finite")
         self.value = v
@@ -619,20 +643,21 @@ def _finite(x):
 def _coerce_param(kind: ArgKind, item):
     if isinstance(item, ConstScalar):
         item = item.value
+    what = "atom parameters"
     if kind is ArgKind.PARAM_INT:
-        v = _finite(float(item))
+        v = _finite(_number(item, what))
         if not v.is_integer():
             raise ExpressionError(f"expected an integer parameter, got {item!r}")
         return int(v)
     if kind is ArgKind.PARAM_SCALAR:
-        return _finite(float(item))
+        return _finite(_number(item, what))
     if kind is ArgKind.PARAM_VECTOR:
-        a = np.asarray(item, dtype=float)
+        a = _numeric(item, what)
         if a.ndim != 1:
             raise ExpressionError(f"expected a vector parameter, got shape {a.shape}")
         return _finite(_readonly(a))
     if kind is ArgKind.PARAM_MATRIX:
-        a = np.asarray(item, dtype=float)
+        a = _numeric(item, what)
         if a.ndim != 2:
             raise ExpressionError(f"expected a matrix parameter, got shape {a.shape}")
         return _finite(_readonly(a))
@@ -640,20 +665,23 @@ def _coerce_param(kind: ArgKind, item):
         # A list or tuple holds vectors, unless it holds numbers and is one;
         # only a 2-D array holds them as columns, as the DSL passes a constant.
         if isinstance(item, (list, tuple)) and not all(np.isscalar(h) for h in item):
-            vecs = [np.asarray(h, dtype=float) for h in item]
+            vecs = [_numeric(h, what) for h in item]
         else:
-            a = np.asarray(item, dtype=float)
+            a = _numeric(item, what)
             vecs = list(a.T) if a.ndim == 2 else [a]
         if not vecs or any(h.ndim != 1 for h in vecs):
             raise ExpressionError("expected a vector, list of vectors, or matrix of columns")
         return tuple(_finite(_readonly(h)) for h in vecs)
     if kind is ArgKind.PARAM_MATRICES:
-        if isinstance(item, np.ndarray) and item.ndim == 2:
-            return (_finite(_readonly(item)),)
-        mats = tuple(_finite(_readonly(np.asarray(m, dtype=float))) for m in item)
+        # A list or tuple holds matrices; an array is one matrix or a stack of them.
+        if isinstance(item, (list, tuple)):
+            mats = [_numeric(m, what) for m in item]
+        else:
+            a = _numeric(item, what)
+            mats = list(a) if a.ndim == 3 else [a]
         if not mats or any(m.ndim != 2 for m in mats):
             raise ExpressionError("expected a matrix or a non-empty list of matrices")
-        return mats
+        return tuple(_finite(_readonly(m)) for m in mats)
     raise ExpressionError(f"unsupported parameter kind {kind}")
 
 
@@ -679,7 +707,7 @@ def apply_atom(name: str, items) -> AtomApply:
             if isinstance(item, (int, float)):
                 item = ConstScalar(float(item))
             if isinstance(item, ParamRef):
-                value = np.asarray(item.value, dtype=float)
+                value = _numeric(item.value, f"constant '{item.name}'")
                 if kind is ArgKind.MANIFOLD and value.ndim == 2:
                     item = ConstMatrix(value, name=item.name)
                 else:

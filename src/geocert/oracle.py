@@ -95,7 +95,7 @@ import numpy as np
 
 from . import spd
 from .analysis import analyze, AnalysisReport
-from .errors import DomainError, InconclusiveError, RangeError
+from .errors import DomainError, InconclusiveError, RangeError, check_range
 from .expr import Expression, GCurvature, Manifold, _evaluate_stacked, evaluate
 
 _SEED_MASK = (1 << 63) - 1
@@ -120,21 +120,12 @@ class FuzzConfig:
 
     def __post_init__(self):
         for name in ("trials", "dim", "t_samples", "seed"):
-            value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise RangeError(f"{name} must be an integer, got {value!r}") from None
-        if self.trials < 1:
-            raise RangeError(f"trials must be >= 1, got {self.trials}")
-        if not 0.0 < self.tol < math.inf:
-            raise RangeError(f"tol must be positive and finite, got {self.tol}")
-        if self.dim < 1:
-            raise RangeError(f"dim must be >= 1, got {self.dim}")
-        if not 1.0 <= self.cond_max < math.inf:
-            raise RangeError(f"cond_max must be finite and >= 1, got {self.cond_max}")
-        if self.t_samples < 0:
-            raise RangeError(f"t_samples must be >= 0, got {self.t_samples}")
+            check_range(name, getattr(self, name), "an integer", lambda n: operator.index(n) == n)
+        check_range("trials", self.trials, ">= 1", lambda n: n >= 1)
+        check_range("tol", self.tol, "positive and finite", lambda t: 0.0 < t < math.inf)
+        check_range("dim", self.dim, ">= 1", lambda n: n >= 1)
+        check_range("cond_max", self.cond_max, "finite and >= 1", lambda c: 1.0 <= c < math.inf)
+        check_range("t_samples", self.t_samples, ">= 0", lambda n: n >= 0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -48,7 +48,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import spd
-from .errors import DomainError, ExpressionError, RangeError, StagnationError
+from .errors import DomainError, ExpressionError, RangeError, StagnationError, check_range
 from .expr import (
     Add,
     Definiteness,
@@ -82,7 +82,6 @@ class Objective:
     evaluator: Callable[[np.ndarray], float]
     euclidean_gradient: Callable[[np.ndarray], np.ndarray] | None = None
     expression: Expression | None = None
-    name: str = ""
 
     @property
     def has_analytic_gradient(self) -> bool:
@@ -116,12 +115,12 @@ class _ExpressionObjective(Objective):
     solver calls ``_value_at``, and it never writes to the arrays it passes.
     """
 
-    def __init__(self, expression: Expression, var: str, name: str, evaluate: Callable = evaluate):
+    def __init__(self, expression: Expression, var: str, evaluate: Callable = evaluate):
         def evaluator(x):
             return evaluate(expression, {var: x})
 
         gradient = self._tape_gradient if differentiable(expression) else None
-        super().__init__(evaluator, gradient, expression, name=name)
+        super().__init__(evaluator, gradient, expression)
         self._var = var
         self._kept = None  # (array, tape) of the latest _value_at
 
@@ -222,9 +221,10 @@ def _slope(v: np.ndarray, mu: np.ndarray, alpha: float, xi: np.ndarray) -> float
 @np.errstate(over="ignore", invalid="ignore")
 def _step(frame: np.ndarray, mu: np.ndarray, alpha: float) -> np.ndarray:
     """The line search's candidate ``F diag(exp(-alpha mu)) F^T``, computed quietly:
-    a step whose ``exp`` overflows is not finite, and ``SPDMatrix._of_symmetric``
-    then rejects it, so the step is halved without a warning."""
-    return spd._sym((frame * np.exp(-alpha * mu)) @ frame.T)
+    a step whose ``exp`` overflows is not finite, and ``SPDMatrix`` then
+    rejects it before any decomposition, so the step is halved without a
+    warning."""
+    return spd._congruence(frame, np.exp(-alpha * mu))
 
 
 class _Start(NamedTuple):
@@ -255,13 +255,7 @@ _STOPPING = {"max_iter": ("an integer >= 0", lambda n: operator.index(n) >= 0),
 def _check_stopping(**stop) -> None:
     """``RangeError`` unless each stopping parameter given is what ``_STOPPING`` asks."""
     for key, value in stop.items():
-        rule, test = _STOPPING[key]
-        try:
-            valid = test(value)
-        except TypeError:
-            valid = False
-        if not valid:
-            raise RangeError(f"{key} must be {rule}, got {value!r}")
+        check_range(key, value, *_STOPPING[key])
 
 
 def gradient_descent(obj: Objective, x0, max_iter: int = 500, grad_tol: float = 1e-8) -> SolveResult:
@@ -282,7 +276,7 @@ def gradient_descent(obj: Objective, x0, max_iter: int = 500, grad_tol: float = 
     xi = None  # the gradient at x, when the line search already took it
     last = None  # (v, mu, alpha, g^2) of the step that reached x
     while True:
-        x_sq, x_inv_sq = spd._root_pair(point.eig.q, point.eig.lam)
+        x_sq, x_inv_sq = spd._root_pair(point.eig)
         if xi is None:
             xi = riemannian_grad(obj, x)
         c = spd._sym(x_inv_sq @ xi @ x_inv_sq)
@@ -311,9 +305,9 @@ def gradient_descent(obj: Objective, x0, max_iter: int = 500, grad_tol: float = 
             # A candidate past the PD tolerance counts as an infinite value;
             # an accepted one carries the decomposition of the next step, and
             # its forward pass is the next gradient's tape.  The candidate is
-            # symmetric by construction, so it becomes the matrix's entries.
+            # symmetric bit for bit, so the matrix's entries are a copy of it.
             try:
-                trial = spd.SPDMatrix._of_symmetric(candidate)
+                trial = spd.SPDMatrix(candidate)
                 fc = obj._value_at(candidate, trial.eig)
             except DomainError:
                 fc = math.inf
@@ -367,7 +361,7 @@ def make_matrix_sqrt_problem(a) -> Objective:
         apply_atom("sdivergence", [x_var, make_const_matrix(a_mat.entries, Definiteness.PD, name="A")]),
         apply_atom("sdivergence", [x_var, make_const_matrix(np.eye(d), Definiteness.PD, name="I")]),
     ))
-    return _ExpressionObjective(expr, "X", "matrix_sqrt")
+    return _ExpressionObjective(expr, "X")
 
 
 def make_karcher_problem(mats, weights) -> Objective:
@@ -392,7 +386,7 @@ def make_karcher_problem(mats, weights) -> Objective:
         for i, m in enumerate(anchors)
     ]
     expr = Add(tuple(terms), tuple(float(w) for w in ws))
-    return _ExpressionObjective(expr, "X", "karcher")
+    return _ExpressionObjective(expr, "X")
 
 
 def make_brascamp_lieb_problem(maps, weights) -> Objective:
@@ -413,7 +407,7 @@ def make_brascamp_lieb_problem(maps, weights) -> Objective:
     ]
     terms.append(apply_atom("logdet", [x_var]))
     expr = Add(tuple(terms), tuple(float(w) for w in ws) + (-1.0,))
-    return _ExpressionObjective(expr, "X", "brascamp_lieb")
+    return _ExpressionObjective(expr, "X")
 
 
 def make_tyler_problem(samples) -> Objective:
@@ -439,4 +433,4 @@ def make_tyler_problem(samples) -> Objective:
     terms = [apply_atom("log_quad_form", [v, inv_s]) for v in xs]
     terms.append(apply_atom("logdet", [s_var]))
     expr = Add(tuple(terms), (1.0 / n,) * n + (1.0 / d,))
-    return _ExpressionObjective(expr, "Sigma", "tyler")
+    return _ExpressionObjective(expr, "Sigma")

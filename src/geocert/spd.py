@@ -23,8 +23,12 @@ matrix that fails validation is rejected, never repaired.
 PSD claims on constants and the PSD gates of atom parameters all use it.
 ``POINT.pd_eig`` is the one gate of the spectral functions:
 ``matrix_sqrt``, ``matrix_log``, ``matrix_pow`` and ``matrix_inv``
-decompose through it and rebuild with ``_rebuild``; ``matrix_exp`` takes
-any symmetric matrix, so it has no gate.
+decompose through it and rebuild with ``_congruence``; ``matrix_exp``
+takes any symmetric matrix, so it has no gate.  ``_congruence`` is the one
+spectral rebuild, ``sym(F diag(v) F^T)`` for an eigenbasis or a geodesic
+frame ``F``, for one matrix or a stack: every spectral value and gradient,
+geodesic point, random draw and line-search step goes through it, so a
+stacked row gets a point's bits.  Only ``_inv_sqrt`` divides instead.
 
 The affine-invariant geometry implemented here:
 
@@ -153,7 +157,7 @@ class EigenPair:
     lam: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return _sym((self.q * self.lam) @ self.q.T)
+        return _congruence(self.q, self.lam)
 
 
 def sym_eig(m) -> EigenPair:
@@ -241,26 +245,7 @@ class SPDMatrix:
     __slots__ = ("_m", "_eig")
 
     def __init__(self, values):
-        self._validate(_symmetrized(np.array(_as_array(values), dtype=float, copy=True)))
-
-    @classmethod
-    def _of_symmetric(cls, a: np.ndarray) -> SPDMatrix:
-        """``SPDMatrix(a)`` bit for bit, for an array the library built as ``_sym(...)``.
-
-        ``a`` is symmetric bit for bit and no one else holds it, so it is
-        taken as it is, made read-only: no copy, asymmetry test or second
-        symmetrization.  An entry that is not finite or is past ``_SYM_MAX``
-        still raises ``DomainError``, before any decomposition.
-        """
-        if not np.maximum.reduce(np.abs(a), None, initial=0.0) <= _SYM_MAX:
-            raise DomainError("matrix has non-finite entries or an entry past "
-                              f"{_SYM_MAX:.6g}")
-        m = cls.__new__(cls)
-        m._validate(a)
-        return m
-
-    def _validate(self, m: np.ndarray) -> None:
-        """Keep ``m``, symmetric bit for bit, after the positive-definite test."""
+        m = _symmetrized(np.array(_as_array(values), dtype=float, copy=True))
         pair = _eig_symmetric(m)
         lam_max = float(pair.lam[0])
         tol = _pd_tol(lam_max)
@@ -300,48 +285,45 @@ def _eig_of(m) -> EigenPair:
     return sym_eig(m)
 
 
-def _rebuild(pair: EigenPair, vals: np.ndarray) -> np.ndarray:
-    """``Q diag(vals) Q^T``, also for a stacked pair and ``vals``."""
-    q = pair.q
-    if q.ndim == 2:
-        return _sym((q * vals) @ q.T)
-    return _sym((q * vals[..., None, :]) @ _mT(q))
+def _congruence(f: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``sym(F diag(v) F^T)``, also for a stack ``f`` ``(..., d, d)`` and ``v`` ``(..., d)``."""
+    if f.ndim == 2:
+        return _sym((f * v) @ f.T)
+    return _sym((f * v[..., None, :]) @ _mT(f))
 
 
 def matrix_sqrt(m) -> SPDMatrix:
     pair = POINT.pd_eig(m, "matrix_sqrt requires a positive spectrum")
-    return SPDMatrix(_rebuild(pair, np.sqrt(pair.lam)))
+    return SPDMatrix(_congruence(pair.q, np.sqrt(pair.lam)))
 
 
 def matrix_log(m) -> np.ndarray:
     pair = POINT.pd_eig(m, "matrix_log requires a positive spectrum")
-    return _rebuild(pair, np.log(pair.lam))
+    return _congruence(pair.q, np.log(pair.lam))
 
 
 def matrix_exp(m) -> SPDMatrix:
     pair = _eig_of(m)
-    return SPDMatrix(_rebuild(pair, np.exp(pair.lam)))
+    return SPDMatrix(_congruence(pair.q, np.exp(pair.lam)))
 
 
 def matrix_pow(m, t: float) -> SPDMatrix:
     pair = POINT.pd_eig(m, "matrix_pow requires a positive spectrum")
-    return SPDMatrix(_rebuild(pair, pair.lam ** float(t)))
+    return SPDMatrix(_congruence(pair.q, pair.lam ** float(t)))
 
 
 def matrix_inv(m) -> SPDMatrix:
     pair = POINT.pd_eig(m, "matrix_inv requires a positive spectrum")
-    return SPDMatrix(_rebuild(pair, 1.0 / pair.lam))
+    return SPDMatrix(_congruence(pair.q, 1.0 / pair.lam))
 
 
-def _root_pair(q: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``Q diag(lam^(1/2)) Q^T`` and ``Q diag(lam^(-1/2)) Q^T``, stacked."""
-    root = np.sqrt(lam)[..., None, :]
-    qt = _mT(q)
-    return _sym((q * root) @ qt), _sym((q / root) @ qt)
+def _root_pair(pair: EigenPair) -> tuple[np.ndarray, np.ndarray]:
+    """``Q diag(lam^(1/2)) Q^T`` and ``Q diag(lam^(-1/2)) Q^T``, also stacked."""
+    return _congruence(pair.q, np.sqrt(pair.lam)), _inv_sqrt(pair)
 
 
 def _inv_sqrt(pair: EigenPair) -> np.ndarray:
-    """``_root_pair(pair.q, pair.lam)[1]`` alone, by the same operations."""
+    """``Q diag(lam^(-1/2)) Q^T``, also stacked."""
     q = pair.q
     if q.ndim == 2:
         return _sym((q / np.sqrt(pair.lam)) @ q.T)
@@ -373,7 +355,7 @@ def _geodesic_frames(a: np.ndarray, b: np.ndarray):
     """
     pair = _eig_nogate(a)
     ok = ~(pair.lam[..., -1] <= 0.0)
-    a_sq, a_inv_sq = _root_pair(pair.q, np.where(ok[..., None], pair.lam, 1.0))
+    a_sq, a_inv_sq = _root_pair(EigenPair(q=pair.q, lam=np.where(ok[..., None], pair.lam, 1.0)))
     inner = _eig_nogate(a_inv_sq @ b @ a_inv_sq)
     ok &= ~(inner.lam[..., -1] <= 0.0)
     return a_sq @ inner.q, np.log(np.where(ok[..., None], inner.lam, 1.0)), ok
@@ -381,8 +363,7 @@ def _geodesic_frames(a: np.ndarray, b: np.ndarray):
 
 def _geodesic_points(frame: np.ndarray, logs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """``gamma(t)`` for every ``t`` of ``ts`` (shape ``(..., T)``), as ``(..., T, d, d)``."""
-    scaled = frame[..., None, :, :] * np.exp(ts[..., :, None] * logs[..., None, :])[..., None, :]
-    return _sym(scaled @ _mT(frame)[..., None, :, :])
+    return _congruence(frame[..., None, :, :], np.exp(ts[..., :, None] * logs[..., None, :]))
 
 
 def geodesic_path(a, b) -> Callable[[float], np.ndarray]:
@@ -463,7 +444,7 @@ def _spd_from_draws(g: np.ndarray, u: np.ndarray) -> np.ndarray:
     """
     q, r = np.linalg.qr(g)
     q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
-    return _sym((q * np.exp(u)[..., None, :]) @ _mT(q))
+    return _congruence(q, np.exp(u))
 
 
 def random_spd(d: int, cond_max: float = 10.0, rng_seed=0) -> SPDMatrix:
@@ -939,7 +920,7 @@ def eval_adjoint(x, *, rows=POINT) -> np.ndarray:
 
 def eval_inv(x, *, rows=POINT) -> np.ndarray:
     pair = rows.pd_eig(x, "inv requires a positive definite argument")
-    return _rebuild(pair, 1.0 / pair.lam)
+    return _congruence(pair.q, 1.0 / pair.lam)
 
 
 def eval_hadamard_product(x, m, *, rows=POINT) -> np.ndarray:
@@ -1041,7 +1022,7 @@ STACKED = _takes_rows("eval_")
 def _spectral_grad(x, fprime, rows) -> np.ndarray:
     """``Q diag(f'(lam)) Q^T`` for the eigenvalues of ``x`` sorted descending, ungated."""
     pair = rows.memo("sym_eig", _eig_nogate, _as_array(x))
-    return _rebuild(pair, fprime(pair.lam))
+    return _congruence(pair.q, fprime(pair.lam))
 
 
 def _top(k: int):
@@ -1055,8 +1036,7 @@ def _whitened_log(base, other, rows) -> np.ndarray:
     # these pass again; a memo hands on the forward pass's whitening of
     # ``other`` by ``base``, or else its decomposition of ``base``.
     inv_sq, inner = rows.whiten(_as_array(other), _as_array(base))
-    frame = inv_sq @ inner.q
-    return _sym((frame * np.log(inner.lam)) @ frame.T)
+    return _congruence(inv_sq @ inner.q, np.log(inner.lam))
 
 
 def vjp_logdet(g, out, wrt, x, *, rows=POINT):

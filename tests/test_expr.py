@@ -184,6 +184,27 @@ class TestApplyAtom:
         with pytest.raises(ExpressionError, match="vector has length 3, expected 2"):
             gc.apply_atom("log_quad_form", [[[1.0, 0.0], [1.0, 1.0, 1.0]], gc.Variable("X", gc.SPD(2))])
 
+    @pytest.mark.parametrize("build", [
+        lambda x: gc.apply_atom("quad_form", [[1.0, [2.0]], x]),
+        lambda x: gc.apply_atom("hadamard_product", [x, [[1.0], [1.0, 2.0]]]),
+        lambda x: gc.apply_atom("positive_affine", [x, [[[1.0], [2.0, 3.0]]], [[1.0]], 1]),
+        lambda x: gc.apply_atom("positive_affine", [x, 3.0, [[1.0]], 1]),
+        lambda x: gc.apply_atom("log_quad_form", [[[1.0, [2.0]], [1.0, 2.0]], x]),
+        lambda x: gc.apply_atom("quad_form", [gc.ParamRef("h", [[1.0], [1.0, 2.0]]), x]),
+        lambda x: gc.apply_atom("logdet", [gc.ParamRef("A", [[1.0], [1.0, 2.0]])]),
+        lambda x: gc.apply_atom("eigsummax", [x, "a"]),
+        lambda x: gc.apply_atom("eigsummax", [x, [1, 2]]),
+        lambda x: gc.apply_atom("schatten_norm", [x, None]),
+        lambda x: gc.ConstMatrix([[1.0, 2.0], [3.0]]),
+        lambda x: gc.ConstScalar("x"),
+    ], ids=["vector", "matrix", "matrices", "matrices-scalar", "vectors", "param-ref",
+            "param-ref-manifold", "int-string", "int-vector", "scalar-none", "const-matrix",
+            "const-scalar"])
+    def test_a_value_that_is_not_numbers_is_an_expression_error(self, build):
+        # Each raised numpy's ValueError or TypeError, or iterated a float.
+        with pytest.raises(ExpressionError):
+            build(gc.Variable("X", gc.SPD(2)))
+
     def test_hadamard_mask_validation(self, scope):
         x = gc.make_variable("X", gc.SPD(2), scope=scope)
         w = np.array([[1.0, 0.9], [0.9, 1.0]])

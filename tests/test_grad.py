@@ -323,7 +323,7 @@ def test_gradient_after_an_evaluation_reads_its_decompositions(monkeypatch, buil
     # the whitening of A_i by X, while X's own decomposition is the one the
     # evaluation was seeded with.
     anchors = [gc.random_spd(5, 100.0, 60 + i) for i in range(3)]
-    obj = _ExpressionObjective(build(anchors), "X", "counted")
+    obj = _ExpressionObjective(build(anchors), "X")
     point = gc.random_spd(5, 10.0, 70)
     raw = point.entries.copy()
     obj._value_at(raw, point.eig)

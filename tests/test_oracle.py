@@ -34,7 +34,7 @@ class TestFuzzConfig:
             gc.FuzzConfig(tol=0.0)
 
     @pytest.mark.parametrize("field", ["trials", "dim", "t_samples", "seed"])
-    @pytest.mark.parametrize("value", [2.5, 1.0, "3", None])
+    @pytest.mark.parametrize("value", [2.5, 1.0, "3", None, True, False])
     def test_non_integer_counts_rejected(self, field, value):
         # A float seed would run as its integer part; a float count fails deep
         # in the first block.
@@ -48,6 +48,13 @@ class TestFuzzConfig:
         # A NaN tolerance passes every comparison, so every claim would pass;
         # an infinite condition bound overflows the spectrum sampler.
         with pytest.raises(RangeError):
+            gc.FuzzConfig(trials=50, dim=3, **{field: value})
+
+    @pytest.mark.parametrize("field", ["tol", "cond_max"])
+    @pytest.mark.parametrize("value", [True, "a", None])
+    def test_a_bound_that_is_not_a_number_rejected(self, field, value):
+        # True passed as 1.0, and a string or None raised TypeError.
+        with pytest.raises(RangeError, match=f"{field} must be"):
             gc.FuzzConfig(trials=50, dim=3, **{field: value})
 
     @pytest.mark.parametrize("check", [gc.check_gconvex, gc.check_econvex])

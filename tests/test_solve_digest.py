@@ -53,7 +53,7 @@ def _file_cases():
     for path in sorted(PROBLEMS.glob("*.yaml")):
         prob = gc.load_problem(str(path))
         (name,) = sorted(prob.expression.variables)
-        obj = solver._ExpressionObjective(prob.expression, name, name, evaluate)
+        obj = solver._ExpressionObjective(prob.expression, name, evaluate)
         kwargs = {
             "max_iter": int(prob.solver.get("max_iter", 500)),
             "grad_tol": float(prob.solver.get("grad_tol", 1e-8)),
@@ -134,7 +134,7 @@ def _memo_cases():
     x = scope.declare("X", gc.SPD(4))
     b1, b2 = _anchors(4, 1e3, 8, 2)
     expr = _karcher_expression([(x, anchor(b1, "A1")), (anchor(b2, "A2"), x)], [0.3, 0.7])
-    yield ("karcher:variable-first", solver._ExpressionObjective(expr, "X", "karcher"),
+    yield ("karcher:variable-first", solver._ExpressionObjective(expr, "X"),
            np.eye(4), kwargs)
 
     c1, c2 = _anchors(3, 50.0, 9, 2)
@@ -142,7 +142,7 @@ def _memo_cases():
     scope = gc.VariableScope()
     x = scope.declare("X", gc.SPD(3))
     expr = _karcher_expression([(shared, x), (anchor(c2, "B"), x), (shared, x)], [0.25, 0.45, 0.3])
-    yield ("karcher:one-anchor-array", solver._ExpressionObjective(expr, "X", "karcher"),
+    yield ("karcher:one-anchor-array", solver._ExpressionObjective(expr, "X"),
            gc.random_spd(3, 20.0, 10).entries, kwargs)
 
 

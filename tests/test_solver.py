@@ -148,8 +148,9 @@ class TestGradientDescent:
         assert res.converged is (expected <= grad_tol)
 
     @pytest.mark.parametrize("stop", [
-        {"max_iter": -1}, {"max_iter": 2.0}, {"max_iter": "3"}, {"max_iter": None},
+        {"max_iter": -1}, {"max_iter": 2.0}, {"max_iter": "3"}, {"max_iter": None}, {"max_iter": True},
         {"grad_tol": math.nan}, {"grad_tol": math.inf}, {"grad_tol": -1e-8}, {"grad_tol": None},
+        {"grad_tol": False},
     ])
     def test_invalid_stopping_rule_raises(self, stop):
         obj = gc.make_matrix_sqrt_problem(np.diag([4.0, 9.0]))
@@ -386,14 +387,16 @@ class TestGlobalOptimum:
 
     def test_monotone_descent_all_applications(self):
         rng = np.random.default_rng(33)
-        objs = [
-            gc.make_matrix_sqrt_problem(np.asarray(gc.random_spd(3, 20.0, 34))),
-            gc.make_karcher_problem([np.asarray(gc.random_spd(3, 10.0, s)) for s in (35, 36)], [0.5, 0.5]),
-            gc.make_brascamp_lieb_problem([rng.normal(size=(3, 1)), rng.normal(size=(3, 2))], [1.0, 1.0]),
-            gc.make_tyler_problem([rng.normal(size=3) for _ in range(15)]),
-        ]
-        for obj in objs:
+        objs = {
+            "matrix_sqrt": gc.make_matrix_sqrt_problem(np.asarray(gc.random_spd(3, 20.0, 34))),
+            "karcher": gc.make_karcher_problem([np.asarray(gc.random_spd(3, 10.0, s)) for s in (35, 36)],
+                                               [0.5, 0.5]),
+            "brascamp_lieb": gc.make_brascamp_lieb_problem([rng.normal(size=(3, 1)), rng.normal(size=(3, 2))],
+                                                           [1.0, 1.0]),
+            "tyler": gc.make_tyler_problem([rng.normal(size=3) for _ in range(15)]),
+        }
+        for name, obj in objs.items():
             for s in range(5):
                 x0 = np.asarray(gc.random_spd(3, 10.0, 300 + s))
                 res = gc.gradient_descent(obj, x0, grad_tol=1e-6, max_iter=300)
-                assert np.all(np.diff(res.trajectory) <= 0.0), obj.name
+                assert np.all(np.diff(res.trajectory) <= 0.0), name

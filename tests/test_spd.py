@@ -148,22 +148,27 @@ class TestOneSource:
     """Source scans of the package: each rule has one home, so a second copy fails here."""
 
     @staticmethod
-    def _references(name: str) -> set:
-        """``(module, enclosing function)`` of every reference to ``name`` in the package."""
+    def _sites(matches) -> set:
+        """``(module, enclosing function)`` of every node of the package that ``matches``."""
         sites = set()
 
         def scan(node, module, function):
             for child in ast.iter_child_nodes(node):
                 inner = child.name if isinstance(child, (ast.FunctionDef,
                                                          ast.AsyncFunctionDef)) else function
-                if ((isinstance(child, ast.Name) and child.id == name)
-                        or (isinstance(child, ast.Attribute) and child.attr == name)):
+                if matches(child):
                     sites.add((module, function))
                 scan(child, module, inner)
 
         for path in sorted(Path(spd.__file__).resolve().parent.glob("*.py")):
             scan(ast.parse(path.read_text()), path.stem, None)
         return sites
+
+    @classmethod
+    def _references(cls, name: str) -> set:
+        """The sites of every reference to ``name`` in the package."""
+        return cls._sites(lambda node: (isinstance(node, ast.Name) and node.id == name)
+                          or (isinstance(node, ast.Attribute) and node.attr == name))
 
     def test_one_routine_draws_the_falsifier_points(self):
         # A second draw loop, taking a trial's stream or an SPD matrix's
@@ -175,6 +180,21 @@ class TestOneSource:
 
     def test_only_spd_reads_the_symmetry_gate(self):
         assert {module for module, _ in self._references("_check_symmetric_square")} == {"spd"}
+
+    def test_one_kernel_rebuilds_from_a_spectrum(self):
+        # ``_sym((x * y) @ z)`` or ``_sym((x / y) @ z)`` written out anywhere
+        # else is a second copy of the spectral rebuild, whose bits a stacked
+        # row would then have to match by hand.
+        def rebuild(node) -> bool:
+            if not (isinstance(node, ast.Call) and len(node.args) == 1):
+                return False
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            product = node.args[0]
+            return (name == "_sym" and isinstance(product, ast.BinOp)
+                    and isinstance(product.op, ast.MatMult) and isinstance(product.left, ast.BinOp)
+                    and isinstance(product.left.op, (ast.Mult, ast.Div)))
+
+        assert self._sites(rebuild) == {("spd", "_congruence"), ("spd", "_inv_sqrt")}
 
 
 class TestMemo:
@@ -312,25 +332,15 @@ class TestSPDMatrixSpectrum:
         with pytest.raises(DomainError, match="not positive definite"):
             gc.SPDMatrix(np.eye(2))
 
-    def test_of_symmetric_is_spd_matrix_bit_for_bit(self):
-        for seed in range(5):
-            a = np.asarray(gc.random_spd(4, 1e3, seed)).copy()
-            ref = gc.SPDMatrix(a)
-            m = spd.SPDMatrix._of_symmetric(a)
-            assert m.entries is a and not a.flags.writeable
-            assert m.entries.tobytes() == ref.entries.tobytes()
-            assert m.eig.q.tobytes() == ref.eig.q.tobytes()
-            assert m.eig.lam.tobytes() == ref.eig.lam.tobytes()
-
     @pytest.mark.parametrize("bad", [np.inf, np.nan, DBL_MAX])
-    def test_of_symmetric_rejects_before_decomposing(self, bad, monkeypatch):
+    def test_rejects_before_decomposing(self, bad, monkeypatch):
         # An overflowing line-search step must be a DomainError, so the
         # search halves, not the LinAlgError of eigh on inf or NaN.
         monkeypatch.setattr(spd, "_eigh", None)
         with pytest.raises(DomainError):
-            spd.SPDMatrix._of_symmetric(np.array([[bad, 0.0], [0.0, 1.0]]))
+            gc.SPDMatrix(np.array([[bad, 0.0], [0.0, 1.0]]))
         with pytest.raises(DomainError):
-            spd.SPDMatrix._of_symmetric(np.full((2, 2), bad))
+            gc.SPDMatrix(np.full((2, 2), bad))
 
 
 class TestDefinitenessTolerance:
