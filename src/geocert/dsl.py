@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import re
 
-import numpy as np
-
-from .errors import GeocertError, ParseError, UnknownAtomError
+from .errors import ExpressionError, GeocertError, ParseError, UnknownAtomError
 from .expr import (
     EXPR_KINDS,
     Add,
@@ -29,6 +27,7 @@ from .expr import (
     Mul,
     ParamRef,
     Variable,
+    _numeric,
     apply_atom,
     lookup_atom,
 )
@@ -185,7 +184,10 @@ class _Parser:
             self.fail(f"unknown identifier '{name}'", tok)
         if isinstance(entry, Variable):
             return entry
-        value = np.asarray(entry, dtype=float)
+        try:
+            value = _numeric(entry, f"constant '{name}'")
+        except ExpressionError as exc:
+            self.fail(str(exc), tok)
         if value.ndim == 2 and value.shape[0] == value.shape[1]:
             return ConstMatrix(value, name=name)
         return ParamRef(name=name, value=value)

@@ -2,21 +2,22 @@
 
 The module also evaluates trees numerically (``evaluate``) and
 differentiates them in reverse mode (``value_and_grad``) through the
-vector-Jacobian products registered beside each atom's evaluator.  Both
-run one forward pass (``_forward``) under a ``spd.Memo``, so each input
-array is decomposed once per evaluation; a gradient is a backward pass
-(``_backward``) over that pass's tape, which the solver keeps from its
-line search.  For the falsifier, ``_evaluate_stacked`` evaluates a tree
-at a whole stack of points in one walk: every built-in atom's evaluator is
-in ``spd.STACKED`` and runs once over the whole stack under a
-``spd.Rows``, and each point gets the value, or the ``DomainError``
-outcome, that ``evaluate`` gives it.  A tree holding a user atom is not
-stacked: its walk raises ``spd.Undecided``, and the falsifier calls
-``evaluate`` point by point instead.  Both are one walk, ``_Walk``, with
-two row policies (``spd.Memo``, ``spd.Rows``); ``_StackedWalk`` only
-overrides how it reads a variable, keeps a combinator's result and calls
-an atom.  Either walk gates a variable's value as ``spd.sym_eig`` gates a
-matrix before any atom reads it.
+vector-Jacobian products registered beside each atom's evaluator.  A tree
+is ordered once, into a plan kept on its root outside the node's key
+(``_plan_of``): its distinct nodes in post-order, each a step that names
+its children's steps.  A forward pass is one loop over the plan (``_Walk``)
+under a ``spd.Memo``, so each input array is decomposed once per
+evaluation; a gradient is one reverse loop over it (``_backward``), which
+the solver runs on the values its line search kept.  For the falsifier,
+``_evaluate_stacked`` evaluates a tree at a whole stack of points in one
+pass: every built-in atom's evaluator is in ``spd.STACKED`` and runs once
+over the whole stack under a ``spd.Rows``, and each point gets the value,
+or the ``DomainError`` outcome, that ``evaluate`` gives it.  A tree holding
+a user atom is not stacked: its walk raises ``spd.Undecided``, and the
+falsifier calls ``evaluate`` point by point instead.  ``_StackedWalk``
+only overrides how ``_Walk`` reads a variable, keeps a combinator's result
+and calls an atom; either gates a variable's value as ``spd.sym_eig``
+gates a matrix before any atom reads it.
 
 Expressions are plain trees: variables and constants at the leaves,
 arithmetic combinators and atom applications inside.  Fixed atom parameters
@@ -226,12 +227,16 @@ def _array_token(a: np.ndarray) -> tuple:
 class Expression:
     """Base class for immutable expression nodes."""
 
-    __slots__ = ("_kind", "_dim", "_vars")
+    __slots__ = ("_kind", "_dim", "_vars", "_children", "_plan")
 
-    def _init_base(self, kind: str, dim: int | None, variables: dict):
+    def _init_base(self, kind: str, dim: int | None, children: tuple = (), variables=None):
+        if variables is None:  # those of the children, merged
+            variables = _merge_variables(c.variables for c in children)
         self._kind = kind
         self._dim = dim
+        self._children = children
         self._vars = variables
+        self._plan = None  # built on first use by ``_plan_of``; not in the key
 
     @property
     def kind(self) -> str:
@@ -258,7 +263,7 @@ class Expression:
         return hash((type(self).__name__, self._key()))
 
     def children(self) -> tuple["Expression", ...]:
-        return ()
+        return self._children
 
     def walk(self, path=()) -> Iterator[tuple[tuple, "Expression"]]:
         """Yield (path, node) pairs in post-order."""
@@ -331,7 +336,7 @@ class Variable(Expression):
             raise ExpressionError("manifold must be a Manifold instance")
         self.name = name
         self.manifold = manifold
-        self._init_base("matrix", manifold.dim, {name: manifold})
+        self._init_base("matrix", manifold.dim, variables={name: manifold})
 
     def _key(self):
         return self.name, self.manifold
@@ -359,7 +364,7 @@ class ConstMatrix(Expression):
         self.definiteness = definiteness
         self.name = name
         square = a.shape[0] == a.shape[1]
-        self._init_base("matrix" if square else "param", a.shape[0] if square else None, {})
+        self._init_base("matrix" if square else "param", a.shape[0] if square else None)
 
     def _key(self):
         return (self.definiteness, self.name) + _array_token(self.values)
@@ -392,7 +397,7 @@ class ConstScalar(Expression):
         if not np.isfinite(v):
             raise DomainError("constant scalar must be finite")
         self.value = v
-        self._init_base("scalar", None, {})
+        self._init_base("scalar", None)
 
     def _key(self):
         return (self.value,)
@@ -420,10 +425,7 @@ class Add(Expression):
             raise DomainError("addition weights must be finite")
         self.terms = terms
         self.weights = weights
-        self._init_base("scalar", None, _merge_variables(t.variables for t in terms))
-
-    def children(self):
-        return self.terms
+        self._init_base("scalar", None, terms)
 
     def _key(self):
         return self.weights, self.terms
@@ -443,10 +445,7 @@ class Mul(Expression):
             raise ExpressionError("product needs at least two factors")
         _require_scalar_children(factors, "product")
         self.factors = factors
-        self._init_base("scalar", None, _merge_variables(f.variables for f in factors))
-
-    def children(self):
-        return self.factors
+        self._init_base("scalar", None, factors)
 
     def _key(self):
         return (self.factors,)
@@ -466,10 +465,7 @@ class MaxOf(Expression):
             raise ExpressionError("max needs at least one argument")
         _require_scalar_children(options, "max")
         self.options = options
-        self._init_base("scalar", None, _merge_variables(o.variables for o in options))
-
-    def children(self):
-        return self.options
+        self._init_base("scalar", None, options)
 
     def _key(self):
         return (self.options,)
@@ -507,14 +503,7 @@ class AtomApply(Expression):
         self.arg_dims = arg_dims
         self.meta = sig.effective(self.params, arg_dims)
         kind = "scalar" if sig.result == "scalar" else "matrix"
-        self._init_base(
-            kind,
-            result_dim if kind == "matrix" else None,
-            _merge_variables(a.variables for a in self.args),
-        )
-
-    def children(self):
-        return self.args
+        self._init_base(kind, result_dim if kind == "matrix" else None, self.args)
 
     def _key(self):
         # The registration, not just its id: an atom registered again under
@@ -777,54 +766,84 @@ def eval_atom(name: str, *args):
     return out
 
 
-def _ordered_args(e: AtomApply, arg_vals) -> list:
-    """The evaluator's positional arguments: argument values and parameters interleaved."""
-    arg_vals = iter(arg_vals)
-    param_vals = iter(e.params)
-    return [
-        next(arg_vals) if k in EXPR_KINDS else next(param_vals)
-        for k in e.sig.positions
-    ]
+class _Step(NamedTuple):
+    """A plan's step: a node, its children's steps and, for an atom, the
+    evaluator's positions, each ``(child step, None)`` or ``(None, parameter)``."""
+
+    node: Expression
+    kids: tuple[int, ...]
+    slots: tuple | None
+
+    def args(self, values: list) -> list:
+        return [p if i is None else values[i] for i, p in self.slots]
+
+
+def _build_plan(root: Expression) -> tuple[_Step, ...]:
+    """``root``'s distinct nodes, by identity, in post-order, each expanded once: one step each."""
+    steps: list[_Step] = []
+    index: dict[int, int] = {}  # id(node) -> its step
+    pending = [(root, False)]  # (node, whether its children have their steps)
+    while pending:
+        node, ready = pending.pop()
+        if id(node) in index:
+            continue
+        if not ready:
+            pending += [(node, True)] + [(c, False) for c in reversed(node.children())]
+            continue
+        kids = tuple(index[id(c)] for c in node.children())
+        slots = None
+        if isinstance(node, AtomApply):
+            kid, param = iter(kids), iter(node.params)
+            slots = tuple((next(kid), None) if k in EXPR_KINDS else (None, next(param))
+                          for k in node.sig.positions)
+        index[id(node)] = len(steps)
+        steps.append(_Step(node, kids, slots))
+    return tuple(steps)
+
+
+def _plan_of(e: Expression) -> tuple[_Step, ...]:
+    """``e``'s plan: built on first use and kept on the node."""
+    if e._plan is None:
+        e._plan = _build_plan(e)
+    return e._plan
 
 
 class _Walk:
-    """One post-order evaluation of a tree at one point; each node is evaluated once.
+    """One evaluation of a tree at one point: a loop over the tree's plan.
 
-    Calling it on a node evaluates the node's subtree, keeping each value by
-    node identity in ``values`` and the nodes in post-order in ``order``.
-    ``_node_value`` holds the only copy of the combinators' arithmetic,
-    which numpy broadcasting serves for floats and ``(n,)`` stacks alike;
-    the hooks ``_variable``, ``_scalar`` and ``_atom`` hold what a stacked
-    walk does differently, and the row policy ``rows`` the rest (here the
-    evaluation's ``spd.Memo``).  Values stay writable: a user atom's
-    evaluator is called only here, on values no other point shares, so it
-    may write into one.
+    Calling it on a node returns the values of the node's plan, one per
+    step, the node's own last; a subtree shared between parents is one
+    step, evaluated once.  ``_node_value`` holds the only copy of the
+    combinators' arithmetic, which numpy broadcasting serves for floats and
+    ``(n,)`` stacks alike; the hooks ``_variable``, ``_scalar`` and
+    ``_atom`` hold what a stacked walk does differently, and the row policy
+    ``rows`` the rest (here the evaluation's ``spd.Memo``).  Values stay
+    writable: a user atom's evaluator is called only here, on values no
+    other point shares, so it may write into one.
     """
 
     def __init__(self, env: dict, rows: spd.Memo):
         self.env = env
         self.rows = rows
-        self.values: dict[int, object] = {}
-        self.order: list[Expression] = []
 
-    def __call__(self, node: Expression):
-        key = id(node)
-        if key not in self.values:
-            kids = [self(c) for c in node.children()]
-            self.values[key] = self._node_value(node, kids)
-            self.order.append(node)
-        return self.values[key]
+    def __call__(self, e: Expression) -> list:
+        values = []
+        for step in _plan_of(e):
+            values.append(self._node_value(step, values))
+        return values
 
-    def _node_value(self, e: Expression, kids: list):
-        """The value of one node given the values of its children."""
+    def _node_value(self, step: _Step, values: list):
+        """The value of one step's node, given the values of the steps before it."""
+        e = step.node
+        if step.slots is not None:
+            return self._atom(e, e.evaluator, step.args(values))
+        kids = [values[i] for i in step.kids]
         if isinstance(e, Variable):
             return self._variable(e)
         if isinstance(e, ConstMatrix):
             return e.values
         if isinstance(e, ConstScalar):
             return e.value
-        if isinstance(e, AtomApply):
-            return self._atom(e, e.evaluator, _ordered_args(e, kids))
         if isinstance(e, Add):
             out = 0.0  # as sum(), which starts from 0: 0 + (-0.0) is 0.0
             for w, v in zip(e.weights, kids):
@@ -868,22 +887,6 @@ class _Walk:
         return fn(*args, rows=self.rows) if fn in spd.STACKED else fn(*args)
 
 
-class _Tape(NamedTuple):
-    """A forward pass: the root's value, each node's value by identity, the
-    nodes in post-order, and the memo of the decompositions made."""
-
-    value: object
-    values: dict
-    order: list
-    rows: spd.Memo
-
-
-def _forward(e: Expression, env: dict, rows: spd.Memo) -> _Tape:
-    """Evaluate ``e`` once per node, post-order, keeping what a backward pass reads."""
-    walk = _Walk(env, rows)
-    return _Tape(walk(e), walk.values, walk.order, rows)
-
-
 def evaluate(e: Expression, env: dict):
     """Evaluate an expression numerically.
 
@@ -893,7 +896,7 @@ def evaluate(e: Expression, env: dict):
     violations raise ``DomainError``.  A subtree shared between parents is
     evaluated once, and each input array is decomposed once.
     """
-    return _forward(e, env, spd.Memo()).value
+    return _Walk(env, spd.Memo())(e)[-1]
 
 
 def _evaluate_stacked(e: Expression, env: dict, alive: np.ndarray):
@@ -916,7 +919,7 @@ def _evaluate_stacked(e: Expression, env: dict, alive: np.ndarray):
     modes = {k: "ignore" if v == "ignore" else "call" for k, v in np.geterr().items()}
     try:
         with np.errstate(call=lambda *_: events.append(1), **modes):
-            values = _StackedWalk(env, rows)(e)
+            values = _StackedWalk(env, rows)(e)[-1]
     except Exception as exc:  # Undecided, or what some row raises per point
         raise spd.Undecided(f"the stacked walk raised {exc!r}") from None
     if events:
@@ -936,15 +939,12 @@ class _StackedWalk(_Walk):
     evaluates point by point.
     """
 
-    def __init__(self, env: dict, rows: spd.Rows):
-        super().__init__(env, rows)
-        self.n = len(rows.alive)
-
     def _variable(self, e: Variable):
         """The bound stack, after the gate of ``spd.sym_eig`` per row: ``spd.Rows.symmetric``."""
         v = self.env.get(e.name)
-        if getattr(v, "shape", None) != (self.n, e.dim, e.dim):
-            raise spd.Undecided(f"no stack of shape {(self.n, e.dim, e.dim)} for '{e.name}'")
+        shape = (len(self.rows.alive), e.dim, e.dim)
+        if getattr(v, "shape", None) != shape:
+            raise spd.Undecided(f"no stack of shape {shape} for '{e.name}'")
         return self.rows.symmetric(v)
 
     def _scalar(self, v):
@@ -960,21 +960,27 @@ class _StackedWalk(_Walk):
 
 def differentiable(e: Expression) -> bool:
     """True when every atom in ``e`` has a registered vector-Jacobian product."""
-    return all(
-        node.vjp is not None
-        for _, node in e.walk()
-        if isinstance(node, AtomApply)
-    )
+    return all(step.node.vjp is not None for step in _plan_of(e) if step.slots is not None)
 
 
-def _node_vjp(e: Expression, g, child_vals: list, out, rows: spd.Memo) -> list:
-    """Cotangents of a node's children from the cotangent ``g`` of its value.
+def _node_vjp(step: _Step, g, values: list, out, rows: spd.Memo) -> list:
+    """Cotangents of a step's children from the cotangent ``g`` of its value ``out``.
 
     Products in ``spd.RESIDUAL_VJPS`` get ``rows``, the memo of the forward
     pass, to read their evaluator's decompositions from.
     """
+    e = step.node
     if isinstance(e, Add):
         return [w * g for w in e.weights]
+    if isinstance(e, AtomApply):
+        vjp = e.vjp
+        if vjp is None:
+            raise ExpressionError(f"atom '{e.sig.id}' has no vector-Jacobian product")
+        wrt = tuple(bool(a.variables) for a in e.args)
+        if vjp in spd.RESIDUAL_VJPS:
+            return list(vjp(g, out, wrt, *step.args(values), rows=rows))
+        return list(vjp(g, out, wrt, *step.args(values)))
+    child_vals = [values[i] for i in step.kids]
     if isinstance(e, Mul):
         return [
             g * math.prod(v for j, v in enumerate(child_vals) if j != i)
@@ -983,53 +989,44 @@ def _node_vjp(e: Expression, g, child_vals: list, out, rows: spd.Memo) -> list:
     if isinstance(e, MaxOf):
         best = child_vals.index(max(child_vals))
         return [g if i == best else None for i in range(len(child_vals))]
-    if isinstance(e, AtomApply):
-        vjp = e.vjp
-        if vjp is None:
-            raise ExpressionError(f"atom '{e.sig.id}' has no vector-Jacobian product")
-        wrt = tuple(bool(a.variables) for a in e.args)
-        args = _ordered_args(e, child_vals)
-        if vjp in spd.RESIDUAL_VJPS:
-            return list(vjp(g, out, wrt, *args, rows=rows))
-        return list(vjp(g, out, wrt, *args))
     return []
 
 
 def value_and_grad(e: Expression, env: dict):
     """Value of a scalar expression and its Euclidean gradient in every variable.
 
-    One post-order forward pass records each node's value, as ``evaluate``
-    does; one backward pass carries cotangents from the root to the leaves
-    through each node's vector-Jacobian product, which reads the forward
-    pass's decompositions instead of repeating them.  Values and cotangents
-    are keyed by node identity, so a subtree shared between parents is
-    evaluated once and receives the sum of its parents' cotangents.
-    Returns ``(value, grads)`` with ``grads`` mapping each variable name to
-    a symmetric array.
+    One forward pass over the expression's plan records each step's value,
+    as ``evaluate`` does; one backward pass, the same plan in reverse,
+    carries cotangents from the root to the leaves through each node's
+    vector-Jacobian product, which reads the forward pass's decompositions
+    instead of repeating them.  A subtree shared between parents is one
+    step, so it is evaluated once and receives the sum of its parents'
+    cotangents.  Returns ``(value, grads)`` with ``grads`` mapping each
+    variable name to a symmetric array.
     """
     if e.kind != "scalar":
         raise ExpressionError("value_and_grad needs a scalar-valued expression")
-    tape = _forward(e, env, spd.Memo())
-    return tape.value, _backward(e, tape)
+    rows = spd.Memo()
+    values = _Walk(env, rows)(e)
+    return values[-1], _backward(e, values, rows)
 
 
-def _backward(e: Expression, tape: _Tape) -> dict[str, np.ndarray]:
+def _backward(e: Expression, values: list, rows: spd.Memo) -> dict[str, np.ndarray]:
     """The Euclidean gradient of the scalar ``e`` in every variable, from a forward pass of it."""
-    values = tape.values
+    plan = _plan_of(e)
     grads = {name: np.zeros((m.dim, m.dim)) for name, m in e.variables.items()}
-    cotangents = {id(e): 1.0}
-    for node in reversed(tape.order):
-        g = cotangents.pop(id(node), None)
+    cotangents = [None] * len(plan)
+    cotangents[-1] = 1.0
+    for k in reversed(range(len(plan))):
+        g = cotangents[k]
         if g is None:
             continue
+        node = plan[k].node
         if isinstance(node, Variable):
             grads[node.name] = grads[node.name] + g
             continue
-        children = node.children()
-        child_vals = [values[id(c)] for c in children]
-        for child, cg in zip(children, _node_vjp(node, g, child_vals, values[id(node)], tape.rows)):
-            if cg is None or not child.variables:
+        for i, cg in zip(plan[k].kids, _node_vjp(plan[k], g, values, values[k], rows)):
+            if cg is None or not plan[i].node.variables:
                 continue
-            key = id(child)
-            cotangents[key] = cg if key not in cotangents else cotangents[key] + cg
+            cotangents[i] = cg if cotangents[i] is None else cotangents[i] + cg
     return {name: spd._sym(g) for name, g in grads.items()}

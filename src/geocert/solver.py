@@ -29,13 +29,13 @@ Objectives built from an expression are evaluated by forward passes
 through it, each under a memo seeded with the decomposition the line
 search already made of the point, so no matrix is decomposed twice in one
 evaluation.  The line search keeps the forward pass of the step it
-accepts, and the Euclidean gradient there is one backward pass over that
-tape (``expr._backward``).  Objectives without a gradient fall back to
-central finite differences over the symmetric basis; results are flagged
-when the fallback was used.  Every objective built from an expression is
-an ``_ExpressionObjective``, whether a problem constructor or ``geocert
-solve`` made it; the latter injects its module's ``evaluate``, so a wrapper
-installed there sees the finite-difference evaluations.
+accepts, and the Euclidean gradient there is one reverse loop over the
+expression's plan (``expr._backward``).  Objectives without a gradient fall
+back to central finite differences over the symmetric basis; results are
+flagged when the fallback was used.  Every objective built from an
+expression is an ``_ExpressionObjective``, whether a problem constructor or
+``geocert solve`` made it; the latter injects its module's ``evaluate``, so
+a wrapper installed there sees the finite-difference evaluations.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ from .expr import (
     Expression,
     SPD,
     Variable,
+    _Walk,
     _backward,
-    _forward,
     apply_atom,
     differentiable,
     evaluate,
@@ -119,22 +119,22 @@ class _ExpressionObjective(Objective):
         def evaluator(x):
             return evaluate(expression, {var: x})
 
-        gradient = self._tape_gradient if differentiable(expression) else None
+        gradient = self._kept_gradient if differentiable(expression) else None
         super().__init__(evaluator, gradient, expression)
         self._var = var
-        self._kept = None  # (array, tape) of the latest _value_at
+        self._kept = None  # (array, values, memo) of the latest _value_at
 
     def _value_at(self, x: np.ndarray, eig: spd.EigenPair) -> float:
         rows = spd.Memo()
         rows.seed(x, eig)
-        tape = _forward(self.expression, {self._var: x}, rows)
-        self._kept = (x, tape)
-        return float(tape.value)
+        values = _Walk({self._var: x}, rows)(self.expression)
+        self._kept = (x, values, rows)
+        return float(values[-1])
 
-    def _tape_gradient(self, x: np.ndarray) -> np.ndarray:
+    def _kept_gradient(self, x: np.ndarray) -> np.ndarray:
         kept, self._kept = self._kept, None
         if kept is not None and kept[0] is x:
-            return _backward(self.expression, kept[1])[self._var]
+            return _backward(self.expression, *kept[1:])[self._var]
         return value_and_grad(self.expression, {self._var: x})[1][self._var]
 
 
@@ -304,7 +304,7 @@ def gradient_descent(obj: Objective, x0, max_iter: int = 500, grad_tol: float = 
             candidate = _step(frame, mu, alpha)
             # A candidate past the PD tolerance counts as an infinite value;
             # an accepted one carries the decomposition of the next step, and
-            # its forward pass is the next gradient's tape.  The candidate is
+            # its forward pass serves the next gradient.  The candidate is
             # symmetric bit for bit, so the matrix's entries are a copy of it.
             try:
                 trial = spd.SPDMatrix(candidate)

@@ -77,7 +77,7 @@ from typing import Callable
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .errors import DomainError, RangeError, ShapeError
+from .errors import DomainError, RangeError, ShapeError, check_range
 
 # Validation tolerances (relative unless noted).
 ASYM_RTOL = 1e-12        # symmetry gate before symmetrization
@@ -454,10 +454,8 @@ def random_spd(d: int, cond_max: float = 10.0, rng_seed=0) -> SPDMatrix:
     ``log(lam)`` is uniform on ``[-log(cond_max)/2, +log(cond_max)/2]``.
     Deterministic for a fixed seed.
     """
-    if d < 1:
-        raise RangeError(f"dimension must be >= 1, got {d}")
-    if not 1.0 <= cond_max < math.inf:
-        raise RangeError(f"cond_max must be finite and >= 1, got {cond_max}")
+    check_range("d", d, "an integer >= 1", lambda n: operator.index(n) >= 1)
+    check_range("cond_max", cond_max, "finite and >= 1", lambda c: 1.0 <= c < math.inf)
     rng = _as_generator(rng_seed)
     return SPDMatrix(_spd_from_draws(*_spd_draws(d, 0.5 * math.log(float(cond_max)), rng)))
 

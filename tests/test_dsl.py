@@ -114,6 +114,13 @@ class TestRejections:
             parse_dsl(text, env)
         assert (err.value.line, err.value.column) == (1, column)
 
+    @pytest.mark.parametrize("value", [[[1.0], [1.0, 2.0]], "ab"], ids=["ragged", "string"])
+    def test_a_constant_that_is_not_numbers_is_reported_at_its_identifier(self, env, value):
+        env["g"] = value
+        with pytest.raises(ParseError, match="constant 'g' must be numeric") as err:
+            parse_dsl("tr(X) + quad_form(g, X)", env)
+        assert (err.value.line, err.value.column) == (1, 19)
+
     def test_arity_error_reported_with_atom(self, env):
         with pytest.raises(ParseError, match="logdet"):
             parse_dsl("logdet(X, X)", env)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import geocert as gc
+from geocert import expr
 from geocert.expr import _evaluate_stacked
+from geocert.solver import _ExpressionObjective
 from geocert.errors import (
     DeclarationConflictError,
     DomainError,
@@ -714,3 +716,50 @@ class TestEvaluateStacked:
             assert str(stacked.value) == str(pointwise.value)
         finally:
             gc.unregister_atom("picky_trace")
+
+
+class TestPlan:
+    """A tree is ordered once, into a plan kept on its root node."""
+
+    @staticmethod
+    def _tree(scope):
+        x = gc.make_variable("X", gc.SPD(3), scope=scope)
+        a = gc.make_const_matrix(np.diag([1.0, 2.0, 3.0]), "PD", name="A")
+        far = gc.apply_atom("pow", [gc.apply_atom("distance", [a, x]), 2])
+        return far + gc.apply_atom("logdet", [x])
+
+    def test_each_distinct_node_is_one_step_in_post_order(self, scope):
+        x = gc.make_variable("X", gc.SPD(3), scope=scope)
+        t = gc.apply_atom("tr", [x])
+        e = gc.Add((t, t), (2.0, 3.0))
+        plan = expr._plan_of(e)
+        assert [step.node for step in plan] == [x, t, e]
+        assert [step.kids for step in plan] == [(), (0,), (1, 1)]
+        assert expr._plan_of(e) is plan
+
+    def test_an_atom_step_places_its_parameters(self, scope):
+        x = gc.make_variable("X", gc.SPD(2), scope=scope)
+        h = np.array([1.0, 2.0])
+        plan = expr._plan_of(gc.apply_atom("quad_form", [h, x]))
+        (index, param), (kid, none) = plan[-1].slots
+        assert index is None and np.array_equal(param, h) and (kid, none) == (0, None)
+
+    def test_built_once_per_expression(self, scope, monkeypatch):
+        builds = []
+        build = expr._build_plan
+        monkeypatch.setattr(expr, "_build_plan", lambda e: builds.append(e) or build(e))
+        e = self._tree(scope)
+        point = np.diag([2.0, 1.0, 3.0])
+        gc.evaluate(e, {"X": point})
+        gc.evaluate(e, {"X": point})
+        gc.value_and_grad(e, {"X": point})
+        gc.gradient_descent(_ExpressionObjective(e, "X"), point, max_iter=1)
+        _evaluate_stacked(e, {"X": np.stack([point, np.eye(3)])}, np.ones(2, dtype=bool))
+        assert len(builds) == 1 and builds[0] is e
+
+    def test_a_plan_is_no_part_of_a_node_identity(self, scope):
+        p, q = self._tree(scope), self._tree(scope)
+        before = hash(q)
+        gc.evaluate(p, {"X": np.eye(3)})
+        assert p._plan is not None and q._plan is None
+        assert p == q and hash(p) == hash(q) == before

@@ -196,6 +196,14 @@ class TestOneSource:
 
         assert self._sites(rebuild) == {("spd", "_congruence"), ("spd", "_inv_sqrt")}
 
+    def test_only_the_plan_builder_orders_a_tree_for_evaluation(self):
+        # Evaluation and differentiation loop over a tree's plan; reading
+        # ``.children()`` anywhere else in them works the order out again.
+        sites = self._sites(lambda node: isinstance(node, ast.Attribute)
+                            and node.attr == "children")
+        assert sites == {("expr", "walk"), ("expr", "_build_plan"),
+                         ("analysis", "_analyze_node")}
+
 
 class TestMemo:
     def test_an_entry_is_never_served_to_another_array(self):
@@ -611,6 +619,16 @@ class TestRandomSPD:
     def test_non_finite_cond_rejected(self, cond):
         with pytest.raises(RangeError, match="finite"):
             gc.random_spd(3, cond)
+
+    @pytest.mark.parametrize("d, cond", [(2, True), (True, True), (2, "a")])
+    def test_a_boolean_or_a_non_number_is_a_range_error(self, d, cond):
+        with pytest.raises(RangeError):
+            gc.random_spd(d, cond)
+
+    def test_numpy_integers_and_integer_bounds_draw_alike(self):
+        expected = np.asarray(gc.random_spd(3, 10.0, 9))
+        for d, cond in [(np.int64(3), 10.0), (3, 10), (3, np.int32(10))]:
+            assert np.array_equal(np.asarray(gc.random_spd(d, cond, 9)), expected)
 
 
 class TestEvalAtomGate:
