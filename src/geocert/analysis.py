@@ -1,9 +1,14 @@
 """Bottom-up propagation of sign, geodesic curvature, and Euclidean curvature.
 
-One post-order pass over an immutable expression tree computes all three at
-every node, each node from its children's results.  The shared composition
-table, applied to (outer curvature, outer monotonicity) against an inner
-curvature, is:
+One pass over an immutable expression tree's plan (``expr._plan_of``: its
+distinct nodes in post-order) computes all three at every node, each node
+from its children's results, once however many parents share it.  The
+trace then holds one entry per path from the root, in post-order
+(``expr._plan_paths``), so a shared subtree is reported once per path; no
+part of the pass recurses, so a tree of any depth is analyzed.
+
+The shared composition table, applied to (outer curvature, outer
+monotonicity) against an inner curvature, is:
 
     (convex, increasing)  o  convex   -> convex
     (convex, decreasing)  o  concave  -> convex
@@ -31,7 +36,7 @@ identity matrices.  Scaling by a constant is a one-term ``Add``, which
 The public ``combine_add``, ``combine_max``, ``combine_product``,
 ``compose_scalar``, ``compose_loewner``, ``compose_inverse`` and
 ``gate_positive_domain`` are the rules the pass applies; ``_curv_node``
-only picks a node's rule and formats its trace entry, so patching one of
+only picks a node's rule and formats its trace inputs, so patching one of
 them in this module changes ``analyze``'s verdicts.  A rule that can
 explain a refusal returns its note beside its result.  An atom node's signs
 and outer metadata come from its ``meta``, resolved once when the node was
@@ -63,6 +68,8 @@ from .expr import (
     Mul,
     Sign,
     Variable,
+    _plan_of,
+    _plan_paths,
 )
 
 G = GCurvature
@@ -354,40 +361,48 @@ def _show(c: GCurvature, geodesic: bool) -> str:
 
 
 def _fmt_path(path: tuple) -> str:
-    return "root" + "".join(f".{i}" for i in path)
+    return ".".join(("root", *map(str, path)))
 
 
-def _analyze_node(node: Expression, path: tuple, trace: list[TraceEntry]) -> _NodeFacts:
-    """The facts of ``node``; appends its geodesic trace entry after its children's."""
-    kids = [_analyze_node(c, path + (i,), trace) for i, c in enumerate(node.children())]
+def _node_facts(node: Expression, kids: list[_NodeFacts]) -> tuple[_NodeFacts, str, str]:
+    """``node``'s facts from its children's, with its geodesic rule and trace inputs."""
     safe_signs = [k.safe_sign for k in kids]
     gcurv, rule, inputs = _curv_node(node, [k.gcurv for k in kids], safe_signs, geodesic=True)
     ecurv, _, _ = _curv_node(node, [_E2G[k.ecurv] for k in kids], safe_signs, geodesic=False)
-    trace.append(TraceEntry(path=_fmt_path(path), rule=rule, inputs=inputs, output=gcurv.value))
-    return _NodeFacts(
+    facts = _NodeFacts(
         sign=_sign_node(node, [k.sign for k in kids], safe=False),
         safe_sign=_sign_node(node, safe_signs, safe=True),
         gcurv=gcurv,
         ecurv=_G2E[ecurv],
     )
+    return facts, rule, inputs
 
 
 def analyze(e: Expression, manifold: Manifold) -> AnalysisReport:
     """Propagate sign and both curvatures; return the verdicts and full trace.
 
     The expression must be scalar-valued at the root, and every variable must
-    live on ``manifold``.
+    live on ``manifold``.  Each distinct node's facts are computed once, in
+    the order of the expression's plan; the trace holds one entry per path
+    from the root, in post-order, as ``Expression.walk`` yields them.
     """
     if e.kind != "scalar":
         raise ShapeError("analysis requires a scalar-valued objective at the root")
     for name, m in e.variables.items():
         if m != manifold:
             raise DomainError(f"variable '{name}' lives on {m}, not on {manifold}")
-    trace: list[TraceEntry] = []
-    root = _analyze_node(e, (), trace)
+    plan = _plan_of(e)
+    facts: list[_NodeFacts] = []
+    payloads: list[tuple[str, str, str]] = []  # (rule, inputs, output) per step
+    for step in plan:
+        node_facts, rule, inputs = _node_facts(step.node, [facts[i] for i in step.kids])
+        facts.append(node_facts)
+        payloads.append((rule, inputs, node_facts.gcurv.value))
+    trace = tuple(TraceEntry(_fmt_path(path), *payloads[k]) for path, k in _plan_paths(plan))
+    root = facts[-1]
     return AnalysisReport(
         sign=root.sign,
         gcurvature=root.gcurv,
         ecurvature=root.ecurv,
-        trace=tuple(trace),
+        trace=trace,
     )

@@ -232,7 +232,14 @@ def parse_dsl(text: str, env: dict) -> Expression:
     bind only in atom parameter slots).  The result is scalar-valued.
     """
     parser = _Parser(text, env)
-    out = parser.expr()
+    try:
+        out = parser.expr()
+    except RecursionError:
+        # Each level of parentheses, calls or minus signs is a few frames of
+        # this recursive descent; text nested past Python's recursion limit
+        # is refused where the parser stopped.
+        tok = parser.peek()
+        raise ParseError("expression nests too deeply", tok.line, tok.column) from None
     end = parser.peek()
     if end.kind != "end":
         parser.fail(f"unexpected trailing input {end.text!r}", end)

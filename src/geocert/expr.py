@@ -5,7 +5,11 @@ differentiates them in reverse mode (``value_and_grad``) through the
 vector-Jacobian products registered beside each atom's evaluator.  A tree
 is ordered once, into a plan kept on its root outside the node's key
 (``_plan_of``): its distinct nodes in post-order, each a step that names
-its children's steps.  A forward pass is one loop over the plan (``_Walk``)
+its children's steps.  The plan builder is the only code that reads a
+node's children; ``Expression.walk`` and ``node_count`` (and the analysis
+trace) read paths off the plan (``_plan_paths``), so none of them
+recurses; hashing and ``==`` still do, through each node's ``_key``.
+A forward pass is one loop over the plan (``_Walk``)
 under a ``spd.Memo``, so each input array is decomposed once per
 evaluation; a gradient is one reverse loop over it (``_backward``), which
 the solver runs on the values its line search kept.  For the falsifier,
@@ -262,17 +266,24 @@ class Expression:
     def __hash__(self):
         return hash((type(self).__name__, self._key()))
 
-    def children(self) -> tuple["Expression", ...]:
-        return self._children
+    def walk(self) -> Iterator[tuple[tuple, "Expression"]]:
+        """Yield (path, node) pairs in post-order, one per path from this node.
 
-    def walk(self, path=()) -> Iterator[tuple[tuple, "Expression"]]:
-        """Yield (path, node) pairs in post-order."""
-        for i, child in enumerate(self.children()):
-            yield from child.walk(path + (i,))
-        yield path, self
+        A path is the tuple of child positions leading to the node, ``()``
+        for this one; a subtree shared between parents is yielded once per
+        path to it.  The pairs come from the plan (``_plan_paths``), with
+        no recursion, so a tree of any depth can be walked.
+        """
+        plan = _plan_of(self)
+        for path, k in _plan_paths(plan):
+            yield path, plan[k].node
 
     def node_count(self) -> int:
-        return sum(1 for _ in self.walk())
+        """The number of pairs ``walk`` yields, counted on the plan without listing them."""
+        counts: list[int] = []
+        for step in _plan_of(self):
+            counts.append(1 + sum(counts[i] for i in step.kids))
+        return counts[-1]
 
     # Arithmetic sugar; all scalar-valued per the combinator contracts.
     def __add__(self, other):
@@ -779,7 +790,11 @@ class _Step(NamedTuple):
 
 
 def _build_plan(root: Expression) -> tuple[_Step, ...]:
-    """``root``'s distinct nodes, by identity, in post-order, each expanded once: one step each."""
+    """``root``'s distinct nodes, by identity, in post-order, each expanded once: one step each.
+
+    The only reader of a node's children: every other pass over a tree
+    loops over its plan.
+    """
     steps: list[_Step] = []
     index: dict[int, int] = {}  # id(node) -> its step
     pending = [(root, False)]  # (node, whether its children have their steps)
@@ -788,9 +803,9 @@ def _build_plan(root: Expression) -> tuple[_Step, ...]:
         if id(node) in index:
             continue
         if not ready:
-            pending += [(node, True)] + [(c, False) for c in reversed(node.children())]
+            pending += [(node, True)] + [(c, False) for c in reversed(node._children)]
             continue
-        kids = tuple(index[id(c)] for c in node.children())
+        kids = tuple(index[id(c)] for c in node._children)
         slots = None
         if isinstance(node, AtomApply):
             kid, param = iter(kids), iter(node.params)
@@ -806,6 +821,23 @@ def _plan_of(e: Expression) -> tuple[_Step, ...]:
     if e._plan is None:
         e._plan = _build_plan(e)
     return e._plan
+
+
+def _plan_paths(plan: tuple[_Step, ...]) -> Iterator[tuple[tuple, int]]:
+    """``(path, step)`` for every path from the plan's root, in post-order.
+
+    A node's path comes after its children's, which come left to right, so
+    a step shared between parents comes once per path to it.
+    """
+    pending = [((), len(plan) - 1, False)]  # (path, step, whether its children came)
+    while pending:
+        path, k, ready = pending.pop()
+        kids = plan[k].kids
+        if ready or not kids:
+            yield path, k
+            continue
+        pending.append((path, k, True))
+        pending += [(path + (i,), kids[i], False) for i in reversed(range(len(kids)))]
 
 
 class _Walk:

@@ -19,6 +19,7 @@ problem file.  All floats are 64-bit.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,8 +27,8 @@ import numpy as np
 import yaml
 
 from .dsl import parse_dsl
-from .errors import GeocertError, ProblemFileError
-from .expr import Expression, Manifold, SPD, Variable
+from .errors import ExpressionError, GeocertError, ProblemFileError
+from .expr import Expression, Manifold, SPD, Variable, _numeric
 
 
 def _integral(value) -> int:
@@ -46,12 +47,25 @@ def _real(value) -> float:
 
 # Each key a block may hold, with the cast its value gets.
 _SOLVER_KEYS = {"max_iter": _integral, "grad_tol": _real}
-# libyaml's parser when PyYAML was built with it: the same documents,
-# several times faster.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _FUZZ_KEYS = {"trials": _integral, "seed": _integral, "tol": _real, "dim": _integral,
               "cond_max": _real, "t_samples": _integral,
               "inject": None}  # inject: checked where it is read
+
+
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader, on libyaml's parser when PyYAML was built with it (the
+    same documents, several times faster), reading ``1e-3`` and ``1.7e308``
+    as numbers, as YAML 1.2 does.
+
+    YAML 1.1 reads a float only with a dot and a signed exponent, and a
+    constant takes no string, not even one that spells a number.
+    """
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+\Z"),
+    list("-+.0123456789"))
 
 
 @dataclass
@@ -89,11 +103,15 @@ def _load_matrix_entry(name, value, base: Path) -> np.ndarray:
 
 def _finite_array(what: str, value) -> np.ndarray:
     """``value`` as a float array; ``ProblemFileError`` naming ``what`` unless
-    it is numeric and finite."""
+    it is numeric and finite.
+
+    The conversion is ``expr._numeric``, the one of every constant, so a
+    string is not a number here either, even one that spells a number.
+    """
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ProblemFileError(f"{what} is not numeric: {exc}") from exc
+        arr = _numeric(value, what)
+    except ExpressionError:
+        raise ProblemFileError(f"{what} is not numeric") from None
     if not np.all(np.isfinite(arr)):
         raise ProblemFileError(f"{what} has non-finite entries")
     return arr
@@ -103,7 +121,7 @@ def load_problem(path) -> LoadedProblem:
     """Parse and validate a problem file; raises ProblemFileError on any defect."""
     p = Path(path)
     try:
-        raw = yaml.load(p.read_text(), Loader=_YAML_LOADER)
+        raw = yaml.load(p.read_text(), Loader=_Loader)
     except OSError as exc:
         raise ProblemFileError(f"cannot read {p}: {exc}") from exc
     except yaml.YAMLError as exc:

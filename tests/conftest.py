@@ -42,6 +42,17 @@ def rel_err(x, y):
     return float(np.linalg.norm(x - y) / max(np.linalg.norm(y), 1e-300))
 
 
+def reference_walk(node, path=()):
+    """(path, node) pairs in post-order, by recursion over each node's children.
+
+    The walk ``Expression.walk`` was before trees were planned; it reads
+    the children directly, so it is independent of the plan it checks.
+    """
+    for i, child in enumerate(node._children):
+        yield from reference_walk(child, path + (i,))
+    yield path, node
+
+
 @pytest.fixture
 def scope():
     return gc.VariableScope()

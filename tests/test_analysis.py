@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import geocert as gc
-from geocert import spd
+from geocert import analysis, spd
 from geocert.analysis import gflip, gjoin
 from geocert.errors import DomainError, ShapeError
 
-from conftest import registered_as, shift, shift_signature
+from conftest import reference_walk, registered_as, shift, shift_signature
 
 G = gc.GCurvature
 E = gc.ECurvature
@@ -423,6 +423,41 @@ class TestAnalyze:
         assert len(r.trace) == e.node_count()
         assert r.trace[-1].path == "root"
         assert r.trace[-1].output == r.gcurvature.value
+
+    def test_a_thousand_term_sum_analyzes_and_cross_validates(self):
+        # ``sum()`` nests its terms one Add deep each: no part of the
+        # analysis may recurse once per level.
+        s = _var("S", d=3)
+        rng = np.random.default_rng(0)
+        terms = [gc.apply_atom("log_quad_form", [rng.standard_normal(3), gc.apply_atom("inv", [s])])
+                 for _ in range(1000)]
+        e = sum(terms) + gc.apply_atom("logdet", [s])
+        r = gc.analyze(e, gc.SPD(3))
+        assert r.gcurvature is G.CONVEX and r.trace[-1].path == "root"
+        assert len(r.trace) == e.node_count() == 4004
+        cv = gc.cross_validate(e, gc.FuzzConfig(trials=4))
+        assert cv.verdict == "CONSISTENT" and cv.analysis == r
+
+    def test_a_shared_subtree_is_analyzed_once_and_traced_once_per_path(self, monkeypatch):
+        x = _var()
+        e = gc.apply_atom("tr", [x])
+        for _ in range(10):
+            e = gc.Add((e, e), (0.5, 0.5))
+        calls = []
+        rule = analysis._curv_node
+        monkeypatch.setattr(analysis, "_curv_node", lambda *a, **k: calls.append(1) or rule(*a, **k))
+        r = gc.analyze(e, gc.SPD(4))
+        assert len(calls) == 24  # twice per distinct node, not per path (2 * 3071)
+        monkeypatch.setattr(analysis, "_curv_node", rule)
+        # The reference: each path's node analyzed from its children's, found by recursion.
+        facts, expected = {}, []
+        for path, node in reference_walk(e):
+            kids = [facts[id(c)] for c in node._children]
+            facts[id(node)], name, inputs = analysis._node_facts(node, kids)
+            expected.append(analysis.TraceEntry("root" + "".join(f".{i}" for i in path), name,
+                                                inputs, facts[id(node)].gcurv.value))
+        assert r.trace == tuple(expected)
+        assert len(r.trace) == e.node_count() == 3071
 
     def test_determinism(self):
         x = _var()

@@ -157,6 +157,28 @@ objective: "sdivergence(X, A)"
         assert not out
         assert err.startswith("error: ") and "a.csv" in err, err
 
+    # Strings that spell numbers are not numbers, as in an atom's parameter.
+    @pytest.mark.parametrize("value", ['["1", "2.5"]', '[[1, 2], [3]]', '"12"'])
+    def test_a_constant_that_is_not_numbers_exit_1(self, capsys, tmp_path, value):
+        text = ("variables:\n  - {name: X, manifold: SPD, dim: 2}\n"
+                f"constants: {{h: {value}}}\nobjective: 'quad_form(h, X) - logdet(X)'\n")
+        path = write(tmp_path, "bad.yaml", text)
+        with pytest.raises(ProblemFileError, match="constant 'h' is not numeric"):
+            load_problem(path)
+        code, out, err = run_main(capsys, ["analyze", path])
+        assert code == 1
+        assert not out
+        assert err.startswith("error: ") and "constant 'h'" in err, err
+
+    def test_a_number_with_a_bare_exponent_loads_as_a_number(self, tmp_path):
+        # YAML 1.1 reads 1e-3 as a string, which a constant no longer takes.
+        text = ("variables:\n  - {name: X, manifold: SPD, dim: 2}\n"
+                "constants: {A: [[1e-3, 0], [0, 2E+0]]}\nobjective: 'sdivergence(X, A)'\n"
+                "solver: {grad_tol: 1e-7}\n")
+        prob = load_problem(write(tmp_path, "ok.yaml", text))
+        assert prob.constants["A"].tolist() == [[1e-3, 0.0], [0.0, 2.0]]
+        assert prob.solver == {"grad_tol": 1e-7}
+
     def test_integral_floats_accepted(self, tmp_path):
         text = ("variables:\n  - {name: X, manifold: SPD, dim: 2.0}\nobjective: 'logdet(X)'\n"
                 "solver: {max_iter: 3.0}\nfuzz: {trials: 3, dim: 2.0}\n")
@@ -253,6 +275,15 @@ objective: "tr(X) * logdet(X)"
         code, _, err = run_main(capsys, ["analyze", path])
         assert code == 1
         assert "not DGCP-representable" in err
+
+    def test_nesting_past_the_recursion_limit_exit_1(self, capsys, tmp_path):
+        objective = "(" * 250 + "logdet(X)" + ")" * 250
+        path = write(tmp_path, "p.yaml", "variables:\n  - {name: X, manifold: SPD, dim: 2}\n"
+                                         f"objective: '{objective}'\n")
+        code, out, err = run_main(capsys, ["analyze", path])
+        assert code == 1
+        assert not out
+        assert err.startswith("error: ") and "nests too deeply" in err, err
 
     def test_missing_file_exit_1(self, capsys):
         code, _, err = run_main(capsys, ["analyze", "no_such_file.yaml"])

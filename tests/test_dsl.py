@@ -121,6 +121,12 @@ class TestRejections:
             parse_dsl("tr(X) + quad_form(g, X)", env)
         assert (err.value.line, err.value.column) == (1, 19)
 
+    def test_nesting_past_the_recursion_limit_is_a_parse_error(self, env):
+        assert parse_dsl("(" * 100 + "logdet(X)" + ")" * 100, env) == parse_dsl("logdet(X)", env)
+        with pytest.raises(ParseError, match="nests too deeply") as err:
+            parse_dsl("(" * 250 + "logdet(X)" + ")" * 250, env)
+        assert err.value.line == 1
+
     def test_arity_error_reported_with_atom(self, env):
         with pytest.raises(ParseError, match="logdet"):
             parse_dsl("logdet(X, X)", env)

@@ -16,7 +16,7 @@ from geocert.errors import (
     UnknownAtomError,
 )
 
-from conftest import registered_as, shift, shift_signature
+from conftest import reference_walk, registered_as, shift, shift_signature
 
 
 class TestVariables:
@@ -756,6 +756,54 @@ class TestPlan:
         gc.gradient_descent(_ExpressionObjective(e, "X"), point, max_iter=1)
         _evaluate_stacked(e, {"X": np.stack([point, np.eye(3)])}, np.ones(2, dtype=bool))
         assert len(builds) == 1 and builds[0] is e
+
+    @staticmethod
+    def _shared_tree(rng, x):
+        """A random scalar tree whose later nodes reuse earlier ones, shared by identity."""
+        mats, scalars = [x], []
+        for _ in range(8):
+            pick = rng.integers(5)
+            if pick == 0 or not scalars:
+                scalars.append(gc.apply_atom(("tr", "logdet")[rng.integers(2)],
+                                             [mats[rng.integers(len(mats))]]))
+            elif pick == 1:
+                mats.append(gc.apply_atom("inv", [mats[rng.integers(len(mats))]]))
+            else:
+                kids = [scalars[i] for i in rng.integers(len(scalars), size=rng.integers(1, 4))]
+                combine = (gc.Add, gc.MaxOf, gc.Mul)[min(pick - 2, 2 if len(kids) > 1 else 1)]
+                scalars.append(combine(kids))
+        return scalars[-1]
+
+    def test_the_plan_orders_nodes_as_a_recursive_walk_first_meets_them(self, scope):
+        x = gc.make_variable("X", gc.SPD(2), scope=scope)
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            e = self._shared_tree(rng, x)
+            first = {}
+            for _, node in reference_walk(e):
+                first.setdefault(id(node), node)
+            assert [step.node for step in expr._plan_of(e)] == list(first.values())
+
+    def test_walk_yields_one_pair_per_path_as_a_recursive_walk(self, scope):
+        x = gc.make_variable("X", gc.SPD(2), scope=scope)
+        rng = np.random.default_rng(4)
+        for _ in range(100):
+            e = self._shared_tree(rng, x)
+            pairs = [(path, id(node)) for path, node in e.walk()]
+            assert pairs == [(path, id(node)) for path, node in reference_walk(e)]
+            assert e.node_count() == len(pairs)
+
+    def test_walk_and_count_a_tree_deeper_than_the_recursion_limit(self, scope):
+        x = gc.make_variable("X", gc.SPD(2), scope=scope)
+        deep = sum(gc.apply_atom("tr", [x]) for _ in range(1500))
+        paths = [p for p, _ in deep.walk()]
+        assert len(paths) == deep.node_count() == 4501
+        assert paths[0] == (0,) * 1500 and paths[-1] == ()
+        shared = gc.apply_atom("tr", [x])
+        for _ in range(16):
+            shared = gc.Add((shared, shared), (0.5, 0.5))
+        # Counted on the plan's 18 steps, not by listing 196607 paths.
+        assert len(expr._plan_of(shared)) == 18 and shared.node_count() == 196607
 
     def test_a_plan_is_no_part_of_a_node_identity(self, scope):
         p, q = self._tree(scope), self._tree(scope)

@@ -197,12 +197,13 @@ class TestOneSource:
         assert self._sites(rebuild) == {("spd", "_congruence"), ("spd", "_inv_sqrt")}
 
     def test_only_the_plan_builder_orders_a_tree_for_evaluation(self):
-        # Evaluation and differentiation loop over a tree's plan; reading
-        # ``.children()`` anywhere else in them works the order out again.
+        # Evaluation, differentiation, analysis and ``Expression.walk`` loop
+        # over a tree's plan; reading a node's children anywhere else works
+        # the order out again (and recurses, or repeats a shared subtree).
         sites = self._sites(lambda node: isinstance(node, ast.Attribute)
-                            and node.attr == "children")
-        assert sites == {("expr", "walk"), ("expr", "_build_plan"),
-                         ("analysis", "_analyze_node")}
+                            and node.attr in ("children", "_children")
+                            and isinstance(node.ctx, ast.Load))
+        assert sites == {("expr", "_build_plan")}
 
 
 class TestMemo:
