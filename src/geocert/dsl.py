@@ -28,6 +28,7 @@ from .expr import (
     ParamRef,
     Variable,
     _numeric,
+    _plan_of,
     apply_atom,
     lookup_atom,
 )
@@ -257,11 +258,26 @@ def _fmt_number(v: float) -> str:
 
 
 def unparse(e: Expression) -> str:
-    """Render an expression back to DSL text; parse(unparse(parse(s))) is stable."""
-    return _unparse(e, top=True)
+    """Render an expression back to DSL text; parse(unparse(parse(s))) is stable.
+
+    One loop over the expression's plan renders each distinct node once,
+    from its children's text, so a tree of any depth renders.  A text is
+    dropped after the last step that reads it, so a chain's texts, each
+    holding the one before, are not all kept at once.
+    """
+    plan = _plan_of(e)
+    last = {i: k for k, step in enumerate(plan) for i in step.kids}  # each text's last reader
+    texts: list[str | None] = []
+    for k, step in enumerate(plan):
+        texts.append(_render(step.node, [texts[i] for i in step.kids]))
+        for i in step.kids:
+            if last[i] == k:
+                texts[i] = None
+    return texts[-1]
 
 
-def _unparse(e: Expression, top: bool = False) -> str:
+def _render(e: Expression, kids: list[str]) -> str:
+    """The text of ``e``, given the text of each of its children."""
     if isinstance(e, Variable):
         return e.name
     if isinstance(e, ConstScalar):
@@ -272,8 +288,8 @@ def _unparse(e: Expression, top: bool = False) -> str:
         raise GeocertError("cannot render an unnamed matrix constant")
     if isinstance(e, Add):
         parts = []
-        for i, (w, t) in enumerate(zip(e.weights, e.terms)):
-            body = _wrap(t)
+        for i, (w, t, text) in enumerate(zip(e.weights, e.terms, kids)):
+            body = f"({text})" if isinstance(t, Add) else text
             # A lone term keeps its "1 *": without it the text parses to the term itself.
             if w == 1.0 and len(e.terms) > 1:
                 parts.append(body if i == 0 else f"+ {body}")
@@ -284,14 +300,14 @@ def _unparse(e: Expression, top: bool = False) -> str:
                 parts.append(scaled if i == 0 else f"+ {scaled}")
         return " ".join(parts)
     if isinstance(e, MaxOf):
-        return "max(" + ", ".join(_unparse(o) for o in e.options) + ")"
+        return "max(" + ", ".join(kids) + ")"
     if isinstance(e, AtomApply):
         rendered = []
-        args = iter(e.args)
+        args = iter(kids)
         params = iter(zip(e.params, e.param_labels))
         for kind in e.sig.positions:
             if kind in EXPR_KINDS:
-                rendered.append(_unparse(next(args)))
+                rendered.append(next(args))
             else:
                 value, label = next(params)
                 if label:
@@ -306,10 +322,3 @@ def _unparse(e: Expression, top: bool = False) -> str:
     if isinstance(e, Mul):
         raise GeocertError("products have no DSL form")
     raise GeocertError(f"cannot render node {type(e).__name__}")
-
-
-def _wrap(e: Expression) -> str:
-    text = _unparse(e)
-    if isinstance(e, Add):
-        return f"({text})"
-    return text

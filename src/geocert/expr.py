@@ -8,7 +8,9 @@ is ordered once, into a plan kept on its root outside the node's key
 its children's steps.  The plan builder is the only code that reads a
 node's children; ``Expression.walk`` and ``node_count`` (and the analysis
 trace) read paths off the plan (``_plan_paths``), so none of them
-recurses; hashing and ``==`` still do, through each node's ``_key``.
+recurses.  Hashing and ``==`` read the nodes each key holds from an
+explicit stack, and a node's hash is computed once and kept beside the
+plan, outside the key.
 A forward pass is one loop over the plan (``_Walk``)
 under a ``spd.Memo``, so each input array is decomposed once per
 evaluation; a gradient is one reverse loop over it (``_backward``), which
@@ -40,7 +42,10 @@ signature's ``effective`` metadata at its parameters and those dimensions
 as ``meta``, which analysis reads.  Nodes are immutable after
 construction.  Each node class states its identity once, as a ``_key()``
 tuple; ``Expression.__eq__`` (same class, equal keys) and
-``Expression.__hash__`` both read it, so equal nodes hash alike.  Arrays
+``Expression.__hash__`` both read it, so equal nodes hash alike.  A
+node's hash is computed on first use, not when it is built, so a node
+whose key holds something unhashable (a user atom's evaluator) builds
+and compares, and only hashing it raises ``TypeError``.  Arrays
 enter a key through ``_array_token`` (parameters through
 ``_param_token``), which equal arrays share.
 """
@@ -231,7 +236,7 @@ def _array_token(a: np.ndarray) -> tuple:
 class Expression:
     """Base class for immutable expression nodes."""
 
-    __slots__ = ("_kind", "_dim", "_vars", "_children", "_plan")
+    __slots__ = ("_kind", "_dim", "_vars", "_children", "_plan", "_hash")
 
     def _init_base(self, kind: str, dim: int | None, children: tuple = (), variables=None):
         if variables is None:  # those of the children, merged
@@ -241,6 +246,7 @@ class Expression:
         self._children = children
         self._vars = variables
         self._plan = None  # built on first use by ``_plan_of``; not in the key
+        self._hash = None  # computed on first use by ``__hash__``; not in the key
 
     @property
     def kind(self) -> str:
@@ -261,10 +267,63 @@ class Expression:
         raise NotImplementedError
 
     def __eq__(self, other):
-        return type(self) is type(other) and self._key() == other._key()
+        """Same class and equal keys, the keys compared as tuples compare.
+
+        The pairs of nodes the keys hold wait on a list, not on the call
+        stack, and each pair of distinct nodes is compared once, so a tree
+        of any depth compares in time linear in its distinct nodes.  Two
+        nodes whose hashes are both cached and differ are unequal at once;
+        no hash is computed here.
+        """
+        pending, seen = [(self, other)], set()
+        while pending:
+            a, b = pending.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            if type(a) is not type(b):
+                return False
+            if a._hash is not None and b._hash is not None and a._hash != b._hash:
+                return False
+            seen.add((id(a), id(b)))
+            ka, kb = a._key(), b._key()
+            if len(ka) != len(kb):
+                return False
+            for x, y in zip(ka, kb):
+                # Nodes sit in a key or in a tuple in it (``_key_nodes``).
+                if type(x) is tuple and type(y) is tuple:
+                    if len(x) != len(y):
+                        return False
+                    pairs = zip(x, y)
+                else:
+                    pairs = ((x, y),)
+                for u, v in pairs:
+                    if isinstance(u, Expression) and isinstance(v, Expression):
+                        pending.append((u, v))
+                    elif not (u is v or u == v):
+                        return False
+        return True
 
     def __hash__(self):
-        return hash((type(self).__name__, self._key()))
+        """The hash of the class name and the key, computed once per node and kept.
+
+        Computed on first use, children first, from a stack of the nodes
+        each key holds (``_key_nodes``), so no call recurses; a key's
+        tuple hash then reads each child's kept hash.
+        """
+        pending = [self]
+        while self._hash is None:
+            node = pending[-1]
+            if node._hash is not None:
+                pending.pop()
+                continue
+            key = node._key()
+            waiting = [n for n in _key_nodes(key) if n._hash is None]
+            if waiting:
+                pending += waiting
+                continue
+            node._hash = hash((type(node).__name__, key))
+            pending.pop()
+        return self._hash
 
     def walk(self) -> Iterator[tuple[tuple, "Expression"]]:
         """Yield (path, node) pairs in post-order, one per path from this node.
@@ -314,6 +373,14 @@ class Expression:
     def __rmul__(self, other):
         # Only a number reaches here: an expression on the left takes __mul__.
         return Add((self,), (_coerce(other).value,))
+
+
+def _key_nodes(key: tuple) -> Iterator[Expression]:
+    """The nodes a ``_key()`` holds: its items and the items of its tuples that are nodes."""
+    for x in key:
+        for u in x if type(x) is tuple else (x,):
+            if isinstance(u, Expression):
+                yield u
 
 
 def _coerce(x) -> Expression:

@@ -10,6 +10,8 @@ import pytest
 
 import geocert as gc
 from geocert import expr
+from geocert.dsl import _fmt_number
+from geocert.errors import GeocertError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -51,6 +53,57 @@ def reference_walk(node, path=()):
     for i, child in enumerate(node._children):
         yield from reference_walk(child, path + (i,))
     yield path, node
+
+
+def reference_unparse(e):
+    """DSL text of ``e``, by recursion over each node's operands.
+
+    The renderer ``dsl.unparse`` was before it looped over the plan; it
+    raises the ``GeocertError`` of the first node it cannot render.
+    """
+    if isinstance(e, gc.Variable):
+        return e.name
+    if isinstance(e, gc.ConstScalar):
+        return _fmt_number(e.value)
+    if isinstance(e, gc.ConstMatrix):
+        if e.name:
+            return e.name
+        raise GeocertError("cannot render an unnamed matrix constant")
+    if isinstance(e, gc.Add):
+        parts = []
+        for i, (w, t) in enumerate(zip(e.weights, e.terms)):
+            body = reference_unparse(t)
+            if isinstance(t, gc.Add):
+                body = f"({body})"
+            if w == 1.0 and len(e.terms) > 1:
+                parts.append(body if i == 0 else f"+ {body}")
+            elif w == -1.0:
+                parts.append(f"-{body}" if i == 0 else f"- {body}")
+            else:
+                scaled = f"{_fmt_number(w)} * {body}"
+                parts.append(scaled if i == 0 else f"+ {scaled}")
+        return " ".join(parts)
+    if isinstance(e, gc.MaxOf):
+        return "max(" + ", ".join(reference_unparse(o) for o in e.options) + ")"
+    if isinstance(e, gc.AtomApply):
+        rendered = []
+        args = iter(e.args)
+        params = iter(zip(e.params, e.param_labels))
+        for kind in e.sig.positions:
+            if kind in expr.EXPR_KINDS:
+                rendered.append(reference_unparse(next(args)))
+            else:
+                value, label = next(params)
+                if label:
+                    rendered.append(label)
+                elif isinstance(value, (int, float)):
+                    rendered.append(_fmt_number(value))
+                else:
+                    raise GeocertError(f"cannot render an unnamed array parameter of '{e.sig.id}'")
+        return f"{e.sig.id}(" + ", ".join(rendered) + ")"
+    if isinstance(e, gc.Mul):
+        raise GeocertError("products have no DSL form")
+    raise GeocertError(f"cannot render node {type(e).__name__}")
 
 
 @pytest.fixture

@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import geocert as gc
+from geocert import expr
 from geocert.dsl import parse_dsl, unparse
-from geocert.errors import ParseError
+from geocert.errors import GeocertError, ParseError
+
+from conftest import reference_unparse
 
 
 @pytest.fixture
@@ -154,3 +159,49 @@ class TestRoundTrip:
         second = parse_dsl(rendered, env)
         assert first == second
         assert unparse(second) == rendered
+
+    def test_a_sum_deeper_than_the_recursion_limit_renders(self, env):
+        x = env["X"]
+        deep = sum(gc.apply_atom("tr", [x]) for _ in range(600))
+        text = unparse(deep)
+        assert text.startswith("(" * 599 + "0 + tr(X)) + tr(X)") and text.endswith(") + tr(X)")
+        try:
+            again = parse_dsl(text, env)
+        except ParseError as exc:
+            # Each parenthesis is a few frames of the recursive descent.
+            assert "nests too deeply" in str(exc)
+        else:
+            assert again == deep
+
+    def test_a_chain_keeps_only_the_texts_still_to_be_read(self, env):
+        # Each link's text holds the one before it: kept all at once, the
+        # 3000 texts of this chain take about 45 MB for 30 kB of output.
+        x = env["X"]
+        deep = sum(gc.apply_atom("tr", [x]) for _ in range(3000))
+        expr._plan_of(deep)
+        tracemalloc.start()
+        try:
+            text = unparse(deep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) == 29999 and peak < 5e6
+
+    @pytest.mark.parametrize("bad, message", [
+        (lambda x: gc.apply_atom("logdet", [gc.ConstMatrix(np.eye(5))]),
+         "cannot render an unnamed matrix constant"),
+        (lambda x: gc.apply_atom("quad_form", [np.ones(5), x]),
+         "cannot render an unnamed array parameter of 'quad_form'"),
+        (lambda x: gc.apply_atom("tr", [x]) * gc.apply_atom("logdet", [x]),
+         "products have no DSL form"),
+    ])
+    def test_one_node_that_cannot_render_refuses_the_tree_as_before(self, env, bad, message):
+        x = env["X"]
+        e = bad(x)
+        for i in range(5):
+            e = gc.MaxOf((gc.apply_atom("tr", [x]), 2 * e)) if i % 2 else e - gc.apply_atom("tr", [x])
+        with pytest.raises(GeocertError) as want:
+            reference_unparse(e)
+        with pytest.raises(GeocertError) as got:
+            unparse(e)
+        assert str(got.value) == str(want.value) == message

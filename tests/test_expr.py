@@ -5,18 +5,20 @@ import pytest
 
 import geocert as gc
 from geocert import expr
+from geocert.dsl import unparse
 from geocert.expr import _evaluate_stacked
 from geocert.solver import _ExpressionObjective
 from geocert.errors import (
     DeclarationConflictError,
     DomainError,
     ExpressionError,
+    GeocertError,
     RegistrationConflictError,
     ShapeError,
     UnknownAtomError,
 )
 
-from conftest import reference_walk, registered_as, shift, shift_signature
+from conftest import reference_unparse, reference_walk, registered_as, shift, shift_signature
 
 
 class TestVariables:
@@ -335,6 +337,110 @@ class TestStructure:
         for scaled, weight in ((-t, -1.0), (2 * t, 2.0), (t * gc.ConstScalar(2.0), 2.0)):
             assert scaled == gc.Add((t,), (weight,))
         assert isinstance(t * t, gc.Mul)
+
+
+class TestIdentity:
+    """Hashing and ``==`` visit each distinct node (or pair) a bounded number of times, with no recursion."""
+
+    NODE_CLASSES = (gc.Variable, gc.ConstMatrix, gc.ConstScalar, gc.Add, gc.Mul, gc.MaxOf,
+                    gc.AtomApply)
+
+    @staticmethod
+    def _sum(terms):
+        s = gc.Variable("S", gc.SPD(3))
+        rng = np.random.default_rng(0)
+        return sum(gc.apply_atom("log_quad_form", [gc.ParamRef(f"x{i}", rng.standard_normal(3)),
+                                                   gc.apply_atom("inv", [s])])
+                   for i in range(terms)) + gc.apply_atom("logdet", [s])
+
+    @staticmethod
+    def _chain(links):
+        x = gc.Variable("X", gc.SPD(2))
+        e = gc.apply_atom("tr", [x])
+        for _ in range(links):
+            e = e + gc.apply_atom("tr", [x])
+        return e
+
+    @staticmethod
+    def _shared(levels=16):
+        e = gc.apply_atom("tr", [gc.Variable("X", gc.SPD(2))])
+        for _ in range(levels):
+            e = gc.Add((e, e), (0.5, 0.5))
+        return e
+
+    @staticmethod
+    def _same(a, b):
+        # Compared before either is hashed, as dict keys, then with both hashes kept.
+        assert a == b and b == a
+        assert hash(a) == hash(b)
+        assert {a: 1}[b] == 1 and {b: 2}[a] == 2
+        assert a == b
+
+    def test_two_thousand_term_sums_built_apart_are_one_key(self):
+        self._same(self._sum(1000), self._sum(1000))
+
+    def test_chains_deeper_than_the_recursion_limit_compare_and_hash(self):
+        self._same(self._chain(3000), self._chain(3000))
+        shorter, longer = self._chain(2999), self._chain(3000)
+        assert shorter != longer and longer != shorter
+        hash(shorter), hash(longer)
+        assert shorter != longer
+
+    def _count_keys(self, monkeypatch) -> list:
+        calls = []
+        for cls in self.NODE_CLASSES:
+            key = cls._key
+            monkeypatch.setattr(cls, "_key", lambda node, key=key: calls.append(1) or key(node))
+        return calls
+
+    def test_a_shared_tree_hashes_and_compares_once_per_distinct_node(self, monkeypatch):
+        p, q = self._shared(), self._shared()
+        assert len(expr._plan_of(p)) == len(expr._plan_of(q)) == 18
+        calls = self._count_keys(monkeypatch)
+        assert p == q
+        assert len(calls) <= 2 * 18  # one per side of each of 18 pairs; 393214 by path
+        del calls[:]
+        hash(p)
+        assert len(calls) <= 2 * 18  # at most twice per distinct node; 196607 by path
+        del calls[:]
+        assert hash(q) == hash(p) and p == q
+
+    def test_nodes_with_differing_kept_hashes_are_unequal_without_their_keys(self, monkeypatch):
+        p, q = self._shared(), self._shared(15)
+        hash(p), hash(q)
+        calls = self._count_keys(monkeypatch)
+        assert p != q and not calls
+
+    def test_equality_computes_no_hash(self):
+        p, q = self._shared(), self._shared()
+        assert p == q
+        assert p._hash is None and q._hash is None
+
+    def test_an_unhashable_evaluator_fails_only_hashing(self):
+        class Half:
+            """An evaluator with ``__eq__`` and no ``__hash__``: its instances are unhashable."""
+
+            def __call__(self, x):
+                return 0.5 * float(np.trace(x))
+
+            def __eq__(self, other):
+                return isinstance(other, Half)
+
+        sig = gc.AtomSignature("half_trace", (gc.ArgKind.MANIFOLD,), "scalar", gc.Sign.POSITIVE,
+                               gc.GCurvature.CONVEX, gc.GMonotonicity.INCREASING,
+                               gc.ECurvature.AFFINE)
+        x = gc.Variable("X", gc.SPD(2))
+        with registered_as(sig, Half()):
+            a = gc.apply_atom("half_trace", [x])
+            e = a + gc.apply_atom("logdet", [x])
+        with registered_as(sig, Half()):
+            b = gc.apply_atom("half_trace", [x])
+            f = b + gc.apply_atom("logdet", [x])
+        assert a.evaluator is not b.evaluator
+        assert a == b and e == f and e != a + gc.apply_atom("tr", [x])
+        for node in (a, e):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(node)
 
 
 class TestRegistry:
@@ -783,6 +889,26 @@ class TestPlan:
             for _, node in reference_walk(e):
                 first.setdefault(id(node), node)
             assert [step.node for step in expr._plan_of(e)] == list(first.values())
+
+    def test_unparse_renders_as_a_recursive_renderer(self, scope):
+        x = gc.make_variable("X", gc.SPD(2), scope=scope)
+        rng = np.random.default_rng(5)
+        outcomes = []
+        for _ in range(300):
+            e = self._shared_tree(rng, x)
+            try:
+                want = reference_unparse(e)
+            except GeocertError as exc:
+                # Every node these trees cannot render is a product, so a
+                # tree with several gives the one message too.
+                with pytest.raises(GeocertError) as got:
+                    unparse(e)
+                assert str(got.value) == str(exc)
+                outcomes.append("refused")
+            else:
+                assert unparse(e) == want
+                outcomes.append("rendered")
+        assert set(outcomes) == {"rendered", "refused"}
 
     def test_walk_yields_one_pair_per_path_as_a_recursive_walk(self, scope):
         x = gc.make_variable("X", gc.SPD(2), scope=scope)

@@ -205,6 +205,29 @@ class TestOneSource:
                             and isinstance(node.ctx, ast.Load))
         assert sites == {("expr", "_build_plan")}
 
+    @staticmethod
+    def _calls(call: ast.Call, name: str) -> bool:
+        """Whether ``call`` calls ``name`` as a function or as a method of ``self`` or ``cls``."""
+        f = call.func
+        if isinstance(f, ast.Name):
+            return f.id == name
+        return (isinstance(f, ast.Attribute) and f.attr == name
+                and isinstance(f.value, ast.Name) and f.value.id in ("self", "cls"))
+
+    def test_no_function_calls_itself(self):
+        # A pass over a tree loops over its plan or an explicit stack; one
+        # that calls itself per level fails on a tree deeper than Python's
+        # recursion limit.  Two descents are bounded otherwise: the parser's
+        # by ``parse_dsl``, which turns its depth into a ``ParseError``, and
+        # a parameter token's by the nesting of the parameter.
+        calls = set()
+        for path in sorted(Path(spd.__file__).resolve().parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    calls |= {(path.stem, node.name) for call in ast.walk(node)
+                              if isinstance(call, ast.Call) and self._calls(call, node.name)}
+        assert calls == {("dsl", "factor"), ("expr", "_param_token")}
+
 
 class TestMemo:
     def test_an_entry_is_never_served_to_another_array(self):
