@@ -71,6 +71,7 @@ from .expr import (
     _plan_of,
     _plan_paths,
 )
+from .spd import _holds
 
 G = GCurvature
 E = ECurvature
@@ -221,7 +222,7 @@ def gate_positive_domain(node: AtomApply, arg_sign: Sign) -> tuple[GMonotonicity
     """
     if arg_sign is Sign.POSITIVE:
         return node.meta.gmono, ""
-    p = node.params[0] if node.evaluator in POWER_ATOMS else None
+    p = node.params[0] if _holds(POWER_ATOMS, node.evaluator) else None
     if p is not None and float(p).is_integer() and int(p) % 2 == 0:
         return M.ANY, "even power composed without a sign guarantee"
     return None, (f"{node.sig.id} needs a provably nonnegative argument, "
@@ -275,8 +276,8 @@ def _sign_node(e: Expression, child_signs: list[Sign], safe: bool) -> Sign:
             return Sign.NEGATIVE
         return Sign.ANY
     if isinstance(e, AtomApply):
-        if safe:
-            return SIGN_RANGE_OVERRIDES.get(e.evaluator, e.meta.sign)
+        if safe and _holds(SIGN_RANGE_OVERRIDES, e.evaluator):
+            return SIGN_RANGE_OVERRIDES[e.evaluator]
         return e.meta.sign
     return Sign.ANY
 
@@ -324,7 +325,7 @@ def _curv_node(node: Expression, kid_curvs: list[GCurvature], kid_safe_signs: li
         inputs = ", ".join(_show(c, geodesic) for c in kid_curvs)
         return combine_max(kid_curvs), "pointwise-max", inputs
     if isinstance(node, AtomApply):
-        if geodesic and node.evaluator in INVERSE_ATOMS:
+        if geodesic and _holds(INVERSE_ATOMS, node.evaluator):
             curv = compose_inverse(kid_curvs[0])
             note = _note("inversion only reparametrizes geodesically linear arguments"
                          if curv is G.UNKNOWN else "")
@@ -337,7 +338,7 @@ def _curv_node(node: Expression, kid_curvs: list[GCurvature], kid_safe_signs: li
         outer_curv = eff.gcurv if loewner else _E2G[eff.ecurv]
         rule = "scalar-composition" if scalar_outer else "loewner-composition"
         mono, note = eff.gmono, ""
-        if node.evaluator in POSITIVE_DOMAIN_ATOMS:
+        if _holds(POSITIVE_DOMAIN_ATOMS, node.evaluator):
             mono, note = gate_positive_domain(node, kid_safe_signs[0])
         shown = eff.gmono if mono is None else mono
         outer = f"outer=({_show(outer_curv, geodesic)},{shown.value})"

@@ -20,8 +20,8 @@ argument's dimension.  The scalar outer functions are the atoms without a
 Euclidean curvature, so no list of their names is kept here.
 
 The tables of ``analysis``'s atom-specific rules below are keyed by the
-function the catalog registers, as ``spd.STACKED`` is: a rule follows the
-evaluator a node bound under any id, not the name.
+function the catalog registers, looked up by identity (``spd._holds``):
+a rule follows the evaluator a node bound under any id, not the name.
 """
 
 from __future__ import annotations

@@ -11,19 +11,16 @@ trace) read paths off the plan (``_plan_paths``), so none of them
 recurses.  Hashing and ``==`` read the nodes each key holds from an
 explicit stack, and a node's hash is computed once and kept beside the
 plan, outside the key.
-A forward pass is one loop over the plan (``_Walk``)
-under a ``spd.Memo``, so each input array is decomposed once per
-evaluation; a gradient is one reverse loop over it (``_backward``), which
-the solver runs on the values its line search kept.  For the falsifier,
-``_evaluate_stacked`` evaluates a tree at a whole stack of points in one
-pass: every built-in atom's evaluator is in ``spd.STACKED`` and runs once
-over the whole stack under a ``spd.Rows``, and each point gets the value,
-or the ``DomainError`` outcome, that ``evaluate`` gives it.  A tree holding
-a user atom is not stacked: its walk raises ``spd.Undecided``, and the
-falsifier calls ``evaluate`` point by point instead.  ``_StackedWalk``
-only overrides how ``_Walk`` reads a variable, keeps a combinator's result
-and calls an atom; either gates a variable's value as ``spd.sym_eig``
-gates a matrix before any atom reads it.
+A forward pass is one loop over the plan (``_forward``) under a row
+policy of ``spd``, which binds each variable, calls each atom and keeps
+each combinator's value.  Under a ``spd.Memo`` it evaluates one point,
+decomposing each input array once; a gradient is one reverse loop over the
+plan (``_backward``), which the solver runs on the values its line search
+kept.  Under a ``spd.Rows`` (``_evaluate_stacked``, for the falsifier) every
+built-in evaluator runs once over a whole stack of points, and each point
+gets the value, or the ``DomainError`` outcome, that ``evaluate`` gives
+it; a user atom leaves the stack undecided (``spd.Undecided``), and the
+falsifier calls ``evaluate`` point by point instead.
 
 Expressions are plain trees: variables and constants at the leaves,
 arithmetic combinators and atom applications inside.  Fixed atom parameters
@@ -660,9 +657,10 @@ def register_atom(sig: AtomSignature, evaluator: Callable, vjp: Callable | None 
     ``vjp(g, out, wrt, *args)``, when given, is the atom's vector-Jacobian
     product: ``args`` are the evaluator's arguments, ``out`` its result, ``g``
     the cotangent of that result and ``wrt`` one flag per expression
-    argument.  It returns one cotangent per expression argument (entries
-    with a false flag may be None).  Atoms without one are differentiated
-    by finite differences when solved.
+    argument.  It returns a tuple of one cotangent per expression argument,
+    shaped as its value (entries with a false flag may be None), or a
+    backward pass raises ``ExpressionError``.  Atoms without one are
+    differentiated by finite differences when solved.
     """
     if sig.id in _REGISTRY:
         raise RegistrationConflictError(f"atom '{sig.id}' is already registered")
@@ -907,83 +905,48 @@ def _plan_paths(plan: tuple[_Step, ...]) -> Iterator[tuple[tuple, int]]:
         pending += [(path + (i,), kids[i], False) for i in reversed(range(len(kids)))]
 
 
-class _Walk:
-    """One evaluation of a tree at one point: a loop over the tree's plan.
+def _forward(e: Expression, env: dict, rows: spd.Memo) -> list:
+    """The values of ``e``'s plan under the row policy ``rows``, one per step, ``e``'s last.
 
-    Calling it on a node returns the values of the node's plan, one per
-    step, the node's own last; a subtree shared between parents is one
-    step, evaluated once.  ``_node_value`` holds the only copy of the
-    combinators' arithmetic, which numpy broadcasting serves for floats and
-    ``(n,)`` stacks alike; the hooks ``_variable``, ``_scalar`` and
-    ``_atom`` hold what a stacked walk does differently, and the row policy
-    ``rows`` the rest (here the evaluation's ``spd.Memo``).  Values stay
-    writable: a user atom's evaluator is called only here, on values no
-    other point shares, so it may write into one.
+    Values stay writable: a user atom's evaluator is called only at a
+    point, on values no other point shares, so it may write into one.
     """
+    values = []
+    for step in _plan_of(e):
+        values.append(_node_value(step, values, env, rows))
+    return values
 
-    def __init__(self, env: dict, rows: spd.Memo):
-        self.env = env
-        self.rows = rows
 
-    def __call__(self, e: Expression) -> list:
-        values = []
-        for step in _plan_of(e):
-            values.append(self._node_value(step, values))
-        return values
-
-    def _node_value(self, step: _Step, values: list):
-        """The value of one step's node, given the values of the steps before it."""
-        e = step.node
-        if step.slots is not None:
-            return self._atom(e, e.evaluator, step.args(values))
-        kids = [values[i] for i in step.kids]
-        if isinstance(e, Variable):
-            return self._variable(e)
-        if isinstance(e, ConstMatrix):
-            return e.values
-        if isinstance(e, ConstScalar):
-            return e.value
-        if isinstance(e, Add):
-            out = 0.0  # as sum(), which starts from 0: 0 + (-0.0) is 0.0
-            for w, v in zip(e.weights, kids):
-                out = out + w * v
-        elif isinstance(e, Mul):
-            out = 1.0
-            for v in kids:
-                out = out * v
-        elif isinstance(e, MaxOf):
-            # As max(): a later option wins only when strictly greater, so a
-            # NaN option neither wins nor loses.
-            out = kids[0]
-            for v in kids[1:]:
-                out = np.where(v > out, v, out)
-        else:
-            raise ExpressionError(f"cannot evaluate node {type(e).__name__}")
-        return self._scalar(out)
-
-    def _variable(self, e: Variable):
-        """The bound value, after the gate of ``spd.sym_eig``, once per array.
-
-        An ``SPDMatrix`` passed it already: it seeds the memo with its
-        decomposition, which vouches for the gate too.
-        """
-        try:
-            value = self.env[e.name]
-        except KeyError:
-            raise ExpressionError(f"no value bound for variable '{e.name}'") from None
-        arr = np.asarray(value, dtype=float)
-        if arr.shape != (e.manifold.dim, e.manifold.dim):
-            raise ExpressionError(
-                f"value for '{e.name}' has shape {arr.shape}, expected {(e.manifold.dim,) * 2}"
-            )
-        if isinstance(value, spd.SPDMatrix):
-            self.rows.seed(arr, value.eig)
-        return self.rows.memo("symmetric", self.rows.symmetric, arr)
-
-    _scalar = float
-
-    def _atom(self, e: AtomApply, fn, args: list):
-        return fn(*args, rows=self.rows) if fn in spd.STACKED else fn(*args)
+def _node_value(step: _Step, values: list, env: dict, rows: spd.Memo):
+    """The value of one step's node from the values before it: the one copy
+    of the combinators' arithmetic, for floats and ``(n,)`` stacks alike."""
+    e = step.node
+    if step.slots is not None:
+        return rows.call(e.evaluator, step.args(values), e.sig.id)
+    if isinstance(e, Variable):
+        return rows.bind(e.name, e.dim, env)
+    if isinstance(e, ConstMatrix):
+        return e.values
+    if isinstance(e, ConstScalar):
+        return e.value
+    kids = [values[i] for i in step.kids]
+    if isinstance(e, Add):
+        out = 0.0  # as sum(), which starts from 0: 0 + (-0.0) is 0.0
+        for w, v in zip(e.weights, kids):
+            out = out + w * v
+    elif isinstance(e, Mul):
+        out = 1.0
+        for v in kids:
+            out = out * v
+    elif isinstance(e, MaxOf):
+        # As max(): a later option wins only when strictly greater, so a
+        # NaN option neither wins nor loses.
+        out = kids[0]
+        for v in kids[1:]:
+            out = np.where(v > out, v, out)
+    else:
+        raise ExpressionError(f"cannot evaluate node {type(e).__name__}")
+    return rows.scalar(out)
 
 
 def evaluate(e: Expression, env: dict):
@@ -995,7 +958,7 @@ def evaluate(e: Expression, env: dict):
     violations raise ``DomainError``.  A subtree shared between parents is
     evaluated once, and each input array is decomposed once.
     """
-    return _Walk(env, spd.Memo())(e)[-1]
+    return _forward(e, env, spd.Memo())[-1]
 
 
 def _evaluate_stacked(e: Expression, env: dict, alive: np.ndarray):
@@ -1006,7 +969,7 @@ def _evaluate_stacked(e: Expression, env: dict, alive: np.ndarray):
     float values and the rows whose per-point ``evaluate`` would not raise
     ``DomainError``.  Every alive row's value equals per-point ``evaluate``
     bit for bit; other rows hold placeholders.  Raises ``spd.Undecided``
-    when the tree holds an atom whose evaluator is not in ``spd.STACKED``,
+    when the tree holds an atom whose evaluator is not a built-in one,
     when some row's per-point evaluation would raise anything else, or when
     that cannot be ruled out, including any floating-point event that numpy
     is set to report (the stacked arithmetic would otherwise hide it).
@@ -1018,7 +981,7 @@ def _evaluate_stacked(e: Expression, env: dict, alive: np.ndarray):
     modes = {k: "ignore" if v == "ignore" else "call" for k, v in np.geterr().items()}
     try:
         with np.errstate(call=lambda *_: events.append(1), **modes):
-            values = _StackedWalk(env, rows)(e)[-1]
+            values = _forward(e, env, rows)[-1]
     except Exception as exc:  # Undecided, or what some row raises per point
         raise spd.Undecided(f"the stacked walk raised {exc!r}") from None
     if events:
@@ -1026,47 +989,16 @@ def _evaluate_stacked(e: Expression, env: dict, alive: np.ndarray):
     return values, rows.alive
 
 
-class _StackedWalk(_Walk):
-    """The walk of ``_evaluate_stacked``, under a ``spd.Rows``; each node is evaluated once.
-
-    Scalar nodes hold ``(n,)`` float stacks, matrix nodes ``(n, d, d)``
-    stacks; a subtree without variables may hold one float or one
-    ``(d, d)`` matrix for all rows, which numpy and ``spd.Rows`` broadcast.
-    An atom's evaluator runs once per node with ``rows=self.rows`` when it
-    is in ``spd.STACKED``, as every built-in one is; any other evaluator, a
-    registered user atom's, leaves the stack undecided, and the caller
-    evaluates point by point.
-    """
-
-    def _variable(self, e: Variable):
-        """The bound stack, after the gate of ``spd.sym_eig`` per row: ``spd.Rows.symmetric``."""
-        v = self.env.get(e.name)
-        shape = (len(self.rows.alive), e.dim, e.dim)
-        if getattr(v, "shape", None) != shape:
-            raise spd.Undecided(f"no stack of shape {shape} for '{e.name}'")
-        return self.rows.symmetric(v)
-
-    def _scalar(self, v):
-        # A float when every operand was one value for all rows.
-        return float(v) if np.ndim(v) == 0 else v
-
-    def _atom(self, e: AtomApply, fn, args: list):
-        if fn not in spd.STACKED:
-            raise spd.Undecided(f"atom '{e.sig.id}' has no stacked evaluator")
-        # An atom of constants may give one value for all rows.
-        return self._scalar(fn(*args, rows=self.rows))
-
-
 def differentiable(e: Expression) -> bool:
     """True when every atom in ``e`` has a registered vector-Jacobian product."""
     return all(step.node.vjp is not None for step in _plan_of(e) if step.slots is not None)
 
 
-def _node_vjp(step: _Step, g, values: list, out, rows: spd.Memo) -> list:
+def _node_vjp(step: _Step, g, values: list, out, rows: spd.Memo) -> list | tuple:
     """Cotangents of a step's children from the cotangent ``g`` of its value ``out``.
 
-    Products in ``spd.RESIDUAL_VJPS`` get ``rows``, the memo of the forward
-    pass, to read their evaluator's decompositions from.
+    An atom's product runs through ``rows``, the memo of the forward pass,
+    whose decompositions it may read (``spd.Memo.pull``).
     """
     e = step.node
     if isinstance(e, Add):
@@ -1076,9 +1008,10 @@ def _node_vjp(step: _Step, g, values: list, out, rows: spd.Memo) -> list:
         if vjp is None:
             raise ExpressionError(f"atom '{e.sig.id}' has no vector-Jacobian product")
         wrt = tuple(bool(a.variables) for a in e.args)
-        if vjp in spd.RESIDUAL_VJPS:
-            return list(vjp(g, out, wrt, *step.args(values), rows=rows))
-        return list(vjp(g, out, wrt, *step.args(values)))
+        cotangents = rows.pull(vjp, g, out, wrt, step.args(values))
+        if not spd._holds(spd._VJPS, vjp):  # spd's own are pinned by the gradient tests
+            _check_cotangents(e, cotangents, [values[i] for i in step.kids], wrt)
+        return cotangents
     child_vals = [values[i] for i in step.kids]
     if isinstance(e, Mul):
         return [
@@ -1089,6 +1022,19 @@ def _node_vjp(step: _Step, g, values: list, out, rows: spd.Memo) -> list:
         best = child_vals.index(max(child_vals))
         return [g if i == best else None for i in range(len(child_vals))]
     return []
+
+
+def _check_cotangents(e: AtomApply, cotangents, args: list, wrt: tuple) -> None:
+    """``ExpressionError`` unless a product's return is a tuple or list of one cotangent
+    per expression argument, each flagged one shaped as its argument's value."""
+    where = f"the vector-Jacobian product of atom '{e.sig.id}'"
+    if type(cotangents) not in (tuple, list) or len(cotangents) != len(args):
+        raise ExpressionError(f"{where} must return a tuple of one cotangent per "
+                              f"expression argument ({len(args)})")
+    for i, (flag, cg, v) in enumerate(zip(wrt, cotangents, args)):
+        if flag and (cg is None or np.shape(cg) != np.shape(v)):
+            raise ExpressionError(f"{where} returned {None if cg is None else np.shape(cg)} "
+                                  f"for argument {i}, whose value has shape {np.shape(v)}")
 
 
 def value_and_grad(e: Expression, env: dict):
@@ -1106,7 +1052,7 @@ def value_and_grad(e: Expression, env: dict):
     if e.kind != "scalar":
         raise ExpressionError("value_and_grad needs a scalar-valued expression")
     rows = spd.Memo()
-    values = _Walk(env, rows)(e)
+    values = _forward(e, env, rows)
     return values[-1], _backward(e, values, rows)
 
 

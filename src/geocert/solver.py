@@ -55,8 +55,8 @@ from .expr import (
     Expression,
     SPD,
     Variable,
-    _Walk,
     _backward,
+    _forward,
     apply_atom,
     differentiable,
     evaluate,
@@ -127,7 +127,7 @@ class _ExpressionObjective(Objective):
     def _value_at(self, x: np.ndarray, eig: spd.EigenPair) -> float:
         rows = spd.Memo()
         rows.seed(x, eig)
-        values = _Walk({self._var: x}, rows)(self.expression)
+        values = _forward(self.expression, {self._var: x}, rows)
         self._kept = (x, values, rows)
         return float(values[-1])
 

@@ -58,7 +58,11 @@ is exact.
 decomposes each input array of one evaluation once, and can be seeded
 with a decomposition its caller already holds (the ``SPDMatrix`` a
 variable is bound to); a ``Rows`` memoizes the same way over stacks, and
-a domain test that fails kills the row instead of raising.  ``distance``
+a domain test that fails kills the row instead of raising.  A policy also
+holds all that a forward pass over a tree (``expr._forward``) does
+differently for a point and a stack: it binds a variable's value
+(``bind``), calls an atom (``call``; a ``Rows`` only a built-in one) and
+keeps a combinator's value (``scalar``).  ``distance``
 gates both of its arguments, the first through the policy's
 ``symmetric``.  Every vector-Jacobian product that decomposes a matrix is
 in ``RESIDUAL_VJPS``: it takes the policy its evaluator ran under and
@@ -72,12 +76,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from types import FunctionType
 from typing import Callable
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .errors import DomainError, RangeError, ShapeError, check_range
+from .errors import DomainError, ExpressionError, RangeError, ShapeError, check_range
 
 # Validation tolerances (relative unless noted).
 ASYM_RTOL = 1e-12        # symmetry gate before symmetrization
@@ -489,7 +494,9 @@ class _Point:
     overflow failing as a gate does;
     ``memo`` computes what a memoizing policy would keep.  This is the hot
     path of the public checks, so nothing here builds a closure or a
-    message unless a gate fails.
+    message unless a gate fails.  ``call`` runs an evaluator and ``pull`` a
+    vector-Jacobian product, with ``rows=`` for one in ``STACKED`` or
+    ``RESIDUAL_VJPS`` (by identity, ``_holds``) and plainly otherwise.
     """
 
     __slots__ = ()
@@ -549,6 +556,14 @@ class _Point:
     def pow(self, v, p) -> float:
         return _pow(v, p)
 
+    def call(self, fn, args: list, name: str):
+        return fn(*args, rows=self) if _holds(STACKED, fn) else fn(*args)
+
+    def pull(self, vjp, g, out, wrt: tuple, args: list):
+        if _holds(RESIDUAL_VJPS, vjp):
+            return vjp(g, out, wrt, *args, rows=self)
+        return vjp(g, out, wrt, *args)
+
 
 POINT = _Point()
 
@@ -563,7 +578,7 @@ class Memo(_Point):
     other array takes their ids while the memo lives.  ``seed`` records a
     decomposition the caller already holds.  Entries the backward pass adds
     are never read by a forward gate: every forward step of the evaluation
-    comes first.
+    comes first.  ``bind`` reads a variable's value for a forward pass.
     """
 
     __slots__ = ("_memo",)
@@ -588,6 +603,20 @@ class Memo(_Point):
         self._memo[("symmetric", id(x))] = ((x,), x)
         self._memo[("sym_eig", id(x))] = ((x,), pair)
 
+    def bind(self, name: str, dim: int, env: dict) -> np.ndarray:
+        """``env[name]`` after the gate of ``sym_eig``, once per array; an ``SPDMatrix``
+        passed it already, and seeds the memo with its decomposition."""
+        try:
+            value = env[name]
+        except KeyError:
+            raise ExpressionError(f"no value bound for variable '{name}'") from None
+        arr = np.asarray(value, dtype=float)
+        if arr.shape != (dim, dim):
+            raise ExpressionError(f"value for '{name}' has shape {arr.shape}, expected {dim, dim}")
+        if isinstance(value, SPDMatrix):
+            self.seed(arr, value.eig)
+        return self.memo("symmetric", self.symmetric, arr)
+
     def eigvalsh(self, x: np.ndarray) -> np.ndarray:
         return self.memo("eigvalsh", super().eigvalsh, x)
 
@@ -601,10 +630,10 @@ class Memo(_Point):
 class Rows(Memo):
     """The row policy of a stack: a row whose gate fails dies instead.
 
-    Only the built-in evaluators (``STACKED``) run under it; a stacked walk
-    meeting any other evaluator is undecided.  Matrix arguments are
-    ``(n, d, d)`` stacks or one ``(d, d)`` constant shared by all rows,
-    scalar arguments ``(n,)`` stacks or one float.
+    Only the built-in evaluators (``STACKED``) run under it: ``call`` of any
+    other is ``Undecided``, and the caller evaluates point by point.  Matrix
+    arguments are ``(n, d, d)`` stacks or one ``(d, d)`` constant shared by
+    all rows, scalar arguments ``(n,)`` stacks or one float.
     Each decomposition is one stacked call (LAPACK and BLAS still run once
     per matrix, so the bits match), each tail one call over the alive
     rows, or one over a constant matrix's eigenvalues, and each scalar
@@ -680,7 +709,22 @@ class Rows(Memo):
         return out
 
     def scalar(self, v):
-        return v
+        # A float when every operand was one value for all rows.
+        return float(v) if np.ndim(v) == 0 else v
+
+    def call(self, fn, args: list, name: str):
+        if not _holds(STACKED, fn):
+            raise Undecided(f"atom '{name}' has no stacked evaluator")
+        # An atom of constants may give one value for all rows.
+        return self.scalar(fn(*args, rows=self))
+
+    def bind(self, name: str, dim: int, env: dict) -> np.ndarray:
+        """``env[name]``, a stack, after the gate of ``sym_eig`` per row (``symmetric``)."""
+        v = env.get(name)
+        shape = (len(self.alive), dim, dim)
+        if getattr(v, "shape", None) != shape:
+            raise Undecided(f"no stack of shape {shape} for '{name}'")
+        return self.symmetric(v)
 
     def log(self, v) -> np.ndarray:
         """``math.log`` of every alive row's float, in one ``np.log`` call."""
@@ -995,6 +1039,12 @@ def _takes_rows(prefix: str) -> frozenset:
     )
 
 
+def _holds(table, fn) -> bool:
+    """Whether ``fn`` keys ``table``, by identity: a callable that is not a
+    plain function (an unhashable one among them) keys no table."""
+    return type(fn) is FunctionType and fn in table
+
+
 # The evaluators that take ``rows``: every built-in one.  An atom
 # registered, or re-registered under a built-in name, with another
 # evaluator is evaluated point by point, never by the built-in's code.
@@ -1170,3 +1220,4 @@ def vjp_abs(g, out, wrt, v):
 # evaluator ran under, and read their forward residuals from it: every
 # product that decomposes a matrix.
 RESIDUAL_VJPS = _takes_rows("vjp_")
+_VJPS = frozenset(fn for name, fn in list(globals().items()) if name.startswith("vjp_"))

@@ -544,6 +544,48 @@ class TestEvaluate:
         finally:
             gc.unregister_atom("nan_below")
 
+    def test_an_unhashable_user_atom_evaluates_analyzes_fuzzes_and_solves(self):
+        # spd's policies and the analysis tables look an evaluator or a
+        # product up by identity, so one without a hash is simply not a
+        # built-in one: the falsifier runs it point by point.
+        class Half:
+            def __call__(self, x):
+                return 0.5 * float(np.trace(x))
+
+            def __eq__(self, other):
+                return isinstance(other, Half)
+
+        class HalfVjp:
+            def __call__(self, g, out, wrt, x):
+                return (0.5 * g * np.eye(x.shape[0]),)
+
+            def __eq__(self, other):
+                return isinstance(other, HalfVjp)
+
+        sig = gc.AtomSignature("half_trace", (gc.ArgKind.MANIFOLD,), "scalar", gc.Sign.POSITIVE,
+                               gc.GCurvature.CONVEX, gc.GMonotonicity.INCREASING,
+                               gc.ECurvature.AFFINE)
+        x = gc.Variable("X", gc.SPD(2))
+        with registered_as(sig, Half(), HalfVjp()):
+            e = gc.apply_atom("half_trace", [x]) - gc.apply_atom("logdet", [x])
+            point = np.diag([2.0, 3.0])
+            assert gc.evaluate(e, {"X": point}) == pytest.approx(2.5 - math.log(6.0))
+            value, grads = gc.value_and_grad(e, {"X": point})
+            assert value == gc.evaluate(e, {"X": point})
+            assert np.allclose(grads["X"], 0.5 * np.eye(2) - np.linalg.inv(point))
+            assert gc.analyze(e, gc.SPD(2)).gcurvature is gc.GCurvature.CONVEX
+            cfg = gc.FuzzConfig(trials=40, dim=2, cond_max=10.0, seed=2)
+            with pytest.raises(gc.spd.Undecided, match="no stacked evaluator"):
+                _evaluate_stacked(e, {"X": _mixed_stack(2, np.random.default_rng(2))},
+                                  np.ones(18, dtype=bool))
+            out = gc.cross_validate(e, cfg)
+            assert out.verdict == "CONSISTENT"
+            f = lambda m: gc.evaluate(e, {"X": m})
+            assert out.checks["geodesic-convexity"] == gc.check_gconvex(f, cfg)
+            res = gc.gradient_descent(_ExpressionObjective(e, "X"), point)
+            assert res.converged and not res.used_fd_gradient
+            assert np.allclose(res.minimizer.entries, 2.0 * np.eye(2))
+
     def test_missing_binding(self, scope):
         x = gc.make_variable("X", gc.SPD(2), scope=scope)
         with pytest.raises(ExpressionError):

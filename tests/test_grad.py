@@ -16,6 +16,8 @@ from geocert.expr import EXPR_KINDS, _registered
 from geocert.problems import load_problem
 from geocert.solver import _ExpressionObjective, fd_directional
 
+from conftest import registered_as
+
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 DIMS = (2, 3, 5)
 CONDS = (10.0, 1e3)
@@ -261,6 +263,52 @@ class TestReversePass:
         x = gc.make_variable("X", gc.SPD(2), scope=scope)
         with pytest.raises(ExpressionError):
             gc.value_and_grad(gc.apply_atom("inv", [x]), {"X": np.eye(2)})
+
+    def test_a_user_vjp_returning_a_bare_array_is_refused(self):
+        # The gradient of logdet in place of tr's, as a bare (d, d) array,
+        # not a tuple of one cotangent: its rows would pass for cotangents.
+        sig = gc.AtomSignature("mytr", (gc.ArgKind.MANIFOLD,), "scalar", gc.Sign.POSITIVE,
+                               gc.GCurvature.CONVEX, gc.GMonotonicity.INCREASING,
+                               gc.ECurvature.AFFINE)
+        x = gc.Variable("X", gc.SPD(3))
+        with registered_as(sig, gc.spd.eval_tr, lambda g, out, wrt, x: g * np.linalg.inv(x)):
+            e = gc.apply_atom("mytr", [x]) - gc.apply_atom("logdet", [x])
+            assert gc.evaluate(e, {"X": 2.0 * np.eye(3)}) == pytest.approx(6.0 - 3.0 * np.log(2.0))
+            with pytest.raises(ExpressionError, match=r"atom 'mytr'.* argument \(1\)"):
+                gc.value_and_grad(e, {"X": 2.0 * np.eye(3)})
+            with pytest.raises(ExpressionError, match="atom 'mytr'"):
+                gc.gradient_descent(_ExpressionObjective(e, "X"), 2.0 * np.eye(3))
+
+    @pytest.mark.parametrize("bad, match", [
+        (lambda g, out, wrt, x, y: (g * np.eye(2),), r"argument \(2\)"),
+        (lambda g, out, wrt, x, y: [g * np.eye(2), g * np.eye(2), None], r"argument \(2\)"),
+        (lambda g, out, wrt, x, y: (g, None), r"returned \(\) for argument 0"),
+        (lambda g, out, wrt, x, y: (None, None), "returned None for argument 0"),
+        (lambda g, out, wrt, x, y: (g * np.ones(2), None), r"returned \(2,\) for argument 0"),
+    ], ids=["too-few", "too-many", "float-for-matrix", "none-when-flagged", "vector-for-matrix"])
+    def test_a_user_vjp_returns_one_cotangent_per_argument(self, bad, match):
+        # tr(X) + tr(A) with A constant: only the first slot is flagged, so
+        # the second may be None; a cotangent per flagged slot must have its
+        # argument's shape.
+        sig = gc.AtomSignature("trsum", (gc.ArgKind.MANIFOLD, gc.ArgKind.MANIFOLD), "scalar",
+                               gc.Sign.POSITIVE, gc.GCurvature.CONVEX,
+                               gc.GMonotonicity.INCREASING, gc.ECurvature.AFFINE)
+
+        def trsum(x, y):
+            return float(np.trace(x) + np.trace(y))
+
+        def good(g, out, wrt, x, y):
+            return tuple(g * np.eye(2) if flag else None for flag in wrt)
+
+        x = gc.Variable("X", gc.SPD(2))
+        a = gc.make_const_matrix(np.diag([1.0, 2.0]), "PD", name="A")
+        env = {"X": np.diag([2.0, 3.0])}
+        with registered_as(sig, trsum, good):
+            value, grads = gc.value_and_grad(gc.apply_atom("trsum", [x, a]), env)
+            assert value == 8.0 and np.array_equal(grads["X"], np.eye(2))
+        with registered_as(sig, trsum, bad):
+            with pytest.raises(ExpressionError, match=f"atom 'trsum'.*{match}"):
+                gc.value_and_grad(gc.apply_atom("trsum", [x, a]), env)
 
     def test_atom_without_vjp_is_not_differentiable(self, scope):
         sig = gc.AtomSignature(

@@ -181,6 +181,13 @@ class TestOneSource:
     def test_only_spd_reads_the_symmetry_gate(self):
         assert {module for module, _ in self._references("_check_symmetric_square")} == {"spd"}
 
+    def test_only_spd_decides_what_a_point_and_a_stack_call(self):
+        # The row policies decide which evaluators and products take
+        # ``rows=``; a test of either table anywhere else is a second home
+        # for the point-or-stack decision.
+        for table in ("STACKED", "RESIDUAL_VJPS"):
+            assert {module for module, _ in self._references(table)} == {"spd"}
+
     def test_one_kernel_rebuilds_from_a_spectrum(self):
         # ``_sym((x * y) @ z)`` or ``_sym((x / y) @ z)`` written out anywhere
         # else is a second copy of the spectral rebuild, whose bits a stacked
