@@ -1220,4 +1220,5 @@ def vjp_abs(g, out, wrt, v):
 # evaluator ran under, and read their forward residuals from it: every
 # product that decomposes a matrix.
 RESIDUAL_VJPS = _takes_rows("vjp_")
+# Every product of this module: a backward pass checks the return of any other.
 _VJPS = frozenset(fn for name, fn in list(globals().items()) if name.startswith("vjp_"))
