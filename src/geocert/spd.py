@@ -1216,9 +1216,9 @@ def vjp_abs(g, out, wrt, v):
     return (g * float(np.sign(float(v))),)
 
 
+# Every product of this module: a backward pass checks the return of any other.
+_VJPS = frozenset(fn for name, fn in list(globals().items()) if name.startswith("vjp_"))
 # The vector-Jacobian products that take ``rows``, the policy their
 # evaluator ran under, and read their forward residuals from it: every
 # product that decomposes a matrix.
-RESIDUAL_VJPS = _takes_rows("vjp_")
-# Every product of this module: a backward pass checks the return of any other.
-_VJPS = frozenset(fn for name, fn in list(globals().items()) if name.startswith("vjp_"))
+RESIDUAL_VJPS = frozenset(fn for fn in _VJPS if "rows" in (fn.__kwdefaults__ or ()))
