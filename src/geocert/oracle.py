@@ -12,8 +12,10 @@ are independent of evaluation order and identical configurations give
 identical reports.  Each trial keeps its own ``(seed, index, stream)``
 streams (1 for segment endpoints, 2 for t-samples, 3 for ordered pairs),
 each bit for bit the generator that
-``np.random.default_rng([seed & _SEED_MASK, index, stream])`` gives; a
-block seeds all of its trials' streams at once (``_trial_rngs``).  Known
+``np.random.default_rng([seed & _SEED_MASK, index, stream])`` gives; one
+hash pass seeds every stream a block draws, for all of its trials
+(``_trial_rngs``).  A trial draws raw variates, and the block maps them to
+numpy's ``normal`` and ``uniform`` once, with their bits.  Known
 counterexample pairs can be injected as the leading trials of a run.
 Violation thresholds are relative to the value scale
 ``max(1, |f(A)|, |f(B)|)``; claims of geodesic linearity are checked as
@@ -22,7 +24,7 @@ two-sided equalities at a looser tolerance.
 All three checks run through one trial loop, ``_trial_loop``, which works
 on blocks of ``BLOCK`` consecutive trials.  For each block it makes a few
 stacked numpy calls: one QR for every sample point (the random draws stay
-per trial, from the trial's own stream), one ``eigh`` pair per argument for
+per trial, from the trial's own streams), one ``eigh`` pair per argument for
 every geodesic of the block at all of its t-samples (a broadcast for
 straight segments).  The block's values of ``f``, of every kind, form one
 float64 stack (``(k,)`` for scalars, ``(k, d, d)`` for matrices; an ``f``
@@ -103,7 +105,10 @@ _SEED_MASK = (1 << 63) - 1
 EQUALITY_TOL = 1e-8
 
 # Trials per block: the unit of stacked numpy work and of the point caches.
-BLOCK = 64
+# A power of two no larger than 2**32, so that ``_blocks`` never puts a block
+# across 2**32, where a trial index grows a second 32-bit seed word (which
+# ``_seed_words`` refuses within one block).
+BLOCK = 128
 # Blocks each point cache keeps; 32768 trials, as the per-trial caches did.
 _CACHE_BLOCKS = 32768 // BLOCK
 
@@ -185,12 +190,15 @@ class FuzzReport:
 
 # ---------------------------------------------------------------------------
 # Trial streams.  Trial ``i`` of stream ``s`` draws from the generator that
-# ``np.random.default_rng([seed & _SEED_MASK, i, s])`` returns.  Building
-# one costs 15 to 20 us, nearly all of it ``SeedSequence`` hashing the three
-# integers into PCG64's 256-bit seed.  That hash is a fixed function (M.
-# O'Neill's ``seed_seq``, which numpy keeps stable so a seed's stream stays
-# the same across releases, NEP 19), so ``_trial_rngs`` runs it for a whole
-# block at once in ``uint32`` arrays and hands PCG64 each trial's words.
+# ``np.random.default_rng([seed & _SEED_MASK, i, s])`` returns.  Most of
+# building one is ``SeedSequence`` hashing the three integers into PCG64's
+# 256-bit seed.  That hash is a fixed function (M. O'Neill's ``seed_seq``,
+# which numpy keeps stable so a seed's stream stays the same across
+# releases, NEP 19), so ``_trial_rngs`` runs it in ``uint32`` arrays, in one
+# pass for every trial of a block and every stream it draws, and hands PCG64
+# each trial's words.  A trial then fills its slots with raw variates
+# (``standard_normal`` and ``random`` into ``out``), and the block applies
+# each distribution's map once (``spd._spd_from_variates``).
 # ---------------------------------------------------------------------------
 
 _MASK32 = 0xFFFFFFFF
@@ -198,6 +206,10 @@ _POOL = 4  # SeedSequence's default pool size, in 32-bit words
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # the entropy hash
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # the output hash
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# The pool words each source word mixes into, and the pool word of each of
+# the eight output words.
+_OTHERS = tuple(np.array([i for i in range(_POOL) if i != src]) for src in range(_POOL))
+_OUTPUT = np.arange(8) % _POOL
 
 
 def _words32(v: int) -> list:
@@ -209,12 +221,16 @@ def _words32(v: int) -> list:
     return words
 
 
+@lru_cache(maxsize=None)
 def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
-    """The multipliers of ``calls`` hash steps: each step xors with one and multiplies by the next."""
+    """The multipliers of ``calls`` hash steps: each step xors with one and multiplies by the next.
+
+    Kept per length once first asked for (a few lengths occur), read-only.
+    """
     consts = [init]
     for _ in range(calls):
         consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)
+    return _read_only(np.array(consts, dtype=np.uint32))
 
 
 def _hash(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
@@ -233,41 +249,48 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> 16)
 
 
-def _seed_words(seed: int, start: int, stop: int, stream: int) -> np.ndarray:
+def _seed_words(seed: int, start: int, stop: int, streams) -> np.ndarray:
     """``SeedSequence([seed & _SEED_MASK, i, stream]).generate_state(4, np.uint64)``
-    for every ``i`` in ``start..stop-1``, as one ``(n, 4)`` array.
+    for every ``i`` in ``start..stop-1`` and every stream of ``streams``.
 
-    The hash runs in ``(words, n)`` ``uint32`` arrays, whose products wrap
-    as the C code's do.  A step that mixes one pool word into the three
-    others leaves that word unchanged, so its three hashes are one array
-    operation, as are the four of each entropy word past the pool.
+    ``streams`` is one stream, which gives one ``(n, 4)`` array, or a tuple
+    of them, which gives ``(len(streams), n, 4)``, all from one hash pass.
+    The hash runs in ``(words, columns)`` ``uint32`` arrays, one column per
+    trial and stream, whose products wrap as the C code's do.  A step that
+    mixes one pool word into the three others leaves that word unchanged,
+    so its three hashes are one array operation, as are the four of each
+    entropy word past the pool.
     """
     n = stop - start
     index_words = len(_words32(start))
     if len(_words32(stop - 1)) != index_words:
         raise ValueError("a block's indices must have one 32-bit word count")
+    seed_words = _words32(int(seed) & _SEED_MASK)
+    stream_words = np.array(streams, dtype=np.uint32)
     index = np.arange(start, stop, dtype=np.uint64)
-    entropy = np.array(
-        [np.full(n, w, dtype=np.uint32) for w in _words32(int(seed) & _SEED_MASK)]
-        + [(index >> np.uint64(32 * k)).astype(np.uint32) for k in range(index_words)]
-        + [np.full(n, stream, dtype=np.uint32)])
-    extra = max(len(entropy) - _POOL, 0)
+    # One row per entropy word, zero-padded to the pool as SeedSequence pads it.
+    used = len(seed_words) + index_words + 1
+    entropy = np.zeros((max(used, _POOL), stream_words.size, n), dtype=np.uint32)
+    entropy[:len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None, None]
+    for k in range(index_words):
+        entropy[len(seed_words) + k] = index >> np.uint64(32 * k)
+    entropy[used - 1] = stream_words.reshape(-1, 1)
+    entropy = entropy.reshape(len(entropy), -1)
+    extra = len(entropy) - _POOL
     consts = _hash_consts(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * extra)
     with np.errstate(over="ignore"):
-        pool = np.zeros((_POOL, n), dtype=np.uint32)
-        pool[:len(entropy)] = entropy[:_POOL]
-        pool = _hash(pool, consts[:_POOL + 1])
+        pool = _hash(entropy[:_POOL], consts[:_POOL + 1])
         c = _POOL
-        for src in range(_POOL):
-            dst = [i for i in range(_POOL) if i != src]
+        for src, dst in enumerate(_OTHERS):
             pool[dst] = _mix(pool[dst], _hash(pool[src], consts[c:c + _POOL]))
             c += _POOL - 1
         for word in entropy[_POOL:]:
             pool = _mix(pool, _hash(word, consts[c:c + _POOL + 1]))
             c += _POOL
-        state = _hash(pool[np.arange(8) % _POOL], _hash_consts(_INIT_B, _MULT_B, 8))
-    state = state.T.astype(np.uint64)
-    return state[:, 0::2] | (state[:, 1::2] << np.uint64(32))
+        state = _hash(pool[_OUTPUT], _hash_consts(_INIT_B, _MULT_B, 8))
+    # Pairs of little-endian uint32 words as uint64, as generate_state reads them.
+    words = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+    return words.reshape(stream_words.shape + (n, 4))
 
 
 class _SeedWords:
@@ -289,16 +312,20 @@ class _SeedWords:
         return self._words.copy()
 
 
-def _trial_rngs(seed: int, start: int, stop: int, stream: int) -> list:
-    """The ``(seed, i, stream)`` generators of trials ``start..stop-1``.
+def _trial_rngs(seed: int, start: int, stop: int, streams) -> list:
+    """The ``(seed, i, stream)`` generators of trials ``start..stop-1``: one list
+    for one stream, or one list per stream for a tuple of them.
 
     Each is ``np.random.default_rng([seed & _SEED_MASK, i, stream])`` bit for
-    bit: the hash runs for the whole block (``_seed_words``), and numpy's
-    own PCG64 seeding takes each trial's words from there.
+    bit: one hash pass covers the whole block and every stream
+    (``_seed_words``), and numpy's own PCG64 seeding takes each trial's
+    words from there.
     """
     np.random.bit_generator.ISeedSequence.register(_SeedWords)  # a no-op after the first
-    return [np.random.Generator(np.random.PCG64(_SeedWords(words)))
-            for words in _seed_words(seed, start, stop, stream)]
+    words = _seed_words(seed, start, stop, streams)
+    rngs = [[np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in block]
+            for block in words.reshape(np.size(streams), stop - start, 4)]
+    return rngs[0] if words.ndim == 2 else rngs
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -306,34 +333,45 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _block_ts(seed: int, start: int, stop: int, t_samples: int) -> np.ndarray:
+def _block_ts(seed: int, start: int, stop: int, t_samples: int, rngs=None) -> np.ndarray:
     """The t-samples of trials ``start..stop-1``, ``(n, 3 + t_samples)``: 1/2, 1/4,
-    3/4, then ``t_samples`` uniform draws from the trial's ``(seed, i, 2)`` stream."""
+    3/4, then ``t_samples`` uniform draws from the trial's ``(seed, i, 2)`` stream,
+    whose generators are ``rngs`` when the caller has seeded them already.
+
+    ``uniform(0, 1)`` is ``0 + 1 u``, which is ``u``: the raw ``random`` draws
+    are the t-samples as they are.
+    """
     ts = np.empty((stop - start, 3 + t_samples))
     ts[:, :3] = (0.5, 0.25, 0.75)
     if t_samples:
-        for row, rng in enumerate(_trial_rngs(seed, start, stop, 2)):
-            ts[row, 3:] = rng.uniform(0.0, 1.0, t_samples)
+        for rng, row in zip(rngs or _trial_rngs(seed, start, stop, 2), ts[:, 3:]):
+            rng.random(out=row)
     return ts
 
 
 def _block_draws(seed: int, start: int, stop: int, stream: int, dim: int, cond_max: float,
-                 mats: int, normals: int = 0):
+                 mats: int, normals: int = 0, t_samples: int | None = None):
     """``(n, mats, dim, dim)`` SPD and ``(n, normals, dim, dim)`` standard normal matrices
-    of trials ``start..stop-1``: each trial draws ``spd._spd_draws`` ``mats`` times, then
-    its normal matrices, from its ``(seed, i, stream)`` stream; one stacked QR builds the
-    block's SPD matrices."""
+    of trials ``start..stop-1``, and their ``_block_ts`` with ``t_samples`` (else None).
+
+    Each trial draws ``spd._spd_draws`` ``mats`` times, then its normal
+    matrices, from its ``(seed, i, stream)`` stream, as raw variates; the
+    block maps them once and builds its SPD matrices with one stacked QR.
+    One hash pass seeds the block's streams, stream 2 of the t-samples
+    among them when there are any.
+    """
     n = stop - start
     g = np.empty((n, mats, dim, dim))
     u = np.empty((n, mats, dim))
     w = np.empty((n, normals, dim, dim))
-    half = 0.5 * math.log(cond_max)
-    for row, rng in enumerate(_trial_rngs(seed, start, stop, stream)):
+    rngs, *ts_rngs = _trial_rngs(seed, start, stop, (stream, 2) if t_samples else (stream,))
+    for rng, g_row, u_row, w_row in zip(rngs, g, u, w):
         for j in range(mats):
-            g[row, j], u[row, j] = spd._spd_draws(dim, half, rng)
+            spd._spd_draws(rng, g_row[j], u_row[j])
         if normals:
-            w[row] = rng.normal(size=(normals, dim, dim))
-    return spd._spd_from_draws(g, u), w
+            rng.standard_normal(out=w_row)
+    ts = None if t_samples is None else _block_ts(seed, start, stop, t_samples, *ts_rngs)
+    return spd._spd_from_variates(g, u, 0.5 * math.log(cond_max)), w + 0.0, ts
 
 
 class _BlockPoints(tuple):
@@ -361,10 +399,11 @@ def _cached_points(seed: int, start: int, stop: int, dim: int, cond_max: float, 
                    t_samples: int):
     """The ``_BlockPoints`` of the generated segment trials ``start..stop-1``: each trial
     draws its endpoints A, then B, from stream 1 and its t-samples from stream 2."""
-    mats = _read_only(_block_draws(seed, start, stop, 1, dim, cond_max, 2 * nargs)[0])
+    mats, _, ts = _block_draws(seed, start, stop, 1, dim, cond_max, 2 * nargs,
+                               t_samples=t_samples)
+    mats = _read_only(mats)
     return _BlockPoints(tuple(mats[:, j] for j in range(nargs)),
-                        tuple(mats[:, nargs + j] for j in range(nargs)),
-                        _read_only(_block_ts(seed, start, stop, t_samples)))
+                        tuple(mats[:, nargs + j] for j in range(nargs)), _read_only(ts))
 
 
 @lru_cache(maxsize=_CACHE_BLOCKS)
@@ -375,7 +414,7 @@ def _cached_ordered_pair(seed: int, start: int, stop: int, dim: int, cond_max: f
     small enough to keep ``B`` positive definite; each trial draws ``A``,
     then ``W``, from its stream 3.
     """
-    mats, normals = _block_draws(seed, start, stop, 3, dim, cond_max, 1, 1)
+    mats, normals, _ = _block_draws(seed, start, stop, 3, dim, cond_max, 1, 1)
     a, w = mats[:, 0], normals[:, 0]
     p = (w @ spd._mT(w)) / dim
     s = 0.5 * spd._eigvalsh(a)[:, 0] / np.maximum(spd._eigvalsh(p)[:, -1], spd.PD_FLOOR)

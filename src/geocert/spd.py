@@ -37,7 +37,7 @@ The affine-invariant geometry implemented here:
 * distance        ``||log(B^(-1/2) A B^(-1/2))||_F``
 
 The geodesic kernels (``_geodesic_frames``, ``_geodesic_points``) and the
-sampler (``_spd_from_draws``) also take stacks ``(..., d, d)``: numpy's
+sampler (``_spd_from_draws``, ``_spd_from_variates``) also take stacks ``(..., d, d)``: numpy's
 ``eigh`` and ``matmul`` loop over leading axes, one LAPACK or BLAS call per
 matrix, so a stacked result equals the one-matrix result bit for bit.  The
 falsifier relies on that to batch its trials.
@@ -435,10 +435,27 @@ def _as_generator(rng_seed) -> np.random.Generator:
     return np.random.default_rng(rng_seed)
 
 
-def _spd_draws(d: int, half: float, rng: np.random.Generator):
-    """One random SPD matrix's draws, in order: normal ``(d, d)``, then uniform ``(d,)``
-    log-spectrum on ``[-half, half]``, with ``half = log(cond_max) / 2``."""
-    return rng.normal(size=(d, d)), rng.uniform(-half, half, size=d)
+def _spd_draws(rng: np.random.Generator, g: np.ndarray, u: np.ndarray) -> None:
+    """Fill one random SPD matrix's slots with its raw variates, in order: ``g``
+    ``(d, d)`` standard normal, then ``u`` ``(d,)`` uniform on ``[0, 1)``.
+
+    They take ``rng``'s stream exactly as ``normal(size=(d, d))`` then
+    ``uniform(-half, half, d)`` do; ``_spd_from_variates`` applies those
+    distributions' maps, once for a whole stack of slots.
+    """
+    rng.standard_normal(out=g)
+    rng.random(out=u)
+
+
+def _spd_from_variates(g: np.ndarray, u: np.ndarray, half: float) -> np.ndarray:
+    """``_spd_from_draws`` of raw variates from ``_spd_draws``, with ``half = log(cond_max) / 2``.
+
+    numpy's own arithmetic maps them, so the draws are ``normal`` and
+    ``uniform``'s bit for bit: ``normal(0, 1)`` is ``0 + 1 z`` (which turns
+    -0.0 into 0.0) and ``uniform(-half, half)`` is ``low + (high - low) u``,
+    one rounding per operation (numpy's C code fuses no multiply-add).
+    """
+    return _spd_from_draws(g + 0.0, -half + (half - -half) * u)
 
 
 def _spd_from_draws(g: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -457,12 +474,15 @@ def random_spd(d: int, cond_max: float = 10.0, rng_seed=0) -> SPDMatrix:
 
     ``Q`` comes from the QR factorization of a Gaussian matrix and
     ``log(lam)`` is uniform on ``[-log(cond_max)/2, +log(cond_max)/2]``.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed: the matrix takes the seed's stream as
+    ``normal(size=(d, d))`` then ``uniform(-h, h, d)`` would, through the
+    falsifier's own draw routine (``_spd_draws``), and gets their bits.
     """
     check_range("d", d, "an integer >= 1", lambda n: operator.index(n) >= 1)
     check_range("cond_max", cond_max, "finite and >= 1", lambda c: 1.0 <= c < math.inf)
-    rng = _as_generator(rng_seed)
-    return SPDMatrix(_spd_from_draws(*_spd_draws(d, 0.5 * math.log(float(cond_max)), rng)))
+    g, u = np.empty((d, d)), np.empty(d)
+    _spd_draws(_as_generator(rng_seed), g, u)
+    return SPDMatrix(_spd_from_variates(g, u, 0.5 * math.log(float(cond_max))))
 
 
 # ---------------------------------------------------------------------------

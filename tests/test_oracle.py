@@ -1,5 +1,7 @@
 import collections
 import math
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -658,7 +660,7 @@ class TestStackedRouting:
         try:
             x = gc.Variable("X", gc.SPD(3))
             e = gc.apply_atom("half_trace", [x]) + gc.apply_atom("logdet", [x])
-            cfg = gc.FuzzConfig(trials=70, seed=0)
+            cfg = gc.FuzzConfig(trials=oracle.BLOCK + 6, seed=0)  # two blocks
             out = gc.cross_validate(e, cfg)
             stacked_calls = seen[:]
             del seen[:]
@@ -669,8 +671,8 @@ class TestStackedRouting:
         assert out.checks["geodesic-convexity"] == pointwise_report
         # The user atom sees the points in check_gconvex's order: each trial's
         # endpoints, then its path points.
-        assert len(stacked_calls) == 70 * 10 and stacked_calls == seen
-        assert pointwise == [64, 6] * 2 and maps == []
+        assert len(stacked_calls) == cfg.trials * 10 and stacked_calls == seen
+        assert pointwise == [oracle.BLOCK, 6] * 2 and maps == []
 
     def test_karcher_seeds_per_block_and_powers_in_one_call(self, monkeypatch):
         # No trial builds a SeedSequence of its own (through default_rng or
@@ -733,9 +735,9 @@ class TestStackedRouting:
         pointwise, _, _ = self._count(monkeypatch)
         tr = gc.apply_atom("tr", [gc.Variable("X", gc.SPD(2))])
         e = 1e308 * tr + 1e308 * tr  # the sum overflows
-        cfg = gc.FuzzConfig(trials=70, dim=2, seed=0)
+        cfg = gc.FuzzConfig(trials=oracle.BLOCK + 6, dim=2, seed=0)  # two blocks
         out = gc.cross_validate(e, cfg)
-        assert pointwise == [64, 6]
+        assert pointwise == [oracle.BLOCK, 6]
         assert out.checks["geodesic-convexity"] == gc.check_gconvex(
             lambda m: gc.evaluate(e, {"X": m}), cfg)
 
@@ -791,6 +793,136 @@ class TestTrialStreams:
                 seq.generate_state(n, dtype)
 
 
+class TestBlockDraws:
+    """A block's draws equal a per-trial loop over numpy's own ``normal`` and ``uniform``
+    calls on ``np.random.default_rng([seed & _SEED_MASK, index, stream])``, bit for bit.
+
+    The block draws raw variates per trial and maps them once with numpy's
+    own arithmetic (``spd._spd_from_variates``).  That rests on one
+    platform assumption: numpy's C ``uniform`` computes ``low + range * u``
+    with two roundings, not one fused multiply-add.  On a platform that
+    fuses, this test fails first, before any digest does.
+    """
+
+    SEEDS = (0, 2**32 + 5, -7, 2**63 + 5)
+    STARTS = (0, 127)  # the first trial, and trials across a 128-trial block's end
+    DIMS = (1, 2, 5, 10)
+    CONDS = (1.0, 10.0, 1e4)  # cond 1 gives half = 0: uniform(-0.0, 0.0)
+    TRIALS = 3
+
+    @staticmethod
+    def _capture(monkeypatch) -> list:
+        """The ``(g, u)`` every ``spd._spd_from_draws`` call receives from now on."""
+        seen = []
+        build = spd._spd_from_draws
+
+        def captured(g, u):
+            seen.append((g, u))
+            return build(g, u)
+
+        monkeypatch.setattr(spd, "_spd_from_draws", captured)
+        return seen
+
+    @staticmethod
+    def _loop(seed, start, stream, d, cond, mats, normals, t_samples=0):
+        """The per-trial loop: numpy's own calls, trial by trial."""
+        half = 0.5 * math.log(cond)
+        g, u, w, ts = [], [], [], []
+        for i in range(start, start + TestBlockDraws.TRIALS):
+            rng = np.random.default_rng([seed & oracle._SEED_MASK, i, stream])
+            for _ in range(mats):
+                g.append(rng.normal(size=(d, d)))
+                u.append(rng.uniform(-half, half, d))
+            w.append(rng.normal(size=(normals, d, d)))
+            ts.append(np.random.default_rng([seed & oracle._SEED_MASK, i, 2])
+                      .uniform(0.0, 1.0, t_samples))
+        n = TestBlockDraws.TRIALS
+        return (np.reshape(g, (n, mats, d, d)), np.reshape(u, (n, mats, d)),
+                np.reshape(w, (n, normals, d, d)), np.reshape(ts, (n, t_samples)))
+
+    @pytest.mark.parametrize("cond", CONDS)
+    @pytest.mark.parametrize("d", DIMS)
+    def test_block_draws_equal_the_per_trial_loop(self, monkeypatch, d, cond):
+        seen = self._capture(monkeypatch)
+        for seed in self.SEEDS:
+            for start in self.STARTS:
+                stop = start + self.TRIALS
+                for stream, mats, normals, t_samples in ((1, 2, 0, 5), (3, 1, 1, None)):
+                    del seen[:]
+                    spd_mats, w, ts = oracle._block_draws(seed, start, stop, stream, d, cond,
+                                                          mats, normals, t_samples=t_samples)
+                    g, u, want_w, want_ts = self._loop(seed, start, stream, d, cond, mats,
+                                                       normals, t_samples or 0)
+                    ((got_g, got_u),) = seen
+                    # Bytes, so that -0.0 and 0.0 differ.
+                    assert got_g.tobytes() == g.tobytes() and got_u.tobytes() == u.tobytes()
+                    assert spd_mats.tobytes() == spd._spd_from_draws(g, u).tobytes()
+                    assert w.tobytes() == want_w.tobytes()
+                    if t_samples is None:
+                        assert ts is None
+                    else:
+                        assert ts[:, 3:].tobytes() == want_ts.tobytes()
+                        assert ts.tobytes() == oracle._block_ts(seed, start, stop,
+                                                                t_samples).tobytes()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_block_ts_equal_the_per_trial_loop(self, seed):
+        for start in self.STARTS:
+            for t_samples in (0, 1, 7):
+                ts = oracle._block_ts(seed, start, start + self.TRIALS, t_samples)
+                want = self._loop(seed, start, 2, 1, 10.0, 0, 0, t_samples)[3]
+                assert np.all(ts[:, :3] == (0.5, 0.25, 0.75))
+                assert ts[:, 3:].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cond", CONDS)
+    @pytest.mark.parametrize("d", DIMS)
+    def test_random_spd_keeps_its_formula(self, d, cond):
+        half = 0.5 * math.log(cond)
+        for seed in self.SEEDS:
+            seed &= oracle._SEED_MASK
+            rng = np.random.default_rng(seed)
+            want = spd._spd_from_draws(rng.normal(size=(d, d)), rng.uniform(-half, half, size=d))
+            assert np.asarray(gc.random_spd(d, cond, seed)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_one_hash_pass_serves_several_streams(self, seed):
+        for start, stop in ((0, 1), (127, 256), (2**32, 2**32 + 3)):
+            both = oracle._seed_words(seed, start, stop, (1, 2))
+            assert both.shape == (2, stop - start, 4)
+            for words, stream in zip(both, (1, 2)):
+                assert np.array_equal(words, oracle._seed_words(seed, start, stop, stream))
+            one = oracle._seed_words(seed, start, stop, (3,))
+            assert np.array_equal(one[0], oracle._seed_words(seed, start, stop, 3))
+            rngs = oracle._trial_rngs(seed, start, stop, (1, 2))
+            assert [len(r) for r in rngs] == [stop - start] * 2
+            for stream, generators in zip((1, 2), rngs):
+                want = np.random.default_rng([seed & oracle._SEED_MASK, start, stream])
+                assert generators[0].bit_generator.state == want.bit_generator.state
+
+    def test_importing_geocert_draws_nothing_and_hashes_nothing(self):
+        # numpy.random (about 12 ms) loads with the first block drawn, and
+        # the hash constants are kept once first asked for, not at import.
+        src = str(Path(oracle.__file__).resolve().parents[1])
+        code = ("import sys, geocert; from geocert import oracle; "
+                "print('numpy.random' in sys.modules, oracle._hash_consts.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert out.stdout.split() == ["False", "0"]
+
+
+class TestBlockSize:
+    def test_a_block_never_straddles_a_seed_word_boundary(self):
+        # ``_blocks`` cuts at multiples of BLOCK, which avoids 2**32 only
+        # because BLOCK, a power of two no larger than 2**32, divides it.
+        assert 1 <= oracle.BLOCK <= 2**32 and oracle.BLOCK & (oracle.BLOCK - 1) == 0
+        assert list(oracle._blocks(2**32 - 3, 2**32 + 3)) == [(2**32 - 3, 2**32),
+                                                              (2**32, 2**32 + 3)]
+
+    def test_the_caches_keep_32768_trials(self):
+        assert oracle._CACHE_BLOCKS * oracle.BLOCK == 32768
+        assert oracle._cached_points.cache_info().maxsize == oracle._CACHE_BLOCKS
+
+
 class TestBlockPaths:
     """A generated block's paths are built on first use and handed to every later check of it."""
 
@@ -808,7 +940,7 @@ class TestBlockPaths:
         return calls
 
     def test_checks_at_one_block_build_its_geodesics_once(self, monkeypatch):
-        cfg = gc.FuzzConfig(trials=100, dim=3, seed=21)  # blocks of 64 and 36 trials
+        cfg = gc.FuzzConfig(trials=oracle.BLOCK + 36, dim=3, seed=21)  # two blocks
         checks = (
             lambda: gc.check_gconvex(spd.eval_logdet, cfg, equality=True),
             lambda: gc.check_gconvex(spd.eval_elementwise_norm1, cfg),
@@ -822,12 +954,12 @@ class TestBlockPaths:
         oracle._cached_points.cache_clear()
         calls = self._count_frames(monkeypatch)
         warm = [check() for check in checks]
-        assert calls == [64, 36]
+        assert calls == [oracle.BLOCK, 36]
         assert warm == cold
         assert warm[3].verdict == "ViolationFound"  # a witness read off shared paths
 
     def test_monotonicity_checks_at_one_seed_draw_each_ordered_block_once(self, monkeypatch):
-        cfg = gc.FuzzConfig(trials=100, dim=3, seed=21)  # blocks of 64 and 36 trials
+        cfg = gc.FuzzConfig(trials=oracle.BLOCK + 36, dim=3, seed=21)  # two blocks
         checks = (
             lambda: gc.check_monotone_loewner(spd.eval_logdet, "increasing", cfg),
             lambda: gc.check_monotone_loewner(spd.eval_inv, "increasing", cfg),
@@ -846,7 +978,7 @@ class TestBlockPaths:
 
         monkeypatch.setattr(oracle, "_block_draws", counted)
         warm = [check() for check in checks]
-        assert draws == [(0, 64, 3), (64, 100, 3)]
+        assert draws == [(0, oracle.BLOCK, 3), (oracle.BLOCK, oracle.BLOCK + 36, 3)]
         assert warm == cold
         assert warm[1].verdict == "ViolationFound"  # a witness read off a shared block
 
