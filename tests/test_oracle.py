@@ -823,12 +823,12 @@ class TestBlockDraws:
         monkeypatch.setattr(spd, "_spd_from_draws", captured)
         return seen
 
-    @staticmethod
-    def _loop(seed, start, stream, d, cond, mats, normals, t_samples=0):
+    @classmethod
+    def _loop(cls, seed, start, stream, d, cond, mats, normals, t_samples=0):
         """The per-trial loop: numpy's own calls, trial by trial."""
         half = 0.5 * math.log(cond)
         g, u, w, ts = [], [], [], []
-        for i in range(start, start + TestBlockDraws.TRIALS):
+        for i in range(start, start + cls.TRIALS):
             rng = np.random.default_rng([seed & oracle._SEED_MASK, i, stream])
             for _ in range(mats):
                 g.append(rng.normal(size=(d, d)))
@@ -836,7 +836,7 @@ class TestBlockDraws:
             w.append(rng.normal(size=(normals, d, d)))
             ts.append(np.random.default_rng([seed & oracle._SEED_MASK, i, 2])
                       .uniform(0.0, 1.0, t_samples))
-        n = TestBlockDraws.TRIALS
+        n = cls.TRIALS
         return (np.reshape(g, (n, mats, d, d)), np.reshape(u, (n, mats, d)),
                 np.reshape(w, (n, normals, d, d)), np.reshape(ts, (n, t_samples)))
 
