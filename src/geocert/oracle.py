@@ -37,8 +37,7 @@ of the largest, never a NaN) and the first violation in ``(trial, t)``
 order off it; only a witness becomes Python objects.  Stacked numpy calls
 give the same bits as one call per value, so reports equal those of a
 trial-at-a-time loop.  The public checks call ``f`` per point; it receives
-one read-only ``(d, d)`` array per argument.  Each injected pair runs as a
-block of one.
+one read-only ``(d, d)`` array per argument.
 
 ``cross_validate`` goes further: it evaluates its expression once per
 block, over stacks of all the block's points (``expr._evaluate_stacked``,
@@ -50,16 +49,16 @@ floating-point event) runs point by point instead, which calls ``f`` and
 raises exactly as a trial-at-a-time loop does.
 Injected pairs always run point by point.
 
-Generated points are cached per block: ``_cached_points`` (segment
-endpoints and t-samples) and ``_cached_ordered_pair`` keep up to
-``_CACHE_BLOCKS`` blocks each, so checks of several functions at one seed
-share them.  Both hold a ``_BlockPoints``, whose matrices one routine
-draws (``_block_draws``).  A segment block also keeps its paths: each kind
-(geodesic or straight) is built on the first check that needs it and
-handed to every later check of the block as the same read-only stacks and
-``ok`` mask, so the paths live and die with the block's entry.  Both
-caches expose ``cache_clear``, which drops the paths too; injected pairs
-build their own checked paths every time.
+Every source of trials is a ``_BlockPoints`` (``_batches``).  Generated
+blocks are cached: ``_cached_points`` (segment endpoints and t-samples)
+and ``_cached_ordered_pair`` keep up to ``_CACHE_BLOCKS`` blocks each, so
+checks of several functions at one seed share them, and one routine draws
+their matrices (``_block_draws``).  Each injected pair is a ``checked``
+block of one (``_checked_block``), new in every check.  A block keeps its
+paths: each kind (geodesic or straight) is built on the first check that
+needs it and handed to every later check of the block as the same
+read-only stacks and ``ok`` mask, so the paths live and die with the
+block.  Both caches expose ``cache_clear``, which drops the paths too.
 
 Trial order is kept exactly:
 
@@ -90,8 +89,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
-from typing import Callable, NamedTuple
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -375,22 +374,29 @@ def _block_draws(seed: int, start: int, stop: int, stream: int, dim: int, cond_m
 
 
 class _BlockPoints(tuple):
-    """``(a, b, ts)`` of one generated block, which keeps its paths once built.
+    """``(a, b, ts)`` of consecutive trials of a check, which keeps its paths once built.
 
-    ``a`` and ``b`` hold one ``(n, dim, dim)`` stack per argument; ``ts`` is
-    ``(n, 3 + t_samples)``, or None for ordered pairs.  ``paths(geodesic)``
-    builds the block's paths (``_paths``) on first use and hands every later
-    check of the block the same read-only stacks and ``ok`` mask.
+    ``a`` and ``b`` hold the endpoints, one read-only ``(n, dim, dim)``
+    stack per argument of ``f``; ``ts`` is ``(n, 3 + t_samples)``, or None
+    for ordered pairs.  ``paths(geodesic)`` builds the block's paths
+    (``_paths``) on first use and hands every later check of the block the
+    same read-only stacks and ``ok`` mask.  A ``checked`` block holds one
+    caller-supplied pair, whose paths pass the gates of ``_paths`` first.
     """
 
-    def __new__(cls, a: tuple, b: tuple, ts: np.ndarray | None):
+    a = property(operator.itemgetter(0))
+    b = property(operator.itemgetter(1))
+    ts = property(operator.itemgetter(2))
+
+    def __new__(cls, a: tuple, b: tuple, ts: np.ndarray | None, checked: bool = False):
         block = super().__new__(cls, (a, b, ts))
+        block.checked = checked
         block._paths = {}
         return block
 
     def paths(self, geodesic: bool | None):
         if geodesic not in self._paths:
-            self._paths[geodesic] = _paths(geodesic, *self)
+            self._paths[geodesic] = _paths(geodesic, *self, self.checked)
         return self._paths[geodesic]
 
 
@@ -422,42 +428,22 @@ def _cached_ordered_pair(seed: int, start: int, stop: int, dim: int, cond_max: f
     return _BlockPoints((_read_only(a),), (_read_only(b),), None)
 
 
-def _normalize_injected(entry, nargs: int):
-    a, b = entry
-    if isinstance(a, (list, np.ndarray)) or isinstance(a, spd.SPDMatrix):
-        a = (a,)
-        b = (b,)
-    if len(a) != nargs or len(b) != nargs:
-        raise RangeError(f"injected pair arity {len(a)} does not match {nargs} arguments")
-    conv = lambda ms: tuple(_read_only(np.array(spd._as_array(m), dtype=float)) for m in ms)
-    return conv(a), conv(b)
+def _checked_block(a: tuple, b: tuple, ts: np.ndarray | None) -> _BlockPoints:
+    """The ``checked`` block of one caller-supplied pair, one matrix per argument in
+    ``a`` and in ``b``, each copied to a read-only float64 array."""
+    def conv(ms):
+        return tuple(_read_only(np.array(spd._as_array(m), dtype=float))[None] for m in ms)
 
-
-@dataclass(frozen=True)
-class _Batch:
-    """Consecutive trials of one check, as stacks with the trial on axis 0.
-
-    ``a`` and ``b`` hold the endpoints, one stack per argument of ``f``.
-    ``paths()`` returns the path points at every ``(trial, t)`` pair (one
-    read-only ``(n, T, ...)`` stack per argument; none for ordered pairs)
-    and the read-only mask of trials whose path exists, since a generated
-    block shares both with every check of it.
-    """
-
-    a: tuple
-    b: tuple
-    ts: np.ndarray | None
-    paths: Callable[[], tuple]
-    injected: bool = False
+    return _BlockPoints(conv(a), conv(b), ts, checked=True)
 
 
 def _paths(geodesic: bool | None, a: tuple, b: tuple, ts: np.ndarray | None,
            checked: bool = False):
-    """Path points of a batch at every ``(trial, t)`` pair, with the mask of existing paths.
+    """Path points of a block at every ``(trial, t)`` pair, with the mask of existing paths.
 
     Geodesics take one stacked eigendecomposition pair per argument,
     straight segments one broadcast; ordered pairs (``geodesic`` None) have
-    none.  With ``checked`` (a batch of one caller-supplied pair) each
+    none.  With ``checked`` (a block of one caller-supplied pair) each
     argument first passes the shape and symmetry gates of
     ``spd.geodesic_path`` and a missing geodesic raises ``DomainError``;
     an ordered pair passes those of ``spd.loewner_geq`` and must be
@@ -485,21 +471,23 @@ def _paths(geodesic: bool | None, a: tuple, b: tuple, ts: np.ndarray | None,
 
 
 def _batches(cfg: FuzzConfig, nargs: int, geodesic: bool | None):
-    """The trials of a check in order: each injected pair alone, then blocks;
-    ``geodesic`` None gives the ordered pairs of a monotonicity check."""
+    """The ``_BlockPoints`` of a check in trial order: each injected pair alone, then
+    generated blocks; ``geodesic`` None gives the ordered pairs of a monotonicity check."""
     injected = min(len(cfg.injected), cfg.trials)
     for i in range(injected):
-        pa, pb = _normalize_injected(cfg.injected[i], nargs)
-        a, b = tuple(x[None] for x in pa), tuple(y[None] for y in pb)
+        a, b = cfg.injected[i]
+        if isinstance(a, (list, np.ndarray, spd.SPDMatrix)):
+            a, b = (a,), (b,)
+        if len(a) != nargs or len(b) != nargs:
+            raise RangeError(f"injected pair arity {len(a)} does not match {nargs} arguments")
         ts = None if geodesic is None else _block_ts(cfg.seed, i, i + 1, cfg.t_samples)
-        yield _Batch(a, b, ts, partial(_paths, geodesic, a, b, ts, True), True)
+        yield _checked_block(a, b, ts)
     for start, stop in _blocks(injected, cfg.trials):
         if geodesic is None:
-            block = _cached_ordered_pair(cfg.seed, start, stop, cfg.dim, float(cfg.cond_max))
+            yield _cached_ordered_pair(cfg.seed, start, stop, cfg.dim, float(cfg.cond_max))
         else:
-            block = _cached_points(cfg.seed, start, stop, cfg.dim, float(cfg.cond_max), nargs,
-                                   cfg.t_samples)
-        yield _Batch(*block, partial(block.paths, geodesic))
+            yield _cached_points(cfg.seed, start, stop, cfg.dim, float(cfg.cond_max), nargs,
+                                 cfg.t_samples)
 
 
 def _blocks(start: int, stop: int):
@@ -558,9 +546,9 @@ def _segment_gaps(fa: np.ndarray, fb: np.ndarray, owner: np.ndarray, ts: np.ndar
 
 
 class _Done(NamedTuple):
-    """The trials of a batch that reach the judge, as stacks in trial order.
+    """The trials of a block that reach the judge, as stacks in trial order.
 
-    ``rows`` are their rows in the batch, ``fa`` and ``fb`` their endpoint
+    ``rows`` are their rows in the block, ``fa`` and ``fb`` their endpoint
     values; ``counted`` marks, per trial and t-sample, the path points before
     the trial's first dead one, and ``path`` holds their values in
     ``(trial, t)`` order.
@@ -574,7 +562,7 @@ class _Done(NamedTuple):
 
 
 class _Judged(NamedTuple):
-    """A batch's comparisons in ``(trial, t)`` order, one entry per compared value.
+    """A block's comparisons in ``(trial, t)`` order, one entry per compared value.
 
     ``gaps`` are the signed amounts by which the values exceed their
     references (their sizes for two-sided checks), ``scales`` the value
@@ -593,11 +581,11 @@ class _Judged(NamedTuple):
 def _segment_judge(two_sided: bool):
     """Gaps of the counted t-samples above their chords, in ``(trial, t)`` order."""
 
-    def judge(batch: _Batch, done: _Done):
+    def judge(block: _BlockPoints, done: _Done):
         owner, col = np.nonzero(done.counted)
         if not owner.size:
             return None
-        ts = batch.ts[done.rows[owner], col]
+        ts = block.ts[done.rows[owner], col]
         chords, gaps = _segment_gaps(done.fa, done.fb, owner, ts, done.path, two_sided)
         scales = _scales(done.fa, done.fb)[owner]
         return _Judged(gaps, scales, done.rows[owner], ts, done.path, chords)
@@ -608,7 +596,7 @@ def _segment_judge(two_sided: bool):
 def _monotone_judge(increasing: bool):
     """Gaps of ``g(lo) <= g(hi)`` over each ordered pair, in trial order."""
 
-    def judge(batch: _Batch, done: _Done):
+    def judge(block: _BlockPoints, done: _Done):
         if not done.rows.size:
             return None
         hi, lo = (done.fa, done.fb) if increasing else (done.fb, done.fa)
@@ -618,21 +606,22 @@ def _monotone_judge(increasing: bool):
     return judge
 
 
-def _pointwise_trials(f, batch: _Batch):
-    """A batch's points with ``f`` called point by point, in the layout of ``_read_trials``.
+def _pointwise_trials(f, block: _BlockPoints, geodesic: bool | None):
+    """A block's points with ``f`` called point by point, in the layout of ``_read_trials``.
 
-    ``f`` sees each trial's endpoints, then its path points in t order, in
-    trial order, and nothing more of a trial after a ``DomainError``.  The
-    paths are built once ``f`` has seen the batch's first endpoints, so the
-    gates of an injected pair raise where a trial-at-a-time loop would; a
-    ``DomainError`` there marks the path missing.  A point where ``f``
-    raised ``DomainError`` or was not called holds NaN, a dead point.
+    ``f`` sees each trial's endpoints, then its ``geodesic`` path points in
+    t order, in trial order, and nothing more of a trial after a
+    ``DomainError``.  The paths are read once ``f`` has seen the block's
+    first endpoints, so the gates of a ``checked`` block raise where a
+    trial-at-a-time loop would; a ``DomainError`` there marks the path
+    missing.  A point where ``f`` raised ``DomainError`` or was not called
+    holds NaN, a dead point.
     """
-    n = len(batch.a[0])
-    t = 0 if batch.ts is None else batch.ts.shape[1]
+    n = len(block.a[0])
+    t = 0 if block.ts is None else block.ts.shape[1]
     values = [None] * (2 * n + n * t)
     points, ok = None, np.zeros(n, dtype=bool)
-    for row, (ends_a, ends_b) in enumerate(zip(zip(*batch.a), zip(*batch.b))):
+    for row, (ends_a, ends_b) in enumerate(zip(zip(*block.a), zip(*block.b))):
         try:
             values[row] = f(*ends_a)
             values[n + row] = f(*ends_b)
@@ -640,7 +629,7 @@ def _pointwise_trials(f, batch: _Batch):
             continue
         if points is None:
             try:
-                points, ok = batch.paths()
+                points, ok = block.paths(geodesic)
             except DomainError:
                 points = ()
         if t and ok[row]:
@@ -653,21 +642,21 @@ def _pointwise_trials(f, batch: _Batch):
     return _stack([dead if v is None else v for v in values]), ok
 
 
-def _stacked_trials(evaluate_block, batch: _Batch):
-    """A generated segment batch's points from one stacked evaluation, in ``_read_trials``' layout.
+def _stacked_trials(evaluate_block, block: _BlockPoints, geodesic: bool):
+    """A generated segment block's points from one stacked evaluation, in ``_read_trials``' layout.
 
     ``evaluate_block(stacks, alive)`` evaluates ``f`` at every point of the
-    batch at once, one stack per argument, and returns the values with the
-    mask of points whose per-point evaluation would not raise
-    ``DomainError``; the other points become NaN, dead points.  Returns None
-    when the stacked evaluation cannot decide (it raised ``spd.Undecided``),
-    so the batch runs point by point instead.
+    block and of its ``geodesic`` paths at once, one stack per argument, and
+    returns the values with the mask of points whose per-point evaluation
+    would not raise ``DomainError``; the other points become NaN, dead
+    points.  Returns None when the stacked evaluation cannot decide (it
+    raised ``spd.Undecided``), so the block runs point by point instead.
     """
-    n, t = batch.ts.shape
-    points, ok = batch.paths()
+    n, t = block.ts.shape
+    points, ok = block.paths(geodesic)
     stacks = tuple(
         _read_only(np.concatenate((a, b, p.reshape((n * t,) + a.shape[1:]))))
-        for a, b, p in zip(batch.a, batch.b, points)
+        for a, b, p in zip(block.a, block.b, points)
     )
     alive = np.concatenate((np.ones(2 * n, dtype=bool), np.repeat(ok, t)))
     try:
@@ -678,7 +667,7 @@ def _stacked_trials(evaluate_block, batch: _Batch):
 
 
 def _read_trials(values: np.ndarray, ok: np.ndarray):
-    """A batch's trials from its points: the one statement of the skip rule.
+    """A block's trials from its points: the one statement of the skip rule.
 
     ``values``, a float64 stack, covers the endpoints A, then the endpoints
     B, then the path points in ``(trial, t)`` order; ``ok`` marks the trials
@@ -701,32 +690,33 @@ def _read_trials(values: np.ndarray, ok: np.ndarray):
     return done, n - completed, completed
 
 
-def _trial_loop(f, trials: int, batches, tol: float, judge, evaluate_block=None) -> FuzzReport:
+def _trial_loop(f, trials: int, blocks, geodesic: bool | None, tol: float, judge,
+                evaluate_block=None) -> FuzzReport:
     """The one trial loop behind every check.
 
-    Each batch's points come from ``_pointwise_trials``, or, for generated
-    batches when ``evaluate_block`` is given, from ``_stacked_trials``,
-    which yields the same values and outcomes; ``_read_trials`` reads the
-    trials off them.  ``judge`` turns a batch's trials into a ``_Judged``
-    of gaps and scales in ``(trial, t)`` order (None when nothing is
-    compared); the loop reads the relative gaps as one array: their
-    largest, never a NaN, updates the worst residual, and the first above
-    ``tol`` becomes the witness.
+    Each block's points, on its ``geodesic`` paths, come from
+    ``_pointwise_trials``, or, for generated blocks when ``evaluate_block``
+    is given, from ``_stacked_trials``, which yields the same values and
+    outcomes; ``_read_trials`` reads the trials off them.  ``judge`` turns
+    a block's trials into a ``_Judged`` of gaps and scales in ``(trial, t)``
+    order (None when nothing is compared); the loop reads the relative gaps
+    as one array: their largest, never a NaN, updates the worst residual,
+    and the first above ``tol`` becomes the witness.
     """
     skipped = 0
     completed = 0
     worst = float("-inf")
     witness = None
-    for batch in batches:
+    for block in blocks:
         points = None
-        if evaluate_block is not None and not batch.injected:
-            points = _stacked_trials(evaluate_block, batch)
+        if evaluate_block is not None and not block.checked:
+            points = _stacked_trials(evaluate_block, block, geodesic)
         if points is None:
-            points = _pointwise_trials(f, batch)
+            points = _pointwise_trials(f, block, geodesic)
         done, block_skipped, block_completed = _read_trials(*points)
         skipped += block_skipped
         completed += block_completed
-        judged = judge(batch, done)
+        judged = judge(block, done)
         if judged is None:
             continue
         with np.errstate(invalid="ignore", under="ignore"):  # as float division: inf/inf is NaN
@@ -743,8 +733,8 @@ def _trial_loop(f, trials: int, batches, tol: float, judge, evaluate_block=None)
             if rel[k] > tol:
                 row = judged.rows[k]
                 witness = Witness(
-                    point_a=tuple(x[row] for x in batch.a),
-                    point_b=tuple(x[row] for x in batch.b),
+                    point_a=tuple(x[row] for x in block.a),
+                    point_b=tuple(x[row] for x in block.b),
                     t=float(judged.ts[k]),
                     lhs=_scalarize(judged.values[k]),
                     rhs=_scalarize(judged.refs[k]),
@@ -760,13 +750,12 @@ def _trial_loop(f, trials: int, batches, tol: float, judge, evaluate_block=None)
 
 def _run_segment_check(f, cfg: FuzzConfig, nargs: int, geodesic: bool, equality: bool,
                        equality_tol: float, evaluate_block=None) -> FuzzReport:
-    if nargs < 1:
-        raise RangeError(f"nargs must be >= 1, got {nargs}")
+    check_range("nargs", nargs, "an integer >= 1", lambda n: operator.index(n) >= 1)
     if not math.isfinite(equality_tol):
         raise RangeError(f"equality_tol must be finite, got {equality_tol}")
     tol = equality_tol if equality else cfg.tol
-    batches = _batches(cfg, nargs, geodesic)
-    return _trial_loop(f, cfg.trials, batches, tol, _segment_judge(equality), evaluate_block)
+    return _trial_loop(f, cfg.trials, _batches(cfg, nargs, geodesic), geodesic, tol,
+                       _segment_judge(equality), evaluate_block)
 
 
 def check_gconvex(f, cfg: FuzzConfig, nargs: int = 1, equality: bool = False,
@@ -798,18 +787,18 @@ def check_monotone_loewner(g, direction: str, cfg: FuzzConfig) -> FuzzReport:
     if direction not in ("increasing", "decreasing"):
         raise RangeError(f"direction must be 'increasing' or 'decreasing', got {direction!r}")
     judge = _monotone_judge(direction == "increasing")
-    return _trial_loop(g, cfg.trials, _batches(cfg, 1, None), cfg.tol, judge)
+    return _trial_loop(g, cfg.trials, _batches(cfg, 1, None), None, cfg.tol, judge)
 
 
 def reevaluate_witness(f, w: Witness, geodesic: bool = True, equality: bool = False) -> float:
     """Recompute a witness's relative residual from its stored points.
 
-    The path point comes from the same block helpers as the check's, as a
-    batch of one, so the residual is reproduced bit for bit.
+    The path point comes from a checked block of one (``_checked_block``),
+    as an injected pair's does, so the residual is reproduced bit for bit;
+    ``f`` sees the witness's own endpoint arrays.
     """
-    a = tuple(np.asarray(x, dtype=float)[None] for x in w.point_a)
-    b = tuple(np.asarray(y, dtype=float)[None] for y in w.point_b)
-    points, _ = _paths(geodesic, a, b, np.array([[w.t]]), checked=True)
+    block = _checked_block(w.point_a, w.point_b, np.array([[w.t]]))
+    points, _ = block.paths(geodesic)
     fa = _stack([f(*w.point_a)])
     fb = _stack([f(*w.point_b)])
     fmid = _stack([f(*(p[0, 0] for p in points))])

@@ -64,11 +64,11 @@ differently for a point and a stack: it binds a variable's value
 (``bind``), calls an atom (``call``; a ``Rows`` only a built-in one) and
 keeps a combinator's value (``scalar``).  ``distance``
 gates both of its arguments, the first through the policy's
-``symmetric``.  Every vector-Jacobian product that decomposes a matrix is
-in ``RESIDUAL_VJPS``: it takes the policy its evaluator ran under and
-reads the forward pass's decompositions from it, so a gradient after an
-evaluation decomposes only what that evaluation did not (a sum, a
-whitening the other way round).
+``symmetric``.  Every built-in vector-Jacobian product (``_VJPS``) takes
+the policy its evaluator ran under as ``rows`` too; one that decomposes a
+matrix reads the forward pass's decompositions from it, so a gradient
+after an evaluation decomposes only what that evaluation did not (a sum,
+a whitening the other way round).
 """
 
 from __future__ import annotations
@@ -276,9 +276,11 @@ class SPDMatrix:
         return self._eig
 
     def __array__(self, dtype=None, copy=None):
+        # The read-only entries themselves unless a copy is asked for; with a
+        # dtype, a writable copy, which ``Memo.bind`` hands to evaluators.
         if dtype is not None:
             return self._m.astype(dtype)
-        return self._m
+        return self._m.copy() if copy else self._m
 
     def __repr__(self):
         return f"SPDMatrix(dim={self.dim})"
@@ -420,8 +422,10 @@ def loewner_geq(a, b, tol: float = 1e-9) -> bool:
     True iff ``lambda_min(A - B) >= -tol * ||A - B||_2``; in particular true
     when ``A == B``.  Both arguments pass the gates of ``geodesic``: square
     and of one shape, else ``ShapeError``; finite, else ``DomainError``;
-    symmetric, else ``ShapeError``.
+    symmetric, else ``ShapeError``.  ``tol`` must be finite and >= 0
+    (``RangeError``).
     """
+    check_range("tol", tol, "finite and >= 0", lambda t: 0.0 <= t < math.inf)
     a_arr, b_arr = _geodesic_inputs(a, b)
     # The difference of two matrices symmetric bit for bit is one too.
     w = _eigvalsh(_sym(a_arr) - _sym(b_arr))
@@ -515,8 +519,8 @@ class _Point:
     ``memo`` computes what a memoizing policy would keep.  This is the hot
     path of the public checks, so nothing here builds a closure or a
     message unless a gate fails.  ``call`` runs an evaluator and ``pull`` a
-    vector-Jacobian product, with ``rows=`` for one in ``STACKED`` or
-    ``RESIDUAL_VJPS`` (by identity, ``_holds``) and plainly otherwise.
+    vector-Jacobian product, with ``rows=`` for one of this module's
+    (``STACKED`` or ``_VJPS``, by identity, ``_holds``) and plainly otherwise.
     """
 
     __slots__ = ()
@@ -580,7 +584,7 @@ class _Point:
         return fn(*args, rows=self) if _holds(STACKED, fn) else fn(*args)
 
     def pull(self, vjp, g, out, wrt: tuple, args: list):
-        if _holds(RESIDUAL_VJPS, vjp):
+        if _holds(_VJPS, vjp):
             return vjp(g, out, wrt, *args, rows=self)
         return vjp(g, out, wrt, *args)
 
@@ -1050,39 +1054,32 @@ def eval_abs(v, *, rows=POINT):
     return rows.scalar(abs(v))
 
 
-def _takes_rows(prefix: str) -> frozenset:
-    # A set of functions, not of names, so an atom re-registered under a
-    # built-in name with other functions never gets a policy.
-    return frozenset(
-        fn for name, fn in list(globals().items())
-        if name.startswith(prefix) and "rows" in (fn.__kwdefaults__ or ())
-    )
-
-
 def _holds(table, fn) -> bool:
     """Whether ``fn`` keys ``table``, by identity: a callable that is not a
     plain function (an unhashable one among them) keys no table."""
     return type(fn) is FunctionType and fn in table
 
 
-# The evaluators that take ``rows``: every built-in one.  An atom
-# registered, or re-registered under a built-in name, with another
-# evaluator is evaluated point by point, never by the built-in's code.
-STACKED = _takes_rows("eval_")
+# Every evaluator of this module, each taking ``rows``.  A set of functions,
+# not of names: an atom registered, or re-registered under a built-in name,
+# with another evaluator is evaluated point by point, never by the
+# built-in's code.
+STACKED = frozenset(fn for name, fn in list(globals().items()) if name.startswith("eval_"))
 
 
 # ---------------------------------------------------------------------------
-# Atom vector-Jacobian products.  ``vjp_<name>(g, out, wrt, *args)`` takes
-# the cotangent ``g`` of the atom's output (a float, or a symmetric array for
-# matrix-valued atoms), the output ``out`` the evaluator returned at ``args``
-# (the evaluator's own arguments, parameters included) and one flag per
-# expression argument.  It returns one cotangent per expression argument,
-# the Euclidean gradient of ``<g, atom(args)>`` with respect to it; entries
-# whose ``wrt`` flag is false may be None.  Each rule is the adjoint of its
-# evaluator as written, symmetrizations included, so cotangents of
-# non-symmetric intermediate values stay exact.  Closed forms for the
-# divergences follow Sra & Hosseini, SIAM J. Optim. 2015; the spectral ones
-# are the Daleckii-Krein gradient ``Q diag(f'(lam)) Q^T`` of
+# Atom vector-Jacobian products.  ``vjp_<name>(g, out, wrt, *args, rows=)``
+# takes the cotangent ``g`` of the atom's output (a float, or a symmetric
+# array for matrix-valued atoms), the output ``out`` the evaluator returned
+# at ``args`` (the evaluator's own arguments, parameters included), one flag
+# per expression argument and the policy ``rows`` the evaluator ran under,
+# whose decompositions a rule may read.  It returns one cotangent per
+# expression argument, the Euclidean gradient of ``<g, atom(args)>`` with
+# respect to it; entries whose ``wrt`` flag is false may be None.  Each rule
+# is the adjoint of its evaluator as written, symmetrizations included, so
+# cotangents of non-symmetric intermediate values stay exact.  Closed forms
+# for the divergences follow Sra & Hosseini, SIAM J. Optim. 2015; the
+# spectral ones are the Daleckii-Krein gradient ``Q diag(f'(lam)) Q^T`` of
 # ``sum_i f(lam_i)``.
 # ---------------------------------------------------------------------------
 
@@ -1111,11 +1108,11 @@ def vjp_logdet(g, out, wrt, x, *, rows=POINT):
     return (g * _spectral_grad(x, np.reciprocal, rows),)
 
 
-def vjp_tr(g, out, wrt, x):
+def vjp_tr(g, out, wrt, x, *, rows=POINT):
     return (g * np.eye(_as_array(x).shape[0]),)
 
 
-def vjp_sum(g, out, wrt, x):
+def vjp_sum(g, out, wrt, x, *, rows=POINT):
     return (np.full(_as_array(x).shape, float(g)),)
 
 
@@ -1142,7 +1139,7 @@ def vjp_distance(g, out, wrt, x, y, *, rows=POINT):
     )
 
 
-def vjp_quad_form(g, out, wrt, h, x):
+def vjp_quad_form(g, out, wrt, h, x, *, rows=POINT):
     h = np.asarray(h, dtype=float)
     return (g * np.outer(h, h),)
 
@@ -1151,7 +1148,7 @@ def vjp_eigmax(g, out, wrt, x, *, rows=POINT):
     return (g * _spectral_grad(x, _top(1), rows),)
 
 
-def vjp_log_quad_form(g, out, wrt, hs, x):
+def vjp_log_quad_form(g, out, wrt, hs, x, *, rows=POINT):
     total = _quad_sum(hs, _as_array(x))
     return ((g / total) * sum(np.outer(h, h) for h in hs),)
 
@@ -1181,24 +1178,24 @@ def vjp_sum_pow_log_eigmax(g, out, wrt, x, k, p, *, rows=POINT):
     return (g * _spectral_grad(x, fprime, rows),)
 
 
-def vjp_conjugation(g, out, wrt, x, b):
+def vjp_conjugation(g, out, wrt, x, b, *, rows=POINT):
     b = np.asarray(b, dtype=float)
     return (b @ _sym(g) @ b.T,)
 
 
-def vjp_adjoint(g, out, wrt, x):
+def vjp_adjoint(g, out, wrt, x, *, rows=POINT):
     return (np.asarray(g).T.copy(),)
 
 
-def vjp_inv(g, out, wrt, x):
+def vjp_inv(g, out, wrt, x, *, rows=POINT):
     return (-_sym(out @ g @ out),)
 
 
-def vjp_hadamard_product(g, out, wrt, x, m):
+def vjp_hadamard_product(g, out, wrt, x, m, *, rows=POINT):
     return (g * np.asarray(m, dtype=float),)
 
 
-def vjp_diag_matrix(g, out, wrt, x):
+def vjp_diag_matrix(g, out, wrt, x, *, rows=POINT):
     return (np.diag(np.diag(g)).copy(),)
 
 
@@ -1211,34 +1208,31 @@ def vjp_positive_affine(g, out, wrt, x, ys, b, r, *, rows=POINT):
     return (-_sym(x_inv @ pulled @ x_inv),)
 
 
-def vjp_elementwise_norm1(g, out, wrt, x):
+def vjp_elementwise_norm1(g, out, wrt, x, *, rows=POINT):
     return (g * np.sign(_as_array(x)),)
 
 
-def vjp_exp(g, out, wrt, v):
+def vjp_exp(g, out, wrt, v, *, rows=POINT):
     return (g * out,)
 
 
-def vjp_log(g, out, wrt, v):
+def vjp_log(g, out, wrt, v, *, rows=POINT):
     return (g / float(v),)
 
 
-def vjp_neg_log(g, out, wrt, v):
+def vjp_neg_log(g, out, wrt, v, *, rows=POINT):
     return (-g / float(v),)
 
 
-def vjp_pow(g, out, wrt, v, p):
+def vjp_pow(g, out, wrt, v, p, *, rows=POINT):
     v, p = float(v), float(p)
     return (g * p * v ** (p - 1.0),)
 
 
-def vjp_abs(g, out, wrt, v):
+def vjp_abs(g, out, wrt, v, *, rows=POINT):
     return (g * float(np.sign(float(v))),)
 
 
-# Every product of this module: a backward pass checks the return of any other.
+# Every product of this module, each taking ``rows``: a backward pass checks
+# the return of any other.
 _VJPS = frozenset(fn for name, fn in list(globals().items()) if name.startswith("vjp_"))
-# The vector-Jacobian products that take ``rows``, the policy their
-# evaluator ran under, and read their forward residuals from it: every
-# product that decomposes a matrix.
-RESIDUAL_VJPS = frozenset(fn for fn in _VJPS if "rows" in (fn.__kwdefaults__ or ()))

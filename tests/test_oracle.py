@@ -1,4 +1,5 @@
 import collections
+import inspect
 import math
 import os
 import subprocess
@@ -139,11 +140,17 @@ class TestCheckGConvex:
 
 
 class TestCheckEConvex:
-    @pytest.mark.parametrize("nargs", [0, -1])
+    @pytest.mark.parametrize("nargs", [0, -1, 1.5, True])
     def test_nargs_below_one_rejected(self, nargs):
         for check in (gc.check_gconvex, gc.check_econvex):
-            with pytest.raises(RangeError):
+            with pytest.raises(RangeError, match="nargs must be an integer >= 1"):
                 check(lambda *ms: 0.0, CFG, nargs=nargs)
+
+    def test_numpy_integer_nargs_accepted(self):
+        cfg = gc.FuzzConfig(trials=20, dim=2, seed=1)
+        for check in (gc.check_gconvex, gc.check_econvex):
+            assert check(spd.eval_sdivergence, cfg, nargs=np.int64(2)) == check(
+                spd.eval_sdivergence, cfg, nargs=2)
 
 
     def test_norm1_euclidean_convex(self):
@@ -555,9 +562,9 @@ class TestStackedTrials:
         def block(stacks, alive):
             return _evaluate_stacked(e, {"X": stacks[0]}, alive)
 
-        for batch in oracle._batches(cfg, 1, geodesic):
-            yield (oracle._read_trials(*oracle._stacked_trials(block, batch)),
-                   oracle._read_trials(*oracle._pointwise_trials(f, batch)))
+        for points in oracle._batches(cfg, 1, geodesic):
+            yield (oracle._read_trials(*oracle._stacked_trials(block, points, geodesic)),
+                   oracle._read_trials(*oracle._pointwise_trials(f, points, geodesic)))
 
     @staticmethod
     def _exact(trials):
@@ -612,9 +619,9 @@ class TestStackedRouting:
         pointwise, maps, tails = [], [], []
         pointwise_trials, rows_map = oracle._pointwise_trials, spd.Rows.map
 
-        def counting_pointwise(f, batch):
-            pointwise.append(len(batch.a[0]))
-            return pointwise_trials(f, batch)
+        def counting_pointwise(f, block, geodesic):
+            pointwise.append(len(block.a[0]))
+            return pointwise_trials(f, block, geodesic)
 
         def counting_map(self, tail, lam, *params):
             maps.append(tail.__name__)
@@ -636,6 +643,13 @@ class TestStackedRouting:
 
     def test_every_built_in_evaluator_takes_rows(self):
         assert all(expr._registered(i).evaluator in spd.STACKED for i in gc.CATALOG_IDS)
+
+    def test_every_built_in_evaluator_and_product_takes_a_keyword_only_rows(self):
+        tables = (spd.STACKED, spd._VJPS)
+        assert {len(t) for t in tables} == {len(gc.CATALOG_IDS)}
+        for fn in tables[0] | tables[1]:
+            rows = inspect.signature(fn).parameters["rows"]
+            assert (rows.kind, rows.default) == (inspect.Parameter.KEYWORD_ONLY, spd.POINT)
 
     def test_problem_files_run_nothing_per_row(self, monkeypatch):
         pointwise, maps, tails = self._count(monkeypatch)
@@ -993,6 +1007,20 @@ class TestBlockPaths:
             assert ok.tobytes() == fresh_ok.tobytes()
             assert [p.tobytes() for p in points] == [p.tobytes() for p in fresh]
 
+    @pytest.mark.parametrize("geodesic", [True, False, None])
+    def test_every_trial_source_is_a_block(self, geodesic):
+        cfg = gc.FuzzConfig(trials=oracle.BLOCK + 5, dim=2, seed=3,
+                            injected=((np.eye(2), 2.0 * np.eye(2)),) * 2)
+        blocks = list(oracle._batches(cfg, 1, geodesic))
+        assert [type(b) for b in blocks] == [oracle._BlockPoints] * 4
+        assert [b.checked for b in blocks] == [True, True, False, False]
+        assert [len(b.a[0]) for b in blocks] == [1, 1, oracle.BLOCK - 2, 5]
+        for block in blocks:
+            a, b, ts = block
+            assert (a, b, ts) == (block.a, block.b, block.ts)
+            assert (ts is None) == (geodesic is None)
+            assert not any(x.flags.writeable for x in a + b)
+
     def test_injected_pairs_build_their_own_paths(self, monkeypatch):
         cfg = gc.FuzzConfig(trials=10, dim=2, seed=3, injected=((np.eye(2), 2.0 * np.eye(2)),))
         first = gc.check_gconvex(spd.eval_tr, cfg)
@@ -1017,6 +1045,22 @@ class TestReevaluateWitness:
         rep = gc.check_econvex(f, CFG)
         assert rep.verdict == "ViolationFound"
         again = gc.reevaluate_witness(f, rep.witness, geodesic=False)
+        assert again == rep.witness.residual
+
+    @pytest.mark.parametrize("f, nargs, geodesic, equality, injected", [
+        (lambda x, y: -spd.distance(x, y), 2, True, False, ()),
+        (spd.eval_tr, 1, True, True, ()),
+        (spd.eval_logdet, 1, False, True, ()),
+        (spd.elementwise_norm1, 1, True, False, ((np.eye(3), SIGMA_2),)),
+    ], ids=["two-argument", "two-sided-geodesic", "two-sided-euclidean", "injected"])
+    def test_every_kind_of_witness_bit_for_bit(self, f, nargs, geodesic, equality, injected):
+        cfg = gc.FuzzConfig(trials=60, dim=3, seed=8, injected=injected)
+        check = gc.check_gconvex if geodesic else gc.check_econvex
+        rep = check(f, cfg, nargs=nargs, equality=equality)
+        assert rep.verdict == "ViolationFound" and len(rep.witness.point_a) == nargs
+        if injected:
+            assert np.array_equal(rep.witness.point_b[0], SIGMA_2)
+        again = gc.reevaluate_witness(f, rep.witness, geodesic=geodesic, equality=equality)
         assert again == rep.witness.residual
 
 

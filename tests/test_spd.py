@@ -183,10 +183,12 @@ class TestOneSource:
 
     def test_only_spd_decides_what_a_point_and_a_stack_call(self):
         # The row policies decide which evaluators and products take
-        # ``rows=``; a test of either table anywhere else is a second home
-        # for the point-or-stack decision.
-        for table in ("STACKED", "RESIDUAL_VJPS"):
-            assert {module for module, _ in self._references(table)} == {"spd"}
+        # ``rows=``; a test of ``STACKED`` or a call passing ``rows=``
+        # anywhere else is a second home for the point-or-stack decision.
+        assert {module for module, _ in self._references("STACKED")} == {"spd"}
+        passes_rows = self._sites(lambda node: isinstance(node, ast.Call)
+                                  and any(k.arg == "rows" for k in node.keywords))
+        assert {module for module, _ in passes_rows} == {"spd"}
 
     def test_one_kernel_rebuilds_from_a_spectrum(self):
         # ``_sym((x * y) @ z)`` or ``_sym((x / y) @ z)`` written out anywhere
@@ -293,6 +295,14 @@ class TestSPDMatrix:
         m = gc.SPDMatrix(np.eye(2))
         with pytest.raises(ValueError):
             m.entries[0, 0] = 5.0
+
+    def test_array_conversions(self):
+        m = gc.SPDMatrix(np.diag([1.0, 2.0]))
+        assert np.asarray(m) is m.entries
+        for x in (np.array(m), np.asarray(m, dtype=float)):
+            assert x is not m.entries and np.array_equal(x, m.entries)
+            x[0, 0] = 5.0
+        assert m.entries[0, 0] == 1.0
 
 
 DBL_MAX = float(np.finfo(float).max)
@@ -607,6 +617,15 @@ class TestLoewner:
     def test_non_finite_argument_raises(self):
         with pytest.raises(DomainError):
             gc.loewner_geq([[math.nan, 0], [0, 1]], np.eye(2))
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -0.5, True])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        with pytest.raises(RangeError, match="tol must be finite and >= 0"):
+            gc.loewner_geq(np.eye(2), np.eye(2), tol=tol)
+
+    def test_zero_tolerance(self):
+        assert gc.loewner_geq(np.eye(2), np.eye(2), tol=0.0)
+        assert not gc.loewner_geq(np.eye(2), 2.0 * np.eye(2), tol=0.0)
 
     def test_an_ordered_pair_at_the_gates_edge(self):
         # Every entry passes the gate (|a_ij| <= DBL_MAX / 2) and A - B =
