@@ -437,8 +437,7 @@ def _checked_block(a: tuple, b: tuple, ts: np.ndarray | None) -> _BlockPoints:
     return _BlockPoints(conv(a), conv(b), ts, checked=True)
 
 
-def _paths(geodesic: bool | None, a: tuple, b: tuple, ts: np.ndarray | None,
-           checked: bool = False):
+def _paths(geodesic: bool | None, a: tuple, b: tuple, ts: np.ndarray | None, checked: bool):
     """Path points of a block at every ``(trial, t)`` pair, with the mask of existing paths.
 
     Geodesics take one stacked eigendecomposition pair per argument,

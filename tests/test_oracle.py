@@ -641,13 +641,11 @@ class TestStackedRouting:
             monkeypatch.setattr(spd, name, counting(getattr(spd, name)))
         return pointwise, maps, tails
 
-    def test_every_built_in_evaluator_takes_rows(self):
-        assert all(expr._registered(i).evaluator in spd.STACKED for i in gc.CATALOG_IDS)
-
     def test_every_built_in_evaluator_and_product_takes_a_keyword_only_rows(self):
-        tables = (spd.STACKED, spd._VJPS)
-        assert {len(t) for t in tables} == {len(gc.CATALOG_IDS)}
-        for fn in tables[0] | tables[1]:
+        atoms = [expr._registered(i) for i in gc.CATALOG_IDS]
+        assert {a.evaluator for a in atoms} == spd.STACKED
+        assert {a.vjp for a in atoms} == spd._VJPS
+        for fn in spd.STACKED | spd._VJPS:
             rows = inspect.signature(fn).parameters["rows"]
             assert (rows.kind, rows.default) == (inspect.Parameter.KEYWORD_ONLY, spd.POINT)
 
@@ -1003,7 +1001,7 @@ class TestBlockPaths:
             again, ok_again = block.paths(geodesic)
             assert ok_again is ok and all(p is q for p, q in zip(again, points))
             assert not ok.flags.writeable and not any(p.flags.writeable for p in points)
-            fresh, fresh_ok = oracle._paths(geodesic, *block)
+            fresh, fresh_ok = oracle._paths(geodesic, *block, block.checked)
             assert ok.tobytes() == fresh_ok.tobytes()
             assert [p.tobytes() for p in points] == [p.tobytes() for p in fresh]
 
