@@ -58,6 +58,8 @@ SIGN_RANGE_OVERRIDES = {spd.eval_logdet: Sign.ANY}
 
 
 def _full_column_rank(b: np.ndarray, what: str):
+    if not b.shape[1]:
+        raise ExpressionError(f"{what} must have at least one column")
     if b.shape[0] < b.shape[1]:
         raise ExpressionError(f"{what} must have at least as many rows as columns")
     s = np.linalg.svd(b, compute_uv=False)

@@ -50,6 +50,7 @@ enter a key through ``_array_token`` (parameters through
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -102,7 +103,11 @@ class Definiteness(Enum):
 
 @dataclass(frozen=True)
 class Manifold:
-    """Carrier manifold of a variable; only SPD(d) is supported."""
+    """Carrier manifold of a variable; only SPD(d) is supported.
+
+    ``dim`` is any integer >= 1 but a bool, numpy's integers included, and
+    is kept as an ``int``; anything else raises ``ExpressionError``.
+    """
 
     kind: str
     dim: int
@@ -110,8 +115,13 @@ class Manifold:
     def __post_init__(self):
         if self.kind != "SPD":
             raise ExpressionError(f"unsupported manifold kind '{self.kind}'")
-        if not isinstance(self.dim, int) or self.dim < 1:
+        try:
+            dim = None if isinstance(self.dim, bool) else operator.index(self.dim)
+        except TypeError:
+            dim = None
+        if dim is None or dim < 1:
             raise ExpressionError(f"manifold dimension must be a positive integer, got {self.dim!r}")
+        object.__setattr__(self, "dim", dim)
 
     def __str__(self):
         return f"SPD({self.dim})"
@@ -119,7 +129,7 @@ class Manifold:
 
 def SPD(dim: int) -> Manifold:
     """The manifold of symmetric positive definite dim x dim matrices."""
-    return Manifold("SPD", int(dim))
+    return Manifold("SPD", dim)
 
 
 class ArgKind(Enum):
@@ -429,8 +439,8 @@ class ConstMatrix(Expression):
         if isinstance(definiteness, str):
             definiteness = Definiteness(definiteness)
         a = _readonly(_numeric(values, "constant matrix"))
-        if a.ndim != 2:
-            raise ExpressionError(f"constant matrix must be 2-D, got shape {a.shape}")
+        if a.ndim != 2 or not a.size:
+            raise ExpressionError(f"constant matrix must be 2-D and nonempty, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise DomainError("constant matrix has non-finite entries")
         if definiteness is not Definiteness.NONE:

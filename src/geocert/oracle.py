@@ -46,19 +46,19 @@ equals the per-point one bit for bit.  A block the stacked evaluation
 cannot decide (its tree holds a user atom, which has no stacked
 evaluator, some point would raise another error, or numpy would report a
 floating-point event) runs point by point instead, which calls ``f`` and
-raises exactly as a trial-at-a-time loop does.
-Injected pairs always run point by point.
+raises exactly as a trial-at-a-time loop does.  Injected pairs run like
+any other block.
 
 Every source of trials is a ``_BlockPoints`` (``_batches``).  Generated
 blocks are cached: ``_cached_points`` (segment endpoints and t-samples)
 and ``_cached_ordered_pair`` keep up to ``_CACHE_BLOCKS`` blocks each, so
 checks of several functions at one seed share them, and one routine draws
-their matrices (``_block_draws``).  Each injected pair is a ``checked``
-block of one (``_checked_block``), new in every check.  A block keeps its
-paths: each kind (geodesic or straight) is built on the first check that
-needs it and handed to every later check of the block as the same
-read-only stacks and ``ok`` mask, so the paths live and die with the
-block.  Both caches expose ``cache_clear``, which drops the paths too.
+their matrices (``_block_draws``).  Each injected pair is a block of one
+(``_given_block``), new in every check.  A block keeps its paths: each
+kind (geodesic or straight) is built on the first check that needs it and
+handed to every later check of the block as the same read-only stacks and
+``ok`` mask, so the paths live and die with the block.  Both caches
+expose ``cache_clear``, which drops the paths too.
 
 Trial order is kept exactly:
 
@@ -78,10 +78,9 @@ Trial order is kept exactly:
   holds a NaN (after a NaN, ``f`` is still called at the trial's later
   points); an infinite value is judged as it is;
 * more than 50% skipped trials raises ``InconclusiveError``;
-* every check gates an injected pair on shape and symmetry, and
-  ``check_monotone_loewner`` then on its order ``A >= B`` (``RangeError``);
-  such an error, like any but a ``DomainError`` of the pair, is raised once
-  ``f`` has seen the pair's endpoints, as a trial-at-a-time loop would.
+* every injected pair passes its gates (arity, shape, symmetry and, for
+  ``check_monotone_loewner``, the order ``A >= B``) before ``f`` sees a
+  point; an endpoint that is not positive definite only skips its trial.
 """
 
 from __future__ import annotations
@@ -380,23 +379,21 @@ class _BlockPoints(tuple):
     stack per argument of ``f``; ``ts`` is ``(n, 3 + t_samples)``, or None
     for ordered pairs.  ``paths(geodesic)`` builds the block's paths
     (``_paths``) on first use and hands every later check of the block the
-    same read-only stacks and ``ok`` mask.  A ``checked`` block holds one
-    caller-supplied pair, whose paths pass the gates of ``_paths`` first.
+    same read-only stacks and ``ok`` mask.
     """
 
     a = property(operator.itemgetter(0))
     b = property(operator.itemgetter(1))
     ts = property(operator.itemgetter(2))
 
-    def __new__(cls, a: tuple, b: tuple, ts: np.ndarray | None, checked: bool = False):
+    def __new__(cls, a: tuple, b: tuple, ts: np.ndarray | None):
         block = super().__new__(cls, (a, b, ts))
-        block.checked = checked
         block._paths = {}
         return block
 
     def paths(self, geodesic: bool | None):
         if geodesic not in self._paths:
-            self._paths[geodesic] = _paths(geodesic, *self, self.checked)
+            self._paths[geodesic] = _paths(geodesic, *self)
         return self._paths[geodesic]
 
 
@@ -428,38 +425,47 @@ def _cached_ordered_pair(seed: int, start: int, stop: int, dim: int, cond_max: f
     return _BlockPoints((_read_only(a),), (_read_only(b),), None)
 
 
-def _checked_block(a: tuple, b: tuple, ts: np.ndarray | None) -> _BlockPoints:
-    """The ``checked`` block of one caller-supplied pair, one matrix per argument in
-    ``a`` and in ``b``, each copied to a read-only float64 array."""
+def _given_block(name: str, pair, nargs: int, ts: np.ndarray | None) -> _BlockPoints:
+    """The block of one caller-supplied pair ``(A, B)`` (one matrix or ``nargs`` each), gated.
+
+    A pair that is not two matrices or tuples of them, or has the wrong
+    arity, raises ``RangeError`` naming ``name``; each argument passes the
+    gates of ``spd.geodesic_path``, and an ordered pair (``ts`` None) must be
+    ordered ``A >= B`` (``RangeError``).  An endpoint that is not positive
+    definite passes: its geodesic is missing.
+    """
     def conv(ms):
         return tuple(_read_only(np.array(spd._as_array(m), dtype=float))[None] for m in ms)
 
-    return _BlockPoints(conv(a), conv(b), ts, checked=True)
+    try:
+        a, b = pair
+        if isinstance(a, (list, np.ndarray, spd.SPDMatrix)):
+            a, b = (a,), (b,)
+        a, b = conv(a), conv(b)
+    except (TypeError, ValueError) as exc:
+        raise RangeError(f"{name} must be a pair (A, B) of matrices: {exc}") from None
+    if len(a) != nargs or len(b) != nargs:
+        raise RangeError(f"{name} has arity {len(a)}, which does not match {nargs} arguments")
+    for x, y in zip(a, b):
+        spd._geodesic_inputs(x[0], y[0])
+    if ts is None and not spd.loewner_geq(a[0][0], b[0][0]):
+        raise RangeError(f"{name} is not ordered: A >= B fails in the Loewner order")
+    return _BlockPoints(a, b, ts)
 
 
-def _paths(geodesic: bool | None, a: tuple, b: tuple, ts: np.ndarray | None, checked: bool):
+def _paths(geodesic: bool | None, a: tuple, b: tuple, ts: np.ndarray | None):
     """Path points of a block at every ``(trial, t)`` pair, with the mask of existing paths.
 
     Geodesics take one stacked eigendecomposition pair per argument,
     straight segments one broadcast; ordered pairs (``geodesic`` None) have
-    none.  With ``checked`` (a block of one caller-supplied pair) each
-    argument first passes the shape and symmetry gates of
-    ``spd.geodesic_path`` and a missing geodesic raises ``DomainError``;
-    an ordered pair passes those of ``spd.loewner_geq`` and must be
-    ordered ``A >= B`` (``RangeError``).
+    none.  A geodesic whose endpoint is not positive definite is missing.
     """
     points, ok = [], np.ones(len(a[0]), dtype=bool)
     if geodesic is None:
-        if checked and not spd.loewner_geq(a[0][0], b[0][0]):
-            raise RangeError("injected pair is not ordered: A >= B fails in the Loewner order")
         return (), _read_only(ok)
     for x, y in zip(a, b):
-        if checked:
-            spd._geodesic_inputs(x[0], y[0])
         if geodesic:
             frame, logs, good = spd._geodesic_frames(x, y)
-            if checked and not good[0]:
-                raise DomainError("geodesic endpoint is not positive definite")
             ok &= good
             p = spd._geodesic_points(frame, logs, ts)
         else:
@@ -470,17 +476,15 @@ def _paths(geodesic: bool | None, a: tuple, b: tuple, ts: np.ndarray | None, che
 
 
 def _batches(cfg: FuzzConfig, nargs: int, geodesic: bool | None):
-    """The ``_BlockPoints`` of a check in trial order: each injected pair alone, then
-    generated blocks; ``geodesic`` None gives the ordered pairs of a monotonicity check."""
+    """The ``_BlockPoints`` of a check in trial order: each injected pair alone, all
+    gated before the first is yielded, then generated blocks; ``geodesic`` None
+    gives the ordered pairs of a monotonicity check."""
     injected = min(len(cfg.injected), cfg.trials)
-    for i in range(injected):
-        a, b = cfg.injected[i]
-        if isinstance(a, (list, np.ndarray, spd.SPDMatrix)):
-            a, b = (a,), (b,)
-        if len(a) != nargs or len(b) != nargs:
-            raise RangeError(f"injected pair arity {len(a)} does not match {nargs} arguments")
-        ts = None if geodesic is None else _block_ts(cfg.seed, i, i + 1, cfg.t_samples)
-        yield _checked_block(a, b, ts)
+    yield from [
+        _given_block(f"injected pair {i}", cfg.injected[i], nargs,
+                     None if geodesic is None else _block_ts(cfg.seed, i, i + 1, cfg.t_samples))
+        for i in range(injected)
+    ]
     for start, stop in _blocks(injected, cfg.trials):
         if geodesic is None:
             yield _cached_ordered_pair(cfg.seed, start, stop, cfg.dim, float(cfg.cond_max))
@@ -610,27 +614,20 @@ def _pointwise_trials(f, block: _BlockPoints, geodesic: bool | None):
 
     ``f`` sees each trial's endpoints, then its ``geodesic`` path points in
     t order, in trial order, and nothing more of a trial after a
-    ``DomainError``.  The paths are read once ``f`` has seen the block's
-    first endpoints, so the gates of a ``checked`` block raise where a
-    trial-at-a-time loop would; a ``DomainError`` there marks the path
+    ``DomainError``, and only the endpoints of a trial whose path is
     missing.  A point where ``f`` raised ``DomainError`` or was not called
     holds NaN, a dead point.
     """
     n = len(block.a[0])
     t = 0 if block.ts is None else block.ts.shape[1]
     values = [None] * (2 * n + n * t)
-    points, ok = None, np.zeros(n, dtype=bool)
+    points, ok = block.paths(geodesic)
     for row, (ends_a, ends_b) in enumerate(zip(zip(*block.a), zip(*block.b))):
         try:
             values[row] = f(*ends_a)
             values[n + row] = f(*ends_b)
         except DomainError:
             continue
-        if points is None:
-            try:
-                points, ok = block.paths(geodesic)
-            except DomainError:
-                points = ()
         if t and ok[row]:
             try:
                 for i, args in enumerate(zip(*(p[row] for p in points)), 2 * n + row * t):
@@ -642,7 +639,7 @@ def _pointwise_trials(f, block: _BlockPoints, geodesic: bool | None):
 
 
 def _stacked_trials(evaluate_block, block: _BlockPoints, geodesic: bool):
-    """A generated segment block's points from one stacked evaluation, in ``_read_trials``' layout.
+    """A segment block's points from one stacked evaluation, in ``_read_trials``' layout.
 
     ``evaluate_block(stacks, alive)`` evaluates ``f`` at every point of the
     block and of its ``geodesic`` paths at once, one stack per argument, and
@@ -694,13 +691,13 @@ def _trial_loop(f, trials: int, blocks, geodesic: bool | None, tol: float, judge
     """The one trial loop behind every check.
 
     Each block's points, on its ``geodesic`` paths, come from
-    ``_pointwise_trials``, or, for generated blocks when ``evaluate_block``
-    is given, from ``_stacked_trials``, which yields the same values and
-    outcomes; ``_read_trials`` reads the trials off them.  ``judge`` turns
-    a block's trials into a ``_Judged`` of gaps and scales in ``(trial, t)``
-    order (None when nothing is compared); the loop reads the relative gaps
-    as one array: their largest, never a NaN, updates the worst residual,
-    and the first above ``tol`` becomes the witness.
+    ``_pointwise_trials``, or, when ``evaluate_block`` is given, from
+    ``_stacked_trials``, which yields the same values and outcomes;
+    ``_read_trials`` reads the trials off them.  ``judge`` turns a block's
+    trials into a ``_Judged`` of gaps and scales in ``(trial, t)`` order
+    (None when nothing is compared); the loop reads the relative gaps as
+    one array: their largest, never a NaN, updates the worst residual, and
+    the first above ``tol`` becomes the witness.
     """
     skipped = 0
     completed = 0
@@ -708,7 +705,7 @@ def _trial_loop(f, trials: int, blocks, geodesic: bool | None, tol: float, judge
     witness = None
     for block in blocks:
         points = None
-        if evaluate_block is not None and not block.checked:
+        if evaluate_block is not None:
             points = _stacked_trials(evaluate_block, block, geodesic)
         if points is None:
             points = _pointwise_trials(f, block, geodesic)
@@ -748,32 +745,28 @@ def _trial_loop(f, trials: int, blocks, geodesic: bool | None, tol: float, judge
 
 
 def _run_segment_check(f, cfg: FuzzConfig, nargs: int, geodesic: bool, equality: bool,
-                       equality_tol: float, evaluate_block=None) -> FuzzReport:
+                       evaluate_block=None) -> FuzzReport:
     check_range("nargs", nargs, "an integer >= 1", lambda n: operator.index(n) >= 1)
-    if not math.isfinite(equality_tol):
-        raise RangeError(f"equality_tol must be finite, got {equality_tol}")
-    tol = equality_tol if equality else cfg.tol
+    tol = EQUALITY_TOL if equality else cfg.tol
     return _trial_loop(f, cfg.trials, _batches(cfg, nargs, geodesic), geodesic, tol,
                        _segment_judge(equality), evaluate_block)
 
 
-def check_gconvex(f, cfg: FuzzConfig, nargs: int = 1, equality: bool = False,
-                  equality_tol: float = EQUALITY_TOL) -> FuzzReport:
+def check_gconvex(f, cfg: FuzzConfig, nargs: int = 1, equality: bool = False) -> FuzzReport:
     """Probe geodesic convexity of ``f`` along random geodesics.
 
     ``f`` maps ``nargs`` SPD arrays to a float or a symmetric array (matrix
     results are compared in the Loewner order).  With ``equality=True`` the
-    check is two-sided, corroborating geodesic linearity.  Trials whose
-    evaluation leaves the domain are skipped; more than 50% skips raises
-    ``InconclusiveError``.
+    check is two-sided within ``EQUALITY_TOL``, corroborating geodesic
+    linearity.  Trials whose evaluation leaves the domain are skipped; more
+    than 50% skips raises ``InconclusiveError``.
     """
-    return _run_segment_check(f, cfg, nargs, True, equality, equality_tol)
+    return _run_segment_check(f, cfg, nargs, True, equality)
 
 
-def check_econvex(f, cfg: FuzzConfig, nargs: int = 1, equality: bool = False,
-                  equality_tol: float = EQUALITY_TOL) -> FuzzReport:
+def check_econvex(f, cfg: FuzzConfig, nargs: int = 1, equality: bool = False) -> FuzzReport:
     """Probe Euclidean convexity of ``f`` along straight segments in the cone."""
-    return _run_segment_check(f, cfg, nargs, False, equality, equality_tol)
+    return _run_segment_check(f, cfg, nargs, False, equality)
 
 
 def check_monotone_loewner(g, direction: str, cfg: FuzzConfig) -> FuzzReport:
@@ -792,12 +785,15 @@ def check_monotone_loewner(g, direction: str, cfg: FuzzConfig) -> FuzzReport:
 def reevaluate_witness(f, w: Witness, geodesic: bool = True, equality: bool = False) -> float:
     """Recompute a witness's relative residual from its stored points.
 
-    The path point comes from a checked block of one (``_checked_block``),
-    as an injected pair's does, so the residual is reproduced bit for bit;
-    ``f`` sees the witness's own endpoint arrays.
+    The path point comes from a block of one that passed an injected pair's
+    gates (``_given_block``), so the residual is reproduced bit for bit;
+    ``f`` sees the witness's own endpoint arrays.  A missing geodesic
+    raises ``DomainError``.
     """
-    block = _checked_block(w.point_a, w.point_b, np.array([[w.t]]))
-    points, _ = block.paths(geodesic)
+    block = _given_block("witness", (w.point_a, w.point_b), len(w.point_a), np.array([[w.t]]))
+    points, ok = block.paths(geodesic)
+    if not ok[0]:
+        raise DomainError("geodesic endpoint is not positive definite")
     fa = _stack([f(*w.point_a)])
     fb = _stack([f(*w.point_b)])
     fmid = _stack([f(*(p[0, 0] for p in points))])
@@ -859,8 +855,7 @@ def cross_validate(e: Expression, cfg: FuzzConfig) -> CrossValidation:
         return -values, alive
 
     def check(fn, evaluate_block, geodesic=True, equality=False):
-        return _run_segment_check(fn, cfg, nargs, geodesic, equality, EQUALITY_TOL,
-                                  evaluate_block)
+        return _run_segment_check(fn, cfg, nargs, geodesic, equality, evaluate_block)
 
     checks: dict[str, FuzzReport] = {}
     notes: dict[str, str] = {}

@@ -123,16 +123,16 @@ def _sym(a: np.ndarray) -> np.ndarray:
 def _check_symmetric_square(a: np.ndarray) -> bool:
     """The gate of a float64 matrix argument; True when ``_sym(a)`` is ``a`` bit for bit.
 
-    Raises ``ShapeError`` unless ``a`` is square and symmetric within
-    ``ASYM_RTOL`` relative, and ``DomainError`` for an entry that is not
-    finite or is past ``_SYM_MAX``.  The common case, a matrix symmetric
+    Raises ``ShapeError`` unless ``a`` is square, nonempty and symmetric
+    within ``ASYM_RTOL`` relative, and ``DomainError`` for an entry that is
+    not finite or is past ``_SYM_MAX``.  The common case, a matrix symmetric
     bit for bit (signed zeros included) with every ``|a_ij| <= _SYM_MAX``,
     is one byte comparison and one reduction, which a NaN fails; every
     other matrix takes the full checks and returns False.  No check warns.
     """
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"matrix must be square, got shape {a.shape}")
-    if a.tobytes() == a.T.tobytes() and np.maximum.reduce(np.abs(a), None, initial=0.0) <= _SYM_MAX:
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.shape[0]:
+        raise ShapeError(f"matrix must be square and nonempty, got shape {a.shape}")
+    if a.tobytes() == a.T.tobytes() and np.maximum.reduce(np.abs(a), None) <= _SYM_MAX:
         return True
     if not np.isfinite(a).all():
         raise DomainError("matrix has non-finite entries")
@@ -311,12 +311,19 @@ def matrix_log(m) -> np.ndarray:
 
 def matrix_exp(m) -> SPDMatrix:
     pair = _eig_of(m)
-    return SPDMatrix(_congruence(pair.q, np.exp(pair.lam)))
+    # A spectrum that overflows rebuilds to a matrix that is not finite,
+    # which SPDMatrix rejects quietly (DomainError).
+    with np.errstate(over="ignore", invalid="ignore"):
+        rebuilt = _congruence(pair.q, np.exp(pair.lam))
+    return SPDMatrix(rebuilt)
 
 
 def matrix_pow(m, t: float) -> SPDMatrix:
+    check_range("t", t, "finite", math.isfinite)
     pair = POINT.pd_eig(m, "matrix_pow requires a positive spectrum")
-    return SPDMatrix(_congruence(pair.q, pair.lam ** float(t)))
+    with np.errstate(over="ignore", invalid="ignore"):  # as in matrix_exp
+        rebuilt = _congruence(pair.q, pair.lam ** float(t))
+    return SPDMatrix(rebuilt)
 
 
 def matrix_inv(m) -> SPDMatrix:
@@ -429,7 +436,7 @@ def loewner_geq(a, b, tol: float = 1e-9) -> bool:
     a_arr, b_arr = _geodesic_inputs(a, b)
     # The difference of two matrices symmetric bit for bit is one too.
     w = _eigvalsh(_sym(a_arr) - _sym(b_arr))
-    spread = float(np.max(np.abs(w))) if w.size else 0.0
+    spread = float(np.max(np.abs(w)))
     return float(w[0]) >= -tol * spread
 
 

@@ -155,8 +155,7 @@ def test_criterion_3_atom_soundness(capsys):
                 cfg = gc.FuzzConfig(trials=1000, dim=d, cond_max=cond, seed=2024)
                 for label, fn, nargs, _ in instances:
                     if sig.gcurv is G.LINEAR:
-                        rep = gc.check_gconvex(fn, cfg, nargs=nargs, equality=True,
-                                               equality_tol=1e-8)
+                        rep = gc.check_gconvex(fn, cfg, nargs=nargs, equality=True)
                     else:
                         rep = gc.check_gconvex(fn, cfg, nargs=nargs)
                     assert rep.verdict == "NoViolationFound", (label, d, cond)

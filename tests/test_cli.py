@@ -111,6 +111,25 @@ fuzz:
         assert len(prob.injected) == 1
         assert np.allclose(prob.injected[0][1], 4.0 * np.eye(2))
 
+    @pytest.mark.parametrize("a", ["[[1.0, 0.0], [0.0, -1.0]]", "[[1.0, 0.0], [0.0, 1.0]]"],
+                             ids=["not-pd", "identity"])
+    def test_an_asymmetric_injected_point_exits_1_whatever_the_other_is(self, tmp_path, capsys,
+                                                                        a):
+        # logdet(A) raises for the indefinite A; the pair's gates ran only
+        # after that, so the fuzz skipped the trial and exited 0.
+        path = write(tmp_path, "inj.yaml", f"""
+variables:
+  - {{name: X, manifold: SPD, dim: 2}}
+objective: "logdet(X)"
+fuzz:
+  trials: 10
+  inject:
+    - {{a: {a}, b: [[1.0, 0.5], [0.0, 1.0]]}}
+""")
+        code, out, err = run_main(capsys, ["fuzz", path])
+        assert (code, out) == (1, "")
+        assert err == "error: matrix is not symmetric within 1e-12 relative\n"
+
     def test_validation_errors(self, tmp_path):
         bad = [
             "objective: 'tr(X)'",  # missing variables

@@ -65,6 +65,10 @@ class TestGrammar:
 
 
 class TestRejections:
+    def test_an_empty_constant_rejected(self, env):
+        with pytest.raises(gc.ExpressionError, match="nonempty"):
+            parse_dsl("logdet(A) + tr(X)", {**env, "A": np.zeros((0, 0))})
+
     def test_nonconstant_scalar_product(self, env):
         with pytest.raises(ParseError, match="not DGCP-representable"):
             parse_dsl("tr(X) * logdet(X)", env)

@@ -50,6 +50,16 @@ class TestVariables:
         with pytest.raises(DeclarationConflictError):
             gc.Add((gc.apply_atom("tr", [x5]), gc.apply_atom("tr", [x3])))
 
+    @pytest.mark.parametrize("dim", [2.5, True, "3", None, 0, np.True_])
+    def test_a_dimension_that_is_not_a_positive_integer_rejected(self, dim):
+        # SPD cast with int(): 2.5 gave SPD(2), True SPD(1) and "3" SPD(3).
+        with pytest.raises(ExpressionError, match="positive integer"):
+            gc.SPD(dim)
+
+    def test_a_numpy_integer_dimension_is_an_int(self):
+        m = gc.SPD(np.int64(3))
+        assert m == gc.SPD(3) and type(m.dim) is int
+
     def test_bad_names(self, scope):
         for bad in ("", "2x", "a b"):
             with pytest.raises(ExpressionError):
@@ -93,12 +103,30 @@ class TestConstants:
         with pytest.raises(DomainError, match="symmetrizing overflows"):
             gc.make_const_matrix(np.array([[1.7e308, 0.0], [0.0, 1.0]]), claim)
 
+    @pytest.mark.parametrize("make", [
+        lambda a: gc.ConstMatrix(a),
+        lambda a: gc.make_const_matrix(a, "PD"),
+        lambda a: gc.apply_atom("logdet", [gc.ConstMatrix(a)]),
+    ], ids=["ConstMatrix", "make_const_matrix", "apply_atom"])
+    def test_an_empty_matrix_rejected(self, make):
+        with pytest.raises(ExpressionError, match="nonempty"):
+            make(np.zeros((0, 0)))
+
     def test_nonsquare_is_parameter_only(self):
         c = gc.make_const_matrix(np.ones((3, 2)))
         assert c.kind == "param"
 
 
 class TestApplyAtom:
+    @pytest.mark.parametrize("name, params", [
+        ("conjugation", [np.zeros((2, 0))]),
+        ("positive_affine", [[np.zeros((2, 0))], np.zeros((0, 0)), 1]),
+    ])
+    def test_a_map_with_no_columns_rejected(self, name, params):
+        # The rank test read the largest singular value of an empty spectrum: IndexError.
+        with pytest.raises(ExpressionError, match="at least one column"):
+            gc.apply_atom(name, [gc.Variable("X", gc.SPD(2)), *params])
+
     def test_scalar_atom(self, scope):
         x = gc.make_variable("X", gc.SPD(5), scope=scope)
         node = gc.apply_atom("logdet", [x])

@@ -60,12 +60,6 @@ class TestFuzzConfig:
         with pytest.raises(RangeError, match=f"{field} must be"):
             gc.FuzzConfig(trials=50, dim=3, **{field: value})
 
-    @pytest.mark.parametrize("check", [gc.check_gconvex, gc.check_econvex])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_non_finite_equality_tol_rejected(self, check, value):
-        with pytest.raises(RangeError):
-            check(spd.eval_tr, gc.FuzzConfig(trials=5, dim=2), equality=True, equality_tol=value)
-
 
 class TestCheckGConvex:
     def test_logdet_two_sided_equality(self):
@@ -163,7 +157,7 @@ class TestCheckEConvex:
         assert rep.verdict == "ViolationFound"
 
     def test_trace_affine_tiny_residual(self):
-        rep = gc.check_econvex(spd.eval_tr, CFG, equality=True, equality_tol=1e-12)
+        rep = gc.check_econvex(spd.eval_tr, CFG, equality=True)
         assert rep.verdict == "NoViolationFound"
         assert rep.worst_residual <= 1e-12
 
@@ -380,13 +374,26 @@ class TestTrialEdgeCases:
         cfg = gc.FuzzConfig(trials=3, dim=2, seed=4, injected=((asym, np.eye(2)),))
         with pytest.raises(ShapeError):
             gc.check_gconvex(spd.eval_tr, cfg)
-        # f leaves its domain at the endpoint first: a skip, the gate never runs
-        rep = gc.check_gconvex(_raise_on_diagonal(spd.eval_tr), replace(cfg, injected=(
-            (np.diag([1.0, 2.0]), asym),)))
-        assert (rep.skipped, rep.trials_run) == (1, 2)
+        # f would leave its domain at the endpoint first: the gate runs before f
+        with pytest.raises(ShapeError):
+            gc.check_gconvex(_raise_on_diagonal(spd.eval_tr), replace(cfg, injected=(
+                (np.diag([1.0, 2.0]), asym),)))
+        nan = np.full((2, 2), np.nan)
+        with pytest.raises(gc.DomainError, match="non-finite"):
+            gc.check_gconvex(spd.eval_tr, replace(cfg, injected=((np.eye(2), nan),)))
         pair = (np.eye(2), np.eye(2))
-        with pytest.raises(RangeError):
+        with pytest.raises(RangeError, match="injected pair 0 has arity 2"):
             gc.check_gconvex(spd.eval_tr, replace(cfg, injected=((pair, pair),)))
+
+    @pytest.mark.parametrize("entry, message", [
+        (np.eye(3), "too many values"),
+        ((np.eye(2),), "not enough values"),
+        (("a", "b"), "could not convert"),
+    ], ids=["one-matrix", "one-point", "strings"])
+    def test_a_malformed_injected_entry_is_a_range_error(self, entry, message):
+        cfg = gc.FuzzConfig(trials=5, dim=2, injected=((np.eye(2), np.eye(2)), entry))
+        with pytest.raises(RangeError, match=f"injected pair 1 must be a pair .*{message}"):
+            gc.check_gconvex(spd.eval_tr, cfg)
 
     def test_injected_asymmetric_second_endpoint_raises(self):
         asym = np.array([[1.0, 0.5], [0.0, 1.0]])
@@ -394,25 +401,50 @@ class TestTrialEdgeCases:
         with pytest.raises(ShapeError):
             gc.check_gconvex(spd.eval_tr, cfg)
 
+    @staticmethod
+    def _run(check, f, cfg):
+        if check == "gconvex":
+            return gc.check_gconvex(f, cfg)
+        if check == "econvex":
+            return gc.check_econvex(f, cfg)
+        return gc.check_monotone_loewner(f, "increasing", cfg)
+
+    ASYM = np.array([[1.0, 0.5], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("injected, error", [
+        # for monotone, the shape gate comes before the order test
+        (((np.eye(2), ASYM),), ShapeError),
+        # a valid pair first: f sees none of its points either
+        (((2.0 * np.eye(2), np.eye(2)), (np.eye(2), ASYM)), ShapeError),
+        (((np.diag([1.0, -1.0]), ASYM),), ShapeError),  # f(A) raises for any f
+        (((np.eye(2), np.eye(3)),), ShapeError),
+        (((2.0 * np.eye(2), np.eye(2)), np.eye(3)), RangeError),
+    ], ids=["asymmetric-b", "second-pair", "non-pd-a", "dimensions", "malformed"])
     @pytest.mark.parametrize("check", ["gconvex", "econvex", "monotone"])
-    def test_every_check_gates_an_injected_pair_once_f_saw_it(self, check):
-        asym = np.array([[1.0, 0.5], [0.0, 1.0]])
-        seen = []
+    def test_no_point_reaches_f_while_any_injected_pair_fails_a_gate(self, check, injected, error):
+        # f raises DomainError everywhere, so a gate that ran only once f had
+        # seen a pair's endpoints would never run: every trial would be a skip.
+        calls = []
 
         def f(x):
-            seen.append(np.array(x))
-            return spd.eval_tr(x)
+            calls.append(1)
+            raise gc.DomainError("outside")
 
-        cfg = gc.FuzzConfig(trials=3, dim=2, seed=4, injected=((np.eye(2), asym),))
-        with pytest.raises(ShapeError):
-            if check == "gconvex":
-                gc.check_gconvex(f, cfg)
-            elif check == "econvex":
-                gc.check_econvex(f, cfg)
-            else:  # the shape gate comes before the order test
-                gc.check_monotone_loewner(f, "increasing", cfg)
-        assert len(seen) == 2
-        assert np.array_equal(seen[0], np.eye(2)) and np.array_equal(seen[1], asym)
+        with pytest.raises(error):
+            self._run(check, f, gc.FuzzConfig(trials=4, dim=2, seed=4, injected=injected))
+        assert calls == []
+
+    def test_an_unordered_pair_is_refused_where_f_raises(self):
+        calls = []
+
+        def f(x):
+            calls.append(1)
+            raise gc.DomainError("outside")
+
+        cfg = gc.FuzzConfig(trials=2, dim=2, seed=4, injected=((np.eye(2), 2.0 * np.eye(2)),))
+        with pytest.raises(RangeError, match="injected pair 0 is not ordered"):
+            gc.check_monotone_loewner(f, "increasing", cfg)
+        assert calls == []
 
     @pytest.mark.parametrize("check", ["gconvex", "econvex", "monotone"])
     def test_half_skipped_passes_one_more_is_inconclusive(self, check):
@@ -421,11 +453,7 @@ class TestTrialEdgeCases:
 
         def run(n_skipped):
             cfg = gc.FuzzConfig(trials=4, dim=2, seed=5, injected=(diag_pair,) * n_skipped)
-            if check == "gconvex":
-                return gc.check_gconvex(f, cfg)
-            if check == "econvex":
-                return gc.check_econvex(f, cfg)
-            return gc.check_monotone_loewner(f, "increasing", cfg)
+            return self._run(check, f, cfg)
 
         rep = run(2)
         assert (rep.skipped, rep.trials_run) == (2, 2)
@@ -517,9 +545,9 @@ class TestCallSequence:
     def test_points_f_receives_in_one_check(self):
         d, seed, trials, ts = 2, 4, 16, (0.5, 0.25, 0.75)
         injected = (
-            # f(A) fails, so B's failing symmetry gate never runs
-            (3.0 * np.eye(d), np.array([[1.0, 0.5], [0.0, 1.0]])),
-            # B is not positive definite: the path's gate marks it missing
+            # f(A) fails, so f never sees B
+            (3.0 * np.eye(d), np.diag([1.0, 4.0])),
+            # B is not positive definite: the geodesic is missing
             (2.0 * np.eye(d), np.diag([1.0, -1.0])),
         )
         cfg = gc.FuzzConfig(trials=trials, dim=d, seed=seed, t_samples=0, injected=injected)
@@ -656,6 +684,24 @@ class TestStackedRouting:
         assert pointwise == []
         # One tail call for each Rows.map, none per point.
         assert tails and tails == maps
+
+    @pytest.mark.parametrize("e", [
+        gc.apply_atom("tr", [gc.Variable("X", gc.SPD(2))]),
+        gc.apply_atom("logdet", [gc.Variable("X", gc.SPD(2))]),
+        gc.apply_atom("elementwise_norm1", [gc.Variable("X", gc.SPD(2))]),
+    ], ids=["tr", "logdet", "norm1"])
+    def test_injected_pairs_run_stacked_as_they_run_point_by_point(self, monkeypatch, e):
+        pointwise, _, _ = self._count(monkeypatch)
+        injected = ((np.eye(2), SIGMA_2[:2, :2]), (np.diag([1.0, -1.0]), np.eye(2)))
+        cfg = gc.FuzzConfig(trials=20, dim=2, seed=3, injected=injected)
+        out = gc.cross_validate(e, cfg)
+        assert pointwise == []
+        f = lambda m: gc.evaluate(e, {"X": m})
+        for name, rep in out.checks.items():
+            check = gc.check_econvex if name == "euclidean-convexity" else gc.check_gconvex
+            assert rep == check(f, cfg, equality=name == "geodesic-linearity")
+            if name != "euclidean-convexity":  # a straight segment needs no PD endpoint
+                assert rep.skipped >= 1
 
     def test_user_atoms_run_point_by_point(self, monkeypatch):
         pointwise, maps, _ = self._count(monkeypatch)
@@ -1001,17 +1047,16 @@ class TestBlockPaths:
             again, ok_again = block.paths(geodesic)
             assert ok_again is ok and all(p is q for p, q in zip(again, points))
             assert not ok.flags.writeable and not any(p.flags.writeable for p in points)
-            fresh, fresh_ok = oracle._paths(geodesic, *block, block.checked)
+            fresh, fresh_ok = oracle._paths(geodesic, *block)
             assert ok.tobytes() == fresh_ok.tobytes()
             assert [p.tobytes() for p in points] == [p.tobytes() for p in fresh]
 
     @pytest.mark.parametrize("geodesic", [True, False, None])
     def test_every_trial_source_is_a_block(self, geodesic):
         cfg = gc.FuzzConfig(trials=oracle.BLOCK + 5, dim=2, seed=3,
-                            injected=((np.eye(2), 2.0 * np.eye(2)),) * 2)
+                            injected=((2.0 * np.eye(2), np.eye(2)),) * 2)
         blocks = list(oracle._batches(cfg, 1, geodesic))
         assert [type(b) for b in blocks] == [oracle._BlockPoints] * 4
-        assert [b.checked for b in blocks] == [True, True, False, False]
         assert [len(b.a[0]) for b in blocks] == [1, 1, oracle.BLOCK - 2, 5]
         for block in blocks:
             a, b, ts = block

@@ -178,6 +178,13 @@ class TestOneSource:
         assert self._references("_spd_draws") == {("oracle", "_block_draws"),
                                                   ("spd", "random_spd")}
 
+    def test_one_routine_gates_a_caller_supplied_pair_in_the_oracle(self):
+        # A gate of an injected pair or a witness anywhere else in the oracle
+        # could run after f has seen the pair, or not at all.
+        for name in ("_geodesic_inputs", "loewner_geq"):
+            sites = {s for s in self._references(name) if s[0] == "oracle"}
+            assert sites == {("oracle", "_given_block")}, name
+
     def test_only_spd_reads_the_symmetry_gate(self):
         assert {module for module, _ in self._references("_check_symmetric_square")} == {"spd"}
 
@@ -315,6 +322,7 @@ class TestGate:
     NON_FINITE = (DomainError, "matrix has non-finite entries")
     ASYMMETRIC = (ShapeError, "matrix is not symmetric within 1e-12 relative")
     OVERFLOW = (DomainError, "matrix has an entry past 8.98847e+307, where symmetrizing overflows")
+    EMPTY = (ShapeError, "matrix must be square and nonempty, got shape (0, 0)")
     ROWS = {
         # name: (matrix, outcome: the exception and message, or whether _sym(a) is a)
         "symmetric": ([[2.0, 0.5], [0.5, 1.0]], True),
@@ -329,6 +337,7 @@ class TestGate:
         # The parent's norms overflowed here, with a RuntimeWarning, and
         # inf > 1e-12 * inf let the antisymmetric pair through.
         "antisymmetric pair at 1e200": ([[0.0, 1e200], [-1e200, 0.0]], ASYMMETRIC),
+        "empty": (np.zeros((0, 0)), EMPTY),
     }
 
     @pytest.mark.parametrize("row", ROWS)
@@ -346,6 +355,16 @@ class TestGate:
                 with pytest.raises(error) as info:
                     gate(a)
                 assert str(info.value) == message
+
+    @pytest.mark.parametrize("call", [
+        lambda e: spd.loewner_geq(e, e),
+        lambda e: spd.distance(e, e),
+        lambda e: gc.eval_atom("logdet", e),
+    ], ids=["loewner_geq", "distance", "logdet"])
+    def test_an_empty_matrix_is_a_shape_error(self, call):
+        # Each raised IndexError, reading an eigenvalue of an empty spectrum.
+        with pytest.raises(ShapeError, match="nonempty"):
+            call(np.zeros((0, 0)))
 
     @staticmethod
     def _same(pair, a):
@@ -453,6 +472,22 @@ class TestMatrixFunctions:
             gc.matrix_log(np.diag([1.0, 0.0]))
         with pytest.raises(DomainError):
             gc.matrix_sqrt(np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, "2", True])
+    def test_a_power_that_is_not_a_finite_number_rejected(self, t):
+        # A NaN power returned I; an infinite one warned before its DomainError.
+        with pytest.raises(RangeError, match="t must be finite"):
+            gc.matrix_pow(2.0 * np.eye(2), t)
+
+    @pytest.mark.parametrize("call", [
+        lambda: gc.matrix_pow(np.diag([10.0, 1.0]), 400),
+        lambda: gc.matrix_exp(np.diag([800.0, 1.0])),
+    ], ids=["pow", "exp"])
+    def test_an_overflowing_spectrum_is_rejected_without_a_warning(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="non-finite"):
+                call()
 
     def test_round_trips(self):
         rng = np.random.default_rng(1)
