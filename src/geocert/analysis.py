@@ -25,7 +25,10 @@ element, never an error: failure to certify is a verdict.
 The inverse atom is the one special case.  Inversion maps geodesics to
 geodesics, so ``inv`` of a geodesically linear argument is itself treated
 as linear for everything composed above it; applied to anything curvier its
-verdict is unknown.  It and the sign gate apply by the evaluator a node
+verdict is unknown.  Each node's one sign is its provable value range,
+which the report gives and the positive-domain gate reads; a power t^p is
+Positive only over a provably nonnegative t or for an even integer p.  The
+inverse rule, the gate and the power's sign apply by the evaluator a node
 bound (the tables of ``atoms``), never by the atom's id.
 
 Products with a non-constant factor are never certified: the midpoint test
@@ -50,7 +53,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import NamedTuple
 
-from .atoms import INVERSE_ATOMS, POSITIVE_DOMAIN_ATOMS, POWER_ATOMS, SIGN_RANGE_OVERRIDES
+from .atoms import INVERSE_ATOMS, POSITIVE_DOMAIN_ATOMS, POWER_ATOMS, _even_exponent
 from .errors import DomainError, ShapeError
 from .expr import (
     Add,
@@ -222,8 +225,7 @@ def gate_positive_domain(node: AtomApply, arg_sign: Sign) -> tuple[GMonotonicity
     """
     if arg_sign is Sign.POSITIVE:
         return node.meta.gmono, ""
-    p = node.params[0] if _holds(POWER_ATOMS, node.evaluator) else None
-    if p is not None and float(p).is_integer() and int(p) % 2 == 0:
+    if _holds(POWER_ATOMS, node.evaluator) and _even_exponent(node.params[0]):
         return M.ANY, "even power composed without a sign guarantee"
     return None, (f"{node.sig.id} needs a provably nonnegative argument, "
                   f"value range is {arg_sign.value}")
@@ -235,20 +237,14 @@ def gate_positive_domain(node: AtomApply, arg_sign: Sign) -> tuple[GMonotonicity
 
 
 class _NodeFacts(NamedTuple):
-    """What the analysis pass derives for one node.
-
-    ``safe_sign`` replaces registered signs that overstate the value range
-    (``SIGN_RANGE_OVERRIDES``), so the composition domain gates never lean on
-    optimistic metadata; the reported ``sign`` stays as registered.
-    """
+    """What the analysis pass derives for one node."""
 
     sign: Sign
-    safe_sign: Sign
     gcurv: GCurvature
     ecurv: ECurvature
 
 
-def _sign_node(e: Expression, child_signs: list[Sign], safe: bool) -> Sign:
+def _sign_node(e: Expression, child_signs: list[Sign]) -> Sign:
     if isinstance(e, Variable):
         return Sign.POSITIVE
     if isinstance(e, ConstScalar):
@@ -276,8 +272,10 @@ def _sign_node(e: Expression, child_signs: list[Sign], safe: bool) -> Sign:
             return Sign.NEGATIVE
         return Sign.ANY
     if isinstance(e, AtomApply):
-        if safe and _holds(SIGN_RANGE_OVERRIDES, e.evaluator):
-            return SIGN_RANGE_OVERRIDES[e.evaluator]
+        # A power of a base that may be negative is nonnegative for even p only.
+        if _holds(POWER_ATOMS, e.evaluator) and not (
+                child_signs[0] is Sign.POSITIVE or _even_exponent(e.params[0])):
+            return Sign.ANY
         return e.meta.sign
     return Sign.ANY
 
@@ -301,7 +299,7 @@ def _mix_signs(signs) -> Sign:
     return Sign.ANY
 
 
-def _curv_node(node: Expression, kid_curvs: list[GCurvature], kid_safe_signs: list[Sign],
+def _curv_node(node: Expression, kid_curvs: list[GCurvature], kid_signs: list[Sign],
                geodesic: bool) -> tuple[GCurvature, str, str]:
     """One node's curvature from its children's, as (curvature, rule, trace inputs).
 
@@ -339,7 +337,7 @@ def _curv_node(node: Expression, kid_curvs: list[GCurvature], kid_safe_signs: li
         rule = "scalar-composition" if scalar_outer else "loewner-composition"
         mono, note = eff.gmono, ""
         if _holds(POSITIVE_DOMAIN_ATOMS, node.evaluator):
-            mono, note = gate_positive_domain(node, kid_safe_signs[0])
+            mono, note = gate_positive_domain(node, kid_signs[0])
         shown = eff.gmono if mono is None else mono
         outer = f"outer=({_show(outer_curv, geodesic)},{shown.value})"
         if mono is None:
@@ -367,15 +365,10 @@ def _fmt_path(path: tuple) -> str:
 
 def _node_facts(node: Expression, kids: list[_NodeFacts]) -> tuple[_NodeFacts, str, str]:
     """``node``'s facts from its children's, with its geodesic rule and trace inputs."""
-    safe_signs = [k.safe_sign for k in kids]
-    gcurv, rule, inputs = _curv_node(node, [k.gcurv for k in kids], safe_signs, geodesic=True)
-    ecurv, _, _ = _curv_node(node, [_E2G[k.ecurv] for k in kids], safe_signs, geodesic=False)
-    facts = _NodeFacts(
-        sign=_sign_node(node, [k.sign for k in kids], safe=False),
-        safe_sign=_sign_node(node, safe_signs, safe=True),
-        gcurv=gcurv,
-        ecurv=_G2E[ecurv],
-    )
+    signs = [k.sign for k in kids]
+    gcurv, rule, inputs = _curv_node(node, [k.gcurv for k in kids], signs, geodesic=True)
+    ecurv, _, _ = _curv_node(node, [_E2G[k.ecurv] for k in kids], signs, geodesic=False)
+    facts = _NodeFacts(sign=_sign_node(node, signs), gcurv=gcurv, ecurv=_G2E[ecurv])
     return facts, rule, inputs
 
 

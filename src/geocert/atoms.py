@@ -47,14 +47,14 @@ from .expr import (
 INVERSE_ATOMS = frozenset({spd.eval_inv})
 # Outer atoms whose domain requires a provably nonnegative argument.
 POSITIVE_DOMAIN_ATOMS = frozenset({spd.eval_log, spd.eval_neg_log, spd.eval_pow})
-# Of those, the powers t^p (p their first parameter), which compose without
-# a sign guarantee when p is an even integer.
+# Of those, the powers t^p (p their first parameter): Positive only over a
+# nonnegative t or for an even integer p, which composes without a sign.
 POWER_ATOMS = frozenset({spd.eval_pow})
-# The registered sign metadata says Positive, but the value range crosses
-# zero (log det X < 0 whenever enough eigenvalues sit below 1).  The sign is
-# reported as registered yet never trusted by the composition domain gates;
-# pow(logdet(inv(X)), 3) would otherwise be certified and is refutable.
-SIGN_RANGE_OVERRIDES = {spd.eval_logdet: Sign.ANY}
+
+
+def _even_exponent(p) -> bool:
+    """Whether p is an even integer, so that t^p is nonnegative and convex on all of R."""
+    return float(p) % 2.0 == 0.0
 
 
 def _full_column_rank(b: np.ndarray, what: str):
@@ -133,7 +133,7 @@ def _refine_sum_pow_log(params, arg_dims):
     # random 2x2 pair with k=1, p=2 violates midpoint convexity outright.
     k = params[0]
     p = float(params[1])
-    convex_power = p == 1.0 or (p.is_integer() and int(p) % 2 == 0)
+    convex_power = p == 1.0 or _even_exponent(p)
     if convex_power and arg_dims and k == arg_dims[0]:
         return {}
     return {"gcurv": GCurvature.UNKNOWN}
@@ -189,8 +189,8 @@ _M = ArgKind.MANIFOLD
 _S = ArgKind.SCALAR
 
 _CATALOG = [
-    # Scalar-valued atoms of SPD arguments.
-    (AtomSignature("logdet", (_M,), "scalar", Sign.POSITIVE, GCurvature.LINEAR,
+    # Scalar-valued atoms of SPD arguments; logdet is negative below I.
+    (AtomSignature("logdet", (_M,), "scalar", Sign.ANY, GCurvature.LINEAR,
                    GMonotonicity.INCREASING, ECurvature.CONCAVE),
      spd.eval_logdet, spd.vjp_logdet),
     (AtomSignature("tr", (_M,), "scalar", Sign.POSITIVE, GCurvature.CONVEX,

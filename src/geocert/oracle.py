@@ -129,6 +129,8 @@ class FuzzConfig:
         check_range("dim", self.dim, ">= 1", lambda n: n >= 1)
         check_range("cond_max", self.cond_max, "finite and >= 1", lambda c: 1.0 <= c < math.inf)
         check_range("t_samples", self.t_samples, ">= 0", lambda n: n >= 0)
+        check_range("injected", self.injected, "a tuple or list of pairs",
+                    lambda v: isinstance(v, (tuple, list)))
 
 
 @dataclass(frozen=True, eq=False)

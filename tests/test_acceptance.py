@@ -11,6 +11,7 @@ import math
 import subprocess
 import sys
 import time
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,11 @@ def _atom_instances(name, d, rng):
     return [(name, fn, 1, direction)]
 
 
+def _seeded_instances(name, d):
+    """``_atom_instances`` drawn from a seed fixed by the atom's name and ``d``."""
+    return _atom_instances(name, d, np.random.default_rng([d, zlib.crc32(name.encode())]))
+
+
 def test_criterion_3_atom_soundness(capsys):
     start = time.perf_counter()
     dims = (2, 3, 5)
@@ -149,8 +155,7 @@ def test_criterion_3_atom_soundness(capsys):
         if sig.gcurv is G.UNKNOWN:
             continue  # no curvature claim to corroborate
         for d in dims:
-            rng = np.random.default_rng([d, abs(hash(name)) % (2 ** 32)])
-            instances = _atom_instances(name, d, rng)
+            instances = _seeded_instances(name, d)
             for cond in conds:
                 cfg = gc.FuzzConfig(trials=1000, dim=d, cond_max=cond, seed=2024)
                 for label, fn, nargs, _ in instances:
@@ -163,8 +168,7 @@ def test_criterion_3_atom_soundness(capsys):
     # declared monotonicity, ordered-pair fuzzing
     for name in gc.SPD_ATOM_IDS:
         for d in dims:
-            rng = np.random.default_rng([d, abs(hash(name)) % (2 ** 32)])
-            instances = _atom_instances(name, d, rng)
+            instances = _seeded_instances(name, d)
             for cond in conds:
                 cfg = gc.FuzzConfig(trials=1000, dim=d, cond_max=cond, seed=2025)
                 for label, fn, nargs, direction in instances:
@@ -189,6 +193,26 @@ def test_criterion_3_atom_soundness(capsys):
     assert elapsed < 120.0, elapsed
     with capsys.disabled():
         _report(3, "atom soundness", f"{checked} thousand-trial checks in {elapsed:.0f}s")
+
+
+def test_registered_positive_signs_hold_on_samples():
+    # Criterion 3 corroborates curvature and monotonicity; this corroborates
+    # the sign: a Positive scalar atom is >= 0, a Positive matrix atom is PD.
+    for name in gc.SPD_ATOM_IDS:
+        if lookup_atom(name).sign is not gc.Sign.POSITIVE:
+            continue
+        for d in (2, 3, 5):
+            instances = _seeded_instances(name, d)
+            for cond in (10.0, 1e4):
+                for label, fn, nargs, _ in instances:
+                    for k in range(50):
+                        points = [gc.random_spd(d, cond, nargs * k + j) for j in range(nargs)]
+                        value = fn(*points)
+                        if np.ndim(value):
+                            value = np.linalg.eigvalsh(np.asarray(value)).min()
+                            assert value > 0.0, (label, d, cond, k, value)
+                        else:
+                            assert value >= 0.0, (label, d, cond, k, value)
 
 
 # -- 4. geometry identities ----------------------------------------------------

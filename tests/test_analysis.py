@@ -30,12 +30,13 @@ def _pd(d, seed):
 
 class TestSignPropagation:
     def test_logdet_positive(self):
+        # log det X < 0 below the identity, so logdet is not Positive.
         r = gc.analyze(gc.apply_atom("logdet", [_var()]), gc.SPD(4))
-        assert r.sign == S.POSITIVE
+        assert r.sign == S.ANY
 
     def test_negated_logdet(self):
         r = gc.analyze(-gc.apply_atom("logdet", [_var()]), gc.SPD(4))
-        assert r.sign == S.NEGATIVE
+        assert r.sign == S.ANY
 
     def test_mixed_sum(self):
         x = _var()
@@ -284,13 +285,13 @@ class TestGCurvature:
         assert root.inputs.endswith("; note: even power composed without a sign guarantee")
 
     def test_registered_sign_not_trusted_by_gates(self):
-        # logdet reports the registered Positive sign but its value range
-        # crosses zero, so odd powers of it must stay uncertified; the cubic
-        # of logdet(inv(X)) is refutable by sampling.
+        # logdet's value range crosses zero, so it reports AnySign and odd
+        # powers of it must stay uncertified; the cubic of logdet(inv(X)) is
+        # refutable by sampling.
         x = _var(d=3)
         ld = gc.apply_atom("logdet", [x])
         ld_inv = gc.apply_atom("logdet", [gc.apply_atom("inv", [x])])
-        assert gc.analyze(ld, gc.SPD(3)).sign == S.POSITIVE
+        assert gc.analyze(ld, gc.SPD(3)).sign == S.ANY
         for inner in (ld, ld_inv):
             cube = gc.apply_atom("pow", [inner, 3])
             assert gc.analyze(cube, gc.SPD(3)).gcurvature == G.UNKNOWN
@@ -406,7 +407,7 @@ class TestECurvature:
 class TestAnalyze:
     def test_logdet_full_verdict(self):
         r = gc.analyze(gc.apply_atom("logdet", [_var()]), gc.SPD(4))
-        assert (r.sign, r.gcurvature, r.ecurvature) == (S.POSITIVE, G.LINEAR, E.CONCAVE)
+        assert (r.sign, r.gcurvature, r.ecurvature) == (S.ANY, G.LINEAR, E.CONCAVE)
 
     def test_matrix_root_rejected(self):
         with pytest.raises(ShapeError):
@@ -549,9 +550,9 @@ class TestRulesFollowTheFunction:
             r = gc.analyze(gc.apply_atom("logdet", [gc.apply_atom("inv_again", [x])]), gc.SPD(3))
             assert r.gcurvature is G.LINEAR
             assert self._rule_at(r, "root.0") == "inverse-reparametrization"
-            # The sign override and the positive-domain gate keep an odd power
-            # of the log-determinant uncertified; the even-power case still
-            # certifies its square.
+            # The log-determinant's registered AnySign and the positive-domain
+            # gate keep an odd power of it uncertified; the even-power case
+            # still certifies its square.
             ld = gc.apply_atom("logdet_again", [x])
             cube = gc.analyze(gc.apply_atom("pow_again", [ld, 3]), gc.SPD(3))
             assert cube.gcurvature is G.UNKNOWN

@@ -285,6 +285,24 @@ objective: "tr(X) - eigmax(X)"
         assert code == 2
         assert "Objective Geodesic curvature: GUnknown" in out
 
+    def test_an_odd_power_of_a_negative_constant_is_not_certified(self, capsys, tmp_path):
+        # (tr X - 8)^3: pow(-2, 3) may not be read as Positive, the sign pow
+        # is registered with, so the outer cube's argument is AnySign.
+        path = write(tmp_path, "b.yaml", """
+variables:
+  - {name: X, manifold: SPD, dim: 3}
+objective: "pow(pow(-2, 3) + tr(X), 3)"
+""")
+        code, out, _ = run_main(capsys, ["analyze", path])
+        assert code == 2
+        assert "Objective Geodesic curvature: GUnknown" in out
+        code, _, err = run_main(capsys, ["solve", path])
+        assert code == 5
+        assert "refusing" in err
+        code, out, _ = run_main(capsys, ["fuzz", path, "--trials", "200", "--seed", "1"])
+        assert code == 3
+        assert json.loads(out)["result"]["verdict"] == "INFO"
+
     def test_parse_failure_exit_1(self, capsys, tmp_path):
         path = write(tmp_path, "p.yaml", """
 variables:

@@ -105,3 +105,41 @@ def test_certified_expressions_survive_fuzzing(master_seed):
             continue  # generated expression with a razor-thin domain
         assert out.verdict == "CONSISTENT", (i, report.gcurvature, out.checks)
     assert certified > 50  # the generator must actually exercise certificates
+
+
+def _constants():
+    """Subtrees without a variable, whose value range the sign rules alone bound."""
+    atom, c = gc.apply_atom, gc.ConstScalar
+    a = gc.make_const_matrix(np.diag([0.2, 0.5, 0.9]), "PD", name="A")
+    return [atom("pow", [c(-2.0), 1]), atom("pow", [c(-2.0), 2]), atom("pow", [c(-2.0), 3]),
+            atom("pow", [c(2.0), 3]), atom("logdet", [a]), atom("exp", [c(-1.0)]),
+            atom("abs", [c(-3.0)]), atom("log", [c(0.5)])]
+
+
+def test_subtrees_without_a_variable_survive_fuzzing():
+    # The generator above puts X in every subtree, so no gate there ever reads
+    # the sign of a constant; here outer(c + g(X)) does, for each constant c.
+    d = 3
+    x = gc.Variable("X", gc.SPD(d))
+    atom = gc.apply_atom
+    anchor = gc.make_const_matrix(np.diag([1.0, 2.0, 3.0]), "PD", name="A")
+    inners = [atom("tr", [x]), atom("eigmax", [x]), atom("distance", [anchor, x])]
+    outers = [lambda s: atom("pow", [s, 1]), lambda s: atom("pow", [s, 1.5]),
+              lambda s: atom("pow", [s, 3]), lambda s: atom("log", [s]),
+              lambda s: atom("neg_log", [-s])]
+    certified = 0
+    for i, const in enumerate(_constants()):
+        sign = gc.analyze(const, gc.SPD(d)).sign
+        value = gc.evaluate(const, {})
+        assert sign is not gc.Sign.POSITIVE or value >= 0.0, (const, value)
+        assert sign is not gc.Sign.NEGATIVE or value <= 0.0, (const, value)
+        for j, g in enumerate(inners):
+            for k, outer in enumerate(outers):
+                e = outer(const + g)
+                if gc.analyze(e, gc.SPD(d)).gcurvature is G.UNKNOWN:
+                    continue
+                certified += 1
+                cfg = gc.FuzzConfig(trials=200, dim=d, seed=100 * i + 10 * j + k)
+                out = gc.cross_validate(e, cfg)
+                assert out.verdict == "CONSISTENT", (i, j, k, out.checks)
+    assert certified >= 36  # the nonnegative constants under every power

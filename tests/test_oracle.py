@@ -60,6 +60,13 @@ class TestFuzzConfig:
         with pytest.raises(RangeError, match=f"{field} must be"):
             gc.FuzzConfig(trials=50, dim=3, **{field: value})
 
+    @pytest.mark.parametrize("value", [None, 5])
+    def test_injected_that_is_not_a_sequence_rejected(self, value):
+        # Both raised TypeError from the first check that read the pairs.
+        with pytest.raises(RangeError, match="injected must be a tuple or list of pairs"):
+            gc.FuzzConfig(trials=5, dim=2, injected=value)
+        assert gc.FuzzConfig(trials=5, dim=2, injected=[]).injected == []
+
 
 class TestCheckGConvex:
     def test_logdet_two_sided_equality(self):
