@@ -217,6 +217,18 @@ def combine_product(factor_curvatures) -> tuple[GCurvature, str]:
     return G.UNKNOWN, "products are not certified; scale by a number or a ConstScalar"
 
 
+def _even_power(node: AtomApply) -> bool:
+    """Whether ``node`` is a power t^p whose first parameter p is an even integer.
+
+    A node bound to a power's evaluator under a signature without a scalar
+    first parameter has no exponent to read, so it has no even one.
+    """
+    if not _holds(POWER_ATOMS, node.evaluator) or not node.params:
+        return False
+    p = node.params[0]
+    return isinstance(p, (int, float)) and _even_exponent(p)
+
+
 def gate_positive_domain(node: AtomApply, arg_sign: Sign) -> tuple[GMonotonicity | None, str]:
     """The monotonicity a positive-domain atom composes with, or None to refuse, and a note.
 
@@ -225,7 +237,7 @@ def gate_positive_domain(node: AtomApply, arg_sign: Sign) -> tuple[GMonotonicity
     """
     if arg_sign is Sign.POSITIVE:
         return node.meta.gmono, ""
-    if _holds(POWER_ATOMS, node.evaluator) and _even_exponent(node.params[0]):
+    if _even_power(node):
         return M.ANY, "even power composed without a sign guarantee"
     return None, (f"{node.sig.id} needs a provably nonnegative argument, "
                   f"value range is {arg_sign.value}")
@@ -274,7 +286,7 @@ def _sign_node(e: Expression, child_signs: list[Sign]) -> Sign:
     if isinstance(e, AtomApply):
         # A power of a base that may be negative is nonnegative for even p only.
         if _holds(POWER_ATOMS, e.evaluator) and not (
-                child_signs[0] is Sign.POSITIVE or _even_exponent(e.params[0])):
+                child_signs[0] is Sign.POSITIVE or _even_power(e)):
             return Sign.ANY
         return e.meta.sign
     return Sign.ANY

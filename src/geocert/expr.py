@@ -826,7 +826,30 @@ def apply_atom(name: str, items) -> AtomApply:
         result_dim = sig.validate(arg_dims, tuple(params))
     elif sig.result == "matrix":
         result_dim = arg_dims[0]
-    return AtomApply(atom, args, tuple(params), tuple(labels), result_dim, arg_dims)
+    node = AtomApply(atom, args, tuple(params), tuple(labels), result_dim, arg_dims)
+    if not node.variables:
+        _check_constant(node)
+    return node
+
+
+def _check_constant(node: AtomApply) -> None:
+    """``DomainError`` naming the atom unless the variable-free ``node`` has a finite value.
+
+    Evaluated once, here, where the tree is built, and quietly, unless it
+    holds an atom whose evaluator is not a built-in one: a user evaluator
+    may be impure, and is left to the passes that evaluate it anyway.  A
+    constant part without a finite value leaves the objective undefined at
+    every point, so no certificate, solve or fuzz trial could stand on it.
+    """
+    try:
+        value = spd._under(spd._QUIET, _forward, node, {}, spd._BuiltInOnly())[-1]
+    except spd.Undecided:
+        return
+    except (DomainError, ArithmeticError) as exc:
+        raise DomainError(f"atom '{node.sig.id}' has no value at its constant "
+                          f"arguments: {exc}") from None
+    if not np.isfinite(value).all():
+        raise DomainError(f"atom '{node.sig.id}' has no finite value at its constant arguments")
 
 
 # ---------------------------------------------------------------------------

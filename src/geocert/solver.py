@@ -30,7 +30,16 @@ through it, each under a memo seeded with the decomposition the line
 search already made of the point, so no matrix is decomposed twice in one
 evaluation.  The line search keeps the forward pass of the step it
 accepts, and the Euclidean gradient there is one reverse loop over the
-expression's plan (``expr._backward``).  Objectives without a gradient fall
+expression's plan (``expr._backward``).  What does not change during a
+solve is computed once and then read: the gates and decompositions of
+the objective's constant matrices once per objective (carried from its
+first forward pass into every later one), and an iterate's ``X^(-1/2)``
+once per point, taken from the forward pass that whitened by it.  Each
+read hands on the bits a fresh computation gives, since it is the same
+computation on the same array, so no iterate moves.  A Euclidean gradient
+is symmetrized once: ``_backward`` returns ``sym(G)``, which ``_sym``
+gives back bit for bit, so ``riemannian_grad`` symmetrizes only a
+user-supplied or finite-difference gradient.  Objectives without a gradient fall
 back to central finite differences over the symmetric basis; results are
 flagged when the fallback was used.  Every objective built from an
 expression is an ``_ExpressionObjective``, whether a problem constructor or
@@ -51,12 +60,14 @@ from . import spd
 from .errors import DomainError, ExpressionError, RangeError, StagnationError, check_range
 from .expr import (
     Add,
+    ConstMatrix,
     Definiteness,
     Expression,
     SPD,
     Variable,
     _backward,
     _forward,
+    _plan_of,
     apply_atom,
     differentiable,
     evaluate,
@@ -73,6 +84,7 @@ FD_STEP = 1e-6  # relative to max(1, ||X||_F)
 _BB_MIN, _BB_MAX = 1e-12, 1e12  # clamp on the Barzilai-Borwein first step
 _ROUNDOFF_BAND = 100.0  # in units of the line search's ``noise``
 _WOLFE_DELTA, _WOLFE_SIGMA = 0.1, 0.9  # approximate Wolfe (Hager & Zhang)
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -96,6 +108,14 @@ class Objective:
         """The value at ``x``, given ``eig``, the ``spd.sym_eig`` of ``x``."""
         return float(self.evaluator(x))
 
+    def _symmetric_gradient(self, x: np.ndarray) -> np.ndarray:
+        """``sym(G)`` of the Euclidean gradient ``G`` at ``x``."""
+        return spd._sym(np.asarray(self.gradient(x), dtype=float))
+
+    def _inv_sqrt_at(self, x: np.ndarray, eig: spd.EigenPair) -> np.ndarray:
+        """``X^-1/2`` at ``x``, given ``eig``, the ``spd.sym_eig`` of ``x``."""
+        return spd._inv_sqrt(eig)
+
 
 class _ExpressionObjective(Objective):
     """An objective that evaluates ``expression`` in its one variable ``var``.
@@ -111,8 +131,13 @@ class _ExpressionObjective(Objective):
 
     ``_value_at`` runs one forward pass under a memo seeded with ``eig`` and
     keeps it; the next ``gradient`` at that same array is one backward pass
-    over it, and a gradient anywhere else runs a fresh pass.  Only the
-    solver calls ``_value_at``, and it never writes to the arrays it passes.
+    over it, and a gradient anywhere else runs a fresh pass.  The kept
+    memo also hands ``_inv_sqrt_at`` the ``X^-1/2`` a ``distance`` term
+    made of that array.  After its first forward pass the objective keeps
+    the memo entries keyed by its constant matrices alone (``_carried``)
+    and seeds every later pass with them, so each constant is gated and
+    decomposed once per objective.  Only the solver calls ``_value_at``,
+    and it never writes to the arrays it passes.
     """
 
     def __init__(self, expression: Expression, var: str, evaluate: Callable = evaluate):
@@ -123,19 +148,41 @@ class _ExpressionObjective(Objective):
         super().__init__(evaluator, gradient, expression)
         self._var = var
         self._kept = None  # (array, values, memo) of the latest _value_at
+        self._carried = None  # the memo entries of the constants, after a first pass
 
     def _value_at(self, x: np.ndarray, eig: spd.EigenPair) -> float:
         rows = spd.Memo()
+        if self._carried is not None:
+            rows._carry(self._carried)
         rows.seed(x, eig)
         values = _forward(self.expression, {self._var: x}, rows)
         self._kept = (x, values, rows)
+        if self._carried is None:
+            self._carried = rows._entries_of(
+                step.node.values for step in _plan_of(self.expression)
+                if isinstance(step.node, ConstMatrix))
         return float(values[-1])
 
     def _kept_gradient(self, x: np.ndarray) -> np.ndarray:
-        kept, self._kept = self._kept, None
+        kept = self._kept
         if kept is not None and kept[0] is x:
             return _backward(self.expression, *kept[1:])[self._var]
         return value_and_grad(self.expression, {self._var: x})[1][self._var]
+
+    def _symmetric_gradient(self, x: np.ndarray) -> np.ndarray:
+        # ``_backward`` returns ``_sym(g)``, which ``_sym`` gives back bit for
+        # bit: a finite entry of it is at most DBL_MAX / 2, so doubling it is exact.
+        if self.euclidean_gradient is None:
+            return super()._symmetric_gradient(x)
+        return self.gradient(x)
+
+    def _inv_sqrt_at(self, x: np.ndarray, eig: spd.EigenPair) -> np.ndarray:
+        # The kept memo was seeded with ``eig``, so its ``X^-1/2`` is
+        # ``_inv_sqrt(eig)``, made by the forward pass or here.
+        kept = self._kept
+        if kept is not None and kept[0] is x:
+            return kept[2].inv_sqrt(x)
+        return spd._inv_sqrt(eig)
 
 
 @dataclass
@@ -188,12 +235,11 @@ def riemannian_grad(obj: Objective, x) -> np.ndarray:
     Raises ``DomainError`` when ``G`` or ``X sym(G) X`` has a non-finite entry.
     """
     xa = spd._as_array(x)
-    g = spd._sym(np.asarray(obj.gradient(xa), dtype=float))
-    if not np.all(np.isfinite(g)):
+    g = obj._symmetric_gradient(xa)
+    if not np.logical_and.reduce(np.isfinite(g), None):
         raise DomainError("Euclidean gradient has non-finite entries")
-    with np.errstate(over="ignore", invalid="ignore"):
-        xi = spd._sym(xa @ g @ xa)
-    if not np.all(np.isfinite(xi)):
+    xi = spd._under(spd._QUIET, lambda: spd._sym(xa @ g @ xa))
+    if not np.logical_and.reduce(np.isfinite(xi), None):
         raise DomainError("Riemannian gradient has non-finite entries")
     return xi
 
@@ -201,8 +247,14 @@ def riemannian_grad(obj: Objective, x) -> np.ndarray:
 def riemannian_grad_norm(x, xi) -> float:
     """Metric norm ``sqrt(tr(X^-1 xi X^-1 xi))`` of a tangent vector."""
     inv_sq = spd.POINT.inv_sqrt(x)
-    c = inv_sq @ np.asarray(xi, dtype=float) @ inv_sq
-    return float(np.linalg.norm(spd._sym(c)))
+    return _frobenius(spd._sym(inv_sq @ np.asarray(xi, dtype=float) @ inv_sq))
+
+
+def _frobenius(c: np.ndarray) -> float:
+    """``np.linalg.norm(c)`` of a contiguous float64 matrix, bit for bit: the root
+    of one ``ddot``, without the wrapper."""
+    flat = c.ravel()
+    return math.sqrt(spd._vecdot(flat, flat))
 
 
 def _slope(v: np.ndarray, mu: np.ndarray, alpha: float, xi: np.ndarray) -> float:
@@ -214,17 +266,17 @@ def _slope(v: np.ndarray, mu: np.ndarray, alpha: float, xi: np.ndarray) -> float
     ``phi'(alpha) = -sum_i mu_i exp(alpha mu_i) (v xi v^T)_ii``, which is
     ``-||C||_F^2`` at ``alpha = 0``.
     """
-    diag = np.sum((v @ xi) * v, axis=1)
-    return float(-np.sum(mu * np.exp(alpha * mu) * diag))
+    # ``np.sum`` of an ndarray is this ``np.add.reduce`` behind a wrapper.
+    diag = np.add.reduce((v @ xi) * v, 1)
+    return float(-np.add.reduce(mu * np.exp(alpha * mu) * diag, None))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _step(frame: np.ndarray, mu: np.ndarray, alpha: float) -> np.ndarray:
     """The line search's candidate ``F diag(exp(-alpha mu)) F^T``, computed quietly:
     a step whose ``exp`` overflows is not finite, and ``SPDMatrix`` then
     rejects it before any decomposition, so the step is halved without a
     warning."""
-    return spd._congruence(frame, np.exp(-alpha * mu))
+    return spd._under(spd._QUIET, lambda: spd._congruence(frame, np.exp(-alpha * mu)))
 
 
 class _Start(NamedTuple):
@@ -276,15 +328,18 @@ def gradient_descent(obj: Objective, x0, max_iter: int = 500, grad_tol: float = 
     xi = None  # the gradient at x, when the line search already took it
     last = None  # (v, mu, alpha, g^2) of the step that reached x
     while True:
-        x_sq, x_inv_sq = spd._root_pair(point.eig)
+        # The forward pass at x made X^-1/2 when it whitened by x; it is taken
+        # from there before the gradient, which reads the same pass.
+        x_inv_sq = obj._inv_sqrt_at(x, point.eig)
         if xi is None:
             xi = riemannian_grad(obj, x)
         c = spd._sym(x_inv_sq @ xi @ x_inv_sq)
-        gnorm = float(np.linalg.norm(c))
+        gnorm = _frobenius(c)
         if gnorm <= grad_tol or len(trajectory) - 1 >= max_iter:
             break
         # One decomposition of the scaled direction serves every step size.
         mu, u = spd._eigh(c)
+        x_sq = spd._congruence(point.eig.q, np.sqrt(point.eig.lam))
         frame, v = x_sq @ u, u.T @ x_inv_sq  # F and its inverse
         g2 = gnorm * gnorm
         alpha = INITIAL_STEP
@@ -298,7 +353,7 @@ def gradient_descent(obj: Objective, x0, max_iter: int = 500, grad_tol: float = 
         # Below this, the Armijo decrease is smaller than evaluator roundoff;
         # any strict decrease is then accepted so terminal iterations can
         # still drive the gradient norm under tight tolerances.
-        noise = 64.0 * np.finfo(float).eps * max(1.0, abs(f0))
+        noise = 64.0 * _EPS * max(1.0, abs(f0))
         band = _ROUNDOFF_BAND * noise
         for _halving in range(MAX_HALVINGS + 1):
             candidate = _step(frame, mu, alpha)

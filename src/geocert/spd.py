@@ -6,8 +6,9 @@ symmetric eigendecomposition in geocert, here and in the oracle, the
 solver and the expression layer, enters LAPACK through one place:
 ``_eigh`` and ``_eigvalsh`` call the gufuncs behind ``np.linalg.eigh`` and
 ``np.linalg.eigvalsh`` through ``_lapack``, under numpy's own error state
-for them, so their results are numpy's bit for bit without numpy's
-Python wrapper (several microseconds a call on the tiny matrices here).
+for them (entered by ``_under``, which the solver's quiet steps share), so
+their results are numpy's bit for bit without numpy's Python wrapper
+(several microseconds a call on the tiny matrices here).
 They take float64 arrays only.  Every matrix argument passes one gate,
 ``_check_symmetric_square``: square, finite, no entry past ``_SYM_MAX``
 (DBL_MAX / 2, beyond which symmetrizing can overflow) and symmetric within
@@ -178,26 +179,41 @@ def _nonconvergence(err, flag):
     raise LinAlgError("Eigenvalues did not converge")
 
 
-# numpy's own error state of its eigensolvers: a LAPACK failure (NaN output,
-# flagged invalid) raises LinAlgError, the other floating-point events are
-# ignored.  Built once; each call enters it as ``np.errstate`` would.
-_LAPACK_ERRSTATE = dict(call=_nonconvergence, invalid="call", over="ignore", divide="ignore",
-                        under="ignore")
+# A floating-point error state is built once and entered per call by
+# ``_under``, as ``np.errstate`` would enter it but without its context
+# manager; ``_lapack`` and the solver's quiet steps share it.
 try:
-    from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
+    from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj as _errstate
 except ImportError:  # numpy 1.x keeps the error state elsewhere
-    def _lapack(gufunc, a: np.ndarray, signature: str):
-        with np.errstate(**_LAPACK_ERRSTATE):
-            return gufunc(a, signature=signature)
-else:
-    _LAPACK_EXTOBJ = _make_extobj(**_LAPACK_ERRSTATE)
+    def _errstate(**modes) -> dict:
+        return modes
 
-    def _lapack(gufunc, a: np.ndarray, signature: str):
-        token = _extobj_contextvar.set(_LAPACK_EXTOBJ)
+    def _under(state, fn, *args, **kwargs):
+        """``fn(*args, **kwargs)`` under the error state ``state`` (from ``_errstate``)."""
+        with np.errstate(**state):
+            return fn(*args, **kwargs)
+else:
+    def _under(state, fn, *args, **kwargs):
+        """``fn(*args, **kwargs)`` under the error state ``state`` (from ``_errstate``)."""
+        token = _extobj_contextvar.set(state)
         try:
-            return gufunc(a, signature=signature)
+            return fn(*args, **kwargs)
         finally:
             _extobj_contextvar.reset(token)
+
+
+# numpy's own error state of its eigensolvers: a LAPACK failure (NaN output,
+# flagged invalid) raises LinAlgError, the other floating-point events are
+# ignored.
+_LAPACK_ERRSTATE = _errstate(call=_nonconvergence, invalid="call", over="ignore",
+                             divide="ignore", under="ignore")
+# Every floating-point event ignored: for a computation whose overflow shows
+# as a value that is not finite, which a later gate rejects.
+_QUIET = _errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
+
+
+def _lapack(gufunc, a: np.ndarray, signature: str):
+    return _under(_LAPACK_ERRSTATE, gufunc, a, signature=signature)
 
 
 def _stacked_square(a: np.ndarray) -> np.ndarray:
@@ -609,7 +625,16 @@ class Memo(_Point):
     other array takes their ids while the memo lives.  ``seed`` records a
     decomposition the caller already holds.  Entries the backward pass adds
     are never read by a forward gate: every forward step of the evaluation
-    comes first.  ``bind`` reads a variable's value for a forward pass.
+    comes first.  ``bind`` reads a variable's value for a forward pass, and
+    ``symmetric`` gates each array once.
+
+    Entries keyed by arrays that outlive the memo can serve later ones:
+    ``_entries_of`` gives those keyed by given arrays alone, and ``_carry``
+    takes them into a new memo.  A solve carries the entries of its
+    objective's constant matrices (``ConstMatrix.values``, read-only and
+    kept alive by the tree) from pass to pass, so each constant is gated
+    and decomposed once per objective; an entry is the same bits a fresh
+    computation from that array gives, so a carried one changes no value.
     """
 
     __slots__ = ("_memo",)
@@ -629,10 +654,20 @@ class Memo(_Point):
 
         The caller vouches that the gate passed on these bits of ``x`` and
         that ``pair`` is their decomposition, as ``SPDMatrix(x).eig`` is;
-        a gate memoized as ``"symmetric"`` then passes ``x`` as it is.
+        the gate memoized as ``"symmetric"`` then passes ``x`` as it is.
         """
         self._memo[("symmetric", id(x))] = ((x,), x)
         self._memo[("sym_eig", id(x))] = ((x,), pair)
+
+    def _entries_of(self, arrays) -> dict:
+        """The entries keyed by some of ``arrays`` alone."""
+        ids = set(map(id, arrays))
+        return {key: entry for key, entry in self._memo.items()
+                if all(id(a) in ids for a in entry[0])}
+
+    def _carry(self, entries: dict) -> None:
+        """Take ``entries``, from ``_entries_of`` of another memo whose arrays are still alive."""
+        self._memo.update(entries)
 
     def bind(self, name: str, dim: int, env: dict) -> np.ndarray:
         """``env[name]`` after the gate of ``sym_eig``, once per array; an ``SPDMatrix``
@@ -646,7 +681,10 @@ class Memo(_Point):
             raise ExpressionError(f"value for '{name}' has shape {arr.shape}, expected {dim, dim}")
         if isinstance(value, SPDMatrix):
             self.seed(arr, value.eig)
-        return self.memo("symmetric", self.symmetric, arr)
+        return self.symmetric(arr)
+
+    def symmetric(self, x) -> np.ndarray:
+        return self.memo("symmetric", super().symmetric, x)
 
     def eigvalsh(self, x: np.ndarray) -> np.ndarray:
         return self.memo("eigvalsh", super().eigvalsh, x)
@@ -656,6 +694,19 @@ class Memo(_Point):
 
     def whiten(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, EigenPair]:
         return self.memo("whiten", super().whiten, x, y)
+
+
+class _BuiltInOnly(Memo):
+    """A ``Memo`` that runs only the built-in evaluators (``STACKED``): ``call`` of
+    any other is ``Undecided``, before it runs.  For evaluating a subtree that
+    must not call a user evaluator, which may be impure."""
+
+    __slots__ = ()
+
+    def call(self, fn, args: list, name: str):
+        if not _holds(STACKED, fn):
+            raise Undecided(f"atom '{name}' has no built-in evaluator")
+        return fn(*args, rows=self)
 
 
 class Rows(Memo):

@@ -560,3 +560,14 @@ class TestRulesFollowTheFunction:
             square = gc.analyze(gc.apply_atom("pow_again", [ld, 2]), gc.SPD(3))
             assert square.gcurvature is G.CONVEX
             assert "even power" in square.trace[-1].inputs
+
+    def test_the_power_evaluator_under_a_signature_without_a_parameter(self):
+        # The power rules read the exponent, the first parameter; a node with
+        # none has no even exponent, so the positive-domain gate refuses it.
+        sig = gc.AtomSignature("mypow", (gc.ArgKind.SCALAR,), "scalar", S.POSITIVE, G.CONVEX,
+                               M.INCREASING, E.CONVEX)
+        with registered_as(sig, spd.eval_pow):
+            e = gc.apply_atom("mypow", [gc.apply_atom("tr", [_var(d=3)]) - 5.0])
+            r = gc.analyze(e, gc.SPD(3))
+            assert r.gcurvature is G.UNKNOWN and r.sign is S.ANY
+            assert "mypow needs a provably nonnegative argument" in r.trace[-1].inputs

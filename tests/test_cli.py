@@ -256,6 +256,24 @@ objective: "sdivergence(X, A)"
             assert err.startswith("error: ") and message in err, err
 
 
+class TestConstantWithoutAValue:
+    @pytest.mark.parametrize("argv", [["analyze"], ["solve"], ["fuzz", "--trials", "50"]],
+                             ids=["analyze", "solve", "fuzz"])
+    def test_every_command_refuses_it_as_an_input_error(self, capsys, tmp_path, argv):
+        # The constant part has no value, so no point has one: analyze does
+        # not certify it, and solve and fuzz do not start.
+        path = write(tmp_path, "c.yaml", """
+variables:
+  - {name: X, manifold: SPD, dim: 2}
+objective: "tr(X) + log(-1)"
+""")
+        code, out, err = run_main(capsys, [argv[0], path, *argv[1:]])
+        assert code == 1
+        assert not out
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "atom 'log' has no value at its constant arguments" in err, err
+
+
 class TestAnalyzeCommand:
     def test_verdict_lines_exact(self, capsys):
         code, out, _ = run_main(capsys, ["analyze", str(PROBLEMS / "matrix_sqrt.yaml")])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -126,6 +127,40 @@ class TestApplyAtom:
         # The rank test read the largest singular value of an empty spectrum: IndexError.
         with pytest.raises(ExpressionError, match="at least one column"):
             gc.apply_atom(name, [gc.Variable("X", gc.SPD(2)), *params])
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda a: gc.apply_atom("log", [-1.0]),
+         "atom 'log' has no value at its constant arguments: log requires a positive argument"),
+        (lambda a: gc.apply_atom("log", [gc.apply_atom("tr", [a]) - 100.0]), "atom 'log'"),
+        (lambda a: gc.apply_atom("pow", [-2.0, 1.5]), "atom 'pow' has no value"),
+        (lambda a: gc.apply_atom("exp", [1e3]), "exp overflows"),
+        (lambda a: gc.apply_atom("tr", [gc.apply_atom("conjugation", [a, 1e200 * np.eye(3)])]),
+         "atom 'conjugation' has no finite value"),
+    ], ids=["log", "log-of-a-sum", "pow-negative-base", "exp-overflow", "conjugation-overflow"])
+    def test_a_constant_without_a_value_is_refused_where_it_is_built(self, build, message):
+        # A variable-free subtree is evaluated once, quietly, as it is built.
+        a = gc.make_const_matrix(np.diag([1.0, 2.0, 3.0]), "PD", name="A")
+        with pytest.raises(DomainError, match=re.escape(message)):
+            build(a)
+
+    def test_a_constant_is_evaluated_at_build_through_built_in_evaluators_only(self):
+        calls = []
+
+        def impure(v):
+            calls.append(v)
+            return -1.0
+
+        sig = gc.AtomSignature("impure", (gc.ArgKind.SCALAR,), "scalar", gc.Sign.ANY,
+                               gc.GCurvature.LINEAR, gc.GMonotonicity.INCREASING,
+                               gc.ECurvature.AFFINE)
+        with registered_as(sig, impure):
+            inner = gc.apply_atom("impure", [2.0])
+            outer = gc.apply_atom("log", [inner])  # not evaluated: it holds a user atom
+            assert calls == []
+            with pytest.raises(DomainError, match="log requires a positive argument"):
+                gc.evaluate(outer, {})
+        assert calls == [2.0]
+        assert gc.evaluate(gc.apply_atom("log", [gc.apply_atom("exp", [2.0])]), {}) == 2.0
 
     def test_scalar_atom(self, scope):
         x = gc.make_variable("X", gc.SPD(5), scope=scope)
@@ -742,7 +777,6 @@ def _atom_trees(x, y, d, rng):
         gc.Mul((tr, logdet)), -2.0 * logdet, gc.ConstScalar(0.25),
         gc.Add((tr, logdet, atom("eigmax", [x])), (0.5, -1.0, 2.0))))
     yield "constant subtree", tr + atom("logdet", [a]) * atom("eigmax", [a])
-    yield "constant subtree kills every row", tr + atom("log", [atom("tr", [a]) - 100.0])
     yield "per-row atom over a constant", tr + atom("pow", [atom("tr", [a]), 2.0])
     yield "max over constants", gc.MaxOf((tr, gc.ConstScalar(3.0), atom("logdet", [a])))
 

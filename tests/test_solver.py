@@ -268,6 +268,71 @@ class TestKarcherProblem:
         assert gc.analyze(obj.expression, gc.SPD(3)).gcurvature == gc.GCurvature.CONVEX
 
 
+class TestSolveInvariants:
+    """What a solve computes once: each constant per objective, X^-1/2 per iterate."""
+
+    @staticmethod
+    def _karcher():
+        anchors = [gc.random_spd(3, 10.0, s) for s in (21, 22, 23)]
+        obj = gc.make_karcher_problem(anchors, [0.2, 0.3, 0.5])
+        consts = [step.node.values for step in gc.expr._plan_of(obj.expression)
+                  if isinstance(step.node, gc.ConstMatrix)]
+        assert len(consts) == 3
+        return obj, consts
+
+    def test_each_anchor_is_gated_once_and_each_iterate_whitens_once(self, monkeypatch):
+        obj, anchors = self._karcher()
+        gated, pairs, passes = [], [], []
+        gate, inv_sqrt, value_at = spd._check_symmetric_square, spd._inv_sqrt, obj._value_at
+
+        def counted_gate(a):
+            gated.append(a)
+            return gate(a)
+
+        def counted_inv_sqrt(pair):
+            pairs.append(pair)  # kept alive, so ids stay distinct
+            return inv_sqrt(pair)
+
+        def counted_value_at(x, eig):
+            passes.append(x)
+            return value_at(x, eig)
+
+        monkeypatch.setattr(spd, "_check_symmetric_square", counted_gate)
+        monkeypatch.setattr(spd, "_inv_sqrt", counted_inv_sqrt)
+        monkeypatch.setattr(obj, "_value_at", counted_value_at)
+        res = gc.gradient_descent(obj, np.eye(3), grad_tol=1e-8)
+        assert res.converged and res.iterations > 2 and len(passes) > res.iterations
+        # Once per objective, not once per forward pass.
+        assert [sum(a is anchor for a in gated) for anchor in anchors] == [1, 1, 1]
+        # Each forward pass whitens its point once, and the next step takes
+        # that X^-1/2 instead of building it again.
+        assert len(pairs) == len(passes)
+        assert len({id(p) for p in pairs}) == len(pairs)
+
+    def test_only_constant_entries_outlive_their_pass(self):
+        obj, anchors = self._karcher()
+        res = gc.gradient_descent(obj, np.eye(3), grad_tol=1e-8)
+        assert res.converged
+        carried = obj._carried
+        assert carried
+        for key, (arrays, _) in carried.items():
+            assert key[1:] == tuple(map(id, arrays))
+            assert all(any(a is anchor for anchor in anchors) for a in arrays), key
+        assert {key[0] for key in carried} == {"symmetric"}
+
+    def test_a_constant_whitening_base_is_carried(self):
+        # distance(X, A) whitens by A: its decomposition and its X^-1/2 are
+        # computed in the first pass and read by every later one.
+        a = gc.make_const_matrix(gc.random_spd(3, 10.0, 24).entries, "PD", name="A")
+        x = gc.Variable("X", gc.SPD(3))
+        e = gc.apply_atom("pow", [gc.apply_atom("distance", [x, a]), 2])
+        obj = gc.solver._ExpressionObjective(e, "X")
+        res = gc.gradient_descent(obj, np.eye(3), grad_tol=1e-8)
+        assert rel_err(res.minimizer.entries, a.values) <= 1e-6
+        assert {key[0] for key in obj._carried} == {"sym_eig", "inv_sqrt"}
+        assert all(arrays == (a.values,) for arrays, _ in obj._carried.values())
+
+
 class TestBrascampLiebProblem:
     def test_identity_map_constant_objective(self):
         obj = gc.make_brascamp_lieb_problem([np.eye(3)], [1.0])
