@@ -842,7 +842,8 @@ def _check_constant(node: AtomApply) -> None:
     every point, so no certificate, solve or fuzz trial could stand on it.
     """
     try:
-        value = spd._under(spd._QUIET, _forward, node, {}, spd._BuiltInOnly())[-1]
+        with np.errstate(all="ignore"):
+            value = _forward(node, {}, spd._BuiltInOnly())[-1]
     except spd.Undecided:
         return
     except (DomainError, ArithmeticError) as exc:

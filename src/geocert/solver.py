@@ -238,7 +238,11 @@ def riemannian_grad(obj: Objective, x) -> np.ndarray:
     g = obj._symmetric_gradient(xa)
     if not np.logical_and.reduce(np.isfinite(g), None):
         raise DomainError("Euclidean gradient has non-finite entries")
-    xi = spd._under(spd._QUIET, lambda: spd._sym(xa @ g @ xa))
+    token = spd._enter(spd._QUIET)
+    try:
+        xi = spd._sym(xa @ g @ xa)
+    finally:
+        spd._leave(token)
     if not np.logical_and.reduce(np.isfinite(xi), None):
         raise DomainError("Riemannian gradient has non-finite entries")
     return xi
@@ -276,7 +280,11 @@ def _step(frame: np.ndarray, mu: np.ndarray, alpha: float) -> np.ndarray:
     a step whose ``exp`` overflows is not finite, and ``SPDMatrix`` then
     rejects it before any decomposition, so the step is halved without a
     warning."""
-    return spd._under(spd._QUIET, lambda: spd._congruence(frame, np.exp(-alpha * mu)))
+    token = spd._enter(spd._QUIET)
+    try:
+        return spd._congruence(frame, np.exp(-alpha * mu))
+    finally:
+        spd._leave(token)
 
 
 class _Start(NamedTuple):

@@ -6,7 +6,7 @@ symmetric eigendecomposition in geocert, here and in the oracle, the
 solver and the expression layer, enters LAPACK through one place:
 ``_eigh`` and ``_eigvalsh`` call the gufuncs behind ``np.linalg.eigh`` and
 ``np.linalg.eigvalsh`` through ``_lapack``, under numpy's own error state
-for them (entered by ``_under``, which the solver's quiet steps share), so
+for them (entered by ``_enter``, which the solver's quiet steps share), so
 their results are numpy's bit for bit without numpy's Python wrapper
 (several microseconds a call on the tiny matrices here).
 They take float64 arrays only.  Every matrix argument passes one gate,
@@ -179,27 +179,25 @@ def _nonconvergence(err, flag):
     raise LinAlgError("Eigenvalues did not converge")
 
 
-# A floating-point error state is built once and entered per call by
-# ``_under``, as ``np.errstate`` would enter it but without its context
-# manager; ``_lapack`` and the solver's quiet steps share it.
+# A floating-point error state is built once (``_errstate``) and entered per
+# call as ``np.errstate`` would enter it, without its context manager:
+# ``token = _enter(state)``, then ``_leave(token)`` in a ``finally``.
+# ``_lapack`` and the solver's quiet steps share them.
 try:
     from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj as _errstate
 except ImportError:  # numpy 1.x keeps the error state elsewhere
     def _errstate(**modes) -> dict:
         return modes
 
-    def _under(state, fn, *args, **kwargs):
-        """``fn(*args, **kwargs)`` under the error state ``state`` (from ``_errstate``)."""
-        with np.errstate(**state):
-            return fn(*args, **kwargs)
+    def _enter(state: dict):
+        token = np.errstate(**state)
+        token.__enter__()
+        return token
+
+    def _leave(token) -> None:
+        token.__exit__(None, None, None)
 else:
-    def _under(state, fn, *args, **kwargs):
-        """``fn(*args, **kwargs)`` under the error state ``state`` (from ``_errstate``)."""
-        token = _extobj_contextvar.set(state)
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            _extobj_contextvar.reset(token)
+    _enter, _leave = _extobj_contextvar.set, _extobj_contextvar.reset
 
 
 # numpy's own error state of its eigensolvers: a LAPACK failure (NaN output,
@@ -213,7 +211,11 @@ _QUIET = _errstate(over="ignore", invalid="ignore", divide="ignore", under="igno
 
 
 def _lapack(gufunc, a: np.ndarray, signature: str):
-    return _under(_LAPACK_ERRSTATE, gufunc, a, signature=signature)
+    token = _enter(_LAPACK_ERRSTATE)
+    try:
+        return gufunc(a, signature=signature)
+    finally:
+        _leave(token)
 
 
 def _stacked_square(a: np.ndarray) -> np.ndarray:
