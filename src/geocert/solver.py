@@ -182,7 +182,7 @@ class _ExpressionObjective(Objective):
         kept = self._kept
         if kept is not None and kept[0] is x:
             return kept[2].inv_sqrt(x)
-        return spd._inv_sqrt(eig)
+        return super()._inv_sqrt_at(x, eig)
 
 
 @dataclass

@@ -699,19 +699,20 @@ class Memo(_Point):
 
 
 class _BuiltInOnly(Memo):
-    """A ``Memo`` that runs only the built-in evaluators (``STACKED``): ``call`` of
-    any other is ``Undecided``, before it runs.  For evaluating a subtree that
-    must not call a user evaluator, which may be impure."""
+    """A ``Memo`` that calls only the built-in evaluators (``STACKED``): ``call`` of
+    any other is ``Undecided``, before it runs.  ``expr`` evaluates a subtree
+    without a variable under it where the subtree is built, which must not
+    call a user evaluator, since one may be impure; ``Rows`` is one too."""
 
     __slots__ = ()
 
     def call(self, fn, args: list, name: str):
         if not _holds(STACKED, fn):
-            raise Undecided(f"atom '{name}' has no built-in evaluator")
+            raise Undecided(f"atom '{name}' has no stacked evaluator")
         return fn(*args, rows=self)
 
 
-class Rows(Memo):
+class Rows(_BuiltInOnly):
     """The row policy of a stack: a row whose gate fails dies instead.
 
     Only the built-in evaluators (``STACKED``) run under it: ``call`` of any
@@ -797,10 +798,8 @@ class Rows(Memo):
         return float(v) if np.ndim(v) == 0 else v
 
     def call(self, fn, args: list, name: str):
-        if not _holds(STACKED, fn):
-            raise Undecided(f"atom '{name}' has no stacked evaluator")
         # An atom of constants may give one value for all rows.
-        return self.scalar(fn(*args, rows=self))
+        return self.scalar(super().call(fn, args, name))
 
     def bind(self, name: str, dim: int, env: dict) -> np.ndarray:
         """``env[name]``, a stack, after the gate of ``sym_eig`` per row (``symmetric``)."""
