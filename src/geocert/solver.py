@@ -336,8 +336,7 @@ def gradient_descent(obj: Objective, x0, max_iter: int = 500, grad_tol: float = 
     xi = None  # the gradient at x, when the line search already took it
     last = None  # (v, mu, alpha, g^2) of the step that reached x
     while True:
-        # The forward pass at x made X^-1/2 when it whitened by x; it is taken
-        # from there before the gradient, which reads the same pass.
+        # The forward pass at x made X^-1/2 if a distance term whitened by x.
         x_inv_sq = obj._inv_sqrt_at(x, point.eig)
         if xi is None:
             xi = riemannian_grad(obj, x)
