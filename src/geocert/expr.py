@@ -243,7 +243,7 @@ def _array_token(a: np.ndarray) -> tuple:
 class Expression:
     """Base class for immutable expression nodes."""
 
-    __slots__ = ("_kind", "_dim", "_vars", "_children", "_plan", "_hash")
+    __slots__ = ("_kind", "_dim", "_vars", "_children", "_plan", "_hash", "_value")
 
     def _init_base(self, kind: str, dim: int | None, children: tuple = (), variables=None):
         if variables is None:  # those of the children, merged
@@ -254,6 +254,8 @@ class Expression:
         self._vars = variables
         self._plan = None  # built on first use by ``_plan_of``; not in the key
         self._hash = None  # computed on first use by ``__hash__``; not in the key
+        # A node without a variable: its value, checked here (``_constant_value``).
+        self._value = None if variables else _constant_value(self, children)
 
     @property
     def kind(self) -> str:
@@ -826,31 +828,47 @@ def apply_atom(name: str, items) -> AtomApply:
         result_dim = sig.validate(arg_dims, tuple(params))
     elif sig.result == "matrix":
         result_dim = arg_dims[0]
-    node = AtomApply(atom, args, tuple(params), tuple(labels), result_dim, arg_dims)
-    if not node.variables:
-        _check_constant(node)
-    return node
+    return AtomApply(atom, args, tuple(params), tuple(labels), result_dim, arg_dims)
 
 
-def _check_constant(node: AtomApply) -> None:
-    """``DomainError`` naming the atom unless the variable-free ``node`` has a finite value.
+_CONSTANT_NAMES = {Add: "constant sum", Mul: "constant product", MaxOf: "constant max"}
 
-    Evaluated once, here, where the tree is built, and quietly, unless it
-    holds an atom whose evaluator is not a built-in one: a user evaluator
-    may be impure, and is left to the passes that evaluate it anyway.  A
-    constant part without a finite value leaves the objective undefined at
-    every point, so no certificate, solve or fuzz trial could stand on it.
+
+def _constant_value(node: Expression, children: tuple):
+    """The value of ``node``, which holds no variable, from the kept values of
+    its ``children``; ``DomainError`` naming the node unless it is finite.
+
+    Each such node is evaluated once, quietly, where it is built.  None, and
+    no check, under an atom whose evaluator is not a built-in one: a user
+    evaluator may be impure, and is left to the passes that evaluate it
+    anyway.  A constant part without a finite value leaves the objective
+    undefined at every point, so no certificate, solve or fuzz trial could
+    stand on it.
     """
+    if not children:  # a constant, finite by construction
+        return node.values if isinstance(node, ConstMatrix) else node.value
+    values = [c._value for c in children]
+    if any(v is None for v in values):
+        return None
+    kids = tuple(range(len(values)))
     try:
         with np.errstate(all="ignore"):
-            value = _forward(node, {}, spd._BuiltInOnly())[-1]
+            value = _node_value(_Step(node, kids, _slots(node, kids)), values, {},
+                                spd._BuiltInOnly())
     except spd.Undecided:
-        return
+        return None
     except (DomainError, ArithmeticError) as exc:
-        raise DomainError(f"atom '{node.sig.id}' has no value at its constant "
+        raise DomainError(f"{_constant_name(node)} has no value at its constant "
                           f"arguments: {exc}") from None
     if not np.isfinite(value).all():
-        raise DomainError(f"atom '{node.sig.id}' has no finite value at its constant arguments")
+        raise DomainError(f"{_constant_name(node)} has no finite value at its constant arguments")
+    return value
+
+
+def _constant_name(node: Expression) -> str:
+    if isinstance(node, AtomApply):
+        return f"atom '{node.sig.id}'"
+    return _CONSTANT_NAMES[type(node)]
 
 
 # ---------------------------------------------------------------------------
@@ -905,14 +923,19 @@ def _build_plan(root: Expression) -> tuple[_Step, ...]:
             pending += [(node, True)] + [(c, False) for c in reversed(node._children)]
             continue
         kids = tuple(index[id(c)] for c in node._children)
-        slots = None
-        if isinstance(node, AtomApply):
-            kid, param = iter(kids), iter(node.params)
-            slots = tuple((next(kid), None) if k in EXPR_KINDS else (None, next(param))
-                          for k in node.sig.positions)
         index[id(node)] = len(steps)
-        steps.append(_Step(node, kids, slots))
+        steps.append(_Step(node, kids, _slots(node, kids)))
     return tuple(steps)
+
+
+def _slots(node: Expression, kids: tuple[int, ...]) -> tuple | None:
+    """A step's ``slots``: for an atom, its evaluator's positions, each ``(kid, None)``
+    or ``(None, parameter)``; None for any other node."""
+    if not isinstance(node, AtomApply):
+        return None
+    kid, param = iter(kids), iter(node.params)
+    return tuple((next(kid), None) if k in EXPR_KINDS else (None, next(param))
+                 for k in node.sig.positions)
 
 
 def _plan_of(e: Expression) -> tuple[_Step, ...]:

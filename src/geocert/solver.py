@@ -171,8 +171,9 @@ class _ExpressionObjective(Objective):
 
     def _symmetric_gradient(self, x: np.ndarray) -> np.ndarray:
         # ``_backward`` returns ``_sym(g)``, which ``_sym`` gives back bit for
-        # bit: a finite entry of it is at most DBL_MAX / 2, so doubling it is exact.
-        if self.euclidean_gradient is None:
+        # bit: a finite entry of it is at most DBL_MAX / 2, so doubling it is
+        # exact.  A gradient assigned in its place gets its one ``_sym``.
+        if self.euclidean_gradient != self._kept_gradient:
             return super()._symmetric_gradient(x)
         return self.gradient(x)
 

@@ -259,19 +259,24 @@ objective: "sdivergence(X, A)"
 class TestConstantWithoutAValue:
     @pytest.mark.parametrize("argv", [["analyze"], ["solve"], ["fuzz", "--trials", "50"]],
                              ids=["analyze", "solve", "fuzz"])
-    def test_every_command_refuses_it_as_an_input_error(self, capsys, tmp_path, argv):
+    @pytest.mark.parametrize("objective, message", [
+        ("tr(X) + log(-1)", "atom 'log' has no value at its constant arguments"),
+        ("tr(X) + 1e300 * exp(700)", "constant sum has no finite value"),
+    ], ids=["atom", "sum"])
+    def test_every_command_refuses_it_as_an_input_error(self, capsys, tmp_path, argv,
+                                                        objective, message):
         # The constant part has no value, so no point has one: analyze does
         # not certify it, and solve and fuzz do not start.
-        path = write(tmp_path, "c.yaml", """
+        path = write(tmp_path, "c.yaml", f"""
 variables:
-  - {name: X, manifold: SPD, dim: 2}
-objective: "tr(X) + log(-1)"
+  - {{name: X, manifold: SPD, dim: 2}}
+objective: "{objective}"
 """)
         code, out, err = run_main(capsys, [argv[0], path, *argv[1:]])
         assert code == 1
         assert not out
         assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert "atom 'log' has no value at its constant arguments" in err, err
+        assert message in err, err
 
 
 class TestAnalyzeCommand:

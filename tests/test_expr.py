@@ -136,12 +136,34 @@ class TestApplyAtom:
         (lambda a: gc.apply_atom("exp", [1e3]), "exp overflows"),
         (lambda a: gc.apply_atom("tr", [gc.apply_atom("conjugation", [a, 1e200 * np.eye(3)])]),
          "atom 'conjugation' has no finite value"),
-    ], ids=["log", "log-of-a-sum", "pow-negative-base", "exp-overflow", "conjugation-overflow"])
+        (lambda a: 1e300 * gc.apply_atom("exp", [700.0]),
+         "constant sum has no finite value at its constant arguments"),
+        (lambda a: gc.Mul((gc.apply_atom("exp", [700.0]), gc.apply_atom("exp", [700.0]))),
+         "constant product has no finite value"),
+        (lambda a: gc.Add((gc.apply_atom("exp", [709.5]), gc.apply_atom("exp", [709.5]))),
+         "constant sum has no finite value"),
+    ], ids=["log", "log-of-a-sum", "pow-negative-base", "exp-overflow", "conjugation-overflow",
+            "scaled-sum", "product", "sum"])
     def test_a_constant_without_a_value_is_refused_where_it_is_built(self, build, message):
         # A variable-free subtree is evaluated once, quietly, as it is built.
         a = gc.make_const_matrix(np.diag([1.0, 2.0, 3.0]), "PD", name="A")
         with pytest.raises(DomainError, match=re.escape(message)):
             build(a)
+
+    def test_each_constant_node_is_evaluated_once(self, monkeypatch):
+        # Its children's kept values feed it; nothing below it runs again.
+        a = gc.make_const_matrix(np.diag([1.0, 2.0, 3.0]), "PD", name="A")
+        steps = []
+        node_value = expr._node_value
+
+        def counted(step, *rest):
+            steps.append(type(step.node).__name__)
+            return node_value(step, *rest)
+
+        monkeypatch.setattr(expr, "_node_value", counted)
+        e = gc.apply_atom("log", [gc.apply_atom("exp", [gc.apply_atom("logdet", [a])])])
+        assert steps == ["AtomApply"] * 3
+        assert e._value == gc.evaluate(e, {})
 
     def test_a_constant_is_evaluated_at_build_through_built_in_evaluators_only(self):
         calls = []
@@ -794,6 +816,10 @@ class TestEvaluateStacked:
             atoms.update(n.sig.id for _, n in e.walk() if isinstance(n, gc.AtomApply))
         assert seen == {"value", "domain"}
         assert atoms == set(gc.CATALOG_IDS)
+        # A constant subtree that kills every row cannot be built.
+        a = gc.make_const_matrix(np.eye(d), "PD", name="A")
+        with pytest.raises(DomainError, match="atom 'log' has no value"):
+            gc.apply_atom("tr", [x]) + gc.apply_atom("log", [gc.apply_atom("tr", [a]) - 100.0])
 
     def test_rows_already_dead_stay_dead(self):
         rng = np.random.default_rng(7)

@@ -13,7 +13,7 @@ import pytest
 import geocert as gc
 from geocert import expr, oracle, spd
 from geocert.expr import _evaluate_stacked
-from geocert.errors import InconclusiveError, RangeError, ShapeError
+from geocert.errors import DomainError, InconclusiveError, RangeError, ShapeError
 
 from conftest import SIGMA_2
 
@@ -795,6 +795,24 @@ class TestStackedRouting:
             lambda m: gc.evaluate(e, {"X": m}), cfg)
         # Two checks of one block each, 64 * 8 points a block.
         assert max(calls.values()) < cfg.trials, calls.most_common(5)
+
+    def test_a_constant_that_kills_every_row(self, monkeypatch):
+        pointwise, _, _ = self._count(monkeypatch)
+        a = gc.make_const_matrix(np.eye(3), "PD", name="A")
+        x = gc.Variable("X", gc.SPD(3))
+        # A constant without a finite value is refused where it is built ...
+        with pytest.raises(DomainError, match="atom 'conjugation' has no finite value"):
+            gc.apply_atom("conjugation", [a, 1e200 * np.eye(3)])
+        # ... while one that underflows to the zero matrix has a value and is
+        # built, and fails the gate of ``distance`` at every row.
+        e = gc.apply_atom("distance", [gc.apply_atom("conjugation", [a, 1e-200 * np.eye(3)]), x])
+        cfg = gc.FuzzConfig(trials=70, dim=3, seed=0)
+        with pytest.raises(InconclusiveError, match="70 of 70 trials") as stacked:
+            gc.cross_validate(e, cfg)
+        assert pointwise == []
+        with pytest.raises(InconclusiveError) as point:
+            gc.check_gconvex(lambda m: gc.evaluate(e, {"X": m}), cfg)
+        assert str(stacked.value) == str(point.value)
 
     def test_a_floating_point_event_runs_the_block_point_by_point(self, monkeypatch):
         pointwise, _, _ = self._count(monkeypatch)

@@ -332,6 +332,14 @@ class TestSolveInvariants:
         assert {key[0] for key in obj._carried} == {"sym_eig", "inv_sqrt"}
         assert all(arrays == (a.values,) for arrays, _ in obj._carried.values())
 
+    def test_a_gradient_assigned_in_place_of_the_backward_pass_is_symmetrized(self):
+        obj, _ = self._karcher()
+        x = np.asarray(gc.random_spd(3, 10.0, 25))
+        g = np.arange(9.0).reshape(3, 3)  # not symmetric
+        obj.euclidean_gradient = lambda m: g
+        expected = spd._sym(x @ spd._sym(g) @ x)
+        assert gc.riemannian_grad(obj, x).tobytes() == expected.tobytes()
+
 
 class TestBrascampLiebProblem:
     def test_identity_map_constant_objective(self):
