@@ -28,6 +28,11 @@ arithmetic combinators and atom applications inside.  Fixed atom parameters
 node rather than represented as children, so only manifold-valued arguments
 participate in curvature propagation.
 
+A node without a variable is one value, computed where it is built
+(``_constant_value``), refused unless finite, gated as positive definite
+in a manifold slot whatever its claim, and kept read-only as ``_value``,
+which every pass reads instead of evaluating the subtree (``_node_value``).
+
 Arity, argument kinds, and dimensions are checked when a node is built,
 never during analysis; a parameter holding a NaN or an infinity raises
 ``DomainError``, and a constant or parameter that numpy cannot read as a
@@ -254,8 +259,9 @@ class Expression:
         self._vars = variables
         self._plan = None  # built on first use by ``_plan_of``; not in the key
         self._hash = None  # computed on first use by ``__hash__``; not in the key
-        # A node without a variable: its value, checked here (``_constant_value``).
-        self._value = None if variables else _constant_value(self, children)
+        self._value = None  # None for a node with a variable, and while the next line runs
+        if not variables:
+            self._value = _constant_value(self, children)
 
     @property
     def kind(self) -> str:
@@ -461,7 +467,8 @@ class ConstMatrix(Expression):
         return f"ConstMatrix({label})"
 
 
-def _verify_definiteness(a: np.ndarray, claim: Definiteness):
+def _verify_definiteness(a: np.ndarray, claim: Definiteness, *, refusal: str | None = None):
+    """``DomainError`` unless ``a`` is ``claim``, saying ``refusal`` or that the claim fails."""
     if a.shape[0] != a.shape[1]:
         raise ExpressionError(f"{claim.value} claim requires a square matrix")
     try:
@@ -470,10 +477,9 @@ def _verify_definiteness(a: np.ndarray, claim: Definiteness):
         raise ExpressionError(f"{claim.value} claim requires a symmetric matrix") from None
     tol = spd._pd_tol(float(lam[-1]))
     # Written so that a NaN eigenvalue fails the claim.
-    if claim is Definiteness.PD and not float(lam[0]) > tol:
-        raise DomainError(f"PD claim fails: lambda_min={lam[0]:.6g}")
-    if claim is Definiteness.PSD and not float(lam[0]) >= -tol:
-        raise DomainError(f"PSD claim fails: lambda_min={lam[0]:.6g}")
+    holds = float(lam[0]) > tol if claim is Definiteness.PD else float(lam[0]) >= -tol
+    if not holds:
+        raise DomainError(f"{refusal or claim.value + ' claim fails'}: lambda_min={lam[0]:.6g}")
 
 
 class ConstScalar(Expression):
@@ -701,15 +707,6 @@ def atom_ids() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def _require_spd_usable(cm: ConstMatrix):
-    # Constants without a PD claim get checked numerically when they stand on
-    # the manifold; declared-PD constants were verified at construction.
-    if cm.kind != "matrix":
-        raise ExpressionError("a manifold argument must be a square matrix")
-    if cm.definiteness is Definiteness.NONE:
-        _verify_definiteness(cm.values, Definiteness.PD)
-
-
 def _finite(x):
     """``x`` itself; ``DomainError`` when it holds a NaN or an infinity."""
     if not np.all(np.isfinite(x)):
@@ -800,8 +797,9 @@ def apply_atom(name: str, items) -> AtomApply:
                     raise ExpressionError(
                         f"atom '{name}' expected a matrix-valued argument, got {item.kind}"
                     )
-                if isinstance(item, ConstMatrix):
-                    _require_spd_usable(item)
+                if item._value is not None:  # a point of SPD, as a variable's value is
+                    _verify_definiteness(item._value, Definiteness.PD, refusal=f"atom '{name}': "
+                                         f"its constant argument is not positive definite")
             else:
                 if item.kind != "scalar":
                     raise ExpressionError(
@@ -838,14 +836,15 @@ def _constant_value(node: Expression, children: tuple):
     """The value of ``node``, which holds no variable, from the kept values of
     its ``children``; ``DomainError`` naming the node unless it is finite.
 
-    Each such node is evaluated once, quietly, where it is built.  None, and
+    Each such node is evaluated once, quietly, where it is built, and every
+    pass reads the value, read-only if an array.  None, and
     no check, under an atom whose evaluator is not a built-in one: a user
     evaluator may be impure, and is left to the passes that evaluate it
     anyway.  A constant part without a finite value leaves the objective
     undefined at every point, so no certificate, solve or fuzz trial could
     stand on it.
     """
-    if not children:  # a constant, finite by construction
+    if isinstance(node, (ConstMatrix, ConstScalar)):  # finite by construction
         return node.values if isinstance(node, ConstMatrix) else node.value
     values = [c._value for c in children]
     if any(v is None for v in values):
@@ -862,6 +861,8 @@ def _constant_value(node: Expression, children: tuple):
                           f"arguments: {exc}") from None
     if not np.isfinite(value).all():
         raise DomainError(f"{_constant_name(node)} has no finite value at its constant arguments")
+    if isinstance(value, np.ndarray):  # every pass reads it: none may write into it
+        value.setflags(write=False)
     return value
 
 
@@ -965,8 +966,9 @@ def _plan_paths(plan: tuple[_Step, ...]) -> Iterator[tuple[tuple, int]]:
 def _forward(e: Expression, env: dict, rows: spd.Memo) -> list:
     """The values of ``e``'s plan under the row policy ``rows``, one per step, ``e``'s last.
 
-    Values stay writable: a user atom's evaluator is called only at a
-    point, on values no other point shares, so it may write into one.
+    Values stay writable, but for the kept ones of nodes without a variable:
+    a user atom's evaluator is called only at a point, on values no other
+    point shares, so it may write into one.
     """
     values = []
     for step in _plan_of(e):
@@ -978,14 +980,12 @@ def _node_value(step: _Step, values: list, env: dict, rows: spd.Memo):
     """The value of one step's node from the values before it: the one copy
     of the combinators' arithmetic, for floats and ``(n,)`` stacks alike."""
     e = step.node
+    if e._value is not None:  # a node without a variable, under any policy
+        return e._value
     if step.slots is not None:
         return rows.call(e.evaluator, step.args(values), e.sig.id)
     if isinstance(e, Variable):
         return rows.bind(e.name, e.dim, env)
-    if isinstance(e, ConstMatrix):
-        return e.values
-    if isinstance(e, ConstScalar):
-        return e.value
     kids = [values[i] for i in step.kids]
     if isinstance(e, Add):
         out = 0.0  # as sum(), which starts from 0: 0 + (-0.0) is 0.0

@@ -32,9 +32,10 @@ evaluation.  The line search keeps the forward pass of the step it
 accepts, and the Euclidean gradient there is one reverse loop over the
 expression's plan (``expr._backward``).  What does not change during a
 solve is computed once and then read: the gates and decompositions of
-the objective's constant matrices once per objective (carried from its
-first forward pass into every later one), and an iterate's ``X^(-1/2)``
-once per point, taken from the forward pass that whitened by it.  Each
+the arrays the objective's nodes without a variable keep, once per
+objective (carried from its first forward pass into every later one), and
+an iterate's ``X^(-1/2)`` once per point, taken from the forward pass that
+whitened by it.  Each
 read hands on the bits a fresh computation gives, since it is the same
 computation on the same array, so no iterate moves.  A Euclidean gradient
 is symmetrized once: ``_backward`` returns ``sym(G)``, which ``_sym``
@@ -60,7 +61,6 @@ from . import spd
 from .errors import DomainError, ExpressionError, RangeError, StagnationError, check_range
 from .expr import (
     Add,
-    ConstMatrix,
     Definiteness,
     Expression,
     SPD,
@@ -134,7 +134,7 @@ class _ExpressionObjective(Objective):
     over it, and a gradient anywhere else runs a fresh pass.  The kept
     memo also hands ``_inv_sqrt_at`` the ``X^-1/2`` a ``distance`` term
     made of that array.  After its first forward pass the objective keeps
-    the memo entries keyed by its constant matrices alone (``_carried``)
+    the memo entries keyed by its plan's kept arrays alone (``_carried``)
     and seeds every later pass with them, so each constant is gated and
     decomposed once per objective.  Only the solver calls ``_value_at``,
     and it never writes to the arrays it passes.
@@ -159,8 +159,8 @@ class _ExpressionObjective(Objective):
         self._kept = (x, values, rows)
         if self._carried is None:
             self._carried = rows._entries_of(
-                step.node.values for step in _plan_of(self.expression)
-                if isinstance(step.node, ConstMatrix))
+                step.node._value for step in _plan_of(self.expression)
+                if isinstance(step.node._value, np.ndarray))
         return float(values[-1])
 
     def _kept_gradient(self, x: np.ndarray) -> np.ndarray:

@@ -632,11 +632,11 @@ class Memo(_Point):
 
     Entries keyed by arrays that outlive the memo can serve later ones:
     ``_entries_of`` gives those keyed by given arrays alone, and ``_carry``
-    takes them into a new memo.  A solve carries the entries of its
-    objective's constant matrices (``ConstMatrix.values``, read-only and
-    kept alive by the tree) from pass to pass, so each constant is gated
-    and decomposed once per objective; an entry is the same bits a fresh
-    computation from that array gives, so a carried one changes no value.
+    takes them into a new memo.  A solve carries the entries of the arrays
+    its objective's nodes without a variable keep (read-only, kept alive by
+    the tree) from pass to pass, so each constant is gated and decomposed
+    once per objective; an entry is the same bits a fresh computation from
+    that array gives, so a carried one changes no value.
     """
 
     __slots__ = ("_memo",)
@@ -716,7 +716,8 @@ class Rows(_BuiltInOnly):
     """The row policy of a stack: a row whose gate fails dies instead.
 
     Only the built-in evaluators (``STACKED``) run under it: ``call`` of any
-    other is ``Undecided``, and the caller evaluates point by point.  Matrix
+    other is ``Undecided``, and the caller evaluates point by point.  No
+    atom of constants runs under it: ``expr`` reads its kept value.  Matrix
     arguments are ``(n, d, d)`` stacks or one ``(d, d)`` constant shared by
     all rows, scalar arguments ``(n,)`` stacks or one float.
     Each decomposition is one stacked call (LAPACK and BLAS still run once
@@ -796,10 +797,6 @@ class Rows(_BuiltInOnly):
     def scalar(self, v):
         # A float when every operand was one value for all rows.
         return float(v) if np.ndim(v) == 0 else v
-
-    def call(self, fn, args: list, name: str):
-        # An atom of constants may give one value for all rows.
-        return self.scalar(super().call(fn, args, name))
 
     def bind(self, name: str, dim: int, env: dict) -> np.ndarray:
         """``env[name]``, a stack, after the gate of ``sym_eig`` per row (``symmetric``)."""

@@ -262,7 +262,11 @@ class TestConstantWithoutAValue:
     @pytest.mark.parametrize("objective, message", [
         ("tr(X) + log(-1)", "atom 'log' has no value at its constant arguments"),
         ("tr(X) + 1e300 * exp(700)", "constant sum has no finite value"),
-    ], ids=["atom", "sum"])
+        # conjugation(A, B) underflows to the zero matrix: a finite value,
+        # but no point of SPD, so distance has no value at any X.
+        ("pow(distance(conjugation(A, B), X), 2)",
+         "atom 'distance': its constant argument is not positive definite"),
+    ], ids=["atom", "sum", "not-positive-definite"])
     def test_every_command_refuses_it_as_an_input_error(self, capsys, tmp_path, argv,
                                                         objective, message):
         # The constant part has no value, so no point has one: analyze does
@@ -270,6 +274,9 @@ class TestConstantWithoutAValue:
         path = write(tmp_path, "c.yaml", f"""
 variables:
   - {{name: X, manifold: SPD, dim: 2}}
+constants:
+  A: [[1.0, 0.0], [0.0, 1.0]]
+  B: [[1.0e-200, 0.0], [0.0, 1.0e-200]]
 objective: "{objective}"
 """)
         code, out, err = run_main(capsys, [argv[0], path, *argv[1:]])

@@ -184,6 +184,71 @@ class TestApplyAtom:
         assert calls == [2.0]
         assert gc.evaluate(gc.apply_atom("log", [gc.apply_atom("exp", [2.0])]), {}) == 2.0
 
+    def test_a_parameter_only_atom_builds(self):
+        # It has no children but is no leaf constant: its value comes from its
+        # evaluator at its parameters, as any atom's does.
+        sig = gc.AtomSignature("cst", (gc.ArgKind.PARAM_SCALAR,), "scalar", gc.Sign.ANY,
+                               gc.GCurvature.LINEAR, gc.GMonotonicity.ANY, gc.ECurvature.AFFINE)
+        with registered_as(sig, lambda c: 3.0 * c):
+            assert gc.apply_atom("cst", [2.0])._value is None  # a user evaluator: not run
+            x = gc.Variable("X", gc.SPD(2))
+            e = gc.parse_dsl("tr(X) + cst(2)", {"X": x})
+            assert gc.evaluate(e, {"X": np.eye(2)}) == 8.0
+            assert gc.analyze(e, gc.SPD(2)).gcurvature is gc.GCurvature.CONVEX
+
+    @pytest.mark.parametrize("constant", [
+        lambda: gc.make_const_matrix(np.diag([1.0, 0.0, 1.0]), "PSD", name="S"),
+        lambda: gc.make_const_matrix(np.diag([1.0, -1.0, 1.0]), name="N"),
+        lambda: gc.apply_atom("conjugation", [gc.make_const_matrix(np.eye(3), "PD"),
+                                              1e-200 * np.eye(3)]),
+    ], ids=["PSD-claim", "no-claim", "constant-atom"])
+    def test_a_constant_argument_must_be_positive_definite(self, constant):
+        # A manifold slot takes points of SPD; a constant one is gated on its
+        # kept value, whatever claim it made, where the atom is built.
+        x = gc.Variable("X", gc.SPD(3))
+        with pytest.raises(DomainError, match="atom 'distance': its constant argument is not "
+                                              "positive definite: lambda_min=(0|-1)$"):
+            gc.apply_atom("distance", [constant(), x])
+
+    def test_every_pass_reads_a_constant_where_it_was_built(self, monkeypatch):
+        a = gc.make_const_matrix(np.diag([2.0, 3.0, 5.0]), "PD", name="A")
+        x = gc.Variable("X", gc.SPD(3))
+        e = gc.apply_atom("tr", [x]) + gc.apply_atom("logdet", [a])
+        points = [np.asarray(gc.random_spd(3, 10.0, s)) for s in (1, 2)]
+        calls, lapack = [], gc.spd._lapack
+
+        def counted(gufunc, m, signature):
+            calls.append(m)
+            return lapack(gufunc, m, signature)
+
+        monkeypatch.setattr(gc.spd, "_lapack", counted)
+        for m in points:
+            assert gc.evaluate(e, {"X": m}) == np.trace(m) + math.log(30.0)
+        gc.value_and_grad(e, {"X": points[0]})
+        _evaluate_stacked(e, {"X": np.stack(points)}, np.ones(2, dtype=bool))
+        assert calls == []  # tr(X) decomposes nothing, and logdet(A) is read
+
+    def test_a_kept_constant_argument_is_read_only(self):
+        # A user atom's evaluator may write into its arguments at a point, but
+        # not into a constant's kept value, which every pass reads.
+        def scribble(m):
+            m[0, 0] += 1.0
+            return float(np.trace(m))
+
+        sig = gc.AtomSignature("scribble", (gc.ArgKind.MANIFOLD,), "scalar", gc.Sign.ANY,
+                               gc.GCurvature.UNKNOWN, gc.GMonotonicity.ANY, gc.ECurvature.UNKNOWN)
+        a = gc.make_const_matrix(np.diag([2.0, 4.0]), "PD", name="A")
+        inv = gc.apply_atom("inv", [a])
+        tr = gc.apply_atom("tr", [gc.Variable("X", gc.SPD(2))])
+        kept = tr + gc.apply_atom("tr", [inv])
+        assert gc.evaluate(kept, {"X": np.eye(2)}) == 2.75
+        with registered_as(sig, scribble):
+            for arg in (a, inv):
+                with pytest.raises(ValueError, match="read-only"):
+                    gc.evaluate(tr + gc.apply_atom("scribble", [arg]), {"X": np.eye(2)})
+        assert gc.evaluate(kept, {"X": np.eye(2)}) == 2.75
+        assert np.array_equal(inv._value, np.diag([0.5, 0.25]))
+
     def test_scalar_atom(self, scope):
         x = gc.make_variable("X", gc.SPD(5), scope=scope)
         node = gc.apply_atom("logdet", [x])

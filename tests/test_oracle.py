@@ -800,12 +800,17 @@ class TestStackedRouting:
         pointwise, _, _ = self._count(monkeypatch)
         a = gc.make_const_matrix(np.eye(3), "PD", name="A")
         x = gc.Variable("X", gc.SPD(3))
-        # A constant without a finite value is refused where it is built ...
+        # A constant without a finite value is refused where it is built, and
+        # so is one that underflows to the zero matrix: it has a value, but
+        # not one of SPD, so the gate of ``distance`` would fail at every row.
         with pytest.raises(DomainError, match="atom 'conjugation' has no finite value"):
             gc.apply_atom("conjugation", [a, 1e200 * np.eye(3)])
-        # ... while one that underflows to the zero matrix has a value and is
-        # built, and fails the gate of ``distance`` at every row.
-        e = gc.apply_atom("distance", [gc.apply_atom("conjugation", [a, 1e-200 * np.eye(3)]), x])
+        zero = gc.apply_atom("conjugation", [a, 1e-200 * np.eye(3)])
+        with pytest.raises(DomainError, match="atom 'distance': its constant argument is not "
+                                              "positive definite"):
+            gc.apply_atom("distance", [zero, x])
+        # A tree whose variable part kills every row still builds.
+        e = gc.apply_atom("log", [gc.apply_atom("tr", [x]) - 1e6])
         cfg = gc.FuzzConfig(trials=70, dim=3, seed=0)
         with pytest.raises(InconclusiveError, match="70 of 70 trials") as stacked:
             gc.cross_validate(e, cfg)

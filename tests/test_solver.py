@@ -320,17 +320,20 @@ class TestSolveInvariants:
             assert all(any(a is anchor for anchor in anchors) for a in arrays), key
         assert {key[0] for key in carried} == {"symmetric"}
 
-    def test_a_constant_whitening_base_is_carried(self):
-        # distance(X, A) whitens by A: its decomposition and its X^-1/2 are
-        # computed in the first pass and read by every later one.
-        a = gc.make_const_matrix(gc.random_spd(3, 10.0, 24).entries, "PD", name="A")
+    @pytest.mark.parametrize("base", [lambda a: a, lambda a: gc.apply_atom("inv", [a])],
+                             ids=["constant", "constant-atom"])
+    def test_a_constant_whitening_base_is_carried(self, base):
+        # distance(X, B) whitens by B: its decomposition and its X^-1/2 are
+        # computed in the first pass and read by every later one.  inv(A) is
+        # evaluated where it is built, and every pass reads that array.
+        b = base(gc.make_const_matrix(gc.random_spd(3, 10.0, 24).entries, "PD", name="A"))
         x = gc.Variable("X", gc.SPD(3))
-        e = gc.apply_atom("pow", [gc.apply_atom("distance", [x, a]), 2])
+        e = gc.apply_atom("pow", [gc.apply_atom("distance", [x, b]), 2])
         obj = gc.solver._ExpressionObjective(e, "X")
         res = gc.gradient_descent(obj, np.eye(3), grad_tol=1e-8)
-        assert rel_err(res.minimizer.entries, a.values) <= 1e-6
+        assert rel_err(res.minimizer.entries, b._value) <= 1e-6
         assert {key[0] for key in obj._carried} == {"sym_eig", "inv_sqrt"}
-        assert all(arrays == (a.values,) for arrays, _ in obj._carried.values())
+        assert all(arrays == (b._value,) for arrays, _ in obj._carried.values())
 
     def test_a_gradient_assigned_in_place_of_the_backward_pass_is_symmetrized(self):
         obj, _ = self._karcher()
