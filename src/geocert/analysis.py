@@ -29,7 +29,10 @@ verdict is unknown.  Each node's one sign is its provable value range,
 which the report gives and the positive-domain gate reads; a power t^p is
 Positive only over a provably nonnegative t or for an even integer p.  The
 inverse rule, the gate and the power's sign apply by the evaluator a node
-bound (the tables of ``atoms``), never by the atom's id.
+bound (the tables of ``atoms``), never by the atom's id.  An atom over a
+variable-free matrix argument that kept no value (a user atom's, whose
+evaluator does not run where its node is built) is GUnknown: nothing
+gated that argument as positive definite.
 
 Products with a non-constant factor are never certified: the midpoint test
 fails already for trace times negated log-determinant on a pair of scaled
@@ -354,6 +357,12 @@ def _curv_node(node: Expression, kid_curvs: list[GCurvature], kid_signs: list[Si
         outer = f"outer=({_show(outer_curv, geodesic)},{shown.value})"
         if mono is None:
             return G.UNKNOWN, rule, outer + _note(note)
+        # A variable-free matrix argument is gated as positive definite by
+        # its kept value; one without a value (a user atom's) is never gated.
+        if any(not a.variables and a._value is None and a.kind == "matrix" for a in node.args):
+            return G.UNKNOWN, rule, outer + _note(
+                "a variable-free matrix argument kept no value, so it is not known "
+                "to be positive definite")
         if loewner:
             curv = compose_loewner((eff.gcurv, mono), kid_curvs)
         else:

@@ -210,7 +210,11 @@ class _Parser:
         try:
             return apply_atom(name, [item for _, item in items])
         except GeocertError as exc:
-            self.fail(f"in call to '{name}': {exc}", name_tok)
+            # A refusal of the node itself names the atom already.
+            message = str(exc)
+            if not message.startswith(f"atom '{name}'"):
+                message = f"in call to '{name}': {message}"
+            self.fail(message, name_tok)
 
     def argument(self):
         return self.expr()

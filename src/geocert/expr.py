@@ -32,6 +32,11 @@ A node without a variable is one value, computed where it is built
 (``_constant_value``), refused unless finite, gated as positive definite
 in a manifold slot whatever its claim, and kept read-only as ``_value``,
 which every pass reads instead of evaluating the subtree (``_node_value``).
+What is computed from those values outlives a pass too: a tree keeps the
+memo entries keyed by its kept arrays alone, the gates and decompositions
+its first complete forward pass made of them, as ``_entries``, and every
+later pass, at a point, over a stack or in a solve, starts from them
+(``_forward``).
 
 Arity, argument kinds, and dimensions are checked when a node is built,
 never during analysis; a parameter holding a NaN or an infinity raises
@@ -248,7 +253,7 @@ def _array_token(a: np.ndarray) -> tuple:
 class Expression:
     """Base class for immutable expression nodes."""
 
-    __slots__ = ("_kind", "_dim", "_vars", "_children", "_plan", "_hash", "_value")
+    __slots__ = ("_kind", "_dim", "_vars", "_children", "_plan", "_hash", "_value", "_entries")
 
     def _init_base(self, kind: str, dim: int | None, children: tuple = (), variables=None):
         if variables is None:  # those of the children, merged
@@ -259,6 +264,7 @@ class Expression:
         self._vars = variables
         self._plan = None  # built on first use by ``_plan_of``; not in the key
         self._hash = None  # computed on first use by ``__hash__``; not in the key
+        self._entries = None  # kept by the first complete ``_forward`` of it; not in the key
         self._value = None  # None for a node with a variable, and while the next line runs
         if not variables:
             self._value = _constant_value(self, children)
@@ -968,11 +974,21 @@ def _forward(e: Expression, env: dict, rows: spd.Memo) -> list:
 
     Values stay writable, but for the kept ones of nodes without a variable:
     a user atom's evaluator is called only at a point, on values no other
-    point shares, so it may write into one.
+    point shares, so it may write into one.  The first pass of ``e`` that
+    completes, under any policy, keeps on ``e`` the memo entries keyed by
+    those kept arrays alone, and every later pass starts from them: each
+    kept array is gated and decomposed once per tree, whether it is read
+    at a point, over a stack or in a solve.
     """
+    plan = _plan_of(e)
+    if e._entries is not None:
+        rows._carry(e._entries)
     values = []
-    for step in _plan_of(e):
+    for step in plan:
         values.append(_node_value(step, values, env, rows))
+    if e._entries is None:
+        e._entries = rows._entries_of(step.node._value for step in plan
+                                      if isinstance(step.node._value, np.ndarray))
     return values
 
 

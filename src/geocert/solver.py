@@ -32,15 +32,15 @@ evaluation.  The line search keeps the forward pass of the step it
 accepts, and the Euclidean gradient there is one reverse loop over the
 expression's plan (``expr._backward``).  What does not change during a
 solve is computed once and then read: the gates and decompositions of
-the arrays the objective's nodes without a variable keep, once per
-objective (carried from its first forward pass into every later one), and
-an iterate's ``X^(-1/2)`` once per point, taken from the forward pass that
-whitened by it.  Each
-read hands on the bits a fresh computation gives, since it is the same
-computation on the same array, so no iterate moves.  A Euclidean gradient
-is symmetrized once: ``_backward`` returns ``sym(G)``, which ``_sym``
-gives back bit for bit, so ``riemannian_grad`` symmetrizes only a
-user-supplied or finite-difference gradient.  Objectives without a gradient fall
+the arrays the expression's nodes without a variable keep, once per tree
+(the tree keeps them from its first complete forward pass, wherever that
+ran, and ``expr._forward`` hands them to every later one), and an
+iterate's ``X^(-1/2)`` once per point, taken from the forward pass that
+whitened by it.  Each read hands on the bits a fresh computation gives,
+since it is the same computation on the same array, so no iterate moves.
+A Euclidean gradient is symmetrized once: ``_backward`` returns
+``sym(G)``, which ``_sym`` gives back bit for bit, so ``riemannian_grad``
+symmetrizes only a user-supplied or finite-difference gradient.  Objectives without a gradient fall
 back to central finite differences over the symmetric basis; results are
 flagged when the fallback was used.  Every objective built from an
 expression is an ``_ExpressionObjective``, whether a problem constructor or
@@ -67,7 +67,6 @@ from .expr import (
     Variable,
     _backward,
     _forward,
-    _plan_of,
     apply_atom,
     differentiable,
     evaluate,
@@ -133,11 +132,10 @@ class _ExpressionObjective(Objective):
     keeps it; the next ``gradient`` at that same array is one backward pass
     over it, and a gradient anywhere else runs a fresh pass.  The kept
     memo also hands ``_inv_sqrt_at`` the ``X^-1/2`` a ``distance`` term
-    made of that array.  After its first forward pass the objective keeps
-    the memo entries keyed by its plan's kept arrays alone (``_carried``)
-    and seeds every later pass with them, so each constant is gated and
-    decomposed once per objective.  Only the solver calls ``_value_at``,
-    and it never writes to the arrays it passes.
+    made of that array.  The objective names no constant: each pass
+    starts from the gates and decompositions of the constants that
+    ``expression`` keeps (``expr._forward``).  Only the solver calls
+    ``_value_at``, and it never writes to the arrays it passes.
     """
 
     def __init__(self, expression: Expression, var: str, evaluate: Callable = evaluate):
@@ -148,19 +146,12 @@ class _ExpressionObjective(Objective):
         super().__init__(evaluator, gradient, expression)
         self._var = var
         self._kept = None  # (array, values, memo) of the latest _value_at
-        self._carried = None  # the memo entries of the constants, after a first pass
 
     def _value_at(self, x: np.ndarray, eig: spd.EigenPair) -> float:
         rows = spd.Memo()
-        if self._carried is not None:
-            rows._carry(self._carried)
         rows.seed(x, eig)
         values = _forward(self.expression, {self._var: x}, rows)
         self._kept = (x, values, rows)
-        if self._carried is None:
-            self._carried = rows._entries_of(
-                step.node._value for step in _plan_of(self.expression)
-                if isinstance(step.node._value, np.ndarray))
         return float(values[-1])
 
     def _kept_gradient(self, x: np.ndarray) -> np.ndarray:

@@ -632,11 +632,13 @@ class Memo(_Point):
 
     Entries keyed by arrays that outlive the memo can serve later ones:
     ``_entries_of`` gives those keyed by given arrays alone, and ``_carry``
-    takes them into a new memo.  A solve carries the entries of the arrays
-    its objective's nodes without a variable keep (read-only, kept alive by
-    the tree) from pass to pass, so each constant is gated and decomposed
-    once per objective; an entry is the same bits a fresh computation from
-    that array gives, so a carried one changes no value.
+    takes them into a new memo.  A tree keeps the entries of the arrays its
+    nodes without a variable keep (read-only, kept alive by the tree) from
+    its first complete pass, under any policy, and every later pass of it
+    starts from them (``expr._forward``), so each constant is gated and
+    decomposed once per tree.  An entry is the same bits a fresh
+    computation from that array gives, under a ``Memo`` or a ``Rows``
+    alike, so a carried one changes no value.
     """
 
     __slots__ = ("_memo",)
@@ -718,8 +720,9 @@ class Rows(_BuiltInOnly):
     Only the built-in evaluators (``STACKED``) run under it: ``call`` of any
     other is ``Undecided``, and the caller evaluates point by point.  No
     atom of constants runs under it: ``expr`` reads its kept value.  Matrix
-    arguments are ``(n, d, d)`` stacks or one ``(d, d)`` constant shared by
-    all rows, scalar arguments ``(n,)`` stacks or one float.
+    arguments are ``(n, d, d)`` stacks or one ``(d, d)`` kept constant, gated
+    as positive definite where its node was built and shared by all rows;
+    scalar arguments are ``(n,)`` stacks or one float.
     Each decomposition is one stacked call (LAPACK and BLAS still run once
     per matrix, so the bits match), each tail one call over the alive
     rows, or one over a constant matrix's eigenvalues, and each scalar
@@ -853,14 +856,10 @@ class Rows(_BuiltInOnly):
     def symmetric(self, a: np.ndarray) -> np.ndarray:
         """``live(a)`` after the gate of ``sym_eig`` per row: a row with an entry
         that is not finite or is past ``_SYM_MAX`` dies, an asymmetric alive
-        row is undecided."""
+        row is undecided.  A 2-D ``a`` is a kept constant, gated as positive
+        definite where its node was built, and passes as it is."""
         if a.ndim == 2:
-            try:
-                _check_symmetric_square(a)
-                return a
-            except DomainError:
-                self.kill(True)
-                return np.eye(a.shape[0])
+            return a
         self.kill(~(np.abs(a).max(axis=(-2, -1), initial=0.0) <= _SYM_MAX))
         a = self.live(a)
         for i in np.flatnonzero(self.alive & ~(a == _mT(a)).all(axis=(-2, -1))):

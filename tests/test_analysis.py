@@ -374,6 +374,25 @@ class TestGCurvature:
         finally:
             gc.unregister_atom("convex_scalar")
 
+    def test_a_matrix_argument_without_a_kept_value_is_not_certified(self):
+        # A user evaluator does not run where its node is built, so zeros(2)
+        # keeps no value and is never gated as positive definite: distance
+        # of it is undefined at every point and cannot be certified.
+        sig = gc.AtomSignature("zeros", (gc.ArgKind.PARAM_INT,), "matrix", S.ANY, G.LINEAR,
+                               M.ANY, E.AFFINE, validate=lambda dims, params: params[0])
+        with registered_as(sig, lambda n: np.zeros((n, n))):
+            zeros = gc.apply_atom("zeros", [2])
+            assert zeros._value is None
+            e = gc.apply_atom("distance", [zeros, _var(d=2)])
+            r = gc.analyze(e, gc.SPD(2))
+            assert r.gcurvature is G.UNKNOWN and r.ecurvature is E.UNKNOWN
+            assert r.trace[-1].rule == "loewner-composition"
+            assert r.trace[-1].inputs.endswith(
+                "note: a variable-free matrix argument kept no value, so it is not known "
+                "to be positive definite")
+            with pytest.raises(DomainError, match="distance requires positive definite"):
+                gc.evaluate(e, {"X": np.eye(2)})
+
     def test_constant_subtree_linear(self):
         e = gc.apply_atom("sdivergence", [_pd(3, 1), _pd(3, 2)]) + gc.apply_atom("tr", [_var(d=3)])
         r = gc.analyze(e, gc.SPD(3))

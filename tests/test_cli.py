@@ -285,6 +285,28 @@ objective: "{objective}"
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert message in err, err
 
+    @pytest.mark.parametrize("argv", [["analyze"], ["solve"], ["fuzz", "--trials", "50"]],
+                             ids=["analyze", "solve", "fuzz"])
+    @pytest.mark.parametrize("objective, atom", [
+        ("pow(distance(conjugation(A, B), X), 2)", "distance"),
+        ("tr(X) + log(-1)", "log"),
+    ], ids=["not-positive-definite", "no-value"])
+    def test_a_refusal_names_its_atom_once(self, capsys, tmp_path, argv, objective, atom):
+        # The node's own refusal names the atom, so the parser adds no
+        # "in call to" prefix naming it again.
+        path = write(tmp_path, "c.yaml", f"""
+variables:
+  - {{name: X, manifold: SPD, dim: 2}}
+constants:
+  A: [[1.0, 0.0], [0.0, 1.0]]
+  B: [[1.0e-200, 0.0], [0.0, 1.0e-200]]
+objective: "{objective}"
+""")
+        code, out, err = run_main(capsys, [argv[0], path, *argv[1:]])
+        assert code == 1 and not out
+        assert err.count(f"'{atom}'") == 1, err
+        assert f"atom '{atom}'" in err and "in call to" not in err, err
+
 
 class TestAnalyzeCommand:
     def test_verdict_lines_exact(self, capsys):

@@ -210,6 +210,16 @@ class TestApplyAtom:
                                               "positive definite: lambda_min=(0|-1)$"):
             gc.apply_atom("distance", [constant(), x])
 
+    def test_a_square_named_constant_in_a_manifold_slot_is_a_gated_constant_matrix(self):
+        x = gc.Variable("X", gc.SPD(2))
+        e = gc.apply_atom("distance", [gc.ParamRef("A", [[2.0, 0.0], [0.0, 3.0]]), x])
+        a = e.args[0]
+        assert isinstance(a, gc.ConstMatrix) and a.name == "A"
+        assert np.array_equal(a._value, np.diag([2.0, 3.0]))
+        with pytest.raises(DomainError, match="atom 'distance': its constant argument is not "
+                                              "positive definite: lambda_min=-1$"):
+            gc.apply_atom("distance", [gc.ParamRef("N", np.diag([1.0, -1.0])), x])
+
     def test_every_pass_reads_a_constant_where_it_was_built(self, monkeypatch):
         a = gc.make_const_matrix(np.diag([2.0, 3.0, 5.0]), "PD", name="A")
         x = gc.Variable("X", gc.SPD(3))
@@ -227,6 +237,28 @@ class TestApplyAtom:
         gc.value_and_grad(e, {"X": points[0]})
         _evaluate_stacked(e, {"X": np.stack(points)}, np.ones(2, dtype=bool))
         assert calls == []  # tr(X) decomposes nothing, and logdet(A) is read
+
+    def test_a_tree_decomposes_each_constant_once(self, monkeypatch):
+        # sdivergence(X, A) takes logdet(A) at every point.  The tree's first
+        # pass decomposes A and keeps the entry; every later pass reads it,
+        # at a point, over a stack and in a solve alike.
+        a = gc.make_const_matrix(np.asarray(gc.random_spd(3, 10.0, 3)), "PD", name="A")
+        e = gc.apply_atom("sdivergence", [gc.Variable("X", gc.SPD(3)), a])
+        points = [np.asarray(gc.random_spd(3, 10.0, s)) for s in (1, 2)]
+        calls, lapack = [], gc.spd._lapack
+
+        def counted(gufunc, m, signature):
+            if m.shape == a.values.shape and m.tobytes() == a.values.tobytes():
+                calls.append(m)
+            return lapack(gufunc, m, signature)
+
+        monkeypatch.setattr(gc.spd, "_lapack", counted)
+        for m in points:
+            gc.evaluate(e, {"X": m})
+        gc.value_and_grad(e, {"X": points[0]})
+        _evaluate_stacked(e, {"X": np.stack(points)}, np.ones(2, dtype=bool))
+        gc.gradient_descent(gc.solver._ExpressionObjective(e, "X"), points[1], max_iter=3)
+        assert len(calls) == 1
 
     def test_a_kept_constant_argument_is_read_only(self):
         # A user atom's evaluator may write into its arguments at a point, but

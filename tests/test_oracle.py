@@ -321,6 +321,13 @@ class TestCrossValidate:
         assert out.checks["geodesic-convexity"].verdict == "ViolationFound"
         assert out.checks["euclidean-convexity"].verdict == "NoViolationFound"
 
+    def test_a_constant_expression_is_consistent_without_checks(self):
+        e = gc.apply_atom("logdet", [gc.make_const_matrix(np.diag([2.0, 3.0]), "PD", name="A")])
+        out = gc.cross_validate(e, gc.FuzzConfig(trials=50, seed=15))
+        assert out.verdict == "CONSISTENT"
+        assert out.analysis.gcurvature is gc.GCurvature.LINEAR
+        assert out.checks == {} and out.notes == {"info": "constant expression"}
+
     def test_dimension_comes_from_variables(self):
         e = gc.apply_atom("tr", [gc.Variable("X", gc.SPD(5))])
         out = gc.cross_validate(e, gc.FuzzConfig(trials=50, dim=2, seed=14))

@@ -269,7 +269,7 @@ class TestKarcherProblem:
 
 
 class TestSolveInvariants:
-    """What a solve computes once: each constant per objective, X^-1/2 per iterate."""
+    """What a solve computes once: each constant per tree, X^-1/2 per iterate."""
 
     @staticmethod
     def _karcher():
@@ -302,7 +302,7 @@ class TestSolveInvariants:
         monkeypatch.setattr(obj, "_value_at", counted_value_at)
         res = gc.gradient_descent(obj, np.eye(3), grad_tol=1e-8)
         assert res.converged and res.iterations > 2 and len(passes) > res.iterations
-        # Once per objective, not once per forward pass.
+        # Once per tree, not once per forward pass.
         assert [sum(a is anchor for a in gated) for anchor in anchors] == [1, 1, 1]
         # Each forward pass whitens its point once, and the next step takes
         # that X^-1/2 instead of building it again.
@@ -313,7 +313,7 @@ class TestSolveInvariants:
         obj, anchors = self._karcher()
         res = gc.gradient_descent(obj, np.eye(3), grad_tol=1e-8)
         assert res.converged
-        carried = obj._carried
+        carried = obj.expression._entries
         assert carried
         for key, (arrays, _) in carried.items():
             assert key[1:] == tuple(map(id, arrays))
@@ -332,8 +332,8 @@ class TestSolveInvariants:
         obj = gc.solver._ExpressionObjective(e, "X")
         res = gc.gradient_descent(obj, np.eye(3), grad_tol=1e-8)
         assert rel_err(res.minimizer.entries, b._value) <= 1e-6
-        assert {key[0] for key in obj._carried} == {"sym_eig", "inv_sqrt"}
-        assert all(arrays == (b._value,) for arrays, _ in obj._carried.values())
+        assert {key[0] for key in obj.expression._entries} == {"sym_eig", "inv_sqrt"}
+        assert all(arrays == (b._value,) for arrays, _ in obj.expression._entries.values())
 
     def test_a_gradient_assigned_in_place_of_the_backward_pass_is_symmetrized(self):
         obj, _ = self._karcher()

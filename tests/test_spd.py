@@ -212,6 +212,12 @@ class TestOneSource:
 
         assert self._sites(rebuild) == {("spd", "_congruence"), ("spd", "_inv_sqrt")}
 
+    def test_only_the_forward_pass_carries_a_trees_entries(self):
+        # A tree keeps its constants' memo entries and every pass of it reads
+        # them; a carry anywhere else is a second home for what outlives a pass.
+        for name in ("_entries_of", "_carry"):
+            assert self._references(name) == {("expr", "_forward")}, name
+
     def test_only_the_plan_builder_orders_a_tree_for_evaluation(self):
         # Evaluation, differentiation, analysis and ``Expression.walk`` loop
         # over a tree's plan; reading a node's children anywhere else works
